@@ -310,9 +310,10 @@ def _tune_admm_eta(problem, config, iterations=5000):
 
     table = []
     best = None
+    start = initial_admm_state(problem)
     for eta in OMEGA_GRID:
         cfg = StepConfig(ADMM, eta)
-        state = initial_admm_state(problem)
+        state = start
         ok = True
         for _ in range(iterations):
             out, state = admm_step(problem, state, cfg)
@@ -486,10 +487,17 @@ def cmd_bilinear_lab(kappas, eps, out_dir):
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors reach ``main`` as an exception, so that
+    ``main`` returns the input-error code instead of exiting."""
+
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+        raise _UsageError(message)
 
 
 def _add_common(parser):
@@ -571,8 +579,8 @@ def main(argv=None):
     p_lab.add_argument("--eps", type=float, default=1e-6)
     p_lab.add_argument("--out-dir", required=True)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "solve":
             return cmd_solve(_config_from_args(args))
         if args.command == "tune-omega":
@@ -584,10 +592,10 @@ def main(argv=None):
         if args.command == "bilinear-lab":
             kappas = [float(k) for k in args.kappas.split(",") if k.strip()]
             return cmd_bilinear_lab(kappas, args.eps, args.out_dir)
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    parser.error(f"unknown command {args.command!r}")
+    print(f"error: unknown command {args.command!r}", file=sys.stderr)
     return EXIT_INPUT_ERROR
 
 

@@ -1,9 +1,11 @@
 """Problem data, sparse linear algebra, norms, and KKT residuals.
 
-Everything downstream (steps, gap evaluation, restart driver) is matrix-free:
-the only operations ever applied to the constraint matrix are products with A
-and with A^T.  ``SparseMatrix`` therefore keeps two compressed layouts of the
-same nonzeros, one row-ordered and one column-ordered, built once at load.
+Everything downstream (steps, gap evaluation, restart driver) is matrix-free
+apart from the ADMM and PPM steps: the only operations applied to the
+constraint matrix are products with A and with A^T, plus, for those two
+methods, one sparse factorization of A A^T per solve.  ``SparseMatrix``
+therefore keeps two compressed layouts of the same nonzeros, one row-ordered
+and one column-ordered, built once at load.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ class SparseMatrix:
         if w.shape != (self.n_rows,):
             raise ValueError(f"rmatvec dimension mismatch: {w.shape} vs {self.shape}")
         return self._adj @ w
+
+    def gram(self):
+        """A A^T as a sparse CSC array, the product of the two layouts."""
+        return sp.csc_array(self._fwd @ self._adj)
 
     def to_dense(self):
         return self._fwd.toarray()

@@ -9,7 +9,10 @@ average as the restart candidate when its gap is lower.
 
 Restart and termination checks happen only at checkpoints (every
 ``check_cadence`` iterations); each checkpoint costs a handful of
-matrix-vector products which the gap and KKT evaluations share.
+matrix-vector products which the gap and KKT evaluations share.  For ADMM
+each KKT evaluation also extracts an LP dual estimate from A A' lam = -A y:
+one back-solve with the A A' factor built at the start of the solve, plus
+two products to verify its residual.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .steps import (
     PPM_BILINEAR,
     AdmmPoint,
     AdmmState,
+    NormalFactor,
     StepConfig,
     admm_step,
     egm_step,
@@ -216,7 +220,8 @@ class _SaddleLane:
         elif config.method == EGM:
             self._step = lambda z: egm_step(problem, z, config)
         elif config.method == PPM_BILINEAR:
-            self._step = lambda z: ppm_bilinear_step(problem, z, config.eta)
+            factor = NormalFactor(problem.A, 1.0 / (config.eta * config.eta))
+            self._step = lambda z: ppm_bilinear_step(problem, z, config.eta, factor)
         else:
             raise ValueError(f"not a saddle-point method: {config.method}")
         self.n = problem.n
@@ -255,7 +260,6 @@ class _AdmmLane:
         self.n = problem.n
         self.state = None
         self.projector_tol = projector_tol
-        self._dual_warm = None
 
     def initial(self, z0):
         st = initial_admm_state(self.problem, tol=self.projector_tol)
@@ -294,8 +298,7 @@ class _AdmmLane:
         # standard-form residuals of (x_V, lambda)
         point = self.from_vec(vec)
         rhs = -self.problem.A.matvec(point.y)
-        lam = self.state.projector.solve_normal(rhs, warm=self._dual_warm)
-        self._dual_warm = lam
+        lam = self.state.projector.solve_normal(rhs)
         return residuals(self.problem, SaddlePoint(point.x_v, lam)).kkt_error
 
     def reset_to(self, vec):

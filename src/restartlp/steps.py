@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lp_core import SaddlePoint, gradient_field
@@ -23,6 +24,7 @@ __all__ = [
     "StepOutput",
     "AdmmPoint",
     "AdmmState",
+    "NormalFactor",
     "AffineProjector",
     "AffineProjectionError",
     "affine_project",
@@ -124,7 +126,11 @@ def egm_step(problem, z, config):
     return StepOutput(next=SaddlePoint(x1, y1), target=SaddlePoint(xh, yh))
 
 
-def ppm_bilinear_step(problem, z, eta, tol=1e-12):
+# Residual bound of the PPM inner solve, relative to 1 + |rhs|.
+_PPM_TOL = 1e-12
+
+
+def ppm_bilinear_step(problem, z, eta, factor=None):
     """One exact proximal-point iteration on an unconstrained bilinear problem.
 
     Solves (I + eta F)(z^{t+1}) = z^t, i.e. the linear system
@@ -132,31 +138,40 @@ def ppm_bilinear_step(problem, z, eta, tol=1e-12):
         x - eta A'y = x^t - eta c
         y + eta A x = y^t + eta b
 
-    by eliminating x and running CG on (I + eta^2 A A') y = rhs.
+    by eliminating x: y solves (s I + A A') y = s rhs with s = 1/eta^2.
+    ``factor`` is the :class:`NormalFactor` of that matrix; a restarted run
+    builds it once and passes it to every step, and a one-off call leaves it
+    out and gets a fresh one.  The solve is refined until the residual of the
+    second block row, recomputed from the returned (x, y), is at most
+    1e-12 (1 + |rhs|); otherwise :class:`AffineProjectionError` is raised.
     """
     if problem.nonneg:
         raise ValueError("PPM steps are implemented for unconstrained bilinear "
                          "problems only")
+    s = 1.0 / (eta * eta)
+    if factor is None:
+        factor = NormalFactor(problem.A, s)
+    elif factor.shift != s:
+        raise ValueError("PPM factor was built for a different step size")
     A = problem.A
-    xr = z.x - eta * problem.c
-    rhs = z.y + eta * problem.b - eta * A.matvec(xr)
-    op = spla.LinearOperator(
-        (problem.m, problem.m),
-        matvec=lambda v: v + eta * eta * A.matvec(A.rmatvec(v)),
-        dtype=np.float64,
-    )
-    atol = tol * (1.0 + float(np.linalg.norm(rhs)))
-    y1, info = spla.cg(op, rhs, x0=z.y, rtol=0.0, atol=atol,
-                       maxiter=10 * problem.m + 50)
-    if info != 0:
-        raise AffineProjectionError(f"PPM inner solve did not converge (info={info})")
-    x1 = xr + eta * A.rmatvec(y1)
+    x1 = z.x - eta * problem.c
+    y1 = np.zeros(problem.m)
+    top = z.y + eta * problem.b
+    rhs = top - eta * A.matvec(x1)
+
+    def correct(dy):
+        nonlocal x1, y1
+        y1 += dy
+        x1 += eta * A.rmatvec(dy)
+        return s * (top - y1 - eta * A.matvec(x1))
+
+    factor.refine(correct, s * rhs, s * _PPM_TOL * (1.0 + float(np.linalg.norm(rhs))))
     nxt = SaddlePoint(x1, y1)
     return StepOutput(next=nxt, target=nxt)
 
 
 # ---------------------------------------------------------------------------
-# ADMM
+# Normal equations and ADMM
 # ---------------------------------------------------------------------------
 
 
@@ -164,47 +179,90 @@ class AffineProjectionError(RuntimeError):
     pass
 
 
-class AffineProjector:
-    """Euclidean projection onto {x : Ax = b}, matrix-free.
+# Diagonal shift, relative to the largest diagonal entry of A A', added before
+# factoring so that a rank-deficient A A' (duplicate, zero or dependent rows
+# of A) still factors; refinement removes its effect on consistent systems.
+_FACTOR_SHIFT = 1e-13
+# Factored solves one refinement may take before it gives up.
+_MAX_SOLVES = 8
 
-    project(p) = p - A'w where A A' w = A p - b; the normal equations are
-    solved by conjugate gradients warm-started from the previous multiplier.
-    The returned point satisfies |A p' - b| <= tol (1 + |b|).
+
+class NormalFactor:
+    """Sparse LU factor of s I + A A', formed and factored once.
+
+    A A' comes from the two layouts of :class:`SparseMatrix`;
+    ``scipy.sparse.linalg.splu`` factors it after a tiny diagonal shift.
+    :meth:`refine` never trusts a back-solve: it repeats the solve on the
+    true residual, which the caller recomputes from its own iterate, until
+    that residual is small enough.  Rank-deficient A is allowed as long as
+    the system is consistent.
     """
 
-    def __init__(self, A, b, tol=1e-10, max_iters=None):
+    def __init__(self, A, shift=0.0):
+        gram = A.gram()
+        scale = float(gram.diagonal().max(initial=0.0)) or 1.0
+        self.shift = shift
+        reg = (shift + _FACTOR_SHIFT * scale) * sp.eye_array(A.n_rows, format="csc")
+        self._lu = spla.splu(gram + reg)
+
+    def refine(self, correct, residual, atol):
+        """Iterative refinement: ``correct(d)`` applies the solution d of
+        (s I + A A') d = residual to the caller's iterate and returns the
+        new true residual.  Raises :class:`AffineProjectionError` when the
+        residual is still above ``atol`` after ``_MAX_SOLVES`` solves."""
+        for _ in range(_MAX_SOLVES):
+            residual = correct(self._lu.solve(residual))
+            if np.linalg.norm(residual) <= atol:
+                return
+        raise AffineProjectionError(
+            f"factored normal-equation solve failed to reach {atol:.2e} (residual "
+            f"{np.linalg.norm(residual):.2e}); the system may be inconsistent")
+
+
+class AffineProjector:
+    """Euclidean projection onto {x : Ax = b} through one factor of A A'.
+
+    project(p) = p + A'w where A A' w = b - A p.  A A' is formed and
+    factored once, when the projector is built (a :class:`NormalFactor` with
+    s = 0); each projection refines w against the residual b - A p' of the
+    returned point until |A p' - b| <= tol (1 + |b|) is verified, and raises
+    :class:`AffineProjectionError` if it cannot be.  Rank-deficient A
+    (duplicate, zero or dependent rows) is fine when Ax = b is consistent.
+    """
+
+    def __init__(self, A, b, tol=1e-10):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
         self.tol = tol
-        self.max_iters = max_iters if max_iters is not None else 20 * A.n_rows + 100
-        self._warm = np.zeros(A.n_rows)
-        self._op = spla.LinearOperator(
-            (A.n_rows, A.n_rows),
-            matvec=lambda v: A.matvec(A.rmatvec(v)),
-            dtype=np.float64,
-        )
+        self.factor = NormalFactor(A)
 
     def project(self, point):
-        r = self.A.matvec(point) - self.b
+        out = np.array(point, dtype=np.float64)
+        r = self.b - self.A.matvec(out)
         atol = self.tol * (1.0 + float(np.linalg.norm(self.b)))
         if np.linalg.norm(r) <= atol:
-            return np.asarray(point, dtype=np.float64).copy()
-        w, info = spla.cg(self._op, r, x0=self._warm, rtol=0.0, atol=atol,
-                          maxiter=self.max_iters)
-        if info != 0:
-            raise AffineProjectionError(
-                f"normal-equation CG failed to reach {atol:.2e} (info={info})")
-        self._warm = w
-        return point - self.A.rmatvec(w)
+            return out
 
-    def solve_normal(self, rhs, warm=None):
-        """Solve A A' w = rhs (shared by the dual extraction for ADMM)."""
+        def correct(w):
+            nonlocal out
+            out += self.A.rmatvec(w)
+            return self.b - self.A.matvec(out)
+
+        self.factor.refine(correct, r, atol)
+        return out
+
+    def solve_normal(self, rhs):
+        """Solve A A' w = rhs with the same factor (ADMM's dual extraction);
+        the residual |A A' w - rhs| <= tol (1 + |rhs|) is verified."""
+        w = np.zeros(self.A.n_rows)
         atol = self.tol * (1.0 + float(np.linalg.norm(rhs)))
-        w, info = spla.cg(self._op, rhs, x0=warm, rtol=0.0, atol=atol,
-                          maxiter=self.max_iters)
-        if info != 0:
-            raise AffineProjectionError(
-                f"normal-equation CG failed to reach {atol:.2e} (info={info})")
+
+        def correct(d):
+            nonlocal w
+            w += d
+            return rhs - self.A.matvec(self.A.rmatvec(w))
+
+        self.factor.refine(correct, rhs, atol)
         return w
 
 

@@ -80,6 +80,11 @@ class TestSolve:
                      "--iteration-limit", "10", "--kkt-tol", "1e-12"])
         assert code == EXIT_ITERATION_LIMIT
 
+    def test_admm_with_tuned_eta_optimal(self):
+        code = main(["solve", "--generate", "random:m=20,n=40,density=0.3,seed=2",
+                     "--method", "admm", "--tune-eta"])
+        assert code == EXIT_OPTIMAL
+
     def test_missing_file_is_input_error(self):
         assert main(["solve", "--input", "/nonexistent/file.mps"]) == EXIT_INPUT_ERROR
 

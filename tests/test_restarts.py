@@ -24,7 +24,7 @@ from restartlp import (
     theoretical_linear_rate_check,
 )
 from restartlp.restarts import ADAPTIVE, FLEXIBLE
-from restartlp.steps import PDHG, PPM_BILINEAR
+from restartlp.steps import ADMM, PDHG, PPM_BILINEAR
 
 
 class TestTstar:
@@ -126,6 +126,18 @@ class TestRunRestarted:
             res = run_restarted(problem, opts)
             assert res.status == Status.OPTIMAL
             assert min(res.kkt_avg, res.kkt_last) <= 1e-6
+
+    @pytest.mark.parametrize("scheme", [RestartScheme.adaptive(), RestartScheme.flexible()])
+    def test_admm_solves_planted_lp(self, scheme):
+        for seed in (0, 1):
+            problem, opt = generate(RandomLpKnownOptimum(20, 40, 0.3, seed))
+            opts = SolveOptions(step=StepConfig(ADMM, 1.0), scheme=scheme,
+                                kkt_tol=1e-6, iteration_limit=10**5)
+            res = run_restarted(problem, opts)
+            assert res.status == Status.OPTIMAL
+            assert min(res.kkt_avg, res.kkt_last) <= 1e-6
+            f_star = float(problem.c @ opt.x)
+            assert abs(problem.c @ res.solution.x_v - f_star) <= 1e-5 * (1 + abs(f_star))
 
     def test_trace_shape_and_monotone_iterations(self):
         problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 5))

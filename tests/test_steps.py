@@ -25,7 +25,7 @@ from restartlp import (
     power_method_sigma_max,
     ppm_bilinear_step,
 )
-from restartlp.steps import AdmmState
+from restartlp.steps import AdmmState, AffineProjectionError, NormalFactor
 
 from conftest import random_sparse
 
@@ -163,6 +163,53 @@ class TestAffineProject:
             null_part = w - affine_project(A, np.zeros(3), np.zeros(8)) - (
                 w - affine_project(A, np.zeros(3), w))
             assert abs((p - out) @ null_part) <= 1e-8 * (1 + np.linalg.norm(w))
+
+
+def _rank_deficient(kind, rng):
+    """A 5x9 matrix of rank 4 and a consistent right-hand side."""
+    dense = rng.standard_normal((5, 9))
+    if kind == "duplicate":
+        dense[4] = dense[1]
+    elif kind == "zero":
+        dense[4] = 0.0
+    else:
+        dense[4] = dense[0] + 2.0 * dense[2]
+    return SparseMatrix.from_dense(dense), dense @ rng.standard_normal(9)
+
+
+class TestFactoredSolves:
+    @pytest.mark.parametrize("kind", ["duplicate", "zero", "dependent"])
+    def test_rank_deficient_projection(self, kind, rng):
+        A, b = _rank_deficient(kind, rng)
+        dense = A.to_dense()
+        p = 3.0 * rng.standard_normal(9)
+        out = affine_project(A, b, p)
+        want = p - np.linalg.pinv(dense) @ (dense @ p - b)
+        assert np.max(np.abs(out - want)) <= 1e-9
+        assert np.linalg.norm(A.matvec(out) - b) <= 1e-10 * (1 + np.linalg.norm(b))
+
+    def test_inconsistent_system_raises(self, rng):
+        A, b = _rank_deficient("zero", rng)
+        b[4] = 1.0
+        with pytest.raises(AffineProjectionError):
+            affine_project(A, b, rng.standard_normal(9))
+
+    def test_ppm_matches_dense_block_solve(self, rng):
+        A = random_sparse(6, 10, 0.5, rng)
+        problem = StandardFormLp(rng.standard_normal(10), A, rng.standard_normal(6),
+                                 nonneg=False)
+        z = SaddlePoint(rng.standard_normal(10), rng.standard_normal(6))
+        eta = 0.7
+        dense = A.to_dense()
+        block = np.block([[np.eye(10), -eta * dense.T], [eta * dense, np.eye(6)]])
+        rhs = np.concatenate([z.x - eta * problem.c, z.y + eta * problem.b])
+        want = np.linalg.solve(block, rhs)
+        out = ppm_bilinear_step(problem, z, eta)
+        assert np.max(np.abs(out.next.as_vector() - want)) <= 1e-10
+        out = ppm_bilinear_step(problem, z, eta, NormalFactor(A, 1.0 / (eta * eta)))
+        assert np.max(np.abs(out.next.as_vector() - want)) <= 1e-10
+        with pytest.raises(ValueError):
+            ppm_bilinear_step(problem, z, eta, NormalFactor(A, 1.0))
 
 
 class TestAdmm:
