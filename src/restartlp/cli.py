@@ -21,6 +21,7 @@ import numpy as np
 
 from .bilinear import table3_scaling_experiment, two_dim_toy_series
 from .ingest import (
+    OBJECTIVE_ROW,
     DiagonalBilinear,
     MpsParseError,
     RandomLpKnownOptimum,
@@ -135,8 +136,7 @@ def load_problem(config):
             "source": str(path),
             "raw_rows": len(model.row_names),
             "raw_cols": len(model.column_names),
-            "raw_nonzeros": sum(1 for (row, _c) in model.entries
-                                if row != model.objective_row),
+            "raw_nonzeros": int(np.count_nonzero(model.entry_rows != OBJECTIVE_ROW)),
             "rows": problem.m,
             "cols": problem.n,
             "nonzeros": problem.A.nnz,

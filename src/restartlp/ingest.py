@@ -3,8 +3,18 @@ synthetic instance generators with known optima.
 
 The MPS subset covers ROWS / COLUMNS / RHS / RANGES / BOUNDS with bound codes
 LO, UP, FX, FR, MI, PL, in both fixed and free format (whitespace
-tokenization).  OBJSENSE defaults to minimization.  No presolve or scaling is
-applied anywhere in this package.
+tokenization), and RANGES on E, L and G rows.  OBJSENSE defaults to
+minimization.  No presolve or scaling is applied anywhere in this package.
+
+Ingest works on arrays.  The parser makes one pass over the lines; COLUMNS
+lines only have their tokens collected, and when the section ends the values
+are converted, the row names looked up and duplicate (row, column) pairs
+summed in bulk, giving the three aligned coefficient arrays of
+:class:`MpsModel`.  The checks that run at that point (bad numbers,
+undeclared rows, integer markers) still run before any later line is read,
+so the error raised is always the first one in file order, with its
+``line N:`` prefix.  :func:`to_standard_form` classifies rows and columns
+with masks and emits A, b and c as arrays.
 """
 
 from __future__ import annotations
@@ -37,11 +47,27 @@ _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "
 _UNSUPPORTED = {"SOS", "QUADOBJ", "QMATRIX", "QCMATRIX", "OBJSENSE "}
 _BOUND_CODES = {"LO", "UP", "FX", "FR", "MI", "PL"}
 _VALUED_BOUNDS = {"LO", "UP", "FX"}
+# Row index of the objective row in MpsModel.entry_rows.
+OBJECTIVE_ROW = -1
+
+
+def _empty(dtype):
+    return lambda: np.empty(0, dtype=dtype)
 
 
 @dataclass
 class MpsModel:
-    """Faithful record of the sections of an MPS file."""
+    """Faithful record of the sections of an MPS file.
+
+    The COLUMNS coefficients are three aligned arrays with one entry per
+    distinct (row, column) pair, sorted by column and then by row:
+
+    * ``entry_rows`` -- index into ``row_names``, or ``OBJECTIVE_ROW`` (-1)
+      for the objective row;
+    * ``entry_cols`` -- index into ``column_names``;
+    * ``entry_vals`` -- the pair's values summed in file order,
+      ``0.0 + v1 + v2 + ...``.
+    """
 
     name: str = ""
     objective_row: str = ""
@@ -49,7 +75,9 @@ class MpsModel:
     row_names: list = field(default_factory=list)      # constraint rows, declared order
     row_sense: dict = field(default_factory=dict)      # row name -> 'E' | 'L' | 'G'
     column_names: list = field(default_factory=list)   # declared order
-    entries: dict = field(default_factory=dict)        # (row, col) -> coefficient
+    entry_rows: np.ndarray = field(default_factory=_empty(np.int64))
+    entry_cols: np.ndarray = field(default_factory=_empty(np.int64))
+    entry_vals: np.ndarray = field(default_factory=_empty(np.float64))
     rhs: dict = field(default_factory=dict)            # row -> value
     ranges: dict = field(default_factory=dict)         # row -> value
     bound_records: list = field(default_factory=list)  # (code, col, value-or-None)
@@ -76,11 +104,95 @@ class MpsModel:
         return lo, up
 
 
+class _ColumnsSection:
+    """Tokens of the COLUMNS lines, collected as read and checked and
+    converted in bulk by :meth:`finish`."""
+
+    def __init__(self):
+        self.tokens = []      # every token of every line, in file order
+        self.lengths = []     # tokens per line
+        self.linenos = []     # line number of each line
+
+    def finish(self, model, lines):
+        """Fill the model's columns and coefficient arrays, or raise the
+        first error among the collected lines."""
+        if not self.lengths:
+            return
+        lengths = np.array(self.lengths, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        pairs_per_line = (lengths - 1) // 2
+        line_of_pair = np.repeat(np.arange(lengths.size), pairs_per_line)
+        first_pair = np.cumsum(pairs_per_line) - pairs_per_line
+        row_at = starts[line_of_pair] + 1 + 2 * (np.arange(line_of_pair.size)
+                                                - first_pair[line_of_pair])
+        tokens = np.array(self.tokens, dtype=object)
+
+        row_index = {name: i for i, name in enumerate(model.row_names)}
+        if model.objective_row:
+            row_index[model.objective_row] = OBJECTIVE_ROW
+        try:
+            rows = np.fromiter(map(row_index.__getitem__, tokens[row_at].tolist()),
+                               dtype=np.int64, count=row_at.size)
+            vals = _bulk_float(tokens[row_at + 1].tolist())
+        except (KeyError, ValueError):
+            self._raise_first_error(model, lines)
+        # a declared row with a marker-like name still makes its line a marker
+        markers = {r for r in row_index if _is_marker(r)}
+        if markers and not markers.isdisjoint(tokens[starts + 1].tolist()):
+            self._raise_first_error(model, lines)
+
+        # a column's lines usually follow one another: look names up per run
+        col_tokens = tokens[starts]
+        run_head = np.ones(col_tokens.size, dtype=bool)
+        run_head[1:] = col_tokens[1:] != col_tokens[:-1]
+        run_names = col_tokens[run_head].tolist()
+        model.column_names = list(dict.fromkeys(run_names))
+        col_index = {name: j for j, name in enumerate(model.column_names)}
+        run_cols = np.fromiter(map(col_index.__getitem__, run_names),
+                               dtype=np.int64, count=len(run_names))
+        cols = run_cols[np.cumsum(run_head) - 1][line_of_pair]
+
+        # Sort by (column, row) to find repeated pairs, then sum each pair's
+        # values in file order: bincount adds the weights one at a time in
+        # index order onto 0.0.  ravel_multi_index raises rather than
+        # overflow on shapes too large for one int64 key.
+        key = np.ravel_multi_index((cols, rows + 1),
+                                   (len(model.column_names), len(model.row_names) + 1))
+        order = np.argsort(key)
+        key = key[order]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        group = np.empty(key.size, dtype=np.int64)
+        group[order] = np.cumsum(new) - 1
+        model.entry_cols = cols[order][new]
+        model.entry_rows = rows[order][new]
+        model.entry_vals = np.bincount(group, weights=vals, minlength=model.entry_rows.size)
+
+    def _raise_first_error(self, model, lines):
+        """Re-check the collected lines one pair at a time, as they were
+        read, and raise the first failure."""
+        for lineno in self.linenos:
+            parts = lines[lineno - 1].split()
+            if _is_marker(parts[1]):
+                raise MpsParseError(f"line {lineno}: integer markers are not supported")
+            for i in range(1, len(parts), 2):
+                row = parts[i]
+                _tofloat(parts[i + 1], lineno)
+                if row != model.objective_row and row not in model.row_sense:
+                    raise MpsParseError(f"line {lineno}: undeclared row {row!r}")
+        raise AssertionError("bulk COLUMNS check failed on no line")
+
+
+def _is_marker(token):
+    return token.upper().strip("'") == "MARKER"
+
+
 def parse_mps(text):
     """Parse MPS text (fixed or free format) into an :class:`MpsModel`.
 
     Raises :class:`MpsParseError` on unsupported sections, out-of-order
     sections, undeclared names, unknown bound codes, or integer markers.
+    The error raised is the first one in file order.
     """
     model = MpsModel()
     section = None
@@ -100,13 +212,18 @@ def parse_mps(text):
         return sec
 
     pending_objsense = False
+    columns = None
     known_cols = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        header = raw[:1] not in (" ", "\t")
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
-        if header:
+        if not parts or parts[0][0] == "*":
+            continue
+        if raw[0] not in " \t":
+            if columns is not None:
+                columns.finish(model, lines)
+                known_cols = set(model.column_names)
+                columns = None
             key = parts[0].upper()
             if key == "ENDATA":
                 break
@@ -121,6 +238,8 @@ def parse_mps(text):
                         section = None
                     else:
                         pending_objsense = True
+                elif key == "COLUMNS":
+                    columns = _ColumnsSection()
                 continue
             raise MpsParseError(f"line {lineno}: unsupported section {parts[0]!r}")
 
@@ -131,6 +250,19 @@ def parse_mps(text):
             model.objective_sense = "MAX" if sense.startswith("MAX") else "MIN"
             pending_objsense = False
             continue
+
+        if section == "COLUMNS":
+            n = len(parts)
+            if n & 1 and n > 1:
+                columns.tokens.extend(parts)
+                columns.lengths.append(n)
+                columns.linenos.append(lineno)
+                continue
+            # errors on earlier lines come first
+            columns.finish(model, lines)
+            if n >= 3 and _is_marker(parts[1]):
+                raise MpsParseError(f"line {lineno}: integer markers are not supported")
+            raise MpsParseError(f"line {lineno}: malformed COLUMNS line")
 
         if section == "ROWS":
             if len(parts) != 2:
@@ -148,22 +280,6 @@ def parse_mps(text):
                 model.row_sense[name] = sense
             else:
                 raise MpsParseError(f"line {lineno}: unknown row sense {sense!r}")
-
-        elif section == "COLUMNS":
-            if len(parts) >= 3 and parts[1].upper().strip("'") == "MARKER":
-                raise MpsParseError(f"line {lineno}: integer markers are not supported")
-            col = parts[0]
-            if len(parts) < 3 or len(parts) % 2 == 0:
-                raise MpsParseError(f"line {lineno}: malformed COLUMNS line")
-            if col not in known_cols:
-                known_cols.add(col)
-                model.column_names.append(col)
-            for i in range(1, len(parts), 2):
-                row, val = parts[i], _tofloat(parts[i + 1], lineno)
-                if row != model.objective_row and row not in model.row_sense:
-                    raise MpsParseError(f"line {lineno}: undeclared row {row!r}")
-                key = (row, col)
-                model.entries[key] = model.entries.get(key, 0.0) + val
 
         elif section in ("RHS", "RANGES"):
             target = model.rhs if section == "RHS" else model.ranges
@@ -200,6 +316,8 @@ def parse_mps(text):
         else:
             raise MpsParseError(f"line {lineno}: unexpected data in section {section}")
 
+    if columns is not None:
+        columns.finish(model, lines)
     if not model.objective_row and (model.column_names or model.row_names):
         raise MpsParseError("no objective (N) row declared")
     return model
@@ -210,6 +328,17 @@ def _tofloat(tok, lineno):
         return float(tok.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"line {lineno}: bad numeric field {tok!r}") from None
+
+
+def _bulk_float(tokens):
+    """``_tofloat`` over a list of tokens, as one array; raises ValueError
+    if any token is not a number."""
+    joined = " ".join(tokens)
+    if "D" in joined or "d" in joined:
+        # tokens hold no whitespace, so joining on a space and splitting
+        # again returns them with only the exponent letters changed
+        tokens = joined.replace("D", "E").replace("d", "e").split(" ")
+    return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -278,147 +407,131 @@ class VariableMap:
         return -val if self.objective_sense == "MAX" else val
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def to_standard_form(model):
     """Convert an :class:`MpsModel` to ``min c'x, Ax = b, x >= 0``.
 
     Returns ``(StandardFormLp, VariableMap)``.  Inequality rows get slack
     variables, free variables are split, finite bounds are shifted (and
-    upper bounds slacked into extra rows).  RANGES are supported on L and G
-    rows only.
-    """
-    lo, up = model.resolved_bounds()
-    for col in model.column_names:
-        if lo[col] > up[col]:
-            raise ValueError(f"contradictory bounds on column {col!r}: "
-                             f"[{lo[col]}, {up[col]}]")
+    upper bounds slacked into extra rows).  RANGES R on a row with
+    right-hand side r give [r - |R|, r] on an L row, [r, r + |R|] on a G
+    row, and on an E row [r, r + |R|] when R >= 0 and [r - |R|, r] when
+    R < 0.
 
-    # Row intervals lo_r <= a'x <= up_r.
-    row_lo, row_up = {}, {}
-    for row in model.row_names:
-        sense = model.row_sense[row]
-        r = model.rhs.get(row, 0.0)
-        rng = model.ranges.get(row)
-        if sense == "E":
-            if rng is not None:
-                raise ValueError(f"RANGES on E row {row!r} not supported")
-            row_lo[row], row_up[row] = r, r
-        elif sense == "L":
-            row_up[row] = r
-            row_lo[row] = r - abs(rng) if rng is not None else -math.inf
-        else:  # G
-            row_lo[row] = r
-            row_up[row] = r + abs(rng) if rng is not None else math.inf
+    Sums are taken in the order of a column-by-column pass, which the
+    column-sorted entries of the model give: each row's
+    ``b_i -= a_ij * shift_j`` by ascending column, and the objective offset
+    column after column.  Overflow and invalid values are not warned about,
+    as with Python floats.
+    """
+    names = model.column_names
+    n = len(names)
+    lo_of, up_of = model.resolved_bounds()
+    lo = np.array([lo_of[c] for c in names], dtype=np.float64)
+    up = np.array([up_of[c] for c in names], dtype=np.float64)
+    bad = np.flatnonzero(lo > up)
+    if bad.size:
+        col = names[bad[0]]
+        raise ValueError(f"contradictory bounds on column {col!r}: "
+                         f"[{lo_of[col]}, {up_of[col]}]")
     if model.objective_row in model.ranges:
         raise ValueError("RANGES on the objective row")
 
-    # Interim columns: original columns plus row slacks, each with bounds.
-    # Each interim column is (name, coeffs as list of (row_index, value),
-    # objective coefficient, lower, upper).
-    sense_flip = -1.0 if model.objective_sense == "MAX" else 1.0
-    row_index = {name: i for i, name in enumerate(model.row_names)}
-    n_rows = len(model.row_names)
-    b = np.zeros(n_rows)
-
-    col_coeffs = {c: [] for c in model.column_names}
-    col_obj = {c: 0.0 for c in model.column_names}
-    for (row, col), val in model.entries.items():
-        if row == model.objective_row:
-            col_obj[col] += sense_flip * val
-        else:
-            col_coeffs[col].append((row_index[row], val))
-
-    interim = []
-    for col in model.column_names:
-        interim.append((col, col_coeffs[col], col_obj[col], lo[col], up[col]))
+    # Row intervals row_lo <= a'x <= row_up.
+    m = len(model.row_names)
+    sense = np.array([model.row_sense[row] for row in model.row_names], dtype="U1")
+    r = np.array([model.rhs.get(row, 0.0) for row in model.row_names], dtype=np.float64)
+    has_range = np.array([row in model.ranges for row in model.row_names], dtype=bool)
+    rng = np.array([model.ranges.get(row, 0.0) for row in model.row_names], dtype=np.float64)
+    is_e, is_l = sense == "E", sense == "L"
+    is_g = ~is_e & ~is_l
+    below = has_range & (is_l | (is_e & (rng < 0)))        # [r - |R|, r]
+    above = has_range & (is_g | (is_e & ~(rng < 0)))       # [r, r + |R|]
+    row_lo = np.where(below, r - np.abs(rng), np.where(is_l & ~has_range, -np.inf, r))
+    row_up = np.where(above, r + np.abs(rng), np.where(is_g & ~has_range, np.inf, r))
 
     # Equalize rows: a'x (+/- slack) = rhs.  Ranged rows get a bounded slack.
-    for row in model.row_names:
-        i = row_index[row]
-        rlo, rup = row_lo[row], row_up[row]
-        if rlo == rup:
-            b[i] = rup
-        elif math.isinf(rlo):            # a'x <= rup
-            b[i] = rup
-            interim.append((f"_slack_{row}", [(i, 1.0)], 0.0, 0.0, math.inf))
-        elif math.isinf(rup):            # a'x >= rlo
-            b[i] = rlo
-            interim.append((f"_slack_{row}", [(i, -1.0)], 0.0, 0.0, math.inf))
-        else:                            # ranged: a'x + s = rup, 0 <= s <= rup - rlo
-            b[i] = rup
-            interim.append((f"_slack_{row}", [(i, 1.0)], 0.0, 0.0, rup - rlo))
+    equal = row_lo == row_up
+    open_below = ~equal & np.isinf(row_lo)                 # a'x <= row_up: +slack
+    open_above = ~equal & ~open_below & np.isinf(row_up)   # a'x >= row_lo: -slack
+    ranged = ~equal & ~open_below & ~open_above            # +slack <= row_up - row_lo
+    b = np.where(open_above, row_lo, row_up)
+    slack_up = np.full(m, np.inf)
+    slack_up[ranged] = row_up[ranged] - row_lo[ranged]
+    slack_rows = np.flatnonzero(~equal)
+    s = slack_rows.size
 
-    # Variable pass: everything becomes x' >= 0; upper bounds spawn rows.
-    rows_out, cols_out, vals_out = [], [], []
-    c_out = []
-    extra_rows = []      # (std column index, bound value) for x' + t = value
-    mapping = {}
+    # Interim columns: the original columns, then one slack per inequality
+    # row, each with bounds [l, u], an objective coefficient and entries
+    # sorted by column.
+    sense_flip = -1.0 if model.objective_sense == "MAX" else 1.0
+    l = np.concatenate([lo, np.zeros(s)])
+    u = np.concatenate([up, slack_up[slack_rows]])
+    cost = np.zeros(n + s)
+    obj = model.entry_rows == OBJECTIVE_ROW
+    cost[model.entry_cols[obj]] = 0.0 + sense_flip * model.entry_vals[obj]
+    e_rows = np.concatenate([model.entry_rows[~obj], slack_rows])
+    e_cols = np.concatenate([model.entry_cols[~obj], n + np.arange(s)])
+    e_vals = np.concatenate([model.entry_vals[~obj],
+                             np.where(open_above, -1.0, 1.0)[slack_rows]])
+
+    # Everything becomes x' >= 0: fixed columns are substituted out, free
+    # ones split in two, the others shifted x = l + x' or reflected
+    # x = u - x'.  Finite upper bounds of shifted columns spawn rows.
+    fixed = l == u
+    free = ~fixed & np.isinf(l) & np.isinf(u)
+    reflected = ~fixed & ~free & np.isinf(l)
+    shifted = ~fixed & ~free & ~reflected
+    width = np.where(fixed, 0, np.where(free, 2, 1))
+    first = np.cumsum(width) - width          # first standard column of each
+    n_main = int(width.sum())
+
+    anchor = np.where(reflected, u, l)        # x = anchor +/- x'
+    moved = fixed | reflected | (shifted & (l != 0.0))
+    hit = moved[e_cols]
+    np.subtract.at(b, e_rows[hit], e_vals[hit] * anchor[e_cols[hit]])
     # an RHS entry on the objective row is the negated objective constant
     offset = -sense_flip * model.rhs.get(model.objective_row, 0.0)
-    next_col = 0
+    for term in (cost[moved] * anchor[moved]).tolist():
+        offset += term
 
-    def emit(coeffs, scale, cval):
-        nonlocal next_col
-        for (ri, v) in coeffs:
-            rows_out.append(ri)
-            cols_out.append(next_col)
-            vals_out.append(scale * v)
-        c_out.append(cval)
-        next_col += 1
-        return next_col - 1
+    keep = ~fixed[e_cols]
+    kr, kc, kv = e_rows[keep], e_cols[keep], e_vals[keep]
+    split = free[kc]
+    bounded = np.flatnonzero(shifted & ~np.isinf(u))
+    k = bounded.size
+    bound_rows = m + np.arange(k)
+    rows_out = np.concatenate([kr, kr[split], bound_rows, bound_rows])
+    cols_out = np.concatenate([first[kc], first[kc[split]] + 1, first[bounded],
+                               n_main + np.arange(k)])
+    vals_out = np.concatenate([np.where(reflected, -1.0, 1.0)[kc] * kv,
+                               -1.0 * kv[split], np.ones(2 * k)])
+    c = np.zeros(n_main + k)
+    c[first[~fixed]] = np.where(reflected, -cost, cost)[~fixed]
+    c[first[free] + 1] = -cost[free]
+    b = np.concatenate([b, u[bounded] - l[bounded]])
 
-    for name, coeffs, cval, l, u in interim:
-        original = not name.startswith("_slack_")
-        if l == u:                      # fixed: substitute out
-            for (ri, v) in coeffs:
-                b[ri] -= v * l
-            offset += cval * l
-            if original:
-                mapping[name] = _Fixed(l)
-            continue
-        if math.isinf(l) and math.isinf(u):      # free: split
-            p = emit(coeffs, 1.0, cval)
-            q = emit(coeffs, -1.0, -cval)
-            if original:
-                mapping[name] = _Split(p, q)
-            continue
-        if not math.isinf(l):                    # shift to zero lower bound
-            if l != 0.0:
-                for (ri, v) in coeffs:
-                    b[ri] -= v * l
-                offset += cval * l
-            j = emit(coeffs, 1.0, cval)
-            if original:
-                mapping[name] = _Shifted(j, l)
-            if not math.isinf(u):
-                extra_rows.append((j, u - l))
-            continue
-        # l = -inf, finite u: reflect x = u - x'
-        for (ri, v) in coeffs:
-            b[ri] -= v * u
-        offset += cval * u
-        j = emit(coeffs, -1.0, -cval)
-        if original:
-            mapping[name] = _Reflected(j, u)
+    mapping = {}
+    for name, j, lj, uj, fx, fr, rf in zip(
+            names, first[:n].tolist(), lo.tolist(), up.tolist(),
+            fixed[:n].tolist(), free[:n].tolist(), reflected[:n].tolist()):
+        if fx:
+            mapping[name] = _Fixed(lj)
+        elif fr:
+            mapping[name] = _Split(j, j + 1)
+        elif rf:
+            mapping[name] = _Reflected(j, uj)
+        else:
+            mapping[name] = _Shifted(j, lj)
 
-    # bound rows x'_j + t = value
-    b_extra = []
-    for j, value in extra_rows:
-        i = n_rows + len(b_extra)
-        rows_out.append(i)
-        cols_out.append(j)
-        vals_out.append(1.0)
-        emit([(i, 1.0)], 1.0, 0.0)
-        b_extra.append(value)
-
-    m_total = n_rows + len(b_extra)
-    A = SparseMatrix(m_total, next_col, rows_out, cols_out, vals_out)
-    problem = StandardFormLp(np.array(c_out), A, np.concatenate([b, b_extra]) if b_extra else b)
+    A = SparseMatrix(m + k, n_main + k, rows_out, cols_out, vals_out)
+    problem = StandardFormLp(c, A, b)
     vmap = VariableMap(
-        column_names=list(model.column_names),
+        column_names=list(names),
         mapping=mapping,
         objective_offset=offset,
         objective_sense=model.objective_sense,
-        n_standard=next_col,
+        n_standard=n_main + k,
     )
     return problem, vmap
 

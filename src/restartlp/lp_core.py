@@ -59,14 +59,15 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-            keys = rows * n_cols + cols
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate (row, col) entries")
         order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        # sorted by (row, col), a repeated pair sits next to its twin
+        if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
+            raise ValueError("duplicate (row, col) entries")
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
-        self.rows = rows[order]
-        self.cols = cols[order]
+        self.rows = rows
+        self.cols = cols
         self.vals = vals[order]
         coo = sp.coo_array((self.vals, (self.rows, self.cols)), shape=(n_rows, n_cols))
         self._fwd = coo.tocsr()          # row-ordered layout, used for A @ v

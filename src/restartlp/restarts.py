@@ -312,6 +312,9 @@ def _make_lane(problem, config, projector_tol=1e-10):
     return _SaddleLane(problem, config)
 
 
+# Overflow on a diverging run is reported as Status.DIVERGED by the
+# checkpoint's finite check, not by numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def run_restarted(problem, options, z0=None):
     """Run the restarted method until the KKT tolerance, the iteration
     limit, or divergence.

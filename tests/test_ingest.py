@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import mps_reference
 from restartlp import (
     DiagonalBilinear,
     MpsParseError,
@@ -17,6 +19,17 @@ from restartlp import (
 )
 
 from conftest import brute_force_lp
+
+
+def coefficient(model, row, col):
+    """The coefficient of (row, col) in the model's entry arrays, 0.0 when
+    the pair has no entry."""
+    i = -1 if row == model.objective_row else model.row_names.index(row)
+    j = model.column_names.index(col)
+    hit = np.flatnonzero((model.entry_rows == i) & (model.entry_cols == j))
+    assert hit.size <= 1
+    return float(model.entry_vals[hit[0]]) if hit.size else 0.0
+
 
 TWO_VAR_FIXTURE = """\
 NAME          TWOVAR
@@ -142,6 +155,29 @@ RHS
 ENDATA
 """
 
+E_RANGE_FIXTURE = """\
+NAME          ERANGE
+ROWS
+ N  COST
+ E  BAL
+COLUMNS
+    X1        COST      -1.0       BAL       1.0
+    X2        COST      -2.0       BAL       1.0
+RHS
+    RHS1      BAL       4.0
+RANGES
+    RNG       BAL       {spread}
+BOUNDS
+ UP BND       X1        3.0
+ UP BND       X2        10.0
+ENDATA
+"""
+
+FIXTURES = [TWO_VAR_FIXTURE, FREE_VAR_FIXTURE, G_ROW_FIXTURE, BOUNDED_FIXTURE,
+            RANGED_FIXTURE, REFLECTED_FIXTURE, FIXED_FIXTURE, MAXIMIZE_FIXTURE,
+            EMPTY_COLUMNS_FIXTURE, E_RANGE_FIXTURE.format(spread=2.0),
+            E_RANGE_FIXTURE.format(spread=-2.0)]
+
 
 class TestParse:
     def test_two_var_fixture(self):
@@ -151,7 +187,7 @@ class TestParse:
         assert model.row_sense["BAL"] == "E"
         assert model.column_names == ["X1", "X2"]
         assert model.rhs["BAL"] == 1.0
-        assert model.entries[("BAL", "X1")] == 1.0
+        assert coefficient(model, "BAL", "X1") == 1.0
 
     def test_free_bound_recorded(self):
         model = parse_mps(FREE_VAR_FIXTURE)
@@ -170,7 +206,7 @@ class TestParse:
             "    X2        COST      1.0        BAL       0.25\n"
             "    X2        BAL       0.75")
         model = parse_mps(text)
-        assert model.entries[("BAL", "X2")] == 1.0
+        assert coefficient(model, "BAL", "X2") == 1.0
 
     def test_section_order_enforced(self):
         bad = "NAME T\nCOLUMNS\n    X1 COST 1.0\nROWS\n N COST\nENDATA\n"
@@ -252,7 +288,7 @@ class TestStandardForm:
                     assert orig[j] >= lo[name] - 1e-12
                     assert orig[j] <= up[name] + 1e-12
                 for row in model.row_names:
-                    act = sum(model.entries.get((row, cname), 0.0) * orig[j]
+                    act = sum(coefficient(model, row, cname) * orig[j]
                               for j, cname in enumerate(model.column_names))
                     sense = model.row_sense[row]
                     r = model.rhs.get(row, 0.0)
@@ -282,11 +318,19 @@ class TestStandardForm:
         with pytest.raises(ValueError, match="contradictory"):
             to_standard_form(parse_mps(bad))
 
-    def test_range_on_e_row_rejected(self):
-        bad = TWO_VAR_FIXTURE.replace(
-            "RHS\n", "RANGES\n    RNG       BAL       1.0\nRHS\n")
-        with pytest.raises(ValueError, match="E row"):
-            to_standard_form(parse_mps(bad))
+    def test_range_on_e_row_matches_highs(self):
+        # min -x1 - 2 x2, x1 + x2 in [4, 6] for R = 2, [2, 4] for R = -2 and
+        # {4} for R = 0, x1 <= 3, x2 <= 10
+        for spread, expected in [(2.0, -12.0), (-2.0, -8.0), (0.0, -8.0)]:
+            model = parse_mps(E_RANGE_FIXTURE.format(spread=spread))
+            problem, vmap = to_standard_form(model)
+            _, x = brute_force_lp(problem)
+            lo, hi = (4.0, 4.0 + abs(spread)) if spread >= 0 else (4.0 - abs(spread), 4.0)
+            ref = linprog([-1.0, -2.0], A_ub=[[1.0, 1.0], [-1.0, -1.0]], b_ub=[hi, -lo],
+                          bounds=[(0.0, 3.0), (0.0, 10.0)], method="highs")
+            assert ref.status == 0
+            assert ref.fun == pytest.approx(expected, abs=1e-9)
+            assert vmap.original_objective(problem, x) == pytest.approx(ref.fun, abs=1e-8)
 
 
 class TestGenerators:
@@ -323,3 +367,190 @@ class TestGenerators:
             RandomLpKnownOptimum(5, 5, 0.0, 1)
         with pytest.raises(ValueError):
             generate(object())
+
+
+def random_mps_text(seed, m=12, n=16):
+    """Seeded MPS text with E/L/G rows, RANGES on every row sense (positive,
+    negative and zero), all six bound codes, OBJSENSE MAX or MIN, an RHS on
+    the objective row, repeated (row, column) pairs, a column split over two
+    runs of lines, D exponents, and 3-token and 5-token COLUMNS lines."""
+    rng = np.random.default_rng(seed)
+
+    def num(v):
+        style = int(rng.integers(5))
+        if style == 0:
+            return repr(float(v))
+        if style == 1:
+            return f"{v:.6E}".replace("E", "D")
+        if style == 2:
+            return f"{v:.4e}".replace("e", "d")
+        if style == 3:
+            return "-0.0" if rng.random() < 0.5 else "0.0"
+        return f"{v:.3f}"
+
+    rows = [f"R{i}" for i in range(m)]
+    out = ["NAME          RANDOM", "OBJSENSE", "    MAX" if seed % 2 else "    MIN",
+           "ROWS", " N  OBJ"]
+    out += [f" {sense}  {row}" for sense, row in zip(rng.choice(list("ELG"), m), rows)]
+    out.append("COLUMNS")
+    later = []
+    for j in range(n):
+        pairs = [("OBJ", num(rng.standard_normal()))] if rng.random() < 0.9 else []
+        pairs += [(rows[i], num(rng.standard_normal()))
+                  for i in rng.choice(m, int(rng.integers(1, 5)), replace=False)]
+        for _ in range(int(rng.integers(0, 3))):          # repeated pairs
+            pairs.insert(int(rng.integers(len(pairs) + 1)),
+                         (pairs[int(rng.integers(len(pairs)))][0], num(rng.standard_normal())))
+        lines = []
+        while pairs:
+            take = 2 if len(pairs) > 1 and rng.random() < 0.6 else 1
+            chunk, pairs = pairs[:take], pairs[take:]
+            lines.append(f"    X{j}  " + "  ".join(f"{r}  {v}" for r, v in chunk))
+        if j == 1 and len(lines) > 1:                      # second run after the rest
+            lines, tail = lines[:1], lines[1:]
+            later += tail
+        out += lines
+    out += later
+    out.append("RHS")
+    out += [f"    RHS  {row}  {num(rng.standard_normal())}" for row in rows if rng.random() < 0.7]
+    out.append(f"    RHS  OBJ  {num(rng.standard_normal())}")
+    out.append("RANGES")
+    out += [f"    RNG  {row}  {num(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.5, 2.0))}"
+            for row in rows if rng.random() < 0.5]
+    out.append("BOUNDS")
+    for j in range(n):
+        lo, width = rng.uniform(-2.0, 1.0), rng.uniform(0.5, 3.0)
+        kind = int(rng.integers(9))
+        if kind == 1:
+            out.append(f" LO BND  X{j}  {num(lo)}")
+        elif kind == 2:
+            out.append(f" UP BND  X{j}  {num(width)}")
+        elif kind == 3:
+            out += [f" LO BND  X{j}  {lo!r}", f" UP BND  X{j}  {lo + width!r}"]
+        elif kind == 4:
+            out.append(f" FX BND  X{j}  {num(lo)}")
+        elif kind == 5:
+            out.append(f" FR BND  X{j}")
+        elif kind == 6:
+            out += [f" MI BND  X{j}", f" UP BND  X{j}  {num(lo)}"]
+        elif kind == 7:
+            out += [f" UP BND  X{j}  {num(width)}", f" PL BND  X{j}"]
+        elif kind == 8:
+            out.append(f" MI BND  X{j}")
+    out.append("ENDATA")
+    return "\n".join(out) + "\n"
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestReferenceEquivalence:
+    """The array-based parser and conversion against the loop-based ones in
+    ``mps_reference``: same model data, bit-identical standard form."""
+
+    TEXTS = FIXTURES + [random_mps_text(seed) for seed in range(40)]
+
+    @pytest.mark.parametrize("index", range(len(TEXTS)))
+    def test_model_and_standard_form(self, index):
+        text = self.TEXTS[index]
+        model, ref = parse_mps(text), mps_reference.parse_mps(text)
+        for name in ("name", "objective_row", "objective_sense", "row_names",
+                     "row_sense", "column_names", "rhs", "ranges", "bound_records"):
+            assert getattr(model, name) == getattr(ref, name), name
+        row_at = {row: i for i, row in enumerate(ref.row_names)}
+        row_at[ref.objective_row] = -1
+        col_at = {col: j for j, col in enumerate(ref.column_names)}
+        expect = sorted((col_at[c], row_at[r], v) for (r, c), v in ref.entries.items())
+        assert_bits_equal(model.entry_cols, np.array([e[0] for e in expect], dtype=np.int64))
+        assert_bits_equal(model.entry_rows, np.array([e[1] for e in expect], dtype=np.int64))
+        assert_bits_equal(model.entry_vals, np.array([e[2] for e in expect], dtype=np.float64))
+
+        problem, vmap = to_standard_form(model)
+        ref_problem, ref_vmap = mps_reference.to_standard_form(ref)
+        assert problem.A.shape == ref_problem.A.shape
+        for name in ("rows", "cols", "vals"):
+            assert_bits_equal(getattr(problem.A, name), getattr(ref_problem.A, name))
+        assert_bits_equal(problem.b, ref_problem.b)
+        assert_bits_equal(problem.c, ref_problem.c)
+        assert_bits_equal(vmap.objective_offset, ref_vmap.objective_offset)
+        assert list(vmap.mapping.items()) == list(ref_vmap.mapping.items())
+        assert vmap.n_standard == ref_vmap.n_standard
+        assert vmap.column_names == ref_vmap.column_names
+
+    def test_random_texts_cover_every_feature(self):
+        texts = "".join(self.TEXTS)
+        for code in ("LO", "UP", "FX", "FR", "MI", "PL"):
+            assert f" {code} BND" in texts
+        for token in ("D", "d", "    MAX", " E  ", " L  ", " G  ", "RANGES"):
+            assert token in texts
+        repeated = negative_e_range = False
+        token_counts = set()
+        for text in self.TEXTS:
+            ref = mps_reference.parse_mps(text)
+            columns = text.split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()
+            token_counts |= {len(line.split()) for line in columns}
+            pairs = sum(len(line.split()) // 2 for line in columns)
+            repeated |= pairs > len(ref.entries)
+            negative_e_range |= any(ref.ranges.get(r, 0.0) < 0 and ref.row_sense[r] == "E"
+                                    for r in ref.row_names)
+        assert repeated and negative_e_range
+        assert {3, 5} <= token_counts
+
+
+BAD_COLUMNS = {
+    "undeclared row": "    X2        COST      1.0        BAD       1.0",
+    "bad number": "    X2        COST      1.0        BAL       1.x",
+    "marker": "    M1        'MARKER'                 'INTORG'",
+    "undeclared row on a 7-token line": "    X2  COST  1.0  BAL  1.0  NOPE  2.0",
+}
+
+
+class TestFirstError:
+    """The array-based parser raises the reference parser's first error,
+    with the same text and line number."""
+
+    @staticmethod
+    def both(text):
+        with pytest.raises(MpsParseError) as ref:
+            mps_reference.parse_mps(text)
+        with pytest.raises(MpsParseError) as new:
+            parse_mps(text)
+        assert str(new.value) == str(ref.value)
+        return str(new.value)
+
+    @pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
+    def test_bad_columns_line(self, case):
+        text = TWO_VAR_FIXTURE.replace(
+            "    X2        COST      1.0        BAL       1.0", BAD_COLUMNS[case])
+        assert self.both(text).startswith("line 7: ")
+
+    def test_bad_number_before_undeclared_row_in_one_pair(self):
+        text = TWO_VAR_FIXTURE.replace(
+            "    X2        COST      1.0        BAL       1.0", "    X2        NOPE      1..0")
+        assert "bad numeric field '1..0'" in self.both(text)
+
+    def test_columns_error_precedes_bounds_error(self):
+        text = TWO_VAR_FIXTURE.replace(
+            "BAL       1.0\nRHS", "BAD       1.0\nBOUNDS\n UP BND       NOCOL     1.0\nRHS")
+        assert self.both(text) == "line 7: undeclared row 'BAD'"
+
+    def test_deferred_error_precedes_malformed_line(self):
+        text = TWO_VAR_FIXTURE.replace(
+            "    X1        COST      1.0        BAL       1.0",
+            "    X1        COST      1.0        BAL       1D+").replace(
+            "    X2        COST      1.0        BAL       1.0",
+            "    X2        COST      1.0        BAL")
+        assert self.both(text) == "line 6: bad numeric field '1D+'"
+
+    def test_declared_marker_row(self):
+        text = TWO_VAR_FIXTURE.replace(" E  BAL", " E  BAL\n E  'marker'").replace(
+            "    X2        COST      1.0        BAL       1.0",
+            "    X2        'marker'  1.0")
+        assert self.both(text) == "line 8: integer markers are not supported"
+
+    def test_error_after_columns_section_ends(self):
+        text = TWO_VAR_FIXTURE.replace("RHS\n", "RHS\n    RHS1      BAL       x\n", 1)
+        assert self.both(text) == "line 9: bad numeric field 'x'"

@@ -44,6 +44,10 @@ class TestSparseMatrix:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+        # twins apart in the input, between pairs that share a row or a column
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseMatrix(3, 3, [2, 0, 2, 1, 2], [1, 1, 0, 1, 1], [1.0, 2.0, 3.0, 4.0, 5.0])
+        SparseMatrix(3, 3, [2, 0, 2, 1, 1], [1, 1, 0, 1, 2], [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_index_range_checked(self):
         with pytest.raises(ValueError):

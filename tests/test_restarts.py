@@ -163,7 +163,6 @@ class TestRunRestarted:
         assert res.status == Status.ITERATION_LIMIT
         assert res.iterations == 10
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_detected(self):
         problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 5))
         smax = power_method_sigma_max(problem.A, seed=5)
@@ -245,7 +244,7 @@ class TestTheory:
         totals = {}
         for beta in (math.exp(-1), 0.9):
             opts = SolveOptions(step=cfg, scheme=RestartScheme.adaptive(beta=beta),
-                                kkt_tol=0.0, iteration_limit=40000,
+                                kkt_tol=0.0, iteration_limit=5000,
                                 check_cadence=1)
             res = run_restarted(problem, opts, z0=z0)
             hit = None
