@@ -1,7 +1,8 @@
 """Matrix-free restarted primal-dual methods for linear programming.
 
 The package provides sparse problem representation and KKT residuals
-(:mod:`~restartlp.lp_core`), MPS reading / standard-form conversion and
+(:mod:`~restartlp.lp_core`), diagonal rescaling of an LP
+(:mod:`~restartlp.scaling`), MPS reading / standard-form conversion and
 synthetic generators (:mod:`~restartlp.ingest`), one-iteration updates for
 PDHG, extragradient, ADMM and bilinear PPM (:mod:`~restartlp.steps`),
 normalized-duality-gap evaluation through a linear-time trust-region solver
@@ -62,6 +63,7 @@ from .gap import (
     solve_linear_trust_region,
     trust_region_bisection,
 )
+from .scaling import Scaling, rescale
 from .restarts import (
     ADAPTIVE,
     FIXED,

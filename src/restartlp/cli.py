@@ -2,8 +2,10 @@
 
 Exit codes: 0 optimal, 2 iteration limit, 3 input error, 4 divergence.
 Traces are CSV (one row per checkpoint), summaries JSON with a fixed field
-set.  Runs are deterministic given the seed, except for the wall-time
-columns.
+set; the summary's ``eta`` is the caller's step size and ``scaling`` records
+the rescaled solve (sigma_max of A and of the scaled matrix, and the eta
+used on it), or is null for an unscaled one.  Runs are deterministic given
+the seed, except for the wall-time columns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +227,7 @@ def _summary_dict(result, step, wall):
         "restart_lengths": list(result.trace.restart_lengths),
         "wall_time_seconds": wall,
         "eta": step.eta,
+        "scaling": None if result.scaling is None else asdict(result.scaling),
         "omega": step.omega,
     }
 

@@ -103,6 +103,28 @@ class SparseMatrix:
             raise ValueError(f"rmatvec dimension mismatch: {w.shape} vs {self.shape}")
         return self._adj @ w
 
+    def scaled(self, row_scale, col_scale):
+        """diag(row_scale) A diag(col_scale), entry by entry
+        (row_scale_i a_ij) col_scale_j in every layout.
+
+        The result shares this matrix's sorted ``rows``/``cols`` and the index
+        arrays of both compressed layouts; only the values are new (one array
+        per ordering), and the pattern is not re-sorted or re-checked.
+        """
+        out = object.__new__(SparseMatrix)
+        out.n_rows, out.n_cols = self.n_rows, self.n_cols
+        out.rows, out.cols = self.rows, self.cols
+        out.vals = row_scale[self.rows] * self.vals * col_scale[self.cols]
+        # the row-ordered layout holds the nonzeros in the sorted (row, col)
+        # order of rows/cols, so it takes the new values as they are
+        fwd, adj = self._fwd, self._adj
+        out._fwd = sp.csr_array((out.vals, fwd.indices, fwd.indptr), shape=fwd.shape)
+        adj_cols = np.repeat(np.arange(self.n_cols), np.diff(adj.indptr))
+        out._adj = sp.csr_array(
+            (row_scale[adj.indices] * adj.data * col_scale[adj_cols], adj.indices, adj.indptr),
+            shape=adj.shape)
+        return out
+
     def gram(self):
         """A A^T as a sparse CSC array, the product of the two layouts."""
         return sp.csc_array(self._fwd @ self._adj)
@@ -372,7 +394,7 @@ def kkt_error(system, z):
     return Residuals(primal, dual, gap, float(np.linalg.norm(vp)))
 
 
-def residuals(problem, z, ax=None, aty=None):
+def residuals(problem, z, ax=None, aty=None, row_scale=None, col_scale=None):
     """Residuals computed directly from the problem data (matrix-free).
 
     Agrees with :func:`kkt_error` on the explicit system; this is the cheap
@@ -380,19 +402,31 @@ def residuals(problem, z, ax=None, aty=None):
     For ``nonneg=False`` problems the dual residual is the full |c - A'y|
     and the gap term is |c'x - b'y|, so the error vanishes exactly at
     saddle points of the unconstrained bilinear problem.
+
+    With ``row_scale`` = d1 and ``col_scale`` = d2, ``problem`` is the
+    rescaled D1 A D2, D1 b, D2 c of an original problem and ``z`` a point
+    of it; the residuals are those of the original problem at
+    (D2 x, D1 y), from the same products: |(A~x - b~)/d1|,
+    |min((c~ - A~'y)/d2, 0)|, c~'x - b~'y and |d2 min(x, 0)|.
     """
     _check_dims(problem, z)
     if ax is None:
         ax = problem.A.matvec(z.x)
     if aty is None:
         aty = problem.A.rmatvec(z.y)
-    primal = float(np.linalg.norm(ax - problem.b))
-    gap_raw = float(problem.c @ z.x - problem.b @ z.y)
+    r = ax - problem.b
     d = problem.c - aty
+    x = z.x
+    if row_scale is not None:
+        r /= row_scale
+        d /= col_scale
+        x = x * col_scale
+    primal = float(np.linalg.norm(r))
+    gap_raw = float(problem.c @ z.x - problem.b @ z.y)
     if problem.nonneg:
         dual = float(np.linalg.norm(np.minimum(d, 0.0)))
         gap = max(gap_raw, 0.0)
-        bound = float(np.linalg.norm(np.minimum(z.x, 0.0)))
+        bound = float(np.linalg.norm(np.minimum(x, 0.0)))
     else:
         dual = float(np.linalg.norm(d))
         gap = abs(gap_raw)

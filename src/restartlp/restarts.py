@@ -7,6 +7,17 @@ normalized duality gap of the average has decayed by a factor beta since the
 last restart, or the flexible variant that lets the last iterate replace the
 average as the restart candidate when its gap is lower.
 
+Every LP (``nonneg=True``) with a nonzero constraint matrix is rescaled once
+at the start of the solve (:func:`~restartlp.scaling.rescale`: Ruiz, then
+Pock-Chambolle): A~ = D1 A D2, b~ = D1 b, c~ = D2 c.  The method steps on
+the scaled problem, so iterates, anchors, restart gaps and radii live in
+scaled space; the KKT errors that decide termination and fill the trace are
+those of the caller's problem, and every point the solve returns is mapped
+back (x = D2 x~, y = D1 y~; for ADMM x_U, x_V = D2 x~ and y = y~ / d2).
+PDHG and EGM keep eta * sigma_max on the scaled matrix equal to the
+caller's eta * sigma_max(A) (see :class:`~restartlp.steps.StepConfig`); ADMM
+keeps its eta.  Bilinear problems (``nonneg=False``) are solved unscaled.
+
 Restart and termination checks happen only at checkpoints (every
 ``check_cadence`` iterations); each checkpoint costs a handful of
 matrix-vector products which the gap and KKT evaluations share.  For ADMM
@@ -19,12 +30,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gap import normalized_gap_admm, normalized_gap_lp
-from .lp_core import NormSpec, SaddlePoint, norm_value, residuals
+from .lp_core import NormSpec, SaddlePoint, norm_value, power_method_sigma_max, residuals
+from .scaling import Scaling, rescale
 from .steps import (
     ADMM,
     EGM,
@@ -168,6 +180,10 @@ class SolveOptions:
 
 @dataclass
 class Checkpoint:
+    """One trace row.  ``normalized_gap`` and ``radius`` are measured on the
+    problem the method steps on (the rescaled one for an LP); ``kkt_avg``
+    and ``kkt_last`` are KKT errors of the caller's problem."""
+
     iteration: int
     outer: int
     inner: int
@@ -194,6 +210,10 @@ class Status:
 
 @dataclass
 class SolveResult:
+    """Outcome of :func:`run_restarted`.  ``solution``, ``average``,
+    ``last`` and ``anchors`` are points of the caller's problem; ``scaling``
+    is None when the problem was solved unscaled."""
+
     solution: object
     status: str
     iterations: int
@@ -204,6 +224,7 @@ class SolveResult:
     kkt_last: float
     anchors: list
     restart_count: int
+    scaling: Scaling | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +232,26 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-class _SaddleLane:
-    def __init__(self, problem, config):
+class _Lane:
+    """Vector mapping shared by the lanes.  A lane steps on the problem it
+    was given; when that is a rescaled LP, ``scale`` holds the factors that
+    take one of its vectors to the caller's space elementwise."""
+
+    scale = None
+
+    def to_caller(self, vec):
+        return vec if self.scale is None else vec * self.scale
+
+    def from_caller(self, vec):
+        return vec if self.scale is None else vec / self.scale
+
+    def export(self, vec):
+        """A point of the caller's problem, as the solve returns it."""
+        return self.from_vec(self.to_caller(vec))
+
+
+class _SaddleLane(_Lane):
+    def __init__(self, problem, config, d1=None, d2=None):
         self.problem = problem
         self.config = config
         if config.method == PDHG:
@@ -225,9 +264,14 @@ class _SaddleLane:
         else:
             raise ValueError(f"not a saddle-point method: {config.method}")
         self.n = problem.n
+        self.d1, self.d2 = d1, d2
+        if d1 is not None:
+            self.scale = np.concatenate([d2, d1])
 
     def initial(self, z0):
-        return z0.copy() if z0 is not None else SaddlePoint.zeros(self.problem)
+        if z0 is None:
+            return SaddlePoint.zeros(self.problem)
+        return self.from_vec(self.from_caller(z0.as_vector()))
 
     def step(self, point):
         return self._step(point)
@@ -246,30 +290,32 @@ class _SaddleLane:
         ax = self.problem.A.matvec(z.x)
         aty = self.problem.A.rmatvec(z.y)
         rho = normalized_gap_lp(self.problem, z, radius, ax=ax, aty=aty).rho
-        kkt = residuals(self.problem, z, ax=ax, aty=aty).kkt_error
+        kkt = residuals(self.problem, z, ax=ax, aty=aty,
+                        row_scale=self.d1, col_scale=self.d2).kkt_error
         return rho, kkt
 
     def kkt(self, vec):
-        return residuals(self.problem, self.from_vec(vec)).kkt_error
+        return residuals(self.problem, self.from_vec(vec),
+                         row_scale=self.d1, col_scale=self.d2).kkt_error
 
 
-class _AdmmLane:
-    def __init__(self, problem, config, projector_tol=1e-10):
+class _AdmmLane(_Lane):
+    def __init__(self, problem, config, d1=None, d2=None):
         self.problem = problem
         self.config = config
         self.n = problem.n
         self.state = None
-        self.projector_tol = projector_tol
+        self.d1, self.d2 = d1, d2
+        if d2 is not None:
+            # (x_U, x_V, y): y is the multiplier of x_U = x_V, so y = y~ / d2
+            self.scale = np.concatenate([d2, d2, 1.0 / d2])
 
     def initial(self, z0):
-        st = initial_admm_state(self.problem, tol=self.projector_tol)
+        self.state = initial_admm_state(self.problem)
         if z0 is not None:
-            st = AdmmState(np.asarray(z0.x_u, dtype=float).copy(),
-                           np.asarray(z0.x_v, dtype=float).copy(),
-                           np.asarray(z0.y, dtype=float).copy(),
-                           st.projector)
-        self.state = st
-        return st.point().copy()
+            vec = np.concatenate([z0.x_u, z0.x_v, z0.y], dtype=np.float64)
+            self.reset_to(self.from_caller(vec))
+        return self.state.point().copy()
 
     def step(self, point):
         out, self.state = admm_step(self.problem, self.state, self.config)
@@ -299,17 +345,35 @@ class _AdmmLane:
         point = self.from_vec(vec)
         rhs = -self.problem.A.matvec(point.y)
         lam = self.state.projector.solve_normal(rhs)
-        return residuals(self.problem, SaddlePoint(point.x_v, lam)).kkt_error
+        return residuals(self.problem, SaddlePoint(point.x_v, lam),
+                         row_scale=self.d1, col_scale=self.d2).kkt_error
 
     def reset_to(self, vec):
         point = self.from_vec(vec)
         self.state = AdmmState(point.x_u, point.x_v, point.y, self.state.projector)
 
 
-def _make_lane(problem, config, projector_tol=1e-10):
+def _make_lane(problem, config):
+    """The lane that runs ``config`` on ``problem``, and its
+    :class:`Scaling` record.
+
+    An LP whose matrix has a nonzero entry is rescaled; PDHG and EGM then
+    step with eta~ = eta sigma(A) / sigma(A~) and L~ = L sigma(A~) / sigma(A),
+    both sigma from :func:`power_method_sigma_max` at its defaults.  Other
+    problems run as given, with no record.
+    """
+    if not (problem.nonneg and np.any(problem.A.vals)):
+        lane = (_AdmmLane if config.method == ADMM else _SaddleLane)(problem, config)
+        return lane, None
+    scaled, d1, d2 = rescale(problem)
     if config.method == ADMM:
-        return _AdmmLane(problem, config, projector_tol)
-    return _SaddleLane(problem, config)
+        return _AdmmLane(scaled, config, d1, d2), Scaling(None, None, config.eta)
+    sigma = power_method_sigma_max(problem.A)
+    sigma_scaled = power_method_sigma_max(scaled.A)
+    ratio = sigma / sigma_scaled
+    lipschitz = None if config.lipschitz is None else config.lipschitz / ratio
+    config = replace(config, eta=config.eta * ratio, lipschitz=lipschitz)
+    return _SaddleLane(scaled, config, d1, d2), Scaling(sigma, sigma_scaled, config.eta)
 
 
 # Overflow on a diverging run is reported as Status.DIVERGED by the
@@ -325,8 +389,12 @@ def run_restarted(problem, options, z0=None):
     measured in the scheme norm (Euclidean for PDHG/EGM/PPM, the ADMM
     semi-norm for ADMM); for no-restart runs the gap is evaluated at the
     last iterate with radius equal to the distance from the start.
+
+    An LP is rescaled first (see the module docstring): ``z0`` and every
+    returned point are in the caller's space, the KKT errors are the caller
+    problem's, and gaps and radii are those of the scaled problem.
     """
-    lane = _make_lane(problem, options.step)
+    lane, scaling = _make_lane(problem, options.step)
     scheme = options.scheme
     adaptive = scheme.kind in (ADAPTIVE, FLEXIBLE)
 
@@ -345,18 +413,18 @@ def run_restarted(problem, options, z0=None):
     last_good = (anchor_vec.copy(), lane.kkt(anchor_vec))
 
     def finish(status, sol_vec, kkt_avg, kkt_last):
-        avg_pt = lane.from_vec(avg) if avg is not None else lane.from_vec(anchor_vec)
         return SolveResult(
-            solution=lane.from_vec(sol_vec),
+            solution=lane.export(sol_vec),
             status=status,
             iterations=total,
             trace=trace,
-            average=avg_pt,
-            last=lane.from_vec(lane.to_vec(current)),
+            average=lane.export(avg if avg is not None else anchor_vec),
+            last=lane.export(lane.to_vec(current)),
             kkt_avg=kkt_avg,
             kkt_last=kkt_last,
-            anchors=anchors,
+            anchors=[lane.to_caller(a) for a in anchors],
             restart_count=len(trace.restart_lengths),
+            scaling=scaling,
         )
 
     while True:

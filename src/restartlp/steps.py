@@ -61,6 +61,12 @@ class StepConfig:
     EGM (L = Lipschitz constant of F; equals sigma_max(A) for the bilinear
     LP Lagrangian).  ``omega`` rescales the primal/dual steps of PDHG and
     EGM to eta/omega and eta*omega; ADMM's eta plays that role itself.
+
+    ``eta`` and ``lipschitz`` are in the units of the caller's A.  When
+    :func:`~restartlp.restarts.run_restarted` rescales an LP to A~ = D1 A D2
+    it steps PDHG and EGM with eta sigma(A) / sigma(A~) and L sigma(A~) /
+    sigma(A) (power-method estimates), so eta * sigma_max and eta * L are
+    the same on the matrix iterated as on A; ADMM's eta is used as given.
     """
 
     method: Method

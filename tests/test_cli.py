@@ -69,7 +69,13 @@ class TestSolve:
         assert data["final_kkt_error"] <= 1e-6
         assert set(data) == {"status", "iterations", "final_kkt_error",
                              "restart_count", "restart_lengths",
-                             "wall_time_seconds", "eta", "omega", "problem"}
+                             "wall_time_seconds", "eta", "scaling", "omega",
+                             "problem"}
+        # the LP is rescaled, with eta * sigma_max kept
+        scaling = data["scaling"]
+        assert set(scaling) == {"sigma_max", "sigma_max_scaled", "eta"}
+        assert scaling["eta"] * scaling["sigma_max_scaled"] == pytest.approx(
+            data["eta"] * scaling["sigma_max"], rel=1e-12)
         rows = read_trace(trace)
         assert rows[0] == ["iteration", "outer_n", "inner_t", "normalized_gap",
                            "kkt_avg", "kkt_last", "radius", "restart_flag",
@@ -198,9 +204,9 @@ class TestSweep:
 
     def test_prefix_equality_when_fixed_never_fires(self, tmp_path):
         # Fixed(4^9) never fires within an iteration limit below 4^9, so its
-        # trace equals the no-restart trace.  This instance does not converge
-        # unrestarted within the limit (at 4^9 iterations its KKT is still
-        # about 1e-4), so both runs stop at the limit.
+        # trace equals the no-restart trace.  The rescaled instance reaches
+        # KKT 1e-6 unrestarted in 1470 iterations, so a tolerance of 0 makes
+        # both runs stop at the limit.
         out = tmp_path / "prefix"
         for label, scheme_args in (("none", ["--scheme", "none"]),
                                    ("big", ["--scheme", "fixed",
@@ -208,6 +214,7 @@ class TestSweep:
             code = main(["solve", "--generate",
                          "random:m=10,n=20,density=0.4,seed=4",
                          *scheme_args, "--iteration-limit", "30000",
+                         "--kkt-tol", "0",
                          "--trace-out",
                          str(out.with_name(f"trace_{label}.csv"))])
             assert code == EXIT_ITERATION_LIMIT
