@@ -12,14 +12,12 @@ command-line harness (:mod:`~restartlp.cli`).
 """
 
 from .lp_core import (
-    KktSystem,
     NormSpec,
     Residuals,
     SaddlePoint,
     SparseMatrix,
     StandardFormLp,
     gradient_field,
-    kkt_error,
     lagrangian,
     norm_distance,
     norm_value,
@@ -58,10 +56,8 @@ from .gap import (
     GapResult,
     TrustRegionProblem,
     normalized_gap_admm,
-    normalized_gap_bisection,
     normalized_gap_lp,
     solve_linear_trust_region,
-    trust_region_bisection,
 )
 from .scaling import Scaling, rescale
 from .restarts import (

@@ -12,6 +12,12 @@ square-root gap that restarting closes.
 Complex arithmetic is carried as explicit real 2x2 algebra throughout: the
 eigenbasis metric works out to the real symmetric matrix
 B = [[1, -eta sigma], [-eta sigma, 1]] / (2 (1 - eta^2 sigma^2)).
+
+The scaling experiment and the toy trajectories step through
+:func:`~restartlp.restarts.run_restarted`, the same restart loop as every
+LP solve: a run without restarts or with fixed-frequency restarts, no KKT
+stop, and an ``observe`` hook that reads the iterate or the running average
+on every iteration and ends the run once its threshold is met.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ import numpy as np
 
 from .ingest import DiagonalBilinear, generate
 from .lp_core import SaddlePoint
-from .restarts import fixed_frequency_tstar
-from .steps import PDHG, StepConfig, pdhg_step
+from .restarts import RestartScheme, SolveOptions, Status, fixed_frequency_tstar, run_restarted
+from .steps import PDHG, StepConfig
+# Not called here (every step runs inside run_restarted); the name stays
+# bound because perfbench's span-tracer test reads it from this module.
+from .steps import pdhg_step  # noqa: F401
 
 __all__ = [
     "SpectralBlock",
@@ -166,17 +175,16 @@ def _toy_problem(kappa):
     return problem, z0
 
 
-def _iterate_until(problem, config, z0, stop, cap):
-    """Step PDHG until ``stop(t, z, avg)`` returns True; gives (t, z, avg)."""
-    z = z0.copy()
-    avg = None
-    for t in range(1, cap + 1):
-        z = pdhg_step(problem, z, config).next
-        zv = z.as_vector()
-        avg = zv.copy() if avg is None else avg + (zv - avg) / t
-        if stop(t, zv, avg):
-            return t, zv, avg
-    return None, z.as_vector(), avg
+def _pdhg_run(problem, eta, scheme, z0, iterations, cadence, observe):
+    """Unscaled PDHG through :func:`run_restarted` with no KKT stop:
+    ``observe`` sees every iteration and may end the run."""
+    options = SolveOptions(StepConfig(PDHG, eta), scheme, kkt_tol=0.0,
+                           iteration_limit=iterations, check_cadence=cadence)
+    return run_restarted(problem, options, z0=z0, observe=observe)
+
+
+def _stop_iteration(result):
+    return result.iterations if result.status == Status.STOPPED else None
 
 
 def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-4),
@@ -201,87 +209,54 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     if not 0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     eta = 0.5
-    config = StepConfig(PDHG, eta)
     report = Table3Report()
 
-    last_pts, restart_pts = [], []
     for kappa in kappas:
         problem, z0 = _toy_problem(kappa)
         d0sq = float(z0.as_vector() @ z0.as_vector())
 
-        t_last, _, _ = _iterate_until(
-            problem, config, z0,
-            lambda t, zv, avg: float(zv @ zv) / d0sq <= eps, cap)
-        report.rows.append((kappa, "last", t_last))
-        if t_last is not None:
-            last_pts.append((math.log(kappa), math.log(t_last)))
+        res = _pdhg_run(problem, eta, RestartScheme.none(), z0, cap, cap,
+                        lambda t, z, avg: float(z @ z) / d0sq <= eps)
+        report.rows.append((kappa, "last", _stop_iteration(res)))
 
         tstar = fixed_frequency_tstar(1.0 / eta, 0.0, 1.0 / kappa, math.exp(-1.0))
-        t_restart = _run_restarted_mode(problem, config, z0, eps, tstar, cap)
-        report.rows.append((kappa, "restarted", t_restart))
-        if t_restart is not None:
-            restart_pts.append((math.log(kappa), math.log(t_restart)))
+        # checkpoints every t* iterations: the fixed restart fires at inner = t*
+        res = _pdhg_run(problem, eta, RestartScheme.fixed(tstar), z0, cap, tstar,
+                        lambda t, z, avg: float(avg @ avg) / d0sq <= eps)
+        report.rows.append((kappa, "restarted", _stop_iteration(res)))
 
     problem, z0 = _toy_problem(avg_kappa)
     d0 = float(np.linalg.norm(z0.as_vector()))
     thresholds = sorted(avg_eps, reverse=True)
-    hits = _run_average_mode(problem, config, z0, [e * d0 for e in thresholds], cap)
-    avg_pts = []
-    for eps_a, k_hit in zip(thresholds, hits):
-        report.average_rows.append((eps_a, k_hit))
-        if k_hit is not None:
-            avg_pts.append((math.log(1.0 / eps_a), math.log(k_hit)))
+    levels = [e * d0 for e in thresholds]
+    hits = []
 
-    report.last_slope = _fit_slope(last_pts)
-    report.restarted_slope = _fit_slope(restart_pts)
-    report.average_slope = _fit_slope(avg_pts)
+    def record_hits(t, z, avg):
+        nrm = float(np.linalg.norm(avg))
+        while len(hits) < len(levels) and nrm <= levels[len(hits)]:
+            hits.append(t)
+        return len(hits) == len(levels)
+
+    _pdhg_run(problem, eta, RestartScheme.none(), z0, cap, cap, record_hits)
+    hits += [None] * (len(levels) - len(hits))
+    report.average_rows = list(zip(thresholds, hits))
+
+    report.last_slope = _fit_slope([(k, i) for k, mode, i in report.rows if mode == "last"])
+    report.restarted_slope = _fit_slope(
+        [(k, i) for k, mode, i in report.rows if mode == "restarted"])
+    report.average_slope = _fit_slope([(1.0 / e, i) for e, i in report.average_rows])
     return report
 
 
-def _fit_slope(points):
+def _fit_slope(pairs):
+    """Least-squares slope of log(iterations) against log(x) over the
+    (x, iterations) pairs that reached their threshold."""
+    points = [(math.log(x), math.log(iters)) for x, iters in pairs if iters is not None]
     if len(points) < 2:
         return float("nan")
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def _run_restarted_mode(problem, config, z0, eps, tstar, cap):
-    d0sq = float(z0.as_vector() @ z0.as_vector())
-    z = z0.copy()
-    avg = None
-    inner = 0
-    for t in range(1, cap + 1):
-        z = pdhg_step(problem, z, config).next
-        zv = z.as_vector()
-        inner += 1
-        avg = zv.copy() if avg is None else avg + (zv - avg) / inner
-        if float(avg @ avg) / d0sq <= eps:
-            return t
-        if inner >= tstar:
-            z = SaddlePoint.from_vector(avg, problem.n)
-            avg = None
-            inner = 0
-    return None
-
-
-def _run_average_mode(problem, config, z0, thresholds, cap):
-    """First K with |avg| <= thr for each (descending) threshold."""
-    z = z0.copy()
-    avg = None
-    hits = [None] * len(thresholds)
-    idx = 0
-    for t in range(1, cap + 1):
-        z = pdhg_step(problem, z, config).next
-        zv = z.as_vector()
-        avg = zv.copy() if avg is None else avg + (zv - avg) / t
-        nrm = float(np.linalg.norm(avg))
-        while idx < len(thresholds) and nrm <= thresholds[idx]:
-            hits[idx] = t
-            idx += 1
-        if idx == len(thresholds):
-            break
-    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +275,18 @@ def two_dim_toy_series(iterations=50, eta=0.2, restart_length=25,
     steps, like the candidate it restarts to).
     """
     problem, _ = generate(DiagonalBilinear((1.0,)))
-    config = StepConfig(PDHG, eta)
-    z = SaddlePoint(np.array([start[0]]), np.array([start[1]]))
+    z0 = SaddlePoint(np.array([start[0]]), np.array([start[1]]))
 
-    plain = np.empty((iterations + 1, 2))
-    plain[0] = start
-    zz = z.copy()
-    for t in range(1, iterations + 1):
-        zz = pdhg_step(problem, zz, config).next
-        plain[t] = (zz.x[0], zz.y[0])
+    def series(scheme, cadence, keep_average):
+        path = np.empty((iterations + 1, 2))
+        path[0] = start
 
-    restarted = np.empty((iterations + 1, 2))
-    restarted[0] = start
-    zz = z.copy()
-    avg = None
-    inner = 0
-    for t in range(1, iterations + 1):
-        zz = pdhg_step(problem, zz, config).next
-        inner += 1
-        zv = zz.as_vector()
-        avg = zv.copy() if avg is None else avg + (zv - avg) / inner
-        restarted[t] = avg
-        if inner >= restart_length:
-            zz = SaddlePoint.from_vector(avg, 1)
-            avg = None
-            inner = 0
-    return plain, restarted
+        def observe(t, z, avg):
+            path[t] = avg if keep_average else z
+            return False
+
+        _pdhg_run(problem, eta, scheme, z0, iterations, cadence, observe)
+        return path
+
+    return (series(RestartScheme.none(), iterations, False),
+            series(RestartScheme.fixed(restart_length), restart_length, True))

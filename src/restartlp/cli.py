@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .ingest import (
     parse_mps,
     to_standard_form,
 )
-from .lp_core import SaddlePoint, power_method_sigma_max, residuals
+from .lp_core import SaddlePoint, power_method_sigma_max
 from .restarts import (
     ADAPTIVE,
     FIXED,
@@ -44,7 +44,10 @@ from .restarts import (
     Status,
     run_restarted,
 )
-from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, StepConfig, egm_step, pdhg_step
+from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, StepConfig
+# Not called here (the tuners step inside run_restarted); the name stays
+# bound because perfbench's span-tracer test reads it from this module.
+from .steps import pdhg_step  # noqa: F401
 
 __all__ = [
     "RunConfig",
@@ -172,7 +175,7 @@ def _build_step_config(config, problem):
         if config.method == ADMM:
             eta = 1.0
             if config.tune_eta:
-                eta, table = _tune_admm_eta(problem, config)
+                eta, table = _tune_admm_eta(problem)
                 tuned["eta_table"] = table
         else:
             eta = 0.9 / sigma
@@ -275,14 +278,14 @@ def cmd_solve(config):
 
 
 def _final_kkt_norestart(problem, step_config, iterations):
-    """KKT error of the final iterate after plain (non-restarted) steps."""
-    step_fn = pdhg_step if step_config.method == PDHG else egm_step
-    z = SaddlePoint.zeros(problem)
-    for _ in range(iterations):
-        z = step_fn(problem, z, step_config).next
-        if not (np.all(np.isfinite(z.x)) and np.all(np.isfinite(z.y))):
-            return math.inf
-    return residuals(problem, z).kkt_error
+    """KKT error of the last iterate after ``iterations`` steps of
+    :func:`run_restarted` without restarts, or inf if the run diverged.
+    The steps run on the problem the solve iterates (the rescaled one for
+    an LP); the error is the caller problem's."""
+    options = SolveOptions(step_config, RestartScheme.none(), kkt_tol=0.0,
+                           iteration_limit=iterations, check_cadence=iterations)
+    result = run_restarted(problem, options)
+    return math.inf if result.status == Status.DIVERGED else result.kkt_last
 
 
 def _roundoff_floor(problem):
@@ -318,6 +321,11 @@ def tune_primal_weight(problem, method, eta, iterations=5000, lipschitz=None):
     """Pick omega from {4^-5, ..., 4^5} minimizing the final-iterate KKT
     error of a non-restarted run.
 
+    Each run is :func:`run_restarted` without restarts, so an LP is tuned
+    on the rescaled problem that the solve actually iterates (``eta`` and
+    ``lipschitz`` are in the caller's units, as for a solve), and the error
+    is that of the caller's problem.
+
     Errors at or below the roundoff floor 64 * eps_mach * (1 + |b|_2 + |c|_2)
     are ties, and ties break toward the default omega = 1 (smallest
     |log omega|; between omega and 1/omega the smaller wins).  If every run
@@ -335,28 +343,11 @@ def tune_primal_weight(problem, method, eta, iterations=5000, lipschitz=None):
     return _pick_on_grid(table, _roundoff_floor(problem)), table
 
 
-def _tune_admm_eta(problem, config, iterations=5000):
+def _tune_admm_eta(problem, iterations=5000):
     """Mirror of the omega protocol for ADMM's step size: eta from the same
-    grid, the same roundoff floor and the same tie rule (toward eta = 1)."""
-    from .steps import admm_step, initial_admm_state
-
-    table = []
-    start = initial_admm_state(problem)
-    for eta in OMEGA_GRID:
-        cfg = StepConfig(ADMM, eta)
-        state = start
-        ok = True
-        for _ in range(iterations):
-            out, state = admm_step(problem, state, cfg)
-            if not np.all(np.isfinite(out.next.as_vector())):
-                ok = False
-                break
-        if ok:
-            lam = state.projector.solve_normal(-problem.A.matvec(state.y))
-            err = residuals(problem, SaddlePoint(state.x_v, lam)).kkt_error
-        else:
-            err = math.inf
-        table.append((eta, err))
+    grid, the same runs, roundoff floor and tie rule (toward eta = 1)."""
+    table = [(eta, _final_kkt_norestart(problem, StepConfig(ADMM, eta), iterations))
+             for eta in OMEGA_GRID]
     return _pick_on_grid(table, _roundoff_floor(problem)), table
 
 
@@ -370,14 +361,12 @@ def cmd_tune_primal_weight(config, iterations=5000):
         problem, meta = load_problem(config)
         if config.method not in (PDHG, EGM):
             raise ValueError("tune-omega supports PDHG and EGM")
-        sigma = power_method_sigma_max(problem.A, seed=config.seed)
-        eta = config.eta if config.eta is not None else 0.9 / sigma
-        lipschitz = 1.01 * sigma if config.method == EGM else None
+        step, _ = _build_step_config(replace(config, omega=1.0), problem)
     except (ValueError, MpsParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    omega, table = tune_primal_weight(problem, config.method, eta,
-                                      iterations=iterations, lipschitz=lipschitz)
+    omega, table = tune_primal_weight(problem, config.method, step.eta,
+                                      iterations=iterations, lipschitz=step.lipschitz)
     for w, err in table:
         print(f"omega {w:12.6g}  kkt {err:.6e}")
     print(f"chosen omega: {omega:.6g}")

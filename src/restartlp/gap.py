@@ -3,14 +3,11 @@
 The gap at radius r around z is the largest Lagrangian gap attainable inside
 the radius-r ball intersected with the feasible set, divided by r.  For the
 bilinear LP Lagrangian the inner maximization is a trust-region problem with
-a linear objective and lower bounds, solved here two ways:
-
-* :func:`solve_linear_trust_region` -- exact, worst-case linear time, by
-  repeated median partitioning of the bound-hitting breakpoints;
-* :func:`trust_region_bisection` -- a slow reference oracle that bisects the
-  scalar equation |zbar(mu) - z| = r of the prox-regularized subproblem.
-
-The two share nothing but the problem statement, so each validates the other.
+a linear objective and lower bounds, which :func:`solve_linear_trust_region`
+solves exactly, in worst-case linear time, by repeated median partitioning
+of the bound-hitting breakpoints.  The tests check it against a slow
+reference that bisects the prox-regularized subproblem instead
+(``tests/oracles.py``); the two share nothing but the problem statement.
 """
 
 from __future__ import annotations
@@ -25,18 +22,10 @@ from .lp_core import SaddlePoint, gradient_field
 __all__ = [
     "TrustRegionProblem",
     "GapResult",
-    "GapBracketError",
     "solve_linear_trust_region",
-    "trust_region_bisection",
     "normalized_gap_lp",
     "normalized_gap_admm",
-    "normalized_gap_bisection",
 ]
-
-
-class GapBracketError(RuntimeError):
-    """The bisection oracle found no sign change: h(mu) > 0 for every mu,
-    which can only happen for radius zero."""
 
 
 @dataclass
@@ -128,71 +117,6 @@ def solve_linear_trust_region(p):
     return np.maximum(z - lam * g, leff)
 
 
-def trust_region_bisection(p, lam_tol=1e-13, max_doublings=200):
-    """Reference solution of the same trust-region problem by bisection.
-
-    Works on the prox form: zbar(mu) = max(center - g/mu, lower) solves the
-    mu-regularized linear model, and h(mu) = |zbar(mu) - center| - r is
-    nonincreasing in mu.  A sign-change bracket for h is found by doubling /
-    halving, then bisected to relative width ``lam_tol``.  If h stays
-    negative down to tiny mu the bound set is within reach and zbar(0+) is
-    returned; if h stays positive for huge mu the radius must be zero and
-    :class:`GapBracketError` is raised.
-    """
-    g, z, l, r = p.g, p.center, p.lower, p.radius
-    leff = np.where(g < 0.0, -np.inf, l)
-
-    def zbar(mu):
-        return np.maximum(z - g / mu, leff)
-
-    def h(mu):
-        return float(np.linalg.norm(zbar(mu) - z)) - r
-
-    if not np.any(g != 0.0):
-        return z.copy()
-    if r == 0.0:
-        # h(mu) > 0 for every mu: reported, not inferred
-        raise GapBracketError("h(mu) > 0 for all mu: the trust-region radius is zero")
-
-    mu = 1.0
-    val = h(mu)
-    if val == 0.0:
-        return zbar(mu)
-    if val < 0.0:
-        hi = mu
-        for _ in range(max_doublings):
-            mu *= 0.5
-            if h(mu) > 0.0:
-                lo = mu
-                break
-        else:
-            # within reach even as mu -> 0: the all-clamped limit point
-            out = z.copy()
-            clamped = (g > 0.0) & np.isfinite(leff)
-            out[clamped] = leff[clamped]
-            return out
-    else:
-        lo = mu
-        for _ in range(max_doublings):
-            mu *= 2.0
-            if h(mu) <= 0.0:
-                hi = mu
-                break
-        else:
-            raise GapBracketError(
-                "h(mu) > 0 for all mu: the trust-region radius is zero")
-
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= lam_tol * max(lo, 1e-300):
-            break
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return zbar(0.5 * (lo + hi))
-
-
 # ---------------------------------------------------------------------------
 # Normalized duality gaps
 # ---------------------------------------------------------------------------
@@ -241,18 +165,6 @@ def normalized_gap_lp(problem, z, r, ax=None, aty=None):
         return GapResult(float(np.linalg.norm(g)), z.copy(), 0.0)
     zvec = z.as_vector()
     zhat = solve_linear_trust_region(TrustRegionProblem(g, zvec, lower, r))
-    rho = max(float(g @ (zvec - zhat)) / r, 0.0)
-    return GapResult(rho, SaddlePoint.from_vector(zhat, problem.n), r)
-
-
-def normalized_gap_bisection(problem, z, r, lam_tol=1e-13):
-    """Reference gap evaluation through the prox-form bisection oracle."""
-    if r <= 0:
-        raise ValueError("the bisection oracle needs r > 0")
-    _check_feasible_x(problem, z.x)
-    g, lower = _lp_gap_pieces(problem, z)
-    zvec = z.as_vector()
-    zhat = trust_region_bisection(TrustRegionProblem(g, zvec, lower, r), lam_tol=lam_tol)
     rho = max(float(g @ (zvec - zhat)) / r, 0.0)
     return GapResult(rho, SaddlePoint.from_vector(zhat, problem.n), r)
 

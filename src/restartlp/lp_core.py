@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,14 +23,12 @@ __all__ = [
     "StandardFormLp",
     "SaddlePoint",
     "NormSpec",
-    "KktSystem",
     "Residuals",
     "gradient_field",
     "lagrangian",
     "norm_value",
     "norm_distance",
     "residuals",
-    "kkt_error",
     "power_method_sigma_max",
 ]
 
@@ -292,79 +291,13 @@ def norm_value(spec, problem, z):
 def norm_distance(spec, problem, z1, z2):
     """Distance between two points under ``spec``."""
     if spec.kind == ADMM_M:
-        class _Diff:
-            pass
-
-        d = _Diff()
-        d.x_v = z1.x_v - z2.x_v
-        d.y = z1.y - z2.y
-        return norm_value(spec, problem, d)
+        return norm_value(spec, problem, SimpleNamespace(x_v=z1.x_v - z2.x_v, y=z1.y - z2.y))
     return norm_value(spec, problem, SaddlePoint(z1.x - z2.x, z1.y - z2.y))
 
 
 # ---------------------------------------------------------------------------
-# KKT system and residuals
+# KKT residuals
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KktSystem:
-    """The stacked optimality system K z >= h for a standard-form LP.
-
-    Row blocks of K (size (2n + 2m + 1) x (n + m)):
-
-        [  I    0 ]        h = (  0 )
-        [ -A    0 ]            ( -b )
-        [  A    0 ]            (  b )
-        [  0  -A' ]            ( -c )
-        [ -c'   b']            (  0 )
-
-    so that z solves the LP primal-dual pair iff (h - Kz)^+ = 0.
-    """
-
-    K: SparseMatrix
-    h: np.ndarray
-
-    @classmethod
-    def from_problem(cls, problem):
-        if not problem.nonneg:
-            raise ValueError("the KKT system encodes x >= 0; not defined for "
-                             "unconstrained bilinear problems")
-        n, m = problem.n, problem.m
-        A = problem.A
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        vals = [np.ones(n)]
-        # -A and A blocks
-        rows.append(n + A.rows)
-        cols.append(A.cols)
-        vals.append(-A.vals)
-        rows.append(n + m + A.rows)
-        cols.append(A.cols)
-        vals.append(A.vals)
-        # -A' block, dual columns offset by n
-        rows.append(n + 2 * m + A.cols)
-        cols.append(n + A.rows)
-        vals.append(-A.vals)
-        # gap row
-        last = 2 * n + 2 * m
-        jc = np.nonzero(problem.c)[0]
-        rows.append(np.full(jc.size, last))
-        cols.append(jc)
-        vals.append(-problem.c[jc])
-        jb = np.nonzero(problem.b)[0]
-        rows.append(np.full(jb.size, last))
-        cols.append(n + jb)
-        vals.append(problem.b[jb])
-        K = SparseMatrix(
-            2 * n + 2 * m + 1,
-            n + m,
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
-        )
-        h = np.concatenate([np.zeros(n), -problem.b, problem.b, -problem.c, [0.0]])
-        return cls(K, h)
 
 
 @dataclass(frozen=True)
@@ -382,23 +315,13 @@ class Residuals:
     kkt_error: float
 
 
-def kkt_error(system, z):
-    """Residuals computed from the explicit stacked system."""
-    v = system.h - system.K.matvec(z.as_vector())
-    vp = np.maximum(v, 0.0)
-    nvars = z.x.size
-    m = z.y.size
-    primal = float(np.linalg.norm(v[nvars + m:nvars + 2 * m]))
-    dual = float(np.linalg.norm(vp[nvars + 2 * m:2 * nvars + 2 * m]))
-    gap = float(vp[-1])
-    return Residuals(primal, dual, gap, float(np.linalg.norm(vp)))
-
-
 def residuals(problem, z, ax=None, aty=None, row_scale=None, col_scale=None):
     """Residuals computed directly from the problem data (matrix-free).
 
-    Agrees with :func:`kkt_error` on the explicit system; this is the cheap
-    path used inside solve loops, reusing cached Ax / A'y when available.
+    For ``nonneg=True`` the KKT error is |(h - K z)^+| for the stacked
+    optimality system K z >= h of the LP (x >= 0, Ax = b, A'y <= c,
+    c'x <= b'y), computed without forming K and reusing cached Ax / A'y
+    when available.
     For ``nonneg=False`` problems the dual residual is the full |c - A'y|
     and the gap term is |c'x - b'y|, so the error vanishes exactly at
     saddle points of the unconstrained bilinear problem.

@@ -127,11 +127,7 @@ class RestartState:
 
     outer: int
     inner: int
-    anchor: np.ndarray | None = None
-    prev_anchor: np.ndarray | None = None
     gap_at_restart: float | None = None
-    average: np.ndarray | None = None
-    restart_lengths: list = field(default_factory=list)
 
 
 def fixed_frequency_tstar(c_constant, q_constant, alpha, beta):
@@ -206,6 +202,7 @@ class Status:
     OPTIMAL = "optimal"
     ITERATION_LIMIT = "iteration_limit"
     DIVERGED = "diverged"
+    STOPPED = "stopped"
 
 
 @dataclass
@@ -238,6 +235,9 @@ class _Lane:
     take one of its vectors to the caller's space elementwise."""
 
     scale = None
+
+    def to_vec(self, point):
+        return point.as_vector()
 
     def to_caller(self, vec):
         return vec if self.scale is None else vec * self.scale
@@ -276,9 +276,6 @@ class _SaddleLane(_Lane):
     def step(self, point):
         return self._step(point)
 
-    def to_vec(self, point):
-        return point.as_vector()
-
     def from_vec(self, vec):
         return SaddlePoint.from_vector(vec, self.n)
 
@@ -298,6 +295,9 @@ class _SaddleLane(_Lane):
         return residuals(self.problem, self.from_vec(vec),
                          row_scale=self.d1, col_scale=self.d2).kkt_error
 
+    def restart_from(self, vec):
+        return self.from_vec(vec)
+
 
 class _AdmmLane(_Lane):
     def __init__(self, problem, config, d1=None, d2=None):
@@ -314,15 +314,12 @@ class _AdmmLane(_Lane):
         self.state = initial_admm_state(self.problem)
         if z0 is not None:
             vec = np.concatenate([z0.x_u, z0.x_v, z0.y], dtype=np.float64)
-            self.reset_to(self.from_caller(vec))
+            self.restart_from(self.from_caller(vec))
         return self.state.point().copy()
 
     def step(self, point):
         out, self.state = admm_step(self.problem, self.state, self.config)
         return out
-
-    def to_vec(self, point):
-        return point.as_vector()
 
     def from_vec(self, vec):
         return AdmmPoint.from_vector(vec, self.n)
@@ -348,9 +345,10 @@ class _AdmmLane(_Lane):
         return residuals(self.problem, SaddlePoint(point.x_v, lam),
                          row_scale=self.d1, col_scale=self.d2).kkt_error
 
-    def reset_to(self, vec):
+    def restart_from(self, vec):
         point = self.from_vec(vec)
         self.state = AdmmState(point.x_u, point.x_v, point.y, self.state.projector)
+        return self.state.point()
 
 
 def _make_lane(problem, config):
@@ -379,9 +377,9 @@ def _make_lane(problem, config):
 # Overflow on a diverging run is reported as Status.DIVERGED by the
 # checkpoint's finite check, not by numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def run_restarted(problem, options, z0=None):
+def run_restarted(problem, options, z0=None, observe=None):
     """Run the restarted method until the KKT tolerance, the iteration
-    limit, or divergence.
+    limit, divergence, or a stop asked for by ``observe``.
 
     Returns a :class:`SolveResult`; ``status`` is optimal when
     min(KKT(average), KKT(last iterate)) fell below the tolerance at a
@@ -389,6 +387,13 @@ def run_restarted(problem, options, z0=None):
     measured in the scheme norm (Euclidean for PDHG/EGM/PPM, the ADMM
     semi-norm for ADMM); for no-restart runs the gap is evaluated at the
     last iterate with radius equal to the distance from the start.
+
+    ``observe(iteration, target, average)``, if given, is called on every
+    iteration after the running average has taken in the new target point,
+    with both as flat vectors of the caller's space (the arrays may be the
+    solver's own buffers: copy what you keep).  When it returns True the
+    iteration becomes a terminal checkpoint and the solve ends with
+    ``Status.STOPPED`` at that iteration.
 
     An LP is rescaled first (see the module docstring): ``z0`` and every
     returned point are in the caller's space, the KKT errors are the caller
@@ -407,7 +412,6 @@ def run_restarted(problem, options, z0=None):
     outer = 0
     inner = 0
     total = 0
-    avg = None
     stored_gap = None
     checkpoints = 0
     last_good = (anchor_vec.copy(), lane.kkt(anchor_vec))
@@ -418,7 +422,7 @@ def run_restarted(problem, options, z0=None):
             status=status,
             iterations=total,
             trace=trace,
-            average=lane.export(avg if avg is not None else anchor_vec),
+            average=lane.export(avg),
             last=lane.export(lane.to_vec(current)),
             kkt_avg=kkt_avg,
             kkt_last=kkt_last,
@@ -433,12 +437,14 @@ def run_restarted(problem, options, z0=None):
         total += 1
         inner += 1
         tvec = lane.to_vec(out.target)
-        if avg is None or inner == 1:
+        if inner == 1:
             avg = tvec.copy()
         else:
             avg += (tvec - avg) / inner
+        stop = observe is not None and bool(
+            observe(total, lane.to_caller(tvec), lane.to_caller(avg)))
 
-        if inner % options.check_cadence != 0 and total < options.iteration_limit:
+        if not stop and inner % options.check_cadence != 0 and total < options.iteration_limit:
             continue
 
         # ---- checkpoint ----
@@ -451,43 +457,32 @@ def run_restarted(problem, options, z0=None):
         radius_avg = lane.dist(avg, anchor_vec)
         radius_last = lane.dist(cur_vec, anchor_vec)
 
+        # the gap is measured at the candidate (the last iterate when never
+        # restarting, else the average); the other point only needs its KKT
         if scheme.kind == NO_RESTART:
-            cand_vec, cand_radius = cur_vec, radius_last
+            cand_vec, cand_radius, other_vec = cur_vec, radius_last, avg
         else:
-            cand_vec, cand_radius = avg, radius_avg
-
+            cand_vec, cand_radius, other_vec = avg, radius_avg, cur_vec
         if cand_radius == 0.0:
-            gap_now = 0.0
-            kkt_of_cand = lane.kkt(cand_vec)
-            kkt_avg = kkt_of_cand if cand_vec is avg else lane.kkt(avg)
-            kkt_last = lane.kkt(cur_vec) if cand_vec is not cur_vec else kkt_of_cand
+            gap_now, kkt_cand = 0.0, lane.kkt(cand_vec)
         else:
             gap_now, kkt_cand = lane.gap(cand_vec, cand_radius)
-            if scheme.kind == NO_RESTART:
-                kkt_last = kkt_cand
-                kkt_avg = lane.kkt(avg)
-            else:
-                kkt_avg = kkt_cand
-                kkt_last = lane.kkt(cur_vec)
+        kkt_other = lane.kkt(other_vec)
+        if cand_vec is avg:
+            kkt_avg, kkt_last = kkt_cand, kkt_other
+        else:
+            kkt_avg, kkt_last = kkt_other, kkt_cand
 
         if scheme.kind == FLEXIBLE and radius_last > 0.0 and cand_radius > 0.0:
             gap_last, _ = lane.gap(cur_vec, radius_last)
             if gap_last < gap_now:
                 cand_vec, cand_radius, gap_now = cur_vec, radius_last, gap_last
 
-        state = RestartState(
-            outer=outer,
-            inner=inner,
-            anchor=anchor_vec,
-            prev_anchor=anchors[-2] if len(anchors) > 1 else None,
-            gap_at_restart=stored_gap,
-            average=avg,
-            restart_lengths=trace.restart_lengths,
-        )
+        state = RestartState(outer=outer, inner=inner, gap_at_restart=stored_gap)
         restart_now = should_restart(state, scheme, gap_now)
         if adaptive and cand_radius == 0.0:
             restart_now = True
-        terminal = (min(kkt_avg, kkt_last) <= options.kkt_tol
+        terminal = (stop or min(kkt_avg, kkt_last) <= options.kkt_tol
                     or total >= options.iteration_limit)
         restart_now = restart_now and not terminal
 
@@ -507,6 +502,8 @@ def run_restarted(problem, options, z0=None):
         best_vec = avg if kkt_avg <= kkt_last else cur_vec
         last_good = (best_vec.copy(), min(kkt_avg, kkt_last))
 
+        if stop:
+            return finish(Status.STOPPED, best_vec, kkt_avg, kkt_last)
         if min(kkt_avg, kkt_last) <= options.kkt_tol:
             return finish(Status.OPTIMAL, best_vec, kkt_avg, kkt_last)
         if total >= options.iteration_limit:
@@ -520,12 +517,8 @@ def run_restarted(problem, options, z0=None):
             stored_gap = gap_now
             outer += 1
             inner = 0
-            avg = None
-            if isinstance(lane, _AdmmLane):
-                lane.reset_to(anchor_vec)
-                current = lane.state.point()
-            else:
-                current = lane.from_vec(anchor_vec)
+            avg = None  # freed before the next step allocates the new average
+            current = lane.restart_from(anchor_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +544,14 @@ class RateCheckReport:
     adaptive_ok: bool
 
 
-def _method_norm(config, problem):
-    if config.method in (PDHG, EGM):
-        # EGM's guarantee is Euclidean; PDHG's is its M-norm
-        if config.method == PDHG:
-            return NormSpec.pdhg(config.eta, config.omega)
-        return NormSpec.euclidean()
-    if config.method == PPM_BILINEAR:
-        return NormSpec.euclidean()
-    return NormSpec.admm(config.eta)
+def _method_norm(config):
+    # PDHG's guarantee is in its M-norm, ADMM's in its semi-norm, EGM's and
+    # PPM's in the Euclidean norm
+    if config.method == PDHG:
+        return NormSpec.pdhg(config.eta, config.omega)
+    if config.method == ADMM:
+        return NormSpec.admm(config.eta)
+    return NormSpec.euclidean()
 
 
 def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
@@ -577,7 +569,7 @@ def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
         raise ValueError("alpha (sharpness constant) is required")
     tstar = fixed_frequency_tstar(config.sufficient_decay_c,
                                   config.target_proximity_q, alpha, beta)
-    norm = _method_norm(config, problem)
+    norm = _method_norm(config)
     opt_vec = optimum.as_vector()
 
     def dist_to_opt(vec):

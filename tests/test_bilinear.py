@@ -161,6 +161,19 @@ class TestToySeries:
             z = P @ z
             assert np.max(np.abs(plain[t] - z)) <= 1e-12
 
+    def test_restarted_series_is_averaged_recurrence(self):
+        # average the iterates, and every 25 steps restart from the average
+        _, restarted = two_dim_toy_series(50, 0.2, 25)
+        P = dynamics_matrix(1.0, 0.2)
+        z = np.array([1.0, 1.0])
+        for t in range(1, 51):
+            inner = (t - 1) % 25 + 1
+            z = P @ z
+            avg = z.copy() if inner == 1 else avg + (z - avg) / inner
+            assert np.max(np.abs(restarted[t] - avg)) <= 1e-12
+            if inner == 25:
+                z = avg
+
     def test_restarted_final_distance_smaller(self):
         plain, restarted = two_dim_toy_series(50, 0.2, 25)
         assert np.linalg.norm(restarted[-1]) < np.linalg.norm(plain[-1])
@@ -177,6 +190,13 @@ class TestScalingExperimentSmall:
         assert rep.last_slope > rep.restarted_slope
         csv_rows = rep.csv_rows()
         assert csv_rows[0] == ("kappa", "mode", "iterations")
+
+    def test_recorded_rows(self):
+        # the iteration counts of the paper-scale run at kappa = 4, 8
+        rep = table3_scaling_experiment([4, 8], 1e-6, avg_kappa=4, avg_eps=(1e-2, 1e-3))
+        assert rep.rows == [(4.0, "last", 831), (4.0, "restarted", 218),
+                            (8.0, "last", 3332), (8.0, "restarted", 439)]
+        assert rep.average_rows == [(1e-2, 495), (1e-3, 5000)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

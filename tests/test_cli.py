@@ -19,6 +19,7 @@ from restartlp.cli import (
     tune_primal_weight,
 )
 from restartlp.ingest import DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate
+from restartlp.lp_core import power_method_sigma_max
 from restartlp.steps import PDHG
 
 TINY_MPS = """\
@@ -158,6 +159,16 @@ class TestTuneOmega:
         omega, table = tune_primal_weight(problem, PDHG, 0.05, iterations=100)
         assert omega in OMEGA_GRID or omega == 1.0
         assert len(table) == 11
+
+    def test_divergent_step_picks_one_without_overflow_warnings(self):
+        # eta = 50 / sigma diverges at every omega; the overflow must stay
+        # inside the solve (the suite turns a RuntimeWarning into an error)
+        problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 0))
+        sigma = power_method_sigma_max(problem.A)
+        omega, table = tune_primal_weight(problem, PDHG, 50.0 / sigma, iterations=1000)
+        assert omega == 1.0
+        assert [w for w, _ in table] == list(OMEGA_GRID)
+        assert all(err == math.inf for _, err in table)
 
     def test_cli_command(self, tmp_path):
         summary = tmp_path / "omega.json"

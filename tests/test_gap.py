@@ -14,16 +14,14 @@ from restartlp import (
     generate,
     gradient_field,
     normalized_gap_admm,
-    normalized_gap_bisection,
     normalized_gap_lp,
     residuals,
     solve_linear_trust_region,
-    trust_region_bisection,
 )
-from restartlp.gap import GapBracketError
 from restartlp.steps import ADMM, AdmmState, admm_step, initial_admm_state
 
 from conftest import feasible_point, random_sparse
+from oracles import GapBracketError, normalized_gap_bisection, trust_region_bisection
 
 INF = np.inf
 

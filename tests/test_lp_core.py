@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from restartlp import (
-    KktSystem,
     NormSpec,
     SaddlePoint,
     SparseMatrix,
     StandardFormLp,
     gradient_field,
-    kkt_error,
     lagrangian,
     norm_value,
     power_method_sigma_max,
@@ -19,6 +17,7 @@ from restartlp import (
 from restartlp.ingest import RandomLpKnownOptimum, generate
 
 from conftest import feasible_point, random_sparse
+from oracles import KktSystem, kkt_error
 
 
 def small_lp(c, a, b, nonneg=True):

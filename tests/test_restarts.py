@@ -188,6 +188,63 @@ class TestRunRestarted:
             assert rec.normalized_gap == pytest.approx(expect, rel=1e-12)
 
 
+class TestObserve:
+    def test_stop_carries_the_observers_iteration(self):
+        problem, _ = generate(DiagonalBilinear((0.5, 1.0)))
+        opts = SolveOptions(step=StepConfig(PDHG, 0.7), scheme=RestartScheme.adaptive(),
+                            kkt_tol=0.0, iteration_limit=1000, check_cadence=30)
+        seen = []
+
+        def observe(t, target, average):
+            seen.append(t)
+            return t == 47
+
+        res = run_restarted(problem, opts, z0=SaddlePoint(np.ones(2), np.ones(2)),
+                            observe=observe)
+        assert res.status == Status.STOPPED
+        assert res.iterations == 47
+        assert seen == list(range(1, 48))
+        assert res.trace.records[-1].iteration == 47
+
+    def test_observer_that_never_stops_changes_nothing(self):
+        problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 0))
+        smax = power_method_sigma_max(problem.A)
+        opts = SolveOptions(step=StepConfig(PDHG, 0.9 / smax),
+                            scheme=RestartScheme.adaptive(), kkt_tol=1e-6)
+        calls = []
+        plain = run_restarted(problem, opts)
+        watched = run_restarted(problem, opts, observe=lambda t, z, avg: calls.append(t))
+        assert watched.status == plain.status == Status.OPTIMAL
+        assert calls == list(range(1, plain.iterations + 1))
+        fields = ("iteration", "outer", "inner", "normalized_gap", "kkt_avg", "kkt_last",
+                  "radius", "restarted")
+
+        def rows(res):
+            return [[getattr(r, f) for f in fields] for r in res.trace.records]
+
+        assert rows(watched) == rows(plain)
+        assert np.array_equal(plain.solution.as_vector(), watched.solution.as_vector())
+
+    def test_rescaled_lp_observer_sees_caller_space(self):
+        problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 0))
+        smax = power_method_sigma_max(problem.A)
+        opts = SolveOptions(step=StepConfig(PDHG, 0.9 / smax), scheme=RestartScheme.fixed(64),
+                            kkt_tol=0.0, iteration_limit=1000, check_cadence=32)
+        kept = {}
+
+        def observe(t, target, average):
+            kept["target"], kept["average"] = target.copy(), average.copy()
+            return t == 100
+
+        res = run_restarted(problem, opts, observe=observe)
+        assert res.scaling is not None
+        assert res.status == Status.STOPPED and res.iterations == 100
+        assert res.trace.restart_iterations == [64]
+        assert np.array_equal(kept["average"], res.average.as_vector())
+        # a PDHG target is the next iterate
+        assert np.array_equal(kept["target"], res.last.as_vector())
+
+
 class TestTheory:
     def test_fixed_contraction_and_adaptive_lengths(self):
         problem, opt = generate(DiagonalBilinear((0.5, 1.0)))
