@@ -19,7 +19,6 @@ from .lp_core import (
     StandardFormLp,
     gradient_field,
     lagrangian,
-    norm_distance,
     norm_value,
     power_method_sigma_max,
     residuals,
@@ -41,14 +40,12 @@ from .steps import (
     PDHG,
     PPM_BILINEAR,
     AdmmPoint,
-    AdmmState,
     AffineProjector,
     StepConfig,
     StepOutput,
     admm_step,
     affine_project,
     egm_step,
-    initial_admm_state,
     pdhg_step,
     ppm_bilinear_step,
 )

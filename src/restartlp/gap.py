@@ -169,8 +169,8 @@ def normalized_gap_lp(problem, z, r, ax=None, aty=None):
     return GapResult(rho, SaddlePoint.from_vector(zhat, problem.n), r)
 
 
-def normalized_gap_admm(problem, state, r, eta):
-    """Normalized duality gap of an ADMM state in its (semi-)norm.
+def normalized_gap_admm(problem, point, r, eta):
+    """Normalized duality gap of an ADMM point in its (semi-)norm.
 
     The supremum of -(y+c)'(xhat_V - x_V) + (x_V - x_U)'(yhat - y) over
     {xhat_V >= 0, eta |x_V - xhat_V|^2 + |y - yhat|^2/eta <= r^2} becomes a
@@ -181,7 +181,7 @@ def normalized_gap_admm(problem, state, r, eta):
         raise ValueError("radius must be positive")
     if not eta > 0:
         raise ValueError("eta must be positive")
-    x_v, x_u, y = state.x_v, state.x_u, state.y
+    x_v, x_u, y = point.x_v, point.x_u, point.y
     if x_v.size and float(np.min(x_v)) < -1e-9 * (1.0 + float(np.max(np.abs(x_v)))):
         raise ValueError("ADMM gap needs x_V >= 0")
     res = problem.A.matvec(x_u) - problem.b

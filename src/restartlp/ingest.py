@@ -4,7 +4,8 @@ synthetic instance generators with known optima.
 The MPS subset covers ROWS / COLUMNS / RHS / RANGES / BOUNDS with bound codes
 LO, UP, FX, FR, MI, PL, in both fixed and free format (whitespace
 tokenization), and RANGES on E, L and G rows.  OBJSENSE defaults to
-minimization.  No presolve or scaling is applied anywhere in this package.
+minimization.  Ingest applies no presolve and no scaling; the solve rescales
+every LP itself (see :mod:`restartlp.scaling`).
 
 Ingest works on arrays.  The parser makes one pass over the lines; COLUMNS
 lines only have their tokens collected, and when the section ends the values

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +26,6 @@ __all__ = [
     "gradient_field",
     "lagrangian",
     "norm_value",
-    "norm_distance",
     "residuals",
     "power_method_sigma_max",
 ]
@@ -42,7 +40,9 @@ class SparseMatrix:
     reproducible bit for bit across runs.
 
     Duplicate (row, col) pairs are rejected; callers that want accumulation
-    semantics must sum before construction.
+    semantics must sum before construction.  The nonzeros are held once per
+    layout: ``rows``, ``cols`` and ``vals`` read them off the row-ordered
+    one, in (row, col) order.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, vals):
@@ -58,19 +58,14 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        # sorted by (row, col), a repeated pair sits next to its twin
-        if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
-            raise ValueError("duplicate (row, col) entries")
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals[order]
-        coo = sp.coo_array((self.vals, (self.rows, self.cols)), shape=(n_rows, n_cols))
-        self._fwd = coo.tocsr()          # row-ordered layout, used for A @ v
-        self._adj = coo.T.tocsr()        # column-ordered layout, used for A^T @ w
+        # row-ordered layout, used for A @ v; the conversion sorts each row
+        # by column and sums repeated pairs, so a repeat shows as a lost entry
+        self._fwd = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+        if self._fwd.nnz != vals.size:
+            raise ValueError("duplicate (row, col) entries")
+        self._adj = self._fwd.T.tocsr()  # column-ordered layout, used for A^T @ w
 
     @classmethod
     def from_dense(cls, dense):
@@ -87,6 +82,21 @@ class SparseMatrix:
     @property
     def nnz(self):
         return self.vals.size
+
+    @property
+    def rows(self):
+        """Row index of each nonzero, in (row, col) order."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self._fwd.indptr))
+
+    @property
+    def cols(self):
+        """Column index of each nonzero, in (row, col) order."""
+        return self._fwd.indices
+
+    @property
+    def vals(self):
+        """Value of each nonzero, in (row, col) order."""
+        return self._fwd.data
 
     def matvec(self, v):
         """A @ v with deterministic row-major summation."""
@@ -106,18 +116,15 @@ class SparseMatrix:
         """diag(row_scale) A diag(col_scale), entry by entry
         (row_scale_i a_ij) col_scale_j in every layout.
 
-        The result shares this matrix's sorted ``rows``/``cols`` and the index
-        arrays of both compressed layouts; only the values are new (one array
-        per ordering), and the pattern is not re-sorted or re-checked.
+        The result shares the index arrays of both compressed layouts; only
+        the values are new (one array per ordering), and the pattern is not
+        re-sorted or re-checked.
         """
         out = object.__new__(SparseMatrix)
         out.n_rows, out.n_cols = self.n_rows, self.n_cols
-        out.rows, out.cols = self.rows, self.cols
-        out.vals = row_scale[self.rows] * self.vals * col_scale[self.cols]
-        # the row-ordered layout holds the nonzeros in the sorted (row, col)
-        # order of rows/cols, so it takes the new values as they are
         fwd, adj = self._fwd, self._adj
-        out._fwd = sp.csr_array((out.vals, fwd.indices, fwd.indptr), shape=fwd.shape)
+        vals = row_scale[self.rows] * fwd.data * col_scale[fwd.indices]
+        out._fwd = sp.csr_array((vals, fwd.indices, fwd.indptr), shape=fwd.shape)
         adj_cols = np.repeat(np.arange(self.n_cols), np.diff(adj.indptr))
         out._adj = sp.csr_array(
             (row_scale[adj.indices] * adj.data * col_scale[adj_cols], adj.indices, adj.indptr),
@@ -272,7 +279,7 @@ def norm_value(spec, problem, z):
     """Norm of a point under ``spec``.
 
     ``z`` is a SaddlePoint for euclidean / pdhg_m, or any object with
-    ``x_v`` and ``y`` attributes (an ADMM state or point) for admm_m.
+    ``x_v`` and ``y`` attributes (an ADMM point) for admm_m.
     """
     if spec.kind == EUCLIDEAN:
         return float(math.hypot(np.linalg.norm(z.x), np.linalg.norm(z.y)))
@@ -286,13 +293,6 @@ def norm_value(spec, problem, z):
         sq = spec.eta * (z.x_v @ z.x_v) + (z.y @ z.y) / spec.eta
         return float(math.sqrt(max(sq, 0.0)))
     raise ValueError(f"unknown norm kind {spec.kind!r}")
-
-
-def norm_distance(spec, problem, z1, z2):
-    """Distance between two points under ``spec``."""
-    if spec.kind == ADMM_M:
-        return norm_value(spec, problem, SimpleNamespace(x_v=z1.x_v - z2.x_v, y=z1.y - z2.y))
-    return norm_value(spec, problem, SaddlePoint(z1.x - z2.x, z1.y - z2.y))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ caller's eta * sigma_max(A) (see :class:`~restartlp.steps.StepConfig`); ADMM
 keeps its eta.  Bilinear problems (``nonneg=False``) are solved unscaled.
 
 Restart and termination checks happen only at checkpoints (every
-``check_cadence`` iterations); each checkpoint costs a handful of
-matrix-vector products which the gap and KKT evaluations share.  For ADMM
-each KKT evaluation also extracts an LP dual estimate from A A' lam = -A y:
-one back-solve with the A A' factor built at the start of the solve, plus
-two products to verify its residual.
+``check_cadence`` iterations).  A checkpoint measures the running average
+and the last iterate once each: its KKT error, and its normalized gap where
+the restart scheme reads it, from one shared pair of matrix-vector
+products.  For ADMM each KKT evaluation also extracts an LP dual estimate
+from A A' lam = -A y: one back-solve with the A A' factor built at the start
+of the solve, plus two products to verify its residual.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from .steps import (
     PDHG,
     PPM_BILINEAR,
     AdmmPoint,
-    AdmmState,
+    AffineProjector,
     NormalFactor,
     StepConfig,
     admm_step,
     egm_step,
-    initial_admm_state,
     pdhg_step,
     ppm_bilinear_step,
 )
@@ -230,99 +230,93 @@ class SolveResult:
 
 
 class _Lane:
-    """Vector mapping shared by the lanes.  A lane steps on the problem it
-    was given; when that is a rescaled LP, ``scale`` holds the factors that
-    take one of its vectors to the caller's space elementwise."""
+    """One method on one problem, seen by the driver through flat vectors.
+
+    The driver holds the anchor, the running average and the iterate it
+    measures as flat vectors.  ``view(vec)`` reads one as the lane's
+    ``point`` class over slices, without a copy; ``step(point)`` is the
+    method's step on that contract and returns a ``StepOutput``;
+    ``measure(vec, radius)`` and ``dist(va, vb)`` evaluate vectors.  A lane
+    steps on the problem it was given; when that is a rescaled LP, ``scale``
+    holds the factors that take one of its vectors to the caller's space
+    elementwise.
+    """
 
     scale = None
 
-    def to_vec(self, point):
-        return point.as_vector()
+    def initial(self, z0):
+        """The start vector: zeros, or the caller's point ``z0``."""
+        if z0 is None:
+            return np.zeros(self.size)
+        vec = np.asarray(z0.as_vector(), dtype=np.float64)
+        return vec if self.scale is None else vec / self.scale
 
     def to_caller(self, vec):
         return vec if self.scale is None else vec * self.scale
 
-    def from_caller(self, vec):
-        return vec if self.scale is None else vec / self.scale
-
     def export(self, vec):
-        """A point of the caller's problem, as the solve returns it."""
-        return self.from_vec(self.to_caller(vec))
+        """A point of the caller's problem that owns its arrays."""
+        return self.point.from_vector(self.to_caller(vec), self.n)
 
 
 class _SaddleLane(_Lane):
+    point = SaddlePoint
+
     def __init__(self, problem, config, d1=None, d2=None):
         self.problem = problem
-        self.config = config
         if config.method == PDHG:
-            self._step = lambda z: pdhg_step(problem, z, config)
+            self.step = lambda z: pdhg_step(problem, z, config)
         elif config.method == EGM:
-            self._step = lambda z: egm_step(problem, z, config)
+            self.step = lambda z: egm_step(problem, z, config)
         elif config.method == PPM_BILINEAR:
             factor = NormalFactor(problem.A, 1.0 / (config.eta * config.eta))
-            self._step = lambda z: ppm_bilinear_step(problem, z, config.eta, factor)
+            self.step = lambda z: ppm_bilinear_step(problem, z, config.eta, factor)
         else:
             raise ValueError(f"not a saddle-point method: {config.method}")
         self.n = problem.n
+        self.size = problem.n + problem.m
         self.d1, self.d2 = d1, d2
         if d1 is not None:
             self.scale = np.concatenate([d2, d1])
 
-    def initial(self, z0):
-        if z0 is None:
-            return SaddlePoint.zeros(self.problem)
-        return self.from_vec(self.from_caller(z0.as_vector()))
-
-    def step(self, point):
-        return self._step(point)
-
-    def from_vec(self, vec):
-        return SaddlePoint.from_vector(vec, self.n)
+    def view(self, vec):
+        return SaddlePoint(vec[:self.n], vec[self.n:])
 
     def dist(self, va, vb):
         return float(np.linalg.norm(va - vb))
 
-    def gap(self, vec, radius):
-        z = self.from_vec(vec)
+    def measure(self, vec, radius):
+        """(normalized gap at ``radius``, KKT error of the caller's problem);
+        the gap reads 0.0 at radius 0.  Both share one product pair."""
+        z = self.view(vec)
         ax = self.problem.A.matvec(z.x)
         aty = self.problem.A.rmatvec(z.y)
-        rho = normalized_gap_lp(self.problem, z, radius, ax=ax, aty=aty).rho
+        gap = 0.0
+        if radius != 0.0:
+            gap = normalized_gap_lp(self.problem, z, radius, ax=ax, aty=aty).rho
         kkt = residuals(self.problem, z, ax=ax, aty=aty,
                         row_scale=self.d1, col_scale=self.d2).kkt_error
-        return rho, kkt
-
-    def kkt(self, vec):
-        return residuals(self.problem, self.from_vec(vec),
-                         row_scale=self.d1, col_scale=self.d2).kkt_error
-
-    def restart_from(self, vec):
-        return self.from_vec(vec)
+        return gap, kkt
 
 
 class _AdmmLane(_Lane):
+    point = AdmmPoint
+
     def __init__(self, problem, config, d1=None, d2=None):
         self.problem = problem
         self.config = config
         self.n = problem.n
-        self.state = None
+        self.size = 3 * problem.n
+        self.projector = projector = AffineProjector(problem.A, problem.b)
+        self.step = lambda z: admm_step(problem, z, config, projector)
         self.d1, self.d2 = d1, d2
         if d2 is not None:
             # (x_U, x_V, y): y is the multiplier of x_U = x_V, so y = y~ / d2
             self.scale = np.concatenate([d2, d2, 1.0 / d2])
 
-    def initial(self, z0):
-        self.state = initial_admm_state(self.problem)
-        if z0 is not None:
-            vec = np.concatenate([z0.x_u, z0.x_v, z0.y], dtype=np.float64)
-            self.restart_from(self.from_caller(vec))
-        return self.state.point().copy()
-
-    def step(self, point):
-        out, self.state = admm_step(self.problem, self.state, self.config)
-        return out
-
-    def from_vec(self, vec):
-        return AdmmPoint.from_vector(vec, self.n)
+    def view(self, vec):
+        n = self.n
+        return AdmmPoint(vec[:n], vec[n:2 * n], vec[2 * n:])
 
     def dist(self, va, vb):
         n = self.n
@@ -331,24 +325,19 @@ class _AdmmLane(_Lane):
         dy = va[2 * n:] - vb[2 * n:]
         return math.sqrt(eta * float(dxv @ dxv) + float(dy @ dy) / eta)
 
-    def gap(self, vec, radius):
-        point = self.from_vec(vec)
-        rho = normalized_gap_admm(self.problem, point, radius, self.config.eta).rho
-        return rho, self.kkt(vec)
-
-    def kkt(self, vec):
-        # LP dual estimate: least-squares lambda with A'lambda ~ -y, then the
-        # standard-form residuals of (x_V, lambda)
-        point = self.from_vec(vec)
-        rhs = -self.problem.A.matvec(point.y)
-        lam = self.state.projector.solve_normal(rhs)
-        return residuals(self.problem, SaddlePoint(point.x_v, lam),
-                         row_scale=self.d1, col_scale=self.d2).kkt_error
-
-    def restart_from(self, vec):
-        point = self.from_vec(vec)
-        self.state = AdmmState(point.x_u, point.x_v, point.y, self.state.projector)
-        return self.state.point()
+    def measure(self, vec, radius):
+        """(normalized gap at ``radius`` in the ADMM semi-norm, KKT error of
+        the caller's problem); the gap reads 0.0 at radius 0.  The KKT error
+        is that of (x_V, lambda) for the LP dual estimate lambda, the
+        least-squares solution of A'lambda ~ -y (one dual solve)."""
+        point = self.view(vec)
+        gap = 0.0
+        if radius != 0.0:
+            gap = normalized_gap_admm(self.problem, point, radius, self.config.eta).rho
+        lam = self.projector.solve_normal(-self.problem.A.matvec(point.y))
+        kkt = residuals(self.problem, SaddlePoint(point.x_v, lam),
+                        row_scale=self.d1, col_scale=self.d2).kkt_error
+        return gap, kkt
 
 
 def _make_lane(problem, config):
@@ -402,10 +391,14 @@ def run_restarted(problem, options, z0=None, observe=None):
     lane, scaling = _make_lane(problem, options.step)
     scheme = options.scheme
     adaptive = scheme.kind in (ADAPTIVE, FLEXIBLE)
+    # the gaps the scheme reads: the average's unless it never restarts,
+    # the last iterate's when it never restarts or may restart from it
+    gap_of_avg = scheme.kind != NO_RESTART
+    gap_of_last = scheme.kind in (NO_RESTART, FLEXIBLE)
 
-    current = lane.initial(z0)
-    anchor_vec = lane.to_vec(current).copy()
-    anchors = [anchor_vec.copy()]
+    anchor_vec = lane.initial(z0)
+    anchors = [anchor_vec]
+    current = lane.view(anchor_vec)
     trace = ConvergenceTrace()
     start = time.perf_counter()
 
@@ -414,7 +407,7 @@ def run_restarted(problem, options, z0=None, observe=None):
     total = 0
     stored_gap = None
     checkpoints = 0
-    last_good = (anchor_vec.copy(), lane.kkt(anchor_vec))
+    last_good = (anchor_vec, lane.measure(anchor_vec, 0.0)[1])
 
     def finish(status, sol_vec, kkt_avg, kkt_last):
         return SolveResult(
@@ -423,7 +416,7 @@ def run_restarted(problem, options, z0=None, observe=None):
             iterations=total,
             trace=trace,
             average=lane.export(avg),
-            last=lane.export(lane.to_vec(current)),
+            last=lane.export(cur_vec),
             kkt_avg=kkt_avg,
             kkt_last=kkt_last,
             anchors=[lane.to_caller(a) for a in anchors],
@@ -436,7 +429,7 @@ def run_restarted(problem, options, z0=None, observe=None):
         current = out.next
         total += 1
         inner += 1
-        tvec = lane.to_vec(out.target)
+        tvec = out.target.as_vector()
         if inner == 1:
             avg = tvec.copy()
         else:
@@ -449,33 +442,25 @@ def run_restarted(problem, options, z0=None, observe=None):
 
         # ---- checkpoint ----
         checkpoints += 1
-        cur_vec = lane.to_vec(current)
+        cur_vec = current.as_vector()
         if not (np.all(np.isfinite(cur_vec)) and np.all(np.isfinite(avg))):
             vec, kkt = last_good
             return finish(Status.DIVERGED, vec, kkt, kkt)
 
+        # each point is measured once
         radius_avg = lane.dist(avg, anchor_vec)
         radius_last = lane.dist(cur_vec, anchor_vec)
+        gap_avg, kkt_avg = lane.measure(avg, radius_avg if gap_of_avg else 0.0)
+        gap_last, kkt_last = lane.measure(cur_vec, radius_last if gap_of_last else 0.0)
 
-        # the gap is measured at the candidate (the last iterate when never
-        # restarting, else the average); the other point only needs its KKT
+        # the restart candidate: the last iterate when never restarting,
+        # else the average, or under flexible the last iterate if its gap
+        # is lower
         if scheme.kind == NO_RESTART:
-            cand_vec, cand_radius, other_vec = cur_vec, radius_last, avg
+            cand_vec, cand_radius, gap_now = cur_vec, radius_last, gap_last
         else:
-            cand_vec, cand_radius, other_vec = avg, radius_avg, cur_vec
-        if cand_radius == 0.0:
-            gap_now, kkt_cand = 0.0, lane.kkt(cand_vec)
-        else:
-            gap_now, kkt_cand = lane.gap(cand_vec, cand_radius)
-        kkt_other = lane.kkt(other_vec)
-        if cand_vec is avg:
-            kkt_avg, kkt_last = kkt_cand, kkt_other
-        else:
-            kkt_avg, kkt_last = kkt_other, kkt_cand
-
-        if scheme.kind == FLEXIBLE and radius_last > 0.0 and cand_radius > 0.0:
-            gap_last, _ = lane.gap(cur_vec, radius_last)
-            if gap_last < gap_now:
+            cand_vec, cand_radius, gap_now = avg, radius_avg, gap_avg
+            if scheme.kind == FLEXIBLE and radius_last > 0.0 and gap_last < gap_now:
                 cand_vec, cand_radius, gap_now = cur_vec, radius_last, gap_last
 
         state = RestartState(outer=outer, inner=inner, gap_at_restart=stored_gap)
@@ -513,12 +498,12 @@ def run_restarted(problem, options, z0=None, observe=None):
             trace.restart_lengths.append(inner)
             trace.restart_iterations.append(total)
             anchor_vec = cand_vec.copy()
-            anchors.append(anchor_vec.copy())
+            anchors.append(anchor_vec)
             stored_gap = gap_now
             outer += 1
             inner = 0
             avg = None  # freed before the next step allocates the new average
-            current = lane.restart_from(anchor_vec)
+            current = lane.view(anchor_vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,32 @@
 """One-iteration updates for the primal-dual methods.
 
-Each step takes the current iterate and returns both the next iterate
-z^{t+1} and the target point zhat^{t+1} whose running average carries the
-ergodic guarantee.  For PDHG and PPM the two coincide; EGM's target is the
-intermediate (extrapolated) point and ADMM's target differs from the iterate
-in the multiplier block only.
+All four steps share one contract: ``step(problem, z, ...)`` takes the
+current iterate z^t, a :class:`SaddlePoint` (or an :class:`AdmmPoint` for
+ADMM), and returns a :class:`StepOutput` holding the next iterate z^{t+1}
+and the target point zhat^{t+1} whose running average carries the ergodic
+guarantee.  A step only reads ``z``, so its arrays may be views into a
+larger buffer, and it returns new arrays.  What a method reuses across
+steps (PPM's factor, ADMM's affine projector) is its last argument, built
+once by a restarted run.  For PDHG and PPM the next iterate and the target
+coincide; EGM's target is the intermediate (extrapolated) point and ADMM's
+target differs from the iterate in the multiplier block only.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lp_core import SaddlePoint, gradient_field
+from .lp_core import SaddlePoint
 
 __all__ = [
     "Method",
     "StepConfig",
     "StepOutput",
     "AdmmPoint",
-    "AdmmState",
     "NormalFactor",
     "AffineProjector",
     "AffineProjectionError",
@@ -32,7 +35,6 @@ __all__ = [
     "egm_step",
     "admm_step",
     "ppm_bilinear_step",
-    "initial_admm_state",
 ]
 
 PDHG = "pdhg"
@@ -293,44 +295,22 @@ class AdmmPoint:
     def from_vector(cls, v, n):
         return cls(v[:n].copy(), v[n:2 * n].copy(), v[2 * n:].copy())
 
-    def copy(self):
-        return AdmmPoint(self.x_u.copy(), self.x_v.copy(), self.y.copy())
 
-
-@dataclass
-class AdmmState:
-    """ADMM iterate plus the cached affine projector for {Ax = b}."""
-
-    x_u: np.ndarray
-    x_v: np.ndarray
-    y: np.ndarray
-    projector: AffineProjector
-
-    def point(self):
-        return AdmmPoint(self.x_u, self.x_v, self.y)
-
-
-def initial_admm_state(problem, tol=1e-10):
-    n = problem.n
-    proj = AffineProjector(problem.A, problem.b, tol=tol)
-    return AdmmState(np.zeros(n), np.zeros(n), np.zeros(n), proj)
-
-
-def admm_step(problem, state, config):
-    """One ADMM iteration on the split form min c'x_V over x_U = x_V,
-    x_U in {Ax = b}, x_V >= 0.
+def admm_step(problem, z, config, projector):
+    """One ADMM iteration from the point ``z`` on the split form
+    min c'x_V over x_U = x_V, x_U in {Ax = b}, x_V >= 0.
 
         x_U^{t+1} = proj_{Ax=b}(x_V^t + y^t / eta)
         x_V^{t+1} = (x_U^{t+1} - y^t/eta - c/eta)^+
         y^{t+1}   = y^t - eta (x_U^{t+1} - x_V^{t+1})
 
     The target differs from the iterate by eta (x_V^{t+1} - x_V^t) in the
-    multiplier block.
+    multiplier block.  ``projector`` is the :class:`AffineProjector` onto
+    {Ax = b}, built once per run.  x_U^t is not read.
     """
     eta = config.eta
-    xu = state.projector.project(state.x_v + state.y / eta)
-    xv = np.maximum(xu - state.y / eta - problem.c / eta, 0.0)
-    y = state.y - eta * (xu - xv)
-    y_hat = state.y - eta * (xu - state.x_v)
-    out = StepOutput(next=AdmmPoint(xu, xv, y), target=AdmmPoint(xu, xv, y_hat))
-    return out, AdmmState(xu, xv, y, state.projector)
+    xu = projector.project(z.x_v + z.y / eta)
+    xv = np.maximum(xu - z.y / eta - problem.c / eta, 0.0)
+    y = z.y - eta * (xu - xv)
+    y_hat = z.y - eta * (xu - z.x_v)
+    return StepOutput(next=AdmmPoint(xu, xv, y), target=AdmmPoint(xu, xv, y_hat))

@@ -18,7 +18,7 @@ from restartlp import (
     residuals,
     solve_linear_trust_region,
 )
-from restartlp.steps import ADMM, AdmmState, admm_step, initial_admm_state
+from restartlp.steps import ADMM, AdmmPoint, AffineProjector, admm_step
 
 from conftest import feasible_point, random_sparse
 from oracles import GapBracketError, normalized_gap_bisection, trust_region_bisection
@@ -186,27 +186,26 @@ class TestNormalizedGapLp:
 
 class TestNormalizedGapAdmm:
     def _state_after(self, problem, eta, steps, rng):
-        state = initial_admm_state(problem)
-        state = AdmmState(state.x_u, np.abs(rng.standard_normal(problem.n)),
-                          rng.standard_normal(problem.n), state.projector)
+        projector = AffineProjector(problem.A, problem.b)
+        state = AdmmPoint(np.zeros(problem.n), np.abs(rng.standard_normal(problem.n)),
+                          rng.standard_normal(problem.n))
         cfg = StepConfig(ADMM, eta)
         for _ in range(steps):
-            _, state = admm_step(problem, state, cfg)
+            state = admm_step(problem, state, cfg, projector).next
         return state
 
     def test_zero_at_optimum(self):
         problem, opt = generate(RandomLpKnownOptimum(5, 10, 0.5, 4))
-        proj = initial_admm_state(problem).projector
         y_admm = -problem.A.rmatvec(opt.y)
-        state = AdmmState(opt.x, opt.x, y_admm, proj)
+        state = AdmmPoint(opt.x, opt.x, y_admm)
         assert normalized_gap_admm(problem, state, 1.0, 0.8).rho <= 1e-10
 
     def test_zero_objective_state(self):
         problem, opt = generate(RandomLpKnownOptimum(5, 10, 0.5, 4))
-        proj = initial_admm_state(problem).projector
+        proj = AffineProjector(problem.A, problem.b)
         xu = proj.project(np.ones(problem.n))
         # consistent blocks and y = -c null the linear objective entirely
-        state = AdmmState(xu, xu.copy(), -problem.c, proj)
+        state = AdmmPoint(xu, xu.copy(), -problem.c)
         if np.min(xu) >= 0:
             assert normalized_gap_admm(problem, state, 2.0, 1.0).rho <= 1e-12
 
@@ -230,10 +229,10 @@ class TestNormalizedGapAdmm:
 
     def test_invalid_inputs(self):
         problem, _ = generate(RandomLpKnownOptimum(4, 8, 0.5, 0))
-        state = initial_admm_state(problem)
+        state = AdmmPoint(np.zeros(problem.n), np.zeros(problem.n), np.zeros(problem.n))
         with pytest.raises(ValueError):
             normalized_gap_admm(problem, state, 0.0, 1.0)
-        bad = AdmmState(state.x_u + 5.0, state.x_v, state.y, state.projector)
+        bad = AdmmPoint(state.x_u + 5.0, state.x_v, state.y)
         with pytest.raises(ValueError, match="feasible"):
             normalized_gap_admm(problem, bad, 1.0, 1.0)
 

@@ -24,7 +24,7 @@ from restartlp import (
     theoretical_linear_rate_check,
 )
 from restartlp.restarts import ADAPTIVE, FLEXIBLE
-from restartlp.steps import ADMM, PDHG, PPM_BILINEAR
+from restartlp.steps import ADMM, PDHG, PPM_BILINEAR, AffineProjector
 
 
 class TestTstar:
@@ -186,6 +186,50 @@ class TestRunRestarted:
             z = pdhg_step(problem, z, StepConfig(PDHG, 0.2)).next
             expect = float(np.linalg.norm([z.y[0], -z.x[0]]))
             assert rec.normalized_gap == pytest.approx(expect, rel=1e-12)
+
+
+def _arrays(point):
+    return [point.x, point.y] if isinstance(point, SaddlePoint) else [point.x_u, point.x_v, point.y]
+
+
+class TestCheckpoint:
+    def test_flexible_admm_solves_the_dual_once_per_point(self, monkeypatch):
+        # a checkpoint measures the average and the last iterate once each,
+        # one dual solve apiece; the start takes one more
+        calls = []
+        solve_normal = AffineProjector.solve_normal
+
+        def counted(self, rhs):
+            calls.append(rhs.size)
+            return solve_normal(self, rhs)
+
+        monkeypatch.setattr(AffineProjector, "solve_normal", counted)
+        problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 1))
+        res = run_restarted(problem, SolveOptions(StepConfig(ADMM, 1.0), RestartScheme.flexible(),
+                                                  kkt_tol=1e-7, iteration_limit=10**4))
+        assert res.status == Status.OPTIMAL and res.restart_count > 0
+        assert len(calls) == 1 + 2 * len(res.trace.records)
+
+    @pytest.mark.parametrize("case", ["bilinear-z0", "scaled-pdhg", "admm"])
+    def test_returned_arrays_share_no_memory(self, case):
+        z0 = None
+        if case == "bilinear-z0":
+            problem, _ = generate(DiagonalBilinear((0.5, 1.0, 2.0)))
+            z0 = SaddlePoint(np.ones(3), -np.ones(3))
+            step = StepConfig(PDHG, 0.4)
+        else:
+            problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 0))
+            step = StepConfig(ADMM, 1.0) if case == "admm" else \
+                StepConfig(PDHG, 0.9 / power_method_sigma_max(problem.A))
+        res = run_restarted(problem, SolveOptions(step, RestartScheme.adaptive(), kkt_tol=1e-8,
+                                                  iteration_limit=2000, check_cadence=10), z0=z0)
+        assert res.restart_count > 0 and (res.scaling is None) == (z0 is not None)
+        arrays = _arrays(res.solution) + _arrays(res.average) + _arrays(res.last) + res.anchors
+        if z0 is not None:
+            arrays += _arrays(z0)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestObserve:

@@ -14,18 +14,18 @@ from restartlp import (
     SparseMatrix,
     StandardFormLp,
     StepConfig,
+    AdmmPoint,
     admm_step,
     affine_project,
     egm_step,
     generate,
-    initial_admm_state,
     lagrangian,
     norm_value,
     pdhg_step,
     power_method_sigma_max,
     ppm_bilinear_step,
 )
-from restartlp.steps import AdmmState, AffineProjectionError, NormalFactor
+from restartlp.steps import AffineProjectionError, AffineProjector, NormalFactor
 
 from conftest import random_sparse
 
@@ -216,8 +216,8 @@ class TestAdmm:
     def test_hand_values(self):
         A = SparseMatrix(1, 1, [0], [0], [1.0])
         problem = StandardFormLp(np.array([0.0]), A, np.array([1.0]))
-        state = initial_admm_state(problem)
-        out, state2 = admm_step(problem, state, StepConfig(ADMM, 1.0))
+        z = AdmmPoint(np.zeros(1), np.zeros(1), np.zeros(1))
+        out = admm_step(problem, z, StepConfig(ADMM, 1.0), AffineProjector(A, problem.b))
         assert out.next.x_u[0] == pytest.approx(1.0, abs=1e-10)
         assert out.next.x_v[0] == pytest.approx(1.0, abs=1e-10)
         assert out.next.y[0] == pytest.approx(0.0, abs=1e-10)
@@ -225,9 +225,8 @@ class TestAdmm:
     def test_optimal_state_is_fixed_point(self):
         problem, opt = generate(RandomLpKnownOptimum(6, 12, 0.5, 5))
         y_admm = -problem.A.rmatvec(opt.y)
-        state = initial_admm_state(problem)
-        state = AdmmState(opt.x.copy(), opt.x.copy(), y_admm, state.projector)
-        out, _ = admm_step(problem, state, StepConfig(ADMM, 1.3))
+        z = AdmmPoint(opt.x.copy(), opt.x.copy(), y_admm)
+        out = admm_step(problem, z, StepConfig(ADMM, 1.3), AffineProjector(problem.A, problem.b))
         assert np.allclose(out.next.x_u, opt.x, atol=1e-8)
         assert np.allclose(out.next.x_v, opt.x, atol=1e-8)
         assert np.allclose(out.next.y, y_admm, atol=1e-8)
@@ -236,12 +235,13 @@ class TestAdmm:
         # target and iterate differ by eta (x_V^{t+1} - x_V^t) in the y slot
         problem, _ = generate(RandomLpKnownOptimum(5, 9, 0.5, 2))
         eta = 0.8
-        state = initial_admm_state(problem)
-        state = AdmmState(state.x_u, np.abs(rng.standard_normal(problem.n)),
-                          rng.standard_normal(problem.n), state.projector)
+        projector = AffineProjector(problem.A, problem.b)
+        z = AdmmPoint(np.zeros(problem.n), np.abs(rng.standard_normal(problem.n)),
+                      rng.standard_normal(problem.n))
         for _ in range(5):
-            xv_before = state.x_v.copy()
-            out, state = admm_step(problem, state, StepConfig(ADMM, eta))
+            xv_before = z.x_v.copy()
+            out = admm_step(problem, z, StepConfig(ADMM, eta), projector)
+            z = out.next
             gap_y = out.target.y - out.next.y
             assert np.allclose(gap_y, -eta * (out.next.x_v - xv_before), atol=1e-12)
             assert np.allclose(out.target.x_u, out.next.x_u)
@@ -249,12 +249,13 @@ class TestAdmm:
 
     def test_iterate_feasibility_invariant(self, rng):
         problem, _ = generate(RandomLpKnownOptimum(7, 13, 0.4, 9))
-        state = initial_admm_state(problem)
+        projector = AffineProjector(problem.A, problem.b)
+        z = AdmmPoint(np.zeros(problem.n), np.zeros(problem.n), np.zeros(problem.n))
         cfg = StepConfig(ADMM, 1.0)
         for _ in range(20):
-            out, state = admm_step(problem, state, cfg)
-            assert np.min(state.x_v) >= 0.0
-            resid = np.linalg.norm(problem.A.matvec(state.x_u) - problem.b)
+            z = admm_step(problem, z, cfg, projector).next
+            assert np.min(z.x_v) >= 0.0
+            resid = np.linalg.norm(problem.A.matvec(z.x_u) - problem.b)
             assert resid <= 1e-8 * (1 + np.linalg.norm(problem.b))
 
     def test_target_proximity_bound(self, rng):
@@ -263,12 +264,14 @@ class TestAdmm:
         eta = 1.0
         spec = NormSpec.admm(eta)
         y_admm = -problem.A.rmatvec(opt.y)
-        star = AdmmState(opt.x, opt.x, y_admm, None)
-        state = initial_admm_state(problem)
+        star = AdmmPoint(opt.x, opt.x, y_admm)
+        projector = AffineProjector(problem.A, problem.b)
+        z = AdmmPoint(np.zeros(problem.n), np.zeros(problem.n), np.zeros(problem.n))
         cfg = StepConfig(ADMM, eta)
         for _ in range(50):
-            prev = AdmmState(state.x_u, state.x_v.copy(), state.y.copy(), None)
-            out, state = admm_step(problem, state, cfg)
+            prev = z
+            out = admm_step(problem, z, cfg, projector)
+            z = out.next
             lhs = norm_value(spec, problem, _diff(out.target, out.next))
             rhs = 2.0 * norm_value(spec, problem, _diff(prev, star))
             assert lhs <= rhs + 1e-9
