@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -370,37 +371,55 @@ class _Fixed:
     value: float
 
 
+# VariableMap.kind codes, one per original column
+SHIFTED, REFLECTED, SPLIT, FIXED = 0, 1, 2, 3
+_RECORDS = {
+    SHIFTED: _Shifted,
+    REFLECTED: _Reflected,
+    SPLIT: lambda j, v: _Split(j, j + 1),
+    FIXED: lambda j, v: _Fixed(v),
+}
+
+
 @dataclass
 class VariableMap:
     """Recovers original-model variables from standard-form solutions.
 
-    Transformations per original column:
+    Transformations per original column j, held as arrays over the columns:
       * shifted:   x = l + x'          (finite lower bound)
       * reflected: x = u - x'          (lower -inf, finite upper)
       * split:     x = x+ - x-         (free variable)
       * fixed:     x = v               (FX; substituted out)
+    ``kind[j]`` is one of SHIFTED, REFLECTED, SPLIT, FIXED; ``index[j]`` the
+    standard column of x' (of x+, with x- the next one; -1 for a fixed
+    column); ``value[j]`` the shift l, the upper bound u or the fixed value
+    v (0 for a split column).
     Upper bounds become extra rows x' + s = u - l with a fresh slack.
     """
 
     column_names: list
-    mapping: dict                 # original column name -> transform record
+    kind: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
     objective_offset: float
     objective_sense: str
     n_standard: int
 
+    @cached_property
+    def mapping(self):
+        """Original column name -> transform record, built on first use."""
+        return {name: _RECORDS[k](j, v) for name, k, j, v in zip(
+            self.column_names, self.kind.tolist(), self.index.tolist(), self.value.tolist())}
+
     def to_original(self, x_standard):
-        x_standard = np.asarray(x_standard, dtype=np.float64)
-        out = np.empty(len(self.column_names))
-        for j, name in enumerate(self.column_names):
-            rec = self.mapping[name]
-            if isinstance(rec, _Shifted):
-                out[j] = rec.shift + x_standard[rec.index]
-            elif isinstance(rec, _Reflected):
-                out[j] = rec.upper - x_standard[rec.index]
-            elif isinstance(rec, _Split):
-                out[j] = x_standard[rec.pos_index] - x_standard[rec.neg_index]
-            else:
-                out[j] = rec.value
+        x = np.asarray(x_standard, dtype=np.float64)
+        out = self.value.copy()   # right for fixed columns
+        sel = self.kind == SHIFTED
+        out[sel] = self.value[sel] + x[self.index[sel]]
+        sel = self.kind == REFLECTED
+        out[sel] = self.value[sel] - x[self.index[sel]]
+        sel = self.kind == SPLIT
+        out[sel] = x[self.index[sel]] - x[self.index[sel] + 1]
         return out
 
     def original_objective(self, problem, x_standard):
@@ -512,24 +531,17 @@ def to_standard_form(model):
     c[first[free] + 1] = -cost[free]
     b = np.concatenate([b, u[bounded] - l[bounded]])
 
-    mapping = {}
-    for name, j, lj, uj, fx, fr, rf in zip(
-            names, first[:n].tolist(), lo.tolist(), up.tolist(),
-            fixed[:n].tolist(), free[:n].tolist(), reflected[:n].tolist()):
-        if fx:
-            mapping[name] = _Fixed(lj)
-        elif fr:
-            mapping[name] = _Split(j, j + 1)
-        elif rf:
-            mapping[name] = _Reflected(j, uj)
-        else:
-            mapping[name] = _Shifted(j, lj)
+    col_fixed, col_free, col_reflected = fixed[:n], free[:n], reflected[:n]
+    kind = np.select([col_fixed, col_free, col_reflected], [FIXED, SPLIT, REFLECTED], SHIFTED)
+    value = np.where(col_reflected, up, np.where(col_free, 0.0, lo))
 
     A = SparseMatrix(m + k, n_main + k, rows_out, cols_out, vals_out)
     problem = StandardFormLp(c, A, b)
     vmap = VariableMap(
         column_names=list(names),
-        mapping=mapping,
+        kind=kind.astype(np.int8),
+        index=np.where(col_fixed, -1, first[:n]),
+        value=value,
         objective_offset=offset,
         objective_sense=model.objective_sense,
         n_standard=n_main + k,

@@ -5,7 +5,8 @@ apart from the ADMM and PPM steps: the only operations applied to the
 constraint matrix are products with A and with A^T, plus, for those two
 methods, one sparse factorization of A A^T per solve.  ``SparseMatrix``
 therefore keeps two compressed layouts of the same nonzeros, one row-ordered
-and one column-ordered, built once at load.
+and one column-ordered, built once at load, and runs each product as one
+call of scipy's CSR kernel into a caller-supplied or fresh output.
 """
 
 from __future__ import annotations
@@ -16,6 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def _matvec_by_operator(n_row, n_col, indptr, indices, data, v, out):
+    """out += A v through ``csr_array @``: the public route to the same
+    kernel, for a scipy whose private kernel module cannot be imported."""
+    out += sp.csr_array((data, indices, indptr), shape=(n_row, n_col)) @ v
+
+
+try:
+    # out += A v over a CSR layout; the kernel behind ``csr_array @ v``
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # pragma: no cover - depends on the scipy build
+    _csr_matvec = _matvec_by_operator
+
+_FLOAT64 = np.dtype(np.float64)
 
 __all__ = [
     "SparseMatrix",
@@ -37,7 +53,13 @@ class SparseMatrix:
     Products with A run over the row-ordered layout, products with A^T over
     the column-ordered one, so each is a single contiguous pass and the
     summation order is fixed (no parallel reductions): results are
-    reproducible bit for bit across runs.
+    reproducible bit for bit across runs.  :meth:`matvec` and
+    :meth:`rmatvec` call scipy's CSR kernel on the stored layout directly,
+    which is the kernel ``csr_array @ v`` runs, so the products equal
+    ``@`` bit for bit without its per-call wrapper cost.  Each takes an
+    optional ``out``: a float64, writeable array of the result's shape,
+    overwritten and returned (checked, since the kernel itself does not
+    check bounds).
 
     Duplicate (row, col) pairs are rejected; callers that want accumulation
     semantics must sum before construction.  The nonzeros are held once per
@@ -62,10 +84,17 @@ class SparseMatrix:
         self.n_cols = int(n_cols)
         # row-ordered layout, used for A @ v; the conversion sorts each row
         # by column and sums repeated pairs, so a repeat shows as a lost entry
-        self._fwd = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-        if self._fwd.nnz != vals.size:
+        fwd = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+        if fwd.nnz != vals.size:
             raise ValueError("duplicate (row, col) entries")
-        self._adj = self._fwd.T.tocsr()  # column-ordered layout, used for A^T @ w
+        self._bind(fwd, fwd.T.tocsr())  # column-ordered layout, used for A^T @ w
+
+    def _bind(self, fwd, adj):
+        """Hold the two layouts, and the kernel's leading arguments for the
+        product over each."""
+        self._fwd, self._adj = fwd, adj
+        self._fwd_args = (self.n_rows, self.n_cols, fwd.indptr, fwd.indices, fwd.data)
+        self._adj_args = (self.n_cols, self.n_rows, adj.indptr, adj.indices, adj.data)
 
     @classmethod
     def from_dense(cls, dense):
@@ -98,19 +127,25 @@ class SparseMatrix:
         """Value of each nonzero, in (row, col) order."""
         return self._fwd.data
 
-    def matvec(self, v):
-        """A @ v with deterministic row-major summation."""
-        v = np.asarray(v, dtype=np.float64)
+    def matvec(self, v, out=None):
+        """A @ v with deterministic row-major summation, into ``out`` if
+        given."""
+        v = np.asarray(v, dtype=_FLOAT64)
         if v.shape != (self.n_cols,):
             raise ValueError(f"matvec dimension mismatch: {v.shape} vs {self.shape}")
-        return self._fwd @ v
+        out = _zeroed(out, self.n_rows)
+        _csr_matvec(*self._fwd_args, v, out)
+        return out
 
-    def rmatvec(self, w):
-        """A^T @ w with deterministic column-major summation."""
-        w = np.asarray(w, dtype=np.float64)
+    def rmatvec(self, w, out=None):
+        """A^T @ w with deterministic column-major summation, into ``out``
+        if given."""
+        w = np.asarray(w, dtype=_FLOAT64)
         if w.shape != (self.n_rows,):
             raise ValueError(f"rmatvec dimension mismatch: {w.shape} vs {self.shape}")
-        return self._adj @ w
+        out = _zeroed(out, self.n_cols)
+        _csr_matvec(*self._adj_args, w, out)
+        return out
 
     def scaled(self, row_scale, col_scale):
         """diag(row_scale) A diag(col_scale), entry by entry
@@ -124,11 +159,11 @@ class SparseMatrix:
         out.n_rows, out.n_cols = self.n_rows, self.n_cols
         fwd, adj = self._fwd, self._adj
         vals = row_scale[self.rows] * fwd.data * col_scale[fwd.indices]
-        out._fwd = sp.csr_array((vals, fwd.indices, fwd.indptr), shape=fwd.shape)
         adj_cols = np.repeat(np.arange(self.n_cols), np.diff(adj.indptr))
-        out._adj = sp.csr_array(
-            (row_scale[adj.indices] * adj.data * col_scale[adj_cols], adj.indices, adj.indptr),
-            shape=adj.shape)
+        out._bind(
+            sp.csr_array((vals, fwd.indices, fwd.indptr), shape=fwd.shape),
+            sp.csr_array((row_scale[adj.indices] * adj.data * col_scale[adj_cols],
+                          adj.indices, adj.indptr), shape=adj.shape))
         return out
 
     def gram(self):
@@ -140,6 +175,25 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+def is_buffer(out, size):
+    """Whether ``out`` can receive a length-``size`` float64 result in
+    place: a writeable float64 ndarray of shape (size,)."""
+    return (isinstance(out, np.ndarray) and out.shape == (size,)
+            and out.dtype == _FLOAT64 and out.flags.writeable)
+
+
+def _zeroed(out, size):
+    """A zero-filled length-``size`` output for the kernel, which adds into
+    it: ``out`` once checked (the kernel does not check bounds) and
+    cleared, or a new array when None."""
+    if out is None:
+        return np.zeros(size)
+    if not is_buffer(out, size):
+        raise ValueError(f"out must be a writeable float64 array of shape ({size},)")
+    out.fill(0.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -183,8 +237,8 @@ class SaddlePoint:
     y: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
+        self.x = np.asarray(self.x, dtype=_FLOAT64)
+        self.y = np.asarray(self.y, dtype=_FLOAT64)
 
     def as_vector(self):
         return np.concatenate([self.x, self.y])

@@ -232,14 +232,17 @@ class SolveResult:
 class _Lane:
     """One method on one problem, seen by the driver through flat vectors.
 
-    The driver holds the anchor, the running average and the iterate it
-    measures as flat vectors.  ``view(vec)`` reads one as the lane's
-    ``point`` class over slices, without a copy; ``step(point)`` is the
-    method's step on that contract and returns a ``StepOutput``;
-    ``measure(vec, radius)`` and ``dist(va, vb)`` evaluate vectors.  A lane
-    steps on the problem it was given; when that is a rescaled LP, ``scale``
-    holds the factors that take one of its vectors to the caller's space
-    elementwise.
+    The driver holds the anchor, the running average and the iterates as
+    flat vectors.  ``view(vec)`` reads one as the lane's ``point`` class over
+    slices, without a copy; ``step(z, out)`` runs the method's step from
+    the point ``z``, writes the next iterate into the flat buffer ``out``
+    and returns it as a point (a view of ``out``) together with the target
+    as a flat vector: ``out`` itself, or a buffer the lane owns and
+    overwrites on every step (with PDHG's ``work`` vector, the only
+    per-solve scratch a step needs).  ``measure(vec, radius)`` and
+    ``dist(va, vb)`` evaluate vectors.  A lane steps on the problem it was
+    given; when that is a rescaled LP, ``scale`` holds the factors that take
+    one of its vectors to the caller's space elementwise.
     """
 
     scale = None
@@ -264,17 +267,27 @@ class _SaddleLane(_Lane):
 
     def __init__(self, problem, config, d1=None, d2=None):
         self.problem = problem
+        self.n = n = problem.n
+        self.size = size = problem.n + problem.m
+        # the steps are looked up by name at each call
         if config.method == PDHG:
-            self.step = lambda z: pdhg_step(problem, z, config)
+            work = np.empty(n)
+
+            def step(z, out):
+                return pdhg_step(problem, z, config, out=out, work=work).next, out
         elif config.method == EGM:
-            self.step = lambda z: egm_step(problem, z, config)
+            target = np.empty(size)
+
+            def step(z, out):
+                return egm_step(problem, z, config, out=out, target=target).next, target
         elif config.method == PPM_BILINEAR:
             factor = NormalFactor(problem.A, 1.0 / (config.eta * config.eta))
-            self.step = lambda z: ppm_bilinear_step(problem, z, config.eta, factor)
+
+            def step(z, out):
+                return ppm_bilinear_step(problem, z, config.eta, factor, out=out).next, out
         else:
             raise ValueError(f"not a saddle-point method: {config.method}")
-        self.n = problem.n
-        self.size = problem.n + problem.m
+        self.step = step
         self.d1, self.d2 = d1, d2
         if d1 is not None:
             self.scale = np.concatenate([d2, d1])
@@ -305,10 +318,15 @@ class _AdmmLane(_Lane):
     def __init__(self, problem, config, d1=None, d2=None):
         self.problem = problem
         self.config = config
-        self.n = problem.n
-        self.size = 3 * problem.n
+        self.n = n = problem.n
+        self.size = 3 * n
         self.projector = projector = AffineProjector(problem.A, problem.b)
-        self.step = lambda z: admm_step(problem, z, config, projector)
+        target = np.empty(3 * n)
+
+        def step(z, out):
+            return admm_step(problem, z, config, projector, out=out, target=target).next, target
+
+        self.step = step
         self.d1, self.d2 = d1, d2
         if d2 is not None:
             # (x_U, x_V, y): y is the multiplier of x_U = x_V, so y = y~ / d2
@@ -377,12 +395,21 @@ def run_restarted(problem, options, z0=None, observe=None):
     semi-norm for ADMM); for no-restart runs the gap is evaluated at the
     last iterate with radius equal to the distance from the start.
 
+    The loop allocates no vector per iteration.  It keeps, per solve, two
+    flat buffers that the iterate alternates between (each step reads one
+    and writes the other; the one not holding the iterate is scratch for
+    the average's update), the target buffer or PDHG work vector its lane
+    owns, the running average and a copy of the best point seen at a
+    checkpoint; only a restart (a copy of the new anchor) and a
+    checkpoint's measurements allocate.
+
     ``observe(iteration, target, average)``, if given, is called on every
     iteration after the running average has taken in the new target point,
-    with both as flat vectors of the caller's space (the arrays may be the
-    solver's own buffers: copy what you keep).  When it returns True the
-    iteration becomes a terminal checkpoint and the solve ends with
-    ``Status.STOPPED`` at that iteration.
+    with both as flat vectors of the caller's space.  For an unscaled
+    problem these are the solver's own buffers, overwritten by the next
+    step: copy what you keep.  When it returns True the iteration becomes a
+    terminal checkpoint and the solve ends with ``Status.STOPPED`` at that
+    iteration.
 
     An LP is rescaled first (see the module docstring): ``z0`` and every
     returned point are in the caller's space, the KKT errors are the caller
@@ -398,7 +425,12 @@ def run_restarted(problem, options, z0=None, observe=None):
 
     anchor_vec = lane.initial(z0)
     anchors = [anchor_vec]
-    current = lane.view(anchor_vec)
+    cur, cur_point = anchor_vec, lane.view(anchor_vec)
+    # the iterate alternates between two buffers: each step reads one (or
+    # the anchor, after a restart) and writes the other
+    bufs = (np.empty(lane.size), np.empty(lane.size))
+    nxt = 0
+    avg = np.empty(lane.size)
     trace = ConvergenceTrace()
     start = time.perf_counter()
 
@@ -407,7 +439,7 @@ def run_restarted(problem, options, z0=None, observe=None):
     total = 0
     stored_gap = None
     checkpoints = 0
-    last_good = (anchor_vec, lane.measure(anchor_vec, 0.0)[1])
+    good_vec, good_kkt = anchor_vec.copy(), lane.measure(anchor_vec, 0.0)[1]
 
     def finish(status, sol_vec, kkt_avg, kkt_last):
         return SolveResult(
@@ -416,7 +448,7 @@ def run_restarted(problem, options, z0=None, observe=None):
             iterations=total,
             trace=trace,
             average=lane.export(avg),
-            last=lane.export(cur_vec),
+            last=lane.export(cur),
             kkt_avg=kkt_avg,
             kkt_last=kkt_last,
             anchors=[lane.to_caller(a) for a in anchors],
@@ -425,15 +457,20 @@ def run_restarted(problem, options, z0=None, observe=None):
         )
 
     while True:
-        out = lane.step(current)
-        current = out.next
+        cur_point, tvec = lane.step(cur_point, bufs[nxt])
+        cur = bufs[nxt]
+        nxt ^= 1
         total += 1
         inner += 1
-        tvec = out.target.as_vector()
         if inner == 1:
-            avg = tvec.copy()
+            np.copyto(avg, tvec)
         else:
-            avg += (tvec - avg) / inner
+            # avg += (tvec - avg) / inner, in the buffer the next step
+            # overwrites
+            diff = bufs[nxt]
+            np.subtract(tvec, avg, out=diff)
+            np.divide(diff, inner, out=diff)
+            avg += diff
         stop = observe is not None and bool(
             observe(total, lane.to_caller(tvec), lane.to_caller(avg)))
 
@@ -442,26 +479,24 @@ def run_restarted(problem, options, z0=None, observe=None):
 
         # ---- checkpoint ----
         checkpoints += 1
-        cur_vec = current.as_vector()
-        if not (np.all(np.isfinite(cur_vec)) and np.all(np.isfinite(avg))):
-            vec, kkt = last_good
-            return finish(Status.DIVERGED, vec, kkt, kkt)
+        if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(avg))):
+            return finish(Status.DIVERGED, good_vec, good_kkt, good_kkt)
 
         # each point is measured once
         radius_avg = lane.dist(avg, anchor_vec)
-        radius_last = lane.dist(cur_vec, anchor_vec)
+        radius_last = lane.dist(cur, anchor_vec)
         gap_avg, kkt_avg = lane.measure(avg, radius_avg if gap_of_avg else 0.0)
-        gap_last, kkt_last = lane.measure(cur_vec, radius_last if gap_of_last else 0.0)
+        gap_last, kkt_last = lane.measure(cur, radius_last if gap_of_last else 0.0)
 
         # the restart candidate: the last iterate when never restarting,
         # else the average, or under flexible the last iterate if its gap
         # is lower
         if scheme.kind == NO_RESTART:
-            cand_vec, cand_radius, gap_now = cur_vec, radius_last, gap_last
+            cand_vec, cand_radius, gap_now = cur, radius_last, gap_last
         else:
             cand_vec, cand_radius, gap_now = avg, radius_avg, gap_avg
             if scheme.kind == FLEXIBLE and radius_last > 0.0 and gap_last < gap_now:
-                cand_vec, cand_radius, gap_now = cur_vec, radius_last, gap_last
+                cand_vec, cand_radius, gap_now = cur, radius_last, gap_last
 
         state = RestartState(outer=outer, inner=inner, gap_at_restart=stored_gap)
         restart_now = should_restart(state, scheme, gap_now)
@@ -484,8 +519,9 @@ def run_restarted(problem, options, z0=None, observe=None):
                 elapsed_seconds=time.perf_counter() - start,
             ))
 
-        best_vec = avg if kkt_avg <= kkt_last else cur_vec
-        last_good = (best_vec.copy(), min(kkt_avg, kkt_last))
+        best_vec = avg if kkt_avg <= kkt_last else cur
+        np.copyto(good_vec, best_vec)
+        good_kkt = min(kkt_avg, kkt_last)
 
         if stop:
             return finish(Status.STOPPED, best_vec, kkt_avg, kkt_last)
@@ -502,8 +538,7 @@ def run_restarted(problem, options, z0=None, observe=None):
             stored_gap = gap_now
             outer += 1
             inner = 0
-            avg = None  # freed before the next step allocates the new average
-            current = lane.view(anchor_vec)
+            cur, cur_point = anchor_vec, lane.view(anchor_vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,36 @@
 """One-iteration updates for the primal-dual methods.
 
-All four steps share one contract: ``step(problem, z, ...)`` takes the
-current iterate z^t, a :class:`SaddlePoint` (or an :class:`AdmmPoint` for
-ADMM), and returns a :class:`StepOutput` holding the next iterate z^{t+1}
-and the target point zhat^{t+1} whose running average carries the ergodic
-guarantee.  A step only reads ``z``, so its arrays may be views into a
-larger buffer, and it returns new arrays.  What a method reuses across
-steps (PPM's factor, ADMM's affine projector) is its last argument, built
-once by a restarted run.  For PDHG and PPM the next iterate and the target
-coincide; EGM's target is the intermediate (extrapolated) point and ADMM's
-target differs from the iterate in the multiplier block only.
+All four steps share one contract: ``step(problem, z, ..., out=None)``
+takes the current iterate z^t, a :class:`SaddlePoint` (or an
+:class:`AdmmPoint` for ADMM), and returns a :class:`StepOutput` holding the
+next iterate z^{t+1} and the target point zhat^{t+1} whose running average
+carries the ergodic guarantee.  A step only reads ``z``, so its arrays may
+be views into a larger buffer.  The next iterate is written into ``out``, a
+flat float64 buffer laid out like ``as_vector()`` ([x; y], or
+[x_U; x_V; y] for ADMM), and the returned points are views into it.  A
+method whose target differs from the next iterate writes the target into a
+second flat buffer, ``target``; PDHG takes a length-n ``work`` vector for
+its extrapolated point instead.  A buffer left out is allocated, and the
+same code runs either way, so a run that passes its own buffers makes one
+step without allocating any array.  ``out`` and ``target`` are checked:
+float64, writeable, the right length, and no memory shared with ``z``.
+What a method reuses across steps (PPM's factor, ADMM's affine projector)
+is its argument after the config, built once by a restarted run.  For
+PDHG and PPM the next iterate and the target coincide; EGM's target is the
+intermediate (extrapolated) point and ADMM's target differs from the
+iterate in the multiplier block only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lp_core import SaddlePoint
+from .lp_core import SaddlePoint, is_buffer
 
 __all__ = [
     "Method",
@@ -30,6 +40,7 @@ __all__ = [
     "NormalFactor",
     "AffineProjector",
     "AffineProjectionError",
+    "PROJECTION_TOL",
     "affine_project",
     "pdhg_step",
     "egm_step",
@@ -96,6 +107,16 @@ class StepConfig:
     def target_proximity_q(self):
         return _CONSTANTS[self.method][1]
 
+    # The step sizes eta/omega (primal) and eta*omega (dual) as 0-d arrays:
+    # a ufunc takes one faster than a Python float, with the same product.
+    @cached_property
+    def _tau(self):
+        return np.array(self.eta / self.omega)
+
+    @cached_property
+    def _sigma(self):
+        return np.array(self.eta * self.omega)
+
 
 @dataclass
 class StepOutput:
@@ -103,42 +124,94 @@ class StepOutput:
     target: object
 
 
-def _project_x(problem, x):
-    return np.maximum(x, 0.0) if problem.nonneg else x
+# ufunc operands as 0-d arrays, like the step sizes on StepConfig
+_ZERO = np.array(0.0)
+_TWO = np.array(2.0)
 
 
-def pdhg_step(problem, z, config):
+def _buffer(buf, size, *reads):
+    """A step's flat output: ``buf`` once checked (see the module
+    docstring), or a new array when it is None."""
+    if buf is None:
+        return np.empty(size)
+    if not is_buffer(buf, size):
+        raise ValueError(f"step buffer must be a writeable float64 array of shape ({size},)")
+    for arr in reads:
+        if np.may_share_memory(buf, arr):
+            raise ValueError("step buffer shares memory with the point it steps from")
+    return buf
+
+
+def pdhg_step(problem, z, config, out=None, work=None):
     """One PDHG iteration on the LP Lagrangian.
 
     x^{t+1} = (x^t - (eta/w)(c - A'y^t))^+
     y^{t+1} = y^t + (eta w)(b - A(2 x^{t+1} - x^t))
+
+    ``work`` (length n) receives 2 x^{t+1} - x^t.
     """
-    eta, w = config.eta, config.omega
-    x1 = _project_x(problem, z.x - (eta / w) * (problem.c - problem.A.rmatvec(z.y)))
-    y1 = z.y + (eta * w) * (problem.b - problem.A.matvec(2.0 * x1 - z.x))
+    A = problem.A
+    n = A.n_cols
+    out = _buffer(out, n + A.n_rows, z.x, z.y)
+    if work is None:
+        work = np.empty(n)
+    x1, y1 = out[:n], out[n:]
+    A.rmatvec(z.y, x1)
+    np.subtract(problem.c, x1, out=x1)
+    np.multiply(x1, config._tau, out=x1)
+    np.subtract(z.x, x1, out=x1)
+    if problem.nonneg:
+        np.maximum(x1, _ZERO, out=x1)
+    np.multiply(x1, _TWO, out=work)
+    np.subtract(work, z.x, out=work)
+    A.matvec(work, y1)
+    np.subtract(problem.b, y1, out=y1)
+    np.multiply(y1, config._sigma, out=y1)
+    np.add(z.y, y1, out=y1)
     nxt = SaddlePoint(x1, y1)
-    return StepOutput(next=nxt, target=nxt)
+    return StepOutput(nxt, nxt)
 
 
-def egm_step(problem, z, config):
-    """One extragradient iteration: predictor zhat, corrector from F(zhat)."""
-    eta, w = config.eta, config.omega
-    fx = problem.c - problem.A.rmatvec(z.y)
-    fy = problem.A.matvec(z.x) - problem.b
-    xh = _project_x(problem, z.x - (eta / w) * fx)
-    yh = z.y - (eta * w) * fy
-    fxh = problem.c - problem.A.rmatvec(yh)
-    fyh = problem.A.matvec(xh) - problem.b
-    x1 = _project_x(problem, z.x - (eta / w) * fxh)
-    y1 = z.y - (eta * w) * fyh
-    return StepOutput(next=SaddlePoint(x1, y1), target=SaddlePoint(xh, yh))
+def egm_step(problem, z, config, out=None, target=None):
+    """One extragradient iteration: predictor zhat, corrector from F(zhat).
+
+    The gradients F(z) and F(zhat) are formed in ``out`` before it takes
+    the corrector."""
+    A = problem.A
+    n, size = A.n_cols, A.n_cols + A.n_rows
+    out = _buffer(out, size, z.x, z.y)
+    target = _buffer(target, size, z.x, z.y, out)
+    tau, sigma = config._tau, config._sigma
+    fx, fy = out[:n], out[n:]
+    xh, yh = target[:n], target[n:]
+    A.rmatvec(z.y, fx)
+    np.subtract(problem.c, fx, out=fx)
+    A.matvec(z.x, fy)
+    np.subtract(fy, problem.b, out=fy)
+    np.multiply(fx, tau, out=fx)
+    np.subtract(z.x, fx, out=xh)
+    if problem.nonneg:
+        np.maximum(xh, _ZERO, out=xh)
+    np.multiply(fy, sigma, out=fy)
+    np.subtract(z.y, fy, out=yh)
+    A.rmatvec(yh, fx)
+    np.subtract(problem.c, fx, out=fx)
+    A.matvec(xh, fy)
+    np.subtract(fy, problem.b, out=fy)
+    np.multiply(fx, tau, out=fx)
+    np.subtract(z.x, fx, out=fx)
+    if problem.nonneg:
+        np.maximum(fx, _ZERO, out=fx)
+    np.multiply(fy, sigma, out=fy)
+    np.subtract(z.y, fy, out=fy)
+    return StepOutput(SaddlePoint(fx, fy), SaddlePoint(xh, yh))
 
 
 # Residual bound of the PPM inner solve, relative to 1 + |rhs|.
 _PPM_TOL = 1e-12
 
 
-def ppm_bilinear_step(problem, z, eta, factor=None):
+def ppm_bilinear_step(problem, z, eta, factor=None, out=None):
     """One exact proximal-point iteration on an unconstrained bilinear problem.
 
     Solves (I + eta F)(z^{t+1}) = z^t, i.e. the linear system
@@ -162,8 +235,12 @@ def ppm_bilinear_step(problem, z, eta, factor=None):
     elif factor.shift != s:
         raise ValueError("PPM factor was built for a different step size")
     A = problem.A
-    x1 = z.x - eta * problem.c
-    y1 = np.zeros(problem.m)
+    n = problem.n
+    out = _buffer(out, n + problem.m, z.x, z.y)
+    x1, y1 = out[:n], out[n:]
+    np.multiply(problem.c, eta, out=x1)
+    np.subtract(z.x, x1, out=x1)
+    y1.fill(0.0)
     top = z.y + eta * problem.b
     rhs = top - eta * A.matvec(x1)
 
@@ -175,7 +252,7 @@ def ppm_bilinear_step(problem, z, eta, factor=None):
 
     factor.refine(correct, s * rhs, s * _PPM_TOL * (1.0 + float(np.linalg.norm(rhs))))
     nxt = SaddlePoint(x1, y1)
-    return StepOutput(next=nxt, target=nxt)
+    return StepOutput(nxt, nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +304,11 @@ class NormalFactor:
             f"{np.linalg.norm(residual):.2e}); the system may be inconsistent")
 
 
+# Relative residual to which AffineProjector verifies its projections and
+# normal-equation solves.
+PROJECTION_TOL = 1e-10
+
+
 class AffineProjector:
     """Euclidean projection onto {x : Ax = b} through one factor of A A'.
 
@@ -238,7 +320,7 @@ class AffineProjector:
     (duplicate, zero or dependent rows) is fine when Ax = b is consistent.
     """
 
-    def __init__(self, A, b, tol=1e-10):
+    def __init__(self, A, b, tol=PROJECTION_TOL):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
         self.tol = tol
@@ -274,7 +356,7 @@ class AffineProjector:
         return w
 
 
-def affine_project(A, b, point, tol=1e-10):
+def affine_project(A, b, point, tol=PROJECTION_TOL):
     """One-shot Euclidean projection of ``point`` onto {x : Ax = b}."""
     return AffineProjector(A, b, tol=tol).project(np.asarray(point, dtype=np.float64))
 
@@ -296,7 +378,7 @@ class AdmmPoint:
         return cls(v[:n].copy(), v[n:2 * n].copy(), v[2 * n:].copy())
 
 
-def admm_step(problem, z, config, projector):
+def admm_step(problem, z, config, projector, out=None, target=None):
     """One ADMM iteration from the point ``z`` on the split form
     min c'x_V over x_U = x_V, x_U in {Ax = b}, x_V >= 0.
 
@@ -309,8 +391,15 @@ def admm_step(problem, z, config, projector):
     {Ax = b}, built once per run.  x_U^t is not read.
     """
     eta = config.eta
+    n = problem.n
+    out = _buffer(out, 3 * n, z.x_v, z.y)
+    target = _buffer(target, 3 * n, z.x_v, z.y, out)
     xu = projector.project(z.x_v + z.y / eta)
     xv = np.maximum(xu - z.y / eta - problem.c / eta, 0.0)
-    y = z.y - eta * (xu - xv)
-    y_hat = z.y - eta * (xu - z.x_v)
-    return StepOutput(next=AdmmPoint(xu, xv, y), target=AdmmPoint(xu, xv, y_hat))
+    target[2 * n:] = z.y - eta * (xu - z.x_v)
+    out[2 * n:] = z.y - eta * (xu - xv)
+    out[:n] = xu
+    out[n:2 * n] = xv
+    target[:2 * n] = out[:2 * n]
+    return StepOutput(AdmmPoint(out[:n], out[n:2 * n], out[2 * n:]),
+                      AdmmPoint(target[:n], target[n:2 * n], target[2 * n:]))

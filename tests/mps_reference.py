@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from restartlp import MpsParseError, SparseMatrix, StandardFormLp, VariableMap
-from restartlp.ingest import _Fixed, _Reflected, _Shifted, _Split
+from restartlp.ingest import FIXED, REFLECTED, SHIFTED, SPLIT, _Fixed, _Reflected, _Shifted, _Split
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 _BOUND_CODES = {"LO", "UP", "FX", "FR", "MI", "PL"}
@@ -336,11 +336,32 @@ def to_standard_form(model):
     m_total = n_rows + len(b_extra)
     A = SparseMatrix(m_total, next_col, rows_out, cols_out, vals_out)
     problem = StandardFormLp(np.array(c_out), A, np.concatenate([b, b_extra]) if b_extra else b)
+    kind, index, value = _variable_arrays([mapping[name] for name in model.column_names])
     vmap = VariableMap(
         column_names=list(model.column_names),
-        mapping=mapping,
+        kind=kind,
+        index=index,
+        value=value,
         objective_offset=offset,
         objective_sense=model.objective_sense,
         n_standard=next_col,
     )
     return problem, vmap
+
+
+def _variable_arrays(records):
+    """The per-column (kind, index, value) arrays of a VariableMap, from one
+    transform record per original column."""
+    kind, index, value = [], [], []
+    for rec in records:
+        if isinstance(rec, _Shifted):
+            kind.append(SHIFTED), index.append(rec.index), value.append(rec.shift)
+        elif isinstance(rec, _Reflected):
+            kind.append(REFLECTED), index.append(rec.index), value.append(rec.upper)
+        elif isinstance(rec, _Split):
+            assert rec.neg_index == rec.pos_index + 1
+            kind.append(SPLIT), index.append(rec.pos_index), value.append(0.0)
+        else:
+            kind.append(FIXED), index.append(-1), value.append(rec.value)
+    return (np.array(kind, dtype=np.int8), np.array(index, dtype=np.int64),
+            np.array(value, dtype=np.float64))

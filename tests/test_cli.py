@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from restartlp import cli
+
 from restartlp.cli import (
     EXIT_INPUT_ERROR,
     EXIT_ITERATION_LIMIT,
@@ -20,7 +22,7 @@ from restartlp.cli import (
 )
 from restartlp.ingest import DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate
 from restartlp.lp_core import power_method_sigma_max
-from restartlp.steps import PDHG
+from restartlp.steps import PDHG, PROJECTION_TOL
 
 TINY_MPS = """\
 NAME          TINY
@@ -153,6 +155,17 @@ class TestTuneOmega:
         argmin = {w for w, err in table if err <= max(best * (1 + 1e-9), floor)}
         assert 1.0 in argmin
         assert omega == 1.0
+
+    def test_admm_eta_tie_below_the_dual_tolerance_picks_one(self):
+        # the converged runs differ by less than the tolerance of the dual
+        # estimate behind each ADMM KKT error: eta = 4 reads 5.8e-13 and
+        # eta = 1 reads 1.7e-12, which is a tie, so eta = 1 is kept
+        problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 2))
+        eta, table = cli._tune_admm_eta(problem, iterations=500)
+        errors = dict(table)
+        assert errors[4.0] < errors[1.0] < cli._roundoff_floor(problem, PROJECTION_TOL)
+        assert errors[1.0] > cli._roundoff_floor(problem)
+        assert eta == 1.0
 
     def test_budget_override_returns_grid_member(self):
         problem, _ = generate(RandomLpKnownOptimum(8, 16, 0.4, 1))

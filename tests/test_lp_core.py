@@ -14,6 +14,7 @@ from restartlp import (
     power_method_sigma_max,
     residuals,
 )
+from restartlp import lp_core
 from restartlp.ingest import RandomLpKnownOptimum, generate
 
 from conftest import feasible_point, random_sparse
@@ -76,6 +77,86 @@ class TestSparseMatrix:
         out1 = A.matvec(v)
         out2 = A.matvec(v.copy())
         assert np.array_equal(out1, out2)
+
+
+def _kernel_cases(rng):
+    """(label, matrix) pairs covering the shapes the products must handle."""
+    cases = [(f"{m}x{n}", random_sparse(m, n, 0.1, rng)) for m, n in ((10, 20), (50, 100), (200, 400))]
+    # rows 1 and 3 and columns 0 and 4 hold no entry
+    cases.append(("empty rows and columns",
+                  SparseMatrix(5, 6, [0, 0, 2, 4, 4], [1, 2, 3, 5, 1], rng.standard_normal(5))))
+    cases.append(("0x7", SparseMatrix(0, 7, [], [], [])))
+    cases.append(("7x0", SparseMatrix(7, 0, [], [], [])))
+    base = random_sparse(30, 45, 0.2, rng)
+    cases.append(("scaled", base.scaled(rng.uniform(0.5, 2.0, 30), rng.uniform(0.5, 2.0, 45))))
+    return cases
+
+
+class TestProductKernel:
+    """matvec / rmatvec call scipy's CSR kernel directly; the products must
+    equal the ``@`` of the stored layouts bit for bit."""
+
+    def test_bit_identical_to_operator(self, rng):
+        for label, A in _kernel_cases(rng):
+            v = rng.standard_normal(A.n_cols)
+            w = rng.standard_normal(A.n_rows)
+            assert np.array_equal(A.matvec(v), A._fwd @ v), label
+            assert np.array_equal(A.rmatvec(w), A._adj @ w), label
+
+    def test_scaled_matrix_shares_the_index_arrays(self, rng):
+        A = random_sparse(30, 45, 0.2, rng)
+        S = A.scaled(rng.uniform(0.5, 2.0, 30), rng.uniform(0.5, 2.0, 45))
+        assert np.shares_memory(S._fwd.indices, A._fwd.indices)
+        assert np.shares_memory(S._adj.indptr, A._adj.indptr)
+
+    def test_out_is_filled_and_returned(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        v, w = rng.standard_normal(9), rng.standard_normal(12)
+        out = np.full(12, np.nan)   # stale contents must not leak into the sum
+        assert A.matvec(v, out=out) is out
+        assert np.array_equal(out, A._fwd @ v)
+        out_t = np.full(9, 7.0)
+        assert A.rmatvec(w, out_t) is out_t
+        assert np.array_equal(out_t, A._adj @ w)
+        # a slice of a larger buffer works as the output
+        big = np.zeros(30)
+        A.matvec(v, out=big[5:17])
+        assert np.array_equal(big[5:17], A._fwd @ v) and not big[:5].any() and not big[17:].any()
+
+    @staticmethod
+    def _read_only(size):
+        out = np.zeros(size)
+        out.flags.writeable = False
+        return out
+
+    @pytest.mark.parametrize("make", [
+        lambda k: np.zeros(3), lambda k: np.zeros(k + 1), lambda k: np.zeros((k, 1)),
+        lambda k: np.zeros(k, dtype=np.float32), lambda k: np.zeros(k, dtype=np.int64),
+        lambda k: [0.0] * k, _read_only,
+    ], ids=["short", "long", "2-d", "float32", "int64", "list", "read-only"])
+    def test_bad_out_raises(self, rng, make):
+        A = random_sparse(12, 9, 0.4, rng)
+        with pytest.raises(ValueError, match="out must be"):
+            A.matvec(np.ones(9), out=make(12))
+        with pytest.raises(ValueError, match="out must be"):
+            A.rmatvec(np.ones(12), out=make(9))
+
+    def test_input_shape_still_checked(self):
+        A = SparseMatrix.from_dense([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="dimension"):
+            A.matvec([1.0], out=np.zeros(1))
+        with pytest.raises(ValueError, match="dimension"):
+            A.rmatvec([1.0, 2.0], out=np.zeros(2))
+
+    def test_fallback_matches_the_kernel(self, rng, monkeypatch):
+        cases = _kernel_cases(rng)
+        vecs = [(rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)) for _, A in cases]
+        want = [(A.matvec(v), A.rmatvec(w)) for (_, A), (v, w) in zip(cases, vecs)]
+        monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
+        for (label, A), (v, w), (mv, rmv) in zip(cases, vecs, want):
+            out = np.full(A.n_rows, np.nan)
+            assert np.array_equal(A.matvec(v, out=out), mv), label
+            assert np.array_equal(A.rmatvec(w), rmv), label
 
 
 class TestLagrangianAndGradient:

@@ -24,7 +24,7 @@ from restartlp import (
     theoretical_linear_rate_check,
 )
 from restartlp.restarts import ADAPTIVE, FLEXIBLE
-from restartlp.steps import ADMM, PDHG, PPM_BILINEAR, AffineProjector
+from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, AffineProjector
 
 
 class TestTstar:
@@ -210,18 +210,25 @@ class TestCheckpoint:
         assert res.status == Status.OPTIMAL and res.restart_count > 0
         assert len(calls) == 1 + 2 * len(res.trace.records)
 
-    @pytest.mark.parametrize("case", ["bilinear-z0", "scaled-pdhg", "admm"])
+    @pytest.mark.parametrize("case", ["bilinear-z0", "scaled-pdhg", "scaled-egm", "admm",
+                                      "fixed-pdhg"])
     def test_returned_arrays_share_no_memory(self, case):
+        # the iterate lives in two buffers the solve alternates between (and
+        # EGM's and ADMM's targets in a third); nothing returned may alias
+        # them or each other
         z0 = None
+        scheme = RestartScheme.fixed(40) if case == "fixed-pdhg" else RestartScheme.adaptive()
         if case == "bilinear-z0":
             problem, _ = generate(DiagonalBilinear((0.5, 1.0, 2.0)))
             z0 = SaddlePoint(np.ones(3), -np.ones(3))
             step = StepConfig(PDHG, 0.4)
         else:
             problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 0))
-            step = StepConfig(ADMM, 1.0) if case == "admm" else \
-                StepConfig(PDHG, 0.9 / power_method_sigma_max(problem.A))
-        res = run_restarted(problem, SolveOptions(step, RestartScheme.adaptive(), kkt_tol=1e-8,
+            sigma = power_method_sigma_max(problem.A)
+            step = {"admm": StepConfig(ADMM, 1.0),
+                    "scaled-egm": StepConfig(EGM, 0.9 / sigma, lipschitz=1.01 * sigma)}.get(
+                        case, StepConfig(PDHG, 0.9 / sigma))
+        res = run_restarted(problem, SolveOptions(step, scheme, kkt_tol=1e-8,
                                                   iteration_limit=2000, check_cadence=10), z0=z0)
         assert res.restart_count > 0 and (res.scaling is None) == (z0 is not None)
         arrays = _arrays(res.solution) + _arrays(res.average) + _arrays(res.last) + res.anchors

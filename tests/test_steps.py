@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,3 +386,105 @@ class TestDiagonalRecurrence:
             for i, blk in enumerate(blocks):
                 assert abs(z.x[i] - blk[0]) <= 1e-14 * max(1, abs(blk[0]))
                 assert abs(z.y[i] - blk[1]) <= 1e-14 * max(1, abs(blk[1]))
+
+
+def _buffered_cases(rng):
+    """(label, start point, call(z, out, target)) per method; ``call``
+    passes each step the buffers it takes (PDHG gets its ``work`` vector
+    from the front of ``target``)."""
+    lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+    sigma = power_method_sigma_max(lp.A)
+    bil, _ = generate(DiagonalBilinear((0.3, 0.8, 1.5)))
+    projector = AffineProjector(lp.A, lp.b)
+    pdhg_cfg = StepConfig(PDHG, 0.9 / sigma, omega=1.7)
+    egm_cfg = StepConfig(EGM, 0.9 / sigma, omega=0.6)
+    n = lp.n
+
+    def lp_point():
+        return SaddlePoint(np.abs(rng.standard_normal(n)), rng.standard_normal(lp.m))
+
+    def work(tgt):
+        return None if tgt is None else tgt[:n]
+
+    return [
+        ("pdhg", lp_point(),
+         lambda z, out, tgt: pdhg_step(lp, z, pdhg_cfg, out=out, work=work(tgt))),
+        ("pdhg-bilinear", SaddlePoint(rng.standard_normal(3), rng.standard_normal(3)),
+         lambda z, out, tgt: pdhg_step(bil, z, StepConfig(PDHG, 0.5), out=out)),
+        ("egm", lp_point(),
+         lambda z, out, tgt: egm_step(lp, z, egm_cfg, out=out, target=tgt)),
+        ("ppm", SaddlePoint(rng.standard_normal(3), rng.standard_normal(3)),
+         lambda z, out, tgt: ppm_bilinear_step(bil, z, 0.7, out=out)),
+        ("admm", AdmmPoint(rng.standard_normal(n), np.abs(rng.standard_normal(n)),
+                           rng.standard_normal(n)),
+         lambda z, out, tgt: admm_step(lp, z, StepConfig(ADMM, 1.3), projector, out=out,
+                                       target=tgt)),
+    ]
+
+
+class TestBufferedSteps:
+    """Every step writes into caller buffers with the same arithmetic as
+    when it allocates its own."""
+
+    def test_buffered_equals_allocating(self, rng):
+        for label, z, call in _buffered_cases(rng):
+            start = z.as_vector()
+            plain = call(z, None, None)
+            # stale buffer contents must not reach the result
+            out, tgt = np.full(start.size, np.nan), np.full(start.size, np.nan)
+            buffered = call(z, out, tgt)
+            assert np.array_equal(buffered.next.as_vector(), plain.next.as_vector()), label
+            assert np.array_equal(buffered.target.as_vector(), plain.target.as_vector()), label
+            assert np.array_equal(out, plain.next.as_vector()), label
+            assert np.shares_memory(buffered.next.y, out), label
+            assert np.array_equal(z.as_vector(), start), label   # z is only read
+
+    def test_out_sharing_memory_with_z_raises(self, rng):
+        for label, z, call in _buffered_cases(rng):
+            flat = z.as_vector()
+            size = flat.size
+            if isinstance(z, AdmmPoint):
+                k = z.x_u.size
+                z = AdmmPoint(flat[:k], flat[k:2 * k], flat[2 * k:])
+            else:
+                k = z.x.size
+                z = SaddlePoint(flat[:k], flat[k:])
+            with pytest.raises(ValueError, match="shares memory"):
+                call(z, flat, np.empty(size))
+            if label in ("egm", "admm"):
+                with pytest.raises(ValueError, match="shares memory"):
+                    call(z, np.empty(size), flat)
+
+    def test_bad_buffer_raises(self, rng):
+        for label, z, call in _buffered_cases(rng):
+            size = z.as_vector().size
+            for bad in (np.empty(size - 1), np.empty(size, dtype=np.float32)):
+                with pytest.raises(ValueError, match="step buffer"):
+                    call(z, bad, np.empty(size))
+
+    @pytest.mark.parametrize("method", [PDHG, EGM])
+    def test_buffered_step_allocates_no_vector(self, method):
+        # steady state of a run that passes its buffers: the step's Python
+        # objects (views, the returned points) are far below one vector
+        problem, _ = generate(RandomLpKnownOptimum(3000, 6000, 4e-4, 0))
+        m, n = problem.m, problem.n
+        config = StepConfig(method, 0.5 / power_method_sigma_max(problem.A))
+        bufs = [np.zeros(n + m), np.empty(n + m)]
+        spare = np.empty(n + m)
+        kwargs = {"work": spare[:n]} if method == PDHG else {"target": spare}
+        step = pdhg_step if method == PDHG else egm_step
+
+        def one(k):
+            src = bufs[k % 2]
+            step(problem, SaddlePoint(src[:n], src[n:]), config, out=bufs[(k + 1) % 2], **kwargs)
+
+        for k in range(3):
+            one(k)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            one(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m, peak
