@@ -5,7 +5,7 @@ The package provides sparse problem representation and KKT residuals
 (:mod:`~restartlp.scaling`), MPS reading / standard-form conversion and
 synthetic generators (:mod:`~restartlp.ingest`), one-iteration updates for
 PDHG, extragradient, ADMM and bilinear PPM (:mod:`~restartlp.steps`),
-normalized-duality-gap evaluation through a linear-time trust-region solver
+normalized-duality-gap evaluation through an exact trust-region solver
 (:mod:`~restartlp.gap`), the restarted outer loop (:mod:`~restartlp.restarts`),
 spectral analysis of the bilinear case (:mod:`~restartlp.bilinear`), and the
 command-line harness (:mod:`~restartlp.cli`).
@@ -18,7 +18,6 @@ from .lp_core import (
     SparseMatrix,
     StandardFormLp,
     gradient_field,
-    lagrangian,
     norm_value,
     power_method_sigma_max,
     residuals,
@@ -42,9 +41,9 @@ from .steps import (
     AdmmPoint,
     AffineProjector,
     StepConfig,
+    StepOperators,
     StepOutput,
     admm_step,
-    affine_project,
     egm_step,
     pdhg_step,
     ppm_bilinear_step,

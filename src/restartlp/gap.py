@@ -4,8 +4,8 @@ The gap at radius r around z is the largest Lagrangian gap attainable inside
 the radius-r ball intersected with the feasible set, divided by r.  For the
 bilinear LP Lagrangian the inner maximization is a trust-region problem with
 a linear objective and lower bounds, which :func:`solve_linear_trust_region`
-solves exactly, in worst-case linear time, by repeated median partitioning
-of the bound-hitting breakpoints.  The tests check it against a slow
+solves exactly from the sorted bound-hitting breakpoints and their
+cumulative sums.  The tests check it against a slow
 reference that bisects the prox-regularized subproblem instead
 (``tests/oracles.py``); the two share nothing but the problem statement.
 """
@@ -58,9 +58,11 @@ def solve_linear_trust_region(p):
 
     The solution has the form zhat(lam) = max(center - lam g, lower) for the
     lam >= 0 at which the ball constraint becomes tight (or lam = inf when
-    the whole bound set is within reach).  lam is located by repeatedly
-    taking the exact median of the remaining breakpoints lamhat_i =
-    (center_i - lower_i)/g_i, so total work is linear in the dimension.
+    the whole bound set is within reach).  lam is located from the sorted
+    breakpoints lamhat_i = (center_i - lower_i)/g_i: cumulative sums give
+    the squared distance at every breakpoint, one binary search finds the
+    two it lies between, and lam solves the quadratic in between.  The work
+    is one sort, O(n log n).
     """
     g, z, l, r = p.g, p.center, p.lower, p.radius
     active = g != 0.0
@@ -84,28 +86,26 @@ def solve_linear_trust_region(p):
             zhat[finite] = leff[finite]
             return zhat
 
+    # |zhat(lam) - center|^2 = sum over clamped coordinates (lamhat_i <= lam)
+    # of cap_i^2, plus lam^2 times the sum of gp_i^2 over the free ones.
+    # At the sorted breakpoints it is cumulative sums, nondecreasing in lam;
+    # the first breakpoint where it reaches r^2 ends the bracket of lam.
     r2 = r * r
-    f_lo = 0.0
-    f_hi = float(np.sum(gp[active & ~np.isfinite(lamhat)] ** 2))
-    work = np.nonzero(active & np.isfinite(lamhat) & (lamhat > 0.0))[0]
-
-    gsq = gp * gp
-    capsq = np.where(np.isfinite(cap), cap, 0.0) ** 2
-
-    while work.size:
-        lams = lamhat[work]
-        k = (lams.size - 1) // 2
-        lam_med = float(np.partition(lams, k)[k])
-        moved = np.minimum(lam_med * gp[work], cap[work])
-        f_mid = f_lo + lam_med * lam_med * f_hi + float(moved @ moved)
-        if f_mid < r2:
-            clamp = lams <= lam_med
-            f_lo += float(np.sum(capsq[work[clamp]]))
-            work = work[~clamp]
-        else:
-            free = lams >= lam_med
-            f_hi += float(np.sum(gsq[work[free]]))
-            work = work[~free]
+    free_unbounded = float(np.sum(gp[active & ~np.isfinite(lamhat)] ** 2))
+    movable = np.nonzero(active & np.isfinite(lamhat) & (lamhat > 0.0))[0]
+    order = movable[np.argsort(lamhat[movable])]
+    lams = lamhat[order]
+    clamped_through = np.cumsum(cap[order] ** 2)
+    gsq = gp[order] ** 2
+    # free_from[j]: the gp^2 sum of the coordinates free at lam < lams[j]
+    free_from = np.empty(order.size + 1)
+    free_from[-1] = 0.0
+    np.cumsum(gsq[::-1], out=free_from[-2::-1])
+    free_from += free_unbounded
+    dist_sq = clamped_through + lams * lams * free_from[1:]
+    j = int(np.searchsorted(dist_sq, r2))
+    f_lo = float(clamped_through[j - 1]) if j else 0.0
+    f_hi = float(free_from[j])
 
     if f_hi <= 0.0:
         # every movable coordinate clamps at its bound before the radius is

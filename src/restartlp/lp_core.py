@@ -6,11 +6,13 @@ constraint matrix are products with A and with A^T, plus, for those two
 methods, one sparse factorization of A A^T per solve.  ``SparseMatrix``
 therefore keeps two compressed layouts of the same nonzeros, one row-ordered
 and one column-ordered, built once at load, and runs each product as one
-call of scipy's CSR kernel into a caller-supplied or fresh output.
+call of scipy's CSR kernel, which adds the product into a caller-supplied
+output (or a fresh zero one).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +42,6 @@ __all__ = [
     "NormSpec",
     "Residuals",
     "gradient_field",
-    "lagrangian",
     "norm_value",
     "residuals",
     "power_method_sigma_max",
@@ -58,8 +59,11 @@ class SparseMatrix:
     which is the kernel ``csr_array @ v`` runs, so the products equal
     ``@`` bit for bit without its per-call wrapper cost.  Each takes an
     optional ``out``: a float64, writeable array of the result's shape,
-    overwritten and returned (checked, since the kernel itself does not
-    check bounds).
+    checked (the kernel itself does not check bounds), which the product is
+    added into and which is returned: ``A.matvec(v, out)`` leaves
+    ``out + A v`` in ``out``, each row's sum starting from ``out[i]``, as
+    the kernel computes it.  Without ``out`` the product goes into a new
+    zero array, so ``A.matvec(v)`` equals ``A @ v``.
 
     Duplicate (row, col) pairs are rejected; callers that want accumulation
     semantics must sum before construction.  The nonzeros are held once per
@@ -128,22 +132,22 @@ class SparseMatrix:
         return self._fwd.data
 
     def matvec(self, v, out=None):
-        """A @ v with deterministic row-major summation, into ``out`` if
-        given."""
+        """A @ v with deterministic row-major summation, added into ``out``
+        if given."""
         v = np.asarray(v, dtype=_FLOAT64)
         if v.shape != (self.n_cols,):
             raise ValueError(f"matvec dimension mismatch: {v.shape} vs {self.shape}")
-        out = _zeroed(out, self.n_rows)
+        out = _accumulator(out, self.n_rows)
         _csr_matvec(*self._fwd_args, v, out)
         return out
 
     def rmatvec(self, w, out=None):
-        """A^T @ w with deterministic column-major summation, into ``out``
-        if given."""
+        """A^T @ w with deterministic column-major summation, added into
+        ``out`` if given."""
         w = np.asarray(w, dtype=_FLOAT64)
         if w.shape != (self.n_rows,):
             raise ValueError(f"rmatvec dimension mismatch: {w.shape} vs {self.shape}")
-        out = _zeroed(out, self.n_cols)
+        out = _accumulator(out, self.n_cols)
         _csr_matvec(*self._adj_args, w, out)
         return out
 
@@ -155,15 +159,31 @@ class SparseMatrix:
         the values are new (one array per ordering), and the pattern is not
         re-sorted or re-checked.
         """
+        fwd, adj = self._fwd, self._adj
+        adj_cols = np.repeat(np.arange(self.n_cols), np.diff(adj.indptr))
+        return self._revalued(row_scale[self.rows] * fwd.data * col_scale[fwd.indices],
+                              row_scale[adj.indices] * adj.data * col_scale[adj_cols])
+
+    def scaled_products(self, matvec_scale, rmatvec_scale):
+        """The operator pair v -> (s a_ij) v and w -> (t a_ij) w for
+        s = ``matvec_scale``, t = ``rmatvec_scale``: a matrix whose
+        :meth:`matvec` is s A and whose :meth:`rmatvec` is t A^T.
+
+        Each layout's values are multiplied once by its own scalar (one new
+        value array per layout); the index arrays are shared.  Only the two
+        products are meant to be used: the layouts no longer hold the
+        transpose of one another.
+        """
+        return self._revalued(matvec_scale * self._fwd.data, rmatvec_scale * self._adj.data)
+
+    def _revalued(self, fwd_vals, adj_vals):
+        """A matrix over the same two layouts with new values in each: the
+        index arrays are shared, not copied, sorted or checked again."""
         out = object.__new__(SparseMatrix)
         out.n_rows, out.n_cols = self.n_rows, self.n_cols
-        fwd, adj = self._fwd, self._adj
-        vals = row_scale[self.rows] * fwd.data * col_scale[fwd.indices]
-        adj_cols = np.repeat(np.arange(self.n_cols), np.diff(adj.indptr))
-        out._bind(
-            sp.csr_array((vals, fwd.indices, fwd.indptr), shape=fwd.shape),
-            sp.csr_array((row_scale[adj.indices] * adj.data * col_scale[adj_cols],
-                          adj.indices, adj.indptr), shape=adj.shape))
+        fwd, adj = copy.copy(self._fwd), copy.copy(self._adj)
+        fwd.data, adj.data = fwd_vals, adj_vals
+        out._bind(fwd, adj)
         return out
 
     def gram(self):
@@ -184,15 +204,14 @@ def is_buffer(out, size):
             and out.dtype == _FLOAT64 and out.flags.writeable)
 
 
-def _zeroed(out, size):
-    """A zero-filled length-``size`` output for the kernel, which adds into
-    it: ``out`` once checked (the kernel does not check bounds) and
-    cleared, or a new array when None."""
+def _accumulator(out, size):
+    """The length-``size`` array the kernel adds a product into: ``out``
+    once checked (the kernel does not check bounds), or new zeros when
+    None."""
     if out is None:
         return np.zeros(size)
     if not is_buffer(out, size):
         raise ValueError(f"out must be a writeable float64 array of shape ({size},)")
-    out.fill(0.0)
     return out
 
 
@@ -259,12 +278,6 @@ class SaddlePoint:
 def _check_dims(problem, z):
     if z.x.shape != (problem.n,) or z.y.shape != (problem.m,):
         raise ValueError("saddle point dimensions do not match problem")
-
-
-def lagrangian(problem, z):
-    """Value of L(x, y) = c'x + b'y - y'Ax."""
-    _check_dims(problem, z)
-    return float(problem.c @ z.x + problem.b @ z.y - z.y @ problem.A.matvec(z.x))
 
 
 def gradient_field(problem, z, ax=None, aty=None):

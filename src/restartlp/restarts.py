@@ -47,6 +47,7 @@ from .steps import (
     AffineProjector,
     NormalFactor,
     StepConfig,
+    StepOperators,
     admm_step,
     egm_step,
     pdhg_step,
@@ -234,15 +235,18 @@ class _Lane:
 
     The driver holds the anchor, the running average and the iterates as
     flat vectors.  ``view(vec)`` reads one as the lane's ``point`` class over
-    slices, without a copy; ``step(z, out)`` runs the method's step from
-    the point ``z``, writes the next iterate into the flat buffer ``out``
-    and returns it as a point (a view of ``out``) together with the target
-    as a flat vector: ``out`` itself, or a buffer the lane owns and
-    overwrites on every step (with PDHG's ``work`` vector, the only
-    per-solve scratch a step needs).  ``measure(vec, radius)`` and
-    ``dist(va, vb)`` evaluate vectors.  A lane steps on the problem it was
-    given; when that is a rescaled LP, ``scale`` holds the factors that take
-    one of its vectors to the caller's space elementwise.
+    slices, without a copy; ``buffers`` are the two flat vectors the
+    iterate alternates between; ``step(z, out)`` runs the method's step
+    from the point ``z``, writes the next iterate into ``out`` (one of
+    ``buffers``) and returns it as a point (a view of ``out``) together
+    with the target as a flat vector: ``out`` itself, or a buffer the lane
+    owns and overwrites on every step.  For PDHG and EGM the buffers, the
+    target and the step's scratch belong to the :class:`StepOperators` the
+    lane binds once, so a step from the point the previous step returned
+    skips every check.  ``measure(vec, radius)`` and ``dist(va, vb)``
+    evaluate vectors.  A lane steps on the problem it was given; when that
+    is a rescaled LP, ``scale`` holds the factors that take one of its
+    vectors to the caller's space elementwise.
     """
 
     scale = None
@@ -271,17 +275,20 @@ class _SaddleLane(_Lane):
         self.size = size = problem.n + problem.m
         # the steps are looked up by name at each call
         if config.method == PDHG:
-            work = np.empty(n)
+            ops = StepOperators(problem, config)
+            self.buffers = ops.buffers
 
             def step(z, out):
-                return pdhg_step(problem, z, config, out=out, work=work).next, out
+                return pdhg_step(problem, z, config, ops, out).next, out
         elif config.method == EGM:
-            target = np.empty(size)
+            ops = StepOperators(problem, config)
+            self.buffers, target = ops.buffers, ops.target
 
             def step(z, out):
-                return egm_step(problem, z, config, out=out, target=target).next, target
+                return egm_step(problem, z, config, ops, out, target).next, target
         elif config.method == PPM_BILINEAR:
             factor = NormalFactor(problem.A, 1.0 / (config.eta * config.eta))
+            self.buffers = (np.empty(size), np.empty(size))
 
             def step(z, out):
                 return ppm_bilinear_step(problem, z, config.eta, factor, out=out).next, out
@@ -321,6 +328,7 @@ class _AdmmLane(_Lane):
         self.n = n = problem.n
         self.size = 3 * n
         self.projector = projector = AffineProjector(problem.A, problem.b)
+        self.buffers = (np.empty(3 * n), np.empty(3 * n))
         target = np.empty(3 * n)
 
         def step(z, out):
@@ -395,12 +403,12 @@ def run_restarted(problem, options, z0=None, observe=None):
     semi-norm for ADMM); for no-restart runs the gap is evaluated at the
     last iterate with radius equal to the distance from the start.
 
-    The loop allocates no vector per iteration.  It keeps, per solve, two
-    flat buffers that the iterate alternates between (each step reads one
-    and writes the other; the one not holding the iterate is scratch for
-    the average's update), the target buffer or PDHG work vector its lane
-    owns, the running average and a copy of the best point seen at a
-    checkpoint; only a restart (a copy of the new anchor) and a
+    The loop allocates no vector per iteration.  It keeps, per solve, the
+    lane's two flat buffers that the iterate alternates between (each step
+    reads one and writes the other; the one not holding the iterate is
+    scratch for the average's update), the target buffer and scratch its
+    lane's step owns, the running average and a copy of the best point
+    seen at a checkpoint; only a restart (a copy of the new anchor) and a
     checkpoint's measurements allocate.
 
     ``observe(iteration, target, average)``, if given, is called on every
@@ -428,7 +436,7 @@ def run_restarted(problem, options, z0=None, observe=None):
     cur, cur_point = anchor_vec, lane.view(anchor_vec)
     # the iterate alternates between two buffers: each step reads one (or
     # the anchor, after a restart) and writes the other
-    bufs = (np.empty(lane.size), np.empty(lane.size))
+    bufs = lane.buffers
     nxt = 0
     avg = np.empty(lane.size)
     trace = ConvergenceTrace()

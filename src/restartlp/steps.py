@@ -9,22 +9,33 @@ be views into a larger buffer.  The next iterate is written into ``out``, a
 flat float64 buffer laid out like ``as_vector()`` ([x; y], or
 [x_U; x_V; y] for ADMM), and the returned points are views into it.  A
 method whose target differs from the next iterate writes the target into a
-second flat buffer, ``target``; PDHG takes a length-n ``work`` vector for
-its extrapolated point instead.  A buffer left out is allocated, and the
+second flat buffer, ``target``.  A buffer left out is allocated, and the
 same code runs either way, so a run that passes its own buffers makes one
 step without allocating any array.  ``out`` and ``target`` are checked:
 float64, writeable, the right length, and no memory shared with ``z``.
-What a method reuses across steps (PPM's factor, ADMM's affine projector)
-is its argument after the config, built once by a restarted run.  For
-PDHG and PPM the next iterate and the target coincide; EGM's target is the
-intermediate (extrapolated) point and ADMM's target differs from the
-iterate in the multiplier block only.
+
+What a method reuses across steps is its argument after the config, built
+once by a restarted run: PPM's :class:`NormalFactor`, ADMM's
+:class:`AffineProjector`, and for PDHG and EGM the :class:`StepOperators`.
+Those hold the step sizes folded into the data (tau A', -sigma A, tau c and
+sigma b, with tau = eta/omega and sigma = eta omega), so that each product
+adds straight into the half of the output it updates:
+
+    x+ = max((x - tau c) + tau A'y, 0)
+    y+ = (y + sigma b) + (-sigma A)(2 x+ - x)
+
+They also own two iterate buffers, checked when allocated, with the views
+and the :class:`StepOutput` of a step into each built in advance; a step
+into one of them from the point the other holds needs no check at all.  A
+one-off step that is given no operators builds its own, so each method has
+one arithmetic path.  For PDHG and PPM the next iterate and the target
+coincide; EGM's target is the intermediate (extrapolated) point and ADMM's
+target differs from the iterate in the multiplier block only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +52,7 @@ __all__ = [
     "AffineProjector",
     "AffineProjectionError",
     "PROJECTION_TOL",
-    "affine_project",
+    "StepOperators",
     "pdhg_step",
     "egm_step",
     "admm_step",
@@ -107,16 +118,6 @@ class StepConfig:
     def target_proximity_q(self):
         return _CONSTANTS[self.method][1]
 
-    # The step sizes eta/omega (primal) and eta*omega (dual) as 0-d arrays:
-    # a ufunc takes one faster than a Python float, with the same product.
-    @cached_property
-    def _tau(self):
-        return np.array(self.eta / self.omega)
-
-    @cached_property
-    def _sigma(self):
-        return np.array(self.eta * self.omega)
-
 
 @dataclass
 class StepOutput:
@@ -124,9 +125,9 @@ class StepOutput:
     target: object
 
 
-# ufunc operands as 0-d arrays, like the step sizes on StepConfig
+# The bound of x >= 0 as a 0-d array: a ufunc takes it faster than a Python
+# float, with the same result.
 _ZERO = np.array(0.0)
-_TWO = np.array(2.0)
 
 
 def _buffer(buf, size, *reads):
@@ -136,75 +137,143 @@ def _buffer(buf, size, *reads):
         return np.empty(size)
     if not is_buffer(buf, size):
         raise ValueError(f"step buffer must be a writeable float64 array of shape ({size},)")
-    for arr in reads:
-        if np.may_share_memory(buf, arr):
-            raise ValueError("step buffer shares memory with the point it steps from")
+    _check_reads(buf, *reads)
     return buf
 
 
-def pdhg_step(problem, z, config, out=None, work=None):
+def _check_reads(buf, *reads):
+    for arr in reads:
+        if np.may_share_memory(buf, arr):
+            raise ValueError("step buffer shares memory with the point it steps from")
+
+
+class StepOperators:
+    """What PDHG and EGM reuse across the steps of one solve, bound once.
+
+    With tau = eta/omega and sigma = eta omega from ``config``:
+
+    * ``K`` runs both products with the step sizes folded in:
+      ``K.rmatvec(y)`` is tau A'y and ``K.matvec(x)`` is -sigma A x, from
+      one copy of each layout's values
+      (:meth:`~restartlp.lp_core.SparseMatrix.scaled_products`);
+    * ``tau_c`` and ``sigma_b`` are tau c and sigma b;
+    * ``buffers`` are two flat iterate buffers [x; y] that a run alternates
+      between, and ``target`` is EGM's target buffer (None for PDHG);
+    * ``work`` is PDHG's length-n scratch for 2 x+ - x, never returned.
+
+    The views of a step into each buffer and the :class:`StepOutput` it
+    returns are built here.  A step into ``buffers[k]`` (with ``target``
+    for EGM) from the point the other buffer holds, the ``next`` of the
+    previous step's output, is checked by identity only; from any other
+    point, such as an anchor after a restart, it gets the same memory
+    check as a caller's buffer.
+    """
+
+    def __init__(self, problem, config):
+        if config.method not in (PDHG, EGM):
+            raise ValueError(f"step operators are for PDHG and EGM, not {config.method}")
+        tau = config.eta / config.omega
+        sigma = config.eta * config.omega
+        self.problem, self.config = problem, config
+        self.n = n = problem.n
+        self.size = size = n + problem.m
+        self.K = problem.A.scaled_products(-sigma, tau)
+        self.tau_c = tau * problem.c
+        self.sigma_b = sigma * problem.b
+        self.work = np.empty(n) if config.method == PDHG else None
+        self.target = np.empty(size) if config.method == EGM else None
+        self.buffers = (np.empty(size), np.empty(size))
+        layouts = [self._layout(buf, self.target) for buf in self.buffers]
+        # per buffer: its views, its output, and the point whose step into
+        # it needs no check (the one the other buffer holds)
+        self._bound = {id(buf): (*layout, other[1].next)
+                       for buf, layout, other in zip(self.buffers, layouts, layouts[::-1])}
+
+    def _layout(self, out, target):
+        n = self.n
+        nxt = SaddlePoint(out[:n], out[n:])
+        if target is None:
+            return (nxt.x, nxt.y), StepOutput(nxt, nxt)
+        tgt = SaddlePoint(target[:n], target[n:])
+        return (nxt.x, nxt.y, tgt.x, tgt.y), StepOutput(nxt, tgt)
+
+    def bind(self, z, out, target=None):
+        """The views a step from ``z`` writes, and the output it returns:
+        built in advance for one of ``buffers`` (and ``target``), else over
+        ``out`` and ``target`` once checked, or new arrays for those left
+        out."""
+        bound = self._bound.get(id(out))
+        if bound is not None and target is self.target:
+            views, result, partner = bound
+            if z is not partner:
+                _check_reads(out, z.x, z.y)
+                if target is not None:
+                    _check_reads(target, z.x, z.y)
+            return views, result
+        out = _buffer(out, self.size, z.x, z.y)
+        if self.target is not None:
+            target = _buffer(target, self.size, z.x, z.y, out)
+        return self._layout(out, target)
+
+
+def _operators(problem, config, ops):
+    """``ops`` once matched to the step's problem and config, or new
+    operators when it is None."""
+    if ops is None:
+        return StepOperators(problem, config)
+    if ops.problem is not problem or (ops.config is not config and ops.config != config):
+        raise ValueError("step operators were built for another problem or step config")
+    return ops
+
+
+def pdhg_step(problem, z, config, ops=None, out=None):
     """One PDHG iteration on the LP Lagrangian.
 
     x^{t+1} = (x^t - (eta/w)(c - A'y^t))^+
     y^{t+1} = y^t + (eta w)(b - A(2 x^{t+1} - x^t))
 
-    ``work`` (length n) receives 2 x^{t+1} - x^t.
+    computed as max((x - tau c) + tau A'y, 0) and
+    (y + sigma b) + (-sigma A)(2 x+ - x) through ``ops`` (a
+    :class:`StepOperators`, built here when None).
     """
-    A = problem.A
-    n = A.n_cols
-    out = _buffer(out, n + A.n_rows, z.x, z.y)
-    if work is None:
-        work = np.empty(n)
-    x1, y1 = out[:n], out[n:]
-    A.rmatvec(z.y, x1)
-    np.subtract(problem.c, x1, out=x1)
-    np.multiply(x1, config._tau, out=x1)
-    np.subtract(z.x, x1, out=x1)
+    ops = _operators(problem, config, ops)
+    (x1, y1), result = ops.bind(z, out)
+    K, w = ops.K, ops.work
+    np.subtract(z.x, ops.tau_c, out=x1)
+    K.rmatvec(z.y, x1)
     if problem.nonneg:
         np.maximum(x1, _ZERO, out=x1)
-    np.multiply(x1, _TWO, out=work)
-    np.subtract(work, z.x, out=work)
-    A.matvec(work, y1)
-    np.subtract(problem.b, y1, out=y1)
-    np.multiply(y1, config._sigma, out=y1)
-    np.add(z.y, y1, out=y1)
-    nxt = SaddlePoint(x1, y1)
-    return StepOutput(nxt, nxt)
+    np.add(x1, x1, out=w)
+    np.subtract(w, z.x, out=w)
+    np.add(z.y, ops.sigma_b, out=y1)
+    K.matvec(w, y1)
+    return result
 
 
-def egm_step(problem, z, config, out=None, target=None):
+def egm_step(problem, z, config, ops=None, out=None, target=None):
     """One extragradient iteration: predictor zhat, corrector from F(zhat).
 
-    The gradients F(z) and F(zhat) are formed in ``out`` before it takes
-    the corrector."""
-    A = problem.A
-    n, size = A.n_cols, A.n_cols + A.n_rows
-    out = _buffer(out, size, z.x, z.y)
-    target = _buffer(target, size, z.x, z.y, out)
-    tau, sigma = config._tau, config._sigma
-    fx, fy = out[:n], out[n:]
-    xh, yh = target[:n], target[n:]
-    A.rmatvec(z.y, fx)
-    np.subtract(problem.c, fx, out=fx)
-    A.matvec(z.x, fy)
-    np.subtract(fy, problem.b, out=fy)
-    np.multiply(fx, tau, out=fx)
-    np.subtract(z.x, fx, out=xh)
+    zhat    = (max((x - tau c) + tau A'y, 0),    (y + sigma b) + (-sigma A) x)
+    z^{t+1} = (max((x - tau c) + tau A'yhat, 0), (y + sigma b) + (-sigma A) xhat)
+
+    through ``ops`` (a :class:`StepOperators`, built here when None); the
+    target is zhat."""
+    ops = _operators(problem, config, ops)
+    (x1, y1, xh, yh), result = ops.bind(z, out, target)
+    K, tau_c, sigma_b = ops.K, ops.tau_c, ops.sigma_b
+    np.subtract(z.x, tau_c, out=xh)
+    K.rmatvec(z.y, xh)
     if problem.nonneg:
         np.maximum(xh, _ZERO, out=xh)
-    np.multiply(fy, sigma, out=fy)
-    np.subtract(z.y, fy, out=yh)
-    A.rmatvec(yh, fx)
-    np.subtract(problem.c, fx, out=fx)
-    A.matvec(xh, fy)
-    np.subtract(fy, problem.b, out=fy)
-    np.multiply(fx, tau, out=fx)
-    np.subtract(z.x, fx, out=fx)
+    np.add(z.y, sigma_b, out=yh)
+    K.matvec(z.x, yh)
+    np.subtract(z.x, tau_c, out=x1)
+    K.rmatvec(yh, x1)
     if problem.nonneg:
-        np.maximum(fx, _ZERO, out=fx)
-    np.multiply(fy, sigma, out=fy)
-    np.subtract(z.y, fy, out=fy)
-    return StepOutput(SaddlePoint(fx, fy), SaddlePoint(xh, yh))
+        np.maximum(x1, _ZERO, out=x1)
+    np.add(z.y, sigma_b, out=y1)
+    K.matvec(xh, y1)
+    return result
 
 
 # Residual bound of the PPM inner solve, relative to 1 + |rhs|.
@@ -354,11 +423,6 @@ class AffineProjector:
 
         self.factor.refine(correct, rhs, atol)
         return w
-
-
-def affine_project(A, b, point, tol=PROJECTION_TOL):
-    """One-shot Euclidean projection of ``point`` onto {x : Ax = b}."""
-    return AffineProjector(A, b, tol=tol).project(np.asarray(point, dtype=np.float64))
 
 
 @dataclass

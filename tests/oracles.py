@@ -5,8 +5,12 @@
   :func:`restartlp.lp_core.residuals` is checked.
 * :func:`trust_region_bisection` / :func:`normalized_gap_bisection` -- a slow
   trust-region solve that bisects the scalar equation |zbar(mu) - z| = r of
-  the prox-regularized subproblem, against which the linear-time
+  the prox-regularized subproblem, against which the closed-form
   :func:`restartlp.gap.solve_linear_trust_region` is checked.
+* :func:`lagrangian` -- the value L(x, y) = c'x + b'y - y'Ax, from which
+  the tests form primal-dual gaps at probe points.
+* :func:`affine_project` -- a one-shot projection onto {x : Ax = b}
+  through a fresh :class:`restartlp.steps.AffineProjector`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from restartlp.gap import GapResult, TrustRegionProblem, _check_feasible_x, _lp_gap_pieces
-from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix
+from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix, _check_dims
+from restartlp.steps import PROJECTION_TOL, AffineProjector
 
 
 @dataclass(frozen=True)
@@ -171,3 +176,14 @@ def normalized_gap_bisection(problem, z, r, lam_tol=1e-13):
     zhat = trust_region_bisection(TrustRegionProblem(g, zvec, lower, r), lam_tol=lam_tol)
     rho = max(float(g @ (zvec - zhat)) / r, 0.0)
     return GapResult(rho, SaddlePoint.from_vector(zhat, problem.n), r)
+
+
+def lagrangian(problem, z):
+    """Value of L(x, y) = c'x + b'y - y'Ax."""
+    _check_dims(problem, z)
+    return float(problem.c @ z.x + problem.b @ z.y - z.y @ problem.A.matvec(z.x))
+
+
+def affine_project(A, b, point, tol=PROJECTION_TOL):
+    """One-shot Euclidean projection of ``point`` onto {x : Ax = b}."""
+    return AffineProjector(A, b, tol=tol).project(np.asarray(point, dtype=np.float64))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from restartlp import (
     NormSpec,
@@ -9,7 +10,6 @@ from restartlp import (
     SparseMatrix,
     StandardFormLp,
     gradient_field,
-    lagrangian,
     norm_value,
     power_method_sigma_max,
     residuals,
@@ -18,7 +18,7 @@ from restartlp import lp_core
 from restartlp.ingest import RandomLpKnownOptimum, generate
 
 from conftest import feasible_point, random_sparse
-from oracles import KktSystem, kkt_error
+from oracles import KktSystem, kkt_error, lagrangian
 
 
 def small_lp(c, a, b, nonneg=True):
@@ -112,16 +112,56 @@ class TestProductKernel:
     def test_out_is_filled_and_returned(self, rng):
         A = random_sparse(12, 9, 0.4, rng)
         v, w = rng.standard_normal(9), rng.standard_normal(12)
-        out = np.full(12, np.nan)   # stale contents must not leak into the sum
+        out = np.zeros(12)
         assert A.matvec(v, out=out) is out
         assert np.array_equal(out, A._fwd @ v)
-        out_t = np.full(9, 7.0)
+        out_t = np.zeros(9)
         assert A.rmatvec(w, out_t) is out_t
         assert np.array_equal(out_t, A._adj @ w)
         # a slice of a larger buffer works as the output
         big = np.zeros(30)
         A.matvec(v, out=big[5:17])
         assert np.array_equal(big[5:17], A._fwd @ v) and not big[:5].any() and not big[17:].any()
+
+    def test_product_adds_into_out(self, rng):
+        # integer data keep every sum exact, so out + A v is compared bit for
+        # bit whatever order the kernel sums in
+        A = SparseMatrix.from_dense(rng.integers(-3, 4, (12, 9)) * (rng.random((12, 9)) < 0.4))
+        v, w = rng.integers(-5, 6, 9).astype(float), rng.integers(-5, 6, 12).astype(float)
+        for product, layout, vec, size in ((A.matvec, A._fwd, v, 12), (A.rmatvec, A._adj, w, 9)):
+            start = rng.integers(-9, 10, size).astype(float)
+            out = start.copy()
+            assert product(vec, out) is out
+            assert np.array_equal(out, start + layout @ vec)
+            product(vec, out)     # a second product adds again
+            assert np.array_equal(out, start + 2 * (layout @ vec))
+            stale = np.full(size, np.nan)   # nothing clears the output
+            assert np.isnan(product(vec, stale)).all()
+
+    def test_row_sum_starts_from_out(self):
+        # the kernel's order: 2^53 + 1 + 1 rounds to 2^53 at each addition,
+        # where adding the finished row sum would give 2^53 + 2
+        A = SparseMatrix.from_dense([[1.0, 1.0]])
+        big = 2.0 ** 53
+        assert A.matvec(np.ones(2), np.array([big]))[0] == big
+        assert big + A.matvec(np.ones(2))[0] == big + 2.0 != big
+
+    def test_scaled_products(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        K = A.scaled_products(-0.3, 1.7)
+        v, w = rng.standard_normal(9), rng.standard_normal(12)
+        # each layout's values are multiplied once, then summed as usual
+        fwd, adj = A._fwd, A._adj
+        assert np.array_equal(K.matvec(v), sp.csr_array(
+            (-0.3 * fwd.data, fwd.indices, fwd.indptr), shape=fwd.shape) @ v)
+        assert np.array_equal(K.rmatvec(w), sp.csr_array(
+            (1.7 * adj.data, adj.indices, adj.indptr), shape=adj.shape) @ w)
+        assert np.allclose(K.matvec(v), -0.3 * A.matvec(v), rtol=1e-14, atol=1e-14)
+        assert np.allclose(K.rmatvec(w), 1.7 * A.rmatvec(w), rtol=1e-14, atol=1e-14)
+        # only the values are copied
+        assert np.shares_memory(K._fwd.indices, A._fwd.indices)
+        assert np.shares_memory(K._adj.indptr, A._adj.indptr)
+        assert not np.shares_memory(K._fwd.data, A._fwd.data)
 
     @staticmethod
     def _read_only(size):
@@ -154,9 +194,12 @@ class TestProductKernel:
         want = [(A.matvec(v), A.rmatvec(w)) for (_, A), (v, w) in zip(cases, vecs)]
         monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
         for (label, A), (v, w), (mv, rmv) in zip(cases, vecs, want):
-            out = np.full(A.n_rows, np.nan)
+            out = np.zeros(A.n_rows)
             assert np.array_equal(A.matvec(v, out=out), mv), label
             assert np.array_equal(A.rmatvec(w), rmv), label
+            # the fallback adds into out too
+            out = np.ones(A.n_rows)
+            assert np.allclose(A.matvec(v, out=out), 1.0 + mv, rtol=1e-14, atol=1e-14), label
 
 
 class TestLagrangianAndGradient:

@@ -362,3 +362,45 @@ class TestTheory:
                     break
             totals[beta] = hit
         assert totals[math.exp(-1)] is not None  # the default converges
+
+
+class TestStepNamesSeen:
+    """A span tracer wraps ``restarts.pdhg_step``/``egm_step``, the names
+    ``run_restarted`` looks up, and ``SparseMatrix.matvec``/``rmatvec`` on
+    the class; every iteration must go through those names, or the tracer's
+    step and SpMV counts read short."""
+
+    @pytest.mark.parametrize("method, products", [(PDHG, 1), (EGM, 2)])
+    def test_each_iteration_calls_the_step_and_both_products(self, monkeypatch, method, products):
+        from restartlp import restarts
+        from restartlp.lp_core import SparseMatrix
+
+        name = "pdhg_step" if method == PDHG else "egm_step"
+        counts = {"step": 0, "matvec": 0, "rmatvec": 0}
+        in_step = [False]
+
+        def step(*args, **kwargs):
+            counts["step"] += 1
+            in_step[0] = True
+            try:
+                return real_step(*args, **kwargs)
+            finally:
+                in_step[0] = False
+
+        def product(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += in_step[0]   # a checkpoint's products are not counted
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_step = getattr(restarts, name)
+        monkeypatch.setattr(restarts, name, step)
+        for key in ("matvec", "rmatvec"):
+            monkeypatch.setattr(SparseMatrix, key, product(key, SparseMatrix.__dict__[key]))
+        problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 1))
+        sigma = power_method_sigma_max(problem.A)
+        config = StepConfig(method, 0.9 / sigma, lipschitz=None if method == PDHG else 1.01 * sigma)
+        res = run_restarted(problem, SolveOptions(config, RestartScheme.adaptive(), kkt_tol=0.0,
+                                                  iteration_limit=150))
+        assert res.iterations == 150 and res.restart_count > 0
+        assert counts == {"step": 150, "matvec": products * 150, "rmatvec": products * 150}

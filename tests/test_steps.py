@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,18 +18,17 @@ from restartlp import (
     StepConfig,
     AdmmPoint,
     admm_step,
-    affine_project,
     egm_step,
     generate,
-    lagrangian,
     norm_value,
     pdhg_step,
     power_method_sigma_max,
     ppm_bilinear_step,
 )
-from restartlp.steps import AffineProjectionError, AffineProjector, NormalFactor
+from restartlp.steps import AffineProjectionError, AffineProjector, NormalFactor, StepOperators
 
 from conftest import random_sparse
+from oracles import affine_project, lagrangian
 
 
 def bilinear_data(a_val=1.0, c=0.0, b=0.0, nonneg=False):
@@ -390,8 +390,7 @@ class TestDiagonalRecurrence:
 
 def _buffered_cases(rng):
     """(label, start point, call(z, out, target)) per method; ``call``
-    passes each step the buffers it takes (PDHG gets its ``work`` vector
-    from the front of ``target``)."""
+    passes each step the buffers it takes."""
     lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
     sigma = power_method_sigma_max(lp.A)
     bil, _ = generate(DiagonalBilinear((0.3, 0.8, 1.5)))
@@ -403,12 +402,9 @@ def _buffered_cases(rng):
     def lp_point():
         return SaddlePoint(np.abs(rng.standard_normal(n)), rng.standard_normal(lp.m))
 
-    def work(tgt):
-        return None if tgt is None else tgt[:n]
-
     return [
         ("pdhg", lp_point(),
-         lambda z, out, tgt: pdhg_step(lp, z, pdhg_cfg, out=out, work=work(tgt))),
+         lambda z, out, tgt: pdhg_step(lp, z, pdhg_cfg, out=out)),
         ("pdhg-bilinear", SaddlePoint(rng.standard_normal(3), rng.standard_normal(3)),
          lambda z, out, tgt: pdhg_step(bil, z, StepConfig(PDHG, 0.5), out=out)),
         ("egm", lp_point(),
@@ -420,6 +416,29 @@ def _buffered_cases(rng):
          lambda z, out, tgt: admm_step(lp, z, StepConfig(ADMM, 1.3), projector, out=out,
                                        target=tgt)),
     ]
+
+
+def _operator_cases():
+    """(label, problem, config) for the methods that step through
+    :class:`StepOperators`: an LP and a bilinear problem, omega != 1."""
+    lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+    eta = 0.9 / power_method_sigma_max(lp.A)
+    bil, _ = generate(DiagonalBilinear((0.3, 0.8, 1.5)))
+    return [
+        ("pdhg", lp, StepConfig(PDHG, eta, omega=1.7)),
+        ("egm", lp, StepConfig(EGM, eta, omega=0.6)),
+        ("pdhg-bilinear", bil, StepConfig(PDHG, 0.5, omega=1.3)),
+        ("egm-bilinear", bil, StepConfig(EGM, 0.5)),
+    ]
+
+
+def _step_of(config):
+    return pdhg_step if config.method == PDHG else egm_step
+
+
+def _start(problem, rng):
+    x = rng.standard_normal(problem.n)
+    return SaddlePoint(np.abs(x) if problem.nonneg else x, rng.standard_normal(problem.m))
 
 
 class TestBufferedSteps:
@@ -464,27 +483,124 @@ class TestBufferedSteps:
 
     @pytest.mark.parametrize("method", [PDHG, EGM])
     def test_buffered_step_allocates_no_vector(self, method):
-        # steady state of a run that passes its buffers: the step's Python
-        # objects (views, the returned points) are far below one vector
+        # steady state of a run that steps between the operators' buffers:
+        # the operators are built once, and a step allocates no array
         problem, _ = generate(RandomLpKnownOptimum(3000, 6000, 4e-4, 0))
         m, n = problem.m, problem.n
         config = StepConfig(method, 0.5 / power_method_sigma_max(problem.A))
-        bufs = [np.zeros(n + m), np.empty(n + m)]
-        spare = np.empty(n + m)
-        kwargs = {"work": spare[:n]} if method == PDHG else {"target": spare}
+        ops = StepOperators(problem, config)
+        bufs = ops.buffers
+        bufs[0][:] = 0.0
+        z = SaddlePoint(bufs[0][:n], bufs[0][n:])
+        kwargs = {} if method == PDHG else {"target": ops.target}
         step = pdhg_step if method == PDHG else egm_step
 
-        def one(k):
-            src = bufs[k % 2]
-            step(problem, SaddlePoint(src[:n], src[n:]), config, out=bufs[(k + 1) % 2], **kwargs)
+        def one(k, z):
+            return step(problem, z, config, ops, out=bufs[(k + 1) % 2], **kwargs).next
 
         for k in range(3):
-            one(k)
+            z = one(k, z)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            one(3)
+            one(3, z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * m, peak
+
+
+class TestStepOperators:
+    """PDHG and EGM step through operators bound once; a step that builds
+    its own runs the same arithmetic."""
+
+    def test_built_operators_give_the_same_bits(self, rng):
+        for label, problem, config in _operator_cases():
+            z = _start(problem, rng)
+            step = _step_of(config)
+            ops = StepOperators(problem, config)
+            own = step(problem, z, config)
+            bound = step(problem, z, config, ops)
+            assert np.array_equal(own.next.as_vector(), bound.next.as_vector()), label
+            assert np.array_equal(own.target.as_vector(), bound.target.as_vector()), label
+
+    def test_bound_buffers_give_the_same_bits_as_flat_buffers(self, rng):
+        # a run of steps alternating between the operators' buffers against
+        # the same run into caller buffers, both from the same start
+        for label, problem, config in _operator_cases():
+            step = _step_of(config)
+            ops = StepOperators(problem, config)
+            size = problem.n + problem.m
+            flat = [np.full(size, np.nan), np.full(size, np.nan)]
+            flat_target = np.full(size, np.nan)
+            kwargs = {"target": ops.target} if config.method == EGM else {}
+            flat_kwargs = {"target": flat_target} if config.method == EGM else {}
+            z_bound = z_flat = _start(problem, rng)
+            for k in range(40):
+                ops.buffers[k % 2].fill(np.nan)   # stale contents must not leak
+                bound = step(problem, z_bound, config, ops, out=ops.buffers[k % 2], **kwargs)
+                plain = step(problem, z_flat, config, ops, out=flat[k % 2], **flat_kwargs)
+                assert bound is not plain, label
+                assert np.array_equal(bound.next.as_vector(), plain.next.as_vector()), label
+                assert np.array_equal(bound.target.as_vector(), plain.target.as_vector()), label
+                assert np.shares_memory(bound.next.x, ops.buffers[k % 2]), label
+                z_bound, z_flat = bound.next, plain.next
+
+    def test_bound_output_is_built_once(self, rng):
+        problem, config = _operator_cases()[0][1:]
+        ops = StepOperators(problem, config)
+        z = _start(problem, rng)
+        first = pdhg_step(problem, z, config, ops, out=ops.buffers[0])
+        second = pdhg_step(problem, first.next, config, ops, out=ops.buffers[1])
+        third = pdhg_step(problem, second.next, config, ops, out=ops.buffers[0])
+        assert third is first and second is not first
+
+    def test_point_sharing_memory_with_the_output_raises(self, rng):
+        for label, problem, config in _operator_cases():
+            step = _step_of(config)
+            ops = StepOperators(problem, config)
+            n = problem.n
+            kwargs = {"target": ops.target} if config.method == EGM else {}
+            for k in (0, 1):
+                buf = ops.buffers[k]
+                buf[:] = _start(problem, rng).as_vector()
+                # a point over the output buffer itself, not the partner
+                z = SaddlePoint(buf[:n], buf[n:])
+                with pytest.raises(ValueError, match="shares memory"):
+                    step(problem, z, config, ops, out=buf, **kwargs)
+                # the other buffer read through a fresh point object is fine
+                other = ops.buffers[1 - k]
+                other[:] = buf
+                step(problem, SaddlePoint(other[:n], other[n:]), config, ops, out=buf, **kwargs)
+            if config.method == EGM:
+                t = ops.target
+                t[:] = _start(problem, rng).as_vector()
+                with pytest.raises(ValueError, match="shares memory"):
+                    step(problem, SaddlePoint(t[:n], t[n:]), config, ops,
+                         out=ops.buffers[0], target=t)
+
+    def test_operators_of_another_problem_or_config_raise(self, rng):
+        (_, lp, cfg), _, (_, bil, bil_cfg), _ = _operator_cases()
+        ops = StepOperators(lp, cfg)
+        z = _start(lp, rng)
+        with pytest.raises(ValueError, match="built for another"):
+            pdhg_step(lp, z, StepConfig(PDHG, cfg.eta / 2, omega=cfg.omega), ops)
+        with pytest.raises(ValueError, match="built for another"):
+            pdhg_step(bil, _start(bil, rng), bil_cfg, ops)
+        # an equal config that is another object is accepted
+        pdhg_step(lp, z, StepConfig(PDHG, cfg.eta, omega=cfg.omega), ops)
+        for method, eta in ((ADMM, 1.0), ("ppm", 0.5)):
+            with pytest.raises(ValueError, match="PDHG and EGM"):
+                StepOperators(lp, StepConfig(method, eta))
+
+    def test_operators_fold_the_step_sizes_into_the_data(self, rng):
+        _, problem, config = _operator_cases()[0]
+        ops = StepOperators(problem, config)
+        tau, sigma = config.eta / config.omega, config.eta * config.omega
+        assert np.array_equal(ops.tau_c, tau * problem.c)
+        assert np.array_equal(ops.sigma_b, sigma * problem.b)
+        assert np.array_equal(ops.K._adj.data, tau * problem.A._adj.data)
+        assert np.array_equal(ops.K._fwd.data, -sigma * problem.A._fwd.data)
+        assert ops.work.shape == (problem.n,) and ops.target is None
+        egm = StepOperators(problem, replace(config, method=EGM))
+        assert egm.work is None and egm.target.shape == (problem.n + problem.m,)
