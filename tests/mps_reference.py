@@ -172,7 +172,7 @@ def parse_mps(text):
             if code in _VALUED_BOUNDS:
                 if len(parts) < 4:
                     raise MpsParseError(f"line {lineno}: bound {code} needs a value")
-                col, value = parts[2], _tofloat(parts[3], lineno)
+                col, value = parts[2], _tofloat(parts[3], lineno, infinite_ok=True)
             else:
                 col = parts[2] if len(parts) >= 3 else parts[1]
                 value = None
@@ -190,11 +190,14 @@ def parse_mps(text):
     return model
 
 
-def _tofloat(tok, lineno):
+def _tofloat(tok, lineno, infinite_ok=False):
     try:
-        return float(tok.replace("D", "E").replace("d", "e"))
+        value = float(tok.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"line {lineno}: bad numeric field {tok!r}") from None
+    if math.isnan(value) or (math.isinf(value) and not infinite_ok):
+        raise MpsParseError(f"line {lineno}: bad numeric field {tok!r}")
+    return value
 
 
 def to_standard_form(model):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from restartlp import (
     residuals,
     to_standard_form,
 )
+from restartlp import ingest
 
 from conftest import brute_force_lp
 
@@ -238,6 +241,12 @@ class TestParse:
             "COLUMNS\n", "COLUMNS\n    M1        'MARKER'   'INTORG'\n")
         with pytest.raises(MpsParseError, match="integer"):
             parse_mps(bad)
+
+    def test_infinite_bounds_kept(self):
+        text = TWO_VAR_FIXTURE.replace(
+            "ENDATA", "BOUNDS\n UP BND X1 inf\n LO BND X2 -1D999\nENDATA")
+        model = parse_mps(text)
+        assert model.bound_records == [("UP", "X1", math.inf), ("LO", "X2", -math.inf)]
 
     def test_ranges_on_objective_rejected(self):
         bad = TWO_VAR_FIXTURE.replace(
@@ -508,6 +517,46 @@ BAD_COLUMNS = {
 }
 
 
+X2_LINE = "    X2        COST      1.0        BAL       1.0"
+
+# (replaced text, replacement, first error) on TWO_VAR_FIXTURE, whose X1 and
+# X2 lines are lines 6 and 7 and whose RHS entry is line 9
+NON_FINITE = {
+    "nan in COLUMNS": (X2_LINE, X2_LINE[:-3] + "nan", "line 7: bad numeric field 'nan'"),
+    "-inf in COLUMNS": (X2_LINE, X2_LINE[:-3] + "-inf", "line 7: bad numeric field '-inf'"),
+    "Infinity on the objective": ("X2        COST      1.0", "X2        COST      Infinity",
+                                  "line 7: bad numeric field 'Infinity'"),
+    "overflow in COLUMNS": (X2_LINE, X2_LINE[:-3] + "1D999", "line 7: bad numeric field '1D999'"),
+    "nan before an undeclared row": (
+        "BAL       1.0\n    X2        COST      1.0        BAL",
+        "BAL       NaN\n    X2        COST      1.0        BAD",
+        "line 6: bad numeric field 'NaN'"),
+    "inf with an undeclared row in one pair": (X2_LINE, "    X2        NOPE      inf",
+                                               "line 7: bad numeric field 'inf'"),
+    "nan in RHS": ("RHS1      BAL       1.0", "RHS1      BAL       nan",
+                   "line 9: bad numeric field 'nan'"),
+    "inf in RHS": ("RHS1      BAL       1.0", "RHS1      BAL       +inf",
+                   "line 9: bad numeric field '+inf'"),
+    "-inf in RANGES": ("ENDATA", "RANGES\n    RNG       BAL       -inf\nENDATA",
+                       "line 11: bad numeric field '-inf'"),
+    "nan in BOUNDS": ("ENDATA", "BOUNDS\n UP BND       X1        nan\nENDATA",
+                      "line 11: bad numeric field 'nan'"),
+}
+
+
+def with_columns_line(text, k, edit):
+    """``text`` with ``edit`` applied to the tokens of its k-th COLUMNS
+    line (from 0); returns the text and that line's number."""
+    lines = text.split("\n")
+    at = lines.index("COLUMNS") + 1 + k
+    lines[at] = "    " + "  ".join(edit(lines[at].split()))
+    return "\n".join(lines), at + 1
+
+
+def set_last(token):
+    return lambda parts: parts[:-1] + [token]
+
+
 class TestFirstError:
     """The array-based parser raises the reference parser's first error,
     with the same text and line number."""
@@ -554,3 +603,135 @@ class TestFirstError:
     def test_error_after_columns_section_ends(self):
         text = TWO_VAR_FIXTURE.replace("RHS\n", "RHS\n    RHS1      BAL       x\n", 1)
         assert self.both(text) == "line 9: bad numeric field 'x'"
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number(self, case):
+        old, new, expected = NON_FINITE[case]
+        assert TWO_VAR_FIXTURE.count(old) == 1
+        assert self.both(TWO_VAR_FIXTURE.replace(old, new)) == expected
+
+    def test_error_in_a_late_columns_line(self):
+        text = random_mps_text(3)
+        assert len(text.split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()) > 30
+        text, lineno = with_columns_line(text, 30, set_last("1.x"))
+        assert self.both(text) == f"line {lineno}: bad numeric field '1.x'"
+
+    def test_first_of_two_late_errors(self):
+        text, lineno = with_columns_line(random_mps_text(4), 24,
+                                         lambda parts: parts[:1] + ["NOPE"] + parts[2:])
+        text, _ = with_columns_line(text, 27, set_last("nan"))
+        assert self.both(text) == f"line {lineno}: undeclared row 'NOPE'"
+        text, lineno = with_columns_line(random_mps_text(4), 24, set_last("inf"))
+        text, _ = with_columns_line(text, 27, set_last("1..0"))
+        assert self.both(text) == f"line {lineno}: bad numeric field 'inf'"
+
+
+# (lines per COLUMNS batch, characters per chunk of text split into lines)
+TINY_BATCHES = [(1, 1), (2, 3), (7, 5)]
+
+
+@pytest.fixture(params=TINY_BATCHES, ids=lambda p: f"batch{p[0]}-chunk{p[1]}")
+def tiny_batches(request, monkeypatch):
+    batch, chunk = request.param
+    monkeypatch.setattr(ingest, "_BATCH_LINES", batch)
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk)
+
+
+@pytest.mark.usefixtures("tiny_batches")
+class TestReferenceEquivalenceInTinyBatches(TestReferenceEquivalence):
+    """Every reference text again, with COLUMNS converted a few lines at a
+    time and the text split a few characters at a time; the reference
+    parser matches the default batches bit for bit, so this one must too."""
+
+
+@pytest.mark.usefixtures("tiny_batches")
+class TestFirstErrorInTinyBatches(TestFirstError):
+    """Every first-error case again, with COLUMNS converted a few lines at
+    a time and the text split a few characters at a time, so errors land
+    in later batches than the first."""
+
+
+MODEL_FIELDS = ("name", "objective_row", "objective_sense", "row_names", "row_sense",
+                "column_names", "rhs", "ranges", "bound_records")
+
+
+def outcome(text):
+    """The parsed model's fields, or the text of the error raised."""
+    try:
+        model = parse_mps(text)
+    except MpsParseError as exc:
+        return str(exc)
+    arrays = (model.entry_rows, model.entry_cols, model.entry_vals)
+    return [getattr(model, name) for name in MODEL_FIELDS] + [(a.dtype, a.tobytes()) for a in arrays]
+
+
+def with_breaks(text, breaks):
+    """``text`` with its newlines replaced by ``breaks``, cycled."""
+    lines = text.split("\n")
+    return "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines[:-1])) + lines[-1]
+
+
+class TestBatchAndChunkBoundaries:
+    @pytest.mark.parametrize("size", range(1, 12))
+    def test_chunks_split_lines_as_splitlines(self, monkeypatch, size):
+        text = "a\r\nbb\rc\fd\n\n\r\n e\x1cf\u2028g\r\n\n\rh\x0bi\n\f\r\r\njj\nk"
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", size)
+        pieces = list(ingest._chunks(text))
+        assert "".join(pieces) == text
+        assert all(piece.endswith("\n") for piece in pieces[:-1])
+        assert list(chain.from_iterable(map(str.splitlines, pieces))) == text.splitlines()
+
+    @pytest.mark.parametrize("breaks", [["\r\n"], ["\r"], ["\n", "\r", "\r\n", "\f"]],
+                             ids=["crlf", "cr", "mixed"])
+    def test_line_breaks_across_chunks(self, monkeypatch, breaks):
+        texts = FIXTURES + [random_mps_text(seed) for seed in range(3)] + [
+            TWO_VAR_FIXTURE.replace(old, new) for old, new, _ in NON_FINITE.values()]
+        texts.append(with_columns_line(random_mps_text(5), 20, set_last("1.x"))[0])
+        expected = [outcome(text) for text in texts]
+        for size in (1, 2, 3, 5, 8, 13):
+            monkeypatch.setattr(ingest, "_CHUNK_CHARS", size)
+            for batch in (1, 2, 7):
+                monkeypatch.setattr(ingest, "_BATCH_LINES", batch)
+                for text, want in zip(texts, expected):
+                    assert outcome(with_breaks(text, breaks)) == want
+
+    def test_column_split_across_batches(self, monkeypatch):
+        text = TWO_VAR_FIXTURE.replace(
+            X2_LINE, "    X2  COST  1.0\n    X2  BAL  0.25\n    X2  BAL  0.75")
+        expected = outcome(text)
+        monkeypatch.setattr(ingest, "_BATCH_LINES", 2)   # X2's lines fall in two batches
+        assert outcome(text) == expected
+        model = parse_mps(text)
+        assert model.column_names == ["X1", "X2"]
+        assert coefficient(model, "BAL", "X2") == 1.0
+
+
+def wide_mps_text(n_lines, m=1000, seed=0):
+    """MPS text with ``n_lines`` one-coefficient COLUMNS lines, two per
+    column, over ``m`` rows."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(m, size=n_lines).tolist()
+    vals = rng.standard_normal(n_lines).tolist()
+    out = ["NAME WIDE", "ROWS", " N  OBJ"] + [f" L  R{i}" for i in range(m)] + ["COLUMNS"]
+    out += [f"    C{k // 2}  R{r}  {v!r}" for k, (r, v) in enumerate(zip(rows, vals))]
+    out += ["RHS", "    RHS  R0  1.0", "ENDATA"]
+    return "\n".join(out) + "\n"
+
+
+class TestMemory:
+    def test_parse_peak_is_a_small_multiple_of_the_text(self):
+        # Holding every line and token at once peaked at about 14.5 times
+        # the text here; a batch at a time, at about 3.4 times (the model
+        # it returns is 1.5 times).
+        text = wide_mps_text(100_000)
+        limit = 6 * len(text)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            model = parse_mps(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.column_names) == 50_000
+        assert peak - base < limit, (peak - base) / len(text)

@@ -24,7 +24,7 @@ from restartlp import (
     theoretical_linear_rate_check,
 )
 from restartlp.restarts import ADAPTIVE, FLEXIBLE
-from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, AffineProjector
+from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, AffineProjector, StepOperators
 
 
 class TestTstar:
@@ -81,8 +81,9 @@ class TestRunRestarted:
         res = run_restarted(problem, opts, z0=z0)
         z = z0.copy()
         targets = []
+        ops = StepOperators(problem, cfg)
         for _ in range(137):
-            out = pdhg_step(problem, z, cfg)
+            out = pdhg_step(problem, z, cfg, ops)
             z = out.next
             targets.append(out.target.as_vector())
         mean = np.mean(targets, axis=0)
@@ -182,8 +183,10 @@ class TestRunRestarted:
         res = run_restarted(problem, opts, z0=z0)
         # on the unconstrained toy the gap at z is |F(z)| = |z| reflected
         z = z0.copy()
+        cfg = StepConfig(PDHG, 0.2)
+        ops = StepOperators(problem, cfg)
         for rec in res.trace.records:
-            z = pdhg_step(problem, z, StepConfig(PDHG, 0.2)).next
+            z = pdhg_step(problem, z, cfg, ops).next
             expect = float(np.linalg.norm([z.y[0], -z.x[0]]))
             assert rec.normalized_gap == pytest.approx(expect, rel=1e-12)
 

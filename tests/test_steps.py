@@ -297,6 +297,7 @@ class TestNonExpansiveness:
             smax = power_method_sigma_max(problem.A, tol=1e-8, seed=seed)
             eta = 0.9 / smax
             cfg = StepConfig(PDHG, eta)
+            ops = StepOperators(problem, cfg)
             spec = NormSpec.pdhg(eta)
             for _ in range(4):
                 z = SaddlePoint(np.abs(rng.standard_normal(problem.n)),
@@ -304,7 +305,7 @@ class TestNonExpansiveness:
                 d_prev = norm_value(spec, problem,
                                     SaddlePoint(z.x - opt.x, z.y - opt.y))
                 for _ in range(500):
-                    z = pdhg_step(problem, z, cfg).next
+                    z = pdhg_step(problem, z, cfg, ops).next
                     d = norm_value(spec, problem,
                                    SaddlePoint(z.x - opt.x, z.y - opt.y))
                     assert d <= d_prev + 1e-12
@@ -349,13 +350,14 @@ class TestErgodicDecay:
         problem, _ = generate(DiagonalBilinear((0.5, 1.0)))
         eta = 0.8
         cfg = StepConfig(PDHG, eta)
+        ops = StepOperators(problem, cfg)
         spec = NormSpec.pdhg(eta)
         z0 = SaddlePoint(np.array([1.0, -0.5]), np.array([0.25, 1.5]))
         z = z0.copy()
         avg = None
         checkpoints = {10, 100, 1000}
         for t in range(1, 1001):
-            out = pdhg_step(problem, z, cfg)
+            out = pdhg_step(problem, z, cfg, ops)
             z = out.next
             tv = out.target.as_vector()
             avg = tv.copy() if avg is None else avg + (tv - avg) / t
@@ -378,11 +380,12 @@ class TestDiagonalRecurrence:
         problem, _ = generate(DiagonalBilinear(sigmas))
         eta = 0.7
         cfg = StepConfig(PDHG, eta)
+        ops = StepOperators(problem, cfg)
         z = SaddlePoint(rng.standard_normal(3), rng.standard_normal(3))
         mats = [dynamics_matrix(s, eta) for s in sigmas]
         for _ in range(50):
             blocks = [m @ np.array([z.x[i], z.y[i]]) for i, m in enumerate(mats)]
-            z = pdhg_step(problem, z, cfg).next
+            z = pdhg_step(problem, z, cfg, ops).next
             for i, blk in enumerate(blocks):
                 assert abs(z.x[i] - blk[0]) <= 1e-14 * max(1, abs(blk[0]))
                 assert abs(z.y[i] - blk[1]) <= 1e-14 * max(1, abs(blk[1]))
