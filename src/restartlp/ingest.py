@@ -392,9 +392,10 @@ def parse_mps(text):
 
 def _tofloat(tok, lineno, infinite_ok=False):
     """The number ``tok`` holds; a NaN, or an infinity unless
-    ``infinite_ok``, is a bad numeric field too."""
+    ``infinite_ok``, is a bad numeric field too, and so is a token with a
+    digit separator, which Python's ``float`` would accept ("1_0")."""
     try:
-        value = float(tok.replace("D", "E").replace("d", "e"))
+        value = math.nan if "_" in tok else float(tok.replace("D", "E").replace("d", "e"))
     except ValueError:
         value = math.nan
     if math.isfinite(value) or (infinite_ok and not math.isnan(value)):
@@ -404,8 +405,11 @@ def _tofloat(tok, lineno, infinite_ok=False):
 
 def _bulk_float(tokens):
     """``float`` over a list of tokens, with D exponents, as one array;
-    raises ValueError if any token is not a number."""
+    raises ValueError if any token is not a number or holds a digit
+    separator."""
     joined = " ".join(tokens)
+    if "_" in joined:
+        raise ValueError("digit separator in a numeric field")
     if "D" in joined or "d" in joined:
         # tokens hold no whitespace, so joining on a space and splitting
         # again returns them with only the exponent letters changed
@@ -519,7 +523,8 @@ def to_standard_form(model):
     lo_of, up_of = model.resolved_bounds()
     lo = np.array([lo_of[c] for c in names], dtype=np.float64)
     up = np.array([up_of[c] for c in names], dtype=np.float64)
-    bad = np.flatnonzero(lo > up)
+    # no finite value lies in [lo, up]
+    bad = np.flatnonzero((lo > up) | (lo == np.inf) | (up == -np.inf))
     if bad.size:
         col = names[bad[0]]
         raise ValueError(f"contradictory bounds on column {col!r}: "

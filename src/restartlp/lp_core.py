@@ -69,6 +69,14 @@ class SparseMatrix:
     semantics must sum before construction.  The nonzeros are held once per
     layout: ``rows``, ``cols`` and ``vals`` read them off the row-ordered
     one, in (row, col) order.
+
+    A matrix is never modified in place: :meth:`scaled` and
+    :meth:`scaled_products` return new matrices.  That lets it keep the
+    converged estimates of :func:`power_method_sigma_max`, one per
+    ``(tol, max_iters, seed)``, in a memo created by the first estimate
+    (construction does no extra work), so that sigma_max(A) is estimated
+    once however many callers need it: the CLI and the benchmark for eta,
+    then every solve on A for its step-size ratio.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, vals):
@@ -97,6 +105,8 @@ class SparseMatrix:
         """Hold the two layouts, and the kernel's leading arguments for the
         product over each."""
         self._fwd, self._adj = fwd, adj
+        # the shapes of a product's input and output, checked on every call
+        self._row_shape, self._col_shape = (self.n_rows,), (self.n_cols,)
         self._fwd_args = (self.n_rows, self.n_cols, fwd.indptr, fwd.indices, fwd.data)
         self._adj_args = (self.n_cols, self.n_rows, adj.indptr, adj.indices, adj.data)
 
@@ -135,9 +145,15 @@ class SparseMatrix:
         """A @ v with deterministic row-major summation, added into ``out``
         if given."""
         v = np.asarray(v, dtype=_FLOAT64)
-        if v.shape != (self.n_cols,):
+        if v.shape != self._col_shape:
             raise ValueError(f"matvec dimension mismatch: {v.shape} vs {self.shape}")
-        out = _accumulator(out, self.n_rows)
+        if out is None:
+            out = np.zeros(self.n_rows)
+        elif not (isinstance(out, np.ndarray) and out.shape == self._row_shape
+                  and (out.dtype is _FLOAT64 or out.dtype == _FLOAT64)
+                  and out.flags.writeable):
+            # the kernel does not check bounds
+            raise ValueError(f"out must be a writeable float64 array of shape ({self.n_rows},)")
         _csr_matvec(*self._fwd_args, v, out)
         return out
 
@@ -145,9 +161,15 @@ class SparseMatrix:
         """A^T @ w with deterministic column-major summation, added into
         ``out`` if given."""
         w = np.asarray(w, dtype=_FLOAT64)
-        if w.shape != (self.n_rows,):
+        if w.shape != self._row_shape:
             raise ValueError(f"rmatvec dimension mismatch: {w.shape} vs {self.shape}")
-        out = _accumulator(out, self.n_cols)
+        if out is None:
+            out = np.zeros(self.n_cols)
+        elif not (isinstance(out, np.ndarray) and out.shape == self._col_shape
+                  and (out.dtype is _FLOAT64 or out.dtype == _FLOAT64)
+                  and out.flags.writeable):
+            # the kernel does not check bounds
+            raise ValueError(f"out must be a writeable float64 array of shape ({self.n_cols},)")
         _csr_matvec(*self._adj_args, w, out)
         return out
 
@@ -202,17 +224,6 @@ def is_buffer(out, size):
     place: a writeable float64 ndarray of shape (size,)."""
     return (isinstance(out, np.ndarray) and out.shape == (size,)
             and out.dtype == _FLOAT64 and out.flags.writeable)
-
-
-def _accumulator(out, size):
-    """The length-``size`` array the kernel adds a product into: ``out``
-    once checked (the kernel does not check bounds), or new zeros when
-    None."""
-    if out is None:
-        return np.zeros(size)
-    if not is_buffer(out, size):
-        raise ValueError(f"out must be a writeable float64 array of shape ({size},)")
-    return out
 
 
 @dataclass(frozen=True)
@@ -436,9 +447,18 @@ def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
     Deterministic given ``seed``.  Stops when the relative change of the
     Rayleigh-quotient estimate falls below ``tol``; warns (and returns the
     best estimate) if that does not happen within ``max_iters``.
+
+    A converged estimate is kept on ``A`` (see :class:`SparseMatrix`),
+    keyed by ``(tol, max_iters, seed)``: a later call with the same
+    arguments returns it without a product.  An
+    estimate that warned is not kept, so its call warns again.
     """
     if A.nnz == 0:
         raise ValueError("power method undefined for an all-zero matrix")
+    key = (tol, max_iters, seed)
+    memo = getattr(A, "_sigma_max_memo", None)
+    if memo is not None and key in memo:
+        return memo[key]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(A.n_cols)
     v /= np.linalg.norm(v)
@@ -456,7 +476,11 @@ def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
         lam = float(v @ w) / float(v @ v)
         v = w / nw
         if prev is not None and abs(lam - prev) <= tol * max(abs(lam), 1e-300):
-            return math.sqrt(max(lam, 0.0))
+            sigma = math.sqrt(max(lam, 0.0))
+            if memo is None:
+                memo = A._sigma_max_memo = {}
+            memo[key] = sigma
+            return sigma
         prev = lam
     warnings.warn(
         f"power iteration did not converge to rel tol {tol} in {max_iters} "

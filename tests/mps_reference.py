@@ -192,6 +192,8 @@ def parse_mps(text):
 
 def _tofloat(tok, lineno, infinite_ok=False):
     try:
+        if "_" in tok:  # a digit separator, which float would accept
+            raise ValueError(tok)
         value = float(tok.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"line {lineno}: bad numeric field {tok!r}") from None

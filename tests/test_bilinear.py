@@ -5,7 +5,9 @@ import pytest
 
 from restartlp import (
     DiagonalBilinear,
+    RestartScheme,
     SaddlePoint,
+    SolveOptions,
     SpectralBlock,
     StepConfig,
     b_metric_matrix,
@@ -13,11 +15,13 @@ from restartlp import (
     dynamics_matrix,
     generate,
     pdhg_step,
+    run_restarted,
     table3_scaling_experiment,
     theoretical_average_bound,
     theoretical_B_norm_decay,
     two_dim_toy_series,
 )
+from restartlp import bilinear
 from restartlp.steps import PDHG
 
 
@@ -192,16 +196,88 @@ class TestScalingExperimentSmall:
         assert csv_rows[0] == ("kappa", "mode", "iterations")
 
     def test_recorded_rows(self):
-        # the iteration counts of the paper-scale run at kappa = 4, 8.  The
-        # average rows at 1e-3 and 1e-4 are roundoff ties: |avg_K| K / d0
-        # reads 4.999999999999987 at K = 5000 and 5.000000000000052 at
-        # K = 50000, so any change in the rounding of a PDHG step or of the
+        # the iteration counts of the paper-scale run.  The average rows at
+        # 1e-3 and 1e-4 are roundoff ties: |avg_K| K / d0 reads
+        # 4.999999999999987 at K = 5000 and 5.000000000000052 at K = 50000,
+        # so any change in the rounding of a PDHG step or of the
         # running-average update moves them to 5001 or 50000
-        rep = table3_scaling_experiment([4, 8], 1e-6, avg_kappa=4,
+        rep = table3_scaling_experiment([4, 8, 16, 32], 1e-6, avg_kappa=4,
                                         avg_eps=(1e-2, 1e-3, 1e-4))
         assert rep.rows == [(4.0, "last", 831), (4.0, "restarted", 218),
-                            (8.0, "last", 3332), (8.0, "restarted", 439)]
+                            (8.0, "last", 3332), (8.0, "restarted", 439),
+                            (16.0, "last", 13396), (16.0, "restarted", 880),
+                            (32.0, "last", 53714), (32.0, "restarted", 1095)]
         assert rep.average_rows == [(1e-2, 495), (1e-3, 5000), (1e-4, 50001)]
+        assert rep.last_slope == pytest.approx(2.005025959608589, rel=1e-12)
+        assert rep.restarted_slope == pytest.approx(0.7988875073124124, rel=1e-12)
+        assert rep.average_slope == pytest.approx(1.0021867456026152, rel=1e-12)
+
+    def test_rows_in_any_kappa_order(self):
+        # the stacked run sorts its blocks by kappa; the rows keep the
+        # caller's order, repeats included
+        kwargs = dict(avg_kappa=8, avg_eps=(1e-1, 1e-2))
+        rep = table3_scaling_experiment([8, 4, 8, 3], 1e-3, **kwargs)
+        alone = {k: table3_scaling_experiment([k], 1e-3, **kwargs).rows for k in (3, 4, 8)}
+        assert rep.rows == alone[8] + alone[4] + alone[8] + alone[3]
+        assert rep.average_rows == table3_scaling_experiment([4], 1e-3, **kwargs).average_rows
+
+    def test_unreached_rows_are_none(self):
+        rep = table3_scaling_experiment([4, 64], 1e-6, avg_eps=(1e-1, 1e-4), cap=1000)
+        assert rep.rows == [(4.0, "last", 831), (4.0, "restarted", 218),
+                            (64.0, "last", None), (64.0, "restarted", None)]
+        assert rep.average_rows == [(1e-1, 43), (1e-4, None)]
+
+
+class TestStackedRun:
+    """Every block of the stacked run behind Table 3 repeats its lone run
+    bit for bit."""
+
+    KAPPAS = (4.0, 5.5, 4.0, 23.0, 2.0, 32.0)
+    ITERATIONS = 300
+
+    @classmethod
+    def _record(cls, problem, z0, reads):
+        # each block's iterate and running average at every iteration
+        seen = []
+
+        def observe(t, z, avg):
+            seen.append([(read(z).copy(), read(avg).copy()) for read in reads])
+            return False
+
+        options = SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(), kkt_tol=0.0,
+                               iteration_limit=cls.ITERATIONS, check_cadence=cls.ITERATIONS)
+        run_restarted(problem, options, z0=z0, observe=observe)
+        return seen
+
+    def test_blocks_equal_lone_runs(self):
+        problem, readers = bilinear._stacked_blocks(list(self.KAPPAS))
+        n = problem.n
+        assert n == 2 * len(self.KAPPAS)
+        stacked = self._record(problem, SaddlePoint(np.ones(n), np.ones(n)), readers)
+        assert len(stacked) == self.ITERATIONS
+        for j, kappa in enumerate(self.KAPPAS):
+            lone_problem, _ = generate(DiagonalBilinear((1.0 / kappa, 1.0)))
+            lone = self._record(lone_problem, SaddlePoint(np.ones(2), np.ones(2)), [lambda v: v])
+            for t, (row, ((lone_z, lone_avg),)) in enumerate(zip(stacked, lone)):
+                z, avg = row[j]
+                assert z.tobytes() == lone_z.tobytes(), (kappa, t)
+                assert avg.tobytes() == lone_avg.tobytes(), (kappa, t)
+            # and the iterate still decays: the run is not trivially zero
+            last_z = lone[-1][0][0]
+            assert 0.0 < float(last_z @ last_z) < 4.0
+
+    def test_last_block_is_read_without_a_copy(self):
+        problem, readers = bilinear._stacked_blocks([4.0, 8.0, 16.0])
+        vec = np.arange(12.0)
+        assert np.array_equal(readers[0](vec), [0, 1, 8, 9])
+        assert np.array_equal(readers[1](vec), [2, 3, 10, 11])
+        last = readers[2](vec)
+        assert np.array_equal(last, [4, 5, 6, 7]) and np.shares_memory(last, vec)
+        # block j's x couples to the duals read with it
+        dense = problem.A.to_dense()
+        assert np.array_equal(dense[[2, 3, 4, 5, 0, 1], range(6)],
+                              [-0.25, -1.0, -0.125, -1.0, -0.0625, -1.0])
+        assert np.count_nonzero(dense) == 6
 
     def test_validation(self):
         with pytest.raises(ValueError):

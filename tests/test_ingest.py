@@ -327,6 +327,19 @@ class TestStandardForm:
         with pytest.raises(ValueError, match="contradictory"):
             to_standard_form(parse_mps(bad))
 
+    @pytest.mark.parametrize("bounds,interval", [
+        (" LO BND       X1        inf", "[inf, inf]"),
+        (" FX BND       X1        inf", "[inf, inf]"),
+        (" MI BND       X1\n UP BND       X1        -inf", "[-inf, -inf]"),
+        (" UP BND       X1        -1D999", "[0.0, -inf]"),
+    ], ids=["LO inf", "FX inf", "MI then UP -inf", "UP -inf"])
+    def test_bounds_with_no_finite_value(self, bounds, interval):
+        # an infinite fixed value would put an infinity into b
+        text = TWO_VAR_FIXTURE.replace("ENDATA", f"BOUNDS\n{bounds}\nENDATA")
+        with pytest.raises(ValueError) as err:
+            to_standard_form(parse_mps(text))
+        assert str(err.value) == f"contradictory bounds on column 'X1': {interval}"
+
     def test_range_on_e_row_matches_highs(self):
         # min -x1 - 2 x2, x1 + x2 in [4, 6] for R = 2, [2, 4] for R = -2 and
         # {4} for R = 0, x1 <= 3, x2 <= 10
@@ -544,6 +557,26 @@ NON_FINITE = {
 }
 
 
+# (replaced text, replacement, first error) on TWO_VAR_FIXTURE: Python's
+# float reads "1_0" as 10, an MPS reader must not
+DIGIT_SEPARATORS = {
+    "in COLUMNS": (X2_LINE, X2_LINE[:-3] + "1_0", "line 7: bad numeric field '1_0'"),
+    "on the objective": ("X2        COST      1.0", "X2        COST      1_000.0",
+                         "line 7: bad numeric field '1_000.0'"),
+    "in an exponent": (X2_LINE, X2_LINE[:-3] + "1D1_0", "line 7: bad numeric field '1D1_0'"),
+    "before an undeclared row": (
+        "BAL       1.0\n    X2        COST      1.0        BAL",
+        "BAL       1_0\n    X2        COST      1.0        BAD",
+        "line 6: bad numeric field '1_0'"),
+    "in RHS": ("RHS1      BAL       1.0", "RHS1      BAL       1_0",
+               "line 9: bad numeric field '1_0'"),
+    "in RANGES": ("ENDATA", "RANGES\n    RNG       BAL       0_5\nENDATA",
+                  "line 11: bad numeric field '0_5'"),
+    "in BOUNDS": ("ENDATA", "BOUNDS\n UP BND       X1        2_0\nENDATA",
+                  "line 11: bad numeric field '2_0'"),
+}
+
+
 def with_columns_line(text, k, edit):
     """``text`` with ``edit`` applied to the tokens of its k-th COLUMNS
     line (from 0); returns the text and that line's number."""
@@ -607,6 +640,12 @@ class TestFirstError:
     @pytest.mark.parametrize("case", sorted(NON_FINITE))
     def test_non_finite_number(self, case):
         old, new, expected = NON_FINITE[case]
+        assert TWO_VAR_FIXTURE.count(old) == 1
+        assert self.both(TWO_VAR_FIXTURE.replace(old, new)) == expected
+
+    @pytest.mark.parametrize("case", sorted(DIGIT_SEPARATORS))
+    def test_digit_separator(self, case):
+        old, new, expected = DIGIT_SEPARATORS[case]
         assert TWO_VAR_FIXTURE.count(old) == 1
         assert self.both(TWO_VAR_FIXTURE.replace(old, new)) == expected
 

@@ -172,14 +172,18 @@ class TestProductKernel:
     @pytest.mark.parametrize("make", [
         lambda k: np.zeros(3), lambda k: np.zeros(k + 1), lambda k: np.zeros((k, 1)),
         lambda k: np.zeros(k, dtype=np.float32), lambda k: np.zeros(k, dtype=np.int64),
-        lambda k: [0.0] * k, _read_only,
-    ], ids=["short", "long", "2-d", "float32", "int64", "list", "read-only"])
+        lambda k: [0.0] * k, lambda k: (0.0,) * k, _read_only,
+        lambda k: np.zeros(k, dtype=">f8"),
+    ], ids=["short", "long", "2-d", "float32", "int64", "list", "tuple", "read-only",
+            "big-endian"])
     def test_bad_out_raises(self, rng, make):
         A = random_sparse(12, 9, 0.4, rng)
-        with pytest.raises(ValueError, match="out must be"):
+        with pytest.raises(ValueError) as err:
             A.matvec(np.ones(9), out=make(12))
-        with pytest.raises(ValueError, match="out must be"):
+        assert str(err.value) == "out must be a writeable float64 array of shape (12,)"
+        with pytest.raises(ValueError) as err:
             A.rmatvec(np.ones(12), out=make(9))
+        assert str(err.value) == "out must be a writeable float64 array of shape (9,)"
 
     def test_input_shape_still_checked(self):
         A = SparseMatrix.from_dense([[1.0, 2.0]])
@@ -346,3 +350,49 @@ class TestPowerMethod:
         A = SparseMatrix.from_dense(np.diag([1.0, 0.999999]))
         with pytest.warns(RuntimeWarning):
             power_method_sigma_max(A, tol=1e-16, max_iters=3, seed=0)
+
+    @staticmethod
+    def _count_products(A):
+        """Count A's products from here on: calls[0] matvecs, calls[1]
+        rmatvecs."""
+        calls = [0, 0]
+        matvec, rmatvec = A.matvec, A.rmatvec
+
+        def counted(k, product):
+            def call(*args, **kwargs):
+                calls[k] += 1
+                return product(*args, **kwargs)
+            return call
+
+        A.matvec, A.rmatvec = counted(0, matvec), counted(1, rmatvec)
+        return calls
+
+    def test_converged_estimate_is_kept(self, rng):
+        A = random_sparse(15, 20, 0.3, rng)
+        assert not hasattr(A, "_sigma_max_memo")  # construction does no extra work
+        calls = self._count_products(A)
+        first = power_method_sigma_max(A, seed=4)
+        assert calls[0] == calls[1] > 0
+        made = list(calls)
+        again = power_method_sigma_max(A, seed=4)
+        assert calls == made and again == first
+        # another key is another estimate, bit-identical to a fresh matrix's
+        other = power_method_sigma_max(A, tol=1e-8, seed=4)
+        assert calls[0] > made[0]
+        fresh = SparseMatrix(A.n_rows, A.n_cols, A.rows, A.cols, A.vals)
+        assert other == power_method_sigma_max(fresh, tol=1e-8, seed=4)
+        assert first == power_method_sigma_max(fresh, seed=4)
+
+    def test_scaled_matrix_estimates_its_own(self, rng):
+        A = random_sparse(10, 12, 0.4, rng)
+        sigma = power_method_sigma_max(A)
+        scaled = A.scaled(np.full(10, 2.0), np.ones(12))
+        assert power_method_sigma_max(scaled) == pytest.approx(2.0 * sigma, rel=1e-3)
+
+    def test_nonconverged_estimate_warns_each_time(self):
+        A = SparseMatrix.from_dense(np.diag([1.0, 0.999999]))
+        calls = self._count_products(A)
+        for k in (1, 2):
+            with pytest.warns(RuntimeWarning):
+                power_method_sigma_max(A, tol=1e-16, max_iters=3, seed=0)
+            assert calls == [3 * k, 3 * k]
