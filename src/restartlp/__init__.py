@@ -38,8 +38,10 @@ from .steps import (
     EGM,
     PDHG,
     PPM_BILINEAR,
+    AdmmOperators,
     AdmmPoint,
     AffineProjector,
+    PpmOperators,
     StepConfig,
     StepOperators,
     StepOutput,

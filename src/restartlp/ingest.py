@@ -393,9 +393,11 @@ def parse_mps(text):
 def _tofloat(tok, lineno, infinite_ok=False):
     """The number ``tok`` holds; a NaN, or an infinity unless
     ``infinite_ok``, is a bad numeric field too, and so is a token with a
-    digit separator, which Python's ``float`` would accept ("1_0")."""
+    digit separator or a character outside ASCII, both of which Python's
+    ``float`` would accept ("1_0", a fullwidth "１")."""
     try:
-        value = math.nan if "_" in tok else float(tok.replace("D", "E").replace("d", "e"))
+        value = (math.nan if "_" in tok or not tok.isascii()
+                 else float(tok.replace("D", "E").replace("d", "e")))
     except ValueError:
         value = math.nan
     if math.isfinite(value) or (infinite_ok and not math.isnan(value)):
@@ -406,10 +408,10 @@ def _tofloat(tok, lineno, infinite_ok=False):
 def _bulk_float(tokens):
     """``float`` over a list of tokens, with D exponents, as one array;
     raises ValueError if any token is not a number or holds a digit
-    separator."""
+    separator or a character outside ASCII."""
     joined = " ".join(tokens)
-    if "_" in joined:
-        raise ValueError("digit separator in a numeric field")
+    if "_" in joined or not joined.isascii():
+        raise ValueError("digit separator or non-ASCII character in a numeric field")
     if "D" in joined or "d" in joined:
         # tokens hold no whitespace, so joining on a space and splitting
         # again returns them with only the exponent letters changed

@@ -71,12 +71,24 @@ class SparseMatrix:
     one, in (row, col) order.
 
     A matrix is never modified in place: :meth:`scaled` and
-    :meth:`scaled_products` return new matrices.  That lets it keep the
-    converged estimates of :func:`power_method_sigma_max`, one per
-    ``(tol, max_iters, seed)``, in a memo created by the first estimate
-    (construction does no extra work), so that sigma_max(A) is estimated
-    once however many callers need it: the CLI and the benchmark for eta,
-    then every solve on A for its step-size ratio.
+    :meth:`scaled_products` return new matrices, each with a memo of its
+    own.  That lets it keep, in one memo (:meth:`derived`), what is computed
+    from it alone and would otherwise be computed again by every solve and
+    every tuning run on it:
+
+    * the converged estimates of :func:`power_method_sigma_max`, one per
+      ``(tol, max_iters, seed)``;
+    * the rescaling (A~, d1, d2) of :func:`~restartlp.scaling.rescale`, so
+      that every solve of A steps on one A~ and its own memo: sigma_max(A~)
+      is estimated once per matrix too;
+    * the factors of s I + A A' (:meth:`~restartlp.steps.NormalFactor.of`),
+      one per shift s: 0 for the ADMM projection, 1/eta^2 for PPM.
+
+    The memo is created by its first entry (construction does no extra
+    work) and lives as long as the matrix; nothing in it refers back to the
+    matrix, so reference counting frees both together.  Its memory is that
+    of what it holds: A~ adds one value array per layout (16 bytes per
+    nonzero, index arrays shared), and a factor the fill-in of its sparse LU.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, vals):
@@ -109,6 +121,23 @@ class SparseMatrix:
         self._row_shape, self._col_shape = (self.n_rows,), (self.n_cols,)
         self._fwd_args = (self.n_rows, self.n_cols, fwd.indptr, fwd.indices, fwd.data)
         self._adj_args = (self.n_cols, self.n_rows, adj.indptr, adj.indices, adj.data)
+
+    @property
+    def memo(self):
+        """The dict of data derived from this matrix alone (see the class
+        docstring), created on first use."""
+        try:
+            return self._memo
+        except AttributeError:
+            self._memo = {}
+            return self._memo
+
+    def derived(self, key, build):
+        """``memo[key]``, computed by ``build()`` on first use."""
+        memo = self.memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     @classmethod
     def from_dense(cls, dense):
@@ -448,16 +477,16 @@ def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
     Rayleigh-quotient estimate falls below ``tol``; warns (and returns the
     best estimate) if that does not happen within ``max_iters``.
 
-    A converged estimate is kept on ``A`` (see :class:`SparseMatrix`),
-    keyed by ``(tol, max_iters, seed)``: a later call with the same
-    arguments returns it without a product.  An
-    estimate that warned is not kept, so its call warns again.
+    A converged estimate is kept in ``A``'s memo (see
+    :class:`SparseMatrix`), keyed by ``(tol, max_iters, seed)``: a later
+    call with the same arguments returns it without a product.  An estimate
+    that warned is not kept, so its call warns again.
     """
     if A.nnz == 0:
         raise ValueError("power method undefined for an all-zero matrix")
-    key = (tol, max_iters, seed)
-    memo = getattr(A, "_sigma_max_memo", None)
-    if memo is not None and key in memo:
+    key = ("sigma_max", tol, max_iters, seed)
+    memo = A.memo
+    if key in memo:
         return memo[key]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(A.n_cols)
@@ -476,10 +505,7 @@ def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
         lam = float(v @ w) / float(v @ v)
         v = w / nw
         if prev is not None and abs(lam - prev) <= tol * max(abs(lam), 1e-300):
-            sigma = math.sqrt(max(lam, 0.0))
-            if memo is None:
-                memo = A._sigma_max_memo = {}
-            memo[key] = sigma
+            sigma = memo[key] = math.sqrt(max(lam, 0.0))
             return sigma
         prev = lam
     warnings.warn(

@@ -18,13 +18,20 @@ PDHG and EGM keep eta * sigma_max on the scaled matrix equal to the
 caller's eta * sigma_max(A) (see :class:`~restartlp.steps.StepConfig`); ADMM
 keeps its eta.  Bilinear problems (``nonneg=False``) are solved unscaled.
 
+What depends on the matrix alone is computed once per matrix, not once per
+solve: the rescaled A~ with its factors d1 and d2, the sigma_max estimates of
+A and A~, and the sparse factor of A~ A~' (ADMM) or of s I + A A' (PPM) are
+kept in the memo of the caller's :class:`~restartlp.lp_core.SparseMatrix`
+(or of A~), so repeated solves and the runs of a tuning share them.  What
+depends on eta or on b and c (b~, c~, the step operators) is built per solve.
+
 Restart and termination checks happen only at checkpoints (every
 ``check_cadence`` iterations).  A checkpoint measures the running average
 and the last iterate once each: its KKT error, and its normalized gap where
 the restart scheme reads it, from one shared pair of matrix-vector
 products.  For ADMM each KKT evaluation also extracts an LP dual estimate
-from A A' lam = -A y: one back-solve with the A A' factor built at the start
-of the solve, plus two products to verify its residual.
+from A A' lam = -A y: one back-solve with the matrix's A A' factor, plus two
+products to verify its residual.
 """
 
 from __future__ import annotations
@@ -43,9 +50,9 @@ from .steps import (
     EGM,
     PDHG,
     PPM_BILINEAR,
+    AdmmOperators,
     AdmmPoint,
-    AffineProjector,
-    NormalFactor,
+    PpmOperators,
     StepConfig,
     StepOperators,
     admm_step,
@@ -243,7 +250,8 @@ class _Lane:
     owns and overwrites on every step.  For PDHG and EGM the buffers, the
     target and the step's scratch belong to the :class:`StepOperators` the
     lane binds once, so a step from the point the previous step returned
-    skips every check.  ``measure(vec, radius)`` and ``dist(va, vb)``
+    skips every check; the same holds for PPM's :class:`PpmOperators` and
+    ADMM's :class:`AdmmOperators`.  ``measure(vec, radius)`` and ``dist(va, vb)``
     evaluate vectors.  A lane steps on the problem it was given; when that
     is a rescaled LP, ``scale`` holds the factors that take one of its
     vectors to the caller's space elementwise.
@@ -272,29 +280,29 @@ class _SaddleLane(_Lane):
     def __init__(self, problem, config, d1=None, d2=None):
         self.problem = problem
         self.n = n = problem.n
-        self.size = size = problem.n + problem.m
+        self.size = n + problem.m
         # the steps are looked up by name at each call
         if config.method == PDHG:
             ops = StepOperators(problem, config)
-            self.buffers = ops.buffers
 
             def step(z, out):
                 return pdhg_step(problem, z, config, ops, out).next, out
         elif config.method == EGM:
             ops = StepOperators(problem, config)
-            self.buffers, target = ops.buffers, ops.target
+            target = ops.target
 
             def step(z, out):
                 return egm_step(problem, z, config, ops, out, target).next, target
         elif config.method == PPM_BILINEAR:
-            factor = NormalFactor(problem.A, 1.0 / (config.eta * config.eta))
-            self.buffers = (np.empty(size), np.empty(size))
+            eta = config.eta
+            ops = PpmOperators(problem, eta)
 
             def step(z, out):
-                return ppm_bilinear_step(problem, z, config.eta, factor, out=out).next, out
+                return ppm_bilinear_step(problem, z, eta, ops, out).next, out
         else:
             raise ValueError(f"not a saddle-point method: {config.method}")
         self.step = step
+        self.buffers = ops.buffers
         self.d1, self.d2 = d1, d2
         if d1 is not None:
             self.scale = np.concatenate([d2, d1])
@@ -327,12 +335,12 @@ class _AdmmLane(_Lane):
         self.config = config
         self.n = n = problem.n
         self.size = 3 * n
-        self.projector = projector = AffineProjector(problem.A, problem.b)
-        self.buffers = (np.empty(3 * n), np.empty(3 * n))
-        target = np.empty(3 * n)
+        ops = AdmmOperators(problem, config)
+        self.projector = ops.projector
+        self.buffers, target = ops.buffers, ops.target
 
         def step(z, out):
-            return admm_step(problem, z, config, projector, out=out, target=target).next, target
+            return admm_step(problem, z, config, ops, out, target).next, target
 
         self.step = step
         self.d1, self.d2 = d1, d2
@@ -373,7 +381,9 @@ def _make_lane(problem, config):
     An LP whose matrix has a nonzero entry is rescaled; PDHG and EGM then
     step with eta~ = eta sigma(A) / sigma(A~) and L~ = L sigma(A~) / sigma(A),
     both sigma from :func:`power_method_sigma_max` at its defaults.  Other
-    problems run as given, with no record.
+    problems run as given, with no record.  A~ and both sigma come from the
+    matrices' memos, so only the first solve on a matrix computes them; the
+    lane's step operators are built here, once per solve.
     """
     if not (problem.nonneg and np.any(problem.A.vals)):
         lane = (_AdmmLane if config.method == ADMM else _SaddleLane)(problem, config)

@@ -55,11 +55,21 @@ def rescale(problem):
     """Ruiz then Pock-Chambolle scaling of ``problem``.
 
     Returns ``(scaled, d1, d2)``: the problem with data D1 A D2, D1 b and
-    D2 c, and the positive row and column factors.  The scaled matrix shares
-    the index arrays of ``problem.A``; only its values are new.  The result
-    depends only on the data, so repeated calls are bit-identical.
+    D2 c, and the positive row and column factors.  The factors and the
+    scaled matrix depend only on A, so they are computed once per matrix and
+    kept in its memo (see :class:`~restartlp.lp_core.SparseMatrix`): every
+    call on one A returns the same A~ object and the same read-only d1 and
+    d2, and forms only b~ and c~ anew.  A~ shares the index arrays of A;
+    only its values are new.
     """
     A = problem.A
+    scaled_A, d1, d2 = A.derived("rescale", lambda: _equilibrate(A))
+    scaled = StandardFormLp(d2 * problem.c, scaled_A, d1 * problem.b, nonneg=problem.nonneg)
+    return scaled, d1, d2
+
+
+def _equilibrate(A):
+    """(D1 A D2, d1, d2) for the factors of :func:`rescale`."""
     rows, cols = A.rows, A.cols
     d1 = np.ones(A.n_rows)
     d2 = np.ones(A.n_cols)
@@ -75,6 +85,5 @@ def rescale(problem):
     current = d1[rows] * magnitude * d2[cols]
     d1 /= _root_or_one(np.bincount(rows, weights=current, minlength=A.n_rows))
     d2 /= _root_or_one(np.bincount(cols, weights=current, minlength=A.n_cols))
-    scaled = StandardFormLp(d2 * problem.c, A.scaled(d1, d2), d1 * problem.b,
-                            nonneg=problem.nonneg)
-    return scaled, d1, d2
+    d1.flags.writeable = d2.flags.writeable = False
+    return A.scaled(d1, d2), d1, d2

@@ -14,23 +14,27 @@ same code runs either way, so a run that passes its own buffers makes one
 step without allocating any array.  ``out`` and ``target`` are checked:
 float64, writeable, the right length, and no memory shared with ``z``.
 
-What a method reuses across steps is its argument after the config, built
-once by a restarted run: PPM's :class:`NormalFactor`, ADMM's
-:class:`AffineProjector`, and for PDHG and EGM the :class:`StepOperators`.
-Those hold the step sizes folded into the data (tau A', -sigma A, tau c and
+What a method reuses across steps is its argument after the config, its
+operators, built once by a restarted run: :class:`StepOperators` for PDHG
+and EGM, :class:`PpmOperators` and :class:`AdmmOperators`.  PDHG's and
+EGM's hold the step sizes folded into the data (tau A', -sigma A, tau c and
 sigma b, with tau = eta/omega and sigma = eta omega), so that each product
 adds straight into the half of the output it updates:
 
     x+ = max((x - tau c) + tau A'y, 0)
     y+ = (y + sigma b) + (-sigma A)(2 x+ - x)
 
-They also own two iterate buffers, checked when allocated, with the views
-and the :class:`StepOutput` of a step into each built in advance; a step
-into one of them from the point the other holds needs no check at all.  A
-one-off step that is given no operators builds its own, so each method has
-one arithmetic path.  For PDHG and PPM the next iterate and the target
-coincide; EGM's target is the intermediate (extrapolated) point and ADMM's
-target differs from the iterate in the multiplier block only.
+PPM's and ADMM's hold the data divided or multiplied by eta, the scratch of
+the step and the factor of s I + A A' they solve with, which comes from the
+matrix's memo and so is built once per matrix and shift
+(:meth:`NormalFactor.of`).  All of them own two iterate buffers, checked
+when allocated, with the views and the :class:`StepOutput` of a step into
+each built in advance; a step into one of them from the point the other
+holds needs no check at all.  A one-off step that is given no operators
+builds its own, so each method has one arithmetic path.  For PDHG and PPM
+the next iterate and the target coincide; EGM's target is the intermediate
+(extrapolated) point and ADMM's target differs from the iterate in the
+multiplier block only.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ __all__ = [
     "AffineProjectionError",
     "PROJECTION_TOL",
     "StepOperators",
+    "PpmOperators",
+    "AdmmOperators",
     "pdhg_step",
     "egm_step",
     "admm_step",
@@ -147,7 +153,59 @@ def _check_reads(buf, *reads):
             raise ValueError("step buffer shares memory with the point it steps from")
 
 
-class StepOperators:
+class _Operators:
+    """Two flat iterate buffers a run alternates between, and the target
+    buffer of a method whose target differs from its next iterate, each
+    with the views a step into it writes and the :class:`StepOutput` it
+    returns, built once.  A subclass sets ``problem``, ``config``, ``n``
+    and the buffers' length; the blocks of a point are those of a
+    :class:`SaddlePoint` [x; y] unless it names others in ``_layout`` and
+    ``_reads``."""
+
+    def _bind_buffers(self, size, with_target):
+        self.size = size
+        self.target = np.empty(size) if with_target else None
+        self.buffers = (np.empty(size), np.empty(size))
+        layouts = [self._layout(buf, self.target) for buf in self.buffers]
+        # per buffer: its views, its output, and the point whose step into
+        # it needs no check (the one the other buffer holds)
+        self._bound = {id(buf): (*layout, other[1].next)
+                       for buf, layout, other in zip(self.buffers, layouts, layouts[::-1])}
+
+    def bind(self, z, out, target=None):
+        """The views a step from ``z`` writes, and the output it returns:
+        built in advance for one of ``buffers`` (and ``target``), else over
+        ``out`` and ``target`` once checked, or new arrays for those left
+        out."""
+        bound = self._bound.get(id(out))
+        if bound is not None and target is self.target:
+            views, result, partner = bound
+            if z is not partner:
+                reads = self._reads(z)
+                _check_reads(out, *reads)
+                if target is not None:
+                    _check_reads(target, *reads)
+            return views, result
+        reads = self._reads(z)
+        out = _buffer(out, self.size, *reads)
+        if self.target is not None:
+            target = _buffer(target, self.size, *reads, out)
+        return self._layout(out, target)
+
+    def _layout(self, out, target):
+        n = self.n
+        nxt = SaddlePoint(out[:n], out[n:])
+        if target is None:
+            return (nxt.x, nxt.y), StepOutput(nxt, nxt)
+        tgt = SaddlePoint(target[:n], target[n:])
+        return (nxt.x, nxt.y, tgt.x, tgt.y), StepOutput(nxt, tgt)
+
+    @staticmethod
+    def _reads(z):
+        return z.x, z.y
+
+
+class StepOperators(_Operators):
     """What PDHG and EGM reuse across the steps of one solve, bound once.
 
     With tau = eta/omega and sigma = eta omega from ``config``:
@@ -176,52 +234,21 @@ class StepOperators:
         sigma = config.eta * config.omega
         self.problem, self.config = problem, config
         self.n = n = problem.n
-        self.size = size = n + problem.m
         self.K = problem.A.scaled_products(-sigma, tau)
         self.tau_c = tau * problem.c
         self.sigma_b = sigma * problem.b
         self.work = np.empty(n) if config.method == PDHG else None
-        self.target = np.empty(size) if config.method == EGM else None
-        self.buffers = (np.empty(size), np.empty(size))
-        layouts = [self._layout(buf, self.target) for buf in self.buffers]
-        # per buffer: its views, its output, and the point whose step into
-        # it needs no check (the one the other buffer holds)
-        self._bound = {id(buf): (*layout, other[1].next)
-                       for buf, layout, other in zip(self.buffers, layouts, layouts[::-1])}
-
-    def _layout(self, out, target):
-        n = self.n
-        nxt = SaddlePoint(out[:n], out[n:])
-        if target is None:
-            return (nxt.x, nxt.y), StepOutput(nxt, nxt)
-        tgt = SaddlePoint(target[:n], target[n:])
-        return (nxt.x, nxt.y, tgt.x, tgt.y), StepOutput(nxt, tgt)
-
-    def bind(self, z, out, target=None):
-        """The views a step from ``z`` writes, and the output it returns:
-        built in advance for one of ``buffers`` (and ``target``), else over
-        ``out`` and ``target`` once checked, or new arrays for those left
-        out."""
-        bound = self._bound.get(id(out))
-        if bound is not None and target is self.target:
-            views, result, partner = bound
-            if z is not partner:
-                _check_reads(out, z.x, z.y)
-                if target is not None:
-                    _check_reads(target, z.x, z.y)
-            return views, result
-        out = _buffer(out, self.size, z.x, z.y)
-        if self.target is not None:
-            target = _buffer(target, self.size, z.x, z.y, out)
-        return self._layout(out, target)
+        self._bind_buffers(n + problem.m, config.method == EGM)
 
 
-def _operators(problem, config, ops):
+def _operators(kind, problem, config, ops):
     """``ops`` once matched to the step's problem and config, or new
-    operators when it is None."""
+    operators of class ``kind`` when it is None.  Operators of another
+    class hold another config, so the match rejects them too."""
     if ops is None:
-        return StepOperators(problem, config)
-    if ops.problem is not problem or (ops.config is not config and ops.config != config):
+        return kind(problem, config)
+    if (getattr(ops, "problem", None) is not problem
+            or (ops.config is not config and ops.config != config)):
         raise ValueError("step operators were built for another problem or step config")
     return ops
 
@@ -236,7 +263,7 @@ def pdhg_step(problem, z, config, ops=None, out=None):
     (y + sigma b) + (-sigma A)(2 x+ - x) through ``ops`` (a
     :class:`StepOperators`, built here when None).
     """
-    ops = _operators(problem, config, ops)
+    ops = _operators(StepOperators, problem, config, ops)
     (x1, y1), result = ops.bind(z, out)
     K, w = ops.K, ops.work
     np.subtract(z.x, ops.tau_c, out=x1)
@@ -258,7 +285,7 @@ def egm_step(problem, z, config, ops=None, out=None, target=None):
 
     through ``ops`` (a :class:`StepOperators`, built here when None); the
     target is zhat."""
-    ops = _operators(problem, config, ops)
+    ops = _operators(StepOperators, problem, config, ops)
     (x1, y1, xh, yh), result = ops.bind(z, out, target)
     K, tau_c, sigma_b = ops.K, ops.tau_c, ops.sigma_b
     np.subtract(z.x, tau_c, out=xh)
@@ -280,7 +307,36 @@ def egm_step(problem, z, config, ops=None, out=None, target=None):
 _PPM_TOL = 1e-12
 
 
-def ppm_bilinear_step(problem, z, eta, factor=None, out=None):
+class PpmOperators(_Operators):
+    """What PPM reuses across the steps of one solve, bound once, for the
+    step size ``eta`` (PPM's config):
+
+    * ``factor``, the :class:`NormalFactor` of s I + A A' with
+      s = 1/eta^2, from the matrix's memo;
+    * ``eta_c`` and ``eta_b``, c eta and eta b;
+    * length-m scratch for the right-hand side and the residual of the
+      second block row and for A x, and length-n scratch for A'dy;
+    * ``buffers``, two flat iterate buffers [x; y], with the views and the
+      output of a step into each (see :class:`StepOperators`).
+    """
+
+    def __init__(self, problem, eta):
+        if problem.nonneg:
+            raise ValueError("PPM steps are implemented for unconstrained bilinear "
+                             "problems only")
+        self.problem, self.config = problem, eta
+        self.n = n = problem.n
+        m = problem.m
+        self.shift = 1.0 / (eta * eta)
+        self.factor = NormalFactor.of(problem.A, self.shift)
+        self.eta_c = problem.c * eta
+        self.eta_b = eta * problem.b
+        self.top, self.residual, self.ax = np.empty(m), np.empty(m), np.empty(m)
+        self.aty = np.empty(n)
+        self._bind_buffers(n + m, False)
+
+
+def ppm_bilinear_step(problem, z, eta, ops=None, out=None):
     """One exact proximal-point iteration on an unconstrained bilinear problem.
 
     Solves (I + eta F)(z^{t+1}) = z^t, i.e. the linear system
@@ -289,39 +345,43 @@ def ppm_bilinear_step(problem, z, eta, factor=None, out=None):
         y + eta A x = y^t + eta b
 
     by eliminating x: y solves (s I + A A') y = s rhs with s = 1/eta^2.
-    ``factor`` is the :class:`NormalFactor` of that matrix; a restarted run
-    builds it once and passes it to every step, and a one-off call leaves it
-    out and gets a fresh one.  The solve is refined until the residual of the
-    second block row, recomputed from the returned (x, y), is at most
-    1e-12 (1 + |rhs|); otherwise :class:`AffineProjectionError` is raised.
+    ``ops`` are the :class:`PpmOperators` for ``eta``, which hold the
+    factor of that matrix; a restarted run builds them once and passes them
+    to every step, and a one-off call leaves them out and gets new ones
+    (over the matrix's memoized factor).  The solve is refined until the
+    residual of the second block row, recomputed from the returned (x, y),
+    is at most 1e-12 (1 + |rhs|); otherwise :class:`AffineProjectionError`
+    is raised.
     """
-    if problem.nonneg:
-        raise ValueError("PPM steps are implemented for unconstrained bilinear "
-                         "problems only")
-    s = 1.0 / (eta * eta)
-    if factor is None:
-        factor = NormalFactor(problem.A, s)
-    elif factor.shift != s:
-        raise ValueError("PPM factor was built for a different step size")
-    A = problem.A
-    n = problem.n
-    out = _buffer(out, n + problem.m, z.x, z.y)
-    x1, y1 = out[:n], out[n:]
-    np.multiply(problem.c, eta, out=x1)
-    np.subtract(z.x, x1, out=x1)
+    ops = _operators(PpmOperators, problem, eta, ops)
+    (x1, y1), result = ops.bind(z, out)
+    A, s = problem.A, ops.shift
+    top, res, ax, aty = ops.top, ops.residual, ops.ax, ops.aty
+    np.subtract(z.x, ops.eta_c, out=x1)
     y1.fill(0.0)
-    top = z.y + eta * problem.b
-    rhs = top - eta * A.matvec(x1)
+    np.add(z.y, ops.eta_b, out=top)
+
+    def eta_ax():
+        # eta A x1, into ax
+        ax.fill(0.0)
+        A.matvec(x1, ax)
+        return np.multiply(ax, eta, out=ax)
+
+    np.subtract(top, eta_ax(), out=res)
+    atol = s * _PPM_TOL * (1.0 + float(np.linalg.norm(res)))
+    np.multiply(res, s, out=res)
 
     def correct(dy):
-        nonlocal x1, y1
-        y1 += dy
-        x1 += eta * A.rmatvec(dy)
-        return s * (top - y1 - eta * A.matvec(x1))
+        np.add(y1, dy, out=y1)
+        aty.fill(0.0)
+        A.rmatvec(dy, aty)
+        np.add(x1, np.multiply(aty, eta, out=aty), out=x1)
+        np.subtract(top, y1, out=res)
+        np.subtract(res, eta_ax(), out=res)
+        return np.multiply(res, s, out=res)
 
-    factor.refine(correct, s * rhs, s * _PPM_TOL * (1.0 + float(np.linalg.norm(rhs))))
-    nxt = SaddlePoint(x1, y1)
-    return StepOutput(nxt, nxt)
+    ops.factor.refine(correct, res, atol)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +409,22 @@ class NormalFactor:
     :meth:`refine` never trusts a back-solve: it repeats the solve on the
     true residual, which the caller recomputes from its own iterate, until
     that residual is small enough.  Rank-deficient A is allowed as long as
-    the system is consistent.
+    the system is consistent.  :meth:`of` returns the factor kept in the
+    matrix's memo, so that the solves and tuning runs on one matrix share
+    it.
     """
 
     def __init__(self, A, shift=0.0):
         gram = A.gram()
         scale = float(gram.diagonal().max(initial=0.0)) or 1.0
-        self.shift = shift
         reg = (shift + _FACTOR_SHIFT * scale) * sp.eye_array(A.n_rows, format="csc")
         self._lu = spla.splu(gram + reg)
+
+    @classmethod
+    def of(cls, A, shift=0.0):
+        """The factor of ``shift`` I + A A', built on first use and then kept
+        in ``A``'s memo (see :class:`~restartlp.lp_core.SparseMatrix`)."""
+        return A.derived(("normal_factor", shift), lambda: cls(A, shift))
 
     def refine(self, correct, residual, atol):
         """Iterative refinement: ``correct(d)`` applies the solution d of
@@ -381,33 +448,54 @@ PROJECTION_TOL = 1e-10
 class AffineProjector:
     """Euclidean projection onto {x : Ax = b} through one factor of A A'.
 
-    project(p) = p + A'w where A A' w = b - A p.  A A' is formed and
-    factored once, when the projector is built (a :class:`NormalFactor` with
-    s = 0); each projection refines w against the residual b - A p' of the
-    returned point until |A p' - b| <= tol (1 + |b|) is verified, and raises
+    project(p) = p + A'w where A A' w = b - A p.  The factor of A A' is the
+    one kept in A's memo (:meth:`NormalFactor.of` with s = 0), so it is
+    formed and factored once per matrix; each projection refines w against
+    the residual b - A p' of the returned point until
+    |A p' - b| <= tol (1 + |b|) is verified, and raises
     :class:`AffineProjectionError` if it cannot be.  Rank-deficient A
     (duplicate, zero or dependent rows) is fine when Ax = b is consistent.
+    A projection works in scratch the projector owns, so one projector
+    serves one caller at a time.
     """
 
     def __init__(self, A, b, tol=PROJECTION_TOL):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
         self.tol = tol
-        self.factor = NormalFactor(A)
+        self.atol = tol * (1.0 + float(np.linalg.norm(self.b)))
+        self.factor = NormalFactor.of(A)
+        self._residual = np.empty(A.n_rows)
+        self._lift = np.empty(A.n_cols)
 
-    def project(self, point):
-        out = np.array(point, dtype=np.float64)
-        r = self.b - self.A.matvec(out)
-        atol = self.tol * (1.0 + float(np.linalg.norm(self.b)))
-        if np.linalg.norm(r) <= atol:
+    def _residual_of(self, p):
+        """b - A p, into the projector's scratch."""
+        r = self._residual
+        r.fill(0.0)
+        self.A.matvec(p, r)
+        return np.subtract(self.b, r, out=r)
+
+    def project(self, point, out=None):
+        """The projection of ``point``, written into ``out`` (a writeable
+        float64 array of its length, which may be ``point`` itself) or into
+        a new array."""
+        if out is None:
+            out = np.array(point, dtype=np.float64)
+        elif not is_buffer(out, self.A.n_cols):
+            raise ValueError(f"out must be a writeable float64 array of shape ({self.A.n_cols},)")
+        elif out is not point:
+            np.copyto(out, point)
+        r = self._residual_of(out)
+        if np.linalg.norm(r) <= self.atol:
             return out
+        lift = self._lift
 
         def correct(w):
-            nonlocal out
-            out += self.A.rmatvec(w)
-            return self.b - self.A.matvec(out)
+            lift.fill(0.0)
+            np.add(out, self.A.rmatvec(w, lift), out=out)
+            return self._residual_of(out)
 
-        self.factor.refine(correct, r, atol)
+        self.factor.refine(correct, r, self.atol)
         return out
 
     def solve_normal(self, rhs):
@@ -442,7 +530,39 @@ class AdmmPoint:
         return cls(v[:n].copy(), v[n:2 * n].copy(), v[2 * n:].copy())
 
 
-def admm_step(problem, z, config, projector, out=None, target=None):
+class AdmmOperators(_Operators):
+    """What ADMM reuses across the steps of one solve, bound once:
+
+    * ``projector``, the :class:`AffineProjector` onto {Ax = b}, whose
+      factor comes from the matrix's memo;
+    * ``c_eta``, c / eta, and ``y_eta``, the length-n scratch for y / eta;
+    * ``buffers``, two flat iterate buffers [x_U; x_V; y], and ``target``,
+      the target buffer, with the views and the output of a step into each
+      (see :class:`StepOperators`).
+    """
+
+    def __init__(self, problem, config):
+        if config.method != ADMM:
+            raise ValueError(f"ADMM operators are for ADMM, not {config.method}")
+        self.problem, self.config = problem, config
+        self.n = n = problem.n
+        self.projector = AffineProjector(problem.A, problem.b)
+        self.c_eta = problem.c / config.eta
+        self.y_eta = np.empty(n)
+        self._bind_buffers(3 * n, True)
+
+    def _layout(self, out, target):
+        n = self.n
+        nxt = AdmmPoint(out[:n], out[n:2 * n], out[2 * n:])
+        tgt = AdmmPoint(target[:n], target[n:2 * n], target[2 * n:])
+        return (nxt.x_u, nxt.x_v, nxt.y, out[:2 * n], target[:2 * n], tgt.y), StepOutput(nxt, tgt)
+
+    @staticmethod
+    def _reads(z):
+        return z.x_v, z.y
+
+
+def admm_step(problem, z, config, ops=None, out=None, target=None):
     """One ADMM iteration from the point ``z`` on the split form
     min c'x_V over x_U = x_V, x_U in {Ax = b}, x_V >= 0.
 
@@ -451,19 +571,25 @@ def admm_step(problem, z, config, projector, out=None, target=None):
         y^{t+1}   = y^t - eta (x_U^{t+1} - x_V^{t+1})
 
     The target differs from the iterate by eta (x_V^{t+1} - x_V^t) in the
-    multiplier block.  ``projector`` is the :class:`AffineProjector` onto
-    {Ax = b}, built once per run.  x_U^t is not read.
+    multiplier block.  ``ops`` are the run's :class:`AdmmOperators`, built
+    once per run; a one-off call leaves them out and gets new ones.  x_U^t
+    is not read.
     """
-    eta = config.eta
-    n = problem.n
-    out = _buffer(out, 3 * n, z.x_v, z.y)
-    target = _buffer(target, 3 * n, z.x_v, z.y, out)
-    xu = projector.project(z.x_v + z.y / eta)
-    xv = np.maximum(xu - z.y / eta - problem.c / eta, 0.0)
-    target[2 * n:] = z.y - eta * (xu - z.x_v)
-    out[2 * n:] = z.y - eta * (xu - xv)
-    out[:n] = xu
-    out[n:2 * n] = xv
-    target[:2 * n] = out[:2 * n]
-    return StepOutput(AdmmPoint(out[:n], out[n:2 * n], out[2 * n:]),
-                      AdmmPoint(target[:n], target[n:2 * n], target[2 * n:]))
+    ops = _operators(AdmmOperators, problem, config, ops)
+    (xu, xv, y1, x1, tx, ty), result = ops.bind(z, out, target)
+    eta, y_eta = config.eta, ops.y_eta
+    np.divide(z.y, eta, out=y_eta)
+    np.add(z.x_v, y_eta, out=xu)
+    ops.projector.project(xu, out=xu)
+    np.subtract(xu, y_eta, out=xv)
+    np.subtract(xv, ops.c_eta, out=xv)
+    np.maximum(xv, _ZERO, out=xv)
+    # eta (x_U+ - x_V) for the target, eta (x_U+ - x_V+) for the iterate
+    np.subtract(xu, z.x_v, out=ty)
+    np.multiply(ty, eta, out=ty)
+    np.subtract(z.y, ty, out=ty)
+    np.subtract(xu, xv, out=y1)
+    np.multiply(y1, eta, out=y1)
+    np.subtract(z.y, y1, out=y1)
+    np.copyto(tx, x1)
+    return result

@@ -192,7 +192,8 @@ def parse_mps(text):
 
 def _tofloat(tok, lineno, infinite_ok=False):
     try:
-        if "_" in tok:  # a digit separator, which float would accept
+        # a digit separator or a non-ASCII digit, which float would accept
+        if "_" in tok or not tok.isascii():
             raise ValueError(tok)
         value = float(tok.replace("D", "E").replace("d", "e"))
     except ValueError:

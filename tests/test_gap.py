@@ -18,7 +18,7 @@ from restartlp import (
     residuals,
     solve_linear_trust_region,
 )
-from restartlp.steps import ADMM, AdmmPoint, AffineProjector, admm_step
+from restartlp.steps import ADMM, AdmmOperators, AdmmPoint, AffineProjector, admm_step
 
 from conftest import feasible_point, random_sparse
 from oracles import GapBracketError, normalized_gap_bisection, trust_region_bisection
@@ -186,12 +186,12 @@ class TestNormalizedGapLp:
 
 class TestNormalizedGapAdmm:
     def _state_after(self, problem, eta, steps, rng):
-        projector = AffineProjector(problem.A, problem.b)
         state = AdmmPoint(np.zeros(problem.n), np.abs(rng.standard_normal(problem.n)),
                           rng.standard_normal(problem.n))
         cfg = StepConfig(ADMM, eta)
+        ops = AdmmOperators(problem, cfg)
         for _ in range(steps):
-            state = admm_step(problem, state, cfg, projector).next
+            state = admm_step(problem, state, cfg, ops).next
         return state
 
     def test_zero_at_optimum(self):

@@ -576,6 +576,24 @@ DIGIT_SEPARATORS = {
                   "line 11: bad numeric field '2_0'"),
 }
 
+# Python's float reads any Unicode decimal digit: a fullwidth one (U+FF11),
+# an Arabic-Indic one (U+0663) and a Devanagari one (U+0968)
+NON_ASCII_DIGITS = {
+    "in COLUMNS": (X2_LINE, X2_LINE[:-3] + "\uff11.0", "line 7: bad numeric field '\uff11.0'"),
+    "on the objective": ("X2        COST      1.0", "X2        COST      \u0663",
+                         "line 7: bad numeric field '\u0663'"),
+    "before an undeclared row": (
+        "BAL       1.0\n    X2        COST      1.0        BAL",
+        "BAL       \uff11.0\n    X2        COST      1.0        BAD",
+        "line 6: bad numeric field '\uff11.0'"),
+    "in RHS": ("RHS1      BAL       1.0", "RHS1      BAL       \u0663",
+               "line 9: bad numeric field '\u0663'"),
+    "in RANGES": ("ENDATA", "RANGES\n    RNG       BAL       0.\u0968\nENDATA",
+                  "line 11: bad numeric field '0.\u0968'"),
+    "in BOUNDS": ("ENDATA", "BOUNDS\n UP BND       X1        \uff12\nENDATA",
+                  "line 11: bad numeric field '\uff12'"),
+}
+
 
 def with_columns_line(text, k, edit):
     """``text`` with ``edit`` applied to the tokens of its k-th COLUMNS
@@ -646,6 +664,12 @@ class TestFirstError:
     @pytest.mark.parametrize("case", sorted(DIGIT_SEPARATORS))
     def test_digit_separator(self, case):
         old, new, expected = DIGIT_SEPARATORS[case]
+        assert TWO_VAR_FIXTURE.count(old) == 1
+        assert self.both(TWO_VAR_FIXTURE.replace(old, new)) == expected
+
+    @pytest.mark.parametrize("case", sorted(NON_ASCII_DIGITS))
+    def test_non_ascii_digit(self, case):
+        old, new, expected = NON_ASCII_DIGITS[case]
         assert TWO_VAR_FIXTURE.count(old) == 1
         assert self.both(TWO_VAR_FIXTURE.replace(old, new)) == expected
 

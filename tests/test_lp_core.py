@@ -369,7 +369,7 @@ class TestPowerMethod:
 
     def test_converged_estimate_is_kept(self, rng):
         A = random_sparse(15, 20, 0.3, rng)
-        assert not hasattr(A, "_sigma_max_memo")  # construction does no extra work
+        assert not hasattr(A, "_memo")  # construction does no extra work
         calls = self._count_products(A)
         first = power_method_sigma_max(A, seed=4)
         assert calls[0] == calls[1] > 0
@@ -388,6 +388,16 @@ class TestPowerMethod:
         sigma = power_method_sigma_max(A)
         scaled = A.scaled(np.full(10, 2.0), np.ones(12))
         assert power_method_sigma_max(scaled) == pytest.approx(2.0 * sigma, rel=1e-3)
+
+    def test_derived_matrices_keep_their_own_memos(self, rng):
+        A = random_sparse(10, 12, 0.4, rng)
+        sigma = power_method_sigma_max(A)
+        kept = dict(A.memo)
+        for B in (A.scaled(np.full(10, 2.0), np.ones(12)), A.scaled_products(2.0, 2.0)):
+            assert not hasattr(B, "_memo")
+            assert power_method_sigma_max(B) == pytest.approx(2.0 * sigma, rel=1e-3)
+            assert B.derived("probe", lambda: B) is B
+            assert A.memo == kept
 
     def test_nonconverged_estimate_warns_each_time(self):
         A = SparseMatrix.from_dense(np.diag([1.0, 0.999999]))

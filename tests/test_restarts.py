@@ -368,10 +368,11 @@ class TestTheory:
 
 
 class TestStepNamesSeen:
-    """A span tracer wraps ``restarts.pdhg_step``/``egm_step``, the names
-    ``run_restarted`` looks up, and ``SparseMatrix.matvec``/``rmatvec`` on
-    the class; every iteration must go through those names, or the tracer's
-    step and SpMV counts read short."""
+    """A span tracer wraps ``restarts.pdhg_step``/``egm_step``/``admm_step``/
+    ``ppm_bilinear_step``, the names ``run_restarted`` looks up, and
+    ``SparseMatrix.matvec``/``rmatvec`` and ``AffineProjector.project`` on
+    their classes; every iteration must go through those names, or the
+    tracer's step, SpMV and projection counts read short."""
 
     @pytest.mark.parametrize("method, products", [(PDHG, 1), (EGM, 2)])
     def test_each_iteration_calls_the_step_and_both_products(self, monkeypatch, method, products):
@@ -407,3 +408,38 @@ class TestStepNamesSeen:
                                                   iteration_limit=150))
         assert res.iterations == 150 and res.restart_count > 0
         assert counts == {"step": 150, "matvec": products * 150, "rmatvec": products * 150}
+
+    @pytest.mark.parametrize("method", [ADMM, PPM_BILINEAR])
+    def test_each_iteration_calls_the_step_and_admm_projects_once(self, monkeypatch, method):
+        from restartlp import restarts
+
+        name = "admm_step" if method == ADMM else "ppm_bilinear_step"
+        counts = {"step": 0, "project": 0}
+        in_step = [False]
+
+        def step(*args, **kwargs):
+            counts["step"] += 1
+            in_step[0] = True
+            try:
+                return real_step(*args, **kwargs)
+            finally:
+                in_step[0] = False
+
+        def project(*args, **kwargs):
+            counts["project"] += in_step[0]
+            return real_project(*args, **kwargs)
+
+        real_step = getattr(restarts, name)
+        real_project = AffineProjector.__dict__["project"]
+        monkeypatch.setattr(restarts, name, step)
+        monkeypatch.setattr(AffineProjector, "project", project)
+        if method == ADMM:
+            problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 1))
+            config, z0 = StepConfig(ADMM, 1.0), None
+        else:
+            problem, _ = generate(DiagonalBilinear((0.05, 0.3, 1.0)))
+            config, z0 = StepConfig(PPM_BILINEAR, 2.0), SaddlePoint(np.ones(3), np.ones(3))
+        res = run_restarted(problem, SolveOptions(config, RestartScheme.adaptive(), kkt_tol=0.0,
+                                                  iteration_limit=150), z0)
+        assert res.iterations == 150 and res.restart_count > 0
+        assert counts == {"step": 150, "project": 150 if method == ADMM else 0}

@@ -247,9 +247,10 @@ class TestScaledSolve:
         assert np.array_equal(one.solution.as_vector(), two.solution.as_vector())
         assert all(np.array_equal(a, b) for a, b in zip(one.anchors, two.anchors))
 
-    def test_scaled_copy_freed_with_the_solve(self, monkeypatch):
-        # reference counting alone must free the scaled problem: no cycle
-        # may keep it (and its value arrays) alive after the solve
+    def test_scaled_copy_kept_with_the_matrix_and_freed_with_it(self, monkeypatch):
+        # the scaled problem's matrix lives in A's memo, so every solve of A
+        # steps on the same one; reference counting alone must free it (and
+        # the factor in its own memo) with A: no cycle may keep them alive
         refs = []
 
         def spy(problem):
@@ -265,9 +266,102 @@ class TestScaledSolve:
                 res = run_restarted(problem, SolveOptions(step_for(problem, method),
                                                           RestartScheme.adaptive()))
                 assert res.scaling is not None
-            assert len(refs) == 2 and all(ref() is None for ref in refs)
+            assert len(refs) == 2 and refs[0]() is refs[1]() is not None
+            factor = weakref.ref(refs[0]().memo[("normal_factor", 0.0)])
+            del problem, res
+            assert refs[0]() is None and factor() is None
         finally:
             gc.enable()
+
+
+def fresh(A):
+    """A new matrix with the entries of ``A`` and an empty memo."""
+    return SparseMatrix(A.n_rows, A.n_cols, A.rows, A.cols, A.vals)
+
+
+def other_data(problem, seed):
+    """Another feasible, bounded (b, c) on the same matrix: b = A x for
+    x >= 0 and c = A'y + s for s >= 0."""
+    rng = np.random.default_rng(seed)
+    x = np.abs(rng.standard_normal(problem.n))
+    y = rng.standard_normal(problem.m)
+    return problem.A.matvec(x), problem.A.rmatvec(y) + np.abs(rng.standard_normal(problem.n))
+
+
+class TestMatrixMemo:
+    """What depends on A alone (A~ with d1 and d2, sigma estimates, A A'
+    factors) is computed once per matrix and shared by its solves."""
+
+    @pytest.mark.parametrize("method", [PDHG, EGM, ADMM])
+    def test_solves_sharing_a_matrix_equal_solves_on_fresh_ones(self, method):
+        problem, _ = generate(PLANTED[0])
+        A = problem.A
+        variants = [problem] + [StandardFormLp(c, A, b)
+                                for b, c in (other_data(problem, seed) for seed in (1, 2))]
+
+        def solve(p):
+            return run_restarted(p, SolveOptions(step_for(p, method), RestartScheme.adaptive(),
+                                                 iteration_limit=600))
+
+        shared = [solve(p) for p in variants]
+        assert "rescale" in A.memo
+        for p, res in zip(variants, shared):
+            alone = solve(StandardFormLp(p.c, fresh(A), p.b))
+            assert res.status == alone.status
+            assert trace_rows(res) == trace_rows(alone)
+            assert np.array_equal(res.solution.as_vector(), alone.solution.as_vector())
+            assert len(res.anchors) == len(alone.anchors)
+            assert all(np.array_equal(a, b) for a, b in zip(res.anchors, alone.anchors))
+            assert res.scaling == alone.scaling
+
+    @pytest.mark.parametrize("method", [PDHG, EGM])
+    def test_second_solve_makes_no_power_method_product(self, monkeypatch, method):
+        inside, products = [False], [0]
+        real_estimate = restarts.power_method_sigma_max
+        real_matvec = SparseMatrix.__dict__["matvec"]
+
+        def estimate(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_estimate(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def matvec(self, *args, **kwargs):
+            products[0] += inside[0]
+            return real_matvec(self, *args, **kwargs)
+
+        problem, _ = generate(PLANTED[1])
+        config = step_for(problem, method)
+        monkeypatch.setattr(restarts, "power_method_sigma_max", estimate)
+        monkeypatch.setattr(SparseMatrix, "matvec", matvec)
+        b, c = other_data(problem, 3)
+        run_restarted(problem, SolveOptions(config, RestartScheme.adaptive()))
+        first = products[0]
+        assert first > 0   # sigma of the scaled matrix, estimated once
+        run_restarted(StandardFormLp(c, problem.A, b), SolveOptions(config, RestartScheme.adaptive()))
+        assert products[0] == first
+
+    def test_admm_solves_and_a_tuning_factor_once(self, monkeypatch):
+        from restartlp import cli, steps
+
+        calls = [0]
+        real_splu = steps.spla.splu
+
+        def splu(*args, **kwargs):
+            calls[0] += 1
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(steps.spla, "splu", splu)
+        problem, _ = generate(PLANTED[0])
+        b, c = other_data(problem, 4)
+        for p in (problem, StandardFormLp(c, problem.A, b)):
+            res = run_restarted(p, SolveOptions(StepConfig(ADMM, 1.0), RestartScheme.adaptive()))
+            assert res.status == Status.OPTIMAL
+        assert calls == [1]
+        calls[0] = 0
+        cli._tune_admm_eta(generate(PLANTED[1])[0], iterations=200)
+        assert calls == [1]
 
 
 class TestHighsDifferential:

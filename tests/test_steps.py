@@ -25,7 +25,15 @@ from restartlp import (
     power_method_sigma_max,
     ppm_bilinear_step,
 )
-from restartlp.steps import AffineProjectionError, AffineProjector, NormalFactor, StepOperators
+from restartlp.steps import (
+    PPM_BILINEAR,
+    AdmmOperators,
+    AffineProjectionError,
+    AffineProjector,
+    NormalFactor,
+    PpmOperators,
+    StepOperators,
+)
 
 from conftest import random_sparse
 from oracles import affine_project, lagrangian
@@ -207,10 +215,10 @@ class TestFactoredSolves:
         want = np.linalg.solve(block, rhs)
         out = ppm_bilinear_step(problem, z, eta)
         assert np.max(np.abs(out.next.as_vector() - want)) <= 1e-10
-        out = ppm_bilinear_step(problem, z, eta, NormalFactor(A, 1.0 / (eta * eta)))
+        out = ppm_bilinear_step(problem, z, eta, PpmOperators(problem, eta))
         assert np.max(np.abs(out.next.as_vector() - want)) <= 1e-10
-        with pytest.raises(ValueError):
-            ppm_bilinear_step(problem, z, eta, NormalFactor(A, 1.0))
+        with pytest.raises(ValueError, match="another problem or step config"):
+            ppm_bilinear_step(problem, z, eta, PpmOperators(problem, 1.0))
 
 
 class TestAdmm:
@@ -218,7 +226,7 @@ class TestAdmm:
         A = SparseMatrix(1, 1, [0], [0], [1.0])
         problem = StandardFormLp(np.array([0.0]), A, np.array([1.0]))
         z = AdmmPoint(np.zeros(1), np.zeros(1), np.zeros(1))
-        out = admm_step(problem, z, StepConfig(ADMM, 1.0), AffineProjector(A, problem.b))
+        out = admm_step(problem, z, StepConfig(ADMM, 1.0))
         assert out.next.x_u[0] == pytest.approx(1.0, abs=1e-10)
         assert out.next.x_v[0] == pytest.approx(1.0, abs=1e-10)
         assert out.next.y[0] == pytest.approx(0.0, abs=1e-10)
@@ -227,7 +235,7 @@ class TestAdmm:
         problem, opt = generate(RandomLpKnownOptimum(6, 12, 0.5, 5))
         y_admm = -problem.A.rmatvec(opt.y)
         z = AdmmPoint(opt.x.copy(), opt.x.copy(), y_admm)
-        out = admm_step(problem, z, StepConfig(ADMM, 1.3), AffineProjector(problem.A, problem.b))
+        out = admm_step(problem, z, StepConfig(ADMM, 1.3))
         assert np.allclose(out.next.x_u, opt.x, atol=1e-8)
         assert np.allclose(out.next.x_v, opt.x, atol=1e-8)
         assert np.allclose(out.next.y, y_admm, atol=1e-8)
@@ -236,12 +244,13 @@ class TestAdmm:
         # target and iterate differ by eta (x_V^{t+1} - x_V^t) in the y slot
         problem, _ = generate(RandomLpKnownOptimum(5, 9, 0.5, 2))
         eta = 0.8
-        projector = AffineProjector(problem.A, problem.b)
+        cfg = StepConfig(ADMM, eta)
+        ops = AdmmOperators(problem, cfg)
         z = AdmmPoint(np.zeros(problem.n), np.abs(rng.standard_normal(problem.n)),
                       rng.standard_normal(problem.n))
         for _ in range(5):
             xv_before = z.x_v.copy()
-            out = admm_step(problem, z, StepConfig(ADMM, eta), projector)
+            out = admm_step(problem, z, cfg, ops)
             z = out.next
             gap_y = out.target.y - out.next.y
             assert np.allclose(gap_y, -eta * (out.next.x_v - xv_before), atol=1e-12)
@@ -250,11 +259,11 @@ class TestAdmm:
 
     def test_iterate_feasibility_invariant(self, rng):
         problem, _ = generate(RandomLpKnownOptimum(7, 13, 0.4, 9))
-        projector = AffineProjector(problem.A, problem.b)
         z = AdmmPoint(np.zeros(problem.n), np.zeros(problem.n), np.zeros(problem.n))
         cfg = StepConfig(ADMM, 1.0)
+        ops = AdmmOperators(problem, cfg)
         for _ in range(20):
-            z = admm_step(problem, z, cfg, projector).next
+            z = admm_step(problem, z, cfg, ops).next
             assert np.min(z.x_v) >= 0.0
             resid = np.linalg.norm(problem.A.matvec(z.x_u) - problem.b)
             assert resid <= 1e-8 * (1 + np.linalg.norm(problem.b))
@@ -266,12 +275,12 @@ class TestAdmm:
         spec = NormSpec.admm(eta)
         y_admm = -problem.A.rmatvec(opt.y)
         star = AdmmPoint(opt.x, opt.x, y_admm)
-        projector = AffineProjector(problem.A, problem.b)
         z = AdmmPoint(np.zeros(problem.n), np.zeros(problem.n), np.zeros(problem.n))
         cfg = StepConfig(ADMM, eta)
+        ops = AdmmOperators(problem, cfg)
         for _ in range(50):
             prev = z
-            out = admm_step(problem, z, cfg, projector)
+            out = admm_step(problem, z, cfg, ops)
             z = out.next
             lhs = norm_value(spec, problem, _diff(out.target, out.next))
             rhs = 2.0 * norm_value(spec, problem, _diff(prev, star))
@@ -397,7 +406,6 @@ def _buffered_cases(rng):
     lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
     sigma = power_method_sigma_max(lp.A)
     bil, _ = generate(DiagonalBilinear((0.3, 0.8, 1.5)))
-    projector = AffineProjector(lp.A, lp.b)
     pdhg_cfg = StepConfig(PDHG, 0.9 / sigma, omega=1.7)
     egm_cfg = StepConfig(EGM, 0.9 / sigma, omega=0.6)
     n = lp.n
@@ -416,8 +424,7 @@ def _buffered_cases(rng):
          lambda z, out, tgt: ppm_bilinear_step(bil, z, 0.7, out=out)),
         ("admm", AdmmPoint(rng.standard_normal(n), np.abs(rng.standard_normal(n)),
                            rng.standard_normal(n)),
-         lambda z, out, tgt: admm_step(lp, z, StepConfig(ADMM, 1.3), projector, out=out,
-                                       target=tgt)),
+         lambda z, out, tgt: admm_step(lp, z, StepConfig(ADMM, 1.3), out=out, target=tgt)),
     ]
 
 
@@ -607,3 +614,177 @@ class TestStepOperators:
         assert ops.work.shape == (problem.n,) and ops.target is None
         egm = StepOperators(problem, replace(config, method=EGM))
         assert egm.work is None and egm.target.shape == (problem.n + problem.m,)
+
+
+def _admm_reference(problem, z, eta):
+    """ADMM's step as allocating array expressions, with a projection into
+    a new array: the arithmetic the bound step must repeat bit for bit."""
+    xu = AffineProjector(problem.A, problem.b).project(z.x_v + z.y / eta)
+    xv = np.maximum(xu - z.y / eta - problem.c / eta, 0.0)
+    return (np.concatenate([xu, xv, z.y - eta * (xu - xv)]),
+            np.concatenate([xu, xv, z.y - eta * (xu - z.x_v)]))
+
+
+def _ppm_reference(problem, z, eta):
+    """PPM's step as allocating array expressions over a new factor."""
+    A, s = problem.A, 1.0 / (eta * eta)
+    x1 = z.x - problem.c * eta
+    y1 = np.zeros(problem.m)
+    top = z.y + eta * problem.b
+    rhs = top - eta * A.matvec(x1)
+
+    def correct(dy):
+        nonlocal x1, y1
+        y1 = y1 + dy
+        x1 = x1 + eta * A.rmatvec(dy)
+        return s * (top - y1 - eta * A.matvec(x1))
+
+    NormalFactor(A, s).refine(correct, s * rhs, s * 1e-12 * (1.0 + float(np.linalg.norm(rhs))))
+    return np.concatenate([x1, y1])
+
+
+def _admm_ppm_cases(rng):
+    """(label, problem, config, operators class, step(problem, z, config,
+    ops, out, target), reference(problem, z, config) -> (next, target))."""
+    lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+    A = random_sparse(6, 10, 0.5, rng)
+    bil = StandardFormLp(rng.standard_normal(10), A, rng.standard_normal(6), nonneg=False)
+
+    def admm(problem, z, config, ops=None, out=None, target=None):
+        return admm_step(problem, z, config, ops, out=out, target=target)
+
+    def ppm(problem, z, eta, ops=None, out=None, target=None):
+        return ppm_bilinear_step(problem, z, eta, ops, out=out)
+
+    def ppm_reference(problem, z, eta):
+        nxt = _ppm_reference(problem, z, eta)
+        return nxt, nxt
+
+    return [
+        ("admm", lp, StepConfig(ADMM, 1.3), AdmmOperators, admm,
+         lambda problem, z, config: _admm_reference(problem, z, config.eta)),
+        ("ppm", bil, 0.7, PpmOperators, ppm, ppm_reference),
+    ]
+
+
+def _admm_ppm_start(problem, rng):
+    if problem.nonneg:
+        n = problem.n
+        return AdmmPoint(rng.standard_normal(n), np.abs(rng.standard_normal(n)),
+                         rng.standard_normal(n))
+    return _start(problem, rng)
+
+
+class TestAdmmAndPpmOperators:
+    """ADMM and PPM step through operators bound once, with the arithmetic
+    of their allocating form; a one-off step builds its own."""
+
+    def test_bound_steps_repeat_the_allocating_arithmetic(self, rng):
+        for label, problem, config, kind, step, reference in _admm_ppm_cases(rng):
+            ops = kind(problem, config)
+            z = _admm_ppm_start(problem, rng)
+            for k in range(30):
+                want_next, want_target = reference(problem, z, config)
+                ops.buffers[k % 2].fill(np.nan)   # stale contents must not leak
+                out = step(problem, z, config, ops, ops.buffers[k % 2], ops.target)
+                assert np.array_equal(out.next.as_vector(), want_next), (label, k)
+                assert np.array_equal(out.target.as_vector(), want_target), (label, k)
+                assert np.shares_memory(out.next.y, ops.buffers[k % 2]), label
+                z = out.next
+
+    def test_one_off_step_equals_bound_step(self, rng):
+        for label, problem, config, kind, step, _ in _admm_ppm_cases(rng):
+            ops = kind(problem, config)
+            z = _admm_ppm_start(problem, rng)
+            own = step(problem, z, config)
+            bound = step(problem, z, config, ops, ops.buffers[0], ops.target)
+            assert np.array_equal(own.next.as_vector(), bound.next.as_vector()), label
+            assert np.array_equal(own.target.as_vector(), bound.target.as_vector()), label
+            assert not np.shares_memory(own.next.y, ops.buffers[0]), label
+
+    def test_bound_output_is_built_once(self, rng):
+        for label, problem, config, kind, step, _ in _admm_ppm_cases(rng):
+            ops = kind(problem, config)
+            z = _admm_ppm_start(problem, rng)
+            first = step(problem, z, config, ops, ops.buffers[0], ops.target)
+            second = step(problem, first.next, config, ops, ops.buffers[1], ops.target)
+            third = step(problem, second.next, config, ops, ops.buffers[0], ops.target)
+            assert third is first and second is not first, label
+
+    def test_operators_of_another_problem_or_config_raise(self, rng):
+        (_, lp, admm_cfg, *_), (_, bil, eta, *_) = _admm_ppm_cases(rng)
+        z = _admm_ppm_start(lp, rng)
+        with pytest.raises(ValueError, match="built for another"):
+            admm_step(lp, z, StepConfig(ADMM, 2.0), AdmmOperators(lp, admm_cfg))
+        with pytest.raises(ValueError, match="built for another"):
+            admm_step(lp, z, admm_cfg, AffineProjector(lp.A, lp.b))
+        with pytest.raises(ValueError, match="built for another"):
+            ppm_bilinear_step(bil, _start(bil, rng), eta, PpmOperators(bil, 2 * eta))
+        with pytest.raises(ValueError, match="for ADMM"):
+            AdmmOperators(lp, StepConfig(PDHG, 0.5))
+        with pytest.raises(ValueError, match="unconstrained bilinear"):
+            PpmOperators(lp, 0.5)
+
+    def test_operators_hold_the_scaled_data(self, rng):
+        (_, lp, config, *_), (_, bil, eta, *_) = _admm_ppm_cases(rng)
+        admm = AdmmOperators(lp, config)
+        assert np.array_equal(admm.c_eta, lp.c / config.eta)
+        assert admm.target.shape == (3 * lp.n,) and admm.y_eta.shape == (lp.n,)
+        assert admm.projector.factor is NormalFactor.of(lp.A)
+        ppm = PpmOperators(bil, eta)
+        assert np.array_equal(ppm.eta_c, bil.c * eta)
+        assert np.array_equal(ppm.eta_b, eta * bil.b)
+        assert ppm.target is None and ppm.factor is NormalFactor.of(bil.A, 1.0 / (eta * eta))
+
+    @pytest.mark.parametrize("method", [ADMM, PPM_BILINEAR])
+    def test_bound_step_allocates_no_iterate(self, method):
+        # steady state of a run that steps between the operators' buffers:
+        # the operators are built once, and a step allocates no array as
+        # long as the iterate (the factor's back-solve returns a length-m
+        # array, m < n here)
+        problem, _ = generate(RandomLpKnownOptimum(3000, 6000, 4e-4, 0))
+        m, n = problem.m, problem.n
+        if method == ADMM:
+            config = StepConfig(ADMM, 1.0)
+            ops = AdmmOperators(problem, config)
+            step = admm_step
+            z = AdmmPoint(*np.split(ops.buffers[0], 3))
+        else:
+            problem = replace(problem, nonneg=False)
+            config = 0.5
+            ops = PpmOperators(problem, config)
+            step = ppm_bilinear_step
+            z = SaddlePoint(ops.buffers[0][:n], ops.buffers[0][n:])
+        ops.buffers[0][:] = 1.0
+        kwargs = {"target": ops.target} if method == ADMM else {}
+
+        def one(k, z):
+            return step(problem, z, config, ops, ops.buffers[(k + 1) % 2], **kwargs).next
+
+        for k in range(3):
+            z = one(k, z)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            one(3, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n, (peak, 8 * m)
+
+
+class TestProjectInto:
+    def test_into_out_or_in_place_gives_the_same_bits(self, rng):
+        problem, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+        projector = AffineProjector(problem.A, problem.b)
+        p = rng.standard_normal(problem.n)
+        want = projector.project(p)
+        assert not np.shares_memory(want, p)
+        out = np.full(problem.n, np.nan)
+        assert projector.project(p, out=out) is out and np.array_equal(out, want)
+        q = p.copy()
+        assert projector.project(q, out=q) is q and np.array_equal(q, want)
+        for bad in (np.empty(problem.n - 1), np.empty(problem.n, dtype=np.float32),
+                    list(p)):
+            with pytest.raises(ValueError, match="writeable float64"):
+                projector.project(p, out=bad)
