@@ -39,6 +39,7 @@ multiplier block only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,13 @@ class StepOutput:
 # The bound of x >= 0 as a 0-d array: a ufunc takes it faster than a Python
 # float, with the same result.
 _ZERO = np.array(0.0)
+
+
+def _norm(v):
+    """The same bits as ``np.linalg.norm(v)`` for a flat float64 array,
+    without its dispatch, which at the sizes a step's refinement checks
+    costs more than the product itself."""
+    return math.sqrt(float(v @ v))
 
 
 def _buffer(buf, size, *reads):
@@ -361,26 +369,23 @@ def ppm_bilinear_step(problem, z, eta, ops=None, out=None):
     y1.fill(0.0)
     np.add(z.y, ops.eta_b, out=top)
 
-    def eta_ax():
-        # eta A x1, into ax
+    def residual():
+        # top - y1 - eta A x1, into res
         ax.fill(0.0)
         A.matvec(x1, ax)
-        return np.multiply(ax, eta, out=ax)
+        np.subtract(top, y1, out=res)
+        return np.subtract(res, np.multiply(ax, eta, out=ax), out=res)
 
-    np.subtract(top, eta_ax(), out=res)
-    atol = s * _PPM_TOL * (1.0 + float(np.linalg.norm(res)))
-    np.multiply(res, s, out=res)
+    atol = s * _PPM_TOL * (1.0 + _norm(residual()))
 
     def correct(dy):
         np.add(y1, dy, out=y1)
         aty.fill(0.0)
         A.rmatvec(dy, aty)
         np.add(x1, np.multiply(aty, eta, out=aty), out=x1)
-        np.subtract(top, y1, out=res)
-        np.subtract(res, eta_ax(), out=res)
-        return np.multiply(res, s, out=res)
+        return np.multiply(residual(), s, out=res)
 
-    ops.factor.refine(correct, res, atol)
+    ops.factor.refine(correct, np.multiply(res, s, out=res), atol)
     return result
 
 
@@ -433,11 +438,11 @@ class NormalFactor:
         residual is still above ``atol`` after ``_MAX_SOLVES`` solves."""
         for _ in range(_MAX_SOLVES):
             residual = correct(self._lu.solve(residual))
-            if np.linalg.norm(residual) <= atol:
+            if _norm(residual) <= atol:
                 return
         raise AffineProjectionError(
             f"factored normal-equation solve failed to reach {atol:.2e} (residual "
-            f"{np.linalg.norm(residual):.2e}); the system may be inconsistent")
+            f"{_norm(residual):.2e}); the system may be inconsistent")
 
 
 # Relative residual to which AffineProjector verifies its projections and
@@ -486,7 +491,7 @@ class AffineProjector:
         elif out is not point:
             np.copyto(out, point)
         r = self._residual_of(out)
-        if np.linalg.norm(r) <= self.atol:
+        if _norm(r) <= self.atol:
             return out
         lift = self._lift
 

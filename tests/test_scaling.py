@@ -48,6 +48,11 @@ def lp_with(A, rng):
     return StandardFormLp(rng.standard_normal(A.n_cols), A, rng.standard_normal(A.n_rows))
 
 
+def fresh(A):
+    """A new matrix with the entries of ``A`` and an empty memo."""
+    return SparseMatrix(A.n_rows, A.n_cols, A.rows, A.cols, A.vals)
+
+
 def reference_factors(dense):
     """Ruiz then Pock-Chambolle on a dense array, one whole-matrix pass at a
     time: the reference for :func:`rescale`'s array work."""
@@ -160,7 +165,9 @@ class TestRescale:
     def test_repeated_calls_bit_identical(self):
         problem = lp_with(badly_scaled(40, 60, 0.1, 3), np.random.default_rng(3))
         first = rescale(problem)
-        second = rescale(problem)
+        # a fresh matrix, so that the memo of the first call is not returned
+        second = rescale(StandardFormLp(problem.c, fresh(problem.A), problem.b))
+        assert second[0].A is not first[0].A
         for a, b in zip(first[1:], second[1:]):
             assert np.array_equal(a, b)
         assert np.array_equal(first[0].A.vals, second[0].A.vals)
@@ -242,7 +249,8 @@ class TestScaledSolve:
         options = SolveOptions(step_for(problem, method), scheme, kkt_tol=1e-8,
                                iteration_limit=3000, check_cadence=10)
         one = run_restarted(problem, options)
-        two = run_restarted(problem, options)
+        # on a fresh matrix, so that A~ and its sigma are computed again
+        two = run_restarted(StandardFormLp(problem.c, fresh(problem.A), problem.b), options)
         assert trace_rows(one) == trace_rows(two)
         assert np.array_equal(one.solution.as_vector(), two.solution.as_vector())
         assert all(np.array_equal(a, b) for a, b in zip(one.anchors, two.anchors))
@@ -272,11 +280,6 @@ class TestScaledSolve:
             assert refs[0]() is None and factor() is None
         finally:
             gc.enable()
-
-
-def fresh(A):
-    """A new matrix with the entries of ``A`` and an empty memo."""
-    return SparseMatrix(A.n_rows, A.n_cols, A.rows, A.cols, A.vals)
 
 
 def other_data(problem, seed):

@@ -25,6 +25,7 @@ from restartlp import (
     power_method_sigma_max,
     ppm_bilinear_step,
 )
+from restartlp import steps
 from restartlp.steps import (
     PPM_BILINEAR,
     AdmmOperators,
@@ -219,6 +220,14 @@ class TestFactoredSolves:
         assert np.max(np.abs(out.next.as_vector() - want)) <= 1e-10
         with pytest.raises(ValueError, match="another problem or step config"):
             ppm_bilinear_step(problem, z, eta, PpmOperators(problem, 1.0))
+
+    def test_residual_norm_equals_numpy(self, rng):
+        # the refinement's stopping test must read the same bits as the
+        # np.linalg.norm it replaced
+        for n in (0, 1, 2, 7, 200, 4001):
+            for scale in (1e-150, 1.0, 1e150):
+                v = scale * rng.standard_normal(n)
+                assert steps._norm(v) == np.linalg.norm(v)
 
 
 class TestAdmm:
