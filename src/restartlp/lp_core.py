@@ -34,6 +34,7 @@ except ImportError:  # pragma: no cover - depends on the scipy build
     _csr_matvec = _matvec_by_operator
 
 _FLOAT64 = np.dtype(np.float64)
+_INT32_MAX = np.iinfo(np.int32).max
 
 __all__ = [
     "SparseMatrix",
@@ -44,6 +45,7 @@ __all__ = [
     "gradient_field",
     "norm_value",
     "residuals",
+    "residuals_of_gradient",
     "power_method_sigma_max",
 ]
 
@@ -68,7 +70,8 @@ class SparseMatrix:
     Duplicate (row, col) pairs are rejected; callers that want accumulation
     semantics must sum before construction.  The nonzeros are held once per
     layout: ``rows``, ``cols`` and ``vals`` read them off the row-ordered
-    one, in (row, col) order.
+    one, in (row, col) order.  The layouts' index arrays are int32 when the
+    dimensions and the nonzero count fit in it, else int64.
 
     A matrix is never modified in place: :meth:`scaled` and
     :meth:`scaled_products` return new matrices, each with a memo of its
@@ -106,6 +109,10 @@ class SparseMatrix:
                 raise ValueError("column index out of range")
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
+        if max(self.n_rows, self.n_cols, vals.size) <= _INT32_MAX:
+            # the layouts take their index dtype from these: int32 halves
+            # the index bytes each product reads, with the same arithmetic
+            rows, cols = rows.astype(np.int32), cols.astype(np.int32)
         # row-ordered layout, used for A @ v; the conversion sorts each row
         # by column and sums repeated pairs, so a repeat shows as a lost entry
         fwd = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
@@ -162,7 +169,8 @@ class SparseMatrix:
 
     @property
     def cols(self):
-        """Column index of each nonzero, in (row, col) order."""
+        """Column index of each nonzero, in (row, col) order, in the
+        layout's index dtype."""
         return self._fwd.indices
 
     @property
@@ -438,27 +446,36 @@ def residuals(problem, z, ax=None, aty=None, row_scale=None, col_scale=None):
     of it; the residuals are those of the original problem at
     (D2 x, D1 y), from the same products: |(A~x - b~)/d1|,
     |min((c~ - A~'y)/d2, 0)|, c~'x - b~'y and |d2 min(x, 0)|.
+    The formula is :func:`residuals_of_gradient`'s.
     """
     _check_dims(problem, z)
     if ax is None:
         ax = problem.A.matvec(z.x)
     if aty is None:
         aty = problem.A.rmatvec(z.y)
-    r = ax - problem.b
-    d = problem.c - aty
-    x = z.x
+    return residuals_of_gradient(problem, z.x, z.y, problem.c - aty, ax - problem.b,
+                                 row_scale, col_scale)
+
+
+def residuals_of_gradient(problem, x, y, g_x, g_y, row_scale=None, col_scale=None):
+    """:func:`residuals` at (x, y) from its gradient blocks g_x = c - A'y
+    and g_y = Ax - b, which a caller that also needs them (a restart
+    checkpoint, for the gap) forms once.  With scales, ``g_x`` and ``g_y``
+    are divided by them in place."""
     if row_scale is not None:
-        r /= row_scale
-        d /= col_scale
-        x = x * col_scale
-    primal = float(np.linalg.norm(r))
-    gap_raw = float(problem.c @ z.x - problem.b @ z.y)
+        g_y /= row_scale
+        g_x /= col_scale
+    primal = float(np.linalg.norm(g_y))
+    gap_raw = float(problem.c @ x - problem.b @ y)
     if problem.nonneg:
-        dual = float(np.linalg.norm(np.minimum(d, 0.0)))
+        dual = float(np.linalg.norm(np.minimum(g_x, 0.0)))
         gap = max(gap_raw, 0.0)
-        bound = float(np.linalg.norm(np.minimum(x, 0.0)))
+        neg = np.minimum(x, 0.0)
+        if col_scale is not None:
+            neg *= col_scale
+        bound = float(np.linalg.norm(neg))
     else:
-        dual = float(np.linalg.norm(d))
+        dual = float(np.linalg.norm(g_x))
         gap = abs(gap_raw)
         bound = 0.0
     kkt = math.sqrt(bound * bound + primal * primal + dual * dual + gap * gap)

@@ -25,12 +25,20 @@ kept in the memo of the caller's :class:`~restartlp.lp_core.SparseMatrix`
 (or of A~), so repeated solves and the runs of a tuning share them.  What
 depends on eta or on b and c (b~, c~, the step operators) is built per solve.
 
+The driver keeps the running sum of the target points since the last
+restart, one addition per iteration, and divides the average out of it only
+where it is read: at a checkpoint, and on every iteration when an
+``observe`` hook is given.
+
 Restart and termination checks happen only at checkpoints (every
-``check_cadence`` iterations).  A checkpoint measures the running average
-and the last iterate once each: its KKT error, and its normalized gap where
-the restart scheme reads it, from one shared pair of matrix-vector
-products.  For ADMM each KKT evaluation also extracts an LP dual estimate
-from A A' lam = -A y: one back-solve with the matrix's A A' factor, plus two
+``check_cadence`` iterations).  A checkpoint measures the average and the
+last iterate once each: its KKT error, and its normalized gap where the
+restart scheme reads it.  For PDHG, EGM and PPM that is one fused pass: the
+gradient blocks c - A'y and Ax - b come from one pair of matrix-vector
+products and feed both the KKT error and the block trust-region solve of
+the gap (:func:`~restartlp.gap.lp_gap`), which yields the gap alone.  For
+ADMM each KKT evaluation also extracts an LP dual estimate from
+A A' lam = -A y: one back-solve with the matrix's A A' factor, plus two
 products to verify its residual.
 """
 
@@ -42,8 +50,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gap import normalized_gap_admm, normalized_gap_lp
-from .lp_core import NormSpec, SaddlePoint, norm_value, power_method_sigma_max, residuals
+from .gap import lp_gap, normalized_gap_admm
+# Not called here (a checkpoint reads the gap through lp_gap); the name stays
+# bound because perfbench's span-tracer test reads it from this module.
+from .gap import normalized_gap_lp  # noqa: F401
+from .lp_core import (
+    NormSpec,
+    SaddlePoint,
+    norm_value,
+    power_method_sigma_max,
+    residuals,
+    residuals_of_gradient,
+)
 from .scaling import Scaling, rescale
 from .steps import (
     ADMM,
@@ -240,11 +258,11 @@ class SolveResult:
 class _Lane:
     """One method on one problem, seen by the driver through flat vectors.
 
-    The driver holds the anchor, the running average and the iterates as
-    flat vectors.  ``view(vec)`` reads one as the lane's ``point`` class over
-    slices, without a copy; ``buffers`` are the two flat vectors the
-    iterate alternates between; ``step(z, out)`` runs the method's step
-    from the point ``z``, writes the next iterate into ``out`` (one of
+    The driver holds the anchor, the running sum, the average and the
+    iterates as flat vectors.  ``view(vec)`` reads one as the lane's
+    ``point`` class over slices, without a copy; ``buffers`` are the two
+    flat vectors the iterate alternates between; ``step(z, out)`` runs the
+    method's step from the point ``z``, writes the next iterate into ``out`` (one of
     ``buffers``) and returns it as a point (a view of ``out``) together
     with the target as a flat vector: ``out`` itself, or a buffer the lane
     owns and overwrites on every step.  For PDHG and EGM the buffers, the
@@ -315,15 +333,18 @@ class _SaddleLane(_Lane):
 
     def measure(self, vec, radius):
         """(normalized gap at ``radius``, KKT error of the caller's problem);
-        the gap reads 0.0 at radius 0.  Both share one product pair."""
-        z = self.view(vec)
-        ax = self.problem.A.matvec(z.x)
-        aty = self.problem.A.rmatvec(z.y)
-        gap = 0.0
-        if radius != 0.0:
-            gap = normalized_gap_lp(self.problem, z, radius, ax=ax, aty=aty).rho
-        kkt = residuals(self.problem, z, ax=ax, aty=aty,
-                        row_scale=self.d1, col_scale=self.d2).kkt_error
+        the gap reads 0.0 at radius 0.  One fused pass: the gradient blocks
+        c - A'y and Ax - b are formed once, from one product pair, and both
+        the gap (:func:`~restartlp.gap.lp_gap`) and the KKT error
+        (:func:`~restartlp.lp_core.residuals_of_gradient`) read them."""
+        problem, n = self.problem, self.n
+        x, y = vec[:n], vec[n:]
+        g_x = problem.A.rmatvec(y)
+        np.subtract(problem.c, g_x, out=g_x)
+        g_y = problem.A.matvec(x)
+        g_y -= problem.b
+        gap = 0.0 if radius == 0.0 else lp_gap(problem, x, g_x, g_y, radius)[1]
+        kkt = residuals_of_gradient(problem, x, y, g_x, g_y, self.d1, self.d2).kkt_error
         return gap, kkt
 
 
@@ -415,19 +436,24 @@ def run_restarted(problem, options, z0=None, observe=None):
 
     The loop allocates no vector per iteration.  It keeps, per solve, the
     lane's two flat buffers that the iterate alternates between (each step
-    reads one and writes the other; the one not holding the iterate is
-    scratch for the average's update), the target buffer and scratch its
-    lane's step owns, the running average and a copy of the best point
-    seen at a checkpoint; only a restart (a copy of the new anchor) and a
-    checkpoint's measurements allocate.
+    reads one and writes the other), the target buffer and scratch its
+    lane's step owns, the running sum of the targets since the last
+    restart, the average and a copy of the best point seen at a
+    checkpoint; only a restart (a copy of the new anchor) and a
+    checkpoint's measurements allocate.  Each iteration adds its target
+    into the sum; the average, sum / inner, is divided out only at a
+    checkpoint and, when ``observe`` is given, on every iteration.  It
+    differs from an incremental average at roundoff level.  A sum that
+    overflows makes the average non-finite, and the next checkpoint ends
+    the solve with ``Status.DIVERGED``.
 
     ``observe(iteration, target, average)``, if given, is called on every
-    iteration after the running average has taken in the new target point,
-    with both as flat vectors of the caller's space.  For an unscaled
-    problem these are the solver's own buffers, overwritten by the next
-    step: copy what you keep.  When it returns True the iteration becomes a
-    terminal checkpoint and the solve ends with ``Status.STOPPED`` at that
-    iteration.
+    iteration after the sum has taken in the new target point, with the
+    target and the average as flat vectors of the caller's space.  For an
+    unscaled problem these are the solver's own buffers, overwritten by the
+    next step: copy what you keep.  When it returns True the iteration
+    becomes a terminal checkpoint and the solve ends with
+    ``Status.STOPPED`` at that iteration.
 
     An LP is rescaled first (see the module docstring): ``z0`` and every
     returned point are in the caller's space, the KKT errors are the caller
@@ -448,6 +474,9 @@ def run_restarted(problem, options, z0=None, observe=None):
     # the anchor, after a restart) and writes the other
     bufs = lane.buffers
     nxt = 0
+    # the running sum of the targets since the last restart; the average is
+    # divided out of it only where it is read
+    target_sum = np.empty(lane.size)
     avg = np.empty(lane.size)
     trace = ConvergenceTrace()
     start = time.perf_counter()
@@ -481,18 +510,16 @@ def run_restarted(problem, options, z0=None, observe=None):
         total += 1
         inner += 1
         if inner == 1:
-            np.copyto(avg, tvec)
+            np.copyto(target_sum, tvec)
         else:
-            # avg += (tvec - avg) / inner, in the buffer the next step
-            # overwrites
-            diff = bufs[nxt]
-            np.subtract(tvec, avg, out=diff)
-            np.divide(diff, inner, out=diff)
-            avg += diff
+            np.add(target_sum, tvec, out=target_sum)
+        check = inner % options.check_cadence == 0 or total >= options.iteration_limit
+        if not check and observe is None:
+            continue
+        np.divide(target_sum, inner, out=avg)
         stop = observe is not None and bool(
             observe(total, lane.to_caller(tvec), lane.to_caller(avg)))
-
-        if not stop and inner % options.check_cadence != 0 and total < options.iteration_limit:
+        if not (check or stop):
             continue
 
         # ---- checkpoint ----

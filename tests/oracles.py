@@ -6,7 +6,8 @@
 * :func:`trust_region_bisection` / :func:`normalized_gap_bisection` -- a slow
   trust-region solve that bisects the scalar equation |zbar(mu) - z| = r of
   the prox-regularized subproblem, against which the closed-form
-  :func:`restartlp.gap.solve_linear_trust_region` is checked.
+  :func:`restartlp.gap.solve_block_trust_region` (through its adapters)
+  is checked.
 * :func:`lagrangian` -- the value L(x, y) = c'x + b'y - y'Ax, from which
   the tests form primal-dual gaps at probe points.
 * :func:`affine_project` -- a one-shot projection onto {x : Ax = b}
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from restartlp.gap import GapResult, TrustRegionProblem, _check_feasible_x, _lp_gap_pieces
-from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix, _check_dims
+from restartlp.gap import GapResult, TrustRegionProblem, _check_feasible_x
+from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix, _check_dims, gradient_field
 from restartlp.steps import PROJECTION_TOL, AffineProjector
 
 
@@ -171,7 +172,10 @@ def normalized_gap_bisection(problem, z, r, lam_tol=1e-13):
     if r <= 0:
         raise ValueError("the bisection oracle needs r > 0")
     _check_feasible_x(problem, z.x)
-    g, lower = _lp_gap_pieces(problem, z)
+    g = gradient_field(problem, z)
+    lower = np.full(problem.n + problem.m, -np.inf)
+    if problem.nonneg:
+        lower[:problem.n] = 0.0
     zvec = z.as_vector()
     zhat = trust_region_bisection(TrustRegionProblem(g, zvec, lower, r), lam_tol=lam_tol)
     rho = max(float(g @ (zvec - zhat)) / r, 0.0)

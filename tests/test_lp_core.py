@@ -79,6 +79,40 @@ class TestSparseMatrix:
         assert np.array_equal(out1, out2)
 
 
+class TestIndexWidth:
+    """The layouts hold int32 indices when the sizes fit; the products and
+    the entries are those of the int64 layouts."""
+
+    def _pair(self, monkeypatch, rng, m, n):
+        flat = rng.choice(m * n, size=max(1, m * n // 5), replace=False)
+        rows, cols = np.divmod(flat, n)
+        vals = rng.standard_normal(flat.size)
+        narrow = SparseMatrix(m, n, rows, cols, vals)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_core, "_INT32_MAX", 0)
+            wide = SparseMatrix(m, n, rows, cols, vals)
+        return narrow, wide
+
+    @pytest.mark.parametrize("shape", [(10, 20), (200, 400), (37, 3)])
+    def test_int32_layouts_give_int64_results(self, monkeypatch, rng, shape):
+        m, n = shape
+        narrow, wide = self._pair(monkeypatch, rng, m, n)
+        for A, dtype in ((narrow, np.int32), (wide, np.int64)):
+            for layout in (A._fwd, A._adj):
+                assert layout.indices.dtype == dtype and layout.indptr.dtype == dtype
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+        d1, d2 = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n)
+        pairs = [(narrow, wide), (narrow.scaled(d1, d2), wide.scaled(d1, d2)),
+                 (narrow.scaled_products(-0.3, 0.7), wide.scaled_products(-0.3, 0.7))]
+        for a, b in pairs:
+            for _ in range(5):
+                v, w = rng.standard_normal(n), rng.standard_normal(m)
+                assert a.matvec(v).tobytes() == b.matvec(v).tobytes()
+                assert a.rmatvec(w).tobytes() == b.rmatvec(w).tobytes()
+        assert (narrow.gram() != wide.gram()).nnz == 0
+
+
 def _kernel_cases(rng):
     """(label, matrix) pairs covering the shapes the products must handle."""
     cases = [(f"{m}x{n}", random_sparse(m, n, 0.1, rng)) for m, n in ((10, 20), (50, 100), (200, 400))]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +24,11 @@ from restartlp import (
     should_restart,
     theoretical_linear_rate_check,
 )
+from restartlp import restarts
 from restartlp.restarts import ADAPTIVE, FLEXIBLE
 from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, AffineProjector, StepOperators
+
+from oracles import KktSystem, kkt_error, normalized_gap_bisection
 
 
 class TestTstar:
@@ -89,6 +93,41 @@ class TestRunRestarted:
         mean = np.mean(targets, axis=0)
         got = res.average.as_vector()
         assert np.linalg.norm(got - mean) <= 1e-12 * max(1.0, np.linalg.norm(mean))
+
+    def test_running_sum_tracks_the_incremental_average(self):
+        # over 5000 unrestarted PDHG iterations the driver's sum / K stays
+        # within 1e-13 (relative, in norm) of the incremental average
+        # zbar_K = zbar_{K-1} + (z_K - zbar_{K-1}) / K of the same targets
+        problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 0))
+        sigma = power_method_sigma_max(problem.A)
+        opts = SolveOptions(step=StepConfig(PDHG, 0.9 / sigma), scheme=RestartScheme.none(),
+                            kkt_tol=0.0, iteration_limit=5000, check_cadence=5000)
+        ref, worst = None, 0.0
+
+        def observe(t, target, average):
+            nonlocal ref, worst
+            ref = target.copy() if ref is None else ref + (target - ref) / t
+            worst = max(worst, np.linalg.norm(average - ref) / np.linalg.norm(ref))
+            return False
+
+        res = run_restarted(problem, opts, observe=observe)
+        assert res.iterations == 5000 and res.scaling is not None
+        assert 0.0 < worst <= 1e-13
+
+    def test_overflowing_sum_ends_diverged_without_warnings(self):
+        # every target is finite, near the largest float, so their running
+        # sum overflows; the checkpoint reports it, and numpy warns nothing
+        problem, _ = generate(DiagonalBilinear((1.0,)))
+        big = np.finfo(np.float64).max / 8
+        z0 = SaddlePoint(np.array([big]), np.array([big]))
+        opts = SolveOptions(step=StepConfig(PDHG, 1e-3), scheme=RestartScheme.none(),
+                            kkt_tol=0.0, iteration_limit=100, check_cadence=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_restarted(problem, opts, z0=z0)
+        assert res.status == Status.DIVERGED and res.iterations == 10
+        assert np.all(np.isfinite(res.last.as_vector()))
+        assert not np.all(np.isfinite(res.average.as_vector()))
 
     def test_toy_fixed25_anchor_distances_decrease(self):
         problem, _ = generate(TwoDimToy())
@@ -240,6 +279,42 @@ class TestCheckpoint:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+    @pytest.mark.parametrize("method, scheme", [(PDHG, RestartScheme.adaptive()),
+                                                (EGM, RestartScheme.adaptive()),
+                                                (PDHG, RestartScheme.flexible())])
+    def test_fused_measure_matches_the_oracles(self, monkeypatch, method, scheme):
+        # every vector a planted run measures, measured again by the
+        # bisection gap oracle on the scaled problem and the explicit KKT
+        # system of the caller's problem; near the optimum both residuals
+        # cancel O(1) terms, hence an absolute floor at the data's scale
+        seen = []
+        measure = restarts._SaddleLane.measure
+
+        def recorded(lane, vec, radius):
+            out = measure(lane, vec, radius)
+            seen.append((lane, vec.copy(), radius, out))
+            return out
+
+        monkeypatch.setattr(restarts._SaddleLane, "measure", recorded)
+        problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 3))
+        sigma = power_method_sigma_max(problem.A)
+        step = StepConfig(method, 0.9 / sigma, lipschitz=1.01 * sigma if method == EGM else None)
+        res = run_restarted(problem, SolveOptions(step, scheme, kkt_tol=1e-8, iteration_limit=5000))
+        assert res.status == Status.OPTIMAL and res.restart_count > 0
+        system = KktSystem.from_problem(problem)
+        floor = 1e-14 * (1.0 + np.linalg.norm(problem.b) + np.linalg.norm(problem.c))
+        gaps = 0
+        for lane, vec, radius, (gap, kkt) in seen:
+            n = lane.n
+            if radius != 0.0:
+                ref = normalized_gap_bisection(lane.problem, SaddlePoint(vec[:n], vec[n:]), radius)
+                assert gap == pytest.approx(ref.rho, rel=1e-9, abs=1e-14)
+                gaps += 1
+            caller = SaddlePoint(lane.d2 * vec[:n], lane.d1 * vec[n:])
+            assert kkt == pytest.approx(kkt_error(system, caller).kkt_error, rel=1e-12, abs=floor)
+        assert gaps >= len(res.trace.records)
 
 
 class TestObserve:

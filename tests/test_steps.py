@@ -333,11 +333,12 @@ class TestNonExpansiveness:
 
     def test_ppm_euclidean(self, rng):
         problem, opt = generate(DiagonalBilinear((0.4, 1.3)))
+        ops = PpmOperators(problem, 0.6)
         for _ in range(4):
             z = SaddlePoint(rng.standard_normal(2), rng.standard_normal(2))
             d_prev = np.linalg.norm(z.as_vector())
             for _ in range(250):
-                z = ppm_bilinear_step(problem, z, 0.6).next
+                z = ppm_bilinear_step(problem, z, 0.6, ops).next
                 d = np.linalg.norm(z.as_vector())
                 assert d <= d_prev + 1e-12
                 d_prev = d
@@ -352,10 +353,11 @@ class TestTargetProximityEgm:
             problem, _ = generate(DiagonalBilinear(tuple(sigmas)))
             eta = 0.99 / sigmas[-1]
             cfg = StepConfig(EGM, eta, lipschitz=float(sigmas[-1]))
+            ops = StepOperators(problem, cfg)
             z = SaddlePoint(rr.standard_normal(3), rr.standard_normal(3))
             for _ in range(200):
                 prev = z.as_vector()
-                out = egm_step(problem, z, cfg)
+                out = egm_step(problem, z, cfg, ops)
                 z = out.next
                 lhs = np.linalg.norm(out.target.as_vector() - prev)
                 rhs = 3.0 * np.linalg.norm(z.as_vector())
