@@ -41,7 +41,6 @@ from .steps import (
     AdmmOperators,
     AdmmPoint,
     AffineProjector,
-    PpmOperators,
     StepConfig,
     StepOperators,
     StepOutput,

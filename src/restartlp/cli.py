@@ -241,7 +241,9 @@ def cmd_solve(config):
         problem, meta = load_problem(config)
         step, _tuned = _build_step_config(config, problem)
         scheme = _build_scheme(config)
-        z0 = _parse_start(config.start, problem) if config.method != ADMM else None
+        if config.method == ADMM and config.start != "zeros":
+            raise ValueError("--start applies to PDHG, EGM and PPM; ADMM starts from zeros")
+        z0 = _parse_start(config.start, problem)
         options = SolveOptions(step=step, scheme=scheme, kkt_tol=config.kkt_tol,
                                iteration_limit=config.iteration_limit,
                                check_cadence=config.check_cadence,

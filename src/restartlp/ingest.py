@@ -56,7 +56,6 @@ class MpsParseError(ValueError):
 
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
-_UNSUPPORTED = {"SOS", "QUADOBJ", "QMATRIX", "QCMATRIX", "OBJSENSE "}
 _BOUND_CODES = {"LO", "UP", "FX", "FR", "MI", "PL"}
 _VALUED_BOUNDS = {"LO", "UP", "FX"}
 # Characters of text split into lines at a time, and COLUMNS lines
@@ -299,7 +298,7 @@ def parse_mps(text):
                     section = None
                 elif key == "OBJSENSE":
                     if len(parts) > 1:
-                        model.objective_sense = parts[1].upper()
+                        model.objective_sense = _objective_sense(parts[1], lineno)
                         section = None
                     else:
                         pending_objsense = True
@@ -309,10 +308,7 @@ def parse_mps(text):
             raise MpsParseError(f"line {lineno}: unsupported section {parts[0]!r}")
 
         if pending_objsense:
-            sense = parts[0].upper()
-            if sense not in ("MIN", "MAX", "MINIMIZE", "MAXIMIZE"):
-                raise MpsParseError(f"line {lineno}: bad OBJSENSE value {parts[0]!r}")
-            model.objective_sense = "MAX" if sense.startswith("MAX") else "MIN"
+            model.objective_sense = _objective_sense(parts[0], lineno)
             pending_objsense = False
             continue
 
@@ -388,6 +384,15 @@ def parse_mps(text):
     if not model.objective_row and (model.column_names or model.row_names):
         raise MpsParseError("no objective (N) row declared")
     return model
+
+
+def _objective_sense(tok, lineno):
+    """An OBJSENSE value, on the header line or the next: MIN, MAX,
+    MINIMIZE or MAXIMIZE in any case, normalized to MIN or MAX."""
+    sense = tok.upper()
+    if sense not in ("MIN", "MAX", "MINIMIZE", "MAXIMIZE"):
+        raise MpsParseError(f"line {lineno}: bad OBJSENSE value {tok!r}")
+    return "MAX" if sense.startswith("MAX") else "MIN"
 
 
 def _tofloat(tok, lineno, infinite_ok=False):

@@ -70,7 +70,6 @@ from .steps import (
     PPM_BILINEAR,
     AdmmOperators,
     AdmmPoint,
-    PpmOperators,
     StepConfig,
     StepOperators,
     admm_step,
@@ -260,28 +259,32 @@ class _Lane:
 
     The driver holds the anchor, the running sum, the average and the
     iterates as flat vectors.  ``view(vec)`` reads one as the lane's
-    ``point`` class over slices, without a copy; ``buffers`` are the two
-    flat vectors the iterate alternates between; ``step(z, out)`` runs the
-    method's step from the point ``z``, writes the next iterate into ``out`` (one of
-    ``buffers``) and returns it as a point (a view of ``out``) together
-    with the target as a flat vector: ``out`` itself, or a buffer the lane
-    owns and overwrites on every step.  For PDHG and EGM the buffers, the
-    target and the step's scratch belong to the :class:`StepOperators` the
-    lane binds once, so a step from the point the previous step returned
-    skips every check; the same holds for PPM's :class:`PpmOperators` and
-    ADMM's :class:`AdmmOperators`.  ``measure(vec, radius)`` and ``dist(va, vb)``
-    evaluate vectors.  A lane steps on the problem it was given; when that
-    is a rescaled LP, ``scale`` holds the factors that take one of its
-    vectors to the caller's space elementwise.
+    ``point`` class over slices, without a copy.  ``step(z)`` runs the
+    method's step from the point ``z`` and returns its
+    :class:`~restartlp.steps.StepOutput`, whose ``next_vec`` and
+    ``target_vec`` are the flat vectors of the next iterate and the target.
+    PDHG, EGM and ADMM step through the operators the lane builds once,
+    which own those vectors (see :mod:`~restartlp.steps`); PPM allocates
+    them.  ``measure(vec, radius)`` and ``dist(va, vb)`` evaluate vectors.
+    A lane steps on the problem it was given; when that is a rescaled LP,
+    ``scale`` holds the factors that take one of its vectors to the
+    caller's space elementwise.
     """
 
     scale = None
 
     def initial(self, z0):
-        """The start vector: zeros, or the caller's point ``z0``."""
+        """The start vector: zeros, or the caller's point ``z0``, whose
+        blocks must have the shapes of the lane's points and finite
+        entries."""
         if z0 is None:
             return np.zeros(self.size)
+        for name, block in vars(self.view(np.empty(self.size))).items():
+            if np.shape(getattr(z0, name, None)) != block.shape:
+                raise ValueError(f"start point block {name} must have shape {block.shape}")
         vec = np.asarray(z0.as_vector(), dtype=np.float64)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("start point has a non-finite entry")
         return vec if self.scale is None else vec / self.scale
 
     def to_caller(self, vec):
@@ -302,25 +305,15 @@ class _SaddleLane(_Lane):
         # the steps are looked up by name at each call
         if config.method == PDHG:
             ops = StepOperators(problem, config)
-
-            def step(z, out):
-                return pdhg_step(problem, z, config, ops, out).next, out
+            self.step = lambda z: pdhg_step(problem, z, config, ops)
         elif config.method == EGM:
             ops = StepOperators(problem, config)
-            target = ops.target
-
-            def step(z, out):
-                return egm_step(problem, z, config, ops, out, target).next, target
+            self.step = lambda z: egm_step(problem, z, config, ops)
         elif config.method == PPM_BILINEAR:
             eta = config.eta
-            ops = PpmOperators(problem, eta)
-
-            def step(z, out):
-                return ppm_bilinear_step(problem, z, eta, ops, out).next, out
+            self.step = lambda z: ppm_bilinear_step(problem, z, eta)
         else:
             raise ValueError(f"not a saddle-point method: {config.method}")
-        self.step = step
-        self.buffers = ops.buffers
         self.d1, self.d2 = d1, d2
         if d1 is not None:
             self.scale = np.concatenate([d2, d1])
@@ -358,12 +351,7 @@ class _AdmmLane(_Lane):
         self.size = 3 * n
         ops = AdmmOperators(problem, config)
         self.projector = ops.projector
-        self.buffers, target = ops.buffers, ops.target
-
-        def step(z, out):
-            return admm_step(problem, z, config, ops, out, target).next, target
-
-        self.step = step
+        self.step = lambda z: admm_step(problem, z, config, ops)
         self.d1, self.d2 = d1, d2
         if d2 is not None:
             # (x_U, x_V, y): y is the multiplier of x_U = x_V, so y = y~ / d2
@@ -434,13 +422,12 @@ def run_restarted(problem, options, z0=None, observe=None):
     semi-norm for ADMM); for no-restart runs the gap is evaluated at the
     last iterate with radius equal to the distance from the start.
 
-    The loop allocates no vector per iteration.  It keeps, per solve, the
-    lane's two flat buffers that the iterate alternates between (each step
-    reads one and writes the other), the target buffer and scratch its
-    lane's step owns, the running sum of the targets since the last
-    restart, the average and a copy of the best point seen at a
-    checkpoint; only a restart (a copy of the new anchor) and a
-    checkpoint's measurements allocate.  Each iteration adds its target
+    The loop allocates no vector per iteration for PDHG, EGM and ADMM,
+    whose step operators own the iterate and target buffers (PPM's step
+    allocates its output).  It keeps, per solve, the running sum of the
+    targets since the last restart, the average and a copy of the best
+    point seen at a checkpoint; only a restart (a copy of the new anchor)
+    and a checkpoint's measurements allocate.  Each iteration adds its target
     into the sum; the average, sum / inner, is divided out only at a
     checkpoint and, when ``observe`` is given, on every iteration.  It
     differs from an incremental average at roundoff level.  A sum that
@@ -470,10 +457,6 @@ def run_restarted(problem, options, z0=None, observe=None):
     anchor_vec = lane.initial(z0)
     anchors = [anchor_vec]
     cur, cur_point = anchor_vec, lane.view(anchor_vec)
-    # the iterate alternates between two buffers: each step reads one (or
-    # the anchor, after a restart) and writes the other
-    bufs = lane.buffers
-    nxt = 0
     # the running sum of the targets since the last restart; the average is
     # divided out of it only where it is read
     target_sum = np.empty(lane.size)
@@ -504,9 +487,8 @@ def run_restarted(problem, options, z0=None, observe=None):
         )
 
     while True:
-        cur_point, tvec = lane.step(cur_point, bufs[nxt])
-        cur = bufs[nxt]
-        nxt ^= 1
+        out = lane.step(cur_point)
+        cur_point, cur, tvec = out.next, out.next_vec, out.target_vec
         total += 1
         inner += 1
         if inner == 1:

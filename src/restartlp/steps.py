@@ -1,40 +1,30 @@
 """One-iteration updates for the primal-dual methods.
 
-All four steps share one contract: ``step(problem, z, ..., out=None)``
-takes the current iterate z^t, a :class:`SaddlePoint` (or an
-:class:`AdmmPoint` for ADMM), and returns a :class:`StepOutput` holding the
-next iterate z^{t+1} and the target point zhat^{t+1} whose running average
-carries the ergodic guarantee.  A step only reads ``z``, so its arrays may
-be views into a larger buffer.  The next iterate is written into ``out``, a
-flat float64 buffer laid out like ``as_vector()`` ([x; y], or
-[x_U; x_V; y] for ADMM), and the returned points are views into it.  A
-method whose target differs from the next iterate writes the target into a
-second flat buffer, ``target``.  A buffer left out is allocated, and the
-same code runs either way, so a run that passes its own buffers makes one
-step without allocating any array.  ``out`` and ``target`` are checked:
-float64, writeable, the right length, and no memory shared with ``z``.
+Every step takes the current iterate z^t, a :class:`SaddlePoint` (or an
+:class:`AdmmPoint` for ADMM), reads it only, and returns a
+:class:`StepOutput`: the next iterate z^{t+1}, the target point zhat^{t+1}
+whose running average carries the ergodic guarantee, and the flat vectors
+([x; y], or [x_U; x_V; y] for ADMM) that hold them.  For PDHG and PPM the
+next iterate and the target coincide; EGM's target is the intermediate
+(extrapolated) point and ADMM's differs from the iterate in the multiplier
+block only.
 
-What a method reuses across steps is its argument after the config, its
-operators, built once by a restarted run: :class:`StepOperators` for PDHG
-and EGM, :class:`PpmOperators` and :class:`AdmmOperators`.  PDHG's and
-EGM's hold the step sizes folded into the data (tau A', -sigma A, tau c and
-sigma b, with tau = eta/omega and sigma = eta omega), so that each product
-adds straight into the half of the output it updates:
+PDHG, EGM and ADMM step through operators, their argument after the config:
+:class:`StepOperators` and :class:`AdmmOperators`, built once by a restarted
+run, or by a one-off step for itself.  They hold the data with the step
+size folded in, the step's scratch and the iterate buffers: two flat
+buffers for the next iterate and, for EGM and ADMM, one for the target.  A
+step writes into the buffer that does not hold ``z``: from the ``next`` of
+one of the operators' outputs it goes into the other buffer with no check;
+from any other point, such as an anchor after a restart, into the first
+buffer once that point is checked to share no memory with it or with the
+target buffer.  A run that steps from each output's ``next`` thus
+alternates between the two buffers and allocates nothing, and an output
+stays valid until the step after the next one overwrites it.
 
-    x+ = max((x - tau c) + tau A'y, 0)
-    y+ = (y + sigma b) + (-sigma A)(2 x+ - x)
-
-PPM's and ADMM's hold the data divided or multiplied by eta, the scratch of
-the step and the factor of s I + A A' they solve with, which comes from the
-matrix's memo and so is built once per matrix and shift
-(:meth:`NormalFactor.of`).  All of them own two iterate buffers, checked
-when allocated, with the views and the :class:`StepOutput` of a step into
-each built in advance; a step into one of them from the point the other
-holds needs no check at all.  A one-off step that is given no operators
-builds its own, so each method has one arithmetic path.  For PDHG and PPM
-the next iterate and the target coincide; EGM's target is the intermediate
-(extrapolated) point and ADMM's target differs from the iterate in the
-multiplier block only.
+PPM allocates its output.  It solves with the factor of s I + A A' kept in
+the matrix's memo (:meth:`NormalFactor.of`), so that factor is built once
+per matrix and shift.
 """
 
 from __future__ import annotations
@@ -58,7 +48,6 @@ __all__ = [
     "AffineProjectionError",
     "PROJECTION_TOL",
     "StepOperators",
-    "PpmOperators",
     "AdmmOperators",
     "pdhg_step",
     "egm_step",
@@ -130,6 +119,8 @@ class StepConfig:
 class StepOutput:
     next: object      # SaddlePoint, or AdmmPoint for ADMM
     target: object
+    next_vec: np.ndarray      # the flat vectors holding next and target
+    target_vec: np.ndarray
 
 
 # The bound of x >= 0 as a 0-d array: a ufunc takes it faster than a Python
@@ -144,69 +135,41 @@ def _norm(v):
     return math.sqrt(float(v @ v))
 
 
-def _buffer(buf, size, *reads):
-    """A step's flat output: ``buf`` once checked (see the module
-    docstring), or a new array when it is None."""
-    if buf is None:
-        return np.empty(size)
-    if not is_buffer(buf, size):
-        raise ValueError(f"step buffer must be a writeable float64 array of shape ({size},)")
-    _check_reads(buf, *reads)
-    return buf
-
-
-def _check_reads(buf, *reads):
-    for arr in reads:
-        if np.may_share_memory(buf, arr):
-            raise ValueError("step buffer shares memory with the point it steps from")
-
-
 class _Operators:
-    """Two flat iterate buffers a run alternates between, and the target
-    buffer of a method whose target differs from its next iterate, each
-    with the views a step into it writes and the :class:`StepOutput` it
-    returns, built once.  A subclass sets ``problem``, ``config``, ``n``
-    and the buffers' length; the blocks of a point are those of a
+    """The iterate buffers of a method's steps: two flat buffers for the
+    next iterate and, for a method whose target differs from it, one for
+    the target, each with the views a step into it writes and the
+    :class:`StepOutput` it returns, built once.  A subclass sets
+    ``problem``, ``config`` and ``n``; the blocks of a point are those of a
     :class:`SaddlePoint` [x; y] unless it names others in ``_layout`` and
     ``_reads``."""
 
     def _bind_buffers(self, size, with_target):
-        self.size = size
         self.target = np.empty(size) if with_target else None
         self.buffers = (np.empty(size), np.empty(size))
-        layouts = [self._layout(buf, self.target) for buf in self.buffers]
-        # per buffer: its views, its output, and the point whose step into
-        # it needs no check (the one the other buffer holds)
-        self._bound = {id(buf): (*layout, other[1].next)
-                       for buf, layout, other in zip(self.buffers, layouts, layouts[::-1])}
+        self._bound = [self._layout(buf, self.target) for buf in self.buffers]
 
-    def bind(self, z, out, target=None):
-        """The views a step from ``z`` writes, and the output it returns:
-        built in advance for one of ``buffers`` (and ``target``), else over
-        ``out`` and ``target`` once checked, or new arrays for those left
-        out."""
-        bound = self._bound.get(id(out))
-        if bound is not None and target is self.target:
-            views, result, partner = bound
-            if z is not partner:
-                reads = self._reads(z)
-                _check_reads(out, *reads)
-                if target is not None:
-                    _check_reads(target, *reads)
-            return views, result
-        reads = self._reads(z)
-        out = _buffer(out, self.size, *reads)
-        if self.target is not None:
-            target = _buffer(target, self.size, *reads, out)
-        return self._layout(out, target)
+    def bind(self, z):
+        """The views a step from ``z`` writes and the output it returns:
+        those of the buffer that does not hold ``z`` (see the module
+        docstring)."""
+        into_first, into_second = self._bound
+        if z is into_first[1].next:
+            return into_second
+        if z is not into_second[1].next:
+            reads = self._reads(z)
+            for buf in (self.buffers[0], self.target):
+                if buf is not None and any(np.may_share_memory(buf, arr) for arr in reads):
+                    raise ValueError("step buffer shares memory with the point it steps from")
+        return into_first
 
     def _layout(self, out, target):
         n = self.n
         nxt = SaddlePoint(out[:n], out[n:])
         if target is None:
-            return (nxt.x, nxt.y), StepOutput(nxt, nxt)
+            return (nxt.x, nxt.y), StepOutput(nxt, nxt, out, out)
         tgt = SaddlePoint(target[:n], target[n:])
-        return (nxt.x, nxt.y, tgt.x, tgt.y), StepOutput(nxt, tgt)
+        return (nxt.x, nxt.y, tgt.x, tgt.y), StepOutput(nxt, tgt, out, target)
 
     @staticmethod
     def _reads(z):
@@ -223,16 +186,10 @@ class StepOperators(_Operators):
       one copy of each layout's values
       (:meth:`~restartlp.lp_core.SparseMatrix.scaled_products`);
     * ``tau_c`` and ``sigma_b`` are tau c and sigma b;
-    * ``buffers`` are two flat iterate buffers [x; y] that a run alternates
-      between, and ``target`` is EGM's target buffer (None for PDHG);
+    * ``buffers`` are the two flat iterate buffers [x; y] and ``target`` is
+      EGM's target buffer (None for PDHG), with the views and the output
+      of a step into each (see the module docstring);
     * ``work`` is PDHG's length-n scratch for 2 x+ - x, never returned.
-
-    The views of a step into each buffer and the :class:`StepOutput` it
-    returns are built here.  A step into ``buffers[k]`` (with ``target``
-    for EGM) from the point the other buffer holds, the ``next`` of the
-    previous step's output, is checked by identity only; from any other
-    point, such as an anchor after a restart, it gets the same memory
-    check as a caller's buffer.
     """
 
     def __init__(self, problem, config):
@@ -261,7 +218,7 @@ def _operators(kind, problem, config, ops):
     return ops
 
 
-def pdhg_step(problem, z, config, ops=None, out=None):
+def pdhg_step(problem, z, config, ops=None):
     """One PDHG iteration on the LP Lagrangian.
 
     x^{t+1} = (x^t - (eta/w)(c - A'y^t))^+
@@ -272,7 +229,7 @@ def pdhg_step(problem, z, config, ops=None, out=None):
     :class:`StepOperators`, built here when None).
     """
     ops = _operators(StepOperators, problem, config, ops)
-    (x1, y1), result = ops.bind(z, out)
+    (x1, y1), result = ops.bind(z)
     K, w = ops.K, ops.work
     np.subtract(z.x, ops.tau_c, out=x1)
     K.rmatvec(z.y, x1)
@@ -285,7 +242,7 @@ def pdhg_step(problem, z, config, ops=None, out=None):
     return result
 
 
-def egm_step(problem, z, config, ops=None, out=None, target=None):
+def egm_step(problem, z, config, ops=None):
     """One extragradient iteration: predictor zhat, corrector from F(zhat).
 
     zhat    = (max((x - tau c) + tau A'y, 0),    (y + sigma b) + (-sigma A) x)
@@ -294,7 +251,7 @@ def egm_step(problem, z, config, ops=None, out=None, target=None):
     through ``ops`` (a :class:`StepOperators`, built here when None); the
     target is zhat."""
     ops = _operators(StepOperators, problem, config, ops)
-    (x1, y1, xh, yh), result = ops.bind(z, out, target)
+    (x1, y1, xh, yh), result = ops.bind(z)
     K, tau_c, sigma_b = ops.K, ops.tau_c, ops.sigma_b
     np.subtract(z.x, tau_c, out=xh)
     K.rmatvec(z.y, xh)
@@ -315,36 +272,7 @@ def egm_step(problem, z, config, ops=None, out=None, target=None):
 _PPM_TOL = 1e-12
 
 
-class PpmOperators(_Operators):
-    """What PPM reuses across the steps of one solve, bound once, for the
-    step size ``eta`` (PPM's config):
-
-    * ``factor``, the :class:`NormalFactor` of s I + A A' with
-      s = 1/eta^2, from the matrix's memo;
-    * ``eta_c`` and ``eta_b``, c eta and eta b;
-    * length-m scratch for the right-hand side and the residual of the
-      second block row and for A x, and length-n scratch for A'dy;
-    * ``buffers``, two flat iterate buffers [x; y], with the views and the
-      output of a step into each (see :class:`StepOperators`).
-    """
-
-    def __init__(self, problem, eta):
-        if problem.nonneg:
-            raise ValueError("PPM steps are implemented for unconstrained bilinear "
-                             "problems only")
-        self.problem, self.config = problem, eta
-        self.n = n = problem.n
-        m = problem.m
-        self.shift = 1.0 / (eta * eta)
-        self.factor = NormalFactor.of(problem.A, self.shift)
-        self.eta_c = problem.c * eta
-        self.eta_b = eta * problem.b
-        self.top, self.residual, self.ax = np.empty(m), np.empty(m), np.empty(m)
-        self.aty = np.empty(n)
-        self._bind_buffers(n + m, False)
-
-
-def ppm_bilinear_step(problem, z, eta, ops=None, out=None):
+def ppm_bilinear_step(problem, z, eta):
     """One exact proximal-point iteration on an unconstrained bilinear problem.
 
     Solves (I + eta F)(z^{t+1}) = z^t, i.e. the linear system
@@ -352,41 +280,35 @@ def ppm_bilinear_step(problem, z, eta, ops=None, out=None):
         x - eta A'y = x^t - eta c
         y + eta A x = y^t + eta b
 
-    by eliminating x: y solves (s I + A A') y = s rhs with s = 1/eta^2.
-    ``ops`` are the :class:`PpmOperators` for ``eta``, which hold the
-    factor of that matrix; a restarted run builds them once and passes them
-    to every step, and a one-off call leaves them out and gets new ones
-    (over the matrix's memoized factor).  The solve is refined until the
-    residual of the second block row, recomputed from the returned (x, y),
-    is at most 1e-12 (1 + |rhs|); otherwise :class:`AffineProjectionError`
-    is raised.
+    by eliminating x: y solves (s I + A A') y = s rhs with s = 1/eta^2,
+    through the factor of that matrix kept in A's memo
+    (:meth:`NormalFactor.of`).  The solve is refined until the residual of
+    the second block row, recomputed from the returned (x, y), is at most
+    1e-12 (1 + |rhs|); otherwise :class:`AffineProjectionError` is raised.
     """
-    ops = _operators(PpmOperators, problem, eta, ops)
-    (x1, y1), result = ops.bind(z, out)
-    A, s = problem.A, ops.shift
-    top, res, ax, aty = ops.top, ops.residual, ops.ax, ops.aty
-    np.subtract(z.x, ops.eta_c, out=x1)
-    y1.fill(0.0)
-    np.add(z.y, ops.eta_b, out=top)
+    if problem.nonneg:
+        raise ValueError("PPM steps are implemented for unconstrained bilinear "
+                         "problems only")
+    A, n = problem.A, problem.n
+    s = 1.0 / (eta * eta)
+    vec = np.zeros(n + problem.m)
+    x1, y1 = vec[:n], vec[n:]
+    np.subtract(z.x, problem.c * eta, out=x1)
+    top = z.y + eta * problem.b
 
     def residual():
-        # top - y1 - eta A x1, into res
-        ax.fill(0.0)
-        A.matvec(x1, ax)
-        np.subtract(top, y1, out=res)
-        return np.subtract(res, np.multiply(ax, eta, out=ax), out=res)
-
-    atol = s * _PPM_TOL * (1.0 + _norm(residual()))
+        # top - y1 - eta A x1
+        return (top - y1) - A.matvec(x1) * eta
 
     def correct(dy):
         np.add(y1, dy, out=y1)
-        aty.fill(0.0)
-        A.rmatvec(dy, aty)
-        np.add(x1, np.multiply(aty, eta, out=aty), out=x1)
-        return np.multiply(residual(), s, out=res)
+        np.add(x1, A.rmatvec(dy) * eta, out=x1)
+        return residual() * s
 
-    ops.factor.refine(correct, np.multiply(res, s, out=res), atol)
-    return result
+    res = residual()
+    NormalFactor.of(A, s).refine(correct, res * s, s * _PPM_TOL * (1.0 + _norm(res)))
+    nxt = SaddlePoint(x1, y1)
+    return StepOutput(nxt, nxt, vec, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +463,9 @@ class AdmmOperators(_Operators):
     * ``projector``, the :class:`AffineProjector` onto {Ax = b}, whose
       factor comes from the matrix's memo;
     * ``c_eta``, c / eta, and ``y_eta``, the length-n scratch for y / eta;
-    * ``buffers``, two flat iterate buffers [x_U; x_V; y], and ``target``,
-      the target buffer, with the views and the output of a step into each
-      (see :class:`StepOperators`).
+    * ``buffers``, the two flat iterate buffers [x_U; x_V; y], and
+      ``target``, the target buffer, with the views and the output of a
+      step into each (see the module docstring).
     """
 
     def __init__(self, problem, config):
@@ -560,14 +482,15 @@ class AdmmOperators(_Operators):
         n = self.n
         nxt = AdmmPoint(out[:n], out[n:2 * n], out[2 * n:])
         tgt = AdmmPoint(target[:n], target[n:2 * n], target[2 * n:])
-        return (nxt.x_u, nxt.x_v, nxt.y, out[:2 * n], target[:2 * n], tgt.y), StepOutput(nxt, tgt)
+        views = (nxt.x_u, nxt.x_v, nxt.y, out[:2 * n], target[:2 * n], tgt.y)
+        return views, StepOutput(nxt, tgt, out, target)
 
     @staticmethod
     def _reads(z):
         return z.x_v, z.y
 
 
-def admm_step(problem, z, config, ops=None, out=None, target=None):
+def admm_step(problem, z, config, ops=None):
     """One ADMM iteration from the point ``z`` on the split form
     min c'x_V over x_U = x_V, x_U in {Ax = b}, x_V >= 0.
 
@@ -577,11 +500,10 @@ def admm_step(problem, z, config, ops=None, out=None, target=None):
 
     The target differs from the iterate by eta (x_V^{t+1} - x_V^t) in the
     multiplier block.  ``ops`` are the run's :class:`AdmmOperators`, built
-    once per run; a one-off call leaves them out and gets new ones.  x_U^t
-    is not read.
+    here when None.  x_U^t is not read.
     """
     ops = _operators(AdmmOperators, problem, config, ops)
-    (xu, xv, y1, x1, tx, ty), result = ops.bind(z, out, target)
+    (xu, xv, y1, x1, tx, ty), result = ops.bind(z)
     eta, y_eta = config.eta, ops.y_eta
     np.divide(z.y, eta, out=y_eta)
     np.add(z.x_v, y_eta, out=xu)

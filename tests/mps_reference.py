@@ -102,7 +102,7 @@ def parse_mps(text):
                     section = None
                 elif key == "OBJSENSE":
                     if len(parts) > 1:
-                        model.objective_sense = parts[1].upper()
+                        model.objective_sense = _objective_sense(parts[1], lineno)
                         section = None
                     else:
                         pending_objsense = True
@@ -110,10 +110,7 @@ def parse_mps(text):
             raise MpsParseError(f"line {lineno}: unsupported section {parts[0]!r}")
 
         if pending_objsense:
-            sense = parts[0].upper()
-            if sense not in ("MIN", "MAX", "MINIMIZE", "MAXIMIZE"):
-                raise MpsParseError(f"line {lineno}: bad OBJSENSE value {parts[0]!r}")
-            model.objective_sense = "MAX" if sense.startswith("MAX") else "MIN"
+            model.objective_sense = _objective_sense(parts[0], lineno)
             pending_objsense = False
             continue
 
@@ -188,6 +185,15 @@ def parse_mps(text):
     if not model.objective_row and (model.column_names or model.row_names):
         raise MpsParseError("no objective (N) row declared")
     return model
+
+
+def _objective_sense(tok, lineno):
+    """An OBJSENSE value, on the header line or the next: MIN, MAX,
+    MINIMIZE or MAXIMIZE in any case, normalized to MIN or MAX."""
+    sense = tok.upper()
+    if sense not in ("MIN", "MAX", "MINIMIZE", "MAXIMIZE"):
+        raise MpsParseError(f"line {lineno}: bad OBJSENSE value {tok!r}")
+    return "MAX" if sense.startswith("MAX") else "MIN"
 
 
 def _tofloat(tok, lineno, infinite_ok=False):

@@ -22,7 +22,7 @@ from restartlp.cli import (
 )
 from restartlp.ingest import DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate
 from restartlp.lp_core import power_method_sigma_max
-from restartlp.steps import PDHG, PROJECTION_TOL
+from restartlp.steps import ADMM, PDHG, PROJECTION_TOL
 
 TINY_MPS = """\
 NAME          TINY
@@ -127,6 +127,16 @@ class TestSolve:
         code = main(["solve", "--generate", "random:m=10,n=20,density=0.4,seed=2",
                      "--eta", "100.0", "--scheme", "none"])
         assert code == 4
+
+    @pytest.mark.parametrize("method,start", [(PDHG, "nan,1"), (PDHG, "1,-inf"),
+                                              (ADMM, "1,2"), (ADMM, "0,0")])
+    def test_bad_start_is_input_error(self, method, start, capsys):
+        # a non-finite start, or any given start with ADMM, whose points
+        # --start cannot write
+        code = main(["solve", "--generate", "diagonal:1.0", "--method", method,
+                     "--start", start])
+        assert code == EXIT_INPUT_ERROR
+        assert "start" in capsys.readouterr().err
 
 
 class TestTuneOmega:

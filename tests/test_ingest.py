@@ -248,6 +248,19 @@ class TestParse:
         model = parse_mps(text)
         assert model.bound_records == [("UP", "X1", math.inf), ("LO", "X2", -math.inf)]
 
+    def test_inline_objsense_equals_the_next_line_form(self):
+        inline = MAXIMIZE_FIXTURE.replace("OBJSENSE\n    MAX\n", "OBJSENSE    MAXIMIZE\n")
+        assert inline != MAXIMIZE_FIXTURE
+        assert outcome(inline) == outcome(MAXIMIZE_FIXTURE)
+        for parse, convert in ((parse_mps, to_standard_form),
+                               (mps_reference.parse_mps, mps_reference.to_standard_form)):
+            model = parse(inline)
+            assert model.objective_sense == "MAX"
+            problem, _ = convert(model)
+            want, _ = convert(parse(MAXIMIZE_FIXTURE))
+            assert_bits_equal(problem.c, want.c)
+            assert problem.c[0] == -1.0
+
     def test_ranges_on_objective_rejected(self):
         bad = TWO_VAR_FIXTURE.replace(
             "RHS\n", "RANGES\n    RNG       COST      1.0\nRHS\n")
@@ -620,6 +633,10 @@ class TestFirstError:
             parse_mps(text)
         assert str(new.value) == str(ref.value)
         return str(new.value)
+
+    def test_bad_inline_objsense(self):
+        text = MAXIMIZE_FIXTURE.replace("OBJSENSE\n    MAX\n", "OBJSENSE    FOO\n")
+        assert self.both(text) == "line 2: bad OBJSENSE value 'FOO'"
 
     @pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
     def test_bad_columns_line(self, case):

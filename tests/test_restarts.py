@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from restartlp import (
+    AdmmPoint,
     DiagonalBilinear,
     NormSpec,
     RandomLpKnownOptimum,
@@ -93,6 +94,29 @@ class TestRunRestarted:
         mean = np.mean(targets, axis=0)
         got = res.average.as_vector()
         assert np.linalg.norm(got - mean) <= 1e-12 * max(1.0, np.linalg.norm(mean))
+
+    def test_bad_start_point_raises(self):
+        # blocks of the wrong shapes (even with the right total length), a
+        # non-finite entry, or a point of another method's class
+        bilinear, _ = generate(DiagonalBilinear((0.5, 1.0)))
+        lp, _ = generate(RandomLpKnownOptimum(5, 10, 0.5, 0))
+        n, m = lp.n, lp.m
+        pdhg = StepConfig(PDHG, 0.5)
+        admm = StepConfig(ADMM, 1.0)
+        cases = [
+            (bilinear, pdhg, SaddlePoint(np.ones(3), np.ones(1)), "shape"),
+            (bilinear, pdhg, SaddlePoint(np.ones(2), np.ones((2, 1))), "shape"),
+            (bilinear, pdhg, SaddlePoint(np.array([np.nan, 1.0]), np.ones(2)), "non-finite"),
+            (lp, pdhg, SaddlePoint(np.ones(n), np.array([np.inf] + [0.0] * (m - 1))), "non-finite"),
+            (lp, pdhg, AdmmPoint(np.ones(n), np.ones(n), np.ones(n)), "shape"),
+            (lp, admm, AdmmPoint(np.ones(n), np.ones(n - 1), np.ones(n + 1)), "shape"),
+            (lp, admm, AdmmPoint(np.ones(n), np.full(n, -np.inf), np.ones(n)), "non-finite"),
+            (lp, admm, SaddlePoint(np.ones(n), np.ones(m)), "shape"),
+        ]
+        for problem, step, z0, match in cases:
+            options = SolveOptions(step, RestartScheme.adaptive(), iteration_limit=50)
+            with pytest.raises(ValueError, match=match):
+                run_restarted(problem, options, z0=z0)
 
     def test_running_sum_tracks_the_incremental_average(self):
         # over 5000 unrestarted PDHG iterations the driver's sum / K stays

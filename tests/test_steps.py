@@ -12,7 +12,9 @@ from restartlp import (
     DiagonalBilinear,
     NormSpec,
     RandomLpKnownOptimum,
+    RestartScheme,
     SaddlePoint,
+    SolveOptions,
     SparseMatrix,
     StandardFormLp,
     StepConfig,
@@ -24,6 +26,7 @@ from restartlp import (
     pdhg_step,
     power_method_sigma_max,
     ppm_bilinear_step,
+    run_restarted,
 )
 from restartlp import steps
 from restartlp.steps import (
@@ -32,7 +35,6 @@ from restartlp.steps import (
     AffineProjectionError,
     AffineProjector,
     NormalFactor,
-    PpmOperators,
     StepOperators,
 )
 
@@ -216,10 +218,6 @@ class TestFactoredSolves:
         want = np.linalg.solve(block, rhs)
         out = ppm_bilinear_step(problem, z, eta)
         assert np.max(np.abs(out.next.as_vector() - want)) <= 1e-10
-        out = ppm_bilinear_step(problem, z, eta, PpmOperators(problem, eta))
-        assert np.max(np.abs(out.next.as_vector() - want)) <= 1e-10
-        with pytest.raises(ValueError, match="another problem or step config"):
-            ppm_bilinear_step(problem, z, eta, PpmOperators(problem, 1.0))
 
     def test_residual_norm_equals_numpy(self, rng):
         # the refinement's stopping test must read the same bits as the
@@ -333,12 +331,11 @@ class TestNonExpansiveness:
 
     def test_ppm_euclidean(self, rng):
         problem, opt = generate(DiagonalBilinear((0.4, 1.3)))
-        ops = PpmOperators(problem, 0.6)
         for _ in range(4):
             z = SaddlePoint(rng.standard_normal(2), rng.standard_normal(2))
             d_prev = np.linalg.norm(z.as_vector())
             for _ in range(250):
-                z = ppm_bilinear_step(problem, z, 0.6, ops).next
+                z = ppm_bilinear_step(problem, z, 0.6).next
                 d = np.linalg.norm(z.as_vector())
                 assert d <= d_prev + 1e-12
                 d_prev = d
@@ -411,34 +408,6 @@ class TestDiagonalRecurrence:
                 assert abs(z.y[i] - blk[1]) <= 1e-14 * max(1, abs(blk[1]))
 
 
-def _buffered_cases(rng):
-    """(label, start point, call(z, out, target)) per method; ``call``
-    passes each step the buffers it takes."""
-    lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
-    sigma = power_method_sigma_max(lp.A)
-    bil, _ = generate(DiagonalBilinear((0.3, 0.8, 1.5)))
-    pdhg_cfg = StepConfig(PDHG, 0.9 / sigma, omega=1.7)
-    egm_cfg = StepConfig(EGM, 0.9 / sigma, omega=0.6)
-    n = lp.n
-
-    def lp_point():
-        return SaddlePoint(np.abs(rng.standard_normal(n)), rng.standard_normal(lp.m))
-
-    return [
-        ("pdhg", lp_point(),
-         lambda z, out, tgt: pdhg_step(lp, z, pdhg_cfg, out=out)),
-        ("pdhg-bilinear", SaddlePoint(rng.standard_normal(3), rng.standard_normal(3)),
-         lambda z, out, tgt: pdhg_step(bil, z, StepConfig(PDHG, 0.5), out=out)),
-        ("egm", lp_point(),
-         lambda z, out, tgt: egm_step(lp, z, egm_cfg, out=out, target=tgt)),
-        ("ppm", SaddlePoint(rng.standard_normal(3), rng.standard_normal(3)),
-         lambda z, out, tgt: ppm_bilinear_step(bil, z, 0.7, out=out)),
-        ("admm", AdmmPoint(rng.standard_normal(n), np.abs(rng.standard_normal(n)),
-                           rng.standard_normal(n)),
-         lambda z, out, tgt: admm_step(lp, z, StepConfig(ADMM, 1.3), out=out, target=tgt)),
-    ]
-
-
 def _operator_cases():
     """(label, problem, config) for the methods that step through
     :class:`StepOperators`: an LP and a bilinear problem, omega != 1."""
@@ -453,152 +422,150 @@ def _operator_cases():
     ]
 
 
+def _buffer_cases():
+    """(label, problem, config) for every method whose operators own its
+    iterate buffers: the PDHG and EGM cases, and ADMM on the LP."""
+    cases = _operator_cases()
+    return cases + [("admm", cases[0][1], StepConfig(ADMM, 1.3))]
+
+
+_STEPS = {PDHG: pdhg_step, EGM: egm_step, ADMM: admm_step}
+
+
 def _step_of(config):
-    return pdhg_step if config.method == PDHG else egm_step
+    return _STEPS[config.method]
 
 
-def _start(problem, rng):
+def _operators_for(problem, config):
+    return (AdmmOperators if config.method == ADMM else StepOperators)(problem, config)
+
+
+def _start(problem, rng, method=PDHG):
+    if method == ADMM:
+        n = problem.n
+        return AdmmPoint(rng.standard_normal(n), np.abs(rng.standard_normal(n)),
+                         rng.standard_normal(n))
     x = rng.standard_normal(problem.n)
     return SaddlePoint(np.abs(x) if problem.nonneg else x, rng.standard_normal(problem.m))
 
 
-class TestBufferedSteps:
-    """Every step writes into caller buffers with the same arithmetic as
-    when it allocates its own."""
+def _view(problem, method, vec):
+    """A new point of ``method`` over the flat vector ``vec``."""
+    n = problem.n
+    if method == ADMM:
+        return AdmmPoint(vec[:n], vec[n:2 * n], vec[2 * n:])
+    return SaddlePoint(vec[:n], vec[n:])
 
-    def test_buffered_equals_allocating(self, rng):
-        for label, z, call in _buffered_cases(rng):
+
+class TestOperatorBuffers:
+    """The operators of PDHG, EGM and ADMM own the iterate buffers: a step
+    writes into the one that does not hold its point, or into the first
+    one from any other point."""
+
+    def test_bound_step_equals_one_off_step(self, rng):
+        # stale buffer contents must not reach the result, z is only read,
+        # and the flat vectors of the output hold its points
+        for label, problem, config in _buffer_cases():
+            step = _step_of(config)
+            ops = _operators_for(problem, config)
+            for buf in (*ops.buffers, ops.target):
+                if buf is not None:
+                    buf.fill(np.nan)
+            z = _start(problem, rng, config.method)
             start = z.as_vector()
-            plain = call(z, None, None)
-            # stale buffer contents must not reach the result
-            out, tgt = np.full(start.size, np.nan), np.full(start.size, np.nan)
-            buffered = call(z, out, tgt)
-            assert np.array_equal(buffered.next.as_vector(), plain.next.as_vector()), label
-            assert np.array_equal(buffered.target.as_vector(), plain.target.as_vector()), label
-            assert np.array_equal(out, plain.next.as_vector()), label
-            assert np.shares_memory(buffered.next.y, out), label
-            assert np.array_equal(z.as_vector(), start), label   # z is only read
+            own = step(problem, z, config)
+            bound = step(problem, z, config, ops)
+            assert np.array_equal(own.next.as_vector(), bound.next.as_vector()), label
+            assert np.array_equal(own.target.as_vector(), bound.target.as_vector()), label
+            assert not np.shares_memory(own.next_vec, ops.buffers[0]), label
+            assert bound.next_vec is ops.buffers[0], label
+            assert np.array_equal(bound.next_vec, bound.next.as_vector()), label
+            assert np.array_equal(bound.target_vec, bound.target.as_vector()), label
+            assert (bound.target_vec is bound.next_vec) == (ops.target is None), label
+            assert np.array_equal(z.as_vector(), start), label
 
-    def test_out_sharing_memory_with_z_raises(self, rng):
-        for label, z, call in _buffered_cases(rng):
-            flat = z.as_vector()
-            size = flat.size
-            if isinstance(z, AdmmPoint):
-                k = z.x_u.size
-                z = AdmmPoint(flat[:k], flat[k:2 * k], flat[2 * k:])
-            else:
-                k = z.x.size
-                z = SaddlePoint(flat[:k], flat[k:])
+    def test_alternate_steps_return_the_prebuilt_outputs(self, rng):
+        for label, problem, config in _buffer_cases():
+            step = _step_of(config)
+            ops = _operators_for(problem, config)
+            first = step(problem, _start(problem, rng, config.method), config, ops)
+            second = step(problem, first.next, config, ops)
+            third = step(problem, second.next, config, ops)
+            assert third is first and second is not first, label
+            assert first.next_vec is ops.buffers[0] and second.next_vec is ops.buffers[1], label
+
+    def test_point_sharing_memory_with_the_output_raises(self, rng):
+        for label, problem, config in _buffer_cases():
+            step = _step_of(config)
+            ops = _operators_for(problem, config)
+            first, second = ops.buffers
+            first[:] = _start(problem, rng, config.method).as_vector()
+            # a new point over the buffer such a point is stepped into
             with pytest.raises(ValueError, match="shares memory"):
-                call(z, flat, np.empty(size))
-            if label in ("egm", "admm"):
+                step(problem, _view(problem, config.method, first), config, ops)
+            if ops.target is not None:
+                ops.target[:] = first
                 with pytest.raises(ValueError, match="shares memory"):
-                    call(z, np.empty(size), flat)
+                    step(problem, _view(problem, config.method, ops.target), config, ops)
+            # the other buffer read through a new point object is fine
+            second[:] = first
+            out = step(problem, _view(problem, config.method, second), config, ops)
+            assert out.next_vec is first, label
 
-    def test_bad_buffer_raises(self, rng):
-        for label, z, call in _buffered_cases(rng):
-            size = z.as_vector().size
-            for bad in (np.empty(size - 1), np.empty(size, dtype=np.float32)):
-                with pytest.raises(ValueError, match="step buffer"):
-                    call(z, bad, np.empty(size))
-
-    @pytest.mark.parametrize("method", [PDHG, EGM])
-    def test_buffered_step_allocates_no_vector(self, method):
-        # steady state of a run that steps between the operators' buffers:
-        # the operators are built once, and a step allocates no array
+    @pytest.mark.parametrize("method", [PDHG, EGM, ADMM])
+    def test_steady_state_step_allocates_no_vector(self, method):
+        # steady state of a run that steps from each output's next: the
+        # operators are built once, and a step allocates no array as long
+        # as the iterate (ADMM's factor back-solve returns a length-m
+        # array, m < n here)
         problem, _ = generate(RandomLpKnownOptimum(3000, 6000, 4e-4, 0))
         m, n = problem.m, problem.n
-        config = StepConfig(method, 0.5 / power_method_sigma_max(problem.A))
-        ops = StepOperators(problem, config)
-        bufs = ops.buffers
-        bufs[0][:] = 0.0
-        z = SaddlePoint(bufs[0][:n], bufs[0][n:])
-        kwargs = {} if method == PDHG else {"target": ops.target}
-        step = pdhg_step if method == PDHG else egm_step
-
-        def one(k, z):
-            return step(problem, z, config, ops, out=bufs[(k + 1) % 2], **kwargs).next
-
-        for k in range(3):
-            z = one(k, z)
+        if method == ADMM:
+            config, start, bound = StepConfig(ADMM, 1.0), np.ones(3 * n), 8 * n
+        else:
+            config = StepConfig(method, 0.5 / power_method_sigma_max(problem.A))
+            start, bound = np.zeros(n + m), 8 * m
+        ops = _operators_for(problem, config)
+        step = _step_of(config)
+        z = _view(problem, method, start)
+        for _ in range(3):
+            z = step(problem, z, config, ops).next
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            one(3, z)
+            step(problem, z, config, ops)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * m, peak
+        assert peak < bound, peak
 
 
 class TestStepOperators:
     """PDHG and EGM step through operators bound once; a step that builds
     its own runs the same arithmetic."""
 
-    def test_built_operators_give_the_same_bits(self, rng):
-        for label, problem, config in _operator_cases():
-            z = _start(problem, rng)
-            step = _step_of(config)
-            ops = StepOperators(problem, config)
-            own = step(problem, z, config)
-            bound = step(problem, z, config, ops)
-            assert np.array_equal(own.next.as_vector(), bound.next.as_vector()), label
-            assert np.array_equal(own.target.as_vector(), bound.target.as_vector()), label
-
-    def test_bound_buffers_give_the_same_bits_as_flat_buffers(self, rng):
-        # a run of steps alternating between the operators' buffers against
-        # the same run into caller buffers, both from the same start
+    def test_bound_run_gives_the_same_bits_as_one_off_steps(self, rng):
+        # a run of steps alternating between the operators' buffers, with a
+        # step from a new anchor halfway, against the same run of one-off
+        # steps that build their own operators
         for label, problem, config in _operator_cases():
             step = _step_of(config)
             ops = StepOperators(problem, config)
-            size = problem.n + problem.m
-            flat = [np.full(size, np.nan), np.full(size, np.nan)]
-            flat_target = np.full(size, np.nan)
-            kwargs = {"target": ops.target} if config.method == EGM else {}
-            flat_kwargs = {"target": flat_target} if config.method == EGM else {}
-            z_bound = z_flat = _start(problem, rng)
+            z_bound = z_own = _start(problem, rng)
+            into = 0
             for k in range(40):
-                ops.buffers[k % 2].fill(np.nan)   # stale contents must not leak
-                bound = step(problem, z_bound, config, ops, out=ops.buffers[k % 2], **kwargs)
-                plain = step(problem, z_flat, config, ops, out=flat[k % 2], **flat_kwargs)
-                assert bound is not plain, label
-                assert np.array_equal(bound.next.as_vector(), plain.next.as_vector()), label
-                assert np.array_equal(bound.target.as_vector(), plain.target.as_vector()), label
-                assert np.shares_memory(bound.next.x, ops.buffers[k % 2]), label
-                z_bound, z_flat = bound.next, plain.next
-
-    def test_bound_output_is_built_once(self, rng):
-        problem, config = _operator_cases()[0][1:]
-        ops = StepOperators(problem, config)
-        z = _start(problem, rng)
-        first = pdhg_step(problem, z, config, ops, out=ops.buffers[0])
-        second = pdhg_step(problem, first.next, config, ops, out=ops.buffers[1])
-        third = pdhg_step(problem, second.next, config, ops, out=ops.buffers[0])
-        assert third is first and second is not first
-
-    def test_point_sharing_memory_with_the_output_raises(self, rng):
-        for label, problem, config in _operator_cases():
-            step = _step_of(config)
-            ops = StepOperators(problem, config)
-            n = problem.n
-            kwargs = {"target": ops.target} if config.method == EGM else {}
-            for k in (0, 1):
-                buf = ops.buffers[k]
-                buf[:] = _start(problem, rng).as_vector()
-                # a point over the output buffer itself, not the partner
-                z = SaddlePoint(buf[:n], buf[n:])
-                with pytest.raises(ValueError, match="shares memory"):
-                    step(problem, z, config, ops, out=buf, **kwargs)
-                # the other buffer read through a fresh point object is fine
-                other = ops.buffers[1 - k]
-                other[:] = buf
-                step(problem, SaddlePoint(other[:n], other[n:]), config, ops, out=buf, **kwargs)
-            if config.method == EGM:
-                t = ops.target
-                t[:] = _start(problem, rng).as_vector()
-                with pytest.raises(ValueError, match="shares memory"):
-                    step(problem, SaddlePoint(t[:n], t[n:]), config, ops,
-                         out=ops.buffers[0], target=t)
+                if k == 21:
+                    # a new anchor goes into the first buffer, which holds
+                    # the point it was copied from
+                    z_bound = z_own = _view(problem, PDHG, z_own.as_vector())
+                    into = 0
+                ops.buffers[into].fill(np.nan)   # stale contents must not leak
+                bound = step(problem, z_bound, config, ops)
+                own = step(problem, z_own, config)
+                assert bound.next_vec is ops.buffers[into], (label, k)
+                assert np.array_equal(bound.next_vec, own.next_vec), (label, k)
+                assert np.array_equal(bound.target_vec, own.target_vec), (label, k)
+                z_bound, z_own, into = bound.next, own.next, 1 - into
 
     def test_operators_of_another_problem_or_config_raise(self, rng):
         (_, lp, cfg), _, (_, bil, bil_cfg), _ = _operator_cases()
@@ -654,134 +621,76 @@ def _ppm_reference(problem, z, eta):
     return np.concatenate([x1, y1])
 
 
-def _admm_ppm_cases(rng):
-    """(label, problem, config, operators class, step(problem, z, config,
-    ops, out, target), reference(problem, z, config) -> (next, target))."""
-    lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
-    A = random_sparse(6, 10, 0.5, rng)
-    bil = StandardFormLp(rng.standard_normal(10), A, rng.standard_normal(6), nonneg=False)
+class TestAdmmAndPpm:
+    """ADMM steps through operators bound once and PPM allocates its
+    output; both repeat the arithmetic of their reference."""
 
-    def admm(problem, z, config, ops=None, out=None, target=None):
-        return admm_step(problem, z, config, ops, out=out, target=target)
-
-    def ppm(problem, z, eta, ops=None, out=None, target=None):
-        return ppm_bilinear_step(problem, z, eta, ops, out=out)
-
-    def ppm_reference(problem, z, eta):
-        nxt = _ppm_reference(problem, z, eta)
-        return nxt, nxt
-
-    return [
-        ("admm", lp, StepConfig(ADMM, 1.3), AdmmOperators, admm,
-         lambda problem, z, config: _admm_reference(problem, z, config.eta)),
-        ("ppm", bil, 0.7, PpmOperators, ppm, ppm_reference),
-    ]
-
-
-def _admm_ppm_start(problem, rng):
-    if problem.nonneg:
-        n = problem.n
-        return AdmmPoint(rng.standard_normal(n), np.abs(rng.standard_normal(n)),
-                         rng.standard_normal(n))
-    return _start(problem, rng)
-
-
-class TestAdmmAndPpmOperators:
-    """ADMM and PPM step through operators bound once, with the arithmetic
-    of their allocating form; a one-off step builds its own."""
-
-    def test_bound_steps_repeat_the_allocating_arithmetic(self, rng):
-        for label, problem, config, kind, step, reference in _admm_ppm_cases(rng):
-            ops = kind(problem, config)
-            z = _admm_ppm_start(problem, rng)
+    def test_steps_repeat_the_reference_arithmetic(self, rng):
+        lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+        A = random_sparse(6, 10, 0.5, rng)
+        bil = StandardFormLp(rng.standard_normal(10), A, rng.standard_normal(6), nonneg=False)
+        config = StepConfig(ADMM, 1.3)
+        ops = AdmmOperators(lp, config)
+        cases = [
+            (ADMM, lp, lambda z: admm_step(lp, z, config, ops),
+             lambda z: _admm_reference(lp, z, config.eta)),
+            (PPM_BILINEAR, bil, lambda z: ppm_bilinear_step(bil, z, 0.7),
+             lambda z: (_ppm_reference(bil, z, 0.7),) * 2),
+        ]
+        for method, problem, step, reference in cases:
+            z = _start(problem, rng, method)
+            into = 0
             for k in range(30):
-                want_next, want_target = reference(problem, z, config)
-                ops.buffers[k % 2].fill(np.nan)   # stale contents must not leak
-                out = step(problem, z, config, ops, ops.buffers[k % 2], ops.target)
-                assert np.array_equal(out.next.as_vector(), want_next), (label, k)
-                assert np.array_equal(out.target.as_vector(), want_target), (label, k)
-                assert np.shares_memory(out.next.y, ops.buffers[k % 2]), label
-                z = out.next
-
-    def test_one_off_step_equals_bound_step(self, rng):
-        for label, problem, config, kind, step, _ in _admm_ppm_cases(rng):
-            ops = kind(problem, config)
-            z = _admm_ppm_start(problem, rng)
-            own = step(problem, z, config)
-            bound = step(problem, z, config, ops, ops.buffers[0], ops.target)
-            assert np.array_equal(own.next.as_vector(), bound.next.as_vector()), label
-            assert np.array_equal(own.target.as_vector(), bound.target.as_vector()), label
-            assert not np.shares_memory(own.next.y, ops.buffers[0]), label
-
-    def test_bound_output_is_built_once(self, rng):
-        for label, problem, config, kind, step, _ in _admm_ppm_cases(rng):
-            ops = kind(problem, config)
-            z = _admm_ppm_start(problem, rng)
-            first = step(problem, z, config, ops, ops.buffers[0], ops.target)
-            second = step(problem, first.next, config, ops, ops.buffers[1], ops.target)
-            third = step(problem, second.next, config, ops, ops.buffers[0], ops.target)
-            assert third is first and second is not first, label
+                if k == 15:
+                    # a step from a new anchor goes into the first buffer,
+                    # which holds the point it was copied from
+                    z, into = _view(problem, method, z.as_vector()), 0
+                want_next, want_target = reference(z)
+                if method == ADMM:
+                    ops.buffers[into].fill(np.nan)   # stale contents must not leak
+                out = step(z)
+                assert np.array_equal(out.next.as_vector(), want_next), (method, k)
+                assert np.array_equal(out.target.as_vector(), want_target), (method, k)
+                if method == ADMM:
+                    assert out.next_vec is ops.buffers[into], k
+                z, into = out.next, 1 - into
 
     def test_operators_of_another_problem_or_config_raise(self, rng):
-        (_, lp, admm_cfg, *_), (_, bil, eta, *_) = _admm_ppm_cases(rng)
-        z = _admm_ppm_start(lp, rng)
+        lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+        config = StepConfig(ADMM, 1.3)
+        z = _start(lp, rng, ADMM)
         with pytest.raises(ValueError, match="built for another"):
-            admm_step(lp, z, StepConfig(ADMM, 2.0), AdmmOperators(lp, admm_cfg))
+            admm_step(lp, z, StepConfig(ADMM, 2.0), AdmmOperators(lp, config))
         with pytest.raises(ValueError, match="built for another"):
-            admm_step(lp, z, admm_cfg, AffineProjector(lp.A, lp.b))
-        with pytest.raises(ValueError, match="built for another"):
-            ppm_bilinear_step(bil, _start(bil, rng), eta, PpmOperators(bil, 2 * eta))
+            admm_step(lp, z, config, AffineProjector(lp.A, lp.b))
         with pytest.raises(ValueError, match="for ADMM"):
             AdmmOperators(lp, StepConfig(PDHG, 0.5))
-        with pytest.raises(ValueError, match="unconstrained bilinear"):
-            PpmOperators(lp, 0.5)
 
-    def test_operators_hold_the_scaled_data(self, rng):
-        (_, lp, config, *_), (_, bil, eta, *_) = _admm_ppm_cases(rng)
+    def test_operators_hold_the_scaled_data(self):
+        lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+        config = StepConfig(ADMM, 1.3)
         admm = AdmmOperators(lp, config)
         assert np.array_equal(admm.c_eta, lp.c / config.eta)
         assert admm.target.shape == (3 * lp.n,) and admm.y_eta.shape == (lp.n,)
         assert admm.projector.factor is NormalFactor.of(lp.A)
-        ppm = PpmOperators(bil, eta)
-        assert np.array_equal(ppm.eta_c, bil.c * eta)
-        assert np.array_equal(ppm.eta_b, eta * bil.b)
-        assert ppm.target is None and ppm.factor is NormalFactor.of(bil.A, 1.0 / (eta * eta))
 
-    @pytest.mark.parametrize("method", [ADMM, PPM_BILINEAR])
-    def test_bound_step_allocates_no_iterate(self, method):
-        # steady state of a run that steps between the operators' buffers:
-        # the operators are built once, and a step allocates no array as
-        # long as the iterate (the factor's back-solve returns a length-m
-        # array, m < n here)
-        problem, _ = generate(RandomLpKnownOptimum(3000, 6000, 4e-4, 0))
-        m, n = problem.m, problem.n
-        if method == ADMM:
-            config = StepConfig(ADMM, 1.0)
-            ops = AdmmOperators(problem, config)
-            step = admm_step
-            z = AdmmPoint(*np.split(ops.buffers[0], 3))
-        else:
-            problem = replace(problem, nonneg=False)
-            config = 0.5
-            ops = PpmOperators(problem, config)
-            step = ppm_bilinear_step
-            z = SaddlePoint(ops.buffers[0][:n], ops.buffers[0][n:])
-        ops.buffers[0][:] = 1.0
-        kwargs = {"target": ops.target} if method == ADMM else {}
+    def test_restarted_ppm_factors_once_per_matrix_and_shift(self, monkeypatch):
+        calls = [0]
+        real_splu = steps.spla.splu
 
-        def one(k, z):
-            return step(problem, z, config, ops, ops.buffers[(k + 1) % 2], **kwargs).next
+        def splu(*args, **kwargs):
+            calls[0] += 1
+            return real_splu(*args, **kwargs)
 
-        for k in range(3):
-            z = one(k, z)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            one(3, z)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n, (peak, 8 * m)
+        monkeypatch.setattr(steps.spla, "splu", splu)
+        problem, _ = generate(DiagonalBilinear((0.3, 0.8, 1.5)))
+        z0 = SaddlePoint(np.ones(3), np.ones(3))
+        for eta in (0.7, 0.7, 2.0):
+            res = run_restarted(problem, SolveOptions(StepConfig(PPM_BILINEAR, eta),
+                                                      RestartScheme.adaptive(), kkt_tol=1e-8),
+                                z0=z0)
+            assert res.iterations > 1
+        assert calls == [2]
 
 
 class TestProjectInto:
