@@ -91,7 +91,9 @@ class SparseMatrix:
     work) and lives as long as the matrix; nothing in it refers back to the
     matrix, so reference counting frees both together.  Its memory is that
     of what it holds: A~ adds one value array per layout (16 bytes per
-    nonzero, index arrays shared), and a factor the fill-in of its sparse LU.
+    nonzero, index arrays shared), and a factor the 12 bytes per nonzero of
+    its sparse LU, or the 8 m^2 bytes of a dense inverse when that LU would
+    be no smaller (:class:`~restartlp.steps.NormalFactor`).
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, vals):

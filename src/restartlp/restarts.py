@@ -38,7 +38,7 @@ gradient blocks c - A'y and Ax - b come from one pair of matrix-vector
 products and feed both the KKT error and the block trust-region solve of
 the gap (:func:`~restartlp.gap.lp_gap`), which yields the gap alone.  For
 ADMM each KKT evaluation also extracts an LP dual estimate from
-A A' lam = -A y: one back-solve with the matrix's A A' factor, plus two
+A A' lam = -A y: one solve with the matrix's A A' factor, plus two
 products to verify its residual.
 """
 
@@ -392,8 +392,12 @@ def _make_lane(problem, config):
     both sigma from :func:`power_method_sigma_max` at its defaults.  Other
     problems run as given, with no record.  A~ and both sigma come from the
     matrices' memos, so only the first solve on a matrix computes them; the
-    lane's step operators are built here, once per solve.
+    lane's step operators are built here, once per solve.  PPM on an LP is
+    rejected before any of that work.
     """
+    if config.method == PPM_BILINEAR and problem.nonneg:
+        raise ValueError("PPM steps are implemented for unconstrained bilinear "
+                         "problems only")
     if not (problem.nonneg and np.any(problem.A.vals)):
         lane = (_AdmmLane if config.method == ADMM else _SaddleLane)(problem, config)
         return lane, None

@@ -24,7 +24,10 @@ stays valid until the step after the next one overwrites it.
 
 PPM allocates its output.  It solves with the factor of s I + A A' kept in
 the matrix's memo (:meth:`NormalFactor.of`), so that factor is built once
-per matrix and shift.
+per matrix and shift; so does ADMM's projection, with s = 0.  The factor is
+a sparse LU, applied by its back-solve, unless the LU takes at least the
+bytes of a dense inverse: then the inverse is formed once and each solve is
+one matrix-vector product with it.
 """
 
 from __future__ import annotations
@@ -329,11 +332,18 @@ _MAX_SOLVES = 8
 
 
 class NormalFactor:
-    """Sparse LU factor of s I + A A', formed and factored once.
+    """Factor of s I + A A', formed and factored once.
 
     A A' comes from the two layouts of :class:`SparseMatrix`;
     ``scipy.sparse.linalg.splu`` factors it after a tiny diagonal shift.
-    :meth:`refine` never trusts a back-solve: it repeats the solve on the
+    How a solve is applied depends on the size of that LU.  When its stored
+    nonzeros (8-byte values and 4-byte indices, ``12 * nnz`` bytes) take at
+    least the 8 m^2 bytes of a dense m x m inverse, the inverse is formed
+    from the LU once (``inverse``) and each solve is one matrix-vector
+    product with it; the LU is then dropped.  Otherwise ``inverse`` is None
+    and each solve is the LU's back-solve.  Either way a solve returns a new
+    array, so the factor holds no state and its solves may interleave.
+    :meth:`refine` never trusts a solve: it repeats the solve on the
     true residual, which the caller recomputes from its own iterate, until
     that residual is small enough.  Rank-deficient A is allowed as long as
     the system is consistent.  :meth:`of` returns the factor kept in the
@@ -345,7 +355,14 @@ class NormalFactor:
         gram = A.gram()
         scale = float(gram.diagonal().max(initial=0.0)) or 1.0
         reg = (shift + _FACTOR_SHIFT * scale) * sp.eye_array(A.n_rows, format="csc")
-        self._lu = spla.splu(gram + reg)
+        lu = spla.splu(gram + reg)
+        m = A.n_rows
+        if 12 * lu.nnz >= 8 * m * m:
+            self.inverse = lu.solve(np.eye(m))
+            self._solve = self.inverse.dot
+        else:
+            self.inverse = None
+            self._solve = lu.solve
 
     @classmethod
     def of(cls, A, shift=0.0):
@@ -359,7 +376,7 @@ class NormalFactor:
         new true residual.  Raises :class:`AffineProjectionError` when the
         residual is still above ``atol`` after ``_MAX_SOLVES`` solves."""
         for _ in range(_MAX_SOLVES):
-            residual = correct(self._lu.solve(residual))
+            residual = correct(self._solve(residual))
             if _norm(residual) <= atol:
                 return
         raise AffineProjectionError(

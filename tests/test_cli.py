@@ -123,6 +123,12 @@ class TestSolve:
             traces.append([row[:-1] for row in rows])  # drop elapsed_seconds
         assert traces[0] == traces[1]
 
+    def test_ppm_on_an_lp_is_input_error(self, capsys):
+        code = main(["solve", "--generate", "random:m=20,n=40,density=0.3,seed=1",
+                     "--method", "ppm"])
+        assert code == EXIT_INPUT_ERROR
+        assert "unconstrained bilinear" in capsys.readouterr().err
+
     def test_divergence_exit_code(self):
         code = main(["solve", "--generate", "random:m=10,n=20,density=0.4,seed=2",
                      "--eta", "100.0", "--scheme", "none"])

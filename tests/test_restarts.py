@@ -118,6 +118,22 @@ class TestRunRestarted:
             with pytest.raises(ValueError, match=match):
                 run_restarted(problem, options, z0=z0)
 
+    def test_ppm_on_an_lp_is_rejected_before_any_work(self, monkeypatch):
+        # no rescaling, sigma estimate or KKT measurement precedes the error
+        calls = []
+        real = restarts.power_method_sigma_max
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(restarts, "power_method_sigma_max", counted)
+        lp, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 0))
+        options = SolveOptions(StepConfig(PPM_BILINEAR, 0.5), RestartScheme.adaptive())
+        with pytest.raises(ValueError, match="unconstrained bilinear problems only"):
+            run_restarted(lp, options)
+        assert calls == [] and lp.A.memo == {}
+
     def test_running_sum_tracks_the_incremental_average(self):
         # over 5000 unrestarted PDHG iterations the driver's sum / K stays
         # within 1e-13 (relative, in norm) of the incremental average

@@ -33,6 +33,9 @@ from test_ingest import FIXTURES
 PLANTED = (RandomLpKnownOptimum(20, 40, 0.3, 0), RandomLpKnownOptimum(20, 40, 0.3, 1),
            RandomLpKnownOptimum(50, 100, 0.2, 0), RandomLpKnownOptimum(50, 100, 0.2, 1))
 SCHEMES = (RestartScheme.adaptive(), RestartScheme.flexible())
+# A planted LP sparse enough that the LU of A A' stays smaller than a dense
+# inverse (see steps.NormalFactor)
+SPARSE_FACTOR = RandomLpKnownOptimum(80, 160, 0.02, 1)
 
 
 def badly_scaled(m, n, density, seed):
@@ -242,13 +245,20 @@ class TestScaledSolve:
         start = res.anchors[0]
         assert np.allclose(start[:problem.n], opt.x, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("method", [PDHG, EGM, ADMM])
+    # ADMM's factor of A~ A~' is applied as a dense inverse on PLANTED[3]
+    # and as a sparse LU on SPARSE_FACTOR; both must repeat bit for bit
+    @pytest.mark.parametrize("method,spec", [(PDHG, PLANTED[3]), (EGM, PLANTED[3]),
+                                             (ADMM, PLANTED[3]), (ADMM, SPARSE_FACTOR)],
+                             ids=["pdhg", "egm", "admm", "admm-sparse-factor"])
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
-    def test_deterministic(self, method, scheme):
-        problem, _ = generate(PLANTED[3])
+    def test_deterministic(self, method, spec, scheme):
+        problem, _ = generate(spec)
         options = SolveOptions(step_for(problem, method), scheme, kkt_tol=1e-8,
                                iteration_limit=3000, check_cadence=10)
         one = run_restarted(problem, options)
+        if method == ADMM:
+            factor = problem.A.memo["rescale"][0].memo[("normal_factor", 0.0)]
+            assert (factor.inverse is None) == (spec is SPARSE_FACTOR)
         # on a fresh matrix, so that A~ and its sigma are computed again
         two = run_restarted(StandardFormLp(problem.c, fresh(problem.A), problem.b), options)
         assert trace_rows(one) == trace_rows(two)

@@ -189,22 +189,67 @@ def _rank_deficient(kind, rng):
     return SparseMatrix.from_dense(dense), dense @ rng.standard_normal(9)
 
 
+def _on_path(path, A, b):
+    """``A`` and ``b`` as given ("dense": a small A's factor is applied as
+    a dense inverse), or with an identity block of order 200 after them on
+    the diagonal ("sparse": the LU of A A' then stays smaller than that
+    inverse).  Either way the factor's path is checked."""
+    if path == "sparse":
+        k = 200
+        diag = np.arange(k)
+        A = SparseMatrix(A.n_rows + k, A.n_cols + k,
+                         np.concatenate([A.rows, A.n_rows + diag]),
+                         np.concatenate([A.cols, A.n_cols + diag]),
+                         np.concatenate([A.vals, np.ones(k)]))
+        b = np.concatenate([b, np.ones(k)])
+    assert (NormalFactor.of(A).inverse is None) == (path == "sparse")
+    return A, b
+
+
 class TestFactoredSolves:
     @pytest.mark.parametrize("kind", ["duplicate", "zero", "dependent"])
     def test_rank_deficient_projection(self, kind, rng):
-        A, b = _rank_deficient(kind, rng)
-        dense = A.to_dense()
-        p = 3.0 * rng.standard_normal(9)
-        out = affine_project(A, b, p)
-        want = p - np.linalg.pinv(dense) @ (dense @ p - b)
-        assert np.max(np.abs(out - want)) <= 1e-9
-        assert np.linalg.norm(A.matvec(out) - b) <= 1e-10 * (1 + np.linalg.norm(b))
+        for path in ("dense", "sparse"):
+            A, b = _on_path(path, *_rank_deficient(kind, rng))
+            dense = A.to_dense()
+            p = 3.0 * rng.standard_normal(A.n_cols)
+            out = affine_project(A, b, p)
+            want = p - np.linalg.pinv(dense) @ (dense @ p - b)
+            assert np.max(np.abs(out - want)) <= 1e-9, path
+            assert np.linalg.norm(A.matvec(out) - b) <= 1e-10 * (1 + np.linalg.norm(b)), path
 
     def test_inconsistent_system_raises(self, rng):
-        A, b = _rank_deficient("zero", rng)
-        b[4] = 1.0
-        with pytest.raises(AffineProjectionError):
-            affine_project(A, b, rng.standard_normal(9))
+        for path in ("dense", "sparse"):
+            A, b = _rank_deficient("zero", rng)
+            b[4] = 1.0
+            A, b = _on_path(path, A, b)
+            with pytest.raises(AffineProjectionError):
+                affine_project(A, b, rng.standard_normal(A.n_cols))
+
+    def test_inverse_only_when_the_lu_is_no_smaller(self, monkeypatch, rng):
+        # a planted 200x400 LP's A A' is dense enough that its LU holds more
+        # bytes than the inverse; a 50x50 diagonal's stays a sparse LU
+        lus = []
+        real_splu = steps.spla.splu
+
+        def splu(*args, **kwargs):
+            lus.append(real_splu(*args, **kwargs))
+            return lus[-1]
+
+        monkeypatch.setattr(steps.spla, "splu", splu)
+        planted, _ = generate(RandomLpKnownOptimum(200, 400, 0.05, 0))
+        diagonal, _ = generate(DiagonalBilinear(tuple(np.linspace(0.1, 1.0, 50))))
+        for A, shift, inverse in ((planted.A, 0.0, True), (diagonal.A, 4.0, False)):
+            factor = NormalFactor(A, shift)
+            m = A.n_rows
+            assert (12 * lus[-1].nnz >= 8 * m * m) == inverse
+            assert (factor.inverse is not None) == inverse
+            # either way a solve returns a new array holding the solution
+            r = rng.standard_normal(m)
+            matrix = shift * np.eye(m) + A.to_dense() @ A.to_dense().T
+            d = factor._solve(r)
+            assert d is not factor._solve(r)
+            assert np.linalg.norm(matrix @ d - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_ppm_matches_dense_block_solve(self, rng):
         A = random_sparse(6, 10, 0.5, rng)
@@ -683,14 +728,21 @@ class TestAdmmAndPpm:
             return real_splu(*args, **kwargs)
 
         monkeypatch.setattr(steps.spla, "splu", splu)
-        problem, _ = generate(DiagonalBilinear((0.3, 0.8, 1.5)))
-        z0 = SaddlePoint(np.ones(3), np.ones(3))
-        for eta in (0.7, 0.7, 2.0):
-            res = run_restarted(problem, SolveOptions(StepConfig(PPM_BILINEAR, eta),
-                                                      RestartScheme.adaptive(), kkt_tol=1e-8),
-                                z0=z0)
-            assert res.iterations > 1
-        assert calls == [2]
+        # a 3x3 diagonal's factor is applied as its inverse, a 50x50 one's
+        # stays a sparse LU
+        for sigmas in ((0.3, 0.8, 1.5), tuple(np.linspace(0.3, 1.5, 50))):
+            problem, _ = generate(DiagonalBilinear(sigmas))
+            k = len(sigmas)
+            z0 = SaddlePoint(np.ones(k), np.ones(k))
+            calls[0] = 0
+            for eta in (0.7, 0.7, 2.0):
+                res = run_restarted(problem, SolveOptions(StepConfig(PPM_BILINEAR, eta),
+                                                          RestartScheme.adaptive(), kkt_tol=1e-8),
+                                    z0=z0)
+                assert res.iterations > 1
+                factor = NormalFactor.of(problem.A, 1.0 / (eta * eta))
+                assert (factor.inverse is None) == (k == 50)
+            assert calls == [2], k
 
 
 class TestProjectInto:
