@@ -42,10 +42,14 @@ from .restarts import (
     RestartScheme,
     SolveOptions,
     Status,
+    _make_lane,
+    _run_lane,
+    _stacked_lane,
+    _unstacked,
     run_restarted,
 )
 from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, StepConfig
-# Not called here (the tuners step inside run_restarted); the name stays
+# Not called here (the tuners step inside the restart loop); the name stays
 # bound because perfbench's span-tracer test reads it from this module.
 from .steps import pdhg_step  # noqa: F401
 
@@ -279,15 +283,37 @@ def cmd_solve(config):
 # ---------------------------------------------------------------------------
 
 
-def _final_kkt_norestart(problem, step_config, iterations):
-    """KKT error of the last iterate after ``iterations`` steps of
-    :func:`run_restarted` without restarts, or inf if the run diverged.
-    The steps run on the problem the solve iterates (the rescaled one for
-    an LP); the error is the caller problem's."""
-    options = SolveOptions(step_config, RestartScheme.none(), kkt_tol=0.0,
-                           iteration_limit=iterations, check_cadence=iterations)
-    result = run_restarted(problem, options)
-    return math.inf if result.status == Status.DIVERGED else result.kkt_last
+# Stacked nonzeros (or vector entries, where a problem has more of them)
+# above which the primal-weight tuner splits its grid into groups that run
+# one after another (see tune_primal_weight).  On a 2-core Intel Xeon at 1
+# BLAS thread, PDHG on planted LPs, one stack of the 11 omegas takes 0.62 of
+# the time per iteration of 11 lone runs at 66k stacked nonzeros and 0.80 at
+# 132k, and breaks even between about 1.3e5 and 2.3e5, by sparsity.
+_STACK_NNZ = 2 ** 16
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _final_kkts(problem, configs, iterations):
+    """For each of ``configs``: the KKT error of the caller's problem at
+    the last iterate of ``iterations`` steps without restarts, or inf if
+    the run diverged, as a lone :func:`run_restarted` reads it.
+
+    One config runs on its lone lane; several, which differ in omega
+    alone, as the blocks of their stacked lane, in one run of the restart
+    loop.  Block i diverged, as the loop's checkpoint decides for a lone
+    run, when its last iterate or average has a non-finite entry; else its
+    error is what the lone lane measures at its last iterate.
+    """
+    lane, _ = _make_lane(problem, configs[0])
+    k = len(configs)
+    run = lane if k == 1 else _stacked_lane(lane, [cfg.omega for cfg in configs])
+    result = _run_lane(run, SolveOptions(run.config, RestartScheme.none(), kkt_tol=0.0,
+                                         iteration_limit=iterations, check_cadence=iterations))
+    errors = []
+    for last, avg in zip(_unstacked(lane, result.last, k), _unstacked(lane, result.average, k)):
+        finite = np.all(np.isfinite(last)) and np.all(np.isfinite(avg))
+        errors.append(lane.measure(last, 0.0)[1] if finite else math.inf)
+    return errors
 
 
 _ROUNDOFF = 64.0 * np.finfo(np.float64).eps
@@ -322,14 +348,36 @@ def _pick_on_grid(table, floor):
                key=lambda v: (max(v, 1.0 / v), v))
 
 
+def _check_budget(iterations):
+    if iterations < 1:
+        raise ValueError(f"the tuning budget must be at least 1 iteration per run, "
+                         f"not {iterations}")
+
+
 def tune_primal_weight(problem, method, eta, iterations=5000, lipschitz=None):
     """Pick omega from {4^-5, ..., 4^5} minimizing the final-iterate KKT
-    error of a non-restarted run.
+    error of a non-restarted run of ``iterations`` steps.
 
-    Each run is :func:`run_restarted` without restarts, so an LP is tuned
-    on the rescaled problem that the solve actually iterates (``eta`` and
-    ``lipschitz`` are in the caller's units, as for a solve), and the error
-    is that of the caller's problem.
+    Each run is that of :func:`run_restarted` without restarts, so an LP is
+    tuned on the rescaled problem that the solve actually iterates (``eta``
+    and ``lipschitz`` are in the caller's units, as for a solve), and the
+    error is that of the caller's problem.
+
+    The runs of several omegas are one run of the restart loop, on k
+    copies of the problem the lone run iterates stacked as the blocks of
+    one block-diagonal problem, block i stepping with tau = eta~/omega_i
+    and sigma = eta~ omega_i (:func:`_final_kkts`).  That is exact: each
+    CSR row of the stack holds its own block's entries, in the lone
+    matrix's order, and each step size is folded into the values and into
+    tau c and sigma b entry by entry, so every product, sum and elementwise
+    operation of a block is the lone run's, bit for bit, and a block that
+    overflows leaves the others alone.  One run pays the per-call overhead
+    of one run instead of eleven, which is most of a small problem's cost.
+    The grid is split into groups of max(1, 2^16 // max(nnz(A), n + m))
+    omegas, run one after another, so a stack holds at most 2^16 nonzeros
+    (about 2.5 MB with its scaled copy) and 2^16 vector entries, or a
+    single copy of the problem: a large LP tunes one omega at a time on the
+    lone run's lane.  ``iterations`` < 1 is rejected before any work.
 
     Errors at or below the roundoff floor 64 * eps_mach * (1 + |b|_2 + |c|_2)
     are ties, and ties break toward the default omega = 1 (smallest
@@ -339,12 +387,16 @@ def tune_primal_weight(problem, method, eta, iterations=5000, lipschitz=None):
     Returns (omega, table) where table lists (omega, kkt_error) with the
     measured errors, not clamped to the floor.
     """
+    _check_budget(iterations)
     if method not in (PDHG, EGM):
         raise ValueError("primal-weight tuning applies to PDHG and EGM")
-    table = []
-    for omega in OMEGA_GRID:
-        cfg = StepConfig(method, eta, omega=omega, lipschitz=lipschitz)
-        table.append((omega, _final_kkt_norestart(problem, cfg, iterations)))
+    configs = [StepConfig(method, eta, omega=omega, lipschitz=lipschitz)
+               for omega in OMEGA_GRID]
+    per_group = max(1, _STACK_NNZ // max(problem.A.nnz, problem.n + problem.m, 1))
+    errors = []
+    for start in range(0, len(configs), per_group):
+        errors += _final_kkts(problem, configs[start:start + per_group], iterations)
+    table = list(zip(OMEGA_GRID, errors))
     return _pick_on_grid(table, _roundoff_floor(problem)), table
 
 
@@ -357,9 +409,10 @@ def _tune_admm_eta(problem, iterations=5000):
     :meth:`~restartlp.steps.AffineProjector.solve_normal` verifies only to
     that relative residual, so smaller differences are not resolved (on
     planted 20x40 seed 2 the converged runs read 5.8e-13 at eta = 4 and
-    1.7e-12 at eta = 1).
+    1.7e-12 at eta = 1).  ``iterations`` < 1 is rejected before any work.
     """
-    table = [(eta, _final_kkt_norestart(problem, StepConfig(ADMM, eta), iterations))
+    _check_budget(iterations)
+    table = [(eta, _final_kkts(problem, [StepConfig(ADMM, eta)], iterations)[0])
              for eta in OMEGA_GRID]
     return _pick_on_grid(table, _roundoff_floor(problem, _ROUNDOFF + PROJECTION_TOL)), table
 
@@ -371,6 +424,7 @@ def cmd_tune_primal_weight(config, iterations=5000):
     toward omega = 1); the printed and JSON tables hold the measured errors.
     """
     try:
+        _check_budget(iterations)
         problem, meta = load_problem(config)
         if config.method not in (PDHG, EGM):
             raise ValueError("tune-omega supports PDHG and EGM")

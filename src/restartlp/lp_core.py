@@ -73,11 +73,18 @@ class SparseMatrix:
     one, in (row, col) order.  The layouts' index arrays are int32 when the
     dimensions and the nonzero count fit in it, else int64.
 
-    A matrix is never modified in place: :meth:`scaled` and
-    :meth:`scaled_products` return new matrices, each with a memo of its
-    own.  That lets it keep, in one memo (:meth:`derived`), what is computed
-    from it alone and would otherwise be computed again by every solve and
-    every tuning run on it:
+    A k-fold block-diagonal copy (:meth:`block_diagonal`) holds in each row
+    of either layout the entries of one row of a copy, in their stored
+    order, so a product with it repeats, block by block, the sums of the
+    products with A bit for bit.  :meth:`scaled_products` scales by one
+    scalar per product or by one value per row (A v) and per column
+    (A^T w), which gives each block of such a stack a scale of its own.
+
+    A matrix is never modified in place: :meth:`scaled`,
+    :meth:`scaled_products` and :meth:`block_diagonal` return new matrices,
+    each with a memo of its own.  That lets it keep, in one memo
+    (:meth:`derived`), what is computed from it alone and would otherwise
+    be computed again by every solve and every tuning run on it:
 
     * the converged estimates of :func:`power_method_sigma_max`, one per
       ``(tol, max_iters, seed)``;
@@ -230,12 +237,29 @@ class SparseMatrix:
         s = ``matvec_scale``, t = ``rmatvec_scale``: a matrix whose
         :meth:`matvec` is s A and whose :meth:`rmatvec` is t A^T.
 
-        Each layout's values are multiplied once by its own scalar (one new
-        value array per layout); the index arrays are shared.  Only the two
-        products are meant to be used: the layouts no longer hold the
-        transpose of one another.
+        Each scale is a scalar, or an array of one value per row (s_i) or
+        per column (t_j) of A, giving diag(s) A and diag(t) A^T.  Each
+        layout's values are multiplied once, entry by entry, by the entry's
+        scale (one new value array per layout); the index arrays are
+        shared.  Only the two products are meant to be used: the layouts no
+        longer hold the transpose of one another.
         """
-        return self._revalued(matvec_scale * self._fwd.data, rmatvec_scale * self._adj.data)
+        fwd, adj = self._fwd, self._adj
+        if np.ndim(matvec_scale):
+            matvec_scale = np.repeat(matvec_scale, np.diff(fwd.indptr))
+        if np.ndim(rmatvec_scale):
+            rmatvec_scale = np.repeat(rmatvec_scale, np.diff(adj.indptr))
+        return self._revalued(matvec_scale * fwd.data, rmatvec_scale * adj.data)
+
+    def block_diagonal(self, k):
+        """diag(A, ..., A) with ``k`` copies of A, copy i on rows
+        i m .. (i + 1) m - 1 and columns i n .. (i + 1) n - 1 (see the
+        class docstring)."""
+        shift = np.arange(k)[:, None]
+        return SparseMatrix(k * self.n_rows, k * self.n_cols,
+                            (self.rows + shift * self.n_rows).ravel(),
+                            (self.cols + shift * self.n_cols).ravel(),
+                            np.tile(self.vals, k))
 
     def _revalued(self, fwd_vals, adj_vals):
         """A matrix over the same two layouts with new values in each: the

@@ -57,6 +57,7 @@ from .gap import normalized_gap_lp  # noqa: F401
 from .lp_core import (
     NormSpec,
     SaddlePoint,
+    StandardFormLp,
     norm_value,
     power_method_sigma_max,
     residuals,
@@ -268,7 +269,8 @@ class _Lane:
     them.  ``measure(vec, radius)`` and ``dist(va, vb)`` evaluate vectors.
     A lane steps on the problem it was given; when that is a rescaled LP,
     ``scale`` holds the factors that take one of its vectors to the
-    caller's space elementwise.
+    caller's space elementwise.  ``config`` is the step config it steps
+    with, in the units of that problem.
     """
 
     scale = None
@@ -296,18 +298,21 @@ class _Lane:
 
 
 class _SaddleLane(_Lane):
+    """PDHG, EGM or PPM; with ``omegas``, PDHG or EGM on a stack of blocks
+    at one primal weight each (see :func:`_stacked_lane`)."""
+
     point = SaddlePoint
 
-    def __init__(self, problem, config, d1=None, d2=None):
-        self.problem = problem
+    def __init__(self, problem, config, d1=None, d2=None, omegas=None):
+        self.problem, self.config = problem, config
         self.n = n = problem.n
         self.size = n + problem.m
         # the steps are looked up by name at each call
         if config.method == PDHG:
-            ops = StepOperators(problem, config)
+            ops = StepOperators(problem, config, omegas)
             self.step = lambda z: pdhg_step(problem, z, config, ops)
         elif config.method == EGM:
-            ops = StepOperators(problem, config)
+            ops = StepOperators(problem, config, omegas)
             self.step = lambda z: egm_step(problem, z, config, ops)
         elif config.method == PPM_BILINEAR:
             eta = config.eta
@@ -412,6 +417,26 @@ def _make_lane(problem, config):
     return _SaddleLane(scaled, config, d1, d2), Scaling(sigma, sigma_scaled, config.eta)
 
 
+def _stacked_lane(lane, omegas):
+    """A lane that steps the PDHG or EGM ``lane``'s problem at each of the
+    k = len(omegas) primal weights at once, as k copies of it that are the
+    blocks of one block-diagonal problem, unscaled: its flat vector is
+    [x_1; ...; x_k; y_1; ...; y_k], and block i holds the bits of a lone
+    run of ``lane`` at omegas[i] (see :class:`~restartlp.steps.StepOperators`)."""
+    k, problem = len(omegas), lane.problem
+    stack = StandardFormLp(np.tile(problem.c, k), problem.A.block_diagonal(k),
+                           np.tile(problem.b, k), nonneg=problem.nonneg)
+    return _SaddleLane(stack, lane.config, omegas=omegas)
+
+
+def _unstacked(lane, vec, k):
+    """The k blocks of ``vec``, a flat vector of a stacked lane of ``lane``
+    (or of ``lane`` itself when k = 1), each as a flat vector of ``lane``."""
+    split = k * lane.n
+    return [np.concatenate(block)
+            for block in zip(np.split(vec[:split], k), np.split(vec[split:], k))]
+
+
 # Overflow on a diverging run is reported as Status.DIVERGED by the
 # checkpoint's finite check, not by numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
@@ -451,6 +476,19 @@ def run_restarted(problem, options, z0=None, observe=None):
     problem's, and gaps and radii are those of the scaled problem.
     """
     lane, scaling = _make_lane(problem, options.step)
+    result = _run_lane(lane, options, z0, observe)
+    return replace(result, solution=lane.export(result.solution),
+                   average=lane.export(result.average), last=lane.export(result.last),
+                   anchors=[lane.to_caller(a) for a in result.anchors], scaling=scaling)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _run_lane(lane, options, z0=None, observe=None):
+    """The restart loop of :func:`run_restarted` over ``lane``, which
+    steps as its own config says (``options.step`` is not read).  Returns
+    a :class:`SolveResult` in the lane's space: ``solution``, ``average``,
+    ``last`` and ``anchors`` are the lane's flat vectors, not copied, and
+    ``scaling`` is None."""
     scheme = options.scheme
     adaptive = scheme.kind in (ADAPTIVE, FLEXIBLE)
     # the gaps the scheme reads: the average's unless it never restarts,
@@ -477,17 +515,16 @@ def run_restarted(problem, options, z0=None, observe=None):
 
     def finish(status, sol_vec, kkt_avg, kkt_last):
         return SolveResult(
-            solution=lane.export(sol_vec),
+            solution=sol_vec,
             status=status,
             iterations=total,
             trace=trace,
-            average=lane.export(avg),
-            last=lane.export(cur),
+            average=avg,
+            last=cur,
             kkt_avg=kkt_avg,
             kkt_last=kkt_last,
-            anchors=[lane.to_caller(a) for a in anchors],
+            anchors=anchors,
             restart_count=len(trace.restart_lengths),
-            scaling=scaling,
         )
 
     while True:

@@ -193,13 +193,25 @@ class StepOperators(_Operators):
       EGM's target buffer (None for PDHG), with the views and the output
       of a step into each (see the module docstring);
     * ``work`` is PDHG's length-n scratch for 2 x+ - x, never returned.
+
+    With ``omegas``, k primal weights, ``problem`` is k copies of one
+    problem stacked as blocks (A block-diagonal, c and b tiled) and block i
+    steps with tau_i = eta/omegas[i] and sigma_i = eta omegas[i]: tau and
+    sigma become vectors over the columns and the rows, folded in entry by
+    entry, so every value and sum of block i is the one a lone step at
+    omegas[i] computes, bit for bit.
     """
 
-    def __init__(self, problem, config):
+    def __init__(self, problem, config, omegas=None):
         if config.method not in (PDHG, EGM):
             raise ValueError(f"step operators are for PDHG and EGM, not {config.method}")
-        tau = config.eta / config.omega
-        sigma = config.eta * config.omega
+        if omegas is None:
+            tau = config.eta / config.omega
+            sigma = config.eta * config.omega
+        else:
+            omegas = np.asarray(omegas, dtype=np.float64)
+            tau = np.repeat(config.eta / omegas, problem.n // omegas.size)
+            sigma = np.repeat(config.eta * omegas, problem.m // omegas.size)
         self.problem, self.config = problem, config
         self.n = n = problem.n
         self.K = problem.A.scaled_products(-sigma, tau)
@@ -329,6 +341,31 @@ class AffineProjectionError(RuntimeError):
 _FACTOR_SHIFT = 1e-13
 # Factored solves one refinement may take before it gives up.
 _MAX_SOLVES = 8
+# Columns of a dense inverse solved for at once (see _inverse).
+_INVERSE_COLUMNS = 32
+
+
+def _inverse(lu, m):
+    """The inverse of the m x m matrix factored in ``lu``, solved for in
+    blocks of _INVERSE_COLUMNS columns of the identity into one array.
+
+    Each block's right-hand side and SuperLU's workspace for it hold
+    m x _INVERSE_COLUMNS values, not the m x m of a solve against
+    ``np.eye(m)``, which left about 0.1 MB more resident per 200 x 200
+    factor.  The solve of a column does not depend on the columns solved
+    with it, so the bits equal those of ``lu.solve(np.eye(m))``; the array
+    is Fortran-ordered as that one is, so that products with it run the
+    same BLAS kernel.
+    """
+    inverse = np.empty((m, m), order="F")
+    rhs = np.zeros((m, _INVERSE_COLUMNS), order="F")
+    for j in range(0, m, _INVERSE_COLUMNS):
+        w = min(_INVERSE_COLUMNS, m - j)
+        eye = rhs[j:j + w, :w]
+        np.fill_diagonal(eye, 1.0)
+        inverse[:, j:j + w] = lu.solve(rhs[:, :w])
+        eye.fill(0.0)
+    return inverse
 
 
 class NormalFactor:
@@ -339,13 +376,13 @@ class NormalFactor:
     How a solve is applied depends on the size of that LU.  When its stored
     nonzeros (8-byte values and 4-byte indices, ``12 * nnz`` bytes) take at
     least the 8 m^2 bytes of a dense m x m inverse, the inverse is formed
-    from the LU once (``inverse``) and each solve is one matrix-vector
-    product with it; the LU is then dropped.  Otherwise ``inverse`` is None
-    and each solve is the LU's back-solve.  Either way a solve returns a new
-    array, so the factor holds no state and its solves may interleave.
-    :meth:`refine` never trusts a solve: it repeats the solve on the
-    true residual, which the caller recomputes from its own iterate, until
-    that residual is small enough.  Rank-deficient A is allowed as long as
+    from the LU once, a block of columns at a time (``inverse``), and each
+    solve is one matrix-vector product with it; the LU is then dropped.
+    Otherwise ``inverse`` is None and each solve is the LU's back-solve.
+    Either way a solve returns a new array, so the factor holds no state
+    and its solves may interleave.  :meth:`refine` never trusts a solve:
+    it repeats the solve on the true residual, which the caller recomputes
+    from its own iterate, until that residual is small enough.  Rank-deficient A is allowed as long as
     the system is consistent.  :meth:`of` returns the factor kept in the
     matrix's memo, so that the solves and tuning runs on one matrix share
     it.
@@ -358,7 +395,7 @@ class NormalFactor:
         lu = spla.splu(gram + reg)
         m = A.n_rows
         if 12 * lu.nnz >= 8 * m * m:
-            self.inverse = lu.solve(np.eye(m))
+            self.inverse = _inverse(lu, m)
             self._solve = self.inverse.dot
         else:
             self.inverse = None

@@ -20,9 +20,11 @@ from restartlp.cli import (
     rank_fixed_runs,
     tune_primal_weight,
 )
+from restartlp import lp_core
 from restartlp.ingest import DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate
-from restartlp.lp_core import power_method_sigma_max
-from restartlp.steps import ADMM, PDHG, PROJECTION_TOL
+from restartlp.lp_core import SparseMatrix, StandardFormLp, power_method_sigma_max
+from restartlp.restarts import RestartScheme, SolveOptions, Status, run_restarted
+from restartlp.steps import ADMM, EGM, PDHG, PROJECTION_TOL, StepConfig
 
 TINY_MPS = """\
 NAME          TINY
@@ -145,6 +147,24 @@ class TestSolve:
         assert "start" in capsys.readouterr().err
 
 
+def lone_table(problem, method, eta, iterations, lipschitz=None):
+    """The tuner's table from one non-restarted run_restarted call per
+    omega, each read as its checkpoint reads it."""
+    table = []
+    for omega in OMEGA_GRID:
+        options = SolveOptions(StepConfig(method, eta, omega=omega, lipschitz=lipschitz),
+                               RestartScheme.none(), kkt_tol=0.0, iteration_limit=iterations,
+                               check_cadence=iterations)
+        result = run_restarted(problem, options)
+        table.append((omega, math.inf if result.status == Status.DIVERGED else result.kkt_last))
+    return table
+
+
+def planted(m=20, n=40, density=0.3, seed=1):
+    problem, _ = generate(RandomLpKnownOptimum(m, n, density, seed))
+    return problem, power_method_sigma_max(problem.A)
+
+
 class TestTuneOmega:
     def test_grid_is_eleven_powers_of_four(self):
         assert len(OMEGA_GRID) == 11
@@ -208,6 +228,96 @@ class TestTuneOmega:
         assert code == EXIT_OPTIMAL
         data = json.loads(summary.read_text())
         assert "omega" in data and len(data["table"]) == 11
+
+    # tune_primal_weight runs the grid as the blocks of one stacked run;
+    # its table must equal that of the per-omega runs bit for bit
+
+    @pytest.fixture
+    def loop_passes(self, monkeypatch):
+        calls = []
+        real = cli._run_lane
+
+        def spy(lane, options, *args):
+            calls.append(lane.problem.A.shape)
+            return real(lane, options, *args)
+
+        monkeypatch.setattr(cli, "_run_lane", spy)
+        return calls
+
+    @pytest.mark.parametrize("method", [PDHG, EGM])
+    def test_planted_lp(self, method, loop_passes):
+        problem, sigma = planted()
+        lipschitz = 1.01 * sigma if method == EGM else None
+        omega, table = tune_primal_weight(problem, method, 0.9 / sigma, iterations=400,
+                                          lipschitz=lipschitz)
+        assert table == lone_table(problem, method, 0.9 / sigma, 400, lipschitz)
+        assert omega == cli._pick_on_grid(table, cli._roundoff_floor(problem))
+        # one pass of the loop, over all eleven blocks
+        assert loop_passes == [(11 * problem.m, 11 * problem.n)]
+
+    @pytest.mark.parametrize("factor,iterations,diverged", [(1.5, 1000, 10), (2.0, 300, 5)])
+    def test_overflowing_blocks_leave_the_others_alone(self, factor, iterations, diverged):
+        # eta above 1/sigma: the runs at some omegas overflow within the
+        # budget, the others converge (1.5) or stay finite (2.0)
+        problem, sigma = planted(10, 20, 0.4, 0)
+        _, table = tune_primal_weight(problem, PDHG, factor / sigma, iterations=iterations)
+        assert table == lone_table(problem, PDHG, factor / sigma, iterations)
+        assert sum(err == math.inf for _, err in table) == diverged
+
+    def test_unconstrained_diagonal_bilinear(self, rng):
+        # nonneg=False: no rescaling, the blocks step on the caller's data
+        sigmas = np.linspace(0.2, 1.0, 6)
+        A = SparseMatrix(6, 6, np.arange(6), np.arange(6), sigmas)
+        problem = StandardFormLp(rng.standard_normal(6), A, rng.standard_normal(6),
+                                 nonneg=False)
+        for method in (PDHG, EGM):
+            _, table = tune_primal_weight(problem, method, 0.9, iterations=300)
+            assert table == lone_table(problem, method, 0.9, 300)
+            assert all(math.isfinite(err) for _, err in table)
+
+    @pytest.mark.parametrize("blocks,passes", [(0, [1] * 11), (4, [4, 4, 3])],
+                             ids=["below-one-block", "four-blocks"])
+    def test_groups_under_the_nonzero_bound(self, blocks, passes, monkeypatch, loop_passes):
+        problem, sigma = planted()
+        # a bound below one block's nonzeros runs each omega alone
+        bound = blocks * problem.A.nnz if blocks else problem.A.nnz - 1
+        monkeypatch.setattr(cli, "_STACK_NNZ", bound)
+        _, table = tune_primal_weight(problem, PDHG, 0.9 / sigma, iterations=300)
+        assert table == lone_table(problem, PDHG, 0.9 / sigma, 300)
+        assert loop_passes == [(k * problem.m, k * problem.n) for k in passes]
+
+    def test_groups_count_vector_entries_beyond_the_nonzeros(self, monkeypatch, loop_passes):
+        # a diagonal has n + m = 2 nnz: a bound of 4 (n + m) stacks 4 blocks
+        A = SparseMatrix(6, 6, np.arange(6), np.arange(6), np.linspace(0.2, 1.0, 6))
+        problem = StandardFormLp(np.ones(6), A, np.ones(6), nonneg=False)
+        monkeypatch.setattr(cli, "_STACK_NNZ", 4 * 12)
+        _, table = tune_primal_weight(problem, PDHG, 0.9, iterations=50)
+        assert table == lone_table(problem, PDHG, 0.9, 50)
+        assert loop_passes == [(24, 24), (24, 24), (18, 18)]
+
+    def test_fallback_product_path_keeps_the_table(self, monkeypatch):
+        # without scipy's private kernel the products run through
+        # csr_array @, which sums each row in stored order too
+        problem, sigma = planted()
+        monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
+        _, table = tune_primal_weight(problem, PDHG, 0.9 / sigma, iterations=300)
+        assert table == lone_table(problem, PDHG, 0.9 / sigma, 300)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_rejected_before_any_work(self, budget, monkeypatch, capsys):
+        problem, _ = generate(RandomLpKnownOptimum(8, 16, 0.4, 1))
+        loads = []
+        monkeypatch.setattr(cli, "load_problem", lambda config: loads.append(config))
+        monkeypatch.setattr(cli, "_make_lane", lambda *a: pytest.fail("a run started"))
+        code = main(["tune-omega", "--generate", "random:m=8,n=16,density=0.4,seed=1",
+                     "--tune-iterations", str(budget)])
+        assert code == EXIT_INPUT_ERROR and loads == []
+        assert f"tuning budget must be at least 1 iteration per run, not {budget}" \
+            in capsys.readouterr().err
+        with pytest.raises(ValueError, match="tuning budget"):
+            tune_primal_weight(problem, PDHG, 0.1, iterations=budget)
+        with pytest.raises(ValueError, match="tuning budget"):
+            cli._tune_admm_eta(problem, iterations=budget)
 
 
 class TestSweep:

@@ -240,6 +240,82 @@ class TestProductKernel:
             assert np.allclose(A.matvec(v, out=out), 1.0 + mv, rtol=1e-14, atol=1e-14), label
 
 
+class TestBlockDiagonal:
+    """A k-fold block-diagonal copy, with a scale per row and per column,
+    repeats the products of each copy bit for bit."""
+
+    K = 3
+
+    @staticmethod
+    def _blocks(vec, k):
+        return np.split(vec, k)
+
+    def test_layout_and_products(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        S = A.block_diagonal(self.K)
+        assert S.shape == (36, 27) and S.nnz == 3 * A.nnz
+        assert np.array_equal(S.to_dense(), sp.block_diag([A.to_dense()] * 3).toarray())
+        v, w = rng.standard_normal(27), rng.standard_normal(36)
+        start_v, start_w = rng.standard_normal(36), rng.standard_normal(27)
+        got = S.matvec(v), S.rmatvec(w), S.matvec(v, start_v.copy()), S.rmatvec(w, start_w.copy())
+        for i in range(self.K):
+            vi, wi = self._blocks(v, 3)[i], self._blocks(w, 3)[i]
+            want = (A.matvec(vi), A.rmatvec(wi), A.matvec(vi, self._blocks(start_v, 3)[i].copy()),
+                    A.rmatvec(wi, self._blocks(start_w, 3)[i].copy()))
+            for stacked, lone in zip(got, want):
+                assert np.array_equal(self._blocks(stacked, 3)[i], lone), i
+
+    def test_one_block_is_a_copy(self, rng):
+        A = random_sparse(5, 7, 0.5, rng)
+        one = A.block_diagonal(1)
+        v, w = rng.standard_normal(7), rng.standard_normal(5)
+        assert one is not A and not np.shares_memory(one.vals, A.vals)
+        assert np.array_equal(one.matvec(v), A.matvec(v))
+        assert np.array_equal(one.rmatvec(w), A.rmatvec(w))
+
+    def test_per_row_and_per_column_scales(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        sigmas, taus = rng.uniform(0.1, 3.0, 3), rng.uniform(0.1, 3.0, 3)
+        K = A.block_diagonal(3).scaled_products(np.repeat(-sigmas, 12), np.repeat(taus, 9))
+        v, w = rng.standard_normal(27), rng.standard_normal(36)
+        for i in range(3):
+            lone = A.scaled_products(-sigmas[i], taus[i])
+            assert np.array_equal(self._blocks(K.matvec(v), 3)[i],
+                                  lone.matvec(self._blocks(v, 3)[i]))
+            assert np.array_equal(self._blocks(K.rmatvec(w), 3)[i],
+                                  lone.rmatvec(self._blocks(w, 3)[i]))
+        # diag(s) A and diag(t) A' on a matrix of one block
+        s, t = rng.uniform(0.5, 2.0, 12), rng.uniform(0.5, 2.0, 9)
+        D = A.scaled_products(s, t)
+        dense = A.to_dense()
+        assert np.allclose(D.matvec(v[:9]), s * (dense @ v[:9]), rtol=1e-14, atol=1e-14)
+        assert np.allclose(D.rmatvec(w[:12]), t * (dense.T @ w[:12]), rtol=1e-14, atol=1e-14)
+        assert np.shares_memory(D._fwd.indices, A._fwd.indices)
+        with pytest.raises(ValueError):
+            A.scaled_products(np.ones(9), 1.0)
+        with pytest.raises(ValueError):
+            A.scaled_products(1.0, np.ones(12))
+
+    def test_fallback_products_equal_the_kernel_products(self, rng, monkeypatch):
+        # a scipy build without the private kernel runs csr_array @; the
+        # stacking's exactness rests on each row summing in stored order on
+        # that path too
+        A = random_sparse(20, 30, 0.3, rng)
+        S = A.block_diagonal(4)
+        v, w = rng.standard_normal(120), rng.standard_normal(80)
+        start = rng.standard_normal(80)
+        kernel = [(A.matvec(vi), A.rmatvec(wi)) for vi, wi in zip(np.split(v, 4), np.split(w, 4))]
+        monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
+        stacked = np.split(S.matvec(v), 4), np.split(S.rmatvec(w), 4)
+        added = np.split(S.matvec(v, start.copy()), 4)
+        for i, (vi, wi, si) in enumerate(zip(np.split(v, 4), np.split(w, 4), np.split(start, 4))):
+            assert np.array_equal(A.matvec(vi), kernel[i][0]), i
+            assert np.array_equal(stacked[0][i], kernel[i][0]), i
+            assert np.array_equal(A.rmatvec(wi), kernel[i][1]), i
+            assert np.array_equal(stacked[1][i], kernel[i][1]), i
+            assert np.array_equal(added[i], A.matvec(vi, si.copy())), i
+
+
 class TestLagrangianAndGradient:
     def test_gradient_bilinear_example(self):
         # data (c=0, b=0, A=[1]): F(z) = (c - A'y, Ax - b) = (-1, 1) at (1, 1)

@@ -38,6 +38,8 @@ from restartlp.steps import (
     StepOperators,
 )
 
+from restartlp.scaling import rescale
+
 from conftest import random_sparse
 from oracles import affine_project, lagrangian
 
@@ -250,6 +252,29 @@ class TestFactoredSolves:
             d = factor._solve(r)
             assert d is not factor._solve(r)
             assert np.linalg.norm(matrix @ d - r) <= 1e-10 * np.linalg.norm(r)
+
+    def test_inverse_in_column_blocks_equals_one_solve(self, monkeypatch, rng):
+        # the inverse is solved for a block of columns at a time; on the
+        # rescaled planted 200x400 LPs (200 = 6 x 32 + 8, so a short last
+        # block) it must hold the bits of one solve against the identity,
+        # in the same (Fortran) layout, so that its products do too
+        lus = []
+        real_splu = steps.spla.splu
+
+        def splu(*args, **kwargs):
+            lus.append(real_splu(*args, **kwargs))
+            return lus[-1]
+
+        monkeypatch.setattr(steps.spla, "splu", splu)
+        for seed in range(8):
+            planted, _ = generate(RandomLpKnownOptimum(200, 400, 0.05, seed))
+            A = rescale(planted)[0].A
+            factor = NormalFactor(A)
+            whole = lus[-1].solve(np.eye(A.n_rows))
+            assert factor.inverse is not None and factor.inverse.flags.f_contiguous
+            assert np.array_equal(factor.inverse, whole), seed
+            r = rng.standard_normal(A.n_rows)
+            assert np.array_equal(factor._solve(r), whole.dot(r)), seed
 
     def test_ppm_matches_dense_block_solve(self, rng):
         A = random_sparse(6, 10, 0.5, rng)
