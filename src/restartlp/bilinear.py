@@ -28,6 +28,15 @@ block as the contiguous 4-vector that run would hold.  One run costs the
 per-iteration overhead of the longest one instead of the sum of all.  The
 average mode's hook keeps its own incremental average of its block (see
 :func:`table3_scaling_experiment`).
+
+That hook reads the iterate once per iteration as Python floats and runs
+its tests in scalar arithmetic, since numpy's per-call cost on 4-vectors is
+about that of the PDHG step itself.  The incremental average takes the same
+IEEE binary64 operations as numpy's elementwise ufuncs, so it keeps its
+bits.  A sum of squares may differ from numpy's dot product of the same
+values by a few ulps, so a value within a small margin of its threshold is
+decided by numpy's expression on the block instead (:func:`_tie_band`):
+every decision is the one a numpy test would make.
 """
 
 from __future__ import annotations
@@ -180,6 +189,12 @@ class Table3Report:
         return out
 
 
+def _block_index(j, n):
+    """The four flat indices [x_a, x_b, y_a, y_b] of block j of a stacked
+    problem with n primal entries (see :func:`_stacked_blocks`)."""
+    return (2 * j, 2 * j + 1, n + (2 * j + 2) % n, n + (2 * j + 3) % n)
+
+
 def _stacked_blocks(kappas):
     """One unconstrained bilinear problem holding the two-point spectrum
     (1/kappa, 1) of every kappa as its own block, and a reader per block.
@@ -203,13 +218,94 @@ def _stacked_blocks(kappas):
     def reader(j):
         if j == len(kappas) - 1:
             return operator.itemgetter(slice(n - 2, n + 2))
-        idx = np.array([2 * j, 2 * j + 1, n + 2 * j + 2, n + 2 * j + 3])
+        idx = np.array(_block_index(j, n))
         buf = np.empty(4)
         # ndarray.take without np.take's wrapper; 'clip' skips the copy
         # through a temporary that the default mode makes for ``out``
         return lambda vec: vec.take(idx, out=buf, mode="clip")
 
     return problem, [reader(j) for j in range(len(kappas))]
+
+
+# |z0 - z*|^2 and |z0 - z*| for a block z0 = (1, 1, 1, 1) and z* = 0
+_D0SQ, _D0 = 4.0, 2.0
+
+# A sum of four squares in Python floats and numpy's dot product of the
+# same four values differ by a few ulps at most (the dot may pair the terms
+# otherwise or fuse multiply-adds).  The absolute floor covers the square
+# root of a sum near the subnormal range, where a few ulps of the sum move
+# its root by up to about 1e-161.
+_TIE_REL, _TIE_ABS = 1e-9, 1e-150
+
+
+def _tie_band(threshold):
+    """(lo, hi) around ``threshold``: a scalar value below lo or above hi
+    compares to it as numpy's value of it would; one in [lo, hi] must be
+    tested as numpy computes it.  NaN lies in neither, and compares false
+    in both."""
+    margin = _TIE_REL * threshold + _TIE_ABS
+    return threshold - margin, threshold + margin
+
+
+def _stacked_observe(n, readers, order, eps, levels, last, hits):
+    """The ``observe`` hook of Table 3's stacked run (see
+    :func:`table3_scaling_experiment`).
+
+    Block 0 is the average mode's, block j + 1 the last-iterate mode's of
+    kappa ``order[j]``: the hook sets ``last[order[j]]`` to the first
+    iteration whose |z_j|^2 / |z0|^2 is at most ``eps``, appends to
+    ``hits`` the first iteration at which the incremental average of block
+    0 has norm at most ``levels[len(hits)]``, and ends the run once every
+    row is known.  It reads the iterate once, as Python floats, and tests
+    the scalar values; one within :func:`_tie_band` of its threshold is
+    tested as numpy computes it, on the block as ``readers`` returns it or
+    on the average copied into an array, so every decision is numpy's."""
+    pending = [(i, _block_index(j + 1, n), readers[j + 1]) for j, i in enumerate(order)]
+    lo, hi = _tie_band(eps)
+    a0, b0, c0, d0 = _block_index(0, n)
+    level_bands = [(level, *_tie_band(level)) for level in levels]
+    mean, mean_vec = (), np.empty(4)
+
+    def observe(t, z, avg):
+        nonlocal pending, mean
+        zs = z.tolist()
+        hit = False
+        for i, (a, b, c, d), read in pending:
+            za, zb, zc, zd = zs[a], zs[b], zs[c], zs[d]
+            ratio = (za * za + zb * zb + zc * zc + zd * zd) / _D0SQ
+            if lo <= ratio <= hi:
+                v = read(z)
+                ratio = float(v @ v) / _D0SQ
+            if ratio <= eps:
+                last[i] = t
+                hit = True
+        if hit:
+            pending = [block for block in pending if last[block[0]] is None]
+        if len(hits) < len(levels):
+            # the paper's zbar_t = zbar_{t-1} + (z_t - zbar_{t-1}) / t, which
+            # rounds as the ufuncs np.subtract, np.divide and np.add do
+            if t == 1:
+                ma, mb, mc, md = zs[a0], zs[b0], zs[c0], zs[d0]
+            else:
+                ma, mb, mc, md = mean
+                ma += (zs[a0] - ma) / t
+                mb += (zs[b0] - mb) / t
+                mc += (zs[c0] - mc) / t
+                md += (zs[d0] - md) / t
+            mean = ma, mb, mc, md
+            nrm = math.sqrt(ma * ma + mb * mb + mc * mc + md * md)
+            while len(hits) < len(levels):
+                level, level_lo, level_hi = level_bands[len(hits)]
+                if level_lo <= nrm <= level_hi:
+                    # the same bits as np.linalg.norm(mean)
+                    mean_vec[:] = mean
+                    nrm = math.sqrt(float(mean_vec @ mean_vec))
+                if not nrm <= level:
+                    break
+                hits.append(t)
+        return not pending and len(hits) == len(levels)
+
+    return observe
 
 
 def _pdhg_run(problem, eta, scheme, z0, iterations, cadence, observe):
@@ -241,21 +337,28 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     modes and the average mode never restart, so they run as one solve on
     a stacked problem (:func:`_stacked_blocks`): a block per kappa, sorted
     so that the largest sits at the x/y boundary, plus the ``avg_kappa``
-    block, all started from ones.  Its ``observe`` hook tests each block
-    still pending against its threshold and ends the run once every row is
-    known.  The result is exact, not an approximation: A has one entry per
-    row, and every PDHG operation is elementwise, so each block holds the
-    same bits as a lone run of it would, and each test reads the block as
-    that lone run's contiguous 4-vector (the same dot product on the same
-    values).
+    block, all started from ones.  Its ``observe`` hook
+    (:func:`_stacked_observe`) tests each block still pending against its
+    threshold and ends the run once every row is known.  The result is
+    exact, not an approximation: A has one entry per row, and every PDHG
+    operation is elementwise, so each block holds the same bits as a lone
+    run of it would.  The hook tests a block's sum of squares in Python
+    floats; only when that value lies within a relative 1e-9 (plus a floor
+    of 1e-150) of its threshold does it read the block as that lone run's
+    contiguous 4-vector and decide on numpy's dot product of it, as a lone
+    run testing ``v @ v`` would.  A dot product and the scalar sum differ
+    by a few ulps at most, so outside that margin both decide alike.
 
     The average mode does not read the driver's average, which is the
     running sum of the iterates divided by K.  Its hook keeps the paper's
     incremental average zbar_K = zbar_{K-1} + (z_K - zbar_{K-1}) / K of its
-    block itself.  The rows at 1e-3 and 1e-4 are roundoff ties
-    (|zbar_K| K / |z0| reads 4.999999999999987 at K = 5000 and
-    5.000000000000052 at K = 50000), so sum / K, whose rounding differs,
-    would record 50000 in place of 50001.
+    block itself, in Python floats: the subtraction, division and addition
+    round as numpy's elementwise ufuncs do, so it holds their bits.  The
+    rows at 1e-3 and 1e-4 are roundoff ties (|zbar_K| K / |z0| reads
+    4.999999999999987 at K = 5000 and 5.000000000000052 at K = 50000), so
+    sum / K, whose rounding differs, would record 50000 in place of 50001.
+    Both fall within the margin above, so their norm is numpy's
+    ``sqrt(zbar @ zbar)`` on the average copied into an array.
 
     Modes that fail to converge within ``cap`` are recorded with ``None``.
     """
@@ -267,46 +370,15 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     if not 0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     eta = 0.5
-    # |z0 - z*|^2 and |z0 - z*| for a block z0 = (1, 1, 1, 1)
-    d0sq, d0 = 4.0, 2.0
 
     # block 0 is avg_kappa's; the kappas follow in increasing order
     order = sorted(range(len(kappas)), key=kappas.__getitem__)
     problem, readers = _stacked_blocks([float(avg_kappa)] + [kappas[i] for i in order])
-    read_avg = readers[0]
-    pending = list(zip(order, readers[1:]))
     last = [None] * len(kappas)
     thresholds = sorted(avg_eps, reverse=True)
-    levels = [e * d0 for e in thresholds]
+    levels = [e * _D0 for e in thresholds]
     hits = []
-    # the average mode's running average of its block and its update's
-    # scratch (see the docstring)
-    mean, step = np.empty(4), np.empty(4)
-
-    def observe(t, z, avg):
-        nonlocal pending
-        hit = False
-        for i, read in pending:
-            v = read(z)
-            if float(v @ v) / d0sq <= eps:
-                last[i] = t
-                hit = True
-        if hit:
-            pending = [(i, read) for i, read in pending if last[i] is None]
-        if len(hits) < len(levels):
-            # mean += (z - mean) / t
-            if t == 1:
-                np.copyto(mean, read_avg(z))
-            else:
-                np.subtract(read_avg(z), mean, out=step)
-                np.divide(step, t, out=step)
-                np.add(mean, step, out=mean)
-            # the same bits as np.linalg.norm(mean), without its dispatch
-            nrm = math.sqrt(float(mean @ mean))
-            while len(hits) < len(levels) and nrm <= levels[len(hits)]:
-                hits.append(t)
-        return not pending and len(hits) == len(levels)
-
+    observe = _stacked_observe(problem.n, readers, order, eps, levels, last, hits)
     _pdhg_run(problem, eta, RestartScheme.none(), _ones(problem.n), cap, cap, observe)
     hits += [None] * (len(levels) - len(hits))
 
@@ -316,7 +388,7 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
         tstar = fixed_frequency_tstar(1.0 / eta, 0.0, 1.0 / kappa, math.exp(-1.0))
         # checkpoints every t* iterations: the fixed restart fires at inner = t*
         res = _pdhg_run(problem, eta, RestartScheme.fixed(tstar), _ones(2), cap, tstar,
-                        lambda t, z, avg: float(avg @ avg) / d0sq <= eps)
+                        lambda t, z, avg: float(avg @ avg) / _D0SQ <= eps)
         restarted = res.iterations if res.status == Status.STOPPED else None
         report.rows += [(kappa, "last", last_iters), (kappa, "restarted", restarted)]
     report.average_rows = list(zip(thresholds, hits))

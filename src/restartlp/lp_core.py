@@ -483,6 +483,13 @@ def residuals(problem, z, ax=None, aty=None, row_scale=None, col_scale=None):
                                  row_scale, col_scale)
 
 
+def _norm(v):
+    """The same bits as ``np.linalg.norm(v)`` for a flat contiguous float64
+    array, without its dispatch, which at the sizes of small problems costs
+    more than the product it measures."""
+    return math.sqrt(float(v @ v))
+
+
 def residuals_of_gradient(problem, x, y, g_x, g_y, row_scale=None, col_scale=None):
     """:func:`residuals` at (x, y) from its gradient blocks g_x = c - A'y
     and g_y = Ax - b, which a caller that also needs them (a restart
@@ -491,17 +498,17 @@ def residuals_of_gradient(problem, x, y, g_x, g_y, row_scale=None, col_scale=Non
     if row_scale is not None:
         g_y /= row_scale
         g_x /= col_scale
-    primal = float(np.linalg.norm(g_y))
+    primal = _norm(g_y)
     gap_raw = float(problem.c @ x - problem.b @ y)
     if problem.nonneg:
-        dual = float(np.linalg.norm(np.minimum(g_x, 0.0)))
+        dual = _norm(np.minimum(g_x, 0.0))
         gap = max(gap_raw, 0.0)
         neg = np.minimum(x, 0.0)
         if col_scale is not None:
             neg *= col_scale
-        bound = float(np.linalg.norm(neg))
+        bound = _norm(neg)
     else:
-        dual = float(np.linalg.norm(g_x))
+        dual = _norm(g_x)
         gap = abs(gap_raw)
         bound = 0.0
     kkt = math.sqrt(bound * bound + primal * primal + dual * dual + gap * gap)
@@ -525,7 +532,8 @@ def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
     call with the same arguments returns it without a product.  An estimate
     that warned is not kept, so its call warns again.
     """
-    if A.nnz == 0:
+    if not np.any(A.vals):
+        # no nonzero stored value: A'A v is 0 from every start
         raise ValueError("power method undefined for an all-zero matrix")
     key = ("sigma_max", tol, max_iters, seed)
     memo = A.memo

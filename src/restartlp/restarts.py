@@ -58,6 +58,7 @@ from .lp_core import (
     NormSpec,
     SaddlePoint,
     StandardFormLp,
+    _norm,
     norm_value,
     power_method_sigma_max,
     residuals,
@@ -198,6 +199,8 @@ class SolveOptions:
             raise ValueError("trace cadence must be >= 1")
         if self.iteration_limit < 1:
             raise ValueError("iteration limit must be >= 1")
+        if not self.kkt_tol >= 0.0:
+            raise ValueError(f"KKT tolerance must be a number >= 0, got {self.kkt_tol!r}")
 
 
 @dataclass
@@ -327,7 +330,7 @@ class _SaddleLane(_Lane):
         return SaddlePoint(vec[:self.n], vec[self.n:])
 
     def dist(self, va, vb):
-        return float(np.linalg.norm(va - vb))
+        return _norm(va - vb)
 
     def measure(self, vec, radius):
         """(normalized gap at ``radius``, KKT error of the caller's problem);
@@ -527,16 +530,19 @@ def _run_lane(lane, options, z0=None, observe=None):
             restart_count=len(trace.restart_lengths),
         )
 
+    # loop invariants, bound once
+    step, add = lane.step, np.add
+    cadence, limit = options.check_cadence, options.iteration_limit
     while True:
-        out = lane.step(cur_point)
+        out = step(cur_point)
         cur_point, cur, tvec = out.next, out.next_vec, out.target_vec
         total += 1
         inner += 1
         if inner == 1:
             np.copyto(target_sum, tvec)
         else:
-            np.add(target_sum, tvec, out=target_sum)
-        check = inner % options.check_cadence == 0 or total >= options.iteration_limit
+            add(target_sum, tvec, out=target_sum)
+        check = inner % cadence == 0 or total >= limit
         if not check and observe is None:
             continue
         np.divide(target_sum, inner, out=avg)
@@ -571,7 +577,7 @@ def _run_lane(lane, options, z0=None, observe=None):
         if adaptive and cand_radius == 0.0:
             restart_now = True
         terminal = (stop or min(kkt_avg, kkt_last) <= options.kkt_tol
-                    or total >= options.iteration_limit)
+                    or total >= limit)
         restart_now = restart_now and not terminal
 
         if checkpoints % options.trace_cadence == 0 or restart_now or terminal:
@@ -595,7 +601,7 @@ def _run_lane(lane, options, z0=None, observe=None):
             return finish(Status.STOPPED, best_vec, kkt_avg, kkt_last)
         if min(kkt_avg, kkt_last) <= options.kkt_tol:
             return finish(Status.OPTIMAL, best_vec, kkt_avg, kkt_last)
-        if total >= options.iteration_limit:
+        if total >= limit:
             return finish(Status.ITERATION_LIMIT, best_vec, kkt_avg, kkt_last)
 
         if restart_now:

@@ -32,14 +32,13 @@ one matrix-vector product with it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lp_core import SaddlePoint, is_buffer
+from .lp_core import SaddlePoint, _norm, is_buffer
 
 __all__ = [
     "Method",
@@ -129,13 +128,6 @@ class StepOutput:
 # The bound of x >= 0 as a 0-d array: a ufunc takes it faster than a Python
 # float, with the same result.
 _ZERO = np.array(0.0)
-
-
-def _norm(v):
-    """The same bits as ``np.linalg.norm(v)`` for a flat float64 array,
-    without its dispatch, which at the sizes a step's refinement checks
-    costs more than the product itself."""
-    return math.sqrt(float(v @ v))
 
 
 class _Operators:

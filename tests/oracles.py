@@ -12,10 +12,14 @@
   the tests form primal-dual gaps at probe points.
 * :func:`affine_project` -- a one-shot projection onto {x : Ax = b}
   through a fresh :class:`restartlp.steps.AffineProjector`.
+* :func:`stacked_observe_numpy` -- Table 3's stacked-run hook with every
+  test in numpy, against which the scalar
+  :func:`restartlp.bilinear._stacked_observe` is checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,3 +195,37 @@ def lagrangian(problem, z):
 def affine_project(A, b, point, tol=PROJECTION_TOL):
     """One-shot Euclidean projection of ``point`` onto {x : Ax = b}."""
     return AffineProjector(A, b, tol=tol).project(np.asarray(point, dtype=np.float64))
+
+
+def stacked_observe_numpy(n, readers, order, eps, levels, last, hits):
+    """:func:`restartlp.bilinear._stacked_observe` as numpy computes it: each
+    pending block's test is ``v @ v`` on the block as its reader returns it,
+    and the average mode's incremental average is updated by ufuncs in an
+    array whose norm is ``sqrt(mean @ mean)``."""
+    pending = list(zip(order, readers[1:]))
+    read_avg = readers[0]
+    mean, step = np.empty(4), np.empty(4)
+
+    def observe(t, z, avg):
+        nonlocal pending
+        hit = False
+        for i, read in pending:
+            v = read(z)
+            if float(v @ v) / 4.0 <= eps:
+                last[i] = t
+                hit = True
+        if hit:
+            pending = [(i, read) for i, read in pending if last[i] is None]
+        if len(hits) < len(levels):
+            if t == 1:
+                np.copyto(mean, read_avg(z))
+            else:
+                np.subtract(read_avg(z), mean, out=step)
+                np.divide(step, t, out=step)
+                np.add(mean, step, out=mean)
+            nrm = math.sqrt(float(mean @ mean))
+            while len(hits) < len(levels) and nrm <= levels[len(hits)]:
+                hits.append(t)
+        return not pending and len(hits) == len(levels)
+
+    return observe

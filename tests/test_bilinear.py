@@ -24,6 +24,8 @@ from restartlp import (
 from restartlp import bilinear
 from restartlp.steps import PDHG
 
+from oracles import stacked_observe_numpy
+
 
 class TestDynamicsMatrix:
     def test_hand_value(self):
@@ -226,6 +228,62 @@ class TestScalingExperimentSmall:
         assert rep.rows == [(4.0, "last", 831), (4.0, "restarted", 218),
                             (64.0, "last", None), (64.0, "restarted", None)]
         assert rep.average_rows == [(1e-1, 43), (1e-4, None)]
+
+
+def _same_report(got, want):
+    assert got.rows == want.rows
+    assert got.average_rows == want.average_rows
+    for name in ("last_slope", "restarted_slope", "average_slope"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b or (math.isnan(a) and math.isnan(b)), name
+
+
+class TestScalarObserve:
+    """The stacked run's hook tests in Python floats and decides as the
+    numpy hook it replaced (:func:`oracles.stacked_observe_numpy`)."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_equals_numpy_hook(self, eps, monkeypatch):
+        # the default avg_eps holds the roundoff ties at 5000 and 50001
+        kappas = [2, 3, 4, 8, 16]
+        rep = table3_scaling_experiment(kappas, eps)
+        assert rep.average_rows == [(1e-2, 495), (1e-3, 5000), (1e-4, 50001)]
+        monkeypatch.setattr(bilinear, "_stacked_observe", stacked_observe_numpy)
+        _same_report(rep, table3_scaling_experiment(kappas, eps))
+
+    def test_tie_is_decided_by_numpy(self, monkeypatch):
+        # eps is numpy's least |z_t|^2 / |z0|^2 of kappa 8's block over its
+        # first 200 iterations, so the first t to reach it is where that
+        # value is taken: the scalar sum lies within the tie band there and
+        # the block is read for numpy's test
+        problem, (read,) = bilinear._stacked_blocks([8.0])
+        ratios = []
+
+        def record(t, z, avg):
+            v = read(z)
+            ratios.append(float(v @ v) / 4.0)
+            return False
+
+        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 200, 200,
+                           record)
+        eps = min(ratios)
+        first = 1 + ratios.index(eps)
+
+        reads = []
+        stacked_blocks = bilinear._stacked_blocks
+
+        def counted(kappas):
+            problem, readers = stacked_blocks(kappas)
+            return problem, [lambda v, j=j, r=r: reads.append(j) or r(v)
+                             for j, r in enumerate(readers)]
+
+        monkeypatch.setattr(bilinear, "_stacked_blocks", counted)
+        kwargs = dict(avg_eps=(1e-1,))
+        rep = table3_scaling_experiment([4, 8], eps, **kwargs)
+        assert rep.rows[2] == (8.0, "last", first)
+        assert reads.count(2) >= 1  # block 2 is kappa 8's: the fallback ran
+        monkeypatch.setattr(bilinear, "_stacked_observe", stacked_observe_numpy)
+        _same_report(rep, table3_scaling_experiment([4, 8], eps, **kwargs))
 
 
 class TestStackedRun:

@@ -39,6 +39,9 @@ RHS
 ENDATA
 """
 
+# every stored coefficient is zero
+ZERO_MPS = TINY_MPS.replace("1.0", "0.0")
+
 
 def read_trace(path):
     with open(path) as fh:
@@ -135,6 +138,21 @@ class TestSolve:
         code = main(["solve", "--generate", "random:m=10,n=20,density=0.4,seed=2",
                      "--eta", "100.0", "--scheme", "none"])
         assert code == 4
+
+    @pytest.mark.parametrize("command", [["solve"], ["solve", "--method", "egm"],
+                                         ["tune-omega"]])
+    def test_all_zero_matrix_is_input_error(self, command, tmp_path, capsys):
+        # no step size follows from sigma_max(A) = 0
+        mps = tmp_path / "zero.mps"
+        mps.write_text(ZERO_MPS)
+        assert main(command + ["--input", str(mps)]) == EXIT_INPUT_ERROR
+        assert "all-zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-6"])
+    def test_bad_kkt_tol_is_input_error(self, tol, capsys):
+        code = main(["solve", "--generate", "random:m=4,n=8,seed=0", f"--kkt-tol={tol}"])
+        assert code == EXIT_INPUT_ERROR
+        assert "KKT tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method,start", [(PDHG, "nan,1"), (PDHG, "1,-inf"),
                                               (ADMM, "1,2"), (ADMM, "0,0")])

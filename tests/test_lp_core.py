@@ -428,6 +428,25 @@ class TestNorms:
                 assert (1 - eta * smax) * e2 <= v2 * (1 + 1e-9) + 1e-12
                 assert v2 <= (1 + eta * smax) * e2 * (1 + 1e-9) + 1e-12
 
+    def test_flat_norm_equals_numpy(self, rng):
+        # the KKT residuals, the driver's radii and the refinements' stopping
+        # tests read _norm where np.linalg.norm stood: the same bits on
+        # every input
+        tiny = np.nextafter(0.0, 1.0)
+        cases = [np.empty(0), np.array([-3.0]),
+                 np.array([tiny, -3.0 * tiny]),       # squares underflow to 0
+                 np.array([1e-160, -2e-160, 3e-155]),  # subnormal squares
+                 np.array([1e200, 1.0]),               # the square overflows
+                 np.array([1.0, np.nan, 2.0]), np.array([np.inf, -np.inf])]
+        cases += [scale * rng.standard_normal(n)
+                  for n in (1, 2, 7, 200, 4001) for scale in (1e-150, 1.0, 1e150)]
+        # both warn alike on the overflowing and the infinite cases
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in cases:
+                got, want = lp_core._norm(v), np.linalg.norm(v)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), v
+            assert lp_core._norm(np.array([1e200, 1.0])) == math.inf
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             NormSpec.pdhg(-1.0)
@@ -452,9 +471,12 @@ class TestPowerMethod:
         assert est == pytest.approx(ref, rel=1e-6)
 
     def test_zero_matrix_rejected(self):
-        A = SparseMatrix(3, 3, [], [], [])
-        with pytest.raises(ValueError):
-            power_method_sigma_max(A)
+        # no stored value, or stored values that are all zero: A'A v is 0
+        # from every start
+        for A in (SparseMatrix(3, 3, [], [], []),
+                  SparseMatrix(3, 3, [0, 2], [1, 0], [0.0, -0.0])):
+            with pytest.raises(ValueError, match="all-zero"):
+                power_method_sigma_max(A)
 
     def test_nonconvergence_warns(self):
         A = SparseMatrix.from_dense(np.diag([1.0, 0.999999]))

@@ -54,6 +54,13 @@ class TestTstar:
             fixed_frequency_tstar(1.0, 0.0, 1.0, 1.5)
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("tol", [math.nan, -1e-6])
+    def test_bad_kkt_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="KKT tolerance"):
+            SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(), kkt_tol=tol)
+
+
 class TestShouldRestart:
     def test_first_epoch_fires_at_tau0(self):
         state = RestartState(outer=0, inner=1)
