@@ -266,7 +266,7 @@ def _stacked_observe(n, readers, order, eps, levels, last, hits):
     level_bands = [(level, *_tie_band(level)) for level in levels]
     mean, mean_vec = (), np.empty(4)
 
-    def observe(t, z, avg):
+    def observe(t, z, average):
         nonlocal pending, mean
         zs = z.tolist()
         hit = False
@@ -382,13 +382,17 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     _pdhg_run(problem, eta, RestartScheme.none(), _ones(problem.n), cap, cap, observe)
     hits += [None] * (len(levels) - len(hits))
 
+    def average_reached_eps(t, z, average):
+        avg = average()
+        return float(avg @ avg) / _D0SQ <= eps
+
     report = Table3Report()
     for kappa, last_iters in zip(kappas, last):
         problem, _ = generate(DiagonalBilinear((1.0 / kappa, 1.0)))
         tstar = fixed_frequency_tstar(1.0 / eta, 0.0, 1.0 / kappa, math.exp(-1.0))
         # checkpoints every t* iterations: the fixed restart fires at inner = t*
         res = _pdhg_run(problem, eta, RestartScheme.fixed(tstar), _ones(2), cap, tstar,
-                        lambda t, z, avg: float(avg @ avg) / _D0SQ <= eps)
+                        average_reached_eps)
         restarted = res.iterations if res.status == Status.STOPPED else None
         report.rows += [(kappa, "last", last_iters), (kappa, "restarted", restarted)]
     report.average_rows = list(zip(thresholds, hits))
@@ -433,8 +437,8 @@ def two_dim_toy_series(iterations=50, eta=0.2, restart_length=25,
         path = np.empty((iterations + 1, 2))
         path[0] = start
 
-        def observe(t, z, avg):
-            path[t] = avg if keep_average else z
+        def observe(t, z, average):
+            path[t] = average() if keep_average else z
             return False
 
         _pdhg_run(problem, eta, scheme, z0, iterations, cadence, observe)

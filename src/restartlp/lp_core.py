@@ -78,13 +78,16 @@ class SparseMatrix:
     order, so a product with it repeats, block by block, the sums of the
     products with A bit for bit.  :meth:`scaled_products` scales by one
     scalar per product or by one value per row (A v) and per column
-    (A^T w), which gives each block of such a stack a scale of its own.
+    (A^T w), which gives each block of such a stack a scale of its own;
+    :meth:`saddle_products` runs both scaled products as one product with
+    the saddle operator [[0, t A^T], [s A, 0]].
 
     A matrix is never modified in place: :meth:`scaled`,
-    :meth:`scaled_products` and :meth:`block_diagonal` return new matrices,
-    each with a memo of its own.  That lets it keep, in one memo
-    (:meth:`derived`), what is computed from it alone and would otherwise
-    be computed again by every solve and every tuning run on it:
+    :meth:`scaled_products`, :meth:`saddle_products` and
+    :meth:`block_diagonal` return new matrices, each with a memo of its
+    own.  That lets it keep, in one memo (:meth:`derived`), what is
+    computed from it alone and would otherwise be computed again by every
+    solve and every tuning run on it:
 
     * the converged estimates of :func:`power_method_sigma_max`, one per
       ``(tol, max_iters, seed)``;
@@ -242,7 +245,9 @@ class SparseMatrix:
         layout's values are multiplied once, entry by entry, by the entry's
         scale (one new value array per layout); the index arrays are
         shared.  Only the two products are meant to be used: the layouts no
-        longer hold the transpose of one another.
+        longer hold the transpose of one another.  :meth:`saddle_products`
+        puts the same two scaled layouts in one matrix, so that both
+        products run as one.
         """
         fwd, adj = self._fwd, self._adj
         if np.ndim(matvec_scale):
@@ -250,6 +255,37 @@ class SparseMatrix:
         if np.ndim(rmatvec_scale):
             rmatvec_scale = np.repeat(rmatvec_scale, np.diff(adj.indptr))
         return self._revalued(matvec_scale * fwd.data, rmatvec_scale * adj.data)
+
+    def saddle_products(self, matvec_scale, rmatvec_scale):
+        """The (n + m) x (n + m) saddle operator M = [[0, t A^T], [s A, 0]]
+        for s = ``matvec_scale``, t = ``rmatvec_scale`` and A of shape
+        (m, n): ``M.matvec(z, out)`` adds t A^T y to out[:n] and s A x to
+        out[n:] for z = [x; y], both products in one kernel call.
+
+        The scales are those of :meth:`scaled_products`, whose two layouts
+        M's row-ordered layout concatenates: row j < n is row j of the
+        t A^T layout with its column indices shifted by n, row n + i is row
+        i of the s A layout.  Each row holds the values of the lone
+        product's row in the same order, so every entry of ``M.matvec``
+        equals, bit for bit, that of the ``rmatvec`` or ``matvec`` of
+        ``scaled_products(s, t)`` into the same ``out``.  M has 2 nnz(A)
+        nonzeros; its column-ordered layout is the transpose of the
+        row-ordered one, so :meth:`rmatvec` is M^T.
+        """
+        scaled = self.scaled_products(matvec_scale, rmatvec_scale)
+        fwd, adj = scaled._fwd, scaled._adj
+        n, size = self.n_cols, self.n_cols + self.n_rows
+        # int32 indices, as A's, unless M's size or nonzero count needs more
+        index = np.int64 if max(size, 2 * self.nnz) > _INT32_MAX else np.int32
+        indptr = np.concatenate([adj.indptr, fwd.indptr[1:].astype(index) + adj.indptr[-1]],
+                                dtype=index)
+        indices = np.concatenate([adj.indices.astype(index) + n, fwd.indices], dtype=index)
+        saddle = sp.csr_array((np.concatenate([adj.data, fwd.data]), indices, indptr),
+                              shape=(size, size))
+        out = object.__new__(SparseMatrix)
+        out.n_rows = out.n_cols = size
+        out._bind(saddle, saddle.T.tocsr())
+        return out
 
     def block_diagonal(self, k):
         """diag(A, ..., A) with ``k`` copies of A, copy i on rows

@@ -27,8 +27,8 @@ depends on eta or on b and c (b~, c~, the step operators) is built per solve.
 
 The driver keeps the running sum of the target points since the last
 restart, one addition per iteration, and divides the average out of it only
-where it is read: at a checkpoint, and on every iteration when an
-``observe`` hook is given.
+where it is read: at a checkpoint, and on the iterations where an
+``observe`` hook asks for it.
 
 Restart and termination checks happen only at checkpoints (every
 ``check_cadence`` iterations).  A checkpoint measures the average and the
@@ -461,18 +461,20 @@ def run_restarted(problem, options, z0=None, observe=None):
     point seen at a checkpoint; only a restart (a copy of the new anchor)
     and a checkpoint's measurements allocate.  Each iteration adds its target
     into the sum; the average, sum / inner, is divided out only at a
-    checkpoint and, when ``observe`` is given, on every iteration.  It
-    differs from an incremental average at roundoff level.  A sum that
-    overflows makes the average non-finite, and the next checkpoint ends
-    the solve with ``Status.DIVERGED``.
+    checkpoint and when ``observe`` asks for it.  It differs from an
+    incremental average at roundoff level.  A sum that overflows makes the
+    average non-finite, and the next checkpoint ends the solve with
+    ``Status.DIVERGED``.
 
     ``observe(iteration, target, average)``, if given, is called on every
     iteration after the sum has taken in the new target point, with the
-    target and the average as flat vectors of the caller's space.  For an
-    unscaled problem these are the solver's own buffers, overwritten by the
-    next step: copy what you keep.  When it returns True the iteration
-    becomes a terminal checkpoint and the solve ends with
-    ``Status.STOPPED`` at that iteration.
+    target as a flat vector of the caller's space and ``average`` a
+    function of no argument that divides the average out of the sum and
+    returns it as such a vector: a hook that does not call it costs no
+    division.  For an unscaled problem these vectors are the solver's own
+    buffers, overwritten by the next step: copy what you keep.  When the
+    hook returns True the iteration becomes a terminal checkpoint and the
+    solve ends with ``Status.STOPPED`` at that iteration.
 
     An LP is rescaled first (see the module docstring): ``z0`` and every
     returned point are in the caller's space, the KKT errors are the caller
@@ -530,9 +532,14 @@ def _run_lane(lane, options, z0=None, observe=None):
             restart_count=len(trace.restart_lengths),
         )
 
+    def average():
+        """The average for ``observe``, in the caller's space."""
+        return lane.to_caller(np.divide(target_sum, inner, out=avg))
+
     # loop invariants, bound once
     step, add = lane.step, np.add
     cadence, limit = options.check_cadence, options.iteration_limit
+    stop = False
     while True:
         out = step(cur_point)
         cur_point, cur, tvec = out.next, out.next_vec, out.target_vec
@@ -543,17 +550,15 @@ def _run_lane(lane, options, z0=None, observe=None):
         else:
             add(target_sum, tvec, out=target_sum)
         check = inner % cadence == 0 or total >= limit
-        if not check and observe is None:
-            continue
-        np.divide(target_sum, inner, out=avg)
-        stop = observe is not None and bool(
-            observe(total, lane.to_caller(tvec), lane.to_caller(avg)))
+        if observe is not None:
+            stop = bool(observe(total, lane.to_caller(tvec), average))
         if not (check or stop):
             continue
 
         # ---- checkpoint ----
+        np.divide(target_sum, inner, out=avg)
         checkpoints += 1
-        if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(avg))):
+        if not (np.isfinite(cur).all() and np.isfinite(avg).all()):
             return finish(Status.DIVERGED, good_vec, good_kkt, good_kkt)
 
         # each point is measured once

@@ -20,7 +20,17 @@ from any other point, such as an anchor after a restart, into the first
 buffer once that point is checked to share no memory with it or with the
 target buffer.  A run that steps from each output's ``next`` thus
 alternates between the two buffers and allocates nothing, and an output
-stays valid until the step after the next one overwrites it.
+stays valid until the step after the next one overwrites it.  A step also
+reads ``z`` as one flat vector: the buffer that holds it, or, from any
+other point, its blocks concatenated once.
+
+PDHG and EGM start both blocks of a step's output with one addition on
+the flat vectors, z + [-tau c; sigma b], and add the products into it.
+PDHG's two products run in order, since the dual one reads the new x.
+EGM's two half-steps each apply the linear part of F to a whole point, so
+each is one product with the saddle operator [[0, tau A'], [-sigma A, 0]]
+(:meth:`~restartlp.lp_core.SparseMatrix.saddle_products`): one kernel call
+per half-step, with the bits of the two products it replaces.
 
 PPM allocates its output.  It solves with the factor of s I + A A' kept in
 the matrix's memo (:meth:`NormalFactor.of`), so that factor is built once
@@ -141,30 +151,36 @@ class _Operators:
 
     def _bind_buffers(self, size, with_target):
         self.target = np.empty(size) if with_target else None
-        self.buffers = (np.empty(size), np.empty(size))
-        self._bound = [self._layout(buf, self.target) for buf in self.buffers]
+        self.buffers = first_buf, second_buf = np.empty(size), np.empty(size)
+        self._into_first = first = self._layout(first_buf, self.target)
+        second = self._layout(second_buf, self.target)
+        # from the next of each output: the buffer holding it, then the
+        # views and the output of a step into the other buffer
+        self._from_next = ((first[1].next, (first_buf, *second)),
+                           (second[1].next, (second_buf, *first)))
 
     def bind(self, z):
-        """The views a step from ``z`` writes and the output it returns:
-        those of the buffer that does not hold ``z`` (see the module
-        docstring)."""
-        into_first, into_second = self._bound
-        if z is into_first[1].next:
-            return into_second
-        if z is not into_second[1].next:
-            reads = self._reads(z)
-            for buf in (self.buffers[0], self.target):
-                if buf is not None and any(np.may_share_memory(buf, arr) for arr in reads):
-                    raise ValueError("step buffer shares memory with the point it steps from")
-        return into_first
+        """``z``'s flat vector, the views a step from ``z`` writes and the
+        output it returns: those of the buffer that does not hold ``z``
+        (see the module docstring)."""
+        (first_next, from_first), (second_next, from_second) = self._from_next
+        if z is first_next:
+            return from_first
+        if z is second_next:
+            return from_second
+        reads = self._reads(z)
+        for buf in (self.buffers[0], self.target):
+            if buf is not None and any(np.may_share_memory(buf, arr) for arr in reads):
+                raise ValueError("step buffer shares memory with the point it steps from")
+        return (z.as_vector(), *self._into_first)
 
     def _layout(self, out, target):
         n = self.n
         nxt = SaddlePoint(out[:n], out[n:])
         if target is None:
-            return (nxt.x, nxt.y), StepOutput(nxt, nxt, out, out)
+            return (out, nxt.x, nxt.y), StepOutput(nxt, nxt, out, out)
         tgt = SaddlePoint(target[:n], target[n:])
-        return (nxt.x, nxt.y, tgt.x, tgt.y), StepOutput(nxt, tgt, out, target)
+        return (out, nxt.x, target, tgt.x), StepOutput(nxt, tgt, out, target)
 
     @staticmethod
     def _reads(z):
@@ -176,15 +192,23 @@ class StepOperators(_Operators):
 
     With tau = eta/omega and sigma = eta omega from ``config``:
 
-    * ``K`` runs both products with the step sizes folded in:
+    * for PDHG, ``K`` runs both products with the step sizes folded in:
       ``K.rmatvec(y)`` is tau A'y and ``K.matvec(x)`` is -sigma A x, from
       one copy of each layout's values
       (:meth:`~restartlp.lp_core.SparseMatrix.scaled_products`);
-    * ``tau_c`` and ``sigma_b`` are tau c and sigma b;
+    * for EGM, ``M`` is the saddle operator [[0, tau A'], [-sigma A, 0]]
+      (:meth:`~restartlp.lp_core.SparseMatrix.saddle_products`):
+      ``M.matvec(z, out)`` adds tau A'y to the x block of ``out`` and
+      -sigma A x to its y block, in one kernel call;
+    * ``tau_c`` and ``sigma_b`` are tau c and sigma b, and ``shift`` is
+      the flat [-tau c; sigma b] that a step adds to [x; y];
     * ``buffers`` are the two flat iterate buffers [x; y] and ``target`` is
       EGM's target buffer (None for PDHG), with the views and the output
       of a step into each (see the module docstring);
     * ``work`` is PDHG's length-n scratch for 2 x+ - x, never returned.
+
+    The operator a method does not use (``M`` for PDHG, ``K`` and
+    ``work`` for EGM) is None.
 
     With ``omegas``, k primal weights, ``problem`` is k copies of one
     problem stacked as blocks (A block-diagonal, c and b tiled) and block i
@@ -206,10 +230,15 @@ class StepOperators(_Operators):
             sigma = np.repeat(config.eta * omegas, problem.m // omegas.size)
         self.problem, self.config = problem, config
         self.n = n = problem.n
-        self.K = problem.A.scaled_products(-sigma, tau)
         self.tau_c = tau * problem.c
         self.sigma_b = sigma * problem.b
-        self.work = np.empty(n) if config.method == PDHG else None
+        self.shift = np.concatenate([-self.tau_c, self.sigma_b])
+        if config.method == PDHG:
+            self.K, self.M = problem.A.scaled_products(-sigma, tau), None
+            self.work = np.empty(n)
+        else:
+            self.K, self.M = None, problem.A.saddle_products(-sigma, tau)
+            self.work = None
         self._bind_buffers(n + problem.m, config.method == EGM)
 
 
@@ -233,18 +262,18 @@ def pdhg_step(problem, z, config, ops=None):
 
     computed as max((x - tau c) + tau A'y, 0) and
     (y + sigma b) + (-sigma A)(2 x+ - x) through ``ops`` (a
-    :class:`StepOperators`, built here when None).
+    :class:`StepOperators`, built here when None), both blocks started by
+    one addition on the flat vectors.
     """
     ops = _operators(StepOperators, problem, config, ops)
-    (x1, y1), result = ops.bind(z)
+    zvec, (z1, x1, y1), result = ops.bind(z)
     K, w = ops.K, ops.work
-    np.subtract(z.x, ops.tau_c, out=x1)
+    np.add(zvec, ops.shift, out=z1)
     K.rmatvec(z.y, x1)
     if problem.nonneg:
         np.maximum(x1, _ZERO, out=x1)
     np.add(x1, x1, out=w)
     np.subtract(w, z.x, out=w)
-    np.add(z.y, ops.sigma_b, out=y1)
     K.matvec(w, y1)
     return result
 
@@ -255,23 +284,21 @@ def egm_step(problem, z, config, ops=None):
     zhat    = (max((x - tau c) + tau A'y, 0),    (y + sigma b) + (-sigma A) x)
     z^{t+1} = (max((x - tau c) + tau A'yhat, 0), (y + sigma b) + (-sigma A) xhat)
 
-    through ``ops`` (a :class:`StepOperators`, built here when None); the
-    target is zhat."""
+    through ``ops`` (a :class:`StepOperators`, built here when None): both
+    points start as z + [-tau c; sigma b], and each takes in its two
+    products as one product with the saddle operator ``ops.M``, from z for
+    zhat and from zhat for z^{t+1}.  The target is zhat."""
     ops = _operators(StepOperators, problem, config, ops)
-    (x1, y1, xh, yh), result = ops.bind(z)
-    K, tau_c, sigma_b = ops.K, ops.tau_c, ops.sigma_b
-    np.subtract(z.x, tau_c, out=xh)
-    K.rmatvec(z.y, xh)
+    zvec, (z1, x1, zh, xh), result = ops.bind(z)
+    M = ops.M
+    np.add(zvec, ops.shift, out=zh)
+    np.copyto(z1, zh)
+    M.matvec(zvec, zh)
     if problem.nonneg:
         np.maximum(xh, _ZERO, out=xh)
-    np.add(z.y, sigma_b, out=yh)
-    K.matvec(z.x, yh)
-    np.subtract(z.x, tau_c, out=x1)
-    K.rmatvec(yh, x1)
+    M.matvec(zh, z1)
     if problem.nonneg:
         np.maximum(x1, _ZERO, out=x1)
-    np.add(z.y, sigma_b, out=y1)
-    K.matvec(xh, y1)
     return result
 
 
@@ -549,7 +576,7 @@ def admm_step(problem, z, config, ops=None):
     here when None.  x_U^t is not read.
     """
     ops = _operators(AdmmOperators, problem, config, ops)
-    (xu, xv, y1, x1, tx, ty), result = ops.bind(z)
+    _, (xu, xv, y1, x1, tx, ty), result = ops.bind(z)
     eta, y_eta = config.eta, ops.y_eta
     np.divide(z.y, eta, out=y_eta)
     np.add(z.x_v, y_eta, out=xu)

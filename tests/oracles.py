@@ -15,6 +15,10 @@
 * :func:`stacked_observe_numpy` -- Table 3's stacked-run hook with every
   test in numpy, against which the scalar
   :func:`restartlp.bilinear._stacked_observe` is checked.
+* :func:`pdhg_by_blocks` / :func:`egm_four_products` -- PDHG and EGM
+  steps block by block, with EGM's four products each a product with
+  A or A' of its own, against which the flat steps of
+  :mod:`restartlp.steps` are checked bit for bit.
 """
 
 from __future__ import annotations
@@ -206,7 +210,7 @@ def stacked_observe_numpy(n, readers, order, eps, levels, last, hits):
     read_avg = readers[0]
     mean, step = np.empty(4), np.empty(4)
 
-    def observe(t, z, avg):
+    def observe(t, z, average):
         nonlocal pending
         hit = False
         for i, read in pending:
@@ -229,3 +233,41 @@ def stacked_observe_numpy(n, readers, order, eps, levels, last, hits):
         return not pending and len(hits) == len(levels)
 
     return observe
+
+
+def _block_data(problem, tau, sigma):
+    """tau A' and -sigma A as one operator pair, tau c and sigma b; tau and
+    sigma are scalars, or one value per column and per row."""
+    return problem.A.scaled_products(-sigma, tau), tau * problem.c, sigma * problem.b
+
+
+def pdhg_by_blocks(problem, z, tau, sigma):
+    """One PDHG step with each block started by its own ufunc:
+    x+ = max((x - tau c) + tau A'y, 0), y+ = (y + sigma b) - sigma A (2 x+ - x).
+    Returns [x+; y+]."""
+    K, tau_c, sigma_b = _block_data(problem, tau, sigma)
+    x1 = np.subtract(z.x, tau_c)
+    K.rmatvec(z.y, x1)
+    if problem.nonneg:
+        np.maximum(x1, 0.0, out=x1)
+    y1 = np.add(z.y, sigma_b)
+    K.matvec(np.subtract(np.add(x1, x1), z.x), y1)
+    return np.concatenate([x1, y1])
+
+
+def egm_four_products(problem, z, tau, sigma):
+    """One extragradient step through four products, one with A or A' each:
+    zhat from z, then z+ from zhat.  Returns ([x+; y+], [xhat; yhat])."""
+    K, tau_c, sigma_b = _block_data(problem, tau, sigma)
+
+    def half_step(x, y):
+        x1 = np.subtract(z.x, tau_c)
+        K.rmatvec(y, x1)
+        if problem.nonneg:
+            np.maximum(x1, 0.0, out=x1)
+        y1 = np.add(z.y, sigma_b)
+        K.matvec(x, y1)
+        return x1, y1
+
+    xh, yh = half_step(z.x, z.y)
+    return np.concatenate(half_step(xh, yh)), np.concatenate([xh, yh])

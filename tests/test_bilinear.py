@@ -259,7 +259,7 @@ class TestScalarObserve:
         problem, (read,) = bilinear._stacked_blocks([8.0])
         ratios = []
 
-        def record(t, z, avg):
+        def record(t, z, average):
             v = read(z)
             ratios.append(float(v @ v) / 4.0)
             return False
@@ -286,6 +286,47 @@ class TestScalarObserve:
         _same_report(rep, table3_scaling_experiment([4, 8], eps, **kwargs))
 
 
+    def test_mean_tie_is_decided_by_numpy(self, monkeypatch):
+        # the level is numpy's least norm of the incremental average of a
+        # kappa-4 block over its first 200 iterations, so the first t to
+        # reach it is where that norm is taken: the scalar norm lies within
+        # the level's tie band there and the hook tests numpy's norm
+        problem, (read,) = bilinear._stacked_blocks([4.0])
+        mean, step = np.empty(4), np.empty(4)
+        scalar_mean = []
+        norms, scalar_norms = [], []
+
+        def record(t, z, average):
+            nonlocal scalar_mean
+            v = read(z)
+            if t == 1:
+                np.copyto(mean, v)
+                scalar_mean = v.tolist()
+            else:
+                np.subtract(v, mean, out=step)
+                np.divide(step, t, out=step)
+                np.add(mean, step, out=mean)
+                scalar_mean = [m + (x - m) / t for m, x in zip(scalar_mean, v.tolist())]
+            norms.append(math.sqrt(float(mean @ mean)))
+            a, b, c, d = scalar_mean
+            scalar_norms.append(math.sqrt(a * a + b * b + c * c + d * d))
+            return False
+
+        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 200, 200,
+                           record)
+        level = min(norms)
+        first = 1 + norms.index(level)
+        lo, hi = bilinear._tie_band(level)
+        assert lo <= scalar_norms[first - 1] <= hi   # the fallback runs at first
+
+        # a level of e |z0| for |z0| = 2
+        kwargs = dict(avg_kappa=4, avg_eps=(level / 2.0,))
+        rep = table3_scaling_experiment([4], 1e-2, **kwargs)
+        assert rep.average_rows == [(level / 2.0, first)]
+        monkeypatch.setattr(bilinear, "_stacked_observe", stacked_observe_numpy)
+        _same_report(rep, table3_scaling_experiment([4], 1e-2, **kwargs))
+
+
 class TestStackedRun:
     """Every block of the stacked run behind Table 3 repeats its lone run
     bit for bit."""
@@ -298,7 +339,8 @@ class TestStackedRun:
         # each block's iterate and running average at every iteration
         seen = []
 
-        def observe(t, z, avg):
+        def observe(t, z, average):
+            avg = average()
             seen.append([(read(z).copy(), read(avg).copy()) for read in reads])
             return False
 

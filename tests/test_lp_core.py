@@ -240,6 +240,82 @@ class TestProductKernel:
             assert np.allclose(A.matvec(v, out=out), 1.0 + mv, rtol=1e-14, atol=1e-14), label
 
 
+class TestSaddleProducts:
+    """The saddle operator M = [[0, t A'], [s A, 0]] runs both scaled
+    products as one: each row holds its lone product's row, in order."""
+
+    @staticmethod
+    def _scales(A, rng):
+        # one scale per product, and one per row and per column of A
+        return [(-0.3, 1.7), (-rng.uniform(0.5, 2.0, A.n_rows), rng.uniform(0.5, 2.0, A.n_cols))]
+
+    def test_rows_and_nnz(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        for s, t in self._scales(A, rng):
+            M, K = A.saddle_products(s, t), A.scaled_products(s, t)
+            assert M.shape == (21, 21) and M.nnz == 2 * A.nnz
+            fwd, adj = M._fwd, M._adj
+            for j in range(9):
+                row = slice(fwd.indptr[j], fwd.indptr[j + 1])
+                lone = slice(K._adj.indptr[j], K._adj.indptr[j + 1])
+                assert np.array_equal(fwd.indices[row], K._adj.indices[lone] + 9), j
+                assert fwd.data[row].tobytes() == K._adj.data[lone].tobytes(), j
+            for i in range(12):
+                row = slice(fwd.indptr[9 + i], fwd.indptr[10 + i])
+                lone = slice(K._fwd.indptr[i], K._fwd.indptr[i + 1])
+                assert np.array_equal(fwd.indices[row], K._fwd.indices[lone]), i
+                assert fwd.data[row].tobytes() == K._fwd.data[lone].tobytes(), i
+            dense = np.zeros((21, 21))
+            dense[:9, 9:] = (np.diag(np.broadcast_to(t, 9)) @ A.to_dense().T)
+            dense[9:, :9] = (np.diag(np.broadcast_to(s, 12)) @ A.to_dense())
+            assert np.allclose(M.to_dense(), dense, rtol=1e-15, atol=0.0)
+            # the column-ordered layout is the transpose: rmatvec is M'
+            w = rng.standard_normal(21)
+            assert np.allclose(M.rmatvec(w), dense.T @ w, rtol=1e-13, atol=1e-13)
+            assert fwd.indices.dtype == adj.indices.dtype == np.int32
+
+    def test_one_product_adds_both_lone_products_bit_for_bit(self, monkeypatch, rng):
+        # A with int32 and with int64 indices, each into a saddle operator
+        # with int32 and with int64 indices
+        narrow = random_sparse(40, 60, 0.2, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_core, "_INT32_MAX", 0)
+            wide = SparseMatrix(40, 60, narrow.rows, narrow.cols, narrow.vals)
+        empty = SparseMatrix(5, 6, [0, 0, 2, 4, 4], [1, 2, 3, 5, 1], rng.standard_normal(5))
+        for label, A in (("narrow", narrow), ("wide", wide), ("empty rows and columns", empty)):
+            for s, t in self._scales(A, rng):
+                for wide_saddle in (False, True):
+                    with monkeypatch.context() as patch:
+                        if wide_saddle:
+                            patch.setattr(lp_core, "_INT32_MAX", 0)
+                        M = A.saddle_products(s, t)
+                    for layout in (M._fwd, M._adj):
+                        assert (layout.indices.dtype == np.int64) == wide_saddle, label
+                    K = A.scaled_products(s, t)
+                    z = rng.standard_normal(M.n_cols)
+                    start = rng.standard_normal(M.n_rows)
+                    got = M.matvec(z, start.copy())
+                    want = start.copy()
+                    K.rmatvec(z[A.n_cols:], want[:A.n_cols])
+                    K.matvec(z[:A.n_cols], want[A.n_cols:])
+                    assert got.tobytes() == want.tobytes(), label
+
+    def test_bad_input_raises(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        M = A.saddle_products(-0.3, 1.7)
+        with pytest.raises(ValueError, match="dimension"):
+            M.matvec(np.ones(9))
+        with pytest.raises(ValueError, match="dimension"):
+            M.matvec(np.ones(12), out=np.zeros(21))
+        for bad in (np.zeros(12), np.zeros(21, dtype=np.float32), [0.0] * 21):
+            with pytest.raises(ValueError, match=r"out must be a writeable float64 array of shape \(21,\)"):
+                M.matvec(np.ones(21), out=bad)
+        with pytest.raises(ValueError):
+            A.saddle_products(np.ones(9), 1.0)
+        with pytest.raises(ValueError):
+            A.saddle_products(1.0, np.ones(12))
+
+
 class TestBlockDiagonal:
     """A k-fold block-diagonal copy, with a scale per row and per column,
     repeats the products of each copy bit for bit."""

@@ -154,7 +154,7 @@ class TestRunRestarted:
         def observe(t, target, average):
             nonlocal ref, worst
             ref = target.copy() if ref is None else ref + (target - ref) / t
-            worst = max(worst, np.linalg.norm(average - ref) / np.linalg.norm(ref))
+            worst = max(worst, np.linalg.norm(average() - ref) / np.linalg.norm(ref))
             return False
 
         res = run_restarted(problem, opts, observe=observe)
@@ -409,7 +409,7 @@ class TestObserve:
         kept = {}
 
         def observe(t, target, average):
-            kept["target"], kept["average"] = target.copy(), average.copy()
+            kept["target"], kept["average"] = target.copy(), average().copy()
             return t == 100
 
         res = run_restarted(problem, opts, observe=observe)
@@ -496,13 +496,17 @@ class TestStepNamesSeen:
     their classes; every iteration must go through those names, or the
     tracer's step, SpMV and projection counts read short."""
 
-    @pytest.mark.parametrize("method, products", [(PDHG, 1), (EGM, 2)])
-    def test_each_iteration_calls_the_step_and_both_products(self, monkeypatch, method, products):
+    @pytest.mark.parametrize("method, matvecs", [(PDHG, 1), (EGM, 2)])
+    def test_each_iteration_calls_the_step_and_both_products(self, monkeypatch, method, matvecs):
+        # PDHG runs one product with A and one with A' per iteration; EGM
+        # runs its two pairs as two products with the saddle operator, of
+        # 2 nnz(A) nonzeros each, so the nonzeros a step's products read
+        # (what the tracer's computed bytes count) cover four products
         from restartlp import restarts
         from restartlp.lp_core import SparseMatrix
 
         name = "pdhg_step" if method == PDHG else "egm_step"
-        counts = {"step": 0, "matvec": 0, "rmatvec": 0}
+        counts = {"step": 0, "matvec": 0, "rmatvec": 0, "nnz": 0}
         in_step = [False]
 
         def step(*args, **kwargs):
@@ -514,9 +518,11 @@ class TestStepNamesSeen:
                 in_step[0] = False
 
         def product(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += in_step[0]   # a checkpoint's products are not counted
-                return fn(*args, **kwargs)
+            def wrapper(matrix, *args, **kwargs):
+                # a checkpoint's products are not counted
+                counts[key] += in_step[0]
+                counts["nnz"] += in_step[0] * matrix.nnz
+                return fn(matrix, *args, **kwargs)
             return wrapper
 
         real_step = getattr(restarts, name)
@@ -529,7 +535,9 @@ class TestStepNamesSeen:
         res = run_restarted(problem, SolveOptions(config, RestartScheme.adaptive(), kkt_tol=0.0,
                                                   iteration_limit=150))
         assert res.iterations == 150 and res.restart_count > 0
-        assert counts == {"step": 150, "matvec": products * 150, "rmatvec": products * 150}
+        rmatvecs = 1 if method == PDHG else 0
+        assert counts == {"step": 150, "matvec": matvecs * 150, "rmatvec": rmatvecs * 150,
+                          "nnz": 150 * 2 * matvecs * problem.A.nnz}
 
     @pytest.mark.parametrize("method", [ADMM, PPM_BILINEAR])
     def test_each_iteration_calls_the_step_and_admm_projects_once(self, monkeypatch, method):

@@ -41,7 +41,7 @@ from restartlp.steps import (
 from restartlp.scaling import rescale
 
 from conftest import random_sparse
-from oracles import affine_project, lagrangian
+from oracles import affine_project, egm_four_products, lagrangian, pdhg_by_blocks
 
 
 def bilinear_data(a_val=1.0, c=0.0, b=0.0, nonneg=False):
@@ -654,6 +654,88 @@ class TestStepOperators:
         assert ops.work.shape == (problem.n,) and ops.target is None
         egm = StepOperators(problem, replace(config, method=EGM))
         assert egm.work is None and egm.target.shape == (problem.n + problem.m,)
+
+
+def _flat_cases(rng):
+    """(label, problem, eta, omegas) for the flat steps: an LP and a
+    bilinear problem, each alone (omegas None) and as three stacked blocks
+    at a primal weight each."""
+    lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
+    bil = StandardFormLp(rng.standard_normal(10), random_sparse(6, 10, 0.5, rng),
+                         rng.standard_normal(6), nonneg=False)
+    omegas = np.array([0.5, 1.0, 2.0])
+    cases = []
+    for label, problem in (("lp", lp), ("bilinear", bil)):
+        eta = 0.9 / power_method_sigma_max(problem.A)
+        stack = StandardFormLp(np.tile(problem.c, 3), problem.A.block_diagonal(3),
+                               np.tile(problem.b, 3), nonneg=problem.nonneg)
+        cases += [(label, problem, eta, None), (label + "-stacked", stack, eta, omegas)]
+    return cases
+
+
+class TestFlatSteps:
+    """PDHG starts both blocks of its output with one addition on the flat
+    vectors, and EGM runs each half-step as one product with the saddle
+    operator; both repeat the block-by-block references of :mod:`oracles`
+    bit for bit, with one primal weight or a stack of them, from the
+    operators' own buffers and from a new anchor."""
+
+    @pytest.mark.parametrize("method", [PDHG, EGM])
+    def test_steps_repeat_the_block_references(self, rng, method):
+        for label, problem, eta, omegas in _flat_cases(rng):
+            config = StepConfig(method, eta, omega=1.3)
+            if omegas is None:
+                tau, sigma = eta / 1.3, eta * 1.3
+            else:
+                tau = np.repeat(eta / omegas, problem.n // omegas.size)
+                sigma = np.repeat(eta * omegas, problem.m // omegas.size)
+            ops = StepOperators(problem, config, omegas)
+            z, into = _start(problem, rng), 0
+            for k in range(20):
+                if k == 10:
+                    # a new anchor, as after a restart
+                    z, into = _view(problem, method, z.as_vector()), 0
+                if method == PDHG:
+                    want_next = want_target = pdhg_by_blocks(problem, z, tau, sigma)
+                else:
+                    want_next, want_target = egm_four_products(problem, z, tau, sigma)
+                ops.buffers[into].fill(np.nan)   # stale contents must not leak
+                out = _step_of(config)(problem, z, config, ops)
+                assert out.next_vec is ops.buffers[into], (label, k)
+                assert out.next_vec.tobytes() == want_next.tobytes(), (label, k)
+                assert out.target_vec.tobytes() == want_target.tobytes(), (label, k)
+                z, into = out.next, 1 - into
+
+    def test_egm_runs_two_saddle_products(self, rng):
+        _, problem, eta, _ = _flat_cases(rng)[0]
+        ops = StepOperators(problem, StepConfig(EGM, eta))
+        assert ops.K is None and ops.work is None
+        assert ops.M.shape == (problem.n + problem.m,) * 2 and ops.M.nnz == 2 * problem.A.nnz
+        pdhg = StepOperators(problem, StepConfig(PDHG, eta))
+        assert pdhg.M is None and pdhg.K.nnz == problem.A.nnz
+        for built in (ops, pdhg):
+            assert np.array_equal(built.shift, np.concatenate([-built.tau_c, built.sigma_b]))
+
+    def test_operators_of_another_class_problem_or_config_raise(self, rng):
+        (_, lp, eta, _), (_, stack, _, omegas) = _flat_cases(rng)[:2]
+        config = StepConfig(EGM, eta)
+        z = _start(lp, rng)
+        others = [
+            StepOperators(lp, StepConfig(EGM, eta / 2)),
+            StepOperators(lp, StepConfig(PDHG, eta)),
+            StepOperators(stack, config, omegas),
+            AdmmOperators(lp, StepConfig(ADMM, 1.0)),
+        ]
+        for ops in others:
+            with pytest.raises(ValueError, match="built for another"):
+                egm_step(lp, z, config, ops)
+        egm = StepOperators(lp, config)
+        with pytest.raises(ValueError, match="built for another"):
+            pdhg_step(lp, z, StepConfig(PDHG, eta), egm)
+        with pytest.raises(ValueError, match="built for another"):
+            admm_step(lp, _start(lp, rng, ADMM), StepConfig(ADMM, 1.0), egm)
+        # the operators' own problem and an equal config are accepted
+        egm_step(lp, z, StepConfig(EGM, eta), egm)
 
 
 def _admm_reference(problem, z, eta):
