@@ -4,10 +4,10 @@ Everything downstream (steps, gap evaluation, restart driver) is matrix-free
 apart from the ADMM and PPM steps: the only operations applied to the
 constraint matrix are products with A and with A^T, plus, for those two
 methods, one sparse factorization of A A^T per solve.  ``SparseMatrix``
-therefore keeps two compressed layouts of the same nonzeros, one row-ordered
-and one column-ordered, built once at load, and runs each product as one
-call of scipy's CSR kernel, which adds the product into a caller-supplied
-output (or a fresh zero one).
+therefore keeps one row-ordered compressed layout, built once at load, and
+runs each product as one call of a scipy kernel over it: CSR for A v, CSC
+for A^T w (A's row-ordered layout is A^T's column-ordered one), adding the
+product into a caller-supplied output (or a fresh zero one).
 """
 
 from __future__ import annotations
@@ -27,11 +27,17 @@ def _matvec_by_operator(n_row, n_col, indptr, indices, data, v, out):
     out += sp.csr_array((data, indices, indptr), shape=(n_row, n_col)) @ v
 
 
+def _rmatvec_by_operator(n_row, n_col, indptr, indices, data, w, out):
+    """out += A^T w through ``csc_array @`` over A's layout, likewise."""
+    out += sp.csc_array((data, indices, indptr), shape=(n_row, n_col)) @ w
+
+
 try:
-    # out += A v over a CSR layout; the kernel behind ``csr_array @ v``
+    # the kernels behind ``csr_array @ v`` and ``csr_array.T @ w``
+    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
     from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 except ImportError:  # pragma: no cover - depends on the scipy build
-    _csr_matvec = _matvec_by_operator
+    _csr_matvec, _csc_matvec = _matvec_by_operator, _rmatvec_by_operator
 
 _FLOAT64 = np.dtype(np.float64)
 _INT32_MAX = np.iinfo(np.int32).max
@@ -51,36 +57,32 @@ __all__ = [
 
 
 class SparseMatrix:
-    """Sparse matrix with both row- and column-ordered compressed layouts.
+    """Sparse matrix whose nonzeros are held once, in a row-ordered layout.
 
-    Products with A run over the row-ordered layout, products with A^T over
-    the column-ordered one, so each is a single contiguous pass and the
-    summation order is fixed (no parallel reductions): results are
-    reproducible bit for bit across runs.  :meth:`matvec` and
-    :meth:`rmatvec` call scipy's CSR kernel on the stored layout directly,
-    which is the kernel ``csr_array @ v`` runs, so the products equal
-    ``@`` bit for bit without its per-call wrapper cost.  Each takes an
-    optional ``out``: a float64, writeable array of the result's shape,
-    checked (the kernel itself does not check bounds), which the product is
-    added into and which is returned: ``A.matvec(v, out)`` leaves
-    ``out + A v`` in ``out``, each row's sum starting from ``out[i]``, as
-    the kernel computes it.  Without ``out`` the product goes into a new
-    zero array, so ``A.matvec(v)`` equals ``A @ v``.
+    :meth:`matvec` runs scipy's CSR kernel over it and :meth:`rmatvec` the
+    CSC kernel over the same arrays, as ``csr_array @ v`` and
+    ``csr_array.T @ w`` do, without their per-call wrapper cost.  Each is
+    one pass in a fixed order (no parallel reductions), so the products are
+    reproducible and equal ``@`` bit for bit.  Each takes an optional
+    ``out``, a writeable float64 array of the result's shape, checked (the
+    kernels do not check bounds), which the product is added into, each
+    entry's sum starting from its value there, and which is returned;
+    without ``out`` the product goes into a new zero array.
 
     Duplicate (row, col) pairs are rejected; callers that want accumulation
-    semantics must sum before construction.  The nonzeros are held once per
-    layout: ``rows``, ``cols`` and ``vals`` read them off the row-ordered
-    one, in (row, col) order.  The layouts' index arrays are int32 when the
-    dimensions and the nonzero count fit in it, else int64.
+    semantics must sum before construction.  ``rows``, ``cols`` and
+    ``vals`` read the nonzeros off the layout, in (row, col) order.  Its
+    index arrays are int32 when the dimensions and the nonzero count fit
+    in it, else int64.
 
     A k-fold block-diagonal copy (:meth:`block_diagonal`) holds in each row
-    of either layout the entries of one row of a copy, in their stored
-    order, so a product with it repeats, block by block, the sums of the
-    products with A bit for bit.  :meth:`scaled_products` scales by one
-    scalar per product or by one value per row (A v) and per column
-    (A^T w), which gives each block of such a stack a scale of its own;
-    :meth:`saddle_products` runs both scaled products as one product with
-    the saddle operator [[0, t A^T], [s A, 0]].
+    the entries of one row of a copy, in their stored order, so a product
+    with it repeats, block by block, the sums of the products with A bit
+    for bit.  :meth:`scaled_products` scales by one scalar per product or
+    by one value per row (A v) and per column (A^T w), which gives each
+    block of such a stack a scale of its own; :meth:`saddle_products` runs
+    both scaled products as one product with the saddle operator
+    [[0, t A^T], [s A, 0]].
 
     A matrix is never modified in place: :meth:`scaled`,
     :meth:`scaled_products`, :meth:`saddle_products` and
@@ -100,10 +102,11 @@ class SparseMatrix:
     The memo is created by its first entry (construction does no extra
     work) and lives as long as the matrix; nothing in it refers back to the
     matrix, so reference counting frees both together.  Its memory is that
-    of what it holds: A~ adds one value array per layout (16 bytes per
-    nonzero, index arrays shared), and a factor the 12 bytes per nonzero of
-    its sparse LU, or the 8 m^2 bytes of a dense inverse when that LU would
-    be no smaller (:class:`~restartlp.steps.NormalFactor`).
+    of what it holds: A~ adds one value array (8 bytes per nonzero, index
+    arrays shared), and a factor the 12 bytes per nonzero of its sparse LU,
+    or the 8 m^2 bytes of a dense inverse when that LU would be no smaller
+    (:class:`~restartlp.steps.NormalFactor`).  A solve's step operator K
+    adds 16 bytes per nonzero, and EGM's M one layout of 2 nnz nonzeros.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, vals):
@@ -119,27 +122,28 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        if max(self.n_rows, self.n_cols, vals.size) <= _INT32_MAX:
-            # the layouts take their index dtype from these: int32 halves
-            # the index bytes each product reads, with the same arithmetic
+        if max(n_rows, n_cols, vals.size) <= _INT32_MAX:
+            # the layout takes its index dtype from these: int32 halves the
+            # index bytes each product reads, with the same arithmetic
             rows, cols = rows.astype(np.int32), cols.astype(np.int32)
-        # row-ordered layout, used for A @ v; the conversion sorts each row
-        # by column and sums repeated pairs, so a repeat shows as a lost entry
-        fwd = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-        if fwd.nnz != vals.size:
+        # the conversion sorts each row by column and sums repeated pairs,
+        # so a repeat shows as a lost entry
+        csr = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+        if csr.nnz != vals.size:
             raise ValueError("duplicate (row, col) entries")
-        self._bind(fwd, fwd.T.tocsr())  # column-ordered layout, used for A^T @ w
+        self._bind(csr, csr.data)
 
-    def _bind(self, fwd, adj):
-        """Hold the two layouts, and the kernel's leading arguments for the
-        product over each."""
-        self._fwd, self._adj = fwd, adj
+    def _bind(self, csr, adj_vals):
+        """Hold the layout and the values the transpose product reads, and
+        the kernels' leading arguments for each product; returns self.  A
+        layout bound to a new object is not sorted or checked again."""
+        self.n_rows, self.n_cols = csr.shape
+        self._csr, self._adj_vals = csr, adj_vals
         # the shapes of a product's input and output, checked on every call
         self._row_shape, self._col_shape = (self.n_rows,), (self.n_cols,)
-        self._fwd_args = (self.n_rows, self.n_cols, fwd.indptr, fwd.indices, fwd.data)
-        self._adj_args = (self.n_cols, self.n_rows, adj.indptr, adj.indices, adj.data)
+        self._fwd_args = (self.n_rows, self.n_cols, csr.indptr, csr.indices, csr.data)
+        self._adj_args = (self.n_cols, self.n_rows, csr.indptr, csr.indices, adj_vals)
+        return self
 
     @property
     def memo(self):
@@ -177,18 +181,18 @@ class SparseMatrix:
     @property
     def rows(self):
         """Row index of each nonzero, in (row, col) order."""
-        return np.repeat(np.arange(self.n_rows), np.diff(self._fwd.indptr))
+        return np.repeat(np.arange(self.n_rows), np.diff(self._csr.indptr))
 
     @property
     def cols(self):
         """Column index of each nonzero, in (row, col) order, in the
         layout's index dtype."""
-        return self._fwd.indices
+        return self._csr.indices
 
     @property
     def vals(self):
         """Value of each nonzero, in (row, col) order."""
-        return self._fwd.data
+        return self._csr.data
 
     def matvec(self, v, out=None):
         """A @ v with deterministic row-major summation, added into ``out``
@@ -219,21 +223,18 @@ class SparseMatrix:
                   and out.flags.writeable):
             # the kernel does not check bounds
             raise ValueError(f"out must be a writeable float64 array of shape ({self.n_cols},)")
-        _csr_matvec(*self._adj_args, w, out)
+        _csc_matvec(*self._adj_args, w, out)
         return out
 
     def scaled(self, row_scale, col_scale):
         """diag(row_scale) A diag(col_scale), entry by entry
-        (row_scale_i a_ij) col_scale_j in every layout.
-
-        The result shares the index arrays of both compressed layouts; only
-        the values are new (one array per ordering), and the pattern is not
-        re-sorted or re-checked.
-        """
-        fwd, adj = self._fwd, self._adj
-        adj_cols = np.repeat(np.arange(self.n_cols), np.diff(adj.indptr))
-        return self._revalued(row_scale[self.rows] * fwd.data * col_scale[fwd.indices],
-                              row_scale[adj.indices] * adj.data * col_scale[adj_cols])
+        (row_scale_i a_ij) col_scale_j: one new value array, which both
+        products read, over A's index arrays."""
+        csr = self._csr
+        vals = row_scale[self.rows]
+        vals *= csr.data
+        vals *= col_scale[csr.indices]
+        return self._revalued(vals, vals)
 
     def scaled_products(self, matvec_scale, rmatvec_scale):
         """The operator pair v -> (s a_ij) v and w -> (t a_ij) w for
@@ -242,19 +243,19 @@ class SparseMatrix:
 
         Each scale is a scalar, or an array of one value per row (s_i) or
         per column (t_j) of A, giving diag(s) A and diag(t) A^T.  Each
-        layout's values are multiplied once, entry by entry, by the entry's
-        scale (one new value array per layout); the index arrays are
-        shared.  Only the two products are meant to be used: the layouts no
-        longer hold the transpose of one another.  :meth:`saddle_products`
-        puts the same two scaled layouts in one matrix, so that both
-        products run as one.
+        product gets values of its own, multiplied once, entry by entry,
+        over A's index arrays, so the two are no longer transposes of one
+        another.  :meth:`saddle_products` runs both as one product.
         """
-        fwd, adj = self._fwd, self._adj
+        csr = self._csr
         if np.ndim(matvec_scale):
-            matvec_scale = np.repeat(matvec_scale, np.diff(fwd.indptr))
+            # raises ValueError unless there is one scale per row
+            matvec_scale = np.repeat(matvec_scale, np.diff(csr.indptr))
         if np.ndim(rmatvec_scale):
-            rmatvec_scale = np.repeat(rmatvec_scale, np.diff(adj.indptr))
-        return self._revalued(matvec_scale * fwd.data, rmatvec_scale * adj.data)
+            if np.shape(rmatvec_scale) != self._col_shape:  # indexing would take a longer one
+                raise ValueError(f"expected one scale per column, got {np.shape(rmatvec_scale)}")
+            rmatvec_scale = np.asarray(rmatvec_scale)[csr.indices]
+        return self._revalued(matvec_scale * csr.data, rmatvec_scale * csr.data)
 
     def saddle_products(self, matvec_scale, rmatvec_scale):
         """The (n + m) x (n + m) saddle operator M = [[0, t A^T], [s A, 0]]
@@ -262,30 +263,26 @@ class SparseMatrix:
         (m, n): ``M.matvec(z, out)`` adds t A^T y to out[:n] and s A x to
         out[n:] for z = [x; y], both products in one kernel call.
 
-        The scales are those of :meth:`scaled_products`, whose two layouts
-        M's row-ordered layout concatenates: row j < n is row j of the
-        t A^T layout with its column indices shifted by n, row n + i is row
-        i of the s A layout.  Each row holds the values of the lone
-        product's row in the same order, so every entry of ``M.matvec``
-        equals, bit for bit, that of the ``rmatvec`` or ``matvec`` of
-        ``scaled_products(s, t)`` into the same ``out``.  M has 2 nnz(A)
-        nonzeros; its column-ordered layout is the transpose of the
-        row-ordered one, so :meth:`rmatvec` is M^T.
+        The scales are those of :meth:`scaled_products`.  M's one layout
+        of 2 nnz(A) nonzeros stacks the rows of t A^T, one transpose of
+        t A, with indices shifted by n, on the rows of s A.  Each row holds
+        an entry's terms of the lone product in the order the kernel adds
+        them, so every entry of ``M.matvec`` equals, bit for bit, that of
+        the ``rmatvec`` or ``matvec`` of ``scaled_products(s, t)`` into the
+        same ``out``.  :meth:`rmatvec` is M^T.
         """
         scaled = self.scaled_products(matvec_scale, rmatvec_scale)
-        fwd, adj = scaled._fwd, scaled._adj
+        csr = scaled._csr
+        adj = sp.csr_array((scaled._adj_vals, csr.indices, csr.indptr), shape=self.shape).T.tocsr()
         n, size = self.n_cols, self.n_cols + self.n_rows
         # int32 indices, as A's, unless M's size or nonzero count needs more
         index = np.int64 if max(size, 2 * self.nnz) > _INT32_MAX else np.int32
-        indptr = np.concatenate([adj.indptr, fwd.indptr[1:].astype(index) + adj.indptr[-1]],
+        indptr = np.concatenate([adj.indptr, csr.indptr[1:].astype(index) + adj.indptr[-1]],
                                 dtype=index)
-        indices = np.concatenate([adj.indices.astype(index) + n, fwd.indices], dtype=index)
-        saddle = sp.csr_array((np.concatenate([adj.data, fwd.data]), indices, indptr),
+        indices = np.concatenate([adj.indices.astype(index) + n, csr.indices], dtype=index)
+        saddle = sp.csr_array((np.concatenate([adj.data, csr.data]), indices, indptr),
                               shape=(size, size))
-        out = object.__new__(SparseMatrix)
-        out.n_rows = out.n_cols = size
-        out._bind(saddle, saddle.T.tocsr())
-        return out
+        return object.__new__(SparseMatrix)._bind(saddle, saddle.data)
 
     def block_diagonal(self, k):
         """diag(A, ..., A) with ``k`` copies of A, copy i on rows
@@ -297,22 +294,20 @@ class SparseMatrix:
                             (self.cols + shift * self.n_cols).ravel(),
                             np.tile(self.vals, k))
 
-    def _revalued(self, fwd_vals, adj_vals):
-        """A matrix over the same two layouts with new values in each: the
-        index arrays are shared, not copied, sorted or checked again."""
-        out = object.__new__(SparseMatrix)
-        out.n_rows, out.n_cols = self.n_rows, self.n_cols
-        fwd, adj = copy.copy(self._fwd), copy.copy(self._adj)
-        fwd.data, adj.data = fwd_vals, adj_vals
-        out._bind(fwd, adj)
-        return out
+    def _revalued(self, vals, adj_vals):
+        """A matrix with new values for each product over the same index
+        arrays, shared, not copied."""
+        csr = copy.copy(self._csr)
+        csr.data = vals
+        return object.__new__(SparseMatrix)._bind(csr, adj_vals)
 
     def gram(self):
-        """A A^T as a sparse CSC array, the product of the two layouts."""
-        return sp.csc_array(self._fwd @ self._adj)
+        """A A^T as a sparse CSC array, the product of the layout with its
+        transpose."""
+        return sp.csc_array(self._csr @ self._csr.T)
 
     def to_dense(self):
-        return self._fwd.toarray()
+        return self._csr.toarray()
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"

@@ -21,16 +21,17 @@ buffer once that point is checked to share no memory with it or with the
 target buffer.  A run that steps from each output's ``next`` thus
 alternates between the two buffers and allocates nothing, and an output
 stays valid until the step after the next one overwrites it.  A step also
-reads ``z`` as one flat vector: the buffer that holds it, or, from any
-other point, its blocks concatenated once.
+reads ``z`` as one flat vector, but for ADMM, which reads its blocks:
+the buffer that holds it, or its blocks concatenated once.
 
 PDHG and EGM start both blocks of a step's output with one addition on
 the flat vectors, z + [-tau c; sigma b], and add the products into it.
 PDHG's two products run in order, since the dual one reads the new x.
 EGM's two half-steps each apply the linear part of F to a whole point, so
-each is one product with the saddle operator [[0, tau A'], [-sigma A, 0]]
-(:meth:`~restartlp.lp_core.SparseMatrix.saddle_products`): one kernel call
-per half-step, with the bits of the two products it replaces.
+each is one product with M = [[0, tau A'], [-sigma A, 0]]
+(:meth:`~restartlp.lp_core.SparseMatrix.saddle_products`), with the bits
+of the two it replaces: M's one layout stacks the rows of tau A' (one
+transpose per solve) on those of -sigma A.
 
 PPM allocates its output.  It solves with the factor of s I + A A' kept in
 the matrix's memo (:meth:`NormalFactor.of`), so that factor is built once
@@ -147,7 +148,9 @@ class _Operators:
     :class:`StepOutput` it returns, built once.  A subclass sets
     ``problem``, ``config`` and ``n``; the blocks of a point are those of a
     :class:`SaddlePoint` [x; y] unless it names others in ``_layout`` and
-    ``_reads``."""
+    ``_reads``; ``_flat`` is whether a step reads a point's flat vector."""
+
+    _flat = True
 
     def _bind_buffers(self, size, with_target):
         self.target = np.empty(size) if with_target else None
@@ -172,7 +175,7 @@ class _Operators:
         for buf in (self.buffers[0], self.target):
             if buf is not None and any(np.may_share_memory(buf, arr) for arr in reads):
                 raise ValueError("step buffer shares memory with the point it steps from")
-        return (z.as_vector(), *self._into_first)
+        return (z.as_vector() if self._flat else None, *self._into_first)
 
     def _layout(self, out, target):
         n = self.n
@@ -193,8 +196,8 @@ class StepOperators(_Operators):
     With tau = eta/omega and sigma = eta omega from ``config``:
 
     * for PDHG, ``K`` runs both products with the step sizes folded in:
-      ``K.rmatvec(y)`` is tau A'y and ``K.matvec(x)`` is -sigma A x, from
-      one copy of each layout's values
+      ``K.rmatvec(y)`` is tau A'y and ``K.matvec(x)`` is -sigma A x, each
+      from values of its own
       (:meth:`~restartlp.lp_core.SparseMatrix.scaled_products`);
     * for EGM, ``M`` is the saddle operator [[0, tau A'], [-sigma A, 0]]
       (:meth:`~restartlp.lp_core.SparseMatrix.saddle_products`):
@@ -390,7 +393,7 @@ def _inverse(lu, m):
 class NormalFactor:
     """Factor of s I + A A', formed and factored once.
 
-    A A' comes from the two layouts of :class:`SparseMatrix`;
+    A A' is :meth:`~restartlp.lp_core.SparseMatrix.gram`;
     ``scipy.sparse.linalg.splu`` factors it after a tiny diagonal shift.
     How a solve is applied depends on the size of that LU.  When its stored
     nonzeros (8-byte values and 4-byte indices, ``12 * nnz`` bytes) take at
@@ -540,6 +543,8 @@ class AdmmOperators(_Operators):
       ``target``, the target buffer, with the views and the output of a
       step into each (see the module docstring).
     """
+
+    _flat = False
 
     def __init__(self, problem, config):
         if config.method != ADMM:

@@ -314,10 +314,11 @@ class TestTuneOmega:
         assert loop_passes == [(24, 24), (24, 24), (18, 18)]
 
     def test_fallback_product_path_keeps_the_table(self, monkeypatch):
-        # without scipy's private kernel the products run through
-        # csr_array @, which sums each row in stored order too
+        # without scipy's private kernels the products run through
+        # csr_array @ and csc_array @, which sum in stored order too
         problem, sigma = planted()
         monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
+        monkeypatch.setattr(lp_core, "_csc_matvec", lp_core._rmatvec_by_operator)
         _, table = tune_primal_weight(problem, PDHG, 0.9 / sigma, iterations=300)
         assert table == lone_table(problem, PDHG, 0.9 / sigma, 300)
 

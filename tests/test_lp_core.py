@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,10 +79,31 @@ class TestSparseMatrix:
         out2 = A.matvec(v.copy())
         assert np.array_equal(out1, out2)
 
+    def test_nonzeros_are_held_once(self, rng):
+        # one CSR layout is 12 bytes per nonzero (8-byte values, int32
+        # indices) and a scaled copy adds 8 for its values; building both
+        # peaks near 28, and a second, column-ordered layout of each would
+        # take the peak to about 56
+        m, n, nnz = 500, 1000, 50_000
+        rows, cols = np.divmod(rng.choice(m * n, size=nnz, replace=False), n)
+        vals = rng.standard_normal(nnz)
+        d1, d2 = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            A = SparseMatrix(m, n, rows, cols, vals)
+            S = A.scaled(d1, d2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert A.nnz == S.nnz == nnz
+        assert (peak - base) / nnz < 36.0, (peak - base) / nnz
+
 
 class TestIndexWidth:
-    """The layouts hold int32 indices when the sizes fit; the products and
-    the entries are those of the int64 layouts."""
+    """The layout holds int32 indices when the sizes fit; the products and
+    the entries are those of the int64 layout."""
 
     def _pair(self, monkeypatch, rng, m, n):
         flat = rng.choice(m * n, size=max(1, m * n // 5), replace=False)
@@ -98,8 +120,7 @@ class TestIndexWidth:
         m, n = shape
         narrow, wide = self._pair(monkeypatch, rng, m, n)
         for A, dtype in ((narrow, np.int32), (wide, np.int64)):
-            for layout in (A._fwd, A._adj):
-                assert layout.indices.dtype == dtype and layout.indptr.dtype == dtype
+            assert A._csr.indices.dtype == dtype and A._csr.indptr.dtype == dtype
         for name in ("rows", "cols", "vals"):
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
         d1, d2 = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n)
@@ -126,43 +147,52 @@ def _kernel_cases(rng):
     return cases
 
 
+def _csr(A):
+    """A's layout as a public ``csr_array``: ``@`` with it and with its
+    ``.T`` runs scipy's CSR and CSC kernels."""
+    return sp.csr_array((A.vals, A.cols, A._csr.indptr), shape=A.shape)
+
+
 class TestProductKernel:
-    """matvec / rmatvec call scipy's CSR kernel directly; the products must
-    equal the ``@`` of the stored layouts bit for bit."""
+    """matvec / rmatvec call scipy's CSR and CSC kernels directly over the
+    one stored layout; the products must equal ``csr_array @ v`` and
+    ``csr_array.T @ w`` bit for bit."""
 
     def test_bit_identical_to_operator(self, rng):
         for label, A in _kernel_cases(rng):
             v = rng.standard_normal(A.n_cols)
             w = rng.standard_normal(A.n_rows)
-            assert np.array_equal(A.matvec(v), A._fwd @ v), label
-            assert np.array_equal(A.rmatvec(w), A._adj @ w), label
+            assert np.array_equal(A.matvec(v), _csr(A) @ v), label
+            assert np.array_equal(A.rmatvec(w), _csr(A).T @ w), label
 
     def test_scaled_matrix_shares_the_index_arrays(self, rng):
         A = random_sparse(30, 45, 0.2, rng)
         S = A.scaled(rng.uniform(0.5, 2.0, 30), rng.uniform(0.5, 2.0, 45))
-        assert np.shares_memory(S._fwd.indices, A._fwd.indices)
-        assert np.shares_memory(S._adj.indptr, A._adj.indptr)
+        assert np.shares_memory(S._csr.indices, A._csr.indices)
+        assert np.shares_memory(S._csr.indptr, A._csr.indptr)
+        # one new value array, read by both products
+        assert S._adj_vals is S.vals and not np.shares_memory(S.vals, A.vals)
 
     def test_out_is_filled_and_returned(self, rng):
         A = random_sparse(12, 9, 0.4, rng)
         v, w = rng.standard_normal(9), rng.standard_normal(12)
         out = np.zeros(12)
         assert A.matvec(v, out=out) is out
-        assert np.array_equal(out, A._fwd @ v)
+        assert np.array_equal(out, _csr(A) @ v)
         out_t = np.zeros(9)
         assert A.rmatvec(w, out_t) is out_t
-        assert np.array_equal(out_t, A._adj @ w)
+        assert np.array_equal(out_t, _csr(A).T @ w)
         # a slice of a larger buffer works as the output
         big = np.zeros(30)
         A.matvec(v, out=big[5:17])
-        assert np.array_equal(big[5:17], A._fwd @ v) and not big[:5].any() and not big[17:].any()
+        assert np.array_equal(big[5:17], _csr(A) @ v) and not big[:5].any() and not big[17:].any()
 
     def test_product_adds_into_out(self, rng):
         # integer data keep every sum exact, so out + A v is compared bit for
         # bit whatever order the kernel sums in
         A = SparseMatrix.from_dense(rng.integers(-3, 4, (12, 9)) * (rng.random((12, 9)) < 0.4))
         v, w = rng.integers(-5, 6, 9).astype(float), rng.integers(-5, 6, 12).astype(float)
-        for product, layout, vec, size in ((A.matvec, A._fwd, v, 12), (A.rmatvec, A._adj, w, 9)):
+        for product, layout, vec, size in ((A.matvec, _csr(A), v, 12), (A.rmatvec, _csr(A).T, w, 9)):
             start = rng.integers(-9, 10, size).astype(float)
             out = start.copy()
             assert product(vec, out) is out
@@ -184,18 +214,19 @@ class TestProductKernel:
         A = random_sparse(12, 9, 0.4, rng)
         K = A.scaled_products(-0.3, 1.7)
         v, w = rng.standard_normal(9), rng.standard_normal(12)
-        # each layout's values are multiplied once, then summed as usual
-        fwd, adj = A._fwd, A._adj
+        # each product's values are multiplied once, then summed as usual
+        csr = _csr(A)
         assert np.array_equal(K.matvec(v), sp.csr_array(
-            (-0.3 * fwd.data, fwd.indices, fwd.indptr), shape=fwd.shape) @ v)
+            (-0.3 * csr.data, csr.indices, csr.indptr), shape=csr.shape) @ v)
         assert np.array_equal(K.rmatvec(w), sp.csr_array(
-            (1.7 * adj.data, adj.indices, adj.indptr), shape=adj.shape) @ w)
+            (1.7 * csr.data, csr.indices, csr.indptr), shape=csr.shape).T @ w)
         assert np.allclose(K.matvec(v), -0.3 * A.matvec(v), rtol=1e-14, atol=1e-14)
         assert np.allclose(K.rmatvec(w), 1.7 * A.rmatvec(w), rtol=1e-14, atol=1e-14)
         # only the values are copied
-        assert np.shares_memory(K._fwd.indices, A._fwd.indices)
-        assert np.shares_memory(K._adj.indptr, A._adj.indptr)
-        assert not np.shares_memory(K._fwd.data, A._fwd.data)
+        assert np.shares_memory(K._csr.indices, A._csr.indices)
+        assert np.shares_memory(K._csr.indptr, A._csr.indptr)
+        assert not np.shares_memory(K.vals, A.vals)
+        assert not np.shares_memory(K._adj_vals, A.vals)
 
     @staticmethod
     def _read_only(size):
@@ -227,17 +258,33 @@ class TestProductKernel:
             A.rmatvec([1.0, 2.0], out=np.zeros(2))
 
     def test_fallback_matches_the_kernel(self, rng, monkeypatch):
+        # a scipy build without the private kernels runs csr_array @ and
+        # csc_array @ over the same layout
         cases = _kernel_cases(rng)
+        base = random_sparse(30, 45, 0.2, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_core, "_INT32_MAX", 0)
+            wide = SparseMatrix(30, 45, base.rows, base.cols, base.vals)
+        assert wide._csr.indices.dtype == np.int64
+        cases += [("int64 indices", wide), ("block diagonal", base.block_diagonal(3)),
+                  ("per-column scale", base.scaled_products(-rng.uniform(0.5, 2.0, 30),
+                                                            rng.uniform(0.5, 2.0, 45))),
+                  ("saddle operator", base.saddle_products(-0.3, rng.uniform(0.5, 2.0, 45)))]
         vecs = [(rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)) for _, A in cases]
         want = [(A.matvec(v), A.rmatvec(w)) for (_, A), (v, w) in zip(cases, vecs)]
         monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
+        monkeypatch.setattr(lp_core, "_csc_matvec", lp_core._rmatvec_by_operator)
         for (label, A), (v, w), (mv, rmv) in zip(cases, vecs, want):
             out = np.zeros(A.n_rows)
-            assert np.array_equal(A.matvec(v, out=out), mv), label
-            assert np.array_equal(A.rmatvec(w), rmv), label
-            # the fallback adds into out too
+            assert A.matvec(v, out=out).tobytes() == mv.tobytes(), label
+            out_t = np.zeros(A.n_cols)
+            assert A.rmatvec(w, out_t).tobytes() == rmv.tobytes(), label
+            assert A.rmatvec(w).tobytes() == rmv.tobytes(), label
+            # the fallbacks add into out too
             out = np.ones(A.n_rows)
             assert np.allclose(A.matvec(v, out=out), 1.0 + mv, rtol=1e-14, atol=1e-14), label
+            out_t = np.ones(A.n_cols)
+            assert np.allclose(A.rmatvec(w, out_t), 1.0 + rmv, rtol=1e-14, atol=1e-14), label
 
 
 class TestSaddleProducts:
@@ -254,25 +301,27 @@ class TestSaddleProducts:
         for s, t in self._scales(A, rng):
             M, K = A.saddle_products(s, t), A.scaled_products(s, t)
             assert M.shape == (21, 21) and M.nnz == 2 * A.nnz
-            fwd, adj = M._fwd, M._adj
+            csr = M._csr
             for j in range(9):
-                row = slice(fwd.indptr[j], fwd.indptr[j + 1])
-                lone = slice(K._adj.indptr[j], K._adj.indptr[j + 1])
-                assert np.array_equal(fwd.indices[row], K._adj.indices[lone] + 9), j
-                assert fwd.data[row].tobytes() == K._adj.data[lone].tobytes(), j
+                # column j of t A, in row order
+                row = slice(csr.indptr[j], csr.indptr[j + 1])
+                lone = np.flatnonzero(A.cols == j)
+                assert np.array_equal(csr.indices[row], A.rows[lone] + 9), j
+                assert csr.data[row].tobytes() == K._adj_vals[lone].tobytes(), j
             for i in range(12):
-                row = slice(fwd.indptr[9 + i], fwd.indptr[10 + i])
-                lone = slice(K._fwd.indptr[i], K._fwd.indptr[i + 1])
-                assert np.array_equal(fwd.indices[row], K._fwd.indices[lone]), i
-                assert fwd.data[row].tobytes() == K._fwd.data[lone].tobytes(), i
+                row = slice(csr.indptr[9 + i], csr.indptr[10 + i])
+                lone = slice(K._csr.indptr[i], K._csr.indptr[i + 1])
+                assert np.array_equal(csr.indices[row], K._csr.indices[lone]), i
+                assert csr.data[row].tobytes() == K.vals[lone].tobytes(), i
             dense = np.zeros((21, 21))
             dense[:9, 9:] = (np.diag(np.broadcast_to(t, 9)) @ A.to_dense().T)
             dense[9:, :9] = (np.diag(np.broadcast_to(s, 12)) @ A.to_dense())
             assert np.allclose(M.to_dense(), dense, rtol=1e-15, atol=0.0)
-            # the column-ordered layout is the transpose: rmatvec is M'
+            # one layout, whose transpose product is M'
+            assert M._adj_vals is M.vals
             w = rng.standard_normal(21)
             assert np.allclose(M.rmatvec(w), dense.T @ w, rtol=1e-13, atol=1e-13)
-            assert fwd.indices.dtype == adj.indices.dtype == np.int32
+            assert csr.indices.dtype == csr.indptr.dtype == np.int32
 
     def test_one_product_adds_both_lone_products_bit_for_bit(self, monkeypatch, rng):
         # A with int32 and with int64 indices, each into a saddle operator
@@ -289,8 +338,7 @@ class TestSaddleProducts:
                         if wide_saddle:
                             patch.setattr(lp_core, "_INT32_MAX", 0)
                         M = A.saddle_products(s, t)
-                    for layout in (M._fwd, M._adj):
-                        assert (layout.indices.dtype == np.int64) == wide_saddle, label
+                    assert (M._csr.indices.dtype == np.int64) == wide_saddle, label
                     K = A.scaled_products(s, t)
                     z = rng.standard_normal(M.n_cols)
                     start = rng.standard_normal(M.n_rows)
@@ -310,10 +358,12 @@ class TestSaddleProducts:
         for bad in (np.zeros(12), np.zeros(21, dtype=np.float32), [0.0] * 21):
             with pytest.raises(ValueError, match=r"out must be a writeable float64 array of shape \(21,\)"):
                 M.matvec(np.ones(21), out=bad)
-        with pytest.raises(ValueError):
-            A.saddle_products(np.ones(9), 1.0)
-        with pytest.raises(ValueError):
-            A.saddle_products(1.0, np.ones(12))
+        # a per-row or per-column scale of the wrong length, too short or
+        # too long
+        for s, t in ((np.ones(9), 1.0), (np.ones(13), 1.0), (1.0, np.ones(12)),
+                     (1.0, np.ones(10)), (1.0, np.ones(8))):
+            with pytest.raises(ValueError):
+                A.saddle_products(s, t)
 
 
 class TestBlockDiagonal:
@@ -366,22 +416,23 @@ class TestBlockDiagonal:
         dense = A.to_dense()
         assert np.allclose(D.matvec(v[:9]), s * (dense @ v[:9]), rtol=1e-14, atol=1e-14)
         assert np.allclose(D.rmatvec(w[:12]), t * (dense.T @ w[:12]), rtol=1e-14, atol=1e-14)
-        assert np.shares_memory(D._fwd.indices, A._fwd.indices)
-        with pytest.raises(ValueError):
-            A.scaled_products(np.ones(9), 1.0)
-        with pytest.raises(ValueError):
-            A.scaled_products(1.0, np.ones(12))
+        assert np.shares_memory(D._csr.indices, A._csr.indices)
+        for s, t in ((np.ones(9), 1.0), (np.ones(13), 1.0), (1.0, np.ones(12)),
+                     (1.0, np.ones(10)), (1.0, np.ones(8))):
+            with pytest.raises(ValueError):
+                A.scaled_products(s, t)
 
     def test_fallback_products_equal_the_kernel_products(self, rng, monkeypatch):
-        # a scipy build without the private kernel runs csr_array @; the
-        # stacking's exactness rests on each row summing in stored order on
-        # that path too
+        # a scipy build without the private kernels runs csr_array @ and
+        # csc_array @; the stacking's exactness rests on each entry summing
+        # in stored order on that path too
         A = random_sparse(20, 30, 0.3, rng)
         S = A.block_diagonal(4)
         v, w = rng.standard_normal(120), rng.standard_normal(80)
         start = rng.standard_normal(80)
         kernel = [(A.matvec(vi), A.rmatvec(wi)) for vi, wi in zip(np.split(v, 4), np.split(w, 4))]
         monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
+        monkeypatch.setattr(lp_core, "_csc_matvec", lp_core._rmatvec_by_operator)
         stacked = np.split(S.matvec(v), 4), np.split(S.rmatvec(w), 4)
         added = np.split(S.matvec(v, start.copy()), 4)
         for i, (vi, wi, si) in enumerate(zip(np.split(v, 4), np.split(w, 4), np.split(start, 4))):

@@ -119,8 +119,9 @@ class TestRescale:
         dense = problem.A.to_dense()
         want = d1[:, None] * dense * d2[None, :]
         assert np.array_equal(scaled.A.to_dense(), want)
-        # the column-ordered layout holds the same values, bit for bit
-        assert np.array_equal(scaled.A._adj.toarray(), want.T)
+        # the transpose product reads the same values, bit for bit
+        assert scaled.A._adj_vals is scaled.A.vals
+        assert np.array_equal(scaled.A._csr.T.toarray(), want.T)
         assert np.array_equal(scaled.A.vals,
                               d1[problem.A.rows] * problem.A.vals * d2[problem.A.cols])
         assert np.array_equal(scaled.b, d1 * problem.b)
@@ -141,9 +142,9 @@ class TestRescale:
         A = badly_scaled(20, 30, 0.2, 7)
         scaled, _, _ = rescale(lp_with(A, np.random.default_rng(0)))
         assert np.shares_memory(scaled.A.cols, A.cols)
-        for mine, theirs in ((scaled.A._fwd, A._fwd), (scaled.A._adj, A._adj)):
-            assert np.shares_memory(mine.indices, theirs.indices)
-            assert np.shares_memory(mine.indptr, theirs.indptr)
+        mine, theirs = scaled.A._csr, A._csr
+        assert np.shares_memory(mine.indices, theirs.indices)
+        assert np.shares_memory(mine.indptr, theirs.indptr)
         assert not np.shares_memory(scaled.A.vals, A.vals)
         assert scaled.A.shape == A.shape and scaled.A.nnz == A.nnz
 

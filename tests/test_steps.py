@@ -556,6 +556,18 @@ class TestOperatorBuffers:
             assert third is first and second is not first, label
             assert first.next_vec is ops.buffers[0] and second.next_vec is ops.buffers[1], label
 
+    def test_bind_concatenates_a_new_point_only_for_a_flat_step(self, rng):
+        # from a new point PDHG and EGM read its blocks concatenated once;
+        # ADMM reads the blocks only, so nothing is concatenated
+        for label, problem, config in _buffer_cases():
+            ops = _operators_for(problem, config)
+            z = _start(problem, rng, config.method)
+            flat = ops.bind(z)[0]
+            if config.method == ADMM:
+                assert flat is None, label
+            else:
+                assert np.array_equal(flat, z.as_vector()), label
+
     def test_point_sharing_memory_with_the_output_raises(self, rng):
         for label, problem, config in _buffer_cases():
             step = _step_of(config)
@@ -649,8 +661,8 @@ class TestStepOperators:
         tau, sigma = config.eta / config.omega, config.eta * config.omega
         assert np.array_equal(ops.tau_c, tau * problem.c)
         assert np.array_equal(ops.sigma_b, sigma * problem.b)
-        assert np.array_equal(ops.K._adj.data, tau * problem.A._adj.data)
-        assert np.array_equal(ops.K._fwd.data, -sigma * problem.A._fwd.data)
+        assert np.array_equal(ops.K._adj_vals, tau * problem.A.vals)
+        assert np.array_equal(ops.K.vals, -sigma * problem.A.vals)
         assert ops.work.shape == (problem.n,) and ops.target is None
         egm = StepOperators(problem, replace(config, method=EGM))
         assert egm.work is None and egm.target.shape == (problem.n + problem.m,)
