@@ -20,14 +20,15 @@ stop, and an ``observe`` hook that reads the iterate or the running average
 on every iteration and ends the run once its threshold is met.
 
 The scaling experiment's runs without restarts (the last iterate at every
-kappa, and the average) are one run on a stacked problem with a 2x2 block
-per run.  Since PDHG on a problem whose A has one entry per row and per
-column, and the running average, are elementwise, each block carries
-exactly the bits a run of that block alone would, and the hook reads each
-block as the contiguous 4-vector that run would hold.  One run costs the
-per-iteration overhead of the longest one instead of the sum of all.  The
-average mode's hook keeps its own incremental average of its block (see
-:func:`table3_scaling_experiment`).
+kappa, and the average) are one run on the stack of their lone problems,
+a 2x2 block each (:func:`~restartlp.restarts._stack`).  Since PDHG on a
+problem whose A has one entry per row and per column, and the running
+average, are elementwise, each block carries exactly the bits a run of
+that block alone would, and the hook reads each block at the indices the
+stack gives it (:func:`~restartlp.restarts._block_indices`).  One run
+costs the per-iteration overhead of the longest one instead of the sum
+of all.  The average mode's hook keeps its own incremental average of its
+block (see :func:`table3_scaling_experiment`).
 
 That hook reads the iterate once per iteration as Python floats and runs
 its tests in scalar arithmetic, since numpy's per-call cost on 4-vectors is
@@ -42,14 +43,14 @@ every decision is the one a numpy test would make.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ingest import DiagonalBilinear, generate
-from .lp_core import SaddlePoint, SparseMatrix, StandardFormLp
-from .restarts import RestartScheme, SolveOptions, Status, fixed_frequency_tstar, run_restarted
+from .lp_core import SaddlePoint
+from .restarts import (RestartScheme, SolveOptions, Status, _block_indices, _stack,
+                       fixed_frequency_tstar, run_restarted)
 from .steps import PDHG, StepConfig
 # Not called here (every step runs inside run_restarted); the name stays
 # bound because perfbench's span-tracer test reads it from this module.
@@ -189,44 +190,6 @@ class Table3Report:
         return out
 
 
-def _block_index(j, n):
-    """The four flat indices [x_a, x_b, y_a, y_b] of block j of a stacked
-    problem with n primal entries (see :func:`_stacked_blocks`)."""
-    return (2 * j, 2 * j + 1, n + (2 * j + 2) % n, n + (2 * j + 3) % n)
-
-
-def _stacked_blocks(kappas):
-    """One unconstrained bilinear problem holding the two-point spectrum
-    (1/kappa, 1) of every kappa as its own block, and a reader per block.
-
-    Block j couples x_{2j}, x_{2j+1} with the duals one block further on,
-    y_{2j+2}, y_{2j+3} (indices mod n), so that the last block's four
-    entries sit contiguously at the x/y boundary of the flat iterate [x; y].
-    ``readers[j](vec)`` returns block j of ``vec`` as a contiguous
-    [x_a, x_b, y_a, y_b], the order a lone run of that block holds it in:
-    a slice for the last block, a copy into a buffer of its own for the
-    others.  A has one entry per row and per column, so every PDHG product
-    is elementwise and each block repeats the arithmetic of its lone run.
-    """
-    n = 2 * len(kappas)
-    sigmas = np.ravel([(1.0 / kappa, 1.0) for kappa in kappas])
-    cols = np.arange(n)
-    rows = (cols + 2) % n
-    A = SparseMatrix(n, n, rows, cols, -sigmas)
-    problem = StandardFormLp(np.zeros(n), A, np.zeros(n), nonneg=False)
-
-    def reader(j):
-        if j == len(kappas) - 1:
-            return operator.itemgetter(slice(n - 2, n + 2))
-        idx = np.array(_block_index(j, n))
-        buf = np.empty(4)
-        # ndarray.take without np.take's wrapper; 'clip' skips the copy
-        # through a temporary that the default mode makes for ``out``
-        return lambda vec: vec.take(idx, out=buf, mode="clip")
-
-    return problem, [reader(j) for j in range(len(kappas))]
-
-
 # |z0 - z*|^2 and |z0 - z*| for a block z0 = (1, 1, 1, 1) and z* = 0
 _D0SQ, _D0 = 4.0, 2.0
 
@@ -247,22 +210,24 @@ def _tie_band(threshold):
     return threshold - margin, threshold + margin
 
 
-def _stacked_observe(n, readers, order, eps, levels, last, hits):
+def _stacked_observe(blocks, eps, levels, last, hits):
     """The ``observe`` hook of Table 3's stacked run (see
     :func:`table3_scaling_experiment`).
 
-    Block 0 is the average mode's, block j + 1 the last-iterate mode's of
-    kappa ``order[j]``: the hook sets ``last[order[j]]`` to the first
-    iteration whose |z_j|^2 / |z0|^2 is at most ``eps``, appends to
-    ``hits`` the first iteration at which the incremental average of block
-    0 has norm at most ``levels[len(hits)]``, and ends the run once every
-    row is known.  It reads the iterate once, as Python floats, and tests
-    the scalar values; one within :func:`_tie_band` of its threshold is
-    tested as numpy computes it, on the block as ``readers`` returns it or
-    on the average copied into an array, so every decision is numpy's."""
-    pending = [(i, _block_index(j + 1, n), readers[j + 1]) for j, i in enumerate(order)]
+    ``blocks`` holds the flat indices of each block of the stack
+    (:func:`~restartlp.restarts._block_indices`): block 0 is the average
+    mode's, block j + 1 the last-iterate mode's of the j-th kappa.  The
+    hook sets ``last[j]`` to the first iteration whose |z_{j+1}|^2 / |z0|^2
+    is at most ``eps``, appends to ``hits`` the first iteration at which
+    the incremental average of block 0 has norm at most
+    ``levels[len(hits)]``, and ends the run once every row is known.  It
+    reads the iterate once, as Python floats, and tests the scalar values;
+    one within :func:`_tie_band` of its threshold is tested as numpy
+    computes it, on the block read at its indices or on the average copied
+    into an array, so every decision is numpy's."""
+    pending = [(j, index.tolist(), index) for j, index in enumerate(blocks[1:])]
     lo, hi = _tie_band(eps)
-    a0, b0, c0, d0 = _block_index(0, n)
+    a0, b0, c0, d0 = blocks[0].tolist()
     level_bands = [(level, *_tie_band(level)) for level in levels]
     mean, mean_vec = (), np.empty(4)
 
@@ -270,11 +235,11 @@ def _stacked_observe(n, readers, order, eps, levels, last, hits):
         nonlocal pending, mean
         zs = z.tolist()
         hit = False
-        for i, (a, b, c, d), read in pending:
+        for i, (a, b, c, d), index in pending:
             za, zb, zc, zd = zs[a], zs[b], zs[c], zs[d]
             ratio = (za * za + zb * zb + zc * zc + zd * zd) / _D0SQ
             if lo <= ratio <= hi:
-                v = read(z)
+                v = z[index]
                 ratio = float(v @ v) / _D0SQ
             if ratio <= eps:
                 last[i] = t
@@ -335,9 +300,9 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
 
     The restarted modes run one PDHG solve per kappa.  The last-iterate
     modes and the average mode never restart, so they run as one solve on
-    a stacked problem (:func:`_stacked_blocks`): a block per kappa, sorted
-    so that the largest sits at the x/y boundary, plus the ``avg_kappa``
-    block, all started from ones.  Its ``observe`` hook
+    the stack of their lone problems (:func:`~restartlp.restarts._stack`):
+    the ``avg_kappa`` block, then a block per kappa in the caller's order,
+    all started from ones.  Its ``observe`` hook
     (:func:`_stacked_observe`) tests each block still pending against its
     threshold and ends the run once every row is known.  The result is
     exact, not an approximation: A has one entry per row, and every PDHG
@@ -345,9 +310,10 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     run of it would.  The hook tests a block's sum of squares in Python
     floats; only when that value lies within a relative 1e-9 (plus a floor
     of 1e-150) of its threshold does it read the block as that lone run's
-    contiguous 4-vector and decide on numpy's dot product of it, as a lone
-    run testing ``v @ v`` would.  A dot product and the scalar sum differ
-    by a few ulps at most, so outside that margin both decide alike.
+    4-vector (:func:`~restartlp.restarts._block_indices`) and decide on
+    numpy's dot product of it, as a lone run testing ``v @ v`` would.  A
+    dot product and the scalar sum differ by a few ulps at most, so
+    outside that margin both decide alike.
 
     The average mode does not read the driver's average, which is the
     running sum of the iterates divided by K.  Its hook keeps the paper's
@@ -371,14 +337,15 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
         raise ValueError("eps must lie in (0, 1/2]")
     eta = 0.5
 
-    # block 0 is avg_kappa's; the kappas follow in increasing order
-    order = sorted(range(len(kappas)), key=kappas.__getitem__)
-    problem, readers = _stacked_blocks([float(avg_kappa)] + [kappas[i] for i in order])
+    # block 0 is avg_kappa's; the kappas follow in the caller's order
+    blocks = [generate(DiagonalBilinear((1.0 / kappa, 1.0)))[0]
+              for kappa in [float(avg_kappa)] + kappas]
+    problem = _stack(blocks)
     last = [None] * len(kappas)
     thresholds = sorted(avg_eps, reverse=True)
     levels = [e * _D0 for e in thresholds]
     hits = []
-    observe = _stacked_observe(problem.n, readers, order, eps, levels, last, hits)
+    observe = _stacked_observe(_block_indices(blocks), eps, levels, last, hits)
     _pdhg_run(problem, eta, RestartScheme.none(), _ones(problem.n), cap, cap, observe)
     hits += [None] * (len(levels) - len(hits))
 
@@ -387,8 +354,7 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
         return float(avg @ avg) / _D0SQ <= eps
 
     report = Table3Report()
-    for kappa, last_iters in zip(kappas, last):
-        problem, _ = generate(DiagonalBilinear((1.0 / kappa, 1.0)))
+    for kappa, problem, last_iters in zip(kappas, blocks[1:], last):
         tstar = fixed_frequency_tstar(1.0 / eta, 0.0, 1.0 / kappa, math.exp(-1.0))
         # checkpoints every t* iterations: the fixed restart fires at inner = t*
         res = _pdhg_run(problem, eta, RestartScheme.fixed(tstar), _ones(2), cap, tstar,

@@ -75,14 +75,14 @@ class SparseMatrix:
     index arrays are int32 when the dimensions and the nonzero count fit
     in it, else int64.
 
-    A k-fold block-diagonal copy (:meth:`block_diagonal`) holds in each row
-    the entries of one row of a copy, in their stored order, so a product
-    with it repeats, block by block, the sums of the products with A bit
-    for bit.  :meth:`scaled_products` scales by one scalar per product or
-    by one value per row (A v) and per column (A^T w), which gives each
-    block of such a stack a scale of its own; :meth:`saddle_products` runs
-    both scaled products as one product with the saddle operator
-    [[0, t A^T], [s A, 0]].
+    The block-diagonal matrix of several (:meth:`block_diagonal`) holds in
+    each row the entries of one row of one of them, in their stored order,
+    so a product with it repeats, block by block, the sums of the products
+    with each bit for bit.  :meth:`scaled_products` scales by one scalar
+    per product or by one value per row (A v) and per column (A^T w), which
+    gives each block of such a stack a scale of its own;
+    :meth:`saddle_products` runs both scaled products as one product with
+    the saddle operator [[0, t A^T], [s A, 0]].
 
     A matrix is never modified in place: :meth:`scaled`,
     :meth:`scaled_products`, :meth:`saddle_products` and
@@ -284,15 +284,17 @@ class SparseMatrix:
                               shape=(size, size))
         return object.__new__(SparseMatrix)._bind(saddle, saddle.data)
 
-    def block_diagonal(self, k):
-        """diag(A, ..., A) with ``k`` copies of A, copy i on rows
-        i m .. (i + 1) m - 1 and columns i n .. (i + 1) n - 1 (see the
-        class docstring)."""
-        shift = np.arange(k)[:, None]
-        return SparseMatrix(k * self.n_rows, k * self.n_cols,
-                            (self.rows + shift * self.n_rows).ravel(),
-                            (self.cols + shift * self.n_cols).ravel(),
-                            np.tile(self.vals, k))
+    @staticmethod
+    def block_diagonal(matrices):
+        """diag(A_1, ..., A_k) of the k >= 1 ``matrices``, each on rows and
+        columns of its own: A_i on the rows and columns that follow those
+        of A_1 .. A_{i-1} (see the class docstring)."""
+        row_start = np.cumsum([0] + [A.n_rows for A in matrices])
+        col_start = np.cumsum([0] + [A.n_cols for A in matrices])
+        return SparseMatrix(row_start[-1], col_start[-1],
+                            np.concatenate([A.rows + r for A, r in zip(matrices, row_start)]),
+                            np.concatenate([A.cols + c for A, c in zip(matrices, col_start)]),
+                            np.concatenate([A.vals for A in matrices]))
 
     def _revalued(self, vals, adj_vals):
         """A matrix with new values for each product over the same index

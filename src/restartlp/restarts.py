@@ -57,6 +57,7 @@ from .gap import normalized_gap_lp  # noqa: F401
 from .lp_core import (
     NormSpec,
     SaddlePoint,
+    SparseMatrix,
     StandardFormLp,
     _norm,
     norm_value,
@@ -420,24 +421,48 @@ def _make_lane(problem, config):
     return _SaddleLane(scaled, config, d1, d2), Scaling(sigma, sigma_scaled, config.eta)
 
 
+def _stack(problems):
+    """The lone ``problems``, all LPs or all unconstrained, as the blocks
+    of one problem: c and b concatenated and A block-diagonal
+    (:meth:`~restartlp.lp_core.SparseMatrix.block_diagonal`), each block on
+    rows and columns of its own.  Its flat vector is
+    [x_1; ...; x_k; y_1; ...; y_k], whose block j :func:`_block_indices`
+    locates.  A product with the stack computes each block's entries as
+    the product with its lone matrix does, so a run whose other operations
+    are elementwise holds in each block the bits of the lone run of that
+    problem."""
+    return StandardFormLp(np.concatenate([p.c for p in problems]),
+                          SparseMatrix.block_diagonal([p.A for p in problems]),
+                          np.concatenate([p.b for p in problems]),
+                          nonneg=problems[0].nonneg)
+
+
+def _block_indices(problems):
+    """For each block j of the stack of ``problems`` (:func:`_stack`), the
+    indices of [x_j; y_j] in the stack's flat vector: ``vec[index]`` reads
+    block j, in a new array, as the flat vector of a lone run of
+    problems[j]."""
+    x_end = np.cumsum([p.n for p in problems])
+    y_end = x_end[-1] + np.cumsum([p.m for p in problems])
+    return [np.r_[xe - p.n:xe, ye - p.m:ye] for p, xe, ye in zip(problems, x_end, y_end)]
+
+
 def _stacked_lane(lane, omegas):
     """A lane that steps the PDHG or EGM ``lane``'s problem at each of the
-    k = len(omegas) primal weights at once, as k copies of it that are the
-    blocks of one block-diagonal problem, unscaled: its flat vector is
-    [x_1; ...; x_k; y_1; ...; y_k], and block i holds the bits of a lone
-    run of ``lane`` at omegas[i] (see :class:`~restartlp.steps.StepOperators`)."""
-    k, problem = len(omegas), lane.problem
-    stack = StandardFormLp(np.tile(problem.c, k), problem.A.block_diagonal(k),
-                           np.tile(problem.b, k), nonneg=problem.nonneg)
-    return _SaddleLane(stack, lane.config, omegas=omegas)
+    k = len(omegas) primal weights at once, unscaled, on the stack of k
+    copies of it (:func:`_stack`): block i holds the bits of a lone run of
+    ``lane`` at omegas[i] (see :class:`~restartlp.steps.StepOperators`)."""
+    return _SaddleLane(_stack([lane.problem] * len(omegas)), lane.config, omegas=omegas)
 
 
 def _unstacked(lane, vec, k):
     """The k blocks of ``vec``, a flat vector of a stacked lane of ``lane``
-    (or of ``lane`` itself when k = 1), each as a flat vector of ``lane``."""
-    split = k * lane.n
-    return [np.concatenate(block)
-            for block in zip(np.split(vec[:split], k), np.split(vec[split:], k))]
+    (:func:`_block_indices`), each as a flat vector of ``lane``; when
+    k = 1, ``vec`` is one of ``lane`` itself, of any method, and is its
+    one block."""
+    if k == 1:
+        return [vec]
+    return [vec[index] for index in _block_indices([lane.problem] * k)]
 
 
 # Overflow on a diverging run is reported as Status.DIVERGED by the

@@ -43,6 +43,7 @@ one matrix-vector product with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +111,12 @@ class StepConfig:
     def __post_init__(self):
         if self.method not in _CONSTANTS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-        if self.lipschitz is not None and not self.lipschitz > 0:
-            raise ValueError("lipschitz must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if self.lipschitz is not None and not 0 < self.lipschitz < math.inf:
+            raise ValueError("lipschitz must be positive and finite")
         if self.method == EGM and self.lipschitz is not None and self.eta > 1.0 / self.lipschitz * (1 + 1e-12):
             raise ValueError("EGM requires eta <= 1/L")
 
@@ -203,8 +204,7 @@ class StepOperators(_Operators):
       (:meth:`~restartlp.lp_core.SparseMatrix.saddle_products`):
       ``M.matvec(z, out)`` adds tau A'y to the x block of ``out`` and
       -sigma A x to its y block, in one kernel call;
-    * ``tau_c`` and ``sigma_b`` are tau c and sigma b, and ``shift`` is
-      the flat [-tau c; sigma b] that a step adds to [x; y];
+    * ``shift`` is the flat [-tau c; sigma b] that a step adds to [x; y];
     * ``buffers`` are the two flat iterate buffers [x; y] and ``target`` is
       EGM's target buffer (None for PDHG), with the views and the output
       of a step into each (see the module docstring);
@@ -233,9 +233,7 @@ class StepOperators(_Operators):
             sigma = np.repeat(config.eta * omegas, problem.m // omegas.size)
         self.problem, self.config = problem, config
         self.n = n = problem.n
-        self.tau_c = tau * problem.c
-        self.sigma_b = sigma * problem.b
-        self.shift = np.concatenate([-self.tau_c, self.sigma_b])
+        self.shift = np.concatenate([-(tau * problem.c), sigma * problem.b])
         if config.method == PDHG:
             self.K, self.M = problem.A.scaled_products(-sigma, tau), None
             self.work = np.empty(n)

@@ -201,30 +201,30 @@ def affine_project(A, b, point, tol=PROJECTION_TOL):
     return AffineProjector(A, b, tol=tol).project(np.asarray(point, dtype=np.float64))
 
 
-def stacked_observe_numpy(n, readers, order, eps, levels, last, hits):
+def stacked_observe_numpy(blocks, eps, levels, last, hits):
     """:func:`restartlp.bilinear._stacked_observe` as numpy computes it: each
-    pending block's test is ``v @ v`` on the block as its reader returns it,
-    and the average mode's incremental average is updated by ufuncs in an
-    array whose norm is ``sqrt(mean @ mean)``."""
-    pending = list(zip(order, readers[1:]))
-    read_avg = readers[0]
+    pending block's test is ``v @ v`` on the block read at its indices in
+    ``blocks``, and the average mode's incremental average is updated by
+    ufuncs in an array whose norm is ``sqrt(mean @ mean)``."""
+    pending = list(enumerate(blocks[1:]))
+    avg_index = blocks[0]
     mean, step = np.empty(4), np.empty(4)
 
     def observe(t, z, average):
         nonlocal pending
         hit = False
-        for i, read in pending:
-            v = read(z)
+        for i, index in pending:
+            v = z[index]
             if float(v @ v) / 4.0 <= eps:
                 last[i] = t
                 hit = True
         if hit:
-            pending = [(i, read) for i, read in pending if last[i] is None]
+            pending = [(i, index) for i, index in pending if last[i] is None]
         if len(hits) < len(levels):
             if t == 1:
-                np.copyto(mean, read_avg(z))
+                np.copyto(mean, z[avg_index])
             else:
-                np.subtract(read_avg(z), mean, out=step)
+                np.subtract(z[avg_index], mean, out=step)
                 np.divide(step, t, out=step)
                 np.add(mean, step, out=mean)
             nrm = math.sqrt(float(mean @ mean))

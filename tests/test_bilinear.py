@@ -1,28 +1,32 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from restartlp import (
     DiagonalBilinear,
+    RandomLpKnownOptimum,
     RestartScheme,
     SaddlePoint,
     SolveOptions,
+    SparseMatrix,
     SpectralBlock,
+    StandardFormLp,
     StepConfig,
     b_metric_matrix,
     b_norm_sq,
     dynamics_matrix,
     generate,
     pdhg_step,
-    run_restarted,
+    power_method_sigma_max,
     table3_scaling_experiment,
     theoretical_average_bound,
     theoretical_B_norm_decay,
     two_dim_toy_series,
 )
-from restartlp import bilinear
-from restartlp.steps import PDHG
+from restartlp import bilinear, restarts
+from restartlp.steps import EGM, PDHG
 
 from oracles import stacked_observe_numpy
 
@@ -215,8 +219,8 @@ class TestScalingExperimentSmall:
         assert rep.average_slope == pytest.approx(1.0021867456026152, rel=1e-12)
 
     def test_rows_in_any_kappa_order(self):
-        # the stacked run sorts its blocks by kappa; the rows keep the
-        # caller's order, repeats included
+        # the stacked run holds a block per kappa in the caller's order, and
+        # the rows keep it, repeats included
         kwargs = dict(avg_kappa=8, avg_eps=(1e-1, 1e-2))
         rep = table3_scaling_experiment([8, 4, 8, 3], 1e-3, **kwargs)
         alone = {k: table3_scaling_experiment([k], 1e-3, **kwargs).rows for k in (3, 4, 8)}
@@ -256,11 +260,12 @@ class TestScalarObserve:
         # first 200 iterations, so the first t to reach it is where that
         # value is taken: the scalar sum lies within the tie band there and
         # the block is read for numpy's test
-        problem, (read,) = bilinear._stacked_blocks([8.0])
+        problem, _ = generate(DiagonalBilinear((1.0 / 8.0, 1.0)))
+        (index,) = restarts._block_indices([problem])
         ratios = []
 
         def record(t, z, average):
-            v = read(z)
+            v = z[index]
             ratios.append(float(v @ v) / 4.0)
             return False
 
@@ -269,36 +274,44 @@ class TestScalarObserve:
         eps = min(ratios)
         first = 1 + ratios.index(eps)
 
-        reads = []
-        stacked_blocks = bilinear._stacked_blocks
+        # the hook's iterate logs the indices it is read at
+        reads, seen = [], []
 
-        def counted(kappas):
-            problem, readers = stacked_blocks(kappas)
-            return problem, [lambda v, j=j, r=r: reads.append(j) or r(v)
-                             for j, r in enumerate(readers)]
+        class Logged(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(np.asarray(key).tolist())
+                return np.asarray(self)[key]
 
-        monkeypatch.setattr(bilinear, "_stacked_blocks", counted)
+        stacked_observe = bilinear._stacked_observe
+
+        def logged(blocks, *args):
+            seen.append(blocks)
+            hook = stacked_observe(blocks, *args)
+            return lambda t, z, average: hook(t, z.view(Logged), average)
+
+        monkeypatch.setattr(bilinear, "_stacked_observe", logged)
         kwargs = dict(avg_eps=(1e-1,))
         rep = table3_scaling_experiment([4, 8], eps, **kwargs)
         assert rep.rows[2] == (8.0, "last", first)
-        assert reads.count(2) >= 1  # block 2 is kappa 8's: the fallback ran
+        # block 2 is kappa 8's: the fallback ran
+        assert seen[0][2].tolist() in reads
         monkeypatch.setattr(bilinear, "_stacked_observe", stacked_observe_numpy)
         _same_report(rep, table3_scaling_experiment([4, 8], eps, **kwargs))
-
 
     def test_mean_tie_is_decided_by_numpy(self, monkeypatch):
         # the level is numpy's least norm of the incremental average of a
         # kappa-4 block over its first 200 iterations, so the first t to
         # reach it is where that norm is taken: the scalar norm lies within
         # the level's tie band there and the hook tests numpy's norm
-        problem, (read,) = bilinear._stacked_blocks([4.0])
+        problem, _ = generate(DiagonalBilinear((1.0 / 4.0, 1.0)))
+        (index,) = restarts._block_indices([problem])
         mean, step = np.empty(4), np.empty(4)
         scalar_mean = []
         norms, scalar_norms = [], []
 
         def record(t, z, average):
             nonlocal scalar_mean
-            v = read(z)
+            v = z[index]
             if t == 1:
                 np.copyto(mean, v)
                 scalar_mean = v.tolist()
@@ -328,56 +341,118 @@ class TestScalarObserve:
 
 
 class TestStackedRun:
-    """Every block of the stacked run behind Table 3 repeats its lone run
-    bit for bit."""
+    """A stack of lone problems (:func:`restartlp.restarts._stack`) repeats
+    each lone run bit for bit: Table 3's kappa blocks, a matrix of its own
+    each, and the primal-weight tuner's copies of one LP at several omegas;
+    and its blocks read back alike wherever they are read."""
 
     KAPPAS = (4.0, 5.5, 4.0, 23.0, 2.0, 32.0)
     ITERATIONS = 300
 
     @classmethod
-    def _record(cls, problem, z0, reads):
-        # each block's iterate and running average at every iteration
+    def _record(cls, lane, indices, z0=None):
+        # each block's iterate and running average at every iteration, read
+        # at its indices
         seen = []
 
         def observe(t, z, average):
             avg = average()
-            seen.append([(read(z).copy(), read(avg).copy()) for read in reads])
+            seen.append([(z[index], avg[index]) for index in indices])
             return False
 
-        options = SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(), kkt_tol=0.0,
+        options = SolveOptions(lane.config, RestartScheme.none(), kkt_tol=0.0,
                                iteration_limit=cls.ITERATIONS, check_cadence=cls.ITERATIONS)
-        run_restarted(problem, options, z0=z0, observe=observe)
+        restarts._run_lane(lane, options, z0=z0, observe=observe)
+        assert len(seen) == cls.ITERATIONS
         return seen
 
-    def test_blocks_equal_lone_runs(self):
-        problem, readers = bilinear._stacked_blocks(list(self.KAPPAS))
-        n = problem.n
-        assert n == 2 * len(self.KAPPAS)
-        stacked = self._record(problem, SaddlePoint(np.ones(n), np.ones(n)), readers)
-        assert len(stacked) == self.ITERATIONS
-        for j, kappa in enumerate(self.KAPPAS):
-            lone_problem, _ = generate(DiagonalBilinear((1.0 / kappa, 1.0)))
-            lone = self._record(lone_problem, SaddlePoint(np.ones(2), np.ones(2)), [lambda v: v])
+    @staticmethod
+    def _assert_blocks_repeat(stacked, lones):
+        for j, lone in enumerate(lones):
             for t, (row, ((lone_z, lone_avg),)) in enumerate(zip(stacked, lone)):
                 z, avg = row[j]
-                assert z.tobytes() == lone_z.tobytes(), (kappa, t)
-                assert avg.tobytes() == lone_avg.tobytes(), (kappa, t)
+                assert z.tobytes() == lone_z.tobytes(), (j, t)
+                assert avg.tobytes() == lone_avg.tobytes(), (j, t)
+
+    @staticmethod
+    def _lone_index(problem):
+        return restarts._block_indices([problem])
+
+    def test_blocks_equal_lone_runs(self):
+        # Table 3's stack: a matrix of its own per kappa
+        lones = [generate(DiagonalBilinear((1.0 / kappa, 1.0)))[0] for kappa in self.KAPPAS]
+        stack = restarts._stack(lones)
+        config = StepConfig(PDHG, 0.5)
+        stacked = self._record(restarts._SaddleLane(stack, config),
+                               restarts._block_indices(lones), bilinear._ones(stack.n))
+        runs = [self._record(restarts._SaddleLane(lone, config), self._lone_index(lone),
+                             bilinear._ones(2)) for lone in lones]
+        self._assert_blocks_repeat(stacked, runs)
+        for run in runs:
             # and the iterate still decays: the run is not trivially zero
-            last_z = lone[-1][0][0]
+            last_z = run[-1][0][0]
             assert 0.0 < float(last_z @ last_z) < 4.0
 
-    def test_last_block_is_read_without_a_copy(self):
-        problem, readers = bilinear._stacked_blocks([4.0, 8.0, 16.0])
+    @pytest.mark.parametrize("method", [PDHG, EGM])
+    def test_copies_at_several_omegas_equal_lone_runs(self, method):
+        # the tuner's stack: copies of the rescaled LP a lone solve steps on
+        problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 0))
+        sigma = power_method_sigma_max(problem.A)
+        lipschitz = 1.01 * sigma if method == EGM else None
+        lane, _ = restarts._make_lane(problem, StepConfig(method, 0.9 / sigma,
+                                                          lipschitz=lipschitz))
+        omegas = [0.25, 1.0, 3.0, 16.0]
+        stacked = self._record(restarts._stacked_lane(lane, omegas),
+                               restarts._block_indices([lane.problem] * len(omegas)))
+        runs = [self._record(restarts._SaddleLane(lane.problem, replace(lane.config, omega=w)),
+                             self._lone_index(lane.problem)) for w in omegas]
+        self._assert_blocks_repeat(stacked, runs)
+        assert len({run[-1][0][0].tobytes() for run in runs}) == len(omegas)
+
+    def test_unstacked_reads_the_blocks_table3_reads(self, monkeypatch):
+        seen = []
+        stacked_observe = bilinear._stacked_observe
+
+        def capture(blocks, *args):
+            seen.append(blocks)
+            return stacked_observe(blocks, *args)
+
+        monkeypatch.setattr(bilinear, "_stacked_observe", capture)
+        table3_scaling_experiment([8, 4, 16], 1e-2, avg_eps=(1e-1,))
+        (blocks,) = seen
+        k = len(blocks)   # the average's block, then one per kappa
+        assert k == 4
+        lone, _ = generate(DiagonalBilinear((0.5, 1.0)))
+        lane = restarts._SaddleLane(lone, StepConfig(PDHG, 0.5))
+        vec = np.random.default_rng(0).standard_normal(4 * k)
+        for j, (index, block) in enumerate(zip(blocks, restarts._unstacked(lane, vec, k))):
+            assert block.tobytes() == vec[index].tobytes(), j
+            # [x_j; y_j]: y_j lies past the k blocks of x
+            assert np.array_equal(block, vec[[2 * j, 2 * j + 1, 2 * k + 2 * j, 2 * k + 2 * j + 1]])
+
+    def test_layout(self):
+        # block j of [x_1; ...; x_k; y_1; ...; y_k] is [x_j; y_j], its A on
+        # rows and columns of its own, read into an array of its own
+        lones = [generate(DiagonalBilinear((1.0 / kappa, 1.0)))[0] for kappa in (4.0, 8.0, 16.0)]
+        stack = restarts._stack(lones)
+        assert (stack.m, stack.n, stack.nonneg) == (6, 6, False)
+        assert np.array_equal(stack.A.to_dense(),
+                              np.diag([-0.25, -1.0, -0.125, -1.0, -0.0625, -1.0]))
+        assert not stack.c.any() and not stack.b.any()
         vec = np.arange(12.0)
-        assert np.array_equal(readers[0](vec), [0, 1, 8, 9])
-        assert np.array_equal(readers[1](vec), [2, 3, 10, 11])
-        last = readers[2](vec)
-        assert np.array_equal(last, [4, 5, 6, 7]) and np.shares_memory(last, vec)
-        # block j's x couples to the duals read with it
-        dense = problem.A.to_dense()
-        assert np.array_equal(dense[[2, 3, 4, 5, 0, 1], range(6)],
-                              [-0.25, -1.0, -0.125, -1.0, -0.0625, -1.0])
-        assert np.count_nonzero(dense) == 6
+        got = [vec[index] for index in restarts._block_indices(lones)]
+        assert [v.tolist() for v in got] == [[0, 1, 6, 7], [2, 3, 8, 9], [4, 5, 10, 11]]
+        assert not any(np.shares_memory(v, vec) for v in got)
+        # blocks of different shapes: a 1x2 LP, then a 3x1 one
+        one = StandardFormLp(np.array([1.0, 2.0]), SparseMatrix.from_dense([[1.0, 1.0]]),
+                             np.array([3.0]))
+        two = StandardFormLp(np.array([4.0]), SparseMatrix.from_dense([[1.0], [2.0], [3.0]]),
+                             np.array([5.0, 6.0, 7.0]))
+        stack = restarts._stack([one, two])
+        assert np.array_equal(stack.c, [1, 2, 4]) and np.array_equal(stack.b, [3, 5, 6, 7])
+        assert stack.nonneg and stack.A.shape == (4, 3)
+        assert [index.tolist() for index in restarts._block_indices([one, two])] == [
+            [0, 1, 3], [2, 4, 5, 6]]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,13 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "KKT tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--eta", "--omega"])
+    def test_non_finite_step_size_is_input_error(self, flag, capsys):
+        # before any work: not a run reported as diverged
+        code = main(["solve", "--generate", "toy", flag, "inf"])
+        assert code == EXIT_INPUT_ERROR
+        assert "must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method,start", [(PDHG, "nan,1"), (PDHG, "1,-inf"),
                                               (ADMM, "1,2"), (ADMM, "0,0")])
     def test_bad_start_is_input_error(self, method, start, capsys):

@@ -266,7 +266,8 @@ class TestProductKernel:
             patch.setattr(lp_core, "_INT32_MAX", 0)
             wide = SparseMatrix(30, 45, base.rows, base.cols, base.vals)
         assert wide._csr.indices.dtype == np.int64
-        cases += [("int64 indices", wide), ("block diagonal", base.block_diagonal(3)),
+        cases += [("int64 indices", wide),
+                  ("block diagonal", SparseMatrix.block_diagonal([base] * 3)),
                   ("per-column scale", base.scaled_products(-rng.uniform(0.5, 2.0, 30),
                                                             rng.uniform(0.5, 2.0, 45))),
                   ("saddle operator", base.saddle_products(-0.3, rng.uniform(0.5, 2.0, 45)))]
@@ -367,8 +368,9 @@ class TestSaddleProducts:
 
 
 class TestBlockDiagonal:
-    """A k-fold block-diagonal copy, with a scale per row and per column,
-    repeats the products of each copy bit for bit."""
+    """A block-diagonal matrix of copies of A or of different matrices,
+    with a scale per row and per column, repeats the products of each
+    block bit for bit."""
 
     K = 3
 
@@ -378,7 +380,7 @@ class TestBlockDiagonal:
 
     def test_layout_and_products(self, rng):
         A = random_sparse(12, 9, 0.4, rng)
-        S = A.block_diagonal(self.K)
+        S = SparseMatrix.block_diagonal([A] * self.K)
         assert S.shape == (36, 27) and S.nnz == 3 * A.nnz
         assert np.array_equal(S.to_dense(), sp.block_diag([A.to_dense()] * 3).toarray())
         v, w = rng.standard_normal(27), rng.standard_normal(36)
@@ -391,9 +393,34 @@ class TestBlockDiagonal:
             for stacked, lone in zip(got, want):
                 assert np.array_equal(self._blocks(stacked, 3)[i], lone), i
 
+    def test_copies_hold_the_arrays_of_shifted_copies(self, rng):
+        # k copies of A hold the arrays of A's entries shifted by whole
+        # blocks, built as one matrix
+        A = random_sparse(12, 9, 0.4, rng)
+        shift = np.arange(self.K)[:, None]
+        want = SparseMatrix(12 * self.K, 9 * self.K, (A.rows + 12 * shift).ravel(),
+                            (A.cols + 9 * shift).ravel(), np.tile(A.vals, self.K))
+        got = SparseMatrix.block_diagonal([A] * self.K)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got._csr, name), getattr(want._csr, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_different_matrices(self, rng):
+        mats = [random_sparse(m, n, 0.5, rng) for m, n in ((3, 5), (7, 2), (4, 4), (1, 6))]
+        S = SparseMatrix.block_diagonal(mats)
+        assert S.shape == (15, 17) and S.nnz == sum(A.nnz for A in mats)
+        assert np.array_equal(S.to_dense(), sp.block_diag([A.to_dense() for A in mats]).toarray())
+        v, w = rng.standard_normal(17), rng.standard_normal(15)
+        v_at = np.cumsum([A.n_cols for A in mats])[:-1]
+        w_at = np.cumsum([A.n_rows for A in mats])[:-1]
+        products = zip(np.split(S.matvec(v), w_at), np.split(S.rmatvec(w), v_at))
+        for A, vi, wi, (mv, rmv) in zip(mats, np.split(v, v_at), np.split(w, w_at), products):
+            assert mv.tobytes() == A.matvec(vi).tobytes()
+            assert rmv.tobytes() == A.rmatvec(wi).tobytes()
+
     def test_one_block_is_a_copy(self, rng):
         A = random_sparse(5, 7, 0.5, rng)
-        one = A.block_diagonal(1)
+        one = SparseMatrix.block_diagonal([A])
         v, w = rng.standard_normal(7), rng.standard_normal(5)
         assert one is not A and not np.shares_memory(one.vals, A.vals)
         assert np.array_equal(one.matvec(v), A.matvec(v))
@@ -402,7 +429,8 @@ class TestBlockDiagonal:
     def test_per_row_and_per_column_scales(self, rng):
         A = random_sparse(12, 9, 0.4, rng)
         sigmas, taus = rng.uniform(0.1, 3.0, 3), rng.uniform(0.1, 3.0, 3)
-        K = A.block_diagonal(3).scaled_products(np.repeat(-sigmas, 12), np.repeat(taus, 9))
+        K = SparseMatrix.block_diagonal([A] * 3).scaled_products(np.repeat(-sigmas, 12),
+                                                                 np.repeat(taus, 9))
         v, w = rng.standard_normal(27), rng.standard_normal(36)
         for i in range(3):
             lone = A.scaled_products(-sigmas[i], taus[i])
@@ -427,7 +455,7 @@ class TestBlockDiagonal:
         # csc_array @; the stacking's exactness rests on each entry summing
         # in stored order on that path too
         A = random_sparse(20, 30, 0.3, rng)
-        S = A.block_diagonal(4)
+        S = SparseMatrix.block_diagonal([A] * 4)
         v, w = rng.standard_normal(120), rng.standard_normal(80)
         start = rng.standard_normal(80)
         kernel = [(A.matvec(vi), A.rmatvec(wi)) for vi, wi in zip(np.split(v, 4), np.split(w, 4))]

@@ -68,6 +68,16 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StepConfig("newton", 1.0)
 
+    @pytest.mark.parametrize("method", [PDHG, EGM, ADMM, PPM_BILINEAR])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_step_sizes_raise(self, method, value):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            StepConfig(method, value)
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            StepConfig(method, 0.5, omega=value)
+        with pytest.raises(ValueError, match="lipschitz must be positive and finite"):
+            StepConfig(method, 0.5, lipschitz=value)
+
 
 class TestPdhg:
     def test_toy_hand_values(self):
@@ -659,8 +669,8 @@ class TestStepOperators:
         _, problem, config = _operator_cases()[0]
         ops = StepOperators(problem, config)
         tau, sigma = config.eta / config.omega, config.eta * config.omega
-        assert np.array_equal(ops.tau_c, tau * problem.c)
-        assert np.array_equal(ops.sigma_b, sigma * problem.b)
+        assert np.array_equal(ops.shift[:problem.n], -(tau * problem.c))
+        assert np.array_equal(ops.shift[problem.n:], sigma * problem.b)
         assert np.array_equal(ops.K._adj_vals, tau * problem.A.vals)
         assert np.array_equal(ops.K.vals, -sigma * problem.A.vals)
         assert ops.work.shape == (problem.n,) and ops.target is None
@@ -679,7 +689,8 @@ def _flat_cases(rng):
     cases = []
     for label, problem in (("lp", lp), ("bilinear", bil)):
         eta = 0.9 / power_method_sigma_max(problem.A)
-        stack = StandardFormLp(np.tile(problem.c, 3), problem.A.block_diagonal(3),
+        stack = StandardFormLp(np.tile(problem.c, 3),
+                               SparseMatrix.block_diagonal([problem.A] * 3),
                                np.tile(problem.b, 3), nonneg=problem.nonneg)
         cases += [(label, problem, eta, None), (label + "-stacked", stack, eta, omegas)]
     return cases
@@ -725,8 +736,10 @@ class TestFlatSteps:
         assert ops.M.shape == (problem.n + problem.m,) * 2 and ops.M.nnz == 2 * problem.A.nnz
         pdhg = StepOperators(problem, StepConfig(PDHG, eta))
         assert pdhg.M is None and pdhg.K.nnz == problem.A.nnz
+        # omega = 1: tau = sigma = eta
         for built in (ops, pdhg):
-            assert np.array_equal(built.shift, np.concatenate([-built.tau_c, built.sigma_b]))
+            assert np.array_equal(built.shift,
+                                  np.concatenate([-(eta * problem.c), eta * problem.b]))
 
     def test_operators_of_another_class_problem_or_config_raise(self, rng):
         (_, lp, eta, _), (_, stack, _, omegas) = _flat_cases(rng)[:2]
