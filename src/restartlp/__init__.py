@@ -12,13 +12,10 @@ command-line harness (:mod:`~restartlp.cli`).
 """
 
 from .lp_core import (
-    NormSpec,
     Residuals,
     SaddlePoint,
     SparseMatrix,
     StandardFormLp,
-    gradient_field,
-    norm_value,
     power_method_sigma_max,
     residuals,
 )
@@ -71,7 +68,6 @@ from .restarts import (
     fixed_frequency_tstar,
     run_restarted,
     should_restart,
-    theoretical_linear_rate_check,
 )
 from .bilinear import (
     SpectralBlock,

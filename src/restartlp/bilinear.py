@@ -49,8 +49,8 @@ import numpy as np
 
 from .ingest import DiagonalBilinear, generate
 from .lp_core import SaddlePoint
-from .restarts import (RestartScheme, SolveOptions, Status, _block_indices, _stack,
-                       fixed_frequency_tstar, run_restarted)
+from .restarts import (DEFAULT_BETA, RestartScheme, SolveOptions, Status, _block_indices,
+                       _stack, fixed_frequency_tstar, run_restarted)
 from .steps import PDHG, StepConfig
 # Not called here (every step runs inside run_restarted); the name stays
 # bound because perfbench's span-tracer test reads it from this module.
@@ -331,11 +331,11 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     kappas = [float(k) for k in kappas]
     if not kappas:
         raise ValueError("kappa list must be nonempty")
-    if any(k < 2 for k in kappas):
+    if not all(k >= 2 for k in kappas + [float(avg_kappa)]):
         raise ValueError("kappa values must be >= 2")
     if not 0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
-    eta = 0.5
+    config = StepConfig(PDHG, 0.5)
 
     # block 0 is avg_kappa's; the kappas follow in the caller's order
     blocks = [generate(DiagonalBilinear((1.0 / kappa, 1.0)))[0]
@@ -346,7 +346,7 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     levels = [e * _D0 for e in thresholds]
     hits = []
     observe = _stacked_observe(_block_indices(blocks), eps, levels, last, hits)
-    _pdhg_run(problem, eta, RestartScheme.none(), _ones(problem.n), cap, cap, observe)
+    _pdhg_run(problem, config.eta, RestartScheme.none(), _ones(problem.n), cap, cap, observe)
     hits += [None] * (len(levels) - len(hits))
 
     def average_reached_eps(t, z, average):
@@ -355,9 +355,10 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
 
     report = Table3Report()
     for kappa, problem, last_iters in zip(kappas, blocks[1:], last):
-        tstar = fixed_frequency_tstar(1.0 / eta, 0.0, 1.0 / kappa, math.exp(-1.0))
+        tstar = fixed_frequency_tstar(config.sufficient_decay_c, config.target_proximity_q,
+                                      1.0 / kappa, DEFAULT_BETA)
         # checkpoints every t* iterations: the fixed restart fires at inner = t*
-        res = _pdhg_run(problem, eta, RestartScheme.fixed(tstar), _ones(2), cap, tstar,
+        res = _pdhg_run(problem, config.eta, RestartScheme.fixed(tstar), _ones(2), cap, tstar,
                         average_reached_eps)
         restarted = res.iterations if res.status == Status.STOPPED else None
         report.rows += [(kappa, "last", last_iters), (kappa, "restarted", restarted)]

@@ -25,7 +25,6 @@ from .bilinear import table3_scaling_experiment, two_dim_toy_series
 from .ingest import (
     OBJECTIVE_ROW,
     DiagonalBilinear,
-    MpsParseError,
     RandomLpKnownOptimum,
     TwoDimToy,
     generate,
@@ -252,7 +251,7 @@ def cmd_solve(config):
                                iteration_limit=config.iteration_limit,
                                check_cadence=config.check_cadence,
                                trace_cadence=config.trace_cadence)
-    except (ValueError, MpsParseError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -429,7 +428,7 @@ def cmd_tune_primal_weight(config, iterations=5000):
         if config.method not in (PDHG, EGM):
             raise ValueError("tune-omega supports PDHG and EGM")
         step, _ = _build_step_config(replace(config, omega=1.0), problem)
-    except (ValueError, MpsParseError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     omega, table = tune_primal_weight(problem, config.method, step.eta,
@@ -497,7 +496,7 @@ def cmd_sweep_restart_lengths(config, out_dir=None):
     try:
         problem, meta = load_problem(config)
         step, _ = _build_step_config(config, problem)
-    except (ValueError, MpsParseError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out = Path(out_dir) if out_dir else None

@@ -8,13 +8,15 @@ that may move down by at most its cap (an LP's x, which stays >= 0: cap x)
 and a free block (an LP's y), which enters the solution only through the
 squared norm of its gradient.  :func:`solve_block_trust_region` solves that
 block form exactly from the sorted breakpoints of the bounded coordinates
-that can reach their bound; :func:`solve_linear_trust_region`,
-:func:`normalized_gap_lp` and :func:`normalized_gap_admm` are adapters over
-it, and :func:`lp_gap` is the entry point of a restart checkpoint, which has
-the gradient at hand and reads the gap alone.  The tests check the solver
-against a slow reference that bisects the prox-regularized subproblem
-instead (``tests/oracles.py``); the two share nothing but the problem
-statement.
+that can reach their bound.  A restart checkpoint reads the gap alone
+through two adapters over it: :func:`lp_gap`, from the gradient blocks the
+checkpoint has at hand, and :func:`normalized_gap_admm` for an ADMM point.
+:func:`solve_linear_trust_region` and :func:`normalized_gap_lp`, which also
+return the maximizer, are read only by the tests and by the benchmark's span
+tracer, which binds them by name; they stay until the tracer times the
+checkpoint's own entry points.  The tests check the solver against a
+slow reference that bisects the prox-regularized subproblem instead
+(``tests/oracles.py``); the two share nothing but the problem statement.
 """
 
 from __future__ import annotations
@@ -173,7 +175,6 @@ class GapResult:
 
     rho: float
     maximizer: SaddlePoint
-    radius_used: float
 
 
 def _check_feasible_x(problem, x):
@@ -199,12 +200,12 @@ def lp_gap(problem, x, g_x, g_y, r):
     return lam, max(decrease / r, 0.0)
 
 
-def normalized_gap_lp(problem, z, r, ax=None, aty=None):
+def normalized_gap_lp(problem, z, r):
     """Normalized duality gap of an LP saddle point in the Euclidean norm.
 
     Reduces to a linear trust-region problem with objective F(z), lower
-    bounds (0, -inf), center z (:func:`lp_gap`); beyond the cached products
-    Ax and A'y the cost is linear in n + m.  For r = 0 the closed-form limit
+    bounds (0, -inf), center z (:func:`lp_gap`); beyond the products Ax
+    and A'y the cost is linear in n + m.  For r = 0 the closed-form limit
     |F(z)| is returned, which is only valid (and only allowed) on
     unconstrained bilinear problems.
     """
@@ -212,23 +213,22 @@ def normalized_gap_lp(problem, z, r, ax=None, aty=None):
         raise ValueError("radius must be nonnegative")
     _check_dims(problem, z)
     _check_feasible_x(problem, z.x)
-    if aty is None:
-        aty = problem.A.rmatvec(z.y)
-    if ax is None:
-        ax = problem.A.matvec(z.x)
+    aty = problem.A.rmatvec(z.y)
+    ax = problem.A.matvec(z.x)
     g_x, g_y = problem.c - aty, ax - problem.b
     if r == 0.0:
         if problem.nonneg:
             raise ValueError("rho_0 is only exposed for unconstrained bilinear "
                              "problems, where it equals |F(z)|")
-        return GapResult(float(np.linalg.norm(np.concatenate([g_x, g_y]))), z.copy(), 0.0)
+        return GapResult(float(np.linalg.norm(np.concatenate([g_x, g_y]))), z.copy())
     lam, rho = lp_gap(problem, z.x, g_x, g_y, r)
     x_hat = _stepped(z.x, g_x, lam, 0.0 if problem.nonneg else None)
-    return GapResult(rho, SaddlePoint(x_hat, _stepped(z.y, g_y, lam)), r)
+    return GapResult(rho, SaddlePoint(x_hat, _stepped(z.y, g_y, lam)))
 
 
 def normalized_gap_admm(problem, point, r, eta):
-    """Normalized duality gap of an ADMM point in its (semi-)norm.
+    """Normalized duality gap of an ADMM point in its (semi-)norm, as a
+    float.
 
     The supremum of -(y+c)'(xhat_V - x_V) + (x_V - x_U)'(yhat - y) over
     {xhat_V >= 0, eta |x_V - xhat_V|^2 + |y - yhat|^2/eta <= r^2} becomes a
@@ -254,8 +254,5 @@ def normalized_gap_admm(problem, point, r, eta):
     cap = se * x_v
     g_w = x_u - x_v
     g_w *= se
-    lam, decrease = solve_block_trust_region(g_u, cap, g_w @ g_w, r)
-    # xhat_V = x_V + u / sqrt(eta) = max(x_V - lam g_u / sqrt(eta), 0) and
-    # yhat = y + sqrt(eta) w = y - sqrt(eta) lam g_w
-    maximizer = SaddlePoint(_stepped(x_v, g_u, lam / se, 0.0), _stepped(y, g_w, se * lam))
-    return GapResult(max(decrease / r, 0.0), maximizer, r)
+    _, decrease = solve_block_trust_region(g_u, cap, g_w @ g_w, r)
+    return max(decrease / r, 0.0)

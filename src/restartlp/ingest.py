@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -429,37 +428,8 @@ def _bulk_float(tokens):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Shifted:
-    index: int
-    shift: float
-
-
-@dataclass(frozen=True)
-class _Reflected:
-    index: int
-    upper: float
-
-
-@dataclass(frozen=True)
-class _Split:
-    pos_index: int
-    neg_index: int
-
-
-@dataclass(frozen=True)
-class _Fixed:
-    value: float
-
-
 # VariableMap.kind codes, one per original column
 SHIFTED, REFLECTED, SPLIT, FIXED = 0, 1, 2, 3
-_RECORDS = {
-    SHIFTED: _Shifted,
-    REFLECTED: _Reflected,
-    SPLIT: lambda j, v: _Split(j, j + 1),
-    FIXED: lambda j, v: _Fixed(v),
-}
 
 
 @dataclass
@@ -485,12 +455,6 @@ class VariableMap:
     objective_offset: float
     objective_sense: str
     n_standard: int
-
-    @cached_property
-    def mapping(self):
-        """Original column name -> transform record, built on first use."""
-        return {name: _RECORDS[k](j, v) for name, k, j, v in zip(
-            self.column_names, self.kind.tolist(), self.index.tolist(), self.value.tolist())}
 
     def to_original(self, x_standard):
         x = np.asarray(x_standard, dtype=np.float64)
@@ -647,8 +611,8 @@ class DiagonalBilinear:
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if not self.sigmas or any(s <= 0 for s in self.sigmas):
-            raise ValueError("sigmas must be strictly positive")
+        if not self.sigmas or not all(0 < s < math.inf for s in self.sigmas):
+            raise ValueError("sigmas must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Problem data, sparse linear algebra, norms, and KKT residuals.
+"""Problem data, sparse linear algebra, and KKT residuals.
 
 Everything downstream (steps, gap evaluation, restart driver) is matrix-free
 apart from the ADMM and PPM steps: the only operations applied to the
@@ -46,10 +46,7 @@ __all__ = [
     "SparseMatrix",
     "StandardFormLp",
     "SaddlePoint",
-    "NormSpec",
     "Residuals",
-    "gradient_field",
-    "norm_value",
     "residuals",
     "residuals_of_gradient",
     "power_method_sigma_max",
@@ -387,88 +384,6 @@ def _check_dims(problem, z):
         raise ValueError("saddle point dimensions do not match problem")
 
 
-def gradient_field(problem, z, ax=None, aty=None):
-    """F(z) = (grad_x L, -grad_y L) = (c - A'y, Ax - b), stacked.
-
-    ``ax`` / ``aty`` let callers reuse already-computed products.
-    """
-    _check_dims(problem, z)
-    if aty is None:
-        aty = problem.A.rmatvec(z.y)
-    if ax is None:
-        ax = problem.A.matvec(z.x)
-    return np.concatenate([problem.c - aty, ax - problem.b])
-
-
-# ---------------------------------------------------------------------------
-# Norms
-# ---------------------------------------------------------------------------
-
-EUCLIDEAN = "euclidean"
-PDHG_M = "pdhg_m"
-ADMM_M = "admm_m"
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Which (semi-)norm to measure saddle points in.
-
-    * ``euclidean`` -- plain l2 on the stacked (x, y).
-    * ``pdhg_m``    -- sqrt(w|x|^2 + 2 eta y'Ax + |y|^2/w) after the
-      primal-weight rescaling x <- x sqrt(w), y <- y / sqrt(w).  This is the
-      quadratic form of M = [[I, -eta K'], [-eta K, I]] for the coupling
-      matrix K of the update; under the data convention L = c'x + b'y - y'Ax
-      the coupling is K = -A, hence the positive cross term.  Positive
-      definite iff eta * sigma_max(A) < 1.
-    * ``admm_m``    -- sqrt(eta |x_V|^2 + |y|^2 / eta) on (x_U, x_V, y)
-      triples; x_U carries zero weight (a semi-norm).
-    """
-
-    kind: str
-    eta: float = 0.0
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, PDHG_M, ADMM_M):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind in (PDHG_M, ADMM_M) and not self.eta > 0:
-            raise ValueError("eta must be positive for matrix norms")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-
-    @staticmethod
-    def euclidean():
-        return NormSpec(EUCLIDEAN)
-
-    @staticmethod
-    def pdhg(eta, omega=1.0):
-        return NormSpec(PDHG_M, eta=eta, omega=omega)
-
-    @staticmethod
-    def admm(eta):
-        return NormSpec(ADMM_M, eta=eta)
-
-
-def norm_value(spec, problem, z):
-    """Norm of a point under ``spec``.
-
-    ``z`` is a SaddlePoint for euclidean / pdhg_m, or any object with
-    ``x_v`` and ``y`` attributes (an ADMM point) for admm_m.
-    """
-    if spec.kind == EUCLIDEAN:
-        return float(math.hypot(np.linalg.norm(z.x), np.linalg.norm(z.y)))
-    if spec.kind == PDHG_M:
-        _check_dims(problem, z)
-        w = spec.omega
-        cross = z.y @ problem.A.matvec(z.x)
-        sq = w * (z.x @ z.x) + 2.0 * spec.eta * cross + (z.y @ z.y) / w
-        return float(math.sqrt(max(sq, 0.0)))
-    if spec.kind == ADMM_M:
-        sq = spec.eta * (z.x_v @ z.x_v) + (z.y @ z.y) / spec.eta
-        return float(math.sqrt(max(sq, 0.0)))
-    raise ValueError(f"unknown norm kind {spec.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # KKT residuals
 # ---------------------------------------------------------------------------
@@ -489,13 +404,13 @@ class Residuals:
     kkt_error: float
 
 
-def residuals(problem, z, ax=None, aty=None, row_scale=None, col_scale=None):
+def residuals(problem, z, row_scale=None, col_scale=None):
     """Residuals computed directly from the problem data (matrix-free).
 
     For ``nonneg=True`` the KKT error is |(h - K z)^+| for the stacked
     optimality system K z >= h of the LP (x >= 0, Ax = b, A'y <= c,
-    c'x <= b'y), computed without forming K and reusing cached Ax / A'y
-    when available.
+    c'x <= b'y), computed without forming K, from one product with A and
+    one with A'.
     For ``nonneg=False`` problems the dual residual is the full |c - A'y|
     and the gap term is |c'x - b'y|, so the error vanishes exactly at
     saddle points of the unconstrained bilinear problem.
@@ -508,10 +423,8 @@ def residuals(problem, z, ax=None, aty=None, row_scale=None, col_scale=None):
     The formula is :func:`residuals_of_gradient`'s.
     """
     _check_dims(problem, z)
-    if ax is None:
-        ax = problem.A.matvec(z.x)
-    if aty is None:
-        aty = problem.A.rmatvec(z.y)
+    ax = problem.A.matvec(z.x)
+    aty = problem.A.rmatvec(z.y)
     return residuals_of_gradient(problem, z.x, z.y, problem.c - aty, ax - problem.b,
                                  row_scale, col_scale)
 

@@ -55,12 +55,10 @@ from .gap import lp_gap, normalized_gap_admm
 # bound because perfbench's span-tracer test reads it from this module.
 from .gap import normalized_gap_lp  # noqa: F401
 from .lp_core import (
-    NormSpec,
     SaddlePoint,
     SparseMatrix,
     StandardFormLp,
     _norm,
-    norm_value,
     power_method_sigma_max,
     residuals,
     residuals_of_gradient,
@@ -96,8 +94,6 @@ __all__ = [
     "fixed_frequency_tstar",
     "should_restart",
     "run_restarted",
-    "theoretical_linear_rate_check",
-    "RateCheckReport",
 ]
 
 NO_RESTART = "none"
@@ -385,7 +381,7 @@ class _AdmmLane(_Lane):
         point = self.view(vec)
         gap = 0.0
         if radius != 0.0:
-            gap = normalized_gap_admm(self.problem, point, radius, self.config.eta).rho
+            gap = normalized_gap_admm(self.problem, point, radius, self.config.eta)
         lam = self.projector.solve_normal(-self.problem.A.matvec(point.y))
         kkt = residuals(self.problem, SaddlePoint(point.x_v, lam),
                         row_scale=self.d1, col_scale=self.d2).kkt_error
@@ -644,98 +640,3 @@ def _run_lane(lane, options, z0=None, observe=None):
             inner = 0
             cur, cur_point = anchor_vec, lane.view(anchor_vec)
 
-
-# ---------------------------------------------------------------------------
-# Closed-form convergence checks on diagonal bilinear instances
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EpochRecord:
-    outer: int
-    distance: float
-    bound: float
-    ok: bool
-
-
-@dataclass
-class RateCheckReport:
-    tstar: int
-    alpha: float
-    fixed_epochs: list
-    fixed_ok: bool
-    adaptive_lengths: list
-    adaptive_ok: bool
-
-
-def _method_norm(config):
-    # PDHG's guarantee is in its M-norm, ADMM's in its semi-norm, EGM's and
-    # PPM's in the Euclidean norm
-    if config.method == PDHG:
-        return NormSpec.pdhg(config.eta, config.omega)
-    if config.method == ADMM:
-        return NormSpec.admm(config.eta)
-    return NormSpec.euclidean()
-
-
-def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
-                                  alpha=None, epochs=20, z0=None):
-    """Check the restart theory on an instance with known sharpness.
-
-    Intended for diagonal bilinear problems, where the sharpness constant is
-    the smallest interaction coefficient and the solution set is the origin.
-    Runs fixed-frequency restarts at t* and asserts the geometric decay of
-    anchor distances in the method norm, then runs adaptive restarts and
-    asserts every restart length from the second epoch on is at most t*.
-    Failures are returned as per-epoch records, not raised.
-    """
-    if alpha is None:
-        raise ValueError("alpha (sharpness constant) is required")
-    tstar = fixed_frequency_tstar(config.sufficient_decay_c,
-                                  config.target_proximity_q, alpha, beta)
-    norm = _method_norm(config)
-    opt_vec = optimum.as_vector()
-
-    def dist_to_opt(vec):
-        z = SaddlePoint.from_vector(vec - opt_vec, problem.n)
-        return norm_value(norm, problem, z)
-
-    fixed_opts = SolveOptions(
-        step=config,
-        scheme=RestartScheme.fixed(tstar),
-        kkt_tol=0.0,
-        iteration_limit=(epochs + 1) * tstar,
-        check_cadence=1,
-        trace_cadence=tstar,
-    )
-    res_fixed = run_restarted(problem, fixed_opts, z0=z0)
-    d0 = dist_to_opt(res_fixed.anchors[0])
-    records = []
-    all_ok = True
-    for nidx, anchor in enumerate(res_fixed.anchors):
-        bound = (beta ** nidx) * d0 * (1.0 + 1e-6)
-        dist = dist_to_opt(anchor)
-        ok = dist <= bound
-        all_ok = all_ok and ok
-        records.append(EpochRecord(nidx, dist, bound, ok))
-
-    adapt_opts = SolveOptions(
-        step=config,
-        scheme=RestartScheme.adaptive(beta=beta, tau0=1),
-        kkt_tol=0.0,
-        iteration_limit=epochs * tstar,
-        check_cadence=1,
-        trace_cadence=max(tstar, 1),
-    )
-    res_adapt = run_restarted(problem, adapt_opts, z0=z0)
-    lengths = list(res_adapt.trace.restart_lengths)
-    adaptive_ok = all(length <= tstar for length in lengths[1:])
-
-    return RateCheckReport(
-        tstar=tstar,
-        alpha=alpha,
-        fixed_epochs=records,
-        fixed_ok=all_ok,
-        adaptive_lengths=lengths,
-        adaptive_ok=adaptive_ok,
-    )

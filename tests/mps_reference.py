@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from restartlp import MpsParseError, SparseMatrix, StandardFormLp, VariableMap
-from restartlp.ingest import FIXED, REFLECTED, SHIFTED, SPLIT, _Fixed, _Reflected, _Shifted, _Split
+from restartlp.ingest import FIXED, REFLECTED, SHIFTED, SPLIT
 
 _SECTIONS = {"NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 _BOUND_CODES = {"LO", "UP", "FX", "FR", "MI", "PL"}
@@ -207,6 +207,30 @@ def _tofloat(tok, lineno, infinite_ok=False):
     if math.isnan(value) or (math.isinf(value) and not infinite_ok):
         raise MpsParseError(f"line {lineno}: bad numeric field {tok!r}")
     return value
+
+
+# The transform of one original column, one record type per VariableMap kind
+@dataclass(frozen=True)
+class _Shifted:
+    index: int
+    shift: float
+
+
+@dataclass(frozen=True)
+class _Reflected:
+    index: int
+    upper: float
+
+
+@dataclass(frozen=True)
+class _Split:
+    pos_index: int
+    neg_index: int
+
+
+@dataclass(frozen=True)
+class _Fixed:
+    value: float
 
 
 def to_standard_form(model):

@@ -8,6 +8,7 @@
   the prox-regularized subproblem, against which the closed-form
   :func:`restartlp.gap.solve_block_trust_region` (through its adapters)
   is checked.
+* :func:`gradient_field` -- F(z) = (c - A'y, Ax - b) as one vector.
 * :func:`lagrangian` -- the value L(x, y) = c'x + b'y - y'Ax, from which
   the tests form primal-dual gaps at probe points.
 * :func:`affine_project` -- a one-shot projection onto {x : Ax = b}
@@ -19,6 +20,10 @@
   steps block by block, with EGM's four products each a product with
   A or A' of its own, against which the flat steps of
   :mod:`restartlp.steps` are checked bit for bit.
+* :class:`NormSpec` / :func:`norm_value` -- the norms the methods'
+  guarantees are stated in: Euclidean, PDHG's M-norm and ADMM's semi-norm.
+* :func:`theoretical_linear_rate_check` -- the linear-rate theorem's
+  closed-form check on an instance with known sharpness.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from restartlp.gap import GapResult, TrustRegionProblem, _check_feasible_x
-from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix, _check_dims, gradient_field
-from restartlp.steps import PROJECTION_TOL, AffineProjector
+from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix, _check_dims
+from restartlp.restarts import (DEFAULT_BETA, RestartScheme, SolveOptions, fixed_frequency_tstar,
+                                run_restarted)
+from restartlp.steps import ADMM, PDHG, PROJECTION_TOL, AffineProjector
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,12 @@ def kkt_error(system, z):
     dual = float(np.linalg.norm(vp[nvars + 2 * m:2 * nvars + 2 * m]))
     gap = float(vp[-1])
     return Residuals(primal, dual, gap, float(np.linalg.norm(vp)))
+
+
+def gradient_field(problem, z):
+    """F(z) = (grad_x L, -grad_y L) = (c - A'y, Ax - b), stacked."""
+    _check_dims(problem, z)
+    return np.concatenate([problem.c - problem.A.rmatvec(z.y), problem.A.matvec(z.x) - problem.b])
 
 
 class GapBracketError(RuntimeError):
@@ -187,7 +200,7 @@ def normalized_gap_bisection(problem, z, r, lam_tol=1e-13):
     zvec = z.as_vector()
     zhat = trust_region_bisection(TrustRegionProblem(g, zvec, lower, r), lam_tol=lam_tol)
     rho = max(float(g @ (zvec - zhat)) / r, 0.0)
-    return GapResult(rho, SaddlePoint.from_vector(zhat, problem.n), r)
+    return GapResult(rho, SaddlePoint.from_vector(zhat, problem.n))
 
 
 def lagrangian(problem, z):
@@ -271,3 +284,159 @@ def egm_four_products(problem, z, tau, sigma):
 
     xh, yh = half_step(z.x, z.y)
     return np.concatenate(half_step(xh, yh)), np.concatenate([xh, yh])
+
+
+EUCLIDEAN = "euclidean"
+PDHG_M = "pdhg_m"
+ADMM_M = "admm_m"
+
+
+@dataclass(frozen=True)
+class NormSpec:
+    """Which (semi-)norm to measure saddle points in.
+
+    * ``euclidean`` -- plain l2 on the stacked (x, y).
+    * ``pdhg_m``    -- sqrt(w|x|^2 + 2 eta y'Ax + |y|^2/w) after the
+      primal-weight rescaling x <- x sqrt(w), y <- y / sqrt(w).  This is the
+      quadratic form of M = [[I, -eta K'], [-eta K, I]] for the coupling
+      matrix K of the update; under the data convention L = c'x + b'y - y'Ax
+      the coupling is K = -A, hence the positive cross term.  Positive
+      definite iff eta * sigma_max(A) < 1.
+    * ``admm_m``    -- sqrt(eta |x_V|^2 + |y|^2 / eta) on (x_U, x_V, y)
+      triples; x_U carries zero weight (a semi-norm).
+    """
+
+    kind: str
+    eta: float = 0.0
+    omega: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in (EUCLIDEAN, PDHG_M, ADMM_M):
+            raise ValueError(f"unknown norm kind {self.kind!r}")
+        if self.kind in (PDHG_M, ADMM_M) and not self.eta > 0:
+            raise ValueError("eta must be positive for matrix norms")
+        if not self.omega > 0:
+            raise ValueError("omega must be positive")
+
+    @staticmethod
+    def euclidean():
+        return NormSpec(EUCLIDEAN)
+
+    @staticmethod
+    def pdhg(eta, omega=1.0):
+        return NormSpec(PDHG_M, eta=eta, omega=omega)
+
+    @staticmethod
+    def admm(eta):
+        return NormSpec(ADMM_M, eta=eta)
+
+
+def norm_value(spec, problem, z):
+    """Norm of a point under ``spec``.
+
+    ``z`` is a SaddlePoint for euclidean / pdhg_m, or any object with
+    ``x_v`` and ``y`` attributes (an ADMM point) for admm_m.
+    """
+    if spec.kind == EUCLIDEAN:
+        return float(math.hypot(np.linalg.norm(z.x), np.linalg.norm(z.y)))
+    if spec.kind == PDHG_M:
+        _check_dims(problem, z)
+        w = spec.omega
+        cross = z.y @ problem.A.matvec(z.x)
+        sq = w * (z.x @ z.x) + 2.0 * spec.eta * cross + (z.y @ z.y) / w
+        return float(math.sqrt(max(sq, 0.0)))
+    if spec.kind == ADMM_M:
+        sq = spec.eta * (z.x_v @ z.x_v) + (z.y @ z.y) / spec.eta
+        return float(math.sqrt(max(sq, 0.0)))
+    raise ValueError(f"unknown norm kind {spec.kind!r}")
+
+
+@dataclass
+class EpochRecord:
+    outer: int
+    distance: float
+    bound: float
+    ok: bool
+
+
+@dataclass
+class RateCheckReport:
+    tstar: int
+    alpha: float
+    fixed_epochs: list
+    fixed_ok: bool
+    adaptive_lengths: list
+    adaptive_ok: bool
+
+
+def _method_norm(config):
+    # PDHG's guarantee is in its M-norm, ADMM's in its semi-norm, EGM's and
+    # PPM's in the Euclidean norm
+    if config.method == PDHG:
+        return NormSpec.pdhg(config.eta, config.omega)
+    if config.method == ADMM:
+        return NormSpec.admm(config.eta)
+    return NormSpec.euclidean()
+
+
+def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
+                                  alpha=None, epochs=20, z0=None):
+    """Check the restart theory on an instance with known sharpness.
+
+    Intended for diagonal bilinear problems, where the sharpness constant is
+    the smallest interaction coefficient and the solution set is the origin.
+    Runs fixed-frequency restarts at t* and asserts the geometric decay of
+    anchor distances in the method norm, then runs adaptive restarts and
+    asserts every restart length from the second epoch on is at most t*.
+    Failures are returned as per-epoch records, not raised.
+    """
+    if alpha is None:
+        raise ValueError("alpha (sharpness constant) is required")
+    tstar = fixed_frequency_tstar(config.sufficient_decay_c,
+                                  config.target_proximity_q, alpha, beta)
+    norm = _method_norm(config)
+    opt_vec = optimum.as_vector()
+
+    def dist_to_opt(vec):
+        z = SaddlePoint.from_vector(vec - opt_vec, problem.n)
+        return norm_value(norm, problem, z)
+
+    fixed_opts = SolveOptions(
+        step=config,
+        scheme=RestartScheme.fixed(tstar),
+        kkt_tol=0.0,
+        iteration_limit=(epochs + 1) * tstar,
+        check_cadence=1,
+        trace_cadence=tstar,
+    )
+    res_fixed = run_restarted(problem, fixed_opts, z0=z0)
+    d0 = dist_to_opt(res_fixed.anchors[0])
+    records = []
+    all_ok = True
+    for nidx, anchor in enumerate(res_fixed.anchors):
+        bound = (beta ** nidx) * d0 * (1.0 + 1e-6)
+        dist = dist_to_opt(anchor)
+        ok = dist <= bound
+        all_ok = all_ok and ok
+        records.append(EpochRecord(nidx, dist, bound, ok))
+
+    adapt_opts = SolveOptions(
+        step=config,
+        scheme=RestartScheme.adaptive(beta=beta, tau0=1),
+        kkt_tol=0.0,
+        iteration_limit=epochs * tstar,
+        check_cadence=1,
+        trace_cadence=max(tstar, 1),
+    )
+    res_adapt = run_restarted(problem, adapt_opts, z0=z0)
+    lengths = list(res_adapt.trace.restart_lengths)
+    adaptive_ok = all(length <= tstar for length in lengths[1:])
+
+    return RateCheckReport(
+        tstar=tstar,
+        alpha=alpha,
+        fixed_epochs=records,
+        fixed_ok=all_ok,
+        adaptive_lengths=lengths,
+        adaptive_ok=adaptive_ok,
+    )

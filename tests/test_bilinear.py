@@ -461,3 +461,9 @@ class TestStackedRun:
             table3_scaling_experiment([1.5], 1e-3)
         with pytest.raises(ValueError):
             table3_scaling_experiment([4], 0.9)
+        # each rejected before any run; a NaN kappa would run to the cap
+        for kappas, avg_kappa in (([math.nan], 4), ([4], math.nan), ([4], 1.5)):
+            with pytest.raises(ValueError, match="kappa values must be >= 2"):
+                table3_scaling_experiment(kappas, 1e-3, avg_kappa=avg_kappa)
+        with pytest.raises(ValueError, match="positive and finite"):
+            table3_scaling_experiment([math.inf], 1e-3)

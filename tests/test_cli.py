@@ -154,6 +154,19 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "KKT tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigmas", ["nan,1", "inf,1"])
+    def test_non_finite_diagonal_is_input_error(self, sigmas, capsys):
+        # before the power method, whose estimate on such a matrix is NaN
+        code = main(["solve", "--generate", f"diagonal:{sigmas}"])
+        assert code == EXIT_INPUT_ERROR
+        assert "sigmas must be positive and finite" in capsys.readouterr().err
+
+    def test_nan_kappa_is_input_error(self, tmp_path, capsys):
+        # before Table 3's runs, which a NaN kappa would run to their cap
+        code = main(["bilinear-lab", "--kappas", "nan", "--out-dir", str(tmp_path)])
+        assert code == EXIT_INPUT_ERROR
+        assert "kappa values must be >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--eta", "--omega"])
     def test_non_finite_step_size_is_input_error(self, flag, capsys):
         # before any work: not a run reported as diverged

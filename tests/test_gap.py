@@ -12,7 +12,6 @@ from restartlp import (
     StepConfig,
     TrustRegionProblem,
     generate,
-    gradient_field,
     normalized_gap_admm,
     normalized_gap_lp,
     residuals,
@@ -21,7 +20,8 @@ from restartlp import (
 from restartlp.steps import ADMM, AdmmOperators, AdmmPoint, AffineProjector, admm_step
 
 from conftest import feasible_point, random_sparse
-from oracles import GapBracketError, normalized_gap_bisection, trust_region_bisection
+from oracles import (GapBracketError, gradient_field, normalized_gap_bisection,
+                     trust_region_bisection)
 
 INF = np.inf
 
@@ -198,7 +198,7 @@ class TestNormalizedGapAdmm:
         problem, opt = generate(RandomLpKnownOptimum(5, 10, 0.5, 4))
         y_admm = -problem.A.rmatvec(opt.y)
         state = AdmmPoint(opt.x, opt.x, y_admm)
-        assert normalized_gap_admm(problem, state, 1.0, 0.8).rho <= 1e-10
+        assert normalized_gap_admm(problem, state, 1.0, 0.8) <= 1e-10
 
     def test_zero_objective_state(self):
         problem, opt = generate(RandomLpKnownOptimum(5, 10, 0.5, 4))
@@ -207,7 +207,7 @@ class TestNormalizedGapAdmm:
         # consistent blocks and y = -c null the linear objective entirely
         state = AdmmPoint(xu, xu.copy(), -problem.c)
         if np.min(xu) >= 0:
-            assert normalized_gap_admm(problem, state, 2.0, 1.0).rho <= 1e-12
+            assert normalized_gap_admm(problem, state, 2.0, 1.0) <= 1e-12
 
     def test_matches_hand_reduction_oracle(self, rng):
         for seed in range(15):
@@ -215,7 +215,7 @@ class TestNormalizedGapAdmm:
             eta = float(rng.uniform(0.4, 2.0))
             state = self._state_after(problem, eta, 3, rng)
             r = float(rng.uniform(0.1, 3.0))
-            fast = normalized_gap_admm(problem, state, r, eta).rho
+            fast = normalized_gap_admm(problem, state, r, eta)
             # independent reduction + bisection oracle
             se = math.sqrt(eta)
             g = np.concatenate([(state.y + problem.c) / se,
@@ -247,5 +247,4 @@ class TestGapResultShape:
         g = gradient_field(problem, z)
         attained = float(g @ (z.as_vector() - res.maximizer.as_vector())) / r
         assert attained == pytest.approx(res.rho, rel=1e-12, abs=1e-12)
-        assert res.radius_used == r
         assert np.min(res.maximizer.x) >= -1e-12

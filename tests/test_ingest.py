@@ -14,7 +14,6 @@ from restartlp import (
     SaddlePoint,
     TwoDimToy,
     generate,
-    gradient_field,
     parse_mps,
     residuals,
     to_standard_form,
@@ -22,6 +21,7 @@ from restartlp import (
 from restartlp import ingest
 
 from conftest import brute_force_lp
+from oracles import gradient_field
 
 
 def coefficient(model, row, col):
@@ -380,6 +380,9 @@ class TestGenerators:
     def test_diagonal_requires_positive(self):
         with pytest.raises(ValueError):
             DiagonalBilinear((1.0, 0.0))
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                DiagonalBilinear((sigma, 1.0))
 
     def test_two_dim_toy(self):
         problem, opt = generate(TwoDimToy())
@@ -511,7 +514,8 @@ class TestReferenceEquivalence:
         assert_bits_equal(problem.b, ref_problem.b)
         assert_bits_equal(problem.c, ref_problem.c)
         assert_bits_equal(vmap.objective_offset, ref_vmap.objective_offset)
-        assert list(vmap.mapping.items()) == list(ref_vmap.mapping.items())
+        for name in ("kind", "index", "value"):
+            assert_bits_equal(getattr(vmap, name), getattr(ref_vmap, name))
         assert vmap.n_standard == ref_vmap.n_standard
         assert vmap.column_names == ref_vmap.column_names
 

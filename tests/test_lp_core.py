@@ -6,12 +6,9 @@ import pytest
 import scipy.sparse as sp
 
 from restartlp import (
-    NormSpec,
     SaddlePoint,
     SparseMatrix,
     StandardFormLp,
-    gradient_field,
-    norm_value,
     power_method_sigma_max,
     residuals,
 )
@@ -19,7 +16,7 @@ from restartlp import lp_core
 from restartlp.ingest import RandomLpKnownOptimum, generate
 
 from conftest import feasible_point, random_sparse
-from oracles import KktSystem, kkt_error, lagrangian
+from oracles import KktSystem, NormSpec, gradient_field, kkt_error, lagrangian, norm_value
 
 
 def small_lp(c, a, b, nonneg=True):

@@ -7,7 +7,6 @@ import pytest
 from restartlp import (
     AdmmPoint,
     DiagonalBilinear,
-    NormSpec,
     RandomLpKnownOptimum,
     RestartScheme,
     RestartState,
@@ -18,18 +17,17 @@ from restartlp import (
     TwoDimToy,
     fixed_frequency_tstar,
     generate,
-    norm_value,
     pdhg_step,
     power_method_sigma_max,
     run_restarted,
     should_restart,
-    theoretical_linear_rate_check,
 )
 from restartlp import restarts
 from restartlp.restarts import ADAPTIVE, FLEXIBLE
 from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, AffineProjector, StepOperators
 
-from oracles import KktSystem, kkt_error, normalized_gap_bisection
+from oracles import (KktSystem, NormSpec, kkt_error, norm_value, normalized_gap_bisection,
+                     theoretical_linear_rate_check)
 
 
 class TestTstar:

@@ -10,7 +10,6 @@ from restartlp import (
     EGM,
     PDHG,
     DiagonalBilinear,
-    NormSpec,
     RandomLpKnownOptimum,
     RestartScheme,
     SaddlePoint,
@@ -22,7 +21,6 @@ from restartlp import (
     admm_step,
     egm_step,
     generate,
-    norm_value,
     pdhg_step,
     power_method_sigma_max,
     ppm_bilinear_step,
@@ -41,7 +39,8 @@ from restartlp.steps import (
 from restartlp.scaling import rescale
 
 from conftest import random_sparse
-from oracles import affine_project, egm_four_products, lagrangian, pdhg_by_blocks
+from oracles import (NormSpec, affine_project, egm_four_products, lagrangian, norm_value,
+                     pdhg_by_blocks)
 
 
 def bilinear_data(a_val=1.0, c=0.0, b=0.0, nonneg=False):
