@@ -7,8 +7,8 @@ synthetic generators (:mod:`~restartlp.ingest`), one-iteration updates for
 PDHG, extragradient, ADMM and bilinear PPM (:mod:`~restartlp.steps`),
 normalized-duality-gap evaluation through an exact trust-region solver
 (:mod:`~restartlp.gap`), the restarted outer loop (:mod:`~restartlp.restarts`),
-spectral analysis of the bilinear case (:mod:`~restartlp.bilinear`), and the
-command-line harness (:mod:`~restartlp.cli`).
+the bilinear experiments of Table 3 and Figure 1 (:mod:`~restartlp.bilinear`),
+and the command-line harness (:mod:`~restartlp.cli`).
 """
 
 from .lp_core import (
@@ -69,15 +69,6 @@ from .restarts import (
     run_restarted,
     should_restart,
 )
-from .bilinear import (
-    SpectralBlock,
-    b_metric_matrix,
-    b_norm_sq,
-    dynamics_matrix,
-    table3_scaling_experiment,
-    theoretical_B_norm_decay,
-    theoretical_average_bound,
-    two_dim_toy_series,
-)
+from .bilinear import table3_scaling_experiment, two_dim_toy_series
 
 __version__ = "0.1.0"

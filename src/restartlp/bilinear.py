@@ -1,17 +1,12 @@
-"""Closed-form spectral analysis of PDHG on diagonal bilinear problems.
+"""PDHG experiments on diagonal bilinear problems: the condition-number
+scaling of Table 3 and the toy trajectories of Figure 1.
 
 On L(x, y) = y' diag(sigma) x the PDHG recurrence decouples into independent
-2x2 blocks z_i <- P_i z_i.  Each block has complex eigenvalues of squared
-modulus 1 - eta^2 sigma_i^2, and in the metric B_i of the eigenbasis the
-iterates decay geometrically at exactly that rate while the running average
-decays like 1/K within explicit two-sided bounds.  The scaling experiment
-measures how iteration counts of the last iterate, the average iterate, and
-fixed-frequency restarts grow with the condition number, reproducing the
-square-root gap that restarting closes.
-
-Complex arithmetic is carried as explicit real 2x2 algebra throughout: the
-eigenbasis metric works out to the real symmetric matrix
-B = [[1, -eta sigma], [-eta sigma, 1]] / (2 (1 - eta^2 sigma^2)).
+2x2 blocks z_i <- P_i z_i, whose iterates decay geometrically at the rate
+1 - eta^2 sigma_i^2 while the running average decays like 1/K.  The scaling
+experiment measures how iteration counts of the last iterate, the average
+iterate, and fixed-frequency restarts grow with the condition number,
+reproducing the square-root gap that restarting closes.
 
 The scaling experiment and the toy trajectories step through
 :func:`~restartlp.restarts.run_restarted`, the same restart loop as every
@@ -57,113 +52,10 @@ from .steps import PDHG, StepConfig
 from .steps import pdhg_step  # noqa: F401
 
 __all__ = [
-    "SpectralBlock",
-    "dynamics_matrix",
-    "b_metric_matrix",
-    "b_norm_sq",
-    "theoretical_B_norm_decay",
-    "theoretical_average_bound",
     "Table3Report",
     "table3_scaling_experiment",
     "two_dim_toy_series",
 ]
-
-
-def _check_block(sigma, eta):
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if not 0 < eta <= 1.0 / sigma:
-        raise ValueError("need 0 < eta <= 1/sigma")
-
-
-def dynamics_matrix(sigma, eta):
-    """The 2x2 update matrix of one PDHG step on the (x_i, y_i) block."""
-    _check_block(sigma, eta)
-    a = eta * sigma
-    return np.array([[1.0, -a], [a, 1.0 - 2.0 * a * a]])
-
-
-def b_metric_matrix(sigma, eta):
-    """The eigenbasis metric B with (1/3)|v|^2 <= v'Bv <= |v|^2 for
-    eta <= 1/(2 sigma)."""
-    _check_block(sigma, eta)
-    a = eta * sigma
-    s2 = 1.0 - a * a
-    if s2 <= 0:
-        raise ValueError("B is defined for eta < 1/sigma")
-    return np.array([[1.0, -a], [-a, 1.0]]) / (2.0 * s2)
-
-
-def b_norm_sq(v, sigma, eta):
-    v = np.asarray(v, dtype=np.float64)
-    B = b_metric_matrix(sigma, eta)
-    return float(v @ (B @ v))
-
-
-@dataclass(frozen=True)
-class SpectralBlock:
-    """Spectral data of one coordinate block of the PDHG dynamics."""
-
-    sigma: float
-    eta: float
-
-    def __post_init__(self):
-        _check_block(self.sigma, self.eta)
-
-    @property
-    def dynamics(self):
-        return dynamics_matrix(self.sigma, self.eta)
-
-    @property
-    def b_metric(self):
-        return b_metric_matrix(self.sigma, self.eta)
-
-    @property
-    def eigenvalue_modulus_sq(self):
-        a = self.eta * self.sigma
-        return 1.0 - a * a
-
-    @property
-    def eigenvalues(self):
-        """The conjugate pair as (real, +/- imaginary) parts."""
-        a = self.eta * self.sigma
-        re = 1.0 - a * a
-        im = a * math.sqrt(max(1.0 - a * a, 0.0))
-        return re, im
-
-    @property
-    def one_minus_eigenvalue_abs(self):
-        """|1 - gamma|, which equals eta * sigma."""
-        re, im = self.eigenvalues
-        return math.hypot(1.0 - re, im)
-
-
-def theoretical_B_norm_decay(z0, sigma, eta, t):
-    """Exact B-norm-squared of the iterate after t steps:
-    (1 - eta^2 sigma^2)^t |z0|_B^2."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    a = eta * sigma
-    return (1.0 - a * a) ** t * b_norm_sq(z0, sigma, eta)
-
-
-def theoretical_average_bound(z0, sigma, eta, K):
-    """Two-sided envelope (upper, lower) for the B-norm of the K-step
-    running average of the block iterates.
-
-    upper = 2 |z0|_B / (K eta sigma)
-    lower = (sqrt(3)/2) eta sigma |z0|_B / (2 + K eta^2 sigma^2)
-
-    Both hold for every K >= 1 when eta sigma <= 1/2; they only meet (up to
-    constants) once K is of order 1/(eta sigma)^2.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    a = eta * sigma
-    nb = math.sqrt(b_norm_sq(z0, sigma, eta))
-    upper = 2.0 * nb / (K * a)
-    lower = (math.sqrt(3.0) / 2.0) * a * nb / (2.0 + K * a * a)
-    return upper, lower
 
 
 # ---------------------------------------------------------------------------
@@ -387,29 +279,35 @@ def _fit_slope(pairs):
 # ---------------------------------------------------------------------------
 
 
-def two_dim_toy_series(iterations=50, eta=0.2, restart_length=25,
-                       start=(1.0, 1.0)):
-    """Iterate paths on L(x, y) = x y: plain PDHG and fixed-frequency
-    restarted PDHG.
+# Figure 1: 50 PDHG steps at eta = 0.2 from (1, 1), restarted every 25
+TOY_ITERATIONS = 50
+TOY_ETA = 0.2
+TOY_RESTART_LENGTH = 25
+TOY_START = (1.0, 1.0)
 
-    Returns ``(plain, restarted)`` arrays of shape (iterations + 1, 2): the
-    plain path holds the iterates z^t, the restarted path the running
-    average that the restart scheme tracks (reset every ``restart_length``
+
+def two_dim_toy_series():
+    """Iterate paths on L(x, y) = x y: plain PDHG and fixed-frequency
+    restarted PDHG, with the Figure 1 constants above.
+
+    Returns ``(plain, restarted)`` arrays of shape (TOY_ITERATIONS + 1, 2):
+    the plain path holds the iterates z^t, the restarted path the running
+    average that the restart scheme tracks (reset every TOY_RESTART_LENGTH
     steps, like the candidate it restarts to).
     """
     problem, _ = generate(DiagonalBilinear((1.0,)))
-    z0 = SaddlePoint(np.array([start[0]]), np.array([start[1]]))
+    z0 = SaddlePoint(np.array([TOY_START[0]]), np.array([TOY_START[1]]))
 
     def series(scheme, cadence, keep_average):
-        path = np.empty((iterations + 1, 2))
-        path[0] = start
+        path = np.empty((TOY_ITERATIONS + 1, 2))
+        path[0] = TOY_START
 
         def observe(t, z, average):
             path[t] = average() if keep_average else z
             return False
 
-        _pdhg_run(problem, eta, scheme, z0, iterations, cadence, observe)
+        _pdhg_run(problem, TOY_ETA, scheme, z0, TOY_ITERATIONS, cadence, observe)
         return path
 
-    return (series(RestartScheme.none(), iterations, False),
-            series(RestartScheme.fixed(restart_length), restart_length, True))
+    return (series(RestartScheme.none(), TOY_ITERATIONS, False),
+            series(RestartScheme.fixed(TOY_RESTART_LENGTH), TOY_RESTART_LENGTH, True))

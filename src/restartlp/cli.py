@@ -4,8 +4,13 @@ Exit codes: 0 optimal, 2 iteration limit, 3 input error, 4 divergence.
 Traces are CSV (one row per checkpoint), summaries JSON with a fixed field
 set; the summary's ``eta`` is the caller's step size and ``scaling`` records
 the rescaled solve (sigma_max of A and of the scaled matrix, and the eta
-used on it), or is null for an unscaled one.  Runs are deterministic given
-the seed, except for the wall-time columns.
+used on it), or is null for an unscaled one.  Runs are deterministic, except
+for the wall-time columns.
+
+Each ``cmd_*`` reads the parsed ``argparse.Namespace`` directly, and
+:func:`main` maps every input error (a bad option, file, instance or
+parameter: a ``ValueError``) to exit code 3 with one ``error: ...`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +58,6 @@ from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, StepConfig
 from .steps import pdhg_step  # noqa: F401
 
 __all__ = [
-    "RunConfig",
     "cmd_solve",
     "cmd_tune_primal_weight",
     "cmd_sweep_restart_lengths",
@@ -74,34 +78,6 @@ TRACE_HEADER = ("iteration", "outer_n", "inner_t", "normalized_gap",
                 "kkt_avg", "kkt_last", "radius", "restart_flag",
                 "elapsed_seconds")
 GAP_SWEEP_THRESHOLD = 1e-7
-
-
-@dataclass
-class RunConfig:
-    """Everything one solve needs; exactly one of input_path / generator."""
-
-    input_path: str | None = None
-    generator: str | None = None
-    method: str = PDHG
-    scheme: str = ADAPTIVE
-    fixed_length: int | None = None
-    beta: float = DEFAULT_BETA
-    tau0: int = 1
-    eta: float | None = None          # None: 0.9 / sigma_max estimate
-    omega: float | str = 1.0          # 'auto': tuned on the omega grid
-    tune_eta: bool = False            # ADMM: tune eta on the same grid
-    kkt_tol: float = 1e-6
-    iteration_limit: int = 1_000_000
-    check_cadence: int = 30
-    trace_cadence: int = 1
-    trace_out: str | None = None
-    summary_out: str | None = None
-    seed: int = 0
-    start: str = "zeros"
-
-    def __post_init__(self):
-        if (self.input_path is None) == (self.generator is None):
-            raise ValueError("exactly one of input path and generator spec is required")
 
 
 def parse_generator_spec(text):
@@ -130,10 +106,11 @@ def parse_generator_spec(text):
     raise ValueError(f"unknown generator spec {text!r}")
 
 
-def load_problem(config):
-    """Build the problem from the config; returns (problem, meta dict)."""
-    if config.input_path is not None:
-        path = Path(config.input_path)
+def load_problem(args):
+    """Build the problem from ``--input`` or ``--generate``; returns
+    (problem, meta dict)."""
+    if args.input is not None:
+        path = Path(args.input)
         try:
             text = path.read_text()
         except OSError as exc:
@@ -150,9 +127,9 @@ def load_problem(config):
             "nonzeros": problem.A.nnz,
         }
         return problem, meta
-    spec = parse_generator_spec(config.generator)
+    spec = parse_generator_spec(args.generate)
     problem, _opt = generate(spec)
-    meta = {"source": config.generator, "rows": problem.m, "cols": problem.n,
+    meta = {"source": args.generate, "rows": problem.m, "cols": problem.n,
             "nonzeros": problem.A.nnz}
     return problem, meta
 
@@ -166,46 +143,43 @@ def _parse_start(text, problem):
     return SaddlePoint(vals[:problem.n], vals[problem.n:])
 
 
-def _build_step_config(config, problem):
-    """Resolve eta / omega / L, estimating sigma_max where needed."""
+def _build_step_config(problem, method, eta, omega, tune_eta):
+    """Resolve eta / omega / L, estimating sigma_max where needed.
+
+    ``eta`` None is 0.9 / sigma_max, or for ADMM 1 (tuned on the omega grid
+    if ``tune_eta``); ``omega`` 'auto' is tuned on that grid.
+    """
     sigma = None
-    need_sigma = config.eta is None or config.method == EGM
-    if need_sigma and config.method != ADMM:
-        sigma = power_method_sigma_max(problem.A, seed=config.seed)
-    eta = config.eta
-    tuned = {}
+    if (eta is None or method == EGM) and method != ADMM:
+        sigma = power_method_sigma_max(problem.A)
     if eta is None:
-        if config.method == ADMM:
-            eta = 1.0
-            if config.tune_eta:
-                eta, table = _tune_admm_eta(problem)
-                tuned["eta_table"] = table
-        else:
+        if method != ADMM:
             eta = 0.9 / sigma
-    omega = config.omega
+        elif tune_eta:
+            eta, _ = _tune_admm_eta(problem)
+        else:
+            eta = 1.0
     if omega == "auto":
-        if config.method not in (PDHG, EGM):
+        if method not in (PDHG, EGM):
             raise ValueError("omega tuning applies to PDHG and EGM only")
-        omega, table = tune_primal_weight(problem, config.method, eta,
-                                          lipschitz=None if sigma is None else 1.01 * sigma)
-        tuned["omega_table"] = table
-    omega = float(omega)
-    lipschitz = 1.01 * sigma if (config.method == EGM and sigma is not None) else None
-    return StepConfig(config.method, eta, omega=omega, lipschitz=lipschitz), tuned
+        omega, _ = tune_primal_weight(problem, method, eta,
+                                      lipschitz=None if sigma is None else 1.01 * sigma)
+    lipschitz = 1.01 * sigma if (method == EGM and sigma is not None) else None
+    return StepConfig(method, eta, omega=float(omega), lipschitz=lipschitz)
 
 
-def _build_scheme(config):
-    if config.scheme == NO_RESTART:
+def _build_scheme(args):
+    if args.scheme == NO_RESTART:
         return RestartScheme.none()
-    if config.scheme == FIXED:
-        if config.fixed_length is None:
+    if args.scheme == FIXED:
+        if args.fixed_length is None:
             raise ValueError("fixed scheme needs --fixed-length")
-        return RestartScheme.fixed(config.fixed_length)
-    if config.scheme == ADAPTIVE:
-        return RestartScheme.adaptive(beta=config.beta, tau0=config.tau0)
-    if config.scheme == FLEXIBLE:
-        return RestartScheme.flexible(beta=config.beta, tau0=config.tau0)
-    raise ValueError(f"unknown scheme {config.scheme!r}")
+        return RestartScheme.fixed(args.fixed_length)
+    if args.scheme == ADAPTIVE:
+        return RestartScheme.adaptive(beta=args.beta, tau0=args.tau0)
+    if args.scheme == FLEXIBLE:
+        return RestartScheme.flexible(beta=args.beta, tau0=args.tau0)
+    raise ValueError(f"unknown scheme {args.scheme!r}")
 
 
 def write_trace_csv(path, trace):
@@ -238,33 +212,32 @@ def _summary_dict(result, step, wall):
     }
 
 
-def cmd_solve(config):
+def _solve_options(args, step, scheme):
+    return SolveOptions(step=step, scheme=scheme, kkt_tol=args.kkt_tol,
+                        iteration_limit=args.iteration_limit,
+                        check_cadence=args.check_cadence, trace_cadence=args.trace_cadence)
+
+
+def cmd_solve(args):
     """Run one restarted solve; returns the process exit status."""
-    try:
-        problem, meta = load_problem(config)
-        step, _tuned = _build_step_config(config, problem)
-        scheme = _build_scheme(config)
-        if config.method == ADMM and config.start != "zeros":
-            raise ValueError("--start applies to PDHG, EGM and PPM; ADMM starts from zeros")
-        z0 = _parse_start(config.start, problem)
-        options = SolveOptions(step=step, scheme=scheme, kkt_tol=config.kkt_tol,
-                               iteration_limit=config.iteration_limit,
-                               check_cadence=config.check_cadence,
-                               trace_cadence=config.trace_cadence)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    problem, meta = load_problem(args)
+    step = _build_step_config(problem, args.method, args.eta, args.omega, args.tune_eta)
+    scheme = _build_scheme(args)
+    if args.method == ADMM and args.start != "zeros":
+        raise ValueError("--start applies to PDHG, EGM and PPM; ADMM starts from zeros")
+    z0 = _parse_start(args.start, problem)
+    options = _solve_options(args, step, scheme)
 
     t0 = time.perf_counter()
     result = run_restarted(problem, options, z0=z0)
     wall = time.perf_counter() - t0
 
-    if config.trace_out:
-        write_trace_csv(config.trace_out, result.trace)
+    if args.trace_out:
+        write_trace_csv(args.trace_out, result.trace)
     summary = _summary_dict(result, step, wall)
     summary["problem"] = meta
-    if config.summary_out:
-        with open(config.summary_out, "w") as fh:
+    if args.summary_out:
+        with open(args.summary_out, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"{meta['source']}: {result.status} after {result.iterations} iterations, "
@@ -416,28 +389,24 @@ def _tune_admm_eta(problem, iterations=5000):
     return _pick_on_grid(table, _roundoff_floor(problem, _ROUNDOFF + PROJECTION_TOL)), table
 
 
-def cmd_tune_primal_weight(config, iterations=5000):
+def cmd_tune_primal_weight(args):
     """CLI wrapper: tune omega and print the table; returns exit status.
 
     The choice follows :func:`tune_primal_weight` (roundoff floor, ties
     toward omega = 1); the printed and JSON tables hold the measured errors.
     """
-    try:
-        _check_budget(iterations)
-        problem, meta = load_problem(config)
-        if config.method not in (PDHG, EGM):
-            raise ValueError("tune-omega supports PDHG and EGM")
-        step, _ = _build_step_config(replace(config, omega=1.0), problem)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    omega, table = tune_primal_weight(problem, config.method, step.eta,
-                                      iterations=iterations, lipschitz=step.lipschitz)
+    _check_budget(args.tune_iterations)
+    problem, _ = load_problem(args)
+    if args.method not in (PDHG, EGM):
+        raise ValueError("tune-omega supports PDHG and EGM")
+    step = _build_step_config(problem, args.method, args.eta, 1.0, False)
+    omega, table = tune_primal_weight(problem, args.method, step.eta,
+                                      iterations=args.tune_iterations, lipschitz=step.lipschitz)
     for w, err in table:
         print(f"omega {w:12.6g}  kkt {err:.6e}")
     print(f"chosen omega: {omega:.6g}")
-    if config.summary_out:
-        with open(config.summary_out, "w") as fh:
+    if args.summary_out:
+        with open(args.summary_out, "w") as fh:
             json.dump({"omega": omega,
                        "table": [{"omega": w, "kkt_error": e if math.isfinite(e) else None}
                                  for w, e in table]}, fh, indent=2, sort_keys=True)
@@ -483,7 +452,7 @@ def _gap_metrics(trace):
     return iters_to, final_gap
 
 
-def cmd_sweep_restart_lengths(config, out_dir=None):
+def cmd_sweep_restart_lengths(args):
     """Run Fixed(4^k) for k = 1..9 plus adaptive and no-restart, rank the
     fixed lengths, and write per-run traces and the ranking table.
 
@@ -493,26 +462,19 @@ def cmd_sweep_restart_lengths(config, out_dir=None):
     ties to the longer length), followed by the adaptive and no-restart
     runs unranked ("-").
     """
-    try:
-        problem, meta = load_problem(config)
-        step, _ = _build_step_config(config, problem)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = Path(out_dir) if out_dir else None
+    problem, _ = load_problem(args)
+    step = _build_step_config(problem, args.method, args.eta, args.omega, False)
+    out = Path(args.out_dir) if args.out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    runs = [("adaptive", RestartScheme.adaptive(beta=config.beta, tau0=config.tau0)),
+    runs = [("adaptive", RestartScheme.adaptive(beta=args.beta, tau0=args.tau0)),
             ("no_restart", RestartScheme.none())]
     runs += [(f"fixed_{4 ** k}", RestartScheme.fixed(4 ** k)) for k in range(1, 10)]
 
     metrics = []
     for label, scheme in runs:
-        options = SolveOptions(step=step, scheme=scheme, kkt_tol=config.kkt_tol,
-                               iteration_limit=config.iteration_limit,
-                               check_cadence=config.check_cadence,
-                               trace_cadence=config.trace_cadence)
+        options = _solve_options(args, step, scheme)
         try:
             result = run_restarted(problem, options)
         except Exception as exc:  # per-run failures recorded, sweep continues
@@ -547,32 +509,25 @@ def cmd_sweep_restart_lengths(config, out_dir=None):
 # ---------------------------------------------------------------------------
 
 
-def cmd_bilinear_lab(kappas, eps, out_dir):
+def cmd_bilinear_lab(args):
     """Emit the condition-number scaling CSV and the 50-iteration toy
     trajectory CSV (plain vs restart length 25 at eta = 0.2)."""
+    kappas = [float(k) for k in args.kappas.split(",") if k.strip()]
     if not kappas:
-        print("error: kappa list must be nonempty", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        report = table3_scaling_experiment(kappas, eps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    out = Path(out_dir)
+        raise ValueError("kappa list must be nonempty")
+    report = table3_scaling_experiment(kappas, args.eps)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "scaling.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(report.csv_rows())
 
-    iterations = 50
-    plain, restarted = two_dim_toy_series(iterations=iterations, eta=0.2,
-                                          restart_length=25)
+    plain, restarted = two_dim_toy_series()
     with open(out / "figure1.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("series", "iteration", "x", "y"))
-        for t in range(1, iterations + 1):
-            writer.writerow(("no_restart", t, f"{plain[t, 0]:.17g}", f"{plain[t, 1]:.17g}"))
-        for t in range(1, iterations + 1):
-            writer.writerow(("fixed_25", t, f"{restarted[t, 0]:.17g}", f"{restarted[t, 1]:.17g}"))
+        for label, path in (("no_restart", plain), ("fixed_25", restarted)):
+            for t in range(1, len(path)):
+                writer.writerow((label, t, f"{path[t, 0]:.17g}", f"{path[t, 1]:.17g}"))
 
     print(f"last-iterate slope vs kappa:  {report.last_slope:.3f}")
     print(f"restarted slope vs kappa:     {report.restarted_slope:.3f}")
@@ -612,7 +567,6 @@ def _add_common(parser):
                         help="step size (default: 0.9 / estimated sigma_max)")
     parser.add_argument("--omega", default="1.0",
                         help="primal weight, or 'auto' to tune")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kkt-tol", type=float, default=1e-6)
     parser.add_argument("--iteration-limit", type=int, default=1_000_000)
     parser.add_argument("--check-cadence", type=int, default=30)
@@ -620,36 +574,15 @@ def _add_common(parser):
     parser.add_argument("--summary-out", default=None)
 
 
-def _config_from_args(args):
-    omega = args.omega if args.omega == "auto" else float(args.omega)
-    return RunConfig(
-        input_path=args.input,
-        generator=args.generate,
-        method=args.method,
-        scheme=getattr(args, "scheme", ADAPTIVE),
-        fixed_length=getattr(args, "fixed_length", None),
-        beta=getattr(args, "beta", DEFAULT_BETA),
-        tau0=getattr(args, "tau0", 1),
-        eta=args.eta,
-        omega=omega,
-        tune_eta=getattr(args, "tune_eta", False),
-        kkt_tol=args.kkt_tol,
-        iteration_limit=args.iteration_limit,
-        check_cadence=args.check_cadence,
-        trace_cadence=args.trace_cadence,
-        trace_out=getattr(args, "trace_out", None),
-        summary_out=args.summary_out,
-        seed=args.seed,
-        start=getattr(args, "start", "zeros"),
-    )
-
-
 def main(argv=None):
     parser = _Parser(prog="restartlp",
                      description="Restarted matrix-free primal-dual LP solvers")
+    # each subparser's set_defaults replaces the name stored in ``command``
+    # with the function that runs it
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
+    p_solve.set_defaults(command=cmd_solve)
     _add_common(p_solve)
     p_solve.add_argument("--scheme", choices=[NO_RESTART, FIXED, ADAPTIVE, FLEXIBLE],
                          default=ADAPTIVE)
@@ -663,11 +596,13 @@ def main(argv=None):
                          help="'zeros' or comma-separated coordinates")
 
     p_tune = sub.add_parser("tune-omega", help="grid-search the primal weight")
+    p_tune.set_defaults(command=cmd_tune_primal_weight)
     _add_common(p_tune)
     p_tune.add_argument("--tune-iterations", type=int, default=5000)
 
     p_sweep = sub.add_parser("sweep-restarts",
                              help="compare fixed restart lengths 4^1..4^9")
+    p_sweep.set_defaults(command=cmd_sweep_restart_lengths)
     _add_common(p_sweep)
     p_sweep.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p_sweep.add_argument("--tau0", type=int, default=1)
@@ -675,6 +610,7 @@ def main(argv=None):
 
     p_lab = sub.add_parser("bilinear-lab",
                            help="condition-number scaling and toy trajectories")
+    p_lab.set_defaults(command=cmd_bilinear_lab)
     p_lab.add_argument("--kappas", default="4,8,16,32",
                        help="comma-separated condition numbers")
     p_lab.add_argument("--eps", type=float, default=1e-6)
@@ -682,22 +618,10 @@ def main(argv=None):
 
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return cmd_solve(_config_from_args(args))
-        if args.command == "tune-omega":
-            return cmd_tune_primal_weight(_config_from_args(args),
-                                          iterations=args.tune_iterations)
-        if args.command == "sweep-restarts":
-            return cmd_sweep_restart_lengths(_config_from_args(args),
-                                             out_dir=args.out_dir)
-        if args.command == "bilinear-lab":
-            kappas = [float(k) for k in args.kappas.split(",") if k.strip()]
-            return cmd_bilinear_lab(kappas, args.eps, args.out_dir)
+        return args.command(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    print(f"error: unknown command {args.command!r}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
 
 
 def entrypoint():

@@ -24,6 +24,16 @@
   guarantees are stated in: Euclidean, PDHG's M-norm and ADMM's semi-norm.
 * :func:`theoretical_linear_rate_check` -- the linear-rate theorem's
   closed-form check on an instance with known sharpness.
+* :func:`dynamics_matrix`, :class:`SpectralBlock` and the B-metric helpers
+  -- the closed-form algebra of PDHG on one (x_i, y_i) block of a diagonal
+  bilinear problem, against which :mod:`restartlp.bilinear`'s runs and the
+  steps are checked.  Each block has complex eigenvalues of squared modulus
+  1 - eta^2 sigma^2, and in the metric B of the eigenbasis the iterates
+  decay geometrically at exactly that rate while the running average
+  decays like 1/K within explicit two-sided bounds.  Complex arithmetic is
+  carried as explicit real 2x2 algebra: the eigenbasis metric works out to
+  the real symmetric matrix
+  B = [[1, -eta sigma], [-eta sigma, 1]] / (2 (1 - eta^2 sigma^2)).
 """
 
 from __future__ import annotations
@@ -440,3 +450,105 @@ def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
         adaptive_lengths=lengths,
         adaptive_ok=adaptive_ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# Closed-form algebra of one diagonal bilinear PDHG block
+# ---------------------------------------------------------------------------
+
+
+def _check_block(sigma, eta):
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if not 0 < eta <= 1.0 / sigma:
+        raise ValueError("need 0 < eta <= 1/sigma")
+
+
+def dynamics_matrix(sigma, eta):
+    """The 2x2 update matrix of one PDHG step on the (x_i, y_i) block."""
+    _check_block(sigma, eta)
+    a = eta * sigma
+    return np.array([[1.0, -a], [a, 1.0 - 2.0 * a * a]])
+
+
+def b_metric_matrix(sigma, eta):
+    """The eigenbasis metric B with (1/3)|v|^2 <= v'Bv <= |v|^2 for
+    eta <= 1/(2 sigma)."""
+    _check_block(sigma, eta)
+    a = eta * sigma
+    s2 = 1.0 - a * a
+    if s2 <= 0:
+        raise ValueError("B is defined for eta < 1/sigma")
+    return np.array([[1.0, -a], [-a, 1.0]]) / (2.0 * s2)
+
+
+def b_norm_sq(v, sigma, eta):
+    v = np.asarray(v, dtype=np.float64)
+    B = b_metric_matrix(sigma, eta)
+    return float(v @ (B @ v))
+
+
+@dataclass(frozen=True)
+class SpectralBlock:
+    """Spectral data of one coordinate block of the PDHG dynamics."""
+
+    sigma: float
+    eta: float
+
+    def __post_init__(self):
+        _check_block(self.sigma, self.eta)
+
+    @property
+    def dynamics(self):
+        return dynamics_matrix(self.sigma, self.eta)
+
+    @property
+    def b_metric(self):
+        return b_metric_matrix(self.sigma, self.eta)
+
+    @property
+    def eigenvalue_modulus_sq(self):
+        a = self.eta * self.sigma
+        return 1.0 - a * a
+
+    @property
+    def eigenvalues(self):
+        """The conjugate pair as (real, +/- imaginary) parts."""
+        a = self.eta * self.sigma
+        re = 1.0 - a * a
+        im = a * math.sqrt(max(1.0 - a * a, 0.0))
+        return re, im
+
+    @property
+    def one_minus_eigenvalue_abs(self):
+        """|1 - gamma|, which equals eta * sigma."""
+        re, im = self.eigenvalues
+        return math.hypot(1.0 - re, im)
+
+
+def theoretical_B_norm_decay(z0, sigma, eta, t):
+    """Exact B-norm-squared of the iterate after t steps:
+    (1 - eta^2 sigma^2)^t |z0|_B^2."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    a = eta * sigma
+    return (1.0 - a * a) ** t * b_norm_sq(z0, sigma, eta)
+
+
+def theoretical_average_bound(z0, sigma, eta, K):
+    """Two-sided envelope (upper, lower) for the B-norm of the K-step
+    running average of the block iterates.
+
+    upper = 2 |z0|_B / (K eta sigma)
+    lower = (sqrt(3)/2) eta sigma |z0|_B / (2 + K eta^2 sigma^2)
+
+    Both hold for every K >= 1 when eta sigma <= 1/2; they only meet (up to
+    constants) once K is of order 1/(eta sigma)^2.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    a = eta * sigma
+    nb = math.sqrt(b_norm_sq(z0, sigma, eta))
+    upper = 2.0 * nb / (K * a)
+    lower = (math.sqrt(3.0) / 2.0) * a * nb / (2.0 + K * a * a)
+    return upper, lower

@@ -11,24 +11,26 @@ from restartlp import (
     SaddlePoint,
     SolveOptions,
     SparseMatrix,
-    SpectralBlock,
     StandardFormLp,
     StepConfig,
-    b_metric_matrix,
-    b_norm_sq,
-    dynamics_matrix,
     generate,
     pdhg_step,
     power_method_sigma_max,
     table3_scaling_experiment,
-    theoretical_average_bound,
-    theoretical_B_norm_decay,
     two_dim_toy_series,
 )
 from restartlp import bilinear, restarts
 from restartlp.steps import EGM, PDHG
 
-from oracles import stacked_observe_numpy
+from oracles import (
+    SpectralBlock,
+    b_metric_matrix,
+    b_norm_sq,
+    dynamics_matrix,
+    stacked_observe_numpy,
+    theoretical_average_bound,
+    theoretical_B_norm_decay,
+)
 
 
 class TestDynamicsMatrix:
@@ -158,13 +160,13 @@ class TestAverageBound:
 
 class TestToySeries:
     def test_series_shapes_and_start(self):
-        plain, restarted = two_dim_toy_series(50, 0.2, 25)
+        plain, restarted = two_dim_toy_series()
         assert plain.shape == (51, 2) and restarted.shape == (51, 2)
         assert tuple(plain[0]) == (1.0, 1.0)
         assert tuple(restarted[0]) == (1.0, 1.0)
 
     def test_no_restart_series_is_exact_recurrence(self):
-        plain, _ = two_dim_toy_series(50, 0.2, 25)
+        plain, _ = two_dim_toy_series()
         P = dynamics_matrix(1.0, 0.2)
         z = np.array([1.0, 1.0])
         for t in range(1, 51):
@@ -173,7 +175,7 @@ class TestToySeries:
 
     def test_restarted_series_is_averaged_recurrence(self):
         # average the iterates, and every 25 steps restart from the average
-        _, restarted = two_dim_toy_series(50, 0.2, 25)
+        _, restarted = two_dim_toy_series()
         P = dynamics_matrix(1.0, 0.2)
         z = np.array([1.0, 1.0])
         for t in range(1, 51):
@@ -185,7 +187,7 @@ class TestToySeries:
                 z = avg
 
     def test_restarted_final_distance_smaller(self):
-        plain, restarted = two_dim_toy_series(50, 0.2, 25)
+        plain, restarted = two_dim_toy_series()
         assert np.linalg.norm(restarted[-1]) < np.linalg.norm(plain[-1])
 
 

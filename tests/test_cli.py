@@ -13,8 +13,6 @@ from restartlp.cli import (
     EXIT_ITERATION_LIMIT,
     EXIT_OPTIMAL,
     OMEGA_GRID,
-    RunConfig,
-    cmd_solve,
     main,
     parse_generator_spec,
     rank_fixed_runs,
@@ -122,7 +120,7 @@ class TestSolve:
             trace = tmp_path / f"trace_{tag}.csv"
             code = main(["solve", "--generate",
                          "random:m=15,n=30,density=0.3,seed=3",
-                         "--trace-out", str(trace), "--seed", "9"])
+                         "--trace-out", str(trace)])
             assert code == EXIT_OPTIMAL
             rows = read_trace(trace)
             traces.append([row[:-1] for row in rows])  # drop elapsed_seconds
@@ -140,7 +138,7 @@ class TestSolve:
         assert code == 4
 
     @pytest.mark.parametrize("command", [["solve"], ["solve", "--method", "egm"],
-                                         ["tune-omega"]])
+                                         ["tune-omega"], ["sweep-restarts"]])
     def test_all_zero_matrix_is_input_error(self, command, tmp_path, capsys):
         # no step size follows from sigma_max(A) = 0
         mps = tmp_path / "zero.mps"

@@ -39,8 +39,8 @@ from restartlp.steps import (
 from restartlp.scaling import rescale
 
 from conftest import random_sparse
-from oracles import (NormSpec, affine_project, egm_four_products, lagrangian, norm_value,
-                     pdhg_by_blocks)
+from oracles import (NormSpec, affine_project, dynamics_matrix, egm_four_products, lagrangian,
+                     norm_value, pdhg_by_blocks)
 
 
 def bilinear_data(a_val=1.0, c=0.0, b=0.0, nonneg=False):
@@ -462,8 +462,6 @@ class TestErgodicDecay:
 
 class TestDiagonalRecurrence:
     def test_pdhg_matches_block_matrix(self, rng):
-        from restartlp import dynamics_matrix
-
         sigmas = (0.3, 0.8, 1.0)
         problem, _ = generate(DiagonalBilinear(sigmas))
         eta = 0.7
