@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .ingest import (
     parse_mps,
     to_standard_form,
 )
-from .lp_core import SaddlePoint, power_method_sigma_max
+from .lp_core import SaddlePoint, StandardFormLp, power_method_sigma_max
 from .restarts import (
     ADAPTIVE,
     FIXED,
@@ -46,10 +46,11 @@ from .restarts import (
     RestartScheme,
     SolveOptions,
     Status,
+    _block_indices,
     _make_lane,
     _run_lane,
-    _stacked_lane,
-    _unstacked,
+    _SaddleLane,
+    _stack,
     run_restarted,
 )
 from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, StepConfig
@@ -264,6 +265,20 @@ def cmd_solve(args):
 _STACK_NNZ = 2 ** 16
 
 
+def _omega_copies(lane, omegas):
+    """The PDHG or EGM ``lane`` at each of ``omegas`` (powers of 4) as one
+    lane at omega = 1 on the stack of copies (c/s, A, b s), s = sqrt(omega),
+    of its problem; and per block, its indices and the factors [1/s; s]
+    that read it as the lone run's [x; y] (see :func:`tune_primal_weight`)."""
+    problem = lane.problem
+    scales = [math.sqrt(omega) for omega in omegas]
+    copies = [StandardFormLp(problem.c / s, problem.A, problem.b * s, problem.nonneg)
+              for s in scales]
+    blocks = [(index, np.r_[np.full(problem.n, 1.0 / s), np.full(problem.m, s)])
+              for index, s in zip(_block_indices(copies), scales)]
+    return _SaddleLane(_stack(copies), replace(lane.config, omega=1.0)), blocks
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _final_kkts(problem, configs, iterations):
     """For each of ``configs``: the KKT error of the caller's problem at
@@ -271,18 +286,22 @@ def _final_kkts(problem, configs, iterations):
     the run diverged, as a lone :func:`run_restarted` reads it.
 
     One config runs on its lone lane; several, which differ in omega
-    alone, as the blocks of their stacked lane, in one run of the restart
-    loop.  Block i diverged, as the loop's checkpoint decides for a lone
-    run, when its last iterate or average has a non-finite entry; else its
-    error is what the lone lane measures at its last iterate.
+    alone, as the blocks of their copies at omega = 1
+    (:func:`_omega_copies`), in one run of the restart loop.  Block i
+    diverged, as the loop's checkpoint decides for a lone run, when its
+    last iterate or average has a non-finite entry; else its error is what
+    the lone lane measures at its last iterate.
     """
     lane, _ = _make_lane(problem, configs[0])
-    k = len(configs)
-    run = lane if k == 1 else _stacked_lane(lane, [cfg.omega for cfg in configs])
+    if len(configs) == 1:
+        run, blocks = lane, [(slice(None), 1.0)]
+    else:
+        run, blocks = _omega_copies(lane, [cfg.omega for cfg in configs])
     result = _run_lane(run, SolveOptions(run.config, RestartScheme.none(), kkt_tol=0.0,
                                          iteration_limit=iterations, check_cadence=iterations))
     errors = []
-    for last, avg in zip(_unstacked(lane, result.last, k), _unstacked(lane, result.average, k)):
+    for index, unscale in blocks:
+        last, avg = result.last[index] * unscale, result.average[index] * unscale
         finite = np.all(np.isfinite(last)) and np.all(np.isfinite(avg))
         errors.append(lane.measure(last, 0.0)[1] if finite else math.inf)
     return errors
@@ -335,16 +354,18 @@ def tune_primal_weight(problem, method, eta, iterations=5000, lipschitz=None):
     and ``lipschitz`` are in the caller's units, as for a solve), and the
     error is that of the caller's problem.
 
-    The runs of several omegas are one run of the restart loop, on k
-    copies of the problem the lone run iterates stacked as the blocks of
-    one block-diagonal problem, block i stepping with tau = eta~/omega_i
-    and sigma = eta~ omega_i (:func:`_final_kkts`).  That is exact: each
-    CSR row of the stack holds its own block's entries, in the lone
-    matrix's order, and each step size is folded into the values and into
-    tau c and sigma b entry by entry, so every product, sum and elementwise
-    operation of a block is the lone run's, bit for bit, and a block that
-    overflows leaves the others alone.  One run pays the per-call overhead
-    of one run instead of eleven, which is most of a small problem's cost.
+    The runs of several omegas are one run of the restart loop at
+    omega = 1 on the stack of copies (c~/s, A~, b~ s), s = sqrt(omega), of
+    the problem the lone run iterates (:func:`_omega_copies`): the run at
+    omega on (c~, A~, b~) is x = x'/s, y = s y' for the run (x', y') at
+    omega = 1 on its copy.  That is exact: every grid value is a power of
+    4, so s is a power of two, and each product, sum, shift and max(., 0)
+    of a block is the lone run's value times a power of two, so the block
+    read back is the lone run bit for bit, short of an overflow or
+    underflow at a factor of at most 32.  Each CSR row of the stack holds
+    its own block's entries, so a block that overflows leaves the others
+    alone.  One run pays the per-call overhead of one run instead of
+    eleven, which is most of a small problem's cost.
     The grid is split into groups of max(1, 2^16 // max(nnz(A), n + m))
     omegas, run one after another, so a stack holds at most 2^16 nonzeros
     (about 2.5 MB with its scaled copy) and 2^16 vector entries, or a
@@ -565,13 +586,18 @@ def _add_common(parser):
                         default=PDHG)
     parser.add_argument("--eta", type=float, default=None,
                         help="step size (default: 0.9 / estimated sigma_max)")
+
+
+def _add_run_options(parser):
+    """The options of the restarted solves that solve and sweep-restarts run."""
     parser.add_argument("--omega", default="1.0",
                         help="primal weight, or 'auto' to tune")
     parser.add_argument("--kkt-tol", type=float, default=1e-6)
     parser.add_argument("--iteration-limit", type=int, default=1_000_000)
     parser.add_argument("--check-cadence", type=int, default=30)
     parser.add_argument("--trace-cadence", type=int, default=1)
-    parser.add_argument("--summary-out", default=None)
+    parser.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    parser.add_argument("--tau0", type=int, default=1)
 
 
 def main(argv=None):
@@ -584,14 +610,14 @@ def main(argv=None):
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_solve.set_defaults(command=cmd_solve)
     _add_common(p_solve)
+    _add_run_options(p_solve)
     p_solve.add_argument("--scheme", choices=[NO_RESTART, FIXED, ADAPTIVE, FLEXIBLE],
                          default=ADAPTIVE)
     p_solve.add_argument("--fixed-length", type=int, default=None)
-    p_solve.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p_solve.add_argument("--tau0", type=int, default=1)
     p_solve.add_argument("--tune-eta", action="store_true",
                          help="ADMM: tune eta over the 4^k grid first")
     p_solve.add_argument("--trace-out", default=None)
+    p_solve.add_argument("--summary-out", default=None)
     p_solve.add_argument("--start", default="zeros",
                          help="'zeros' or comma-separated coordinates")
 
@@ -599,13 +625,13 @@ def main(argv=None):
     p_tune.set_defaults(command=cmd_tune_primal_weight)
     _add_common(p_tune)
     p_tune.add_argument("--tune-iterations", type=int, default=5000)
+    p_tune.add_argument("--summary-out", default=None)
 
     p_sweep = sub.add_parser("sweep-restarts",
                              help="compare fixed restart lengths 4^1..4^9")
     p_sweep.set_defaults(command=cmd_sweep_restart_lengths)
     _add_common(p_sweep)
-    p_sweep.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p_sweep.add_argument("--tau0", type=int, default=1)
+    _add_run_options(p_sweep)
     p_sweep.add_argument("--out-dir", default=None)
 
     p_lab = sub.add_parser("bilinear-lab",

@@ -75,11 +75,9 @@ class SparseMatrix:
     The block-diagonal matrix of several (:meth:`block_diagonal`) holds in
     each row the entries of one row of one of them, in their stored order,
     so a product with it repeats, block by block, the sums of the products
-    with each bit for bit.  :meth:`scaled_products` scales by one scalar
-    per product or by one value per row (A v) and per column (A^T w), which
-    gives each block of such a stack a scale of its own;
-    :meth:`saddle_products` runs both scaled products as one product with
-    the saddle operator [[0, t A^T], [s A, 0]].
+    with each bit for bit.  :meth:`scaled_products` scales each product by
+    a scalar of its own; :meth:`saddle_products` runs both scaled products
+    as one product with the saddle operator [[0, t A^T], [s A, 0]].
 
     A matrix is never modified in place: :meth:`scaled`,
     :meth:`scaled_products`, :meth:`saddle_products` and
@@ -236,22 +234,14 @@ class SparseMatrix:
     def scaled_products(self, matvec_scale, rmatvec_scale):
         """The operator pair v -> (s a_ij) v and w -> (t a_ij) w for
         s = ``matvec_scale``, t = ``rmatvec_scale``: a matrix whose
-        :meth:`matvec` is s A and whose :meth:`rmatvec` is t A^T.
+        :meth:`matvec` is s A and whose :meth:`rmatvec` is t A^T, for
+        scalars s and t.
 
-        Each scale is a scalar, or an array of one value per row (s_i) or
-        per column (t_j) of A, giving diag(s) A and diag(t) A^T.  Each
-        product gets values of its own, multiplied once, entry by entry,
-        over A's index arrays, so the two are no longer transposes of one
-        another.  :meth:`saddle_products` runs both as one product.
+        Each product gets values of its own, multiplied once, entry by
+        entry, over A's index arrays, so the two are no longer transposes of
+        one another.  :meth:`saddle_products` runs both as one product.
         """
         csr = self._csr
-        if np.ndim(matvec_scale):
-            # raises ValueError unless there is one scale per row
-            matvec_scale = np.repeat(matvec_scale, np.diff(csr.indptr))
-        if np.ndim(rmatvec_scale):
-            if np.shape(rmatvec_scale) != self._col_shape:  # indexing would take a longer one
-                raise ValueError(f"expected one scale per column, got {np.shape(rmatvec_scale)}")
-            rmatvec_scale = np.asarray(rmatvec_scale)[csr.indices]
         return self._revalued(matvec_scale * csr.data, rmatvec_scale * csr.data)
 
     def saddle_products(self, matvec_scale, rmatvec_scale):

@@ -298,21 +298,20 @@ class _Lane:
 
 
 class _SaddleLane(_Lane):
-    """PDHG, EGM or PPM; with ``omegas``, PDHG or EGM on a stack of blocks
-    at one primal weight each (see :func:`_stacked_lane`)."""
+    """PDHG, EGM or PPM."""
 
     point = SaddlePoint
 
-    def __init__(self, problem, config, d1=None, d2=None, omegas=None):
+    def __init__(self, problem, config, d1=None, d2=None):
         self.problem, self.config = problem, config
         self.n = n = problem.n
         self.size = n + problem.m
         # the steps are looked up by name at each call
         if config.method == PDHG:
-            ops = StepOperators(problem, config, omegas)
+            ops = StepOperators(problem, config)
             self.step = lambda z: pdhg_step(problem, z, config, ops)
         elif config.method == EGM:
-            ops = StepOperators(problem, config, omegas)
+            ops = StepOperators(problem, config)
             self.step = lambda z: egm_step(problem, z, config, ops)
         elif config.method == PPM_BILINEAR:
             eta = config.eta
@@ -441,24 +440,6 @@ def _block_indices(problems):
     x_end = np.cumsum([p.n for p in problems])
     y_end = x_end[-1] + np.cumsum([p.m for p in problems])
     return [np.r_[xe - p.n:xe, ye - p.m:ye] for p, xe, ye in zip(problems, x_end, y_end)]
-
-
-def _stacked_lane(lane, omegas):
-    """A lane that steps the PDHG or EGM ``lane``'s problem at each of the
-    k = len(omegas) primal weights at once, unscaled, on the stack of k
-    copies of it (:func:`_stack`): block i holds the bits of a lone run of
-    ``lane`` at omegas[i] (see :class:`~restartlp.steps.StepOperators`)."""
-    return _SaddleLane(_stack([lane.problem] * len(omegas)), lane.config, omegas=omegas)
-
-
-def _unstacked(lane, vec, k):
-    """The k blocks of ``vec``, a flat vector of a stacked lane of ``lane``
-    (:func:`_block_indices`), each as a flat vector of ``lane``; when
-    k = 1, ``vec`` is one of ``lane`` itself, of any method, and is its
-    one block."""
-    if k == 1:
-        return [vec]
-    return [vec[index] for index in _block_indices([lane.problem] * k)]
 
 
 # Overflow on a diverging run is reported as Status.DIVERGED by the

@@ -212,25 +212,13 @@ class StepOperators(_Operators):
 
     The operator a method does not use (``M`` for PDHG, ``K`` and
     ``work`` for EGM) is None.
-
-    With ``omegas``, k primal weights, ``problem`` is k copies of one
-    problem stacked as blocks (A block-diagonal, c and b tiled) and block i
-    steps with tau_i = eta/omegas[i] and sigma_i = eta omegas[i]: tau and
-    sigma become vectors over the columns and the rows, folded in entry by
-    entry, so every value and sum of block i is the one a lone step at
-    omegas[i] computes, bit for bit.
     """
 
-    def __init__(self, problem, config, omegas=None):
+    def __init__(self, problem, config):
         if config.method not in (PDHG, EGM):
             raise ValueError(f"step operators are for PDHG and EGM, not {config.method}")
-        if omegas is None:
-            tau = config.eta / config.omega
-            sigma = config.eta * config.omega
-        else:
-            omegas = np.asarray(omegas, dtype=np.float64)
-            tau = np.repeat(config.eta / omegas, problem.n // omegas.size)
-            sigma = np.repeat(config.eta * omegas, problem.m // omegas.size)
+        tau = config.eta / config.omega
+        sigma = config.eta * config.omega
         self.problem, self.config = problem, config
         self.n = n = problem.n
         self.shift = np.concatenate([-(tau * problem.c), sigma * problem.b])

@@ -259,8 +259,8 @@ def stacked_observe_numpy(blocks, eps, levels, last, hits):
 
 
 def _block_data(problem, tau, sigma):
-    """tau A' and -sigma A as one operator pair, tau c and sigma b; tau and
-    sigma are scalars, or one value per column and per row."""
+    """tau A' and -sigma A as one operator pair, tau c and sigma b, for
+    scalars tau and sigma."""
     return problem.A.scaled_products(-sigma, tau), tau * problem.c, sigma * problem.b
 
 

@@ -19,7 +19,7 @@ from restartlp import (
     table3_scaling_experiment,
     two_dim_toy_series,
 )
-from restartlp import bilinear, restarts
+from restartlp import bilinear, cli, restarts
 from restartlp.steps import EGM, PDHG
 
 from oracles import (
@@ -345,8 +345,9 @@ class TestScalarObserve:
 class TestStackedRun:
     """A stack of lone problems (:func:`restartlp.restarts._stack`) repeats
     each lone run bit for bit: Table 3's kappa blocks, a matrix of its own
-    each, and the primal-weight tuner's copies of one LP at several omegas;
-    and its blocks read back alike wherever they are read."""
+    each, and the primal-weight tuner's rescaled copies of one LP at
+    omega = 1, one per grid weight; and its blocks read back alike wherever
+    they are read."""
 
     KAPPAS = (4.0, 5.5, 4.0, 23.0, 2.0, 32.0)
     ITERATIONS = 300
@@ -397,21 +398,24 @@ class TestStackedRun:
 
     @pytest.mark.parametrize("method", [PDHG, EGM])
     def test_copies_at_several_omegas_equal_lone_runs(self, method):
-        # the tuner's stack: copies of the rescaled LP a lone solve steps on
+        # the tuner's stack: copies of the rescaled LP a lone solve steps on,
+        # each read back through its factors [1/s; s]
         problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 0))
         sigma = power_method_sigma_max(problem.A)
         lipschitz = 1.01 * sigma if method == EGM else None
         lane, _ = restarts._make_lane(problem, StepConfig(method, 0.9 / sigma,
                                                           lipschitz=lipschitz))
-        omegas = [0.25, 1.0, 3.0, 16.0]
-        stacked = self._record(restarts._stacked_lane(lane, omegas),
-                               restarts._block_indices([lane.problem] * len(omegas)))
+        omegas = [0.25, 1.0, 4.0, 16.0]
+        copies, blocks = cli._omega_copies(lane, omegas)
+        assert copies.config == replace(lane.config, omega=1.0)
+        stacked = [[(z * unscale, avg * unscale) for (z, avg), (_, unscale) in zip(row, blocks)]
+                   for row in self._record(copies, [index for index, _ in blocks])]
         runs = [self._record(restarts._SaddleLane(lane.problem, replace(lane.config, omega=w)),
                              self._lone_index(lane.problem)) for w in omegas]
         self._assert_blocks_repeat(stacked, runs)
         assert len({run[-1][0][0].tobytes() for run in runs}) == len(omegas)
 
-    def test_unstacked_reads_the_blocks_table3_reads(self, monkeypatch):
+    def test_tuner_copies_read_the_blocks_table3_reads(self, monkeypatch):
         seen = []
         stacked_observe = bilinear._stacked_observe
 
@@ -426,8 +430,10 @@ class TestStackedRun:
         assert k == 4
         lone, _ = generate(DiagonalBilinear((0.5, 1.0)))
         lane = restarts._SaddleLane(lone, StepConfig(PDHG, 0.5))
+        _, copies = cli._omega_copies(lane, cli.OMEGA_GRID[:k])
         vec = np.random.default_rng(0).standard_normal(4 * k)
-        for j, (index, block) in enumerate(zip(blocks, restarts._unstacked(lane, vec, k))):
+        for j, (index, (copy_index, _)) in enumerate(zip(blocks, copies)):
+            block = vec[copy_index]
             assert block.tobytes() == vec[index].tobytes(), j
             # [x_j; y_j]: y_j lies past the k blocks of x
             assert np.array_equal(block, vec[[2 * j, 2 * j + 1, 2 * k + 2 * j, 2 * k + 2 * j + 1]])

@@ -19,7 +19,8 @@ from restartlp.cli import (
     tune_primal_weight,
 )
 from restartlp import lp_core
-from restartlp.ingest import DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate
+from restartlp.ingest import (DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate,
+                              parse_mps, to_standard_form)
 from restartlp.lp_core import SparseMatrix, StandardFormLp, power_method_sigma_max
 from restartlp.restarts import RestartScheme, SolveOptions, Status, run_restarted
 from restartlp.steps import ADMM, EGM, PDHG, PROJECTION_TOL, StepConfig
@@ -39,6 +40,22 @@ ENDATA
 
 # every stored coefficient is zero
 ZERO_MPS = TINY_MPS.replace("1.0", "0.0")
+
+
+def standard_form_mps(problem):
+    """min c'x s.t. Ax = b, x >= 0 as MPS text, every value with all its
+    digits."""
+    lines = ["NAME          LP", "ROWS", " N  COST"]
+    lines += [f" E  R{i}" for i in range(problem.m)]
+    lines.append("COLUMNS")
+    for j, cost in enumerate(problem.c.tolist()):
+        lines.append(f"    X{j}  COST  {cost!r}")
+        in_column = problem.A.cols == j
+        for i, a in zip(problem.A.rows[in_column].tolist(), problem.A.vals[in_column].tolist()):
+            lines.append(f"    X{j}  R{i}  {a!r}")
+    lines.append("RHS")
+    lines += [f"    RHS  R{i}  {b!r}" for i, b in enumerate(problem.b.tolist())]
+    return "\n".join(lines + ["ENDATA", ""])
 
 
 def read_trace(path):
@@ -203,9 +220,11 @@ def planted(m=20, n=40, density=0.3, seed=1):
 
 class TestTuneOmega:
     def test_grid_is_eleven_powers_of_four(self):
-        assert len(OMEGA_GRID) == 11
-        assert OMEGA_GRID[0] == pytest.approx(4.0 ** -5)
-        assert OMEGA_GRID[-1] == pytest.approx(4.0 ** 5)
+        # the stacked runs are exact because each sqrt(omega) is a power of two
+        assert OMEGA_GRID == tuple(4.0 ** k for k in range(-5, 6))
+        for omega in OMEGA_GRID:
+            mantissa, _ = math.frexp(math.sqrt(omega))
+            assert mantissa == 0.5, omega
         assert min(OMEGA_GRID) < 1.0 < max(OMEGA_GRID)
 
     def test_symmetric_instance_prefers_one(self):
@@ -254,6 +273,40 @@ class TestTuneOmega:
         assert omega == 1.0
         assert [w for w, _ in table] == list(OMEGA_GRID)
         assert all(err == math.inf for _, err in table)
+
+    @pytest.mark.parametrize("method", [PDHG, EGM])
+    def test_solve_with_tuned_omega(self, method, tmp_path):
+        # b scaled by 100 moves the tuned omega off 1
+        problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 1))
+        mps = tmp_path / "scaled.mps"
+        mps.write_text(standard_form_mps(StandardFormLp(problem.c, problem.A, 100.0 * problem.b)))
+        summary = tmp_path / "summary.json"
+        code = main(["solve", "--input", str(mps), "--method", method, "--omega", "auto",
+                     "--summary-out", str(summary)])
+        assert code == EXIT_OPTIMAL
+        data = json.loads(summary.read_text())
+        parsed, _ = to_standard_form(parse_mps(mps.read_text()))
+        sigma = power_method_sigma_max(parsed.A)
+        # as solve tunes it: eta and the Lipschitz bound from sigma_max
+        want, _ = tune_primal_weight(parsed, method, 0.9 / sigma, lipschitz=1.01 * sigma)
+        assert want != 1.0
+        assert data["omega"] == want and data["status"] == "optimal"
+
+    def test_solve_with_tuned_omega_rejects_admm(self, capsys):
+        code = main(["solve", "--generate", "random:m=8,n=16,density=0.4,seed=1",
+                     "--method", "admm", "--omega", "auto"])
+        assert code == EXIT_INPUT_ERROR
+        assert "omega tuning applies to PDHG and EGM only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--omega", "4"], ["--kkt-tol", "nan"],
+                                        ["--iteration-limit", "1"], ["--check-cadence", "5"],
+                                        ["--trace-cadence", "5"]],
+                             ids=lambda option: option[0].lstrip("-"))
+    def test_solve_options_are_not_options_of_tuning(self, option, capsys):
+        code = main(["tune-omega", "--generate", "random:m=8,n=16,density=0.4,seed=1",
+                     "--tune-iterations", "50", *option])
+        assert code == EXIT_INPUT_ERROR
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     def test_cli_command(self, tmp_path):
         summary = tmp_path / "omega.json"
@@ -369,6 +422,13 @@ class TestSweep:
         ranked = [label for label, *_ in rank_fixed_runs(metrics)]
         assert ranked == ["fixed_1024", "fixed_16", "fixed_4",
                           "fixed_256", "fixed_64"]
+
+    def test_summary_out_is_not_an_option(self, tmp_path, capsys):
+        summary = tmp_path / "sweep.json"
+        code = main(["sweep-restarts", "--generate", "toy", "--eta", "0.2",
+                     "--iteration-limit", "300", "--summary-out", str(summary)])
+        assert code == EXIT_INPUT_ERROR and not summary.exists()
+        assert "unrecognized arguments: --summary-out" in capsys.readouterr().err
 
     def test_sweep_on_toy(self, tmp_path):
         out = tmp_path / "sweep"

@@ -26,7 +26,7 @@ from restartlp import (
     ppm_bilinear_step,
     run_restarted,
 )
-from restartlp import steps
+from restartlp import restarts, steps
 from restartlp.steps import (
     PPM_BILINEAR,
     AdmmOperators,
@@ -676,20 +676,18 @@ class TestStepOperators:
 
 
 def _flat_cases(rng):
-    """(label, problem, eta, omegas) for the flat steps: an LP and a
-    bilinear problem, each alone (omegas None) and as three stacked blocks
-    at a primal weight each."""
-    lp, _ = generate(RandomLpKnownOptimum(15, 30, 0.3, 4))
-    bil = StandardFormLp(rng.standard_normal(10), random_sparse(6, 10, 0.5, rng),
-                         rng.standard_normal(6), nonneg=False)
-    omegas = np.array([0.5, 1.0, 2.0])
+    """(label, problem, eta) for the flat steps: an LP and a bilinear
+    problem, each alone and as the first of three stacked blocks of
+    different sizes (:func:`restartlp.restarts._stack`)."""
+    lps = [generate(RandomLpKnownOptimum(m, 2 * m, 0.3, seed))[0]
+           for m, seed in ((15, 4), (8, 5), (11, 6))]
+    bils = [StandardFormLp(rng.standard_normal(n), random_sparse(m, n, 0.5, rng),
+                           rng.standard_normal(m), nonneg=False)
+            for m, n in ((6, 10), (4, 5), (7, 9))]
     cases = []
-    for label, problem in (("lp", lp), ("bilinear", bil)):
-        eta = 0.9 / power_method_sigma_max(problem.A)
-        stack = StandardFormLp(np.tile(problem.c, 3),
-                               SparseMatrix.block_diagonal([problem.A] * 3),
-                               np.tile(problem.b, 3), nonneg=problem.nonneg)
-        cases += [(label, problem, eta, None), (label + "-stacked", stack, eta, omegas)]
+    for label, problems in (("lp", lps), ("bilinear", bils)):
+        for case, problem in ((label, problems[0]), (label + "-stacked", restarts._stack(problems))):
+            cases.append((case, problem, 0.9 / power_method_sigma_max(problem.A)))
     return cases
 
 
@@ -697,19 +695,15 @@ class TestFlatSteps:
     """PDHG starts both blocks of its output with one addition on the flat
     vectors, and EGM runs each half-step as one product with the saddle
     operator; both repeat the block-by-block references of :mod:`oracles`
-    bit for bit, with one primal weight or a stack of them, from the
-    operators' own buffers and from a new anchor."""
+    bit for bit, on one problem or a stack of several, from the operators'
+    own buffers and from a new anchor."""
 
     @pytest.mark.parametrize("method", [PDHG, EGM])
     def test_steps_repeat_the_block_references(self, rng, method):
-        for label, problem, eta, omegas in _flat_cases(rng):
+        for label, problem, eta in _flat_cases(rng):
             config = StepConfig(method, eta, omega=1.3)
-            if omegas is None:
-                tau, sigma = eta / 1.3, eta * 1.3
-            else:
-                tau = np.repeat(eta / omegas, problem.n // omegas.size)
-                sigma = np.repeat(eta * omegas, problem.m // omegas.size)
-            ops = StepOperators(problem, config, omegas)
+            tau, sigma = eta / 1.3, eta * 1.3
+            ops = StepOperators(problem, config)
             z, into = _start(problem, rng), 0
             for k in range(20):
                 if k == 10:
@@ -727,7 +721,7 @@ class TestFlatSteps:
                 z, into = out.next, 1 - into
 
     def test_egm_runs_two_saddle_products(self, rng):
-        _, problem, eta, _ = _flat_cases(rng)[0]
+        _, problem, eta = _flat_cases(rng)[0]
         ops = StepOperators(problem, StepConfig(EGM, eta))
         assert ops.K is None and ops.work is None
         assert ops.M.shape == (problem.n + problem.m,) * 2 and ops.M.nnz == 2 * problem.A.nnz
@@ -739,13 +733,13 @@ class TestFlatSteps:
                                   np.concatenate([-(eta * problem.c), eta * problem.b]))
 
     def test_operators_of_another_class_problem_or_config_raise(self, rng):
-        (_, lp, eta, _), (_, stack, _, omegas) = _flat_cases(rng)[:2]
+        (_, lp, eta), (_, stack, _) = _flat_cases(rng)[:2]
         config = StepConfig(EGM, eta)
         z = _start(lp, rng)
         others = [
             StepOperators(lp, StepConfig(EGM, eta / 2)),
             StepOperators(lp, StepConfig(PDHG, eta)),
-            StepOperators(stack, config, omegas),
+            StepOperators(stack, config),
             AdmmOperators(lp, StepConfig(ADMM, 1.0)),
         ]
         for ops in others:
