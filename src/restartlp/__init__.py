@@ -46,13 +46,7 @@ from .steps import (
     pdhg_step,
     ppm_bilinear_step,
 )
-from .gap import (
-    GapResult,
-    TrustRegionProblem,
-    normalized_gap_admm,
-    normalized_gap_lp,
-    solve_linear_trust_region,
-)
+from .gap import normalized_gap_admm, normalized_gap_lp, solve_linear_trust_region
 from .scaling import Scaling, rescale
 from .restarts import (
     ADAPTIVE,

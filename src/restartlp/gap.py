@@ -6,68 +6,30 @@ bilinear LP Lagrangian the inner maximization is a trust-region problem with
 a linear objective.  Its coordinates fall in two blocks: a bounded block
 that may move down by at most its cap (an LP's x, which stays >= 0: cap x)
 and a free block (an LP's y), which enters the solution only through the
-squared norm of its gradient.  :func:`solve_block_trust_region` solves that
+squared norm of its gradient.  :func:`solve_linear_trust_region` solves that
 block form exactly from the sorted breakpoints of the bounded coordinates
-that can reach their bound.  A restart checkpoint reads the gap alone
-through two adapters over it: :func:`lp_gap`, from the gradient blocks the
-checkpoint has at hand, and :func:`normalized_gap_admm` for an ADMM point.
-:func:`solve_linear_trust_region` and :func:`normalized_gap_lp`, which also
-return the maximizer, are read only by the tests and by the benchmark's span
-tracer, which binds them by name; they stay until the tracer times the
-checkpoint's own entry points.  The tests check the solver against a
-slow reference that bisects the prox-regularized subproblem instead
-(``tests/oracles.py``); the two share nothing but the problem statement.
+that can reach their bound.  A restart checkpoint reads the gap alone,
+through one of two adapters over it: :func:`normalized_gap_lp`, from the
+gradient blocks the checkpoint has at hand, and :func:`normalized_gap_admm`
+for an ADMM point.  The tests check the solver against a slow reference
+that bisects the prox-regularized subproblem instead, and build the
+maximizer from its step length (``tests/oracles.py``); the two share
+nothing but the problem statement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import SaddlePoint, _check_dims
-
-__all__ = [
-    "TrustRegionProblem",
-    "GapResult",
-    "solve_block_trust_region",
-    "solve_linear_trust_region",
-    "lp_gap",
-    "normalized_gap_lp",
-    "normalized_gap_admm",
-]
+__all__ = ["solve_linear_trust_region", "normalized_gap_lp", "normalized_gap_admm"]
 
 _EMPTY = np.empty(0)
 _EMPTY.flags.writeable = False
 
 
-@dataclass
-class TrustRegionProblem:
-    """min g'zhat over {zhat >= lower, |zhat - center| <= radius}.
-
-    ``lower`` entries may be -inf; signs of ``g`` are unrestricted (negative
-    components are handled by reflection, they can never bind a lower bound).
-    """
-
-    g: np.ndarray
-    center: np.ndarray
-    lower: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=np.float64)
-        self.center = np.asarray(self.center, dtype=np.float64)
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        if not (self.g.shape == self.center.shape == self.lower.shape):
-            raise ValueError("g, center, lower must have matching shapes")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if np.any(self.lower > self.center):
-            raise ValueError("center must satisfy the lower bounds")
-
-
-def solve_block_trust_region(g_bound, cap, free_sq, radius):
+def solve_linear_trust_region(g_bound, cap, free_sq, radius):
     """Exact solution of the block trust region
 
         min g_bound'u + g_free'w  over  u >= -cap, |u|^2 + |w|^2 <= radius^2
@@ -135,95 +97,31 @@ def solve_block_trust_region(g_bound, cap, free_sq, radius):
     return lam, float(g[:j] @ c[:j]) + lam * f_hi
 
 
-def solve_linear_trust_region(p):
-    """Exact minimizer of a linear objective over ball-with-lower-bounds.
-
-    The coordinates with a finite lower bound are the bounded block of
-    :func:`solve_block_trust_region`, with cap center - lower; the others
-    are its free block.  The solution is zhat = max(center - lam g, lower),
-    or, when lam is inf, every coordinate with g_i > 0 at its bound and the
-    rest at the center (a g_i whose square underflows counts as 0).
-    """
-    bounded = np.isfinite(p.lower)
-    g_free = p.g[~bounded]
-    lam, _ = solve_block_trust_region(p.g[bounded], p.center[bounded] - p.lower[bounded],
-                                      g_free @ g_free, p.radius)
-    return _stepped(p.center, p.g, lam, p.lower)
-
-
-def _stepped(center, g, lam, lower=None):
-    """The minimizer center - lam g of :func:`solve_block_trust_region`,
-    clipped at ``lower`` if given.  At lam = inf every g_i that squares to
-    a nonzero value belongs to a bounded coordinate with g_i > 0, which sits
-    at its bound; the rest stay at the center."""
-    if lam == math.inf:
-        if lower is None:
-            return center.copy()
-        return np.where((g > 0.0) & (g * g > 0.0), lower, center)
-    out = center - lam * g
-    return out if lower is None else np.maximum(out, lower, out=out)
-
-
 # ---------------------------------------------------------------------------
 # Normalized duality gaps
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GapResult:
-    """Normalized duality gap value with the attaining point."""
+def normalized_gap_lp(problem, x, g_x, g_y, r):
+    """The normalized duality gap of the LP saddle point (x, y) at radius
+    r > 0 in the Euclidean norm, as a float, from the gradient blocks
+    g_x = c - A'y and g_y = Ax - b.
 
-    rho: float
-    maximizer: SaddlePoint
-
-
-def _check_feasible_x(problem, x):
-    if problem.nonneg and x.size and float(np.min(x)) < -1e-9 * (1.0 + float(np.max(np.abs(x)))):
-        raise ValueError("gap evaluation requires a feasible point (x >= 0)")
-
-
-def lp_gap(problem, x, g_x, g_y, r):
-    """``(lam, rho)``: the normalized duality gap rho of the LP saddle point
-    (x, y) at radius r > 0 in the Euclidean norm, and its step length, from
-    the gradient blocks g_x = c - A'y and g_y = Ax - b.
-
-    x is the bounded block (cap x) when ``problem.nonneg``; otherwise both
-    blocks are free.  The maximizer is (x - lam g_x, y - lam g_y), x clipped
-    at 0 (see :func:`normalized_gap_lp`).  Neither x nor the blocks are
-    checked or copied.
+    The maximization runs over the trust region around (x, y) with lower
+    bounds (0, -inf): x is the bounded block (cap x) of
+    :func:`solve_linear_trust_region` when ``problem.nonneg``, otherwise
+    both blocks are free.  Beyond the products that form the blocks the
+    cost is linear in n + m.  Neither x nor the blocks are checked or
+    copied.
     """
+    if r <= 0:
+        raise ValueError("radius must be positive")
     if problem.nonneg:
-        lam, decrease = solve_block_trust_region(g_x, x, g_y @ g_y, r)
+        _, decrease = solve_linear_trust_region(g_x, x, g_y @ g_y, r)
     else:
-        lam, decrease = solve_block_trust_region(_EMPTY, _EMPTY,
-                                                 float(g_x @ g_x) + float(g_y @ g_y), r)
-    return lam, max(decrease / r, 0.0)
-
-
-def normalized_gap_lp(problem, z, r):
-    """Normalized duality gap of an LP saddle point in the Euclidean norm.
-
-    Reduces to a linear trust-region problem with objective F(z), lower
-    bounds (0, -inf), center z (:func:`lp_gap`); beyond the products Ax
-    and A'y the cost is linear in n + m.  For r = 0 the closed-form limit
-    |F(z)| is returned, which is only valid (and only allowed) on
-    unconstrained bilinear problems.
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    _check_dims(problem, z)
-    _check_feasible_x(problem, z.x)
-    aty = problem.A.rmatvec(z.y)
-    ax = problem.A.matvec(z.x)
-    g_x, g_y = problem.c - aty, ax - problem.b
-    if r == 0.0:
-        if problem.nonneg:
-            raise ValueError("rho_0 is only exposed for unconstrained bilinear "
-                             "problems, where it equals |F(z)|")
-        return GapResult(float(np.linalg.norm(np.concatenate([g_x, g_y]))), z.copy())
-    lam, rho = lp_gap(problem, z.x, g_x, g_y, r)
-    x_hat = _stepped(z.x, g_x, lam, 0.0 if problem.nonneg else None)
-    return GapResult(rho, SaddlePoint(x_hat, _stepped(z.y, g_y, lam)))
+        _, decrease = solve_linear_trust_region(_EMPTY, _EMPTY,
+                                                float(g_x @ g_x) + float(g_y @ g_y), r)
+    return max(decrease / r, 0.0)
 
 
 def normalized_gap_admm(problem, point, r, eta):
@@ -254,5 +152,5 @@ def normalized_gap_admm(problem, point, r, eta):
     cap = se * x_v
     g_w = x_u - x_v
     g_w *= se
-    _, decrease = solve_block_trust_region(g_u, cap, g_w @ g_w, r)
+    _, decrease = solve_linear_trust_region(g_u, cap, g_w @ g_w, r)
     return max(decrease / r, 0.0)

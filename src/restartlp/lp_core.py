@@ -240,7 +240,10 @@ class SparseMatrix:
         Each product gets values of its own, multiplied once, entry by
         entry, over A's index arrays, so the two are no longer transposes of
         one another.  :meth:`saddle_products` runs both as one product.
+        A scale that is not a scalar is a ``ValueError``.
         """
+        if np.ndim(matvec_scale) or np.ndim(rmatvec_scale):
+            raise ValueError("product scales must be scalars")
         csr = self._csr
         return self._revalued(matvec_scale * csr.data, rmatvec_scale * csr.data)
 

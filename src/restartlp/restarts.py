@@ -35,11 +35,13 @@ Restart and termination checks happen only at checkpoints (every
 last iterate once each: its KKT error, and its normalized gap where the
 restart scheme reads it.  For PDHG, EGM and PPM that is one fused pass: the
 gradient blocks c - A'y and Ax - b come from one pair of matrix-vector
-products and feed both the KKT error and the block trust-region solve of
-the gap (:func:`~restartlp.gap.lp_gap`), which yields the gap alone.  For
-ADMM each KKT evaluation also extracts an LP dual estimate from
-A A' lam = -A y: one solve with the matrix's A A' factor, plus two
-products to verify its residual.
+products and feed both the KKT error and the gap
+(:func:`~restartlp.gap.normalized_gap_lp`, one block trust-region solve by
+:func:`~restartlp.gap.solve_linear_trust_region`).  For ADMM each KKT
+evaluation also extracts an LP dual estimate from A A' lam = -A y: one
+solve with the matrix's A A' factor, plus two products to verify its
+residual.  The start point is measured only when a solve diverges before
+its first checkpoint has measured anything better to return.
 """
 
 from __future__ import annotations
@@ -50,10 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gap import lp_gap, normalized_gap_admm
-# Not called here (a checkpoint reads the gap through lp_gap); the name stays
-# bound because perfbench's span-tracer test reads it from this module.
-from .gap import normalized_gap_lp  # noqa: F401
+from .gap import normalized_gap_admm, normalized_gap_lp
 from .lp_core import (
     SaddlePoint,
     SparseMatrix,
@@ -332,7 +331,7 @@ class _SaddleLane(_Lane):
         """(normalized gap at ``radius``, KKT error of the caller's problem);
         the gap reads 0.0 at radius 0.  One fused pass: the gradient blocks
         c - A'y and Ax - b are formed once, from one product pair, and both
-        the gap (:func:`~restartlp.gap.lp_gap`) and the KKT error
+        the gap (:func:`~restartlp.gap.normalized_gap_lp`) and the KKT error
         (:func:`~restartlp.lp_core.residuals_of_gradient`) read them."""
         problem, n = self.problem, self.n
         x, y = vec[:n], vec[n:]
@@ -340,7 +339,7 @@ class _SaddleLane(_Lane):
         np.subtract(problem.c, g_x, out=g_x)
         g_y = problem.A.matvec(x)
         g_y -= problem.b
-        gap = 0.0 if radius == 0.0 else lp_gap(problem, x, g_x, g_y, radius)[1]
+        gap = 0.0 if radius == 0.0 else normalized_gap_lp(problem, x, g_x, g_y, radius)
         kkt = residuals_of_gradient(problem, x, y, g_x, g_y, self.d1, self.d2).kkt_error
         return gap, kkt
 
@@ -518,7 +517,9 @@ def _run_lane(lane, options, z0=None, observe=None):
     total = 0
     stored_gap = None
     checkpoints = 0
-    good_vec, good_kkt = anchor_vec.copy(), lane.measure(anchor_vec, 0.0)[1]
+    # the best point a checkpoint has measured, or the start, whose KKT
+    # error only a divergence at the first checkpoint reads
+    good_vec, good_kkt = anchor_vec.copy(), None
 
     def finish(status, sol_vec, kkt_avg, kkt_last):
         return SolveResult(
@@ -561,6 +562,8 @@ def _run_lane(lane, options, z0=None, observe=None):
         np.divide(target_sum, inner, out=avg)
         checkpoints += 1
         if not (np.isfinite(cur).all() and np.isfinite(avg).all()):
+            if good_kkt is None:
+                good_kkt = lane.measure(good_vec, 0.0)[1]
             return finish(Status.DIVERGED, good_vec, good_kkt, good_kkt)
 
         # each point is measured once

@@ -3,11 +3,19 @@
 * :class:`KktSystem` / :func:`kkt_error` -- the LP optimality conditions as
   one explicit stacked system K z >= h, against which the matrix-free
   :func:`restartlp.lp_core.residuals` is checked.
+* :class:`TrustRegionProblem` -- the gap's trust region stated point-wise:
+  a linear objective over a ball around a center with lower bounds;
+  :func:`gap_trust_region` states the LP gap at a point that way.
+* :func:`trust_region_minimizer` -- the minimizer of a
+  :class:`TrustRegionProblem` from the step length of the package's one
+  solver, :func:`restartlp.gap.solve_linear_trust_region`, and
+  :func:`normalized_gap_at` -- the package's
+  :func:`restartlp.gap.normalized_gap_lp` at a point, its gradient blocks
+  formed here.
 * :func:`trust_region_bisection` / :func:`normalized_gap_bisection` -- a slow
   trust-region solve that bisects the scalar equation |zbar(mu) - z| = r of
-  the prox-regularized subproblem, against which the closed-form
-  :func:`restartlp.gap.solve_block_trust_region` (through its adapters)
-  is checked.
+  the prox-regularized subproblem, against which the closed-form solver
+  (through its adapters) is checked.
 * :func:`gradient_field` -- F(z) = (c - A'y, Ax - b) as one vector.
 * :func:`lagrangian` -- the value L(x, y) = c'x + b'y - y'Ax, from which
   the tests form primal-dual gaps at probe points.
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from restartlp.gap import GapResult, TrustRegionProblem, _check_feasible_x
+from restartlp.gap import normalized_gap_lp, solve_linear_trust_region
 from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix, _check_dims
 from restartlp.restarts import (DEFAULT_BETA, RestartScheme, SolveOptions, fixed_frequency_tstar,
                                 run_restarted)
@@ -128,6 +136,65 @@ def gradient_field(problem, z):
     return np.concatenate([problem.c - problem.A.rmatvec(z.y), problem.A.matvec(z.x) - problem.b])
 
 
+@dataclass
+class TrustRegionProblem:
+    """min g'zhat over {zhat >= lower, |zhat - center| <= radius}.
+
+    ``lower`` entries may be -inf; signs of ``g`` are unrestricted (negative
+    components are handled by reflection, they can never bind a lower bound).
+    """
+
+    g: np.ndarray
+    center: np.ndarray
+    lower: np.ndarray
+    radius: float
+
+    def __post_init__(self):
+        self.g = np.asarray(self.g, dtype=np.float64)
+        self.center = np.asarray(self.center, dtype=np.float64)
+        self.lower = np.asarray(self.lower, dtype=np.float64)
+        if not (self.g.shape == self.center.shape == self.lower.shape):
+            raise ValueError("g, center, lower must have matching shapes")
+        if self.radius < 0:
+            raise ValueError("radius must be nonnegative")
+        if np.any(self.lower > self.center):
+            raise ValueError("center must satisfy the lower bounds")
+
+
+def trust_region_minimizer(p):
+    """The minimizer of ``p`` from the package's block solver.
+
+    The coordinates with a finite lower bound are the solver's bounded
+    block, with cap center - lower; the others are its free block.  The
+    minimizer is zhat = max(center - lam g, lower), or, when lam is inf,
+    every coordinate with g_i > 0 (and g_i^2 > 0) at its bound and the rest
+    at the center.
+    """
+    bounded = np.isfinite(p.lower)
+    g_free = p.g[~bounded]
+    lam, _ = solve_linear_trust_region(p.g[bounded], p.center[bounded] - p.lower[bounded],
+                                       g_free @ g_free, p.radius)
+    if lam == math.inf:
+        return np.where((p.g > 0.0) & (p.g * p.g > 0.0), p.lower, p.center)
+    return np.maximum(p.center - lam * p.g, p.lower)
+
+
+def gap_trust_region(problem, z, r):
+    """The trust region of the LP gap at z and radius r: objective F(z),
+    center z, lower bounds 0 on x (when ``problem.nonneg``) and -inf on y."""
+    lower = np.full(problem.n + problem.m, -np.inf)
+    if problem.nonneg:
+        lower[:problem.n] = 0.0
+    return TrustRegionProblem(gradient_field(problem, z), z.as_vector(), lower, r)
+
+
+def normalized_gap_at(problem, z, r):
+    """:func:`restartlp.gap.normalized_gap_lp` at the point z, with the
+    gradient blocks c - A'y and Ax - b of :func:`gradient_field`."""
+    g = gradient_field(problem, z)
+    return normalized_gap_lp(problem, z.x, g[:problem.n], g[problem.n:], r)
+
+
 class GapBracketError(RuntimeError):
     """The bisection oracle found no sign change: h(mu) > 0 for every mu,
     which can only happen for radius zero."""
@@ -199,18 +266,13 @@ def trust_region_bisection(p, lam_tol=1e-13, max_doublings=200):
 
 
 def normalized_gap_bisection(problem, z, r, lam_tol=1e-13):
-    """Reference gap evaluation through the prox-form bisection oracle."""
+    """Reference gap evaluation through the prox-form bisection oracle, as
+    a float.  An LP's x must be feasible (x >= 0)."""
     if r <= 0:
         raise ValueError("the bisection oracle needs r > 0")
-    _check_feasible_x(problem, z.x)
-    g = gradient_field(problem, z)
-    lower = np.full(problem.n + problem.m, -np.inf)
-    if problem.nonneg:
-        lower[:problem.n] = 0.0
-    zvec = z.as_vector()
-    zhat = trust_region_bisection(TrustRegionProblem(g, zvec, lower, r), lam_tol=lam_tol)
-    rho = max(float(g @ (zvec - zhat)) / r, 0.0)
-    return GapResult(rho, SaddlePoint.from_vector(zhat, problem.n))
+    p = gap_trust_region(problem, z, r)
+    zhat = trust_region_bisection(p, lam_tol=lam_tol)
+    return max(float(p.g @ (p.center - zhat)) / r, 0.0)
 
 
 def lagrangian(problem, z):

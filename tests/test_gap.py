@@ -5,23 +5,19 @@ import pytest
 
 from restartlp import (
     DiagonalBilinear,
-    GapResult,
     RandomLpKnownOptimum,
     SaddlePoint,
-    StandardFormLp,
     StepConfig,
-    TrustRegionProblem,
     generate,
     normalized_gap_admm,
-    normalized_gap_lp,
     residuals,
-    solve_linear_trust_region,
 )
 from restartlp.steps import ADMM, AdmmOperators, AdmmPoint, AffineProjector, admm_step
 
-from conftest import feasible_point, random_sparse
-from oracles import (GapBracketError, gradient_field, normalized_gap_bisection,
-                     trust_region_bisection)
+from conftest import feasible_point
+from oracles import (GapBracketError, TrustRegionProblem, gap_trust_region, gradient_field,
+                     normalized_gap_at, normalized_gap_bisection, trust_region_bisection,
+                     trust_region_minimizer)
 
 INF = np.inf
 
@@ -40,22 +36,22 @@ def random_tr_problem(rng, max_dim=200):
 class TestTrustRegion:
     def test_unconstrained_ball_minimizer(self):
         p = TrustRegionProblem([1.0, 1.0], [0.0, 0.0], [-INF, -INF], 1.0)
-        out = solve_linear_trust_region(p)
+        out = trust_region_minimizer(p)
         assert np.allclose(out, [-1 / math.sqrt(2)] * 2)
 
     def test_bound_set_within_radius(self):
         p = TrustRegionProblem([1.0], [0.5], [0.0], 1.0)
-        assert solve_linear_trust_region(p) == pytest.approx([0.0])
+        assert trust_region_minimizer(p) == pytest.approx([0.0])
 
     def test_mixed_bounds_hand_value(self):
         # lam = 0.2: first coordinate clamps at 0, second moves to 0.2
         p = TrustRegionProblem([3.0, 4.0], [1.0, 1.0], [0.0, -INF], 1.0)
-        out = solve_linear_trust_region(p)
+        out = trust_region_minimizer(p)
         assert np.allclose(out, [0.4, 0.2], atol=1e-12)
 
     def test_zero_radius_returns_center(self):
         p = TrustRegionProblem([1.0, -2.0], [3.0, 1.0], [0.0, -INF], 0.0)
-        assert np.allclose(solve_linear_trust_region(p), [3.0, 1.0])
+        assert np.allclose(trust_region_minimizer(p), [3.0, 1.0])
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +64,7 @@ class TestTrustRegion:
     def test_matches_oracle_random(self, rng):
         for _ in range(300):
             p = random_tr_problem(rng, max_dim=60)
-            fast = solve_linear_trust_region(p)
+            fast = trust_region_minimizer(p)
             slow = trust_region_bisection(
                 TrustRegionProblem(p.g, p.center, p.lower, p.radius))
             ref = float(p.g @ slow)
@@ -80,7 +76,7 @@ class TestTrustRegion:
     def test_beats_random_probes(self, rng):
         for _ in range(30):
             p = random_tr_problem(rng, max_dim=40)
-            best = float(p.g @ solve_linear_trust_region(p))
+            best = float(p.g @ trust_region_minimizer(p))
             leff = np.where(p.g < 0, -INF, p.lower)
             dirs = rng.standard_normal((2000, p.g.size))
             dirs *= (p.radius * rng.random((2000, 1)) ** (1.0 / p.g.size)
@@ -98,7 +94,7 @@ class TestTrustRegion:
         p = TrustRegionProblem([1.0, 2.0], [1.0, 1.0], [0.0, 0.5], 10.0)
         out = trust_region_bisection(p)
         assert np.allclose(out, [0.0, 0.5])
-        assert np.allclose(solve_linear_trust_region(p), [0.0, 0.5])
+        assert np.allclose(trust_region_minimizer(p), [0.0, 0.5])
 
 
 class TestNormalizedGapLp:
@@ -106,27 +102,26 @@ class TestNormalizedGapLp:
         problem, _ = generate(DiagonalBilinear((1.0,)))
         z = SaddlePoint(np.array([1.0]), np.array([1.0]))
         for r in (0.01, 0.5, 2.0, 100.0):
-            res = normalized_gap_lp(problem, z, r)
-            assert res.rho == pytest.approx(math.sqrt(2.0), rel=1e-12)
+            assert normalized_gap_at(problem, z, r) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_zero_at_optimum(self):
         problem, opt = generate(RandomLpKnownOptimum(6, 12, 0.5, 3))
         for r in (0.1, 1.0, 10.0):
-            assert normalized_gap_lp(problem, opt, r).rho <= 1e-12
+            assert normalized_gap_at(problem, opt, r) <= 1e-12
 
     def test_positive_away_from_optimum(self, rng):
         problem, opt = generate(RandomLpKnownOptimum(6, 12, 0.5, 3))
         for _ in range(25):
             z = feasible_point(problem, rng)
             if residuals(problem, z).kkt_error > 1e-6:
-                assert normalized_gap_lp(problem, z, 1.0).rho > 0
+                assert normalized_gap_at(problem, z, 1.0) > 0
 
     def test_monotone_nonincreasing_in_radius(self, rng):
         for seed in range(20):
             problem, _ = generate(RandomLpKnownOptimum(5, 9, 0.5, seed))
             z = feasible_point(problem, rng)
             radii = np.sort(rng.uniform(0.01, 10.0, size=8))
-            rhos = [normalized_gap_lp(problem, z, float(r)).rho for r in radii]
+            rhos = [normalized_gap_at(problem, z, float(r)) for r in radii]
             for lo, hi in zip(rhos[:-1], rhos[1:]):
                 assert hi <= lo + 1e-12
 
@@ -135,39 +130,30 @@ class TestNormalizedGapLp:
             problem, _ = generate(RandomLpKnownOptimum(5, 9, 0.5, seed))
             z = feasible_point(problem, rng)
             radii = np.sort(rng.uniform(0.01, 10.0, size=8))
-            vals = [r * normalized_gap_lp(problem, z, float(r)).rho for r in radii]
+            vals = [r * normalized_gap_at(problem, z, float(r)) for r in radii]
             for lo, hi in zip(vals[:-1], vals[1:]):
                 assert hi >= lo - 1e-12
 
-    def test_r_zero_only_for_bilinear(self):
+    def test_nonpositive_radius_rejected(self):
         problem, opt = generate(RandomLpKnownOptimum(4, 7, 0.6, 1))
-        with pytest.raises(ValueError):
-            normalized_gap_lp(problem, opt, 0.0)
-        bil, _ = generate(DiagonalBilinear((0.7,)))
-        z = SaddlePoint(np.array([2.0]), np.array([-1.0]))
-        res = normalized_gap_lp(bil, z, 0.0)
-        assert res.rho == pytest.approx(np.linalg.norm(gradient_field(bil, z)))
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                normalized_gap_at(problem, opt, r)
 
     def test_r_to_zero_limit_on_bilinear(self):
         problem, _ = generate(DiagonalBilinear((0.5, 1.5)))
         z = SaddlePoint(np.array([1.0, -2.0]), np.array([0.3, 0.4]))
         lim = np.linalg.norm(gradient_field(problem, z))
-        val = normalized_gap_bisection(problem, z, 1e-6).rho
+        val = normalized_gap_bisection(problem, z, 1e-6)
         assert val == pytest.approx(lim, rel=1e-9)
-
-    def test_infeasible_center_rejected(self):
-        problem, _ = generate(RandomLpKnownOptimum(4, 7, 0.6, 1))
-        z = SaddlePoint(-np.ones(7), np.zeros(4))
-        with pytest.raises(ValueError):
-            normalized_gap_lp(problem, z, 1.0)
 
     def test_matches_bisection_oracle(self, rng):
         for seed in range(60):
             problem, _ = generate(RandomLpKnownOptimum(5, 8, 0.5, seed))
             z = feasible_point(problem, rng)
             r = float(rng.uniform(0.05, 5.0))
-            fast = normalized_gap_lp(problem, z, r).rho
-            slow = normalized_gap_bisection(problem, z, r).rho
+            fast = normalized_gap_at(problem, z, r)
+            slow = normalized_gap_bisection(problem, z, r)
             assert fast == pytest.approx(slow, rel=1e-8, abs=1e-10)
 
     def test_kkt_bound_via_gap(self, rng):
@@ -179,7 +165,7 @@ class TestNormalizedGapLp:
                 nz = np.linalg.norm(z.as_vector())
                 R = nz * float(rng.uniform(1.0, 2.0)) + 1e-6
                 r = float(rng.uniform(0.05, 1.0)) * R
-                rho = normalized_gap_lp(problem, z, r).rho
+                rho = normalized_gap_at(problem, z, r)
                 kkt = residuals(problem, z).kkt_error
                 assert kkt <= rho * math.sqrt(1.0 + R * R) + 1e-9
 
@@ -237,14 +223,16 @@ class TestNormalizedGapAdmm:
             normalized_gap_admm(problem, bad, 1.0, 1.0)
 
 
-class TestGapResultShape:
+class TestMaximizer:
     def test_maximizer_attains_value(self, rng):
+        # the point the solver's step length gives attains the gap the
+        # block form computes
         problem, _ = generate(RandomLpKnownOptimum(5, 9, 0.5, 2))
         z = feasible_point(problem, rng)
         r = 0.8
-        res = normalized_gap_lp(problem, z, r)
-        assert isinstance(res, GapResult)
-        g = gradient_field(problem, z)
-        attained = float(g @ (z.as_vector() - res.maximizer.as_vector())) / r
-        assert attained == pytest.approx(res.rho, rel=1e-12, abs=1e-12)
-        assert np.min(res.maximizer.x) >= -1e-12
+        p = gap_trust_region(problem, z, r)
+        zhat = trust_region_minimizer(p)
+        attained = float(p.g @ (p.center - zhat)) / r
+        assert attained == pytest.approx(normalized_gap_at(problem, z, r), rel=1e-12, abs=1e-12)
+        assert np.linalg.norm(zhat - p.center) <= r * (1 + 1e-12)
+        assert np.min(zhat[:problem.n]) >= -1e-12

@@ -8,10 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restartlp import TrustRegionProblem, solve_linear_trust_region
-from restartlp.gap import solve_block_trust_region
+from restartlp import solve_linear_trust_region
 
-from oracles import trust_region_bisection
+from oracles import TrustRegionProblem, trust_region_bisection, trust_region_minimizer
 
 # |g| of 1e-200 .. 1e-165 squares to 0.0
 _MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(1e-200, 1e-165))
@@ -53,15 +52,15 @@ def _stacked(g_bound, cap, g_free, center_free, radius):
 @given(block_problems())
 def test_block_solver_matches_bisection(case):
     g_bound, cap, g_free, center_free, radius = case
-    lam, decrease = solve_block_trust_region(g_bound, cap, float(g_free @ g_free), radius)
+    lam, decrease = solve_linear_trust_region(g_bound, cap, float(g_free @ g_free), radius)
     p = _stacked(*case)
     slow = trust_region_bisection(p)
     ref = float(p.g @ (p.center - slow))
     tol = 1e-9 * max(1.0, abs(ref))
     assert abs(decrease - ref) <= tol
     assert lam >= 0.0
-    # the adapter's minimizer is feasible and attains the decrease
-    fast = solve_linear_trust_region(p)
+    # the minimizer built from lam is feasible and attains the decrease
+    fast = trust_region_minimizer(p)
     assert np.linalg.norm(fast - p.center) <= radius * (1 + 1e-9)
     assert np.all(fast >= p.lower)
     assert abs(float(p.g @ (p.center - fast)) - decrease) <= tol
@@ -76,7 +75,7 @@ def test_within_reach_is_lam_inf(case):
     reach = float(np.linalg.norm(cap[g_bound > 0.0]))
     if reach >= radius or not np.any((g_bound > 0.0) & (cap > 0.0)):
         return
-    lam, decrease = solve_block_trust_region(g_bound, cap, float(g_free @ g_free), radius)
+    lam, decrease = solve_linear_trust_region(g_bound, cap, float(g_free @ g_free), radius)
     assert lam == np.inf
     clamped = float(g_bound[g_bound > 0.0] @ cap[g_bound > 0.0])
     assert abs(decrease - clamped) <= 1e-12 * clamped

@@ -356,11 +356,14 @@ class TestSaddleProducts:
         for bad in (np.zeros(12), np.zeros(21, dtype=np.float32), [0.0] * 21):
             with pytest.raises(ValueError, match=r"out must be a writeable float64 array of shape \(21,\)"):
                 M.matvec(np.ones(21), out=bad)
-        # scales are scalars: an array does not broadcast over A's values
-        for s, t in ((np.ones(9), 1.0), (np.ones(13), 1.0), (1.0, np.ones(12)),
-                     (1.0, np.ones(10)), (1.0, np.ones(8))):
-            with pytest.raises(ValueError):
-                A.saddle_products(s, t)
+        # scales are scalars: an array, even one as long as A's stored
+        # values, is not a scale per entry
+        for s, t in ((np.ones(A.nnz), 1.0), (1.0, np.ones(A.nnz)), (np.ones(9), 1.0),
+                     (np.ones(13), 1.0), (1.0, np.ones(12)), (1.0, np.ones(10)),
+                     (1.0, np.ones(8)), (np.ones(1), 1.0)):
+            for products in (A.scaled_products, A.saddle_products):
+                with pytest.raises(ValueError, match="scalars"):
+                    products(s, t)
 
 
 class TestBlockDiagonal:

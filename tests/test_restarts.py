@@ -19,11 +19,11 @@ from restartlp import (
     generate,
     pdhg_step,
     power_method_sigma_max,
+    residuals,
     run_restarted,
     should_restart,
 )
-from restartlp import restarts
-from restartlp.restarts import ADAPTIVE, FLEXIBLE
+from restartlp import gap, restarts
 from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, AffineProjector, StepOperators
 
 from oracles import (KktSystem, NormSpec, kkt_error, norm_value, normalized_gap_bisection,
@@ -258,6 +258,20 @@ class TestRunRestarted:
         assert res.status == Status.DIVERGED
         assert np.all(np.isfinite(res.solution.as_vector()))
 
+    def test_divergence_at_the_first_checkpoint_returns_the_start(self):
+        # nothing better was measured: the start comes back with its own
+        # KKT error, measured only now
+        problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 5))
+        smax = power_method_sigma_max(problem.A, seed=5)
+        opts = SolveOptions(step=StepConfig(PDHG, 50.0 / smax), scheme=RestartScheme.none(),
+                            iteration_limit=10**5, check_cadence=1000)
+        res = run_restarted(problem, opts)
+        assert res.status == Status.DIVERGED and res.iterations == 1000
+        start = SaddlePoint(np.zeros(problem.n), np.zeros(problem.m))
+        assert not res.solution.as_vector().any()
+        assert res.kkt_avg == res.kkt_last == pytest.approx(residuals(problem, start).kkt_error,
+                                                             rel=1e-12)
+
     def test_no_restart_records_last_iterate_gap(self):
         problem, _ = generate(TwoDimToy())
         z0 = SaddlePoint(np.array([1.0]), np.array([1.0]))
@@ -282,7 +296,7 @@ def _arrays(point):
 class TestCheckpoint:
     def test_flexible_admm_solves_the_dual_once_per_point(self, monkeypatch):
         # a checkpoint measures the average and the last iterate once each,
-        # one dual solve apiece; the start takes one more
+        # one dual solve apiece; the start is measured only on a divergence
         calls = []
         solve_normal = AffineProjector.solve_normal
 
@@ -295,7 +309,7 @@ class TestCheckpoint:
         res = run_restarted(problem, SolveOptions(StepConfig(ADMM, 1.0), RestartScheme.flexible(),
                                                   kkt_tol=1e-7, iteration_limit=10**4))
         assert res.status == Status.OPTIMAL and res.restart_count > 0
-        assert len(calls) == 1 + 2 * len(res.trace.records)
+        assert len(calls) == 2 * len(res.trace.records)
 
     @pytest.mark.parametrize("case", ["bilinear-z0", "scaled-pdhg", "scaled-egm", "admm",
                                       "fixed-pdhg"])
@@ -351,11 +365,11 @@ class TestCheckpoint:
         system = KktSystem.from_problem(problem)
         floor = 1e-14 * (1.0 + np.linalg.norm(problem.b) + np.linalg.norm(problem.c))
         gaps = 0
-        for lane, vec, radius, (gap, kkt) in seen:
+        for lane, vec, radius, (rho, kkt) in seen:
             n = lane.n
             if radius != 0.0:
                 ref = normalized_gap_bisection(lane.problem, SaddlePoint(vec[:n], vec[n:]), radius)
-                assert gap == pytest.approx(ref.rho, rel=1e-9, abs=1e-14)
+                assert rho == pytest.approx(ref, rel=1e-9, abs=1e-14)
                 gaps += 1
             caller = SaddlePoint(lane.d2 * vec[:n], lane.d1 * vec[n:])
             assert kkt == pytest.approx(kkt_error(system, caller).kkt_error, rel=1e-12, abs=floor)
@@ -489,10 +503,13 @@ class TestTheory:
 
 class TestStepNamesSeen:
     """A span tracer wraps ``restarts.pdhg_step``/``egm_step``/``admm_step``/
-    ``ppm_bilinear_step``, the names ``run_restarted`` looks up, and
+    ``ppm_bilinear_step``, the names ``run_restarted`` looks up,
+    ``restarts.normalized_gap_lp``/``normalized_gap_admm`` and
+    ``gap.solve_linear_trust_region``, the names a checkpoint looks up, and
     ``SparseMatrix.matvec``/``rmatvec`` and ``AffineProjector.project`` on
-    their classes; every iteration must go through those names, or the
-    tracer's step, SpMV and projection counts read short."""
+    their classes; every iteration and every gap must go through those
+    names, or the tracer's step, SpMV, projection and gap counts read
+    short."""
 
     @pytest.mark.parametrize("method, matvecs", [(PDHG, 1), (EGM, 2)])
     def test_each_iteration_calls_the_step_and_both_products(self, monkeypatch, method, matvecs):
@@ -500,7 +517,6 @@ class TestStepNamesSeen:
         # runs its two pairs as two products with the saddle operator, of
         # 2 nnz(A) nonzeros each, so the nonzeros a step's products read
         # (what the tracer's computed bytes count) cover four products
-        from restartlp import restarts
         from restartlp.lp_core import SparseMatrix
 
         name = "pdhg_step" if method == PDHG else "egm_step"
@@ -539,8 +555,6 @@ class TestStepNamesSeen:
 
     @pytest.mark.parametrize("method", [ADMM, PPM_BILINEAR])
     def test_each_iteration_calls_the_step_and_admm_projects_once(self, monkeypatch, method):
-        from restartlp import restarts
-
         name = "admm_step" if method == ADMM else "ppm_bilinear_step"
         counts = {"step": 0, "project": 0}
         in_step = [False]
@@ -571,3 +585,35 @@ class TestStepNamesSeen:
                                                   iteration_limit=150), z0)
         assert res.iterations == 150 and res.restart_count > 0
         assert counts == {"step": 150, "project": 150 if method == ADMM else 0}
+
+    @staticmethod
+    def _spy(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("method", [PDHG, ADMM])
+    def test_each_gap_calls_the_adapter_and_the_solver_once(self, monkeypatch, method):
+        # flexible PDHG reads the gaps of the average and the last iterate
+        # at every checkpoint, adaptive ADMM the average's alone
+        if method == PDHG:
+            problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 0))
+            step = StepConfig(PDHG, 0.9 / power_method_sigma_max(problem.A))
+            scheme, adapter, per_checkpoint = RestartScheme.flexible(), "normalized_gap_lp", 2
+        else:
+            problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 1))
+            step = StepConfig(ADMM, 1.0)
+            scheme, adapter, per_checkpoint = RestartScheme.adaptive(), "normalized_gap_admm", 1
+        gaps = self._spy(monkeypatch, restarts, adapter)
+        solves = self._spy(monkeypatch, gap, "solve_linear_trust_region")
+        res = run_restarted(problem, SolveOptions(step, scheme, kkt_tol=1e-7,
+                                                  iteration_limit=10**4))
+        assert res.status == Status.OPTIMAL and res.restart_count > 0
+        assert len(gaps) == per_checkpoint * len(res.trace.records)
+        assert len(solves) == len(gaps)
