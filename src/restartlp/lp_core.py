@@ -3,11 +3,12 @@
 Everything downstream (steps, gap evaluation, restart driver) is matrix-free
 apart from the ADMM and PPM steps: the only operations applied to the
 constraint matrix are products with A and with A^T, plus, for those two
-methods, one sparse factorization of A A^T per solve.  ``SparseMatrix``
-therefore keeps one row-ordered compressed layout, built once at load, and
-runs each product as one call of a scipy kernel over it: CSR for A v, CSC
-for A^T w (A's row-ordered layout is A^T's column-ordered one), adding the
-product into a caller-supplied output (or a fresh zero one).
+methods, a sparse factorization of s I + A A^T, made once per matrix and
+shift s and kept in the matrix's memo.  ``SparseMatrix`` therefore keeps one
+row-ordered compressed layout, built once at load, and runs each product as
+one call of a scipy kernel over it: CSR for A v, CSC for A^T w (A's
+row-ordered layout is A^T's column-ordered one), adding the product into a
+caller-supplied output (or a fresh zero one).
 """
 
 from __future__ import annotations
@@ -19,25 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-
-def _matvec_by_operator(n_row, n_col, indptr, indices, data, v, out):
-    """out += A v through ``csr_array @``: the public route to the same
-    kernel, for a scipy whose private kernel module cannot be imported."""
-    out += sp.csr_array((data, indices, indptr), shape=(n_row, n_col)) @ v
-
-
-def _rmatvec_by_operator(n_row, n_col, indptr, indices, data, w, out):
-    """out += A^T w through ``csc_array @`` over A's layout, likewise."""
-    out += sp.csc_array((data, indices, indptr), shape=(n_row, n_col)) @ w
-
-
-try:
-    # the kernels behind ``csr_array @ v`` and ``csr_array.T @ w``
-    from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - depends on the scipy build
-    _csr_matvec, _csc_matvec = _matvec_by_operator, _rmatvec_by_operator
+# the kernels behind ``csr_array @ v`` and ``csr_array.T @ w``
+from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 _FLOAT64 = np.dtype(np.float64)
 _INT32_MAX = np.iinfo(np.int32).max
@@ -75,16 +60,17 @@ class SparseMatrix:
     The block-diagonal matrix of several (:meth:`block_diagonal`) holds in
     each row the entries of one row of one of them, in their stored order,
     so a product with it repeats, block by block, the sums of the products
-    with each bit for bit.  :meth:`scaled_products` scales each product by
-    a scalar of its own; :meth:`saddle_products` runs both scaled products
-    as one product with the saddle operator [[0, t A^T], [s A, 0]].
+    with each bit for bit.  :meth:`times` is a scalar multiple of A;
+    :meth:`saddle_products` runs the products with two multiples as one
+    product with the saddle operator [[0, t A^T], [s A, 0]].
 
-    A matrix is never modified in place: :meth:`scaled`,
-    :meth:`scaled_products`, :meth:`saddle_products` and
-    :meth:`block_diagonal` return new matrices, each with a memo of its
-    own.  That lets it keep, in one memo (:meth:`derived`), what is
-    computed from it alone and would otherwise be computed again by every
-    solve and every tuning run on it:
+    Every matrix is one matrix: its two products read the same values, so
+    :meth:`rmatvec` is the transpose of :meth:`matvec`.  A matrix is never
+    modified in place: :meth:`scaled`, :meth:`times`,
+    :meth:`saddle_products` and :meth:`block_diagonal` return new matrices,
+    each with a memo of its own.  That lets it keep, in one memo
+    (:meth:`derived`), what is computed from it alone and would otherwise
+    be computed again by every solve and every tuning run on it:
 
     * the converged estimates of :func:`power_method_sigma_max`, one per
       ``(tol, max_iters, seed)``;
@@ -100,8 +86,10 @@ class SparseMatrix:
     of what it holds: A~ adds one value array (8 bytes per nonzero, index
     arrays shared), and a factor the 12 bytes per nonzero of its sparse LU,
     or the 8 m^2 bytes of a dense inverse when that LU would be no smaller
-    (:class:`~restartlp.steps.NormalFactor`).  A solve's step operator K
-    adds 16 bytes per nonzero, and EGM's M one layout of 2 nnz nonzeros.
+    (:class:`~restartlp.steps.NormalFactor`).  A PDHG solve's step
+    operators tau A~ and -sigma A~ add one value array each (16 bytes per
+    nonzero in all, index arrays shared), and EGM's M one layout of 2 nnz
+    nonzeros.
     """
 
     def __init__(self, n_rows, n_cols, rows, cols, vals):
@@ -126,18 +114,18 @@ class SparseMatrix:
         csr = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
         if csr.nnz != vals.size:
             raise ValueError("duplicate (row, col) entries")
-        self._bind(csr, csr.data)
+        self._bind(csr)
 
-    def _bind(self, csr, adj_vals):
-        """Hold the layout and the values the transpose product reads, and
-        the kernels' leading arguments for each product; returns self.  A
-        layout bound to a new object is not sorted or checked again."""
+    def _bind(self, csr):
+        """Hold the layout and the kernels' leading arguments for each
+        product; returns self.  A layout bound to a new object is not sorted
+        or checked again."""
         self.n_rows, self.n_cols = csr.shape
-        self._csr, self._adj_vals = csr, adj_vals
+        self._csr = csr
         # the shapes of a product's input and output, checked on every call
         self._row_shape, self._col_shape = (self.n_rows,), (self.n_cols,)
         self._fwd_args = (self.n_rows, self.n_cols, csr.indptr, csr.indices, csr.data)
-        self._adj_args = (self.n_cols, self.n_rows, csr.indptr, csr.indices, adj_vals)
+        self._adj_args = (self.n_cols, self.n_rows, csr.indptr, csr.indices, csr.data)
         return self
 
     @property
@@ -223,29 +211,21 @@ class SparseMatrix:
 
     def scaled(self, row_scale, col_scale):
         """diag(row_scale) A diag(col_scale), entry by entry
-        (row_scale_i a_ij) col_scale_j: one new value array, which both
-        products read, over A's index arrays."""
+        (row_scale_i a_ij) col_scale_j: one new value array over A's index
+        arrays."""
         csr = self._csr
         vals = row_scale[self.rows]
         vals *= csr.data
         vals *= col_scale[csr.indices]
-        return self._revalued(vals, vals)
+        return self._revalued(vals)
 
-    def scaled_products(self, matvec_scale, rmatvec_scale):
-        """The operator pair v -> (s a_ij) v and w -> (t a_ij) w for
-        s = ``matvec_scale``, t = ``rmatvec_scale``: a matrix whose
-        :meth:`matvec` is s A and whose :meth:`rmatvec` is t A^T, for
-        scalars s and t.
-
-        Each product gets values of its own, multiplied once, entry by
-        entry, over A's index arrays, so the two are no longer transposes of
-        one another.  :meth:`saddle_products` runs both as one product.
-        A scale that is not a scalar is a ``ValueError``.
-        """
-        if np.ndim(matvec_scale) or np.ndim(rmatvec_scale):
+    def times(self, scale):
+        """scale A for a scalar ``scale``, entry by entry (scale a_ij): one
+        new value array over A's index arrays.  A scale that is not a
+        scalar is a ``ValueError``."""
+        if np.ndim(scale):
             raise ValueError("product scales must be scalars")
-        csr = self._csr
-        return self._revalued(matvec_scale * csr.data, rmatvec_scale * csr.data)
+        return self._revalued(scale * self._csr.data)
 
     def saddle_products(self, matvec_scale, rmatvec_scale):
         """The (n + m) x (n + m) saddle operator M = [[0, t A^T], [s A, 0]]
@@ -253,17 +233,16 @@ class SparseMatrix:
         (m, n): ``M.matvec(z, out)`` adds t A^T y to out[:n] and s A x to
         out[n:] for z = [x; y], both products in one kernel call.
 
-        The scales are those of :meth:`scaled_products`.  M's one layout
+        The scales are scalars, as those of :meth:`times`.  M's one layout
         of 2 nnz(A) nonzeros stacks the rows of t A^T, one transpose of
         t A, with indices shifted by n, on the rows of s A.  Each row holds
         an entry's terms of the lone product in the order the kernel adds
         them, so every entry of ``M.matvec`` equals, bit for bit, that of
-        the ``rmatvec`` or ``matvec`` of ``scaled_products(s, t)`` into the
-        same ``out``.  :meth:`rmatvec` is M^T.
+        ``times(t).rmatvec`` or ``times(s).matvec`` into the same ``out``.
+        :meth:`rmatvec` is M^T.
         """
-        scaled = self.scaled_products(matvec_scale, rmatvec_scale)
-        csr = scaled._csr
-        adj = sp.csr_array((scaled._adj_vals, csr.indices, csr.indptr), shape=self.shape).T.tocsr()
+        adj = self.times(rmatvec_scale)._csr.T.tocsr()
+        csr = self.times(matvec_scale)._csr
         n, size = self.n_cols, self.n_cols + self.n_rows
         # int32 indices, as A's, unless M's size or nonzero count needs more
         index = np.int64 if max(size, 2 * self.nnz) > _INT32_MAX else np.int32
@@ -272,7 +251,7 @@ class SparseMatrix:
         indices = np.concatenate([adj.indices.astype(index) + n, csr.indices], dtype=index)
         saddle = sp.csr_array((np.concatenate([adj.data, csr.data]), indices, indptr),
                               shape=(size, size))
-        return object.__new__(SparseMatrix)._bind(saddle, saddle.data)
+        return object.__new__(SparseMatrix)._bind(saddle)
 
     @staticmethod
     def block_diagonal(matrices):
@@ -286,12 +265,12 @@ class SparseMatrix:
                             np.concatenate([A.cols + c for A, c in zip(matrices, col_start)]),
                             np.concatenate([A.vals for A in matrices]))
 
-    def _revalued(self, vals, adj_vals):
-        """A matrix with new values for each product over the same index
-        arrays, shared, not copied."""
+    def _revalued(self, vals):
+        """A matrix with new values over the same index arrays, shared, not
+        copied."""
         csr = copy.copy(self._csr)
         csr.data = vals
-        return object.__new__(SparseMatrix)._bind(csr, adj_vals)
+        return object.__new__(SparseMatrix)._bind(csr)
 
     def gram(self):
         """A A^T as a sparse CSC array, the product of the layout with its

@@ -196,10 +196,10 @@ class StepOperators(_Operators):
 
     With tau = eta/omega and sigma = eta omega from ``config``:
 
-    * for PDHG, ``K`` runs both products with the step sizes folded in:
-      ``K.rmatvec(y)`` is tau A'y and ``K.matvec(x)`` is -sigma A x, each
-      from values of its own
-      (:meth:`~restartlp.lp_core.SparseMatrix.scaled_products`);
+    * for PDHG, ``tau_A`` and ``neg_sigma_A`` are the matrices tau A and
+      -sigma A (:meth:`~restartlp.lp_core.SparseMatrix.times`), each one
+      value array over A's index arrays: the step reads tau A'y as
+      ``tau_A.rmatvec(y)`` and -sigma A x as ``neg_sigma_A.matvec(x)``;
     * for EGM, ``M`` is the saddle operator [[0, tau A'], [-sigma A, 0]]
       (:meth:`~restartlp.lp_core.SparseMatrix.saddle_products`):
       ``M.matvec(z, out)`` adds tau A'y to the x block of ``out`` and
@@ -210,8 +210,8 @@ class StepOperators(_Operators):
       of a step into each (see the module docstring);
     * ``work`` is PDHG's length-n scratch for 2 x+ - x, never returned.
 
-    The operator a method does not use (``M`` for PDHG, ``K`` and
-    ``work`` for EGM) is None.
+    What a method does not use (``M`` for PDHG; ``tau_A``, ``neg_sigma_A``
+    and ``work`` for EGM) is None.
     """
 
     def __init__(self, problem, config):
@@ -223,11 +223,11 @@ class StepOperators(_Operators):
         self.n = n = problem.n
         self.shift = np.concatenate([-(tau * problem.c), sigma * problem.b])
         if config.method == PDHG:
-            self.K, self.M = problem.A.scaled_products(-sigma, tau), None
-            self.work = np.empty(n)
+            self.tau_A, self.neg_sigma_A = problem.A.times(tau), problem.A.times(-sigma)
+            self.M, self.work = None, np.empty(n)
         else:
-            self.K, self.M = None, problem.A.saddle_products(-sigma, tau)
-            self.work = None
+            self.tau_A = self.neg_sigma_A = self.work = None
+            self.M = problem.A.saddle_products(-sigma, tau)
         self._bind_buffers(n + problem.m, config.method == EGM)
 
 
@@ -249,21 +249,21 @@ def pdhg_step(problem, z, config, ops=None):
     x^{t+1} = (x^t - (eta/w)(c - A'y^t))^+
     y^{t+1} = y^t + (eta w)(b - A(2 x^{t+1} - x^t))
 
-    computed as max((x - tau c) + tau A'y, 0) and
+    computed as max((x - tau c) + (tau A)'y, 0) and
     (y + sigma b) + (-sigma A)(2 x+ - x) through ``ops`` (a
     :class:`StepOperators`, built here when None), both blocks started by
     one addition on the flat vectors.
     """
     ops = _operators(StepOperators, problem, config, ops)
     zvec, (z1, x1, y1), result = ops.bind(z)
-    K, w = ops.K, ops.work
+    w = ops.work
     np.add(zvec, ops.shift, out=z1)
-    K.rmatvec(z.y, x1)
+    ops.tau_A.rmatvec(z.y, x1)
     if problem.nonneg:
         np.maximum(x1, _ZERO, out=x1)
     np.add(x1, x1, out=w)
     np.subtract(w, z.x, out=w)
-    K.matvec(w, y1)
+    ops.neg_sigma_A.matvec(w, y1)
     return result
 
 

@@ -321,37 +321,37 @@ def stacked_observe_numpy(blocks, eps, levels, last, hits):
 
 
 def _block_data(problem, tau, sigma):
-    """tau A' and -sigma A as one operator pair, tau c and sigma b, for
-    scalars tau and sigma."""
-    return problem.A.scaled_products(-sigma, tau), tau * problem.c, sigma * problem.b
+    """tau A, -sigma A, tau c and sigma b, for scalars tau and sigma."""
+    A = problem.A
+    return A.times(tau), A.times(-sigma), tau * problem.c, sigma * problem.b
 
 
 def pdhg_by_blocks(problem, z, tau, sigma):
     """One PDHG step with each block started by its own ufunc:
     x+ = max((x - tau c) + tau A'y, 0), y+ = (y + sigma b) - sigma A (2 x+ - x).
     Returns [x+; y+]."""
-    K, tau_c, sigma_b = _block_data(problem, tau, sigma)
+    tau_A, neg_sigma_A, tau_c, sigma_b = _block_data(problem, tau, sigma)
     x1 = np.subtract(z.x, tau_c)
-    K.rmatvec(z.y, x1)
+    tau_A.rmatvec(z.y, x1)
     if problem.nonneg:
         np.maximum(x1, 0.0, out=x1)
     y1 = np.add(z.y, sigma_b)
-    K.matvec(np.subtract(np.add(x1, x1), z.x), y1)
+    neg_sigma_A.matvec(np.subtract(np.add(x1, x1), z.x), y1)
     return np.concatenate([x1, y1])
 
 
 def egm_four_products(problem, z, tau, sigma):
     """One extragradient step through four products, one with A or A' each:
     zhat from z, then z+ from zhat.  Returns ([x+; y+], [xhat; yhat])."""
-    K, tau_c, sigma_b = _block_data(problem, tau, sigma)
+    tau_A, neg_sigma_A, tau_c, sigma_b = _block_data(problem, tau, sigma)
 
     def half_step(x, y):
         x1 = np.subtract(z.x, tau_c)
-        K.rmatvec(y, x1)
+        tau_A.rmatvec(y, x1)
         if problem.nonneg:
             np.maximum(x1, 0.0, out=x1)
         y1 = np.add(z.y, sigma_b)
-        K.matvec(x, y1)
+        neg_sigma_A.matvec(x, y1)
         return x1, y1
 
     xh, yh = half_step(z.x, z.y)

@@ -18,7 +18,6 @@ from restartlp.cli import (
     rank_fixed_runs,
     tune_primal_weight,
 )
-from restartlp import lp_core
 from restartlp.ingest import (DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate,
                               parse_mps, to_standard_form)
 from restartlp.lp_core import SparseMatrix, StandardFormLp, power_method_sigma_max
@@ -383,15 +382,6 @@ class TestTuneOmega:
         _, table = tune_primal_weight(problem, PDHG, 0.9, iterations=50)
         assert table == lone_table(problem, PDHG, 0.9, 50)
         assert loop_passes == [(24, 24), (24, 24), (18, 18)]
-
-    def test_fallback_product_path_keeps_the_table(self, monkeypatch):
-        # without scipy's private kernels the products run through
-        # csr_array @ and csc_array @, which sum in stored order too
-        problem, sigma = planted()
-        monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
-        monkeypatch.setattr(lp_core, "_csc_matvec", lp_core._rmatvec_by_operator)
-        _, table = tune_primal_weight(problem, PDHG, 0.9 / sigma, iterations=300)
-        assert table == lone_table(problem, PDHG, 0.9 / sigma, 300)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_rejected_before_any_work(self, budget, monkeypatch, capsys):

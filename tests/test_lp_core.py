@@ -122,7 +122,7 @@ class TestIndexWidth:
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
         d1, d2 = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n)
         pairs = [(narrow, wide), (narrow.scaled(d1, d2), wide.scaled(d1, d2)),
-                 (narrow.scaled_products(-0.3, 0.7), wide.scaled_products(-0.3, 0.7))]
+                 (narrow.times(-0.3), wide.times(-0.3))]
         for a, b in pairs:
             for _ in range(5):
                 v, w = rng.standard_normal(n), rng.standard_normal(m)
@@ -167,8 +167,8 @@ class TestProductKernel:
         S = A.scaled(rng.uniform(0.5, 2.0, 30), rng.uniform(0.5, 2.0, 45))
         assert np.shares_memory(S._csr.indices, A._csr.indices)
         assert np.shares_memory(S._csr.indptr, A._csr.indptr)
-        # one new value array, read by both products
-        assert S._adj_vals is S.vals and not np.shares_memory(S.vals, A.vals)
+        # one new value array
+        assert not np.shares_memory(S.vals, A.vals)
 
     def test_out_is_filled_and_returned(self, rng):
         A = random_sparse(12, 9, 0.4, rng)
@@ -207,23 +207,22 @@ class TestProductKernel:
         assert A.matvec(np.ones(2), np.array([big]))[0] == big
         assert big + A.matvec(np.ones(2))[0] == big + 2.0 != big
 
-    def test_scaled_products(self, rng):
+    def test_times(self, rng):
         A = random_sparse(12, 9, 0.4, rng)
-        K = A.scaled_products(-0.3, 1.7)
         v, w = rng.standard_normal(9), rng.standard_normal(12)
-        # each product's values are multiplied once, then summed as usual
         csr = _csr(A)
-        assert np.array_equal(K.matvec(v), sp.csr_array(
-            (-0.3 * csr.data, csr.indices, csr.indptr), shape=csr.shape) @ v)
-        assert np.array_equal(K.rmatvec(w), sp.csr_array(
-            (1.7 * csr.data, csr.indices, csr.indptr), shape=csr.shape).T @ w)
-        assert np.allclose(K.matvec(v), -0.3 * A.matvec(v), rtol=1e-14, atol=1e-14)
-        assert np.allclose(K.rmatvec(w), 1.7 * A.rmatvec(w), rtol=1e-14, atol=1e-14)
-        # only the values are copied
-        assert np.shares_memory(K._csr.indices, A._csr.indices)
-        assert np.shares_memory(K._csr.indptr, A._csr.indptr)
-        assert not np.shares_memory(K.vals, A.vals)
-        assert not np.shares_memory(K._adj_vals, A.vals)
+        for scale in (-0.3, 1.7):
+            K = A.times(scale)
+            # the values are multiplied once, then summed as usual
+            want = sp.csr_array((scale * csr.data, csr.indices, csr.indptr), shape=csr.shape)
+            assert np.array_equal(K.matvec(v), want @ v)
+            assert np.array_equal(K.rmatvec(w), want.T @ w)
+            assert np.allclose(K.matvec(v), scale * A.matvec(v), rtol=1e-14, atol=1e-14)
+            assert np.allclose(K.rmatvec(w), scale * A.rmatvec(w), rtol=1e-14, atol=1e-14)
+            # only the values are copied
+            assert np.shares_memory(K._csr.indices, A._csr.indices)
+            assert np.shares_memory(K._csr.indptr, A._csr.indptr)
+            assert not np.shares_memory(K.vals, A.vals)
 
     @staticmethod
     def _read_only(size):
@@ -254,36 +253,6 @@ class TestProductKernel:
         with pytest.raises(ValueError, match="dimension"):
             A.rmatvec([1.0, 2.0], out=np.zeros(2))
 
-    def test_fallback_matches_the_kernel(self, rng, monkeypatch):
-        # a scipy build without the private kernels runs csr_array @ and
-        # csc_array @ over the same layout
-        cases = _kernel_cases(rng)
-        base = random_sparse(30, 45, 0.2, rng)
-        with monkeypatch.context() as patch:
-            patch.setattr(lp_core, "_INT32_MAX", 0)
-            wide = SparseMatrix(30, 45, base.rows, base.cols, base.vals)
-        assert wide._csr.indices.dtype == np.int64
-        cases += [("int64 indices", wide),
-                  ("block diagonal", SparseMatrix.block_diagonal([base] * 3)),
-                  ("scaled products", base.scaled_products(-rng.uniform(0.5, 2.0),
-                                                           rng.uniform(0.5, 2.0))),
-                  ("saddle operator", base.saddle_products(-0.3, rng.uniform(0.5, 2.0)))]
-        vecs = [(rng.standard_normal(A.n_cols), rng.standard_normal(A.n_rows)) for _, A in cases]
-        want = [(A.matvec(v), A.rmatvec(w)) for (_, A), (v, w) in zip(cases, vecs)]
-        monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
-        monkeypatch.setattr(lp_core, "_csc_matvec", lp_core._rmatvec_by_operator)
-        for (label, A), (v, w), (mv, rmv) in zip(cases, vecs, want):
-            out = np.zeros(A.n_rows)
-            assert A.matvec(v, out=out).tobytes() == mv.tobytes(), label
-            out_t = np.zeros(A.n_cols)
-            assert A.rmatvec(w, out_t).tobytes() == rmv.tobytes(), label
-            assert A.rmatvec(w).tobytes() == rmv.tobytes(), label
-            # the fallbacks add into out too
-            out = np.ones(A.n_rows)
-            assert np.allclose(A.matvec(v, out=out), 1.0 + mv, rtol=1e-14, atol=1e-14), label
-            out_t = np.ones(A.n_cols)
-            assert np.allclose(A.rmatvec(w, out_t), 1.0 + rmv, rtol=1e-14, atol=1e-14), label
-
 
 class TestSaddleProducts:
     """The saddle operator M = [[0, t A'], [s A, 0]] runs both scaled
@@ -297,7 +266,7 @@ class TestSaddleProducts:
     def test_rows_and_nnz(self, rng):
         A = random_sparse(12, 9, 0.4, rng)
         for s, t in self._scales(A, rng):
-            M, K = A.saddle_products(s, t), A.scaled_products(s, t)
+            M, S, T = A.saddle_products(s, t), A.times(s), A.times(t)
             assert M.shape == (21, 21) and M.nnz == 2 * A.nnz
             csr = M._csr
             for j in range(9):
@@ -305,18 +274,17 @@ class TestSaddleProducts:
                 row = slice(csr.indptr[j], csr.indptr[j + 1])
                 lone = np.flatnonzero(A.cols == j)
                 assert np.array_equal(csr.indices[row], A.rows[lone] + 9), j
-                assert csr.data[row].tobytes() == K._adj_vals[lone].tobytes(), j
+                assert csr.data[row].tobytes() == T.vals[lone].tobytes(), j
             for i in range(12):
                 row = slice(csr.indptr[9 + i], csr.indptr[10 + i])
-                lone = slice(K._csr.indptr[i], K._csr.indptr[i + 1])
-                assert np.array_equal(csr.indices[row], K._csr.indices[lone]), i
-                assert csr.data[row].tobytes() == K.vals[lone].tobytes(), i
+                lone = slice(S._csr.indptr[i], S._csr.indptr[i + 1])
+                assert np.array_equal(csr.indices[row], S._csr.indices[lone]), i
+                assert csr.data[row].tobytes() == S.vals[lone].tobytes(), i
             dense = np.zeros((21, 21))
             dense[:9, 9:] = t * A.to_dense().T
             dense[9:, :9] = s * A.to_dense()
             assert np.allclose(M.to_dense(), dense, rtol=1e-15, atol=0.0)
-            # one layout, whose transpose product is M'
-            assert M._adj_vals is M.vals
+            # its transpose product is M'
             w = rng.standard_normal(21)
             assert np.allclose(M.rmatvec(w), dense.T @ w, rtol=1e-13, atol=1e-13)
             assert csr.indices.dtype == csr.indptr.dtype == np.int32
@@ -337,13 +305,12 @@ class TestSaddleProducts:
                             patch.setattr(lp_core, "_INT32_MAX", 0)
                         M = A.saddle_products(s, t)
                     assert (M._csr.indices.dtype == np.int64) == wide_saddle, label
-                    K = A.scaled_products(s, t)
                     z = rng.standard_normal(M.n_cols)
                     start = rng.standard_normal(M.n_rows)
                     got = M.matvec(z, start.copy())
                     want = start.copy()
-                    K.rmatvec(z[A.n_cols:], want[:A.n_cols])
-                    K.matvec(z[:A.n_cols], want[A.n_cols:])
+                    A.times(t).rmatvec(z[A.n_cols:], want[:A.n_cols])
+                    A.times(s).matvec(z[:A.n_cols], want[A.n_cols:])
                     assert got.tobytes() == want.tobytes(), label
 
     def test_bad_input_raises(self, rng):
@@ -361,9 +328,12 @@ class TestSaddleProducts:
         for s, t in ((np.ones(A.nnz), 1.0), (1.0, np.ones(A.nnz)), (np.ones(9), 1.0),
                      (np.ones(13), 1.0), (1.0, np.ones(12)), (1.0, np.ones(10)),
                      (1.0, np.ones(8)), (np.ones(1), 1.0)):
-            for products in (A.scaled_products, A.saddle_products):
-                with pytest.raises(ValueError, match="scalars"):
-                    products(s, t)
+            with pytest.raises(ValueError, match="scalars"):
+                A.saddle_products(s, t)
+            for scale in (s, t):
+                if np.ndim(scale):
+                    with pytest.raises(ValueError, match="scalars"):
+                        A.times(scale)
 
 
 class TestBlockDiagonal:
@@ -424,25 +394,35 @@ class TestBlockDiagonal:
         assert np.array_equal(one.matvec(v), A.matvec(v))
         assert np.array_equal(one.rmatvec(w), A.rmatvec(w))
 
-    def test_fallback_products_equal_the_kernel_products(self, rng, monkeypatch):
-        # a scipy build without the private kernels runs csr_array @ and
-        # csc_array @; the stacking's exactness rests on each entry summing
-        # in stored order on that path too
-        A = random_sparse(20, 30, 0.3, rng)
-        S = SparseMatrix.block_diagonal([A] * 4)
-        v, w = rng.standard_normal(120), rng.standard_normal(80)
-        start = rng.standard_normal(80)
-        kernel = [(A.matvec(vi), A.rmatvec(wi)) for vi, wi in zip(np.split(v, 4), np.split(w, 4))]
-        monkeypatch.setattr(lp_core, "_csr_matvec", lp_core._matvec_by_operator)
-        monkeypatch.setattr(lp_core, "_csc_matvec", lp_core._rmatvec_by_operator)
-        stacked = np.split(S.matvec(v), 4), np.split(S.rmatvec(w), 4)
-        added = np.split(S.matvec(v, start.copy()), 4)
-        for i, (vi, wi, si) in enumerate(zip(np.split(v, 4), np.split(w, 4), np.split(start, 4))):
-            assert np.array_equal(A.matvec(vi), kernel[i][0]), i
-            assert np.array_equal(stacked[0][i], kernel[i][0]), i
-            assert np.array_equal(A.rmatvec(wi), kernel[i][1]), i
-            assert np.array_equal(stacked[1][i], kernel[i][1]), i
-            assert np.array_equal(added[i], A.matvec(vi, si.copy())), i
+
+class TestDerivedMatricesAreMatrices:
+    """Each matrix a method derives from A is one matrix: its rmatvec is
+    the transpose of its matvec, the product scipy runs with the transpose
+    of its own layout, bit for bit."""
+
+    def test_rmatvec_is_the_transpose_product_of_its_layout(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        derived = [("scaled", A.scaled(rng.uniform(0.5, 2.0, 12), rng.uniform(0.5, 2.0, 9))),
+                   ("times 1.7", A.times(1.7)), ("times -0.3", A.times(-0.3)),
+                   ("times -1", A.times(-1.0)),
+                   ("saddle", A.saddle_products(-0.3, 1.7)),
+                   ("saddle, drawn scales", A.saddle_products(-rng.uniform(0.5, 2.0),
+                                                              rng.uniform(0.5, 2.0))),
+                   ("block diagonal", SparseMatrix.block_diagonal([A, A.times(-0.3), A]))]
+        for label, M in derived:
+            w, v = rng.standard_normal(M.n_rows), rng.standard_normal(M.n_cols)
+            assert M.rmatvec(w).tobytes() == (_csr(M).T @ w).tobytes(), label
+            assert M.matvec(v).tobytes() == (_csr(M) @ v).tobytes(), label
+            # the two products are transposes: w'(M v) = (M'w)'v
+            assert float(w @ M.matvec(v)) == pytest.approx(float(M.rmatvec(w) @ v),
+                                                           rel=1e-12, abs=1e-12), label
+
+    def test_power_method_reads_a_negative_multiple(self, rng):
+        A = random_sparse(12, 9, 0.4, rng)
+        sigma = np.linalg.svd(A.to_dense(), compute_uv=False)[0]
+        for scale in (-0.3, 1.7, -1.0):
+            got = power_method_sigma_max(A.times(scale), tol=1e-10)
+            assert got == pytest.approx(abs(scale) * sigma, rel=1e-6), scale
 
 
 class TestLagrangianAndGradient:
@@ -654,7 +634,7 @@ class TestPowerMethod:
         A = random_sparse(10, 12, 0.4, rng)
         sigma = power_method_sigma_max(A)
         kept = dict(A.memo)
-        for B in (A.scaled(np.full(10, 2.0), np.ones(12)), A.scaled_products(2.0, 2.0)):
+        for B in (A.scaled(np.full(10, 2.0), np.ones(12)), A.times(2.0)):
             assert not hasattr(B, "_memo")
             assert power_method_sigma_max(B) == pytest.approx(2.0 * sigma, rel=1e-3)
             assert B.derived("probe", lambda: B) is B

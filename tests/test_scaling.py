@@ -119,8 +119,6 @@ class TestRescale:
         dense = problem.A.to_dense()
         want = d1[:, None] * dense * d2[None, :]
         assert np.array_equal(scaled.A.to_dense(), want)
-        # the transpose product reads the same values, bit for bit
-        assert scaled.A._adj_vals is scaled.A.vals
         assert np.array_equal(scaled.A._csr.T.toarray(), want.T)
         assert np.array_equal(scaled.A.vals,
                               d1[problem.A.rows] * problem.A.vals * d2[problem.A.cols])

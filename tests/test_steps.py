@@ -668,8 +668,8 @@ class TestStepOperators:
         tau, sigma = config.eta / config.omega, config.eta * config.omega
         assert np.array_equal(ops.shift[:problem.n], -(tau * problem.c))
         assert np.array_equal(ops.shift[problem.n:], sigma * problem.b)
-        assert np.array_equal(ops.K._adj_vals, tau * problem.A.vals)
-        assert np.array_equal(ops.K.vals, -sigma * problem.A.vals)
+        assert np.array_equal(ops.tau_A.vals, tau * problem.A.vals)
+        assert np.array_equal(ops.neg_sigma_A.vals, -sigma * problem.A.vals)
         assert ops.work.shape == (problem.n,) and ops.target is None
         egm = StepOperators(problem, replace(config, method=EGM))
         assert egm.work is None and egm.target.shape == (problem.n + problem.m,)
@@ -723,10 +723,10 @@ class TestFlatSteps:
     def test_egm_runs_two_saddle_products(self, rng):
         _, problem, eta = _flat_cases(rng)[0]
         ops = StepOperators(problem, StepConfig(EGM, eta))
-        assert ops.K is None and ops.work is None
+        assert ops.tau_A is None and ops.neg_sigma_A is None and ops.work is None
         assert ops.M.shape == (problem.n + problem.m,) * 2 and ops.M.nnz == 2 * problem.A.nnz
         pdhg = StepOperators(problem, StepConfig(PDHG, eta))
-        assert pdhg.M is None and pdhg.K.nnz == problem.A.nnz
+        assert pdhg.M is None and pdhg.tau_A.nnz == pdhg.neg_sigma_A.nnz == problem.A.nnz
         # omega = 1: tau = sigma = eta
         for built in (ops, pdhg):
             assert np.array_equal(built.shift,
