@@ -10,7 +10,8 @@ for the wall-time columns.
 Each ``cmd_*`` reads the parsed ``argparse.Namespace`` directly, and
 :func:`main` maps every input error (a bad option, file, instance or
 parameter: a ``ValueError``) to exit code 3 with one ``error: ...`` line on
-stderr.
+stderr.  An output file or directory that cannot be made is such an error,
+raised where it is opened.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _parse_start(text, problem):
     vals = np.array([float(t) for t in text.split(",")])
     if vals.size != problem.n + problem.m:
         raise ValueError(f"start point needs {problem.n + problem.m} entries")
-    return SaddlePoint(vals[:problem.n], vals[problem.n:])
+    return SaddlePoint.over(vals, problem.n)
 
 
 def _build_step_config(problem, method, eta, omega, tune_eta):
@@ -183,8 +184,25 @@ def _build_scheme(args):
     raise ValueError(f"unknown scheme {args.scheme!r}")
 
 
+def _open_output(path):
+    """``path`` opened for writing; one that cannot be is an input error."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _output_dir(path):
+    """The directory ``path``, made if missing; one that cannot be is an input error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot make directory {path}: {exc.strerror}") from None
+    return Path(path)
+
+
 def write_trace_csv(path, trace):
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for rec in trace.records:
@@ -238,7 +256,7 @@ def cmd_solve(args):
     summary = _summary_dict(result, step, wall)
     summary["problem"] = meta
     if args.summary_out:
-        with open(args.summary_out, "w") as fh:
+        with _open_output(args.summary_out) as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"{meta['source']}: {result.status} after {result.iterations} iterations, "
@@ -427,7 +445,7 @@ def cmd_tune_primal_weight(args):
         print(f"omega {w:12.6g}  kkt {err:.6e}")
     print(f"chosen omega: {omega:.6g}")
     if args.summary_out:
-        with open(args.summary_out, "w") as fh:
+        with _open_output(args.summary_out) as fh:
             json.dump({"omega": omega,
                        "table": [{"omega": w, "kkt_error": e if math.isfinite(e) else None}
                                  for w, e in table]}, fh, indent=2, sort_keys=True)
@@ -485,9 +503,7 @@ def cmd_sweep_restart_lengths(args):
     """
     problem, _ = load_problem(args)
     step = _build_step_config(problem, args.method, args.eta, args.omega, False)
-    out = Path(args.out_dir) if args.out_dir else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out_dir) if args.out_dir else None
 
     runs = [("adaptive", RestartScheme.adaptive(beta=args.beta, tau0=args.tau0)),
             ("no_restart", RestartScheme.none())]
@@ -520,7 +536,7 @@ def cmd_sweep_restart_lengths(args):
     for row in rows:
         print(",".join(str(c) for c in row))
     if out:
-        with open(out / "ranking.csv", "w", newline="") as fh:
+        with _open_output(out / "ranking.csv") as fh:
             csv.writer(fh).writerows(rows)
     return EXIT_OPTIMAL
 
@@ -536,14 +552,13 @@ def cmd_bilinear_lab(args):
     kappas = [float(k) for k in args.kappas.split(",") if k.strip()]
     if not kappas:
         raise ValueError("kappa list must be nonempty")
+    out = _output_dir(args.out_dir)
     report = table3_scaling_experiment(kappas, args.eps)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scaling.csv", "w", newline="") as fh:
+    with _open_output(out / "scaling.csv") as fh:
         csv.writer(fh).writerows(report.csv_rows())
 
     plain, restarted = two_dim_toy_series()
-    with open(out / "figure1.csv", "w", newline="") as fh:
+    with _open_output(out / "figure1.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(("series", "iteration", "x", "y"))
         for label, path in (("no_restart", plain), ("fixed_25", restarted)):

@@ -324,31 +324,45 @@ class StandardFormLp:
         return self.A.n_rows
 
 
-@dataclass
-class SaddlePoint:
-    """Primal-dual pair z = (x, y)."""
+class _FlatPoint:
+    """A point held as one flat float64 vector ``vec`` whose blocks, named
+    in ``_blocks``, are views of it.  ``cls(*blocks)`` copies the blocks
+    into a new vector, each view in its block's shape; :meth:`over` wraps
+    an existing vector without a copy."""
 
-    x: np.ndarray
-    y: np.ndarray
+    _blocks = ()
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=_FLOAT64)
-        self.y = np.asarray(self.y, dtype=_FLOAT64)
-
-    def as_vector(self):
-        return np.concatenate([self.x, self.y])
+    def __init__(self, *blocks):
+        arrays = [np.asarray(block, dtype=_FLOAT64) for block in blocks]
+        self.vec = np.concatenate([a.ravel() for a in arrays])
+        ends = np.cumsum([a.size for a in arrays])
+        for name, a, end in zip(self._blocks, arrays, ends, strict=True):
+            setattr(self, name, self.vec[end - a.size:end].reshape(a.shape))
 
     @classmethod
-    def from_vector(cls, v, n):
-        v = np.asarray(v, dtype=np.float64)
-        return cls(v[:n].copy(), v[n:].copy())
+    def over(cls, vec, n):
+        """The point whose ``vec`` is ``vec`` itself: each block but the
+        last holds ``n`` entries, the last the rest."""
+        point = cls.__new__(cls)
+        point.vec = vec
+        *head, last = cls._blocks
+        for k, name in enumerate(head):
+            setattr(point, name, vec[k * n:(k + 1) * n])
+        setattr(point, last, vec[len(head) * n:])
+        return point
+
+    def as_vector(self):
+        return self.vec.copy()
+
+
+class SaddlePoint(_FlatPoint):
+    """Primal-dual pair z = (x, y), held as ``vec`` = [x; y]."""
+
+    _blocks = ("x", "y")
 
     @classmethod
     def zeros(cls, problem):
-        return cls(np.zeros(problem.n), np.zeros(problem.m))
-
-    def copy(self):
-        return SaddlePoint(self.x.copy(), self.y.copy())
+        return cls.over(np.zeros(problem.n + problem.m), problem.n)
 
 
 def _check_dims(problem, z):

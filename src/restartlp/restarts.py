@@ -47,6 +47,7 @@ its first checkpoint has measured anything better to return.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -103,6 +104,14 @@ FLEXIBLE = "flexible"
 DEFAULT_BETA = math.exp(-1.0)
 
 
+def _integer(name, value):
+    """``value`` as an int: a Python or numpy integer, else a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RestartScheme:
     """Restart rule: kind plus its parameters.
@@ -110,6 +119,7 @@ class RestartScheme:
     beta is the required gap-decay factor for adaptive/flexible restarts
     (default exp(-1), which optimizes the total-iteration bound); tau0 is
     the first-epoch length of the adaptive schemes; tau the fixed length.
+    tau and tau0 are integers, Python or numpy ones.
     """
 
     kind: str
@@ -120,6 +130,9 @@ class RestartScheme:
     def __post_init__(self):
         if self.kind not in (NO_RESTART, FIXED, ADAPTIVE, FLEXIBLE):
             raise ValueError(f"unknown restart scheme {self.kind!r}")
+        if self.tau is not None:
+            object.__setattr__(self, "tau", _integer("tau", self.tau))
+        object.__setattr__(self, "tau0", _integer("tau0", self.tau0))
         if self.kind == FIXED and (self.tau is None or self.tau < 1):
             raise ValueError("fixed restarts need tau >= 1")
         if not 0.0 < self.beta < 1.0:
@@ -133,7 +146,7 @@ class RestartScheme:
 
     @staticmethod
     def fixed(tau):
-        return RestartScheme(FIXED, tau=int(tau))
+        return RestartScheme(FIXED, tau=tau)
 
     @staticmethod
     def adaptive(beta=DEFAULT_BETA, tau0=1):
@@ -181,6 +194,9 @@ def should_restart(state, scheme, gap_now):
 
 @dataclass
 class SolveOptions:
+    """What :func:`run_restarted` runs; ``iteration_limit`` and the two
+    cadences are integers, Python or numpy ones."""
+
     step: StepConfig
     scheme: RestartScheme
     kkt_tol: float = 1e-6
@@ -189,6 +205,8 @@ class SolveOptions:
     trace_cadence: int = 1
 
     def __post_init__(self):
+        for name in ("iteration_limit", "check_cadence", "trace_cadence"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.check_cadence < 1:
             raise ValueError("check cadence must be >= 1")
         if self.trace_cadence < 1:
@@ -258,14 +276,14 @@ class _Lane:
     """One method on one problem, seen by the driver through flat vectors.
 
     The driver holds the anchor, the running sum, the average and the
-    iterates as flat vectors.  ``view(vec)`` reads one as the lane's
-    ``point`` class over slices, without a copy.  ``step(z)`` runs the
-    method's step from the point ``z`` and returns its
-    :class:`~restartlp.steps.StepOutput`, whose ``next_vec`` and
-    ``target_vec`` are the flat vectors of the next iterate and the target.
-    PDHG, EGM and ADMM step through the operators the lane builds once,
-    which own those vectors (see :mod:`~restartlp.steps`); PPM allocates
-    them.  ``measure(vec, radius)`` and ``dist(va, vb)`` evaluate vectors.
+    iterates as flat vectors.  ``view(vec)`` is the lane's ``point`` over
+    ``vec``, whose blocks are views of it.  ``step(z)`` runs the method's
+    step from the point ``z`` and returns its
+    :class:`~restartlp.steps.StepOutput`, whose ``next`` and ``target`` are
+    points over the flat vectors of the next iterate and the target.  PDHG,
+    EGM and ADMM step through the operators the lane builds once, which own
+    those vectors (see :mod:`~restartlp.steps`); PPM allocates them.
+    ``measure(vec, radius)`` and ``dist(va, vb)`` evaluate vectors.
     A lane steps on the problem it was given; when that is a rescaled LP,
     ``scale`` holds the factors that take one of its vectors to the
     caller's space elementwise.  ``config`` is the step config it steps
@@ -276,24 +294,27 @@ class _Lane:
 
     def initial(self, z0):
         """The start vector: zeros, or the caller's point ``z0``, whose
-        blocks must have the shapes of the lane's points and finite
-        entries."""
+        ``vec`` and blocks must have the shapes of the lane's points and
+        finite entries."""
         if z0 is None:
             return np.zeros(self.size)
         for name, block in vars(self.view(np.empty(self.size))).items():
             if np.shape(getattr(z0, name, None)) != block.shape:
-                raise ValueError(f"start point block {name} must have shape {block.shape}")
-        vec = np.asarray(z0.as_vector(), dtype=np.float64)
+                raise ValueError(f"start point {name} must have shape {block.shape}")
+        vec = np.array(z0.vec, dtype=np.float64)
         if not np.all(np.isfinite(vec)):
             raise ValueError("start point has a non-finite entry")
         return vec if self.scale is None else vec / self.scale
+
+    def view(self, vec):
+        return self.point.over(vec, self.n)
 
     def to_caller(self, vec):
         return vec if self.scale is None else vec * self.scale
 
     def export(self, vec):
-        """A point of the caller's problem that owns its arrays."""
-        return self.point.from_vector(self.to_caller(vec), self.n)
+        """A point of the caller's problem over a new vector."""
+        return self.view(np.array(self.to_caller(vec)))
 
 
 class _SaddleLane(_Lane):
@@ -320,9 +341,6 @@ class _SaddleLane(_Lane):
         self.d1, self.d2 = d1, d2
         if d1 is not None:
             self.scale = np.concatenate([d2, d1])
-
-    def view(self, vec):
-        return SaddlePoint(vec[:self.n], vec[self.n:])
 
     def dist(self, va, vb):
         return _norm(va - vb)
@@ -359,10 +377,6 @@ class _AdmmLane(_Lane):
         if d2 is not None:
             # (x_U, x_V, y): y is the multiplier of x_U = x_V, so y = y~ / d2
             self.scale = np.concatenate([d2, d2, 1.0 / d2])
-
-    def view(self, vec):
-        n = self.n
-        return AdmmPoint(vec[:n], vec[n:2 * n], vec[2 * n:])
 
     def dist(self, va, vb):
         n = self.n
@@ -455,9 +469,10 @@ def run_restarted(problem, options, z0=None, observe=None):
     semi-norm for ADMM); for no-restart runs the gap is evaluated at the
     last iterate with radius equal to the distance from the start.
 
-    The loop allocates no vector per iteration for PDHG, EGM and ADMM,
-    whose step operators own the iterate and target buffers (PPM's step
-    allocates its output).  It keeps, per solve, the running sum of the
+    Every point is one flat vector, [x; y] or ADMM's [x_U; x_V; y], whose
+    blocks the steps read and write as views.  The loop allocates no
+    vector per iteration for PDHG, EGM and ADMM, whose step operators own
+    the iterate and target buffers (PPM's step allocates its output).  It keeps, per solve, the running sum of the
     targets since the last restart, the average and a copy of the best
     point seen at a checkpoint; only a restart (a copy of the new anchor)
     and a checkpoint's measurements allocate.  Each iteration adds its target
@@ -545,7 +560,8 @@ def _run_lane(lane, options, z0=None, observe=None):
     stop = False
     while True:
         out = step(cur_point)
-        cur_point, cur, tvec = out.next, out.next_vec, out.target_vec
+        cur_point, tvec = out.next, out.target.vec
+        cur = cur_point.vec
         total += 1
         inner += 1
         if inner == 1:

@@ -1,28 +1,27 @@
 """One-iteration updates for the primal-dual methods.
 
-Every step takes the current iterate z^t, a :class:`SaddlePoint` (or an
-:class:`AdmmPoint` for ADMM), reads it only, and returns a
-:class:`StepOutput`: the next iterate z^{t+1}, the target point zhat^{t+1}
-whose running average carries the ergodic guarantee, and the flat vectors
-([x; y], or [x_U; x_V; y] for ADMM) that hold them.  For PDHG and PPM the
-next iterate and the target coincide; EGM's target is the intermediate
-(extrapolated) point and ADMM's differs from the iterate in the multiplier
-block only.
+Every point is one flat float64 vector ``vec`` with its blocks as views
+of it: [x; y] for a :class:`SaddlePoint`, [x_U; x_V; y] for an
+:class:`AdmmPoint`.  Every step takes the current iterate z^t, reads it
+only, and returns a :class:`StepOutput`: the next iterate z^{t+1} and the
+target point zhat^{t+1} whose running average carries the ergodic
+guarantee.  For PDHG and PPM the next iterate and the target coincide;
+EGM's target is the intermediate (extrapolated) point and ADMM's differs
+from the iterate in the multiplier block only.
 
 PDHG, EGM and ADMM step through operators, their argument after the config:
 :class:`StepOperators` and :class:`AdmmOperators`, built once by a restarted
 run, or by a one-off step for itself.  They hold the data with the step
 size folded in, the step's scratch and the iterate buffers: two flat
-buffers for the next iterate and, for EGM and ADMM, one for the target.  A
-step writes into the buffer that does not hold ``z``: from the ``next`` of
-one of the operators' outputs it goes into the other buffer with no check;
-from any other point, such as an anchor after a restart, into the first
-buffer once that point is checked to share no memory with it or with the
-target buffer.  A run that steps from each output's ``next`` thus
-alternates between the two buffers and allocates nothing, and an output
-stays valid until the step after the next one overwrites it.  A step also
-reads ``z`` as one flat vector, but for ADMM, which reads its blocks:
-the buffer that holds it, or its blocks concatenated once.
+buffers for the next iterate and, for EGM and ADMM, one for the target,
+with the output of a step into each built once over them.  A step writes
+into the buffer that is not ``z.vec``: from a point over one of the two
+buffers it goes into the other with no check; from any other point, such
+as an anchor after a restart, into the first buffer once ``z.vec`` is
+checked to share no memory with it or with the target buffer.  A run that
+steps from each output's ``next`` thus alternates between the two buffers
+and allocates nothing, and an output stays valid until the step after the
+next one overwrites it.
 
 PDHG and EGM start both blocks of a step's output with one addition on
 the flat vectors, z + [-tau c; sigma b], and add the products into it.
@@ -50,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lp_core import SaddlePoint, _norm, is_buffer
+from .lp_core import SaddlePoint, _FlatPoint, _norm, is_buffer
 
 __all__ = [
     "Method",
@@ -133,8 +132,6 @@ class StepConfig:
 class StepOutput:
     next: object      # SaddlePoint, or AdmmPoint for ADMM
     target: object
-    next_vec: np.ndarray      # the flat vectors holding next and target
-    target_vec: np.ndarray
 
 
 # The bound of x >= 0 as a 0-d array: a ufunc takes it faster than a Python
@@ -145,50 +142,30 @@ _ZERO = np.array(0.0)
 class _Operators:
     """The iterate buffers of a method's steps: two flat buffers for the
     next iterate and, for a method whose target differs from it, one for
-    the target, each with the views a step into it writes and the
-    :class:`StepOutput` it returns, built once.  A subclass sets
-    ``problem``, ``config`` and ``n``; the blocks of a point are those of a
-    :class:`SaddlePoint` [x; y] unless it names others in ``_layout`` and
-    ``_reads``; ``_flat`` is whether a step reads a point's flat vector."""
+    the target, with the :class:`StepOutput` of a step into each built once
+    over them: points of class ``point`` with blocks of ``problem.n``
+    entries (see :meth:`~restartlp.lp_core.SaddlePoint.over`)."""
 
-    _flat = True
-
-    def _bind_buffers(self, size, with_target):
+    def __init__(self, problem, config, point, size, with_target):
+        self.problem, self.config = problem, config
+        self.buffers = np.empty(size), np.empty(size)
         self.target = np.empty(size) if with_target else None
-        self.buffers = first_buf, second_buf = np.empty(size), np.empty(size)
-        self._into_first = first = self._layout(first_buf, self.target)
-        second = self._layout(second_buf, self.target)
-        # from the next of each output: the buffer holding it, then the
-        # views and the output of a step into the other buffer
-        self._from_next = ((first[1].next, (first_buf, *second)),
-                           (second[1].next, (second_buf, *first)))
+        target = None if self.target is None else point.over(self.target, problem.n)
+        self._outputs = [StepOutput(nxt, nxt if target is None else target)
+                         for nxt in (point.over(buf, problem.n) for buf in self.buffers)]
 
     def bind(self, z):
-        """``z``'s flat vector, the views a step from ``z`` writes and the
-        output it returns: those of the buffer that does not hold ``z``
-        (see the module docstring)."""
-        (first_next, from_first), (second_next, from_second) = self._from_next
-        if z is first_next:
-            return from_first
-        if z is second_next:
-            return from_second
-        reads = self._reads(z)
-        for buf in (self.buffers[0], self.target):
-            if buf is not None and any(np.may_share_memory(buf, arr) for arr in reads):
-                raise ValueError("step buffer shares memory with the point it steps from")
-        return (z.as_vector() if self._flat else None, *self._into_first)
-
-    def _layout(self, out, target):
-        n = self.n
-        nxt = SaddlePoint(out[:n], out[n:])
-        if target is None:
-            return (out, nxt.x, nxt.y), StepOutput(nxt, nxt, out, out)
-        tgt = SaddlePoint(target[:n], target[n:])
-        return (out, nxt.x, target, tgt.x), StepOutput(nxt, tgt, out, target)
-
-    @staticmethod
-    def _reads(z):
-        return z.x, z.y
+        """The output of a step from ``z``: the one into the buffer that is
+        not ``z.vec`` (see the module docstring)."""
+        first, second = self.buffers
+        vec = z.vec
+        if vec is first:
+            return self._outputs[1]
+        if vec is not second:
+            for buf in (first, self.target):
+                if buf is not None and np.may_share_memory(buf, vec):
+                    raise ValueError("step buffer shares memory with the point it steps from")
+        return self._outputs[0]
 
 
 class StepOperators(_Operators):
@@ -206,8 +183,7 @@ class StepOperators(_Operators):
       -sigma A x to its y block, in one kernel call;
     * ``shift`` is the flat [-tau c; sigma b] that a step adds to [x; y];
     * ``buffers`` are the two flat iterate buffers [x; y] and ``target`` is
-      EGM's target buffer (None for PDHG), with the views and the output
-      of a step into each (see the module docstring);
+      EGM's target buffer (None for PDHG) (see the module docstring);
     * ``work`` is PDHG's length-n scratch for 2 x+ - x, never returned.
 
     What a method does not use (``M`` for PDHG; ``tau_A``, ``neg_sigma_A``
@@ -219,16 +195,15 @@ class StepOperators(_Operators):
             raise ValueError(f"step operators are for PDHG and EGM, not {config.method}")
         tau = config.eta / config.omega
         sigma = config.eta * config.omega
-        self.problem, self.config = problem, config
-        self.n = n = problem.n
         self.shift = np.concatenate([-(tau * problem.c), sigma * problem.b])
         if config.method == PDHG:
             self.tau_A, self.neg_sigma_A = problem.A.times(tau), problem.A.times(-sigma)
-            self.M, self.work = None, np.empty(n)
+            self.M, self.work = None, np.empty(problem.n)
         else:
             self.tau_A = self.neg_sigma_A = self.work = None
             self.M = problem.A.saddle_products(-sigma, tau)
-        self._bind_buffers(n + problem.m, config.method == EGM)
+        super().__init__(problem, config, SaddlePoint, problem.n + problem.m,
+                         config.method == EGM)
 
 
 def _operators(kind, problem, config, ops):
@@ -255,15 +230,15 @@ def pdhg_step(problem, z, config, ops=None):
     one addition on the flat vectors.
     """
     ops = _operators(StepOperators, problem, config, ops)
-    zvec, (z1, x1, y1), result = ops.bind(z)
-    w = ops.work
-    np.add(zvec, ops.shift, out=z1)
+    result = ops.bind(z)
+    x1, w = result.next.x, ops.work
+    np.add(z.vec, ops.shift, out=result.next.vec)
     ops.tau_A.rmatvec(z.y, x1)
     if problem.nonneg:
         np.maximum(x1, _ZERO, out=x1)
     np.add(x1, x1, out=w)
     np.subtract(w, z.x, out=w)
-    ops.neg_sigma_A.matvec(w, y1)
+    ops.neg_sigma_A.matvec(w, result.next.y)
     return result
 
 
@@ -278,8 +253,9 @@ def egm_step(problem, z, config, ops=None):
     products as one product with the saddle operator ``ops.M``, from z for
     zhat and from zhat for z^{t+1}.  The target is zhat."""
     ops = _operators(StepOperators, problem, config, ops)
-    zvec, (z1, x1, zh, xh), result = ops.bind(z)
-    M = ops.M
+    result = ops.bind(z)
+    nxt, hat = result.next, result.target
+    M, zvec, z1, x1, zh, xh = ops.M, z.vec, nxt.vec, nxt.x, hat.vec, hat.x
     np.add(zvec, ops.shift, out=zh)
     np.copyto(z1, zh)
     M.matvec(zvec, zh)
@@ -314,8 +290,8 @@ def ppm_bilinear_step(problem, z, eta):
                          "problems only")
     A, n = problem.A, problem.n
     s = 1.0 / (eta * eta)
-    vec = np.zeros(n + problem.m)
-    x1, y1 = vec[:n], vec[n:]
+    nxt = SaddlePoint.over(np.zeros(n + problem.m), n)
+    x1, y1 = nxt.x, nxt.y
     np.subtract(z.x, problem.c * eta, out=x1)
     top = z.y + eta * problem.b
 
@@ -330,8 +306,7 @@ def ppm_bilinear_step(problem, z, eta):
 
     res = residual()
     NormalFactor.of(A, s).refine(correct, res * s, s * _PPM_TOL * (1.0 + _norm(res)))
-    nxt = SaddlePoint(x1, y1)
-    return StepOutput(nxt, nxt, vec, vec)
+    return StepOutput(nxt, nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +477,12 @@ class AffineProjector:
         return w
 
 
-@dataclass
-class AdmmPoint:
+class AdmmPoint(_FlatPoint):
     """A point of the splitting formulation: (x_U, x_V, y) with x_U in
-    {Ax = b}, x_V >= 0, and y the multiplier of x_U - x_V = 0."""
+    {Ax = b}, x_V >= 0, and y the multiplier of x_U - x_V = 0, held as
+    ``vec`` = [x_U; x_V; y]."""
 
-    x_u: np.ndarray
-    x_v: np.ndarray
-    y: np.ndarray
-
-    def as_vector(self):
-        return np.concatenate([self.x_u, self.x_v, self.y])
-
-    @classmethod
-    def from_vector(cls, v, n):
-        return cls(v[:n].copy(), v[n:2 * n].copy(), v[2 * n:].copy())
+    _blocks = ("x_u", "x_v", "y")
 
 
 class AdmmOperators(_Operators):
@@ -526,32 +492,16 @@ class AdmmOperators(_Operators):
       factor comes from the matrix's memo;
     * ``c_eta``, c / eta, and ``y_eta``, the length-n scratch for y / eta;
     * ``buffers``, the two flat iterate buffers [x_U; x_V; y], and
-      ``target``, the target buffer, with the views and the output of a
-      step into each (see the module docstring).
+      ``target``, the target buffer (see the module docstring).
     """
-
-    _flat = False
 
     def __init__(self, problem, config):
         if config.method != ADMM:
             raise ValueError(f"ADMM operators are for ADMM, not {config.method}")
-        self.problem, self.config = problem, config
-        self.n = n = problem.n
         self.projector = AffineProjector(problem.A, problem.b)
         self.c_eta = problem.c / config.eta
-        self.y_eta = np.empty(n)
-        self._bind_buffers(3 * n, True)
-
-    def _layout(self, out, target):
-        n = self.n
-        nxt = AdmmPoint(out[:n], out[n:2 * n], out[2 * n:])
-        tgt = AdmmPoint(target[:n], target[n:2 * n], target[2 * n:])
-        views = (nxt.x_u, nxt.x_v, nxt.y, out[:2 * n], target[:2 * n], tgt.y)
-        return views, StepOutput(nxt, tgt, out, target)
-
-    @staticmethod
-    def _reads(z):
-        return z.x_v, z.y
+        self.y_eta = np.empty(problem.n)
+        super().__init__(problem, config, AdmmPoint, 3 * problem.n, True)
 
 
 def admm_step(problem, z, config, ops=None):
@@ -567,7 +517,9 @@ def admm_step(problem, z, config, ops=None):
     here when None.  x_U^t is not read.
     """
     ops = _operators(AdmmOperators, problem, config, ops)
-    _, (xu, xv, y1, x1, tx, ty), result = ops.bind(z)
+    result = ops.bind(z)
+    nxt, tgt = result.next, result.target
+    xu, xv, y1, ty = nxt.x_u, nxt.x_v, nxt.y, tgt.y
     eta, y_eta = config.eta, ops.y_eta
     np.divide(z.y, eta, out=y_eta)
     np.add(z.x_v, y_eta, out=xu)
@@ -582,5 +534,6 @@ def admm_step(problem, z, config, ops=None):
     np.subtract(xu, xv, out=y1)
     np.multiply(y1, eta, out=y1)
     np.subtract(z.y, y1, out=y1)
-    np.copyto(tx, x1)
+    np.copyto(tgt.x_u, xu)
+    np.copyto(tgt.x_v, xv)
     return result

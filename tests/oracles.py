@@ -470,7 +470,7 @@ def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
     opt_vec = optimum.as_vector()
 
     def dist_to_opt(vec):
-        z = SaddlePoint.from_vector(vec - opt_vec, problem.n)
+        z = SaddlePoint.over(vec - opt_vec, problem.n)
         return norm_value(norm, problem, z)
 
     fixed_opts = SolveOptions(

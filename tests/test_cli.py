@@ -485,3 +485,36 @@ class TestBilinearLab:
     def test_empty_kappas_usage_error(self, tmp_path):
         assert main(["bilinear-lab", "--kappas", "", "--out-dir",
                      str(tmp_path)]) == EXIT_INPUT_ERROR
+
+
+class TestUnwritableOutputs:
+    """An output file or directory that cannot be made is an input error:
+    one ``error:`` line and exit code 3, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--generate", "toy", "--eta", "0.2", "--iteration-limit", "60",
+         "--trace-out", "{missing}/t.csv"],
+        ["solve", "--generate", "toy", "--eta", "0.2", "--iteration-limit", "60",
+         "--summary-out", "{missing}/s.json"],
+        ["tune-omega", "--generate", "toy", "--tune-iterations", "10",
+         "--summary-out", "{missing}/s.json"],
+        ["sweep-restarts", "--generate", "toy", "--eta", "0.2", "--iteration-limit", "30",
+         "--out-dir", "{file}/out"],
+        ["bilinear-lab", "--kappas", "4", "--out-dir", "{file}/lab"],
+    ], ids=["solve-trace", "solve-summary", "tune-omega", "sweep-restarts", "bilinear-lab"])
+    def test_is_an_input_error(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [a.format(missing=tmp_path / "missing", file=blocker) for a in argv]
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and err.count("\n") == 1, err
+
+    def test_bilinear_lab_makes_its_directory_before_table_3(self, tmp_path, monkeypatch):
+        def table3(*args, **kwargs):
+            raise AssertionError("Table 3 ran")
+
+        monkeypatch.setattr(cli, "table3_scaling_experiment", table3)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["bilinear-lab", "--out-dir", str(blocker / "lab")]) == EXIT_INPUT_ERROR

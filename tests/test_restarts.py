@@ -58,6 +58,43 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="KKT tolerance"):
             SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(), kkt_tol=tol)
 
+    @pytest.mark.parametrize("field", ["iteration_limit", "check_cadence", "trace_cadence"])
+    @pytest.mark.parametrize("value", [2.5, 50.5, 2.0, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(), **{field: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        options = SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(),
+                               iteration_limit=np.int64(50), check_cadence=np.int32(5),
+                               trace_cadence=np.uint8(2))
+        counts = (options.iteration_limit, options.check_cadence, options.trace_cadence)
+        assert counts == (50, 5, 2) and all(type(c) is int for c in counts)
+
+    def test_iteration_limit_and_cadence_are_kept_exactly(self):
+        problem, _ = generate(DiagonalBilinear((0.5, 1.0)))
+        options = SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(), kkt_tol=0.0,
+                               iteration_limit=np.int64(50), check_cadence=np.int64(20))
+        res = run_restarted(problem, options, z0=SaddlePoint(np.ones(2), np.ones(2)))
+        assert res.iterations == 50
+        assert [r.iteration for r in res.trace.records] == [20, 40, 50]
+
+
+class TestRestartScheme:
+    @pytest.mark.parametrize("make", [lambda v: RestartScheme.fixed(v),
+                                      lambda v: RestartScheme.adaptive(tau0=v),
+                                      lambda v: RestartScheme.flexible(tau0=v)],
+                             ids=["fixed-tau", "adaptive-tau0", "flexible-tau0"])
+    @pytest.mark.parametrize("value", [2.7, 2.0, "2"])
+    def test_non_integer_lengths_rejected(self, make, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(value)
+
+    def test_numpy_integer_lengths_become_ints(self):
+        assert RestartScheme.fixed(np.int64(64)) == RestartScheme.fixed(64)
+        assert type(RestartScheme.fixed(np.int64(64)).tau) is int
+        assert type(RestartScheme.adaptive(tau0=np.int32(3)).tau0) is int
+
 
 class TestShouldRestart:
     def test_first_epoch_fires_at_tau0(self):
@@ -89,7 +126,7 @@ class TestRunRestarted:
                             iteration_limit=137, check_cadence=137)
         z0 = SaddlePoint(np.array([1.0, -2.0]), np.array([0.5, 0.25]))
         res = run_restarted(problem, opts, z0=z0)
-        z = z0.copy()
+        z = SaddlePoint(z0.x, z0.y)
         targets = []
         ops = StepOperators(problem, cfg)
         for _ in range(137):
@@ -102,7 +139,7 @@ class TestRunRestarted:
 
     def test_bad_start_point_raises(self):
         # blocks of the wrong shapes (even with the right total length), a
-        # non-finite entry, or a point of another method's class
+        # non-finite entry, a point of another method's class, or no point
         bilinear, _ = generate(DiagonalBilinear((0.5, 1.0)))
         lp, _ = generate(RandomLpKnownOptimum(5, 10, 0.5, 0))
         n, m = lp.n, lp.m
@@ -117,6 +154,8 @@ class TestRunRestarted:
             (lp, admm, AdmmPoint(np.ones(n), np.ones(n - 1), np.ones(n + 1)), "shape"),
             (lp, admm, AdmmPoint(np.ones(n), np.full(n, -np.inf), np.ones(n)), "non-finite"),
             (lp, admm, SaddlePoint(np.ones(n), np.ones(m)), "shape"),
+            (bilinear, pdhg, np.ones(4), "shape"),
+            (lp, admm, (np.ones(n), np.ones(n), np.ones(n)), "shape"),
         ]
         for problem, step, z0, match in cases:
             options = SolveOptions(step, RestartScheme.adaptive(), iteration_limit=50)
@@ -280,7 +319,7 @@ class TestRunRestarted:
                             iteration_limit=10, check_cadence=1)
         res = run_restarted(problem, opts, z0=z0)
         # on the unconstrained toy the gap at z is |F(z)| = |z| reflected
-        z = z0.copy()
+        z = SaddlePoint(z0.x, z0.y)
         cfg = StepConfig(PDHG, 0.2)
         ops = StepOperators(problem, cfg)
         for rec in res.trace.records:
@@ -475,7 +514,7 @@ class TestTheory:
             d0 = norm_value(spec, problem,
                             SaddlePoint(z0.x - opt.x, z0.y - opt.y))
             for anchor in res.anchors:
-                z = SaddlePoint.from_vector(anchor, problem.n)
+                z = SaddlePoint.over(anchor, problem.n)
                 d = norm_value(spec, problem,
                                SaddlePoint(z.x - z0.x, z.y - z0.y))
                 assert d <= 2.0 * d0 * (1 + 1e-9)

@@ -441,7 +441,7 @@ class TestErgodicDecay:
         ops = StepOperators(problem, cfg)
         spec = NormSpec.pdhg(eta)
         z0 = SaddlePoint(np.array([1.0, -0.5]), np.array([0.25, 1.5]))
-        z = z0.copy()
+        z = SaddlePoint(z0.x, z0.y)
         avg = None
         checkpoints = {10, 100, 1000}
         for t in range(1, 1001):
@@ -450,7 +450,7 @@ class TestErgodicDecay:
             tv = out.target.as_vector()
             avg = tv.copy() if avg is None else avg + (tv - avg) / t
             if t in checkpoints:
-                zbar = SaddlePoint.from_vector(avg, problem.n)
+                zbar = SaddlePoint.over(avg, problem.n)
                 for _ in range(100):
                     probe = SaddlePoint(rng.standard_normal(2), rng.standard_normal(2))
                     gap = (lagrangian(problem, SaddlePoint(zbar.x, probe.y))
@@ -520,15 +520,52 @@ def _start(problem, rng, method=PDHG):
 
 def _view(problem, method, vec):
     """A new point of ``method`` over the flat vector ``vec``."""
-    n = problem.n
-    if method == ADMM:
-        return AdmmPoint(vec[:n], vec[n:2 * n], vec[2 * n:])
-    return SaddlePoint(vec[:n], vec[n:])
+    return (AdmmPoint if method == ADMM else SaddlePoint).over(vec, problem.n)
+
+
+@pytest.mark.parametrize("cls, names", [(SaddlePoint, ("x", "y")),
+                                         (AdmmPoint, ("x_u", "x_v", "y"))])
+class TestFlatPoints:
+    """A point is one flat vector ``vec`` with its blocks as views of it."""
+
+    def test_constructor_copies_the_blocks_into_one_vector(self, cls, names, rng):
+        blocks = [rng.standard_normal(3) for _ in names]
+        point = cls(*blocks)
+        assert point.vec.dtype == np.float64
+        assert np.array_equal(point.vec, np.concatenate(blocks))
+        for name, block in zip(names, blocks):
+            view = getattr(point, name)
+            assert np.array_equal(view, block) and not np.shares_memory(view, block)
+            assert np.shares_memory(view, point.vec)
+        point.vec[:] = -1.0
+        assert all(np.all(getattr(point, name) == -1.0) for name in names)
+
+    def test_constructor_keeps_each_block_shape(self, cls, names):
+        point = cls(*([np.ones(2)] * (len(names) - 1) + [np.arange(4.0).reshape(2, 2)]))
+        assert getattr(point, names[-1]).shape == (2, 2)
+        assert point.vec.shape == (2 * len(names) + 2,)
+        assert np.shares_memory(getattr(point, names[-1]), point.vec)
+
+    def test_over_wraps_the_vector_without_a_copy(self, cls, names):
+        vec = np.arange(3.0 * len(names))
+        point = cls.over(vec, 3)
+        assert point.vec is vec
+        for k, name in enumerate(names):
+            assert np.shares_memory(getattr(point, name), vec)
+            assert np.array_equal(getattr(point, name), vec[3 * k:3 * k + 3])
+        vec[:] = 7.0
+        assert all(np.all(getattr(point, name) == 7.0) for name in names)
+
+    def test_as_vector_returns_a_new_array(self, cls, names):
+        vec = np.arange(3.0 * len(names))
+        point = cls.over(vec, 3)
+        flat = point.as_vector()
+        assert np.array_equal(flat, vec) and not np.shares_memory(flat, vec)
 
 
 class TestOperatorBuffers:
     """The operators of PDHG, EGM and ADMM own the iterate buffers: a step
-    writes into the one that does not hold its point, or into the first
+    writes into the one that is not its point's vector, or into the first
     one from any other point."""
 
     def test_bound_step_equals_one_off_step(self, rng):
@@ -546,11 +583,11 @@ class TestOperatorBuffers:
             bound = step(problem, z, config, ops)
             assert np.array_equal(own.next.as_vector(), bound.next.as_vector()), label
             assert np.array_equal(own.target.as_vector(), bound.target.as_vector()), label
-            assert not np.shares_memory(own.next_vec, ops.buffers[0]), label
-            assert bound.next_vec is ops.buffers[0], label
-            assert np.array_equal(bound.next_vec, bound.next.as_vector()), label
-            assert np.array_equal(bound.target_vec, bound.target.as_vector()), label
-            assert (bound.target_vec is bound.next_vec) == (ops.target is None), label
+            assert not np.shares_memory(own.next.vec, ops.buffers[0]), label
+            assert bound.next.vec is ops.buffers[0], label
+            assert np.array_equal(bound.next.vec, bound.next.as_vector()), label
+            assert np.array_equal(bound.target.vec, bound.target.as_vector()), label
+            assert (bound.target.vec is bound.next.vec) == (ops.target is None), label
             assert np.array_equal(z.as_vector(), start), label
 
     def test_alternate_steps_return_the_prebuilt_outputs(self, rng):
@@ -561,19 +598,21 @@ class TestOperatorBuffers:
             second = step(problem, first.next, config, ops)
             third = step(problem, second.next, config, ops)
             assert third is first and second is not first, label
-            assert first.next_vec is ops.buffers[0] and second.next_vec is ops.buffers[1], label
+            assert first.next.vec is ops.buffers[0] and second.next.vec is ops.buffers[1], label
 
-    def test_bind_concatenates_a_new_point_only_for_a_flat_step(self, rng):
-        # from a new point PDHG and EGM read its blocks concatenated once;
-        # ADMM reads the blocks only, so nothing is concatenated
+    def test_bind_picks_the_buffer_by_the_point_vector(self, rng):
+        # a new point object over one buffer steps into the other, and a
+        # point over any other vector into the first
         for label, problem, config in _buffer_cases():
             ops = _operators_for(problem, config)
-            z = _start(problem, rng, config.method)
-            flat = ops.bind(z)[0]
-            if config.method == ADMM:
-                assert flat is None, label
-            else:
-                assert np.array_equal(flat, z.as_vector()), label
+            first, second = ops.buffers
+            into_first = ops.bind(_start(problem, rng, config.method))
+            assert into_first.next.vec is first, label
+            assert ops.bind(_view(problem, config.method, second)) is into_first, label
+            into_second = ops.bind(_view(problem, config.method, first))
+            assert into_second.next.vec is second, label
+            assert into_second.target is (into_second.next if ops.target is None
+                                          else into_first.target), label
 
     def test_point_sharing_memory_with_the_output_raises(self, rng):
         for label, problem, config in _buffer_cases():
@@ -581,9 +620,10 @@ class TestOperatorBuffers:
             ops = _operators_for(problem, config)
             first, second = ops.buffers
             first[:] = _start(problem, rng, config.method).as_vector()
-            # a new point over the buffer such a point is stepped into
+            # a new point over a view of the buffer such a point is stepped
+            # into
             with pytest.raises(ValueError, match="shares memory"):
-                step(problem, _view(problem, config.method, first), config, ops)
+                step(problem, _view(problem, config.method, first[:]), config, ops)
             if ops.target is not None:
                 ops.target[:] = first
                 with pytest.raises(ValueError, match="shares memory"):
@@ -591,7 +631,7 @@ class TestOperatorBuffers:
             # the other buffer read through a new point object is fine
             second[:] = first
             out = step(problem, _view(problem, config.method, second), config, ops)
-            assert out.next_vec is first, label
+            assert out.next.vec is first, label
 
     @pytest.mark.parametrize("method", [PDHG, EGM, ADMM])
     def test_steady_state_step_allocates_no_vector(self, method):
@@ -643,9 +683,9 @@ class TestStepOperators:
                 ops.buffers[into].fill(np.nan)   # stale contents must not leak
                 bound = step(problem, z_bound, config, ops)
                 own = step(problem, z_own, config)
-                assert bound.next_vec is ops.buffers[into], (label, k)
-                assert np.array_equal(bound.next_vec, own.next_vec), (label, k)
-                assert np.array_equal(bound.target_vec, own.target_vec), (label, k)
+                assert bound.next.vec is ops.buffers[into], (label, k)
+                assert np.array_equal(bound.next.vec, own.next.vec), (label, k)
+                assert np.array_equal(bound.target.vec, own.target.vec), (label, k)
                 z_bound, z_own, into = bound.next, own.next, 1 - into
 
     def test_operators_of_another_problem_or_config_raise(self, rng):
@@ -715,9 +755,9 @@ class TestFlatSteps:
                     want_next, want_target = egm_four_products(problem, z, tau, sigma)
                 ops.buffers[into].fill(np.nan)   # stale contents must not leak
                 out = _step_of(config)(problem, z, config, ops)
-                assert out.next_vec is ops.buffers[into], (label, k)
-                assert out.next_vec.tobytes() == want_next.tobytes(), (label, k)
-                assert out.target_vec.tobytes() == want_target.tobytes(), (label, k)
+                assert out.next.vec is ops.buffers[into], (label, k)
+                assert out.next.vec.tobytes() == want_next.tobytes(), (label, k)
+                assert out.target.vec.tobytes() == want_target.tobytes(), (label, k)
                 z, into = out.next, 1 - into
 
     def test_egm_runs_two_saddle_products(self, rng):
@@ -812,7 +852,7 @@ class TestAdmmAndPpm:
                 assert np.array_equal(out.next.as_vector(), want_next), (method, k)
                 assert np.array_equal(out.target.as_vector(), want_target), (method, k)
                 if method == ADMM:
-                    assert out.next_vec is ops.buffers[into], k
+                    assert out.next.vec is ops.buffers[into], k
                 z, into = out.next, 1 - into
 
     def test_operators_of_another_problem_or_config_raise(self, rng):
