@@ -27,12 +27,9 @@ block (see :func:`table3_scaling_experiment`).
 
 That hook reads the iterate once per iteration as Python floats and runs
 its tests in scalar arithmetic, since numpy's per-call cost on 4-vectors is
-about that of the PDHG step itself.  The incremental average takes the same
-IEEE binary64 operations as numpy's elementwise ufuncs, so it keeps its
-bits.  A sum of squares may differ from numpy's dot product of the same
-values by a few ulps, so a value within a small margin of its threshold is
-decided by numpy's expression on the block instead (:func:`_tie_band`):
-every decision is the one a numpy test would make.
+about that of the PDHG step itself.  Every threshold of the experiment is
+decided on one sum of squares, :func:`_sum_sq`, summed left to right, so no
+decision depends on the order in which a BLAS kernel adds.
 """
 
 from __future__ import annotations
@@ -85,21 +82,11 @@ class Table3Report:
 # |z0 - z*|^2 and |z0 - z*| for a block z0 = (1, 1, 1, 1) and z* = 0
 _D0SQ, _D0 = 4.0, 2.0
 
-# A sum of four squares in Python floats and numpy's dot product of the
-# same four values differ by a few ulps at most (the dot may pair the terms
-# otherwise or fuse multiply-adds).  The absolute floor covers the square
-# root of a sum near the subnormal range, where a few ulps of the sum move
-# its root by up to about 1e-161.
-_TIE_REL, _TIE_ABS = 1e-9, 1e-150
 
-
-def _tie_band(threshold):
-    """(lo, hi) around ``threshold``: a scalar value below lo or above hi
-    compares to it as numpy's value of it would; one in [lo, hi] must be
-    tested as numpy computes it.  NaN lies in neither, and compares false
-    in both."""
-    margin = _TIE_REL * threshold + _TIE_ABS
-    return threshold - margin, threshold + margin
+def _sum_sq(a, b, c, d):
+    """a^2 + b^2 + c^2 + d^2 of one block, summed left to right in Python
+    floats: the one arithmetic every threshold of Table 3 is tested in."""
+    return a * a + b * b + c * c + d * d
 
 
 def _stacked_observe(blocks, eps, levels, last, hits):
@@ -113,27 +100,18 @@ def _stacked_observe(blocks, eps, levels, last, hits):
     is at most ``eps``, appends to ``hits`` the first iteration at which
     the incremental average of block 0 has norm at most
     ``levels[len(hits)]``, and ends the run once every row is known.  It
-    reads the iterate once, as Python floats, and tests the scalar values;
-    one within :func:`_tie_band` of its threshold is tested as numpy
-    computes it, on the block read at its indices or on the average copied
-    into an array, so every decision is numpy's."""
-    pending = [(j, index.tolist(), index) for j, index in enumerate(blocks[1:])]
-    lo, hi = _tie_band(eps)
+    reads the iterate once, as Python floats, and tests each value on
+    :func:`_sum_sq`."""
+    pending = [(j, index.tolist()) for j, index in enumerate(blocks[1:])]
     a0, b0, c0, d0 = blocks[0].tolist()
-    level_bands = [(level, *_tie_band(level)) for level in levels]
-    mean, mean_vec = (), np.empty(4)
+    mean = ()
 
     def observe(t, z, average):
         nonlocal pending, mean
         zs = z.tolist()
         hit = False
-        for i, (a, b, c, d), index in pending:
-            za, zb, zc, zd = zs[a], zs[b], zs[c], zs[d]
-            ratio = (za * za + zb * zb + zc * zc + zd * zd) / _D0SQ
-            if lo <= ratio <= hi:
-                v = z[index]
-                ratio = float(v @ v) / _D0SQ
-            if ratio <= eps:
+        for i, (a, b, c, d) in pending:
+            if _sum_sq(zs[a], zs[b], zs[c], zs[d]) / _D0SQ <= eps:
                 last[i] = t
                 hit = True
         if hit:
@@ -150,15 +128,8 @@ def _stacked_observe(blocks, eps, levels, last, hits):
                 mc += (zs[c0] - mc) / t
                 md += (zs[d0] - md) / t
             mean = ma, mb, mc, md
-            nrm = math.sqrt(ma * ma + mb * mb + mc * mc + md * md)
-            while len(hits) < len(levels):
-                level, level_lo, level_hi = level_bands[len(hits)]
-                if level_lo <= nrm <= level_hi:
-                    # the same bits as np.linalg.norm(mean)
-                    mean_vec[:] = mean
-                    nrm = math.sqrt(float(mean_vec @ mean_vec))
-                if not nrm <= level:
-                    break
+            nrm = math.sqrt(_sum_sq(ma, mb, mc, md))
+            while len(hits) < len(levels) and nrm <= levels[len(hits)]:
                 hits.append(t)
         return not pending and len(hits) == len(levels)
 
@@ -199,13 +170,8 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     threshold and ends the run once every row is known.  The result is
     exact, not an approximation: A has one entry per row, and every PDHG
     operation is elementwise, so each block holds the same bits as a lone
-    run of it would.  The hook tests a block's sum of squares in Python
-    floats; only when that value lies within a relative 1e-9 (plus a floor
-    of 1e-150) of its threshold does it read the block as that lone run's
-    4-vector (:func:`~restartlp.restarts._block_indices`) and decide on
-    numpy's dot product of it, as a lone run testing ``v @ v`` would.  A
-    dot product and the scalar sum differ by a few ulps at most, so
-    outside that margin both decide alike.
+    run of it would.  Every test, the restarted modes' included, is decided
+    on :func:`_sum_sq` of the block's four values.
 
     The average mode does not read the driver's average, which is the
     running sum of the iterates divided by K.  Its hook keeps the paper's
@@ -215,8 +181,6 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     rows at 1e-3 and 1e-4 are roundoff ties (|zbar_K| K / |z0| reads
     4.999999999999987 at K = 5000 and 5.000000000000052 at K = 50000), so
     sum / K, whose rounding differs, would record 50000 in place of 50001.
-    Both fall within the margin above, so their norm is numpy's
-    ``sqrt(zbar @ zbar)`` on the average copied into an array.
 
     Modes that fail to converge within ``cap`` are recorded with ``None``.
     """
@@ -242,8 +206,7 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     hits += [None] * (len(levels) - len(hits))
 
     def average_reached_eps(t, z, average):
-        avg = average()
-        return float(avg @ avg) / _D0SQ <= eps
+        return _sum_sq(*average().tolist()) / _D0SQ <= eps
 
     report = Table3Report()
     for kappa, problem, last_iters in zip(kappas, blocks[1:], last):

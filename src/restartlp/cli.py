@@ -606,7 +606,8 @@ def _add_common(parser):
 def _add_run_options(parser):
     """The options of the restarted solves that solve and sweep-restarts run."""
     parser.add_argument("--omega", default="1.0",
-                        help="primal weight, or 'auto' to tune")
+                        help="primal weight of PDHG and EGM (ADMM and PPM take 1), "
+                             "or 'auto' to tune")
     parser.add_argument("--kkt-tol", type=float, default=1e-6)
     parser.add_argument("--iteration-limit", type=int, default=1_000_000)
     parser.add_argument("--check-cadence", type=int, default=30)

@@ -93,7 +93,8 @@ class StepConfig:
     ``eta`` must satisfy eta <= 1/sigma_max(A) for PDHG and eta <= 1/L for
     EGM (L = Lipschitz constant of F; equals sigma_max(A) for the bilinear
     LP Lagrangian).  ``omega`` rescales the primal/dual steps of PDHG and
-    EGM to eta/omega and eta*omega; ADMM's eta plays that role itself.
+    EGM to eta/omega and eta*omega.  No ADMM or PPM step reads it, so it
+    must be 1 for them; ADMM's eta plays that role itself.
 
     ``eta`` and ``lipschitz`` are in the units of the caller's A.  When
     :func:`~restartlp.restarts.run_restarted` rescales an LP to A~ = D1 A D2
@@ -114,6 +115,8 @@ class StepConfig:
             raise ValueError("eta must be positive and finite")
         if not 0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
+        if self.method in (ADMM, PPM_BILINEAR) and self.omega != 1.0:
+            raise ValueError(f"omega applies to PDHG and EGM only; {self.method} takes omega = 1")
         if self.lipschitz is not None and not 0 < self.lipschitz < math.inf:
             raise ValueError("lipschitz must be positive and finite")
         if self.method == EGM and self.lipschitz is not None and self.eta > 1.0 / self.lipschitz * (1 + 1e-12):

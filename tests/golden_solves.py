@@ -3,7 +3,9 @@
 ``tests/golden_solves.json`` holds, for each solve below, what
 :func:`record_of` reads off its result: the status, the iteration count and
 the restart iterations, each trace row's integers and floats (the floats as
-``float.hex``), and a sha256 over the bits of every returned point.
+``float.hex``), and a sha256 over the bits of every returned point.  The
+corpus cases, which run from MPS text, add their objective in the original
+model.
 ``tests/test_golden_solves.py`` runs the solves again and compares the
 integers exactly and the floats to a relative tolerance, since float bits
 depend on the CPU kernel OpenBLAS picks.  On one machine a change that
@@ -32,12 +34,16 @@ from restartlp import (
     SolveOptions,
     StepConfig,
     generate,
+    parse_mps,
     power_method_sigma_max,
     run_restarted,
     table3_scaling_experiment,
+    to_standard_form,
 )
 from restartlp.cli import tune_primal_weight
 from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR
+
+from corpus import FEATURES_SEED, draw_features, to_mps
 
 PATH = Path(__file__).with_name("golden_solves.json")
 
@@ -53,6 +59,10 @@ CHECK_CADENCE = 30
 TABLE3_KAPPAS = (4, 8)
 TABLE3_EPS = 1e-6
 TUNE_ITERATIONS = 500
+# cases of the corpus's features family: 3 minimizes, with ranges on G, L
+# and E rows (R < 0 on the E row) and FX columns; 9 and 14 maximize, with
+# MI, LO and FX columns, and 14 has ranges on G, E (R > 0) and L rows
+CORPUS_CASES = (3, 9, 14)
 
 
 def _solve(spec, method, scheme):
@@ -71,6 +81,20 @@ def _solve(spec, method, scheme):
     options = SolveOptions(config, scheme, kkt_tol=KKT_TOL, iteration_limit=ITERATION_LIMIT,
                            check_cadence=CHECK_CADENCE)
     return run_restarted(problem, options, z0)
+
+
+def _solve_mps(case):
+    """Case ``case`` of the corpus's features family through ``parse_mps``,
+    ``to_standard_form`` and PDHG with adaptive restarts; its record adds
+    the objective in the original model."""
+    model = parse_mps(to_mps(draw_features(np.random.default_rng([FEATURES_SEED, case]))))
+    problem, vmap = to_standard_form(model)
+    config = StepConfig(PDHG, 0.9 / power_method_sigma_max(problem.A))
+    options = SolveOptions(config, SCHEMES["adaptive"], kkt_tol=KKT_TOL,
+                           iteration_limit=ITERATION_LIMIT, check_cadence=CHECK_CADENCE)
+    result = run_restarted(problem, options)
+    objective = vmap.original_objective(problem, result.solution.x)
+    return {**record_of(result), "objective": float(objective).hex()}
 
 
 def record_of(result):
@@ -115,6 +139,8 @@ def _solves():
     out = {name: (lambda args=args: record_of(_solve(*args))) for name, args in solves.items()}
     out["table3"] = _table3
     out["tune-omega/planted-50x100"] = _tune
+    for case in CORPUS_CASES:
+        out[f"corpus-{FEATURES_SEED}-{case}/pdhg/adaptive"] = lambda case=case: _solve_mps(case)
     return out
 
 

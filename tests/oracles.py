@@ -23,7 +23,7 @@
   through a fresh :class:`restartlp.steps.AffineProjector`.
 * :func:`stacked_observe_numpy` -- Table 3's stacked-run hook with every
   test in numpy, against which the scalar
-  :func:`restartlp.bilinear._stacked_observe` is checked.
+  :func:`restartlp.bilinear._stacked_observe` is checked away from ties.
 * :func:`pdhg_by_blocks` / :func:`egm_four_products` -- PDHG and EGM
   steps block by block, with EGM's four products each a product with
   A or A' of its own, against which the flat steps of
@@ -290,7 +290,10 @@ def stacked_observe_numpy(blocks, eps, levels, last, hits):
     """:func:`restartlp.bilinear._stacked_observe` as numpy computes it: each
     pending block's test is ``v @ v`` on the block read at its indices in
     ``blocks``, and the average mode's incremental average is updated by
-    ufuncs in an array whose norm is ``sqrt(mean @ mean)``."""
+    ufuncs in an array whose norm is ``sqrt(mean @ mean)``.  ``v @ v`` runs
+    the BLAS kernel's dot, which may differ from the scalar sum by an ulp,
+    so the two hooks agree away from a value that ties with its
+    threshold."""
     pending = list(enumerate(blocks[1:]))
     avg_index = blocks[0]
     mean, step = np.empty(4), np.empty(4)

@@ -244,9 +244,34 @@ def _same_report(got, want):
         assert a == b or (math.isnan(a) and math.isnan(b)), name
 
 
+def _sums(values):
+    """The left-to-right and the pairwise sums of squares of one block's
+    four values."""
+    a, b, c, d = values
+    return a * a + b * b + c * c + d * d, (a * a + b * b) + (c * c + d * d)
+
+
+def _separating_iteration(values, at_most=math.inf):
+    """(t, v) for the first iteration t (from 1) whose left-to-right value v
+    is at most ``at_most`` and lies below every earlier one and below every
+    pairwise value up to t, so that a threshold equal to v is first met at
+    t by the left-to-right sum and later by the pairwise one.  ``values``
+    holds the (left-to-right, pairwise) pair of each iteration."""
+    for k in range(1, len(values)):
+        v = values[k][0]
+        if (v <= at_most and v < min(s for s, _ in values[:k])
+                and v < min(p for _, p in values[:k + 1])):
+            return k + 1, v
+    raise AssertionError("no iteration separates the two sums")
+
+
 class TestScalarObserve:
-    """The stacked run's hook tests in Python floats and decides as the
-    numpy hook it replaced (:func:`oracles.stacked_observe_numpy`)."""
+    """The stacked run's hook and the restarted mode test a sum of squares
+    summed left to right in Python floats (:func:`bilinear._sum_sq`).  Away
+    from ties they decide as a hook testing in numpy does
+    (:func:`oracles.stacked_observe_numpy`).  At a threshold equal to the
+    left-to-right value of an iteration where a sum in another order reads
+    more, the row is that iteration, whatever order a BLAS dot adds in."""
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
     def test_equals_numpy_hook(self, eps, monkeypatch):
@@ -257,89 +282,60 @@ class TestScalarObserve:
         monkeypatch.setattr(bilinear, "_stacked_observe", stacked_observe_numpy)
         _same_report(rep, table3_scaling_experiment(kappas, eps))
 
-    def test_tie_is_decided_by_numpy(self, monkeypatch):
-        # eps is numpy's least |z_t|^2 / |z0|^2 of kappa 8's block over its
-        # first 200 iterations, so the first t to reach it is where that
-        # value is taken: the scalar sum lies within the tie band there and
-        # the block is read for numpy's test
+    def test_last_iterate_row_at_eps_equal_to_the_scalar_ratio(self):
         problem, _ = generate(DiagonalBilinear((1.0 / 8.0, 1.0)))
         (index,) = restarts._block_indices([problem])
         ratios = []
 
         def record(t, z, average):
-            v = z[index]
-            ratios.append(float(v @ v) / 4.0)
+            ratios.append(tuple(s / 4.0 for s in _sums(z[index].tolist())))
             return False
 
-        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 200, 200,
+        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 300, 300,
                            record)
-        eps = min(ratios)
-        first = 1 + ratios.index(eps)
-
-        # the hook's iterate logs the indices it is read at
-        reads, seen = [], []
-
-        class Logged(np.ndarray):
-            def __getitem__(self, key):
-                reads.append(np.asarray(key).tolist())
-                return np.asarray(self)[key]
-
-        stacked_observe = bilinear._stacked_observe
-
-        def logged(blocks, *args):
-            seen.append(blocks)
-            hook = stacked_observe(blocks, *args)
-            return lambda t, z, average: hook(t, z.view(Logged), average)
-
-        monkeypatch.setattr(bilinear, "_stacked_observe", logged)
-        kwargs = dict(avg_eps=(1e-1,))
-        rep = table3_scaling_experiment([4, 8], eps, **kwargs)
+        first, eps = _separating_iteration(ratios, at_most=0.5)
+        rep = table3_scaling_experiment([4, 8], eps, avg_eps=(1e-1,))
         assert rep.rows[2] == (8.0, "last", first)
-        # block 2 is kappa 8's: the fallback ran
-        assert seen[0][2].tolist() in reads
-        monkeypatch.setattr(bilinear, "_stacked_observe", stacked_observe_numpy)
-        _same_report(rep, table3_scaling_experiment([4, 8], eps, **kwargs))
 
-    def test_mean_tie_is_decided_by_numpy(self, monkeypatch):
-        # the level is numpy's least norm of the incremental average of a
-        # kappa-4 block over its first 200 iterations, so the first t to
-        # reach it is where that norm is taken: the scalar norm lies within
-        # the level's tie band there and the hook tests numpy's norm
+    def test_average_row_at_a_level_equal_to_the_scalar_norm(self):
+        # the paper's incremental average of a kappa-4 block
         problem, _ = generate(DiagonalBilinear((1.0 / 4.0, 1.0)))
         (index,) = restarts._block_indices([problem])
-        mean, step = np.empty(4), np.empty(4)
-        scalar_mean = []
-        norms, scalar_norms = [], []
+        mean, norms = [], []
 
         def record(t, z, average):
-            nonlocal scalar_mean
-            v = z[index]
-            if t == 1:
-                np.copyto(mean, v)
-                scalar_mean = v.tolist()
-            else:
-                np.subtract(v, mean, out=step)
-                np.divide(step, t, out=step)
-                np.add(mean, step, out=mean)
-                scalar_mean = [m + (x - m) / t for m, x in zip(scalar_mean, v.tolist())]
-            norms.append(math.sqrt(float(mean @ mean)))
-            a, b, c, d = scalar_mean
-            scalar_norms.append(math.sqrt(a * a + b * b + c * c + d * d))
+            nonlocal mean
+            v = z[index].tolist()
+            mean = v if t == 1 else [m + (x - m) / t for m, x in zip(mean, v)]
+            norms.append(tuple(math.sqrt(s) for s in _sums(mean)))
             return False
 
-        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 200, 200,
+        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 300, 300,
                            record)
-        level = min(norms)
-        first = 1 + norms.index(level)
-        lo, hi = bilinear._tie_band(level)
-        assert lo <= scalar_norms[first - 1] <= hi   # the fallback runs at first
-
+        first, level = _separating_iteration(norms)
         # a level of e |z0| for |z0| = 2
-        kwargs = dict(avg_kappa=4, avg_eps=(level / 2.0,))
-        rep = table3_scaling_experiment([4], 1e-2, **kwargs)
+        rep = table3_scaling_experiment([4], 1e-2, avg_kappa=4, avg_eps=(level / 2.0,))
         assert rep.average_rows == [(level / 2.0, first)]
-        monkeypatch.setattr(bilinear, "_stacked_observe", stacked_observe_numpy)
-        _same_report(rep, table3_scaling_experiment([4], 1e-2, **kwargs))
+
+    def test_restarted_row_at_eps_equal_to_the_scalar_ratio(self):
+        # the running average of the run restarted every t* iterations
+        kappa = 8.0
+        problem, _ = generate(DiagonalBilinear((1.0 / kappa, 1.0)))
+        config = StepConfig(PDHG, 0.5)
+        tstar = restarts.fixed_frequency_tstar(config.sufficient_decay_c,
+                                               config.target_proximity_q, 1.0 / kappa,
+                                               restarts.DEFAULT_BETA)
+        ratios = []
+
+        def record(t, z, average):
+            ratios.append(tuple(s / 4.0 for s in _sums(average().tolist())))
+            return False
+
+        bilinear._pdhg_run(problem, 0.5, RestartScheme.fixed(tstar), bilinear._ones(2), 300,
+                           tstar, record)
+        first, eps = _separating_iteration(ratios, at_most=0.5)
+        rep = table3_scaling_experiment([kappa], eps, avg_eps=(1e-1,))
+        assert rep.rows[1] == (kappa, "restarted", first)
 
 
 class TestStackedRun:

@@ -22,7 +22,7 @@ from restartlp.ingest import (DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy,
                               parse_mps, to_standard_form)
 from restartlp.lp_core import SparseMatrix, StandardFormLp, power_method_sigma_max
 from restartlp.restarts import RestartScheme, SolveOptions, Status, run_restarted
-from restartlp.steps import ADMM, EGM, PDHG, PROJECTION_TOL, StepConfig
+from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, StepConfig
 
 TINY_MPS = """\
 NAME          TINY
@@ -296,6 +296,22 @@ class TestTuneOmega:
                      "--method", "admm", "--omega", "auto"])
         assert code == EXIT_INPUT_ERROR
         assert "omega tuning applies to PDHG and EGM only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,problem", [
+        (ADMM, ["--generate", "random:m=20,n=40,density=0.3,seed=1"]),
+        (PPM_BILINEAR, ["--generate", "diagonal:0.5,1,2", "--start", "1,1,1,1,1,1"])])
+    def test_omega_is_rejected_where_no_step_reads_it(self, method, problem, tmp_path, capsys):
+        # the run would take as many iterations as at omega = 1, and its
+        # summary would report omega = 16
+        summary = tmp_path / "summary.json"
+        code = main(["solve", *problem, "--method", method, "--omega", "16",
+                     "--summary-out", str(summary)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"omega applies to PDHG and EGM only; {method} takes omega = 1" in err
+        assert not summary.exists()
+        assert main(["solve", *problem, "--method", method, "--omega", "1"]) == EXIT_OPTIMAL
 
     @pytest.mark.parametrize("option", [["--omega", "4"], ["--kkt-tol", "nan"],
                                         ["--iteration-limit", "1"], ["--check-cadence", "5"],

@@ -41,6 +41,8 @@ def test_solve_matches_the_record(name):
         return
     for key in ("status", "iterations", "restart_iterations"):
         assert got[key] == want[key], key
+    if "objective" in want:
+        assert _floats_close([got["objective"]], [want["objective"]])
     assert len(got["rows"]) == len(want["rows"])
     for k, (row, ref) in enumerate(zip(got["rows"], want["rows"])):
         assert row[:4] == ref[:4], k

@@ -67,6 +67,13 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StepConfig("newton", 1.0)
 
+    @pytest.mark.parametrize("method", [ADMM, PPM_BILINEAR])
+    @pytest.mark.parametrize("omega", [16.0, 0.25, 1.0 + 2.0 ** -52])
+    def test_omega_other_than_one_raises_where_no_step_reads_it(self, method, omega):
+        with pytest.raises(ValueError, match="omega applies to PDHG and EGM only"):
+            StepConfig(method, 0.5, omega=omega)
+        assert StepConfig(method, 0.5, omega=1.0).omega == 1.0
+
     @pytest.mark.parametrize("method", [PDHG, EGM, ADMM, PPM_BILINEAR])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_step_sizes_raise(self, method, value):
