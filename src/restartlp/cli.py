@@ -37,7 +37,7 @@ from .ingest import (
     parse_mps,
     to_standard_form,
 )
-from .lp_core import SaddlePoint, StandardFormLp, power_method_sigma_max
+from .lp_core import SaddlePoint, StandardFormLp, _norm, power_method_sigma_max
 from .restarts import (
     ADAPTIVE,
     FIXED,
@@ -145,11 +145,26 @@ def _parse_start(text, problem):
     return SaddlePoint.over(vals, problem.n)
 
 
+def _given_step(args):
+    """The step config of the options as given; building it checks omega
+    against the method, and a given eta, before any estimate or tuning run.
+    An unset eta and omega 'auto' read 1 in it until
+    :func:`_build_step_config` resolves them."""
+    if args.omega == "auto":
+        if args.method not in (PDHG, EGM):
+            raise ValueError("omega tuning applies to PDHG and EGM only")
+        omega = 1.0
+    else:
+        omega = float(args.omega)
+    return StepConfig(args.method, 1.0 if args.eta is None else args.eta, omega=omega)
+
+
 def _build_step_config(problem, method, eta, omega, tune_eta):
     """Resolve eta / omega / L, estimating sigma_max where needed.
 
     ``eta`` None is 0.9 / sigma_max, or for ADMM 1 (tuned on the omega grid
-    if ``tune_eta``); ``omega`` 'auto' is tuned on that grid.
+    if ``tune_eta``); ``omega`` 'auto' is tuned on that grid, for PDHG and
+    EGM, which :func:`_given_step` checks first.
     """
     sigma = None
     if (eta is None or method == EGM) and method != ADMM:
@@ -162,8 +177,6 @@ def _build_step_config(problem, method, eta, omega, tune_eta):
         else:
             eta = 1.0
     if omega == "auto":
-        if method not in (PDHG, EGM):
-            raise ValueError("omega tuning applies to PDHG and EGM only")
         omega, _ = tune_primal_weight(problem, method, eta,
                                       lipschitz=None if sigma is None else 1.01 * sigma)
     lipschitz = 1.01 * sigma if (method == EGM and sigma is not None) else None
@@ -240,12 +253,13 @@ def _solve_options(args, step, scheme):
 def cmd_solve(args):
     """Run one restarted solve; returns the process exit status."""
     problem, meta = load_problem(args)
-    step = _build_step_config(problem, args.method, args.eta, args.omega, args.tune_eta)
-    scheme = _build_scheme(args)
+    # every option is checked before sigma_max is estimated or a tuner runs
+    options = _solve_options(args, _given_step(args), _build_scheme(args))
     if args.method == ADMM and args.start != "zeros":
         raise ValueError("--start applies to PDHG, EGM and PPM; ADMM starts from zeros")
     z0 = _parse_start(args.start, problem)
-    options = _solve_options(args, step, scheme)
+    step = _build_step_config(problem, args.method, args.eta, args.omega, args.tune_eta)
+    options = replace(options, step=step)
 
     t0 = time.perf_counter()
     result = run_restarted(problem, options, z0=z0)
@@ -337,7 +351,7 @@ def _roundoff_floor(problem, rel=_ROUNDOFF):
     min x s.t. x = 1 at 60 PDHG iterations, omega = 1/16 reads 0.0 in double
     precision but has the worst true (60-digit) error of the converged runs.
     """
-    scale = 1.0 + float(np.linalg.norm(problem.b)) + float(np.linalg.norm(problem.c))
+    scale = 1.0 + _norm(problem.b) + _norm(problem.c)
     return rel * scale
 
 
@@ -502,18 +516,19 @@ def cmd_sweep_restart_lengths(args):
     runs unranked ("-").
     """
     problem, _ = load_problem(args)
-    step = _build_step_config(problem, args.method, args.eta, args.omega, False)
+    # every option is checked before sigma_max is estimated or omega tuned
+    given = _given_step(args)
+    schemes = [("adaptive", RestartScheme.adaptive(beta=args.beta, tau0=args.tau0)),
+               ("no_restart", RestartScheme.none())]
+    schemes += [(f"fixed_{4 ** k}", RestartScheme.fixed(4 ** k)) for k in range(1, 10)]
+    runs = [(label, _solve_options(args, given, scheme)) for label, scheme in schemes]
     out = _output_dir(args.out_dir) if args.out_dir else None
-
-    runs = [("adaptive", RestartScheme.adaptive(beta=args.beta, tau0=args.tau0)),
-            ("no_restart", RestartScheme.none())]
-    runs += [(f"fixed_{4 ** k}", RestartScheme.fixed(4 ** k)) for k in range(1, 10)]
+    step = _build_step_config(problem, args.method, args.eta, args.omega, False)
 
     metrics = []
-    for label, scheme in runs:
-        options = _solve_options(args, step, scheme)
+    for label, options in runs:
         try:
-            result = run_restarted(problem, options)
+            result = run_restarted(problem, replace(options, step=step))
         except Exception as exc:  # per-run failures recorded, sweep continues
             print(f"{label}: failed ({exc})", file=sys.stderr)
             metrics.append((label, None, math.inf))

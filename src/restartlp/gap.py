@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .lp_core import _dot, _norm
+
 __all__ = ["solve_linear_trust_region", "normalized_gap_lp", "normalized_gap_admm"]
 
 _EMPTY = np.empty(0)
@@ -60,7 +62,7 @@ def solve_linear_trust_region(g_bound, cap, free_sq, radius):
     movable = ((g_bound > 0.0) & (cap > 0.0)).nonzero()[0]
     # coordinates moving away from their bound never stop
     away = np.minimum(g_bound, 0.0)
-    free_sq = float(free_sq) + float(away @ away)
+    free_sq = float(free_sq) + _dot(away, away)
     g, c = g_bound.take(movable), cap.take(movable)
     r2 = radius * radius
     if movable.size:
@@ -72,7 +74,7 @@ def solve_linear_trust_region(g_bound, cap, free_sq, radius):
         g, c = g[order], c[order]
         k = int(np.searchsorted(lams, np.inf))
         if k < lams.size:
-            free_sq += float(g[k:] @ g[k:])
+            free_sq += _dot(g[k:], g[k:])
             lams, g, c = lams[:k], g[:k], c[:k]
         stopped_sq = np.cumsum(c * c)
         # moving_sq[j]: the g^2 still moving at lam < lams[j]
@@ -92,9 +94,9 @@ def solve_linear_trust_region(g_bound, cap, free_sq, radius):
         j, f_lo, f_hi = 0, 0.0, free_sq
     if f_hi <= 0.0:
         # every coordinate still moving has a gradient that squares to 0.0
-        return math.inf, float(g[:j] @ c[:j])
+        return math.inf, _dot(g[:j], c[:j])
     lam = math.sqrt(max(r2 - f_lo, 0.0) / f_hi)
-    return lam, float(g[:j] @ c[:j]) + lam * f_hi
+    return lam, _dot(g[:j], c[:j]) + lam * f_hi
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +119,10 @@ def normalized_gap_lp(problem, x, g_x, g_y, r):
     if r <= 0:
         raise ValueError("radius must be positive")
     if problem.nonneg:
-        _, decrease = solve_linear_trust_region(g_x, x, g_y @ g_y, r)
+        _, decrease = solve_linear_trust_region(g_x, x, _dot(g_y, g_y), r)
     else:
         _, decrease = solve_linear_trust_region(_EMPTY, _EMPTY,
-                                                float(g_x @ g_x) + float(g_y @ g_y), r)
+                                                _dot(g_x, g_x) + _dot(g_y, g_y), r)
     return max(decrease / r, 0.0)
 
 
@@ -143,7 +145,7 @@ def normalized_gap_admm(problem, point, r, eta):
     if x_v.size and float(np.min(x_v)) < -1e-9 * (1.0 + float(np.max(np.abs(x_v)))):
         raise ValueError("ADMM gap needs x_V >= 0")
     res = problem.A.matvec(x_u) - problem.b
-    if np.linalg.norm(res) > 1e-6 * (1.0 + np.linalg.norm(problem.b)):
+    if _norm(res) > 1e-6 * (1.0 + _norm(problem.b)):
         raise ValueError("ADMM gap needs x_U feasible for {Ax = b}")
 
     se = math.sqrt(eta)
@@ -152,5 +154,5 @@ def normalized_gap_admm(problem, point, r, eta):
     cap = se * x_v
     g_w = x_u - x_v
     g_w *= se
-    _, decrease = solve_linear_trust_region(g_u, cap, g_w @ g_w, r)
+    _, decrease = solve_linear_trust_region(g_u, cap, _dot(g_w, g_w), r)
     return max(decrease / r, 0.0)

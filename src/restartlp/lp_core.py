@@ -9,6 +9,14 @@ row-ordered compressed layout, built once at load, and runs each product as
 one call of a scipy kernel over it: CSR for A v, CSC for A^T w (A's
 row-ordered layout is A^T's column-ordered one), adding the product into a
 caller-supplied output (or a fresh zero one).
+
+Every dot product and norm over a vector is :func:`_dot` or :func:`_norm`
+(the square root of ``_dot(v, v)``), so one function body decides the
+summation order of the sums the restart and stopping tests read.  The
+exceptions are :meth:`SparseMatrix.gram`, the dense inverse's product in
+:class:`~restartlp.steps.NormalFactor`, Table 3's Python-float sums
+(:func:`~restartlp.bilinear._sum_sq`) and its slope fit;
+``tests/test_imports.py`` checks that there are no others.
 """
 
 from __future__ import annotations
@@ -415,11 +423,17 @@ def residuals(problem, z, row_scale=None, col_scale=None):
                                  row_scale, col_scale)
 
 
+def _dot(a, b):
+    """a'b of two flat float64 vectors as a Python float: the package's one
+    reduction over vectors (see the module docstring)."""
+    return float(a @ b)
+
+
 def _norm(v):
     """The same bits as ``np.linalg.norm(v)`` for a flat contiguous float64
     array, without its dispatch, which at the sizes of small problems costs
     more than the product it measures."""
-    return math.sqrt(float(v @ v))
+    return math.sqrt(_dot(v, v))
 
 
 def residuals_of_gradient(problem, x, y, g_x, g_y, row_scale=None, col_scale=None):
@@ -431,7 +445,7 @@ def residuals_of_gradient(problem, x, y, g_x, g_y, row_scale=None, col_scale=Non
         g_y /= row_scale
         g_x /= col_scale
     primal = _norm(g_y)
-    gap_raw = float(problem.c @ x - problem.b @ y)
+    gap_raw = _dot(problem.c, x) - _dot(problem.b, y)
     if problem.nonneg:
         dual = _norm(np.minimum(g_x, 0.0))
         gap = max(gap_raw, 0.0)
@@ -473,19 +487,19 @@ def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
         return memo[key]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(A.n_cols)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     lam = 0.0
     prev = None
     for _ in range(max_iters):
         w = A.rmatvec(A.matvec(v))
-        nw = np.linalg.norm(w)
+        nw = _norm(w)
         if nw == 0.0:
             # started in the null space; redraw deterministically
             v = rng.standard_normal(A.n_cols)
-            v /= np.linalg.norm(v)
+            v /= _norm(v)
             prev = None
             continue
-        lam = float(v @ w) / float(v @ v)
+        lam = _dot(v, w) / _dot(v, v)
         v = w / nw
         if prev is not None and abs(lam - prev) <= tol * max(abs(lam), 1e-300):
             sigma = memo[key] = math.sqrt(max(lam, 0.0))

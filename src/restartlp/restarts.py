@@ -58,6 +58,7 @@ from .lp_core import (
     SaddlePoint,
     SparseMatrix,
     StandardFormLp,
+    _dot,
     _norm,
     power_method_sigma_max,
     residuals,
@@ -383,7 +384,7 @@ class _AdmmLane(_Lane):
         eta = self.config.eta
         dxv = va[n:2 * n] - vb[n:2 * n]
         dy = va[2 * n:] - vb[2 * n:]
-        return math.sqrt(eta * float(dxv @ dxv) + float(dy @ dy) / eta)
+        return math.sqrt(eta * _dot(dxv, dxv) + _dot(dy, dy) / eta)
 
     def measure(self, vec, radius):
         """(normalized gap at ``radius`` in the ADMM semi-norm, KKT error of

@@ -430,7 +430,7 @@ class AffineProjector:
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
         self.tol = tol
-        self.atol = tol * (1.0 + float(np.linalg.norm(self.b)))
+        self.atol = tol * (1.0 + _norm(self.b))
         self.factor = NormalFactor.of(A)
         self._residual = np.empty(A.n_rows)
         self._lift = np.empty(A.n_cols)
@@ -469,7 +469,7 @@ class AffineProjector:
         """Solve A A' w = rhs with the same factor (ADMM's dual extraction);
         the residual |A A' w - rhs| <= tol (1 + |rhs|) is verified."""
         w = np.zeros(self.A.n_rows)
-        atol = self.tol * (1.0 + float(np.linalg.norm(rhs)))
+        atol = self.tol * (1.0 + _norm(rhs))
 
         def correct(d):
             nonlocal w

@@ -149,11 +149,11 @@ def parse_mps(text):
 
         elif section in ("RHS", "RANGES"):
             target = model.rhs if section == "RHS" else model.ranges
+            # a set name alone, or pairs without a set name that do not start at a row
+            if len(parts) < 2 or (len(parts) % 2 == 0 and parts[0] not in model.row_sense
+                                  and parts[0] != model.objective_row):
+                raise MpsParseError(f"line {lineno}: malformed {section} line")
             pairs = parts[1:] if len(parts) % 2 == 1 else parts
-            if len(parts) % 2 == 0 and parts[0] not in model.row_sense and parts[0] != model.objective_row:
-                raise MpsParseError(f"line {lineno}: malformed {section} line")
-            if len(pairs) % 2 != 0:
-                raise MpsParseError(f"line {lineno}: malformed {section} line")
             for i in range(0, len(pairs), 2):
                 row, val = pairs[i], _tofloat(pairs[i + 1], lineno)
                 if section == "RANGES" and row == model.objective_row:
@@ -170,6 +170,8 @@ def parse_mps(text):
                 if len(parts) < 4:
                     raise MpsParseError(f"line {lineno}: bound {code} needs a value")
                 col, value = parts[2], _tofloat(parts[3], lineno, infinite_ok=True)
+            elif len(parts) < 2:
+                raise MpsParseError(f"line {lineno}: malformed BOUNDS line")
             else:
                 col = parts[2] if len(parts) >= 3 else parts[1]
                 value = None

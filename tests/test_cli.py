@@ -121,6 +121,13 @@ class TestSolve:
         bad.write_text("ROWS\n N COST\nCOLUMNS\n    X1 NOPE 1.0\nENDATA\n")
         assert main(["solve", "--input", str(bad)]) == EXIT_INPUT_ERROR
 
+    def test_bound_code_alone_is_input_error(self, tmp_path, capsys):
+        # it raised IndexError, which left main with a traceback
+        bad = tmp_path / "bad.mps"
+        bad.write_text(TINY_MPS.replace("ENDATA", "BOUNDS\n FR\nENDATA"))
+        assert main(["solve", "--input", str(bad)]) == EXIT_INPUT_ERROR
+        assert "line 11: malformed BOUNDS line" in capsys.readouterr().err
+
     def test_bad_flag_combination(self):
         # argparse errors mapped onto the input-error code
         assert main(["solve", "--generate", "toy", "--scheme", "bogus"]) \
@@ -414,6 +421,42 @@ class TestTuneOmega:
             tune_primal_weight(problem, PDHG, 0.1, iterations=budget)
         with pytest.raises(ValueError, match="tuning budget"):
             cli._tune_admm_eta(problem, iterations=budget)
+
+
+class TestOptionsBeforeWork:
+    """A bad option of solve or sweep-restarts is an input error, with the
+    message it always had, before sigma_max is estimated or a tuner runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for name in ("power_method_sigma_max", "tune_primal_weight", "_tune_admm_eta"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--method", "admm", "--tune-eta", "--omega", "16"],
+         "omega applies to PDHG and EGM only; admm takes omega = 1"),
+        (["solve", "--omega", "auto", "--method", "admm", "--tune-eta"],
+         "omega tuning applies to PDHG and EGM only"),
+        (["solve", "--omega", "auto", "--scheme", "fixed"], "fixed scheme needs --fixed-length"),
+        (["solve", "--omega", "auto", "--kkt-tol", "-1"], "KKT tolerance must be a number >= 0"),
+        (["solve", "--method", "egm", "--omega", "auto", "--start", "1,2"],
+         "start point needs 60 entries"),
+        (["solve", "--method", "egm", "--omega", "auto", "--check-cadence", "0"],
+         "check cadence must be >= 1"),
+        (["sweep-restarts", "--method", "ppm", "--omega", "16"],
+         "omega applies to PDHG and EGM only; ppm takes omega = 1"),
+        (["sweep-restarts", "--method", "ppm", "--omega", "auto"],
+         "omega tuning applies to PDHG and EGM only"),
+        (["sweep-restarts", "--omega", "auto", "--kkt-tol", "-1"],
+         "KKT tolerance must be a number >= 0"),
+        (["sweep-restarts", "--omega", "auto", "--beta", "2"], "beta must lie in (0, 1)"),
+    ], ids=["admm-tune-eta-omega", "auto-admm-tune-eta", "auto-fixed-without-length",
+            "auto-kkt-tol", "egm-auto-short-start", "egm-auto-check-cadence", "sweep-ppm-omega",
+            "sweep-ppm-auto", "sweep-auto-kkt-tol", "sweep-auto-beta"])
+    def test_is_an_input_error_before_any_work(self, argv, message, capsys):
+        code = main([*argv, "--generate", "random:m=20,n=40,density=0.3,seed=1"])
+        assert code == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
 
 
 class TestSweep:

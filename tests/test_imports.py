@@ -1,4 +1,6 @@
-"""Every name a package module imports is used in it or re-exported."""
+"""Every name a package module imports is used in it or re-exported, every
+definition is referenced, and every reduction over a vector goes through
+``lp_core._dot``."""
 
 import ast
 from pathlib import Path
@@ -77,3 +79,66 @@ def test_every_definition_is_referenced():
               for name in _definitions(tree)
               if not (name.startswith("__") and name.endswith("__")) and name not in referenced]
     assert unused == []
+
+
+# Where a reduction may be taken other than through lp_core._dot, which
+# holds the one ``@`` on vectors, and _norm, which calls it
+REDUCTION_HELPERS = {("lp_core.py", "_dot"), ("lp_core.py", "_norm")}
+REDUCTION_EXEMPTIONS = {
+    ("lp_core.py", "SparseMatrix.gram"): "a sparse matrix product",
+    ("steps.py", "NormalFactor.__init__"): "the dense inverse's matrix-vector product",
+    ("bilinear.py", "_sum_sq"): "Table 3's sums of squares in Python floats",
+    ("bilinear.py", "_fit_slope"): "np.polyfit's least-squares fit",
+}
+# numpy's reductions other than ``@``: any ``.dot`` (np.dot, an array's
+# dot), these functions of numpy, and ``linalg.norm``
+NUMPY_REDUCTIONS = {"dot", "vdot", "inner", "einsum"}
+
+
+def _is_reduction(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        owner = node.value
+        return (node.attr == "dot"
+                or (node.attr in NUMPY_REDUCTIONS and isinstance(owner, ast.Name)
+                    and owner.id in ("np", "numpy"))
+                or (node.attr == "norm" and isinstance(owner, ast.Attribute)
+                    and owner.attr == "linalg"))
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] in ("numpy", "scipy") and any(
+            alias.name in NUMPY_REDUCTIONS | {"norm"} for alias in node.names)
+    return False
+
+
+def _scoped_nodes(node, scope=""):
+    """(qualified name of the enclosing function or class, or "", node) for
+    every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, f"{scope}.{child.name}" if scope else child.name)
+        else:
+            yield scope, child
+            yield from _scoped_nodes(child, scope)
+
+
+def _package_nodes():
+    """(module file name, scope, node) for every node of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            yield path.name, scope, node
+
+
+def test_every_reduction_goes_through_the_helpers():
+    allowed = REDUCTION_HELPERS | set(REDUCTION_EXEMPTIONS)
+    stray = [f"{module}:{node.lineno} in {scope or 'module'}"
+             for module, scope, node in _package_nodes()
+             if _is_reduction(node) and (module, scope) not in allowed]
+    assert stray == []
+
+
+def test_every_reduction_home_exists():
+    # an exemption whose function was renamed or deleted would excuse
+    # nothing and go unnoticed
+    scopes = {(module, scope) for module, scope, _ in _package_nodes()}
+    assert REDUCTION_HELPERS | set(REDUCTION_EXEMPTIONS) <= scopes

@@ -694,6 +694,18 @@ class TestFirstError:
         assert TWO_VAR_FIXTURE.count(old) == 1
         assert self.both(TWO_VAR_FIXTURE.replace(old, new)) == expected
 
+    @pytest.mark.parametrize("old,new,expected", [
+        ("RHS\n", "RHS\n    RHS1\n", "line 9: malformed RHS line"),
+        ("ENDATA", "RANGES\n    RNG1\nENDATA", "line 11: malformed RANGES line"),
+        ("ENDATA", "BOUNDS\n FR\nENDATA", "line 11: malformed BOUNDS line"),
+        ("ENDATA", "BOUNDS\n mi\nENDATA", "line 11: malformed BOUNDS line"),
+    ], ids=["rhs", "ranges", "bounds", "bounds-lower-case"])
+    def test_short_line(self, old, new, expected):
+        # a set name without a pair was skipped; a bound code without a
+        # column raised IndexError
+        assert TWO_VAR_FIXTURE.count(old) == 1
+        assert self.both(TWO_VAR_FIXTURE.replace(old, new)) == expected
+
     def test_error_in_a_late_columns_line(self):
         text = random_mps_text(3)
         assert len(text.split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()) > 30
