@@ -24,7 +24,6 @@ from .ingest import (
     MpsModel,
     MpsParseError,
     RandomLpKnownOptimum,
-    TwoDimToy,
     VariableMap,
     generate,
     parse_mps,

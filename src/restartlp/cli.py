@@ -4,14 +4,19 @@ Exit codes: 0 optimal, 2 iteration limit, 3 input error, 4 divergence.
 Traces are CSV (one row per checkpoint), summaries JSON with a fixed field
 set; the summary's ``eta`` is the caller's step size and ``scaling`` records
 the rescaled solve (sigma_max of A and of the scaled matrix, and the eta
-used on it), or is null for an unscaled one.  Runs are deterministic, except
-for the wall-time columns.
+used on it), or is null for an unscaled one.  ``primal_objective`` is the
+objective at the returned point (for ADMM at its x_V) in the terms of the
+problem given: with an MPS model's sense and objective constant applied,
+c'x for a generated LP, and null for an unconstrained bilinear problem.
+Runs are deterministic, except for the wall-time columns.
 
 Each ``cmd_*`` reads the parsed ``argparse.Namespace`` directly, and
 :func:`main` maps every input error (a bad option, file, instance or
 parameter: a ``ValueError``) to exit code 3 with one ``error: ...`` line on
 stderr.  An output file or directory that cannot be made is such an error,
-raised where it is opened.
+raised where it is opened: after the options are checked and before any
+estimate, tuning run or solve.  An error raised by that work leaves the
+opened outputs empty.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -32,12 +38,11 @@ from .ingest import (
     OBJECTIVE_ROW,
     DiagonalBilinear,
     RandomLpKnownOptimum,
-    TwoDimToy,
     generate,
     parse_mps,
     to_standard_form,
 )
-from .lp_core import SaddlePoint, StandardFormLp, _norm, power_method_sigma_max
+from .lp_core import SaddlePoint, StandardFormLp, _dot, _norm, power_method_sigma_max
 from .restarts import (
     ADAPTIVE,
     FIXED,
@@ -54,7 +59,7 @@ from .restarts import (
     _stack,
     run_restarted,
 )
-from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, StepConfig
+from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, AdmmPoint, StepConfig
 # Not called here (the tuners step inside the restart loop); the name stays
 # bound because perfbench's span-tracer test reads it from this module.
 from .steps import pdhg_step  # noqa: F401
@@ -87,7 +92,8 @@ def parse_generator_spec(text):
     head, _, rest = text.partition(":")
     head = head.strip().lower()
     if head == "toy":
-        return TwoDimToy()
+        # the two-dimensional bilinear toy L(x, y) = x y
+        return DiagonalBilinear((1.0,))
     if head == "diagonal":
         sigmas = tuple(float(tok) for tok in rest.split(",") if tok.strip())
         return DiagonalBilinear(sigmas)
@@ -110,7 +116,8 @@ def parse_generator_spec(text):
 
 def load_problem(args):
     """Build the problem from ``--input`` or ``--generate``; returns
-    (problem, meta dict)."""
+    (problem, meta dict, variable map), the map
+    (:class:`~restartlp.ingest.VariableMap`) None for a generated problem."""
     if args.input is not None:
         path = Path(args.input)
         try:
@@ -128,12 +135,21 @@ def load_problem(args):
             "cols": problem.n,
             "nonzeros": problem.A.nnz,
         }
-        return problem, meta
+        return problem, meta, vmap
     spec = parse_generator_spec(args.generate)
     problem, _opt = generate(spec)
     meta = {"source": args.generate, "rows": problem.m, "cols": problem.n,
             "nonzeros": problem.A.nnz}
-    return problem, meta
+    return problem, meta, None
+
+
+def _primal_objective(problem, vmap, solution):
+    """The objective at ``solution`` (at its x_V for ADMM) as the module
+    docstring gives it, from ``load_problem``'s problem and map."""
+    if not problem.nonneg:
+        return None
+    x = solution.x_v if isinstance(solution, AdmmPoint) else solution.x
+    return _dot(problem.c, x) if vmap is None else vmap.original_objective(problem, x)
 
 
 def _parse_start(text, problem):
@@ -191,14 +207,17 @@ def _build_scheme(args):
             raise ValueError("fixed scheme needs --fixed-length")
         return RestartScheme.fixed(args.fixed_length)
     if args.scheme == ADAPTIVE:
-        return RestartScheme.adaptive(beta=args.beta, tau0=args.tau0)
+        return RestartScheme.adaptive(beta=args.beta)
     if args.scheme == FLEXIBLE:
-        return RestartScheme.flexible(beta=args.beta, tau0=args.tau0)
+        return RestartScheme.flexible(beta=args.beta)
     raise ValueError(f"unknown scheme {args.scheme!r}")
 
 
 def _open_output(path):
-    """``path`` opened for writing; one that cannot be is an input error."""
+    """``path`` opened for writing, or for None a context of None; a path
+    that cannot be opened is an input error."""
+    if path is None:
+        return nullcontext()
     try:
         return open(path, "w", newline="")
     except OSError as exc:
@@ -214,20 +233,25 @@ def _output_dir(path):
     return Path(path)
 
 
-def write_trace_csv(path, trace):
-    with _open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in trace.records:
-            writer.writerow((
-                rec.iteration, rec.outer, rec.inner,
-                f"{rec.normalized_gap:.17g}",
-                f"{rec.kkt_avg:.17g}",
-                f"{rec.kkt_last:.17g}",
-                f"{rec.radius:.17g}",
-                int(rec.restarted),
-                f"{rec.elapsed_seconds:.6f}",
-            ))
+def write_trace_csv(fh, trace):
+    """The trace as CSV rows into the open text file ``fh``."""
+    writer = csv.writer(fh)
+    writer.writerow(TRACE_HEADER)
+    for rec in trace.records:
+        writer.writerow((
+            rec.iteration, rec.outer, rec.inner,
+            f"{rec.normalized_gap:.17g}",
+            f"{rec.kkt_avg:.17g}",
+            f"{rec.kkt_last:.17g}",
+            f"{rec.radius:.17g}",
+            int(rec.restarted),
+            f"{rec.elapsed_seconds:.6f}",
+        ))
+
+
+def _write_json(fh, data):
+    json.dump(data, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _summary_dict(result, step, wall):
@@ -252,29 +276,30 @@ def _solve_options(args, step, scheme):
 
 def cmd_solve(args):
     """Run one restarted solve; returns the process exit status."""
-    problem, meta = load_problem(args)
-    # every option is checked before sigma_max is estimated or a tuner runs
+    problem, meta, vmap = load_problem(args)
+    # every option is checked, and every output opened, before sigma_max is
+    # estimated or a tuner runs
     options = _solve_options(args, _given_step(args), _build_scheme(args))
     if args.method == ADMM and args.start != "zeros":
         raise ValueError("--start applies to PDHG, EGM and PPM; ADMM starts from zeros")
     z0 = _parse_start(args.start, problem)
-    step = _build_step_config(problem, args.method, args.eta, args.omega, args.tune_eta)
-    options = replace(options, step=step)
+    with _open_output(args.trace_out) as trace_fh, _open_output(args.summary_out) as summary_fh:
+        step = _build_step_config(problem, args.method, args.eta, args.omega, args.tune_eta)
+        t0 = time.perf_counter()
+        result = run_restarted(problem, replace(options, step=step), z0=z0)
+        wall = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    result = run_restarted(problem, options, z0=z0)
-    wall = time.perf_counter() - t0
-
-    if args.trace_out:
-        write_trace_csv(args.trace_out, result.trace)
-    summary = _summary_dict(result, step, wall)
-    summary["problem"] = meta
-    if args.summary_out:
-        with _open_output(args.summary_out) as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        objective = _primal_objective(problem, vmap, result.solution)
+        summary = _summary_dict(result, step, wall)
+        summary["problem"] = meta
+        summary["primal_objective"] = objective
+        if trace_fh:
+            write_trace_csv(trace_fh, result.trace)
+        if summary_fh:
+            _write_json(summary_fh, summary)
     print(f"{meta['source']}: {result.status} after {result.iterations} iterations, "
-          f"kkt {summary['final_kkt_error']:.3e}, {result.restart_count} restarts")
+          f"kkt {summary['final_kkt_error']:.3e}, {result.restart_count} restarts"
+          + ("" if objective is None else f", primal objective {objective:.12g}"))
 
     if result.status == Status.OPTIMAL:
         return EXIT_OPTIMAL
@@ -449,21 +474,20 @@ def cmd_tune_primal_weight(args):
     toward omega = 1); the printed and JSON tables hold the measured errors.
     """
     _check_budget(args.tune_iterations)
-    problem, _ = load_problem(args)
+    problem, _, _ = load_problem(args)
     if args.method not in (PDHG, EGM):
         raise ValueError("tune-omega supports PDHG and EGM")
-    step = _build_step_config(problem, args.method, args.eta, 1.0, False)
-    omega, table = tune_primal_weight(problem, args.method, step.eta,
-                                      iterations=args.tune_iterations, lipschitz=step.lipschitz)
-    for w, err in table:
-        print(f"omega {w:12.6g}  kkt {err:.6e}")
-    print(f"chosen omega: {omega:.6g}")
-    if args.summary_out:
-        with _open_output(args.summary_out) as fh:
-            json.dump({"omega": omega,
-                       "table": [{"omega": w, "kkt_error": e if math.isfinite(e) else None}
-                                 for w, e in table]}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with _open_output(args.summary_out) as summary_fh:
+        step = _build_step_config(problem, args.method, args.eta, 1.0, False)
+        omega, table = tune_primal_weight(problem, args.method, step.eta,
+                                          iterations=args.tune_iterations,
+                                          lipschitz=step.lipschitz)
+        for w, err in table:
+            print(f"omega {w:12.6g}  kkt {err:.6e}")
+        print(f"chosen omega: {omega:.6g}")
+        rows = [{"omega": w, "kkt_error": e if math.isfinite(e) else None} for w, e in table]
+        if summary_fh:
+            _write_json(summary_fh, {"omega": omega, "table": rows})
     return EXIT_OPTIMAL
 
 
@@ -515,10 +539,10 @@ def cmd_sweep_restart_lengths(args):
     ties to the longer length), followed by the adaptive and no-restart
     runs unranked ("-").
     """
-    problem, _ = load_problem(args)
+    problem, _, _ = load_problem(args)
     # every option is checked before sigma_max is estimated or omega tuned
     given = _given_step(args)
-    schemes = [("adaptive", RestartScheme.adaptive(beta=args.beta, tau0=args.tau0)),
+    schemes = [("adaptive", RestartScheme.adaptive(beta=args.beta)),
                ("no_restart", RestartScheme.none())]
     schemes += [(f"fixed_{4 ** k}", RestartScheme.fixed(4 ** k)) for k in range(1, 10)]
     runs = [(label, _solve_options(args, given, scheme)) for label, scheme in schemes]
@@ -534,7 +558,8 @@ def cmd_sweep_restart_lengths(args):
             metrics.append((label, None, math.inf))
             continue
         if out:
-            write_trace_csv(out / f"trace_{label}.csv", result.trace)
+            with _open_output(out / f"trace_{label}.csv") as fh:
+                write_trace_csv(fh, result.trace)
         iters_to, final_gap = _gap_metrics(result.trace)
         metrics.append((label, iters_to, final_gap))
 
@@ -628,7 +653,6 @@ def _add_run_options(parser):
     parser.add_argument("--check-cadence", type=int, default=30)
     parser.add_argument("--trace-cadence", type=int, default=1)
     parser.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    parser.add_argument("--tau0", type=int, default=1)
 
 
 def main(argv=None):

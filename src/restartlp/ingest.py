@@ -45,7 +45,6 @@ __all__ = [
     "to_standard_form",
     "DiagonalBilinear",
     "RandomLpKnownOptimum",
-    "TwoDimToy",
     "generate",
 ]
 
@@ -638,20 +637,12 @@ class RandomLpKnownOptimum:
             raise ValueError("density must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class TwoDimToy:
-    """The two-dimensional bilinear toy L(x, y) = x y."""
-
-
 def generate(spec):
     """Build an instance from a generator spec.
 
     Returns ``(problem, optimum)`` where ``optimum`` is a SaddlePoint with
     zero KKT error, or None when no optimum is planted.
     """
-    if isinstance(spec, TwoDimToy):
-        return generate(DiagonalBilinear((1.0,)))
-
     if isinstance(spec, DiagonalBilinear):
         k = len(spec.sigmas)
         # interaction term in the data convention L = c'x + b'y - y'Ax,

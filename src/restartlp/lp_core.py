@@ -241,25 +241,20 @@ class SparseMatrix:
         (m, n): ``M.matvec(z, out)`` adds t A^T y to out[:n] and s A x to
         out[n:] for z = [x; y], both products in one kernel call.
 
-        The scales are scalars, as those of :meth:`times`.  M's one layout
-        of 2 nnz(A) nonzeros stacks the rows of t A^T, one transpose of
-        t A, with indices shifted by n, on the rows of s A.  Each row holds
-        an entry's terms of the lone product in the order the kernel adds
-        them, so every entry of ``M.matvec`` equals, bit for bit, that of
-        ``times(t).rmatvec`` or ``times(s).matvec`` into the same ``out``.
-        :meth:`rmatvec` is M^T.
+        The scales are scalars, as those of :meth:`times`.  M is built by
+        the constructor from the entries of t A^T, on rows 0..n-1 with
+        columns shifted by n, and of s A, on rows shifted by n.  Its layout
+        sorts each row by column, so each row holds an entry's terms of the
+        lone product in the order the kernel adds them, and every entry of
+        ``M.matvec`` equals, bit for bit, that of ``times(t).rmatvec`` or
+        ``times(s).matvec`` into the same ``out``.  :meth:`rmatvec` is M^T.
         """
-        adj = self.times(rmatvec_scale)._csr.T.tocsr()
-        csr = self.times(matvec_scale)._csr
-        n, size = self.n_cols, self.n_cols + self.n_rows
-        # int32 indices, as A's, unless M's size or nonzero count needs more
-        index = np.int64 if max(size, 2 * self.nnz) > _INT32_MAX else np.int32
-        indptr = np.concatenate([adj.indptr, csr.indptr[1:].astype(index) + adj.indptr[-1]],
-                                dtype=index)
-        indices = np.concatenate([adj.indices.astype(index) + n, csr.indices], dtype=index)
-        saddle = sp.csr_array((np.concatenate([adj.data, csr.data]), indices, indptr),
-                              shape=(size, size))
-        return object.__new__(SparseMatrix)._bind(saddle)
+        n, rows, cols = self.n_cols, self.rows, self.cols
+        return SparseMatrix(n + self.n_rows, n + self.n_rows,
+                            np.concatenate([cols, rows + n]),
+                            np.concatenate([rows + n, cols]),
+                            np.concatenate([self.times(rmatvec_scale).vals,
+                                            self.times(matvec_scale).vals]))
 
     @staticmethod
     def block_diagonal(matrices):

@@ -118,28 +118,23 @@ class RestartScheme:
     """Restart rule: kind plus its parameters.
 
     beta is the required gap-decay factor for adaptive/flexible restarts
-    (default exp(-1), which optimizes the total-iteration bound); tau0 is
-    the first-epoch length of the adaptive schemes; tau the fixed length.
-    tau and tau0 are integers, Python or numpy ones.
+    (default exp(-1), which optimizes the total-iteration bound); tau is
+    the fixed length, an integer, Python or numpy.
     """
 
     kind: str
     tau: int | None = None
     beta: float = DEFAULT_BETA
-    tau0: int = 1
 
     def __post_init__(self):
         if self.kind not in (NO_RESTART, FIXED, ADAPTIVE, FLEXIBLE):
             raise ValueError(f"unknown restart scheme {self.kind!r}")
         if self.tau is not None:
             object.__setattr__(self, "tau", _integer("tau", self.tau))
-        object.__setattr__(self, "tau0", _integer("tau0", self.tau0))
         if self.kind == FIXED and (self.tau is None or self.tau < 1):
             raise ValueError("fixed restarts need tau >= 1")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.tau0 < 1:
-            raise ValueError("tau0 must be >= 1")
 
     @staticmethod
     def none():
@@ -150,12 +145,12 @@ class RestartScheme:
         return RestartScheme(FIXED, tau=tau)
 
     @staticmethod
-    def adaptive(beta=DEFAULT_BETA, tau0=1):
-        return RestartScheme(ADAPTIVE, beta=beta, tau0=tau0)
+    def adaptive(beta=DEFAULT_BETA):
+        return RestartScheme(ADAPTIVE, beta=beta)
 
     @staticmethod
-    def flexible(beta=DEFAULT_BETA, tau0=1):
-        return RestartScheme(FLEXIBLE, beta=beta, tau0=tau0)
+    def flexible(beta=DEFAULT_BETA):
+        return RestartScheme(FLEXIBLE, beta=beta)
 
 
 @dataclass
@@ -180,16 +175,16 @@ def fixed_frequency_tstar(c_constant, q_constant, alpha, beta):
 def should_restart(state, scheme, gap_now):
     """Evaluate the restart condition at a checkpoint.
 
-    Adaptive/flexible: first epoch restarts once the inner count reaches
-    tau0; later epochs when the candidate gap is at most beta times the gap
-    stored at the previous restart.
+    Adaptive/flexible: the first epoch ends at its first checkpoint, where
+    no gap has been stored yet; later epochs when the candidate gap is at
+    most beta times the gap stored at the previous restart.
     """
     if scheme.kind == NO_RESTART:
         return False
     if scheme.kind == FIXED:
         return state.inner >= scheme.tau
     if state.outer == 0:
-        return state.inner >= scheme.tau0
+        return state.inner >= 1
     return gap_now <= scheme.beta * state.gap_at_restart
 
 

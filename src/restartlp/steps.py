@@ -372,6 +372,18 @@ class NormalFactor:
     the system is consistent.  :meth:`of` returns the factor kept in the
     matrix's memo, so that the solves and tuning runs on one matrix share
     it.
+
+    Both paths read BLAS: SuperLU's factor and back-solves call it, and the
+    dense inverse's product is ``dgemv``, whose summation order depends on
+    the CPU kernel OpenBLAS picks (SuperLU's factor differs first: on the
+    scaled A of planted 200x400 it gave different bits under the SkylakeX,
+    Haswell and Prescott kernels).  So the bits of ADMM and PPM solves
+    depend on the OpenBLAS kernel even where every reduction of
+    :mod:`~restartlp.lp_core` has a fixed order, and the golden solve
+    record compares their iteration counts exactly and their floats to
+    1e-6.  A factor and apply without BLAS would be an O(m^3) dense
+    factorization in numpy elementwise operations per matrix; it is not
+    made.
     """
 
     def __init__(self, A, shift=0.0):

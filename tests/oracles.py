@@ -497,7 +497,7 @@ def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
 
     adapt_opts = SolveOptions(
         step=config,
-        scheme=RestartScheme.adaptive(beta=beta, tau0=1),
+        scheme=RestartScheme.adaptive(beta=beta),
         kkt_tol=0.0,
         iteration_limit=epochs * tstar,
         check_cadence=1,

@@ -18,11 +18,13 @@ from restartlp.cli import (
     rank_fixed_runs,
     tune_primal_weight,
 )
-from restartlp.ingest import (DiagonalBilinear, RandomLpKnownOptimum, TwoDimToy, generate,
-                              parse_mps, to_standard_form)
+from restartlp.ingest import (DiagonalBilinear, RandomLpKnownOptimum, generate, parse_mps,
+                              to_standard_form)
 from restartlp.lp_core import SparseMatrix, StandardFormLp, power_method_sigma_max
 from restartlp.restarts import RestartScheme, SolveOptions, Status, run_restarted
 from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, StepConfig
+
+from corpus import FEATURES_SEED, draw_features, highs, to_mps
 
 TINY_MPS = """\
 NAME          TINY
@@ -64,7 +66,7 @@ def read_trace(path):
 
 class TestGeneratorSpec:
     def test_forms(self):
-        assert isinstance(parse_generator_spec("toy"), TwoDimToy)
+        assert parse_generator_spec("toy") == DiagonalBilinear((1.0,))
         spec = parse_generator_spec("diagonal:0.5,1.0")
         assert spec == DiagonalBilinear((0.5, 1.0))
         spec = parse_generator_spec("random:m=5,n=10,density=0.5,seed=7")
@@ -92,7 +94,9 @@ class TestSolve:
         assert set(data) == {"status", "iterations", "final_kkt_error",
                              "restart_count", "restart_lengths",
                              "wall_time_seconds", "eta", "scaling", "omega",
-                             "problem"}
+                             "problem", "primal_objective"}
+        # min x1 + x2 s.t. x1 + x2 = 1
+        assert data["primal_objective"] == pytest.approx(1.0, abs=1e-5)
         # the LP is rescaled, with eta * sigma_max kept
         scaling = data["scaling"]
         assert set(scaling) == {"sigma_max", "sigma_max_scaled", "eta"}
@@ -204,6 +208,46 @@ class TestSolve:
                      "--start", start])
         assert code == EXIT_INPUT_ERROR
         assert "start" in capsys.readouterr().err
+
+
+class TestPrimalObjective:
+    """The summary's and the stdout line's primal objective is that of the
+    problem given: an MPS model's, with its sense and constant, c'x for a
+    generated LP, and none for a bilinear problem."""
+
+    # the first HiGHS-solvable cases of the features family: 0, 4, 6 and 9
+    # are maxima, and all but 1 have an objective constant
+    @pytest.mark.parametrize("case", [0, 1, 3, 4, 6, 9])
+    def test_mps_model_agrees_with_highs(self, case, tmp_path, capsys):
+        case = draw_features(np.random.default_rng([FEATURES_SEED, case]))
+        _, want = highs(case)
+        mps = tmp_path / "case.mps"
+        mps.write_text(to_mps(case))
+        summary = tmp_path / "summary.json"
+        code = main(["solve", "--input", str(mps), "--kkt-tol", "1e-8",
+                     "--iteration-limit", "20000", "--summary-out", str(summary)])
+        assert code == EXIT_OPTIMAL
+        got = json.loads(summary.read_text())["primal_objective"]
+        assert abs(got - want) <= 1e-5 * max(1.0, abs(want)), (got, want)
+        assert capsys.readouterr().out.endswith(f", primal objective {got:.12g}\n")
+
+    @pytest.mark.parametrize("method", [PDHG, EGM, ADMM])
+    def test_generated_lp_reads_c_x(self, method, tmp_path):
+        problem, optimum = generate(RandomLpKnownOptimum(20, 40, 0.3, 1))
+        summary = tmp_path / "summary.json"
+        code = main(["solve", "--generate", "random:m=20,n=40,density=0.3,seed=1",
+                     "--method", method, "--kkt-tol", "1e-9", "--summary-out", str(summary)])
+        assert code == EXIT_OPTIMAL
+        want = float(problem.c @ optimum.x)
+        assert json.loads(summary.read_text())["primal_objective"] == pytest.approx(want,
+                                                                                    rel=1e-6)
+
+    def test_bilinear_problem_has_none(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        assert main(["solve", "--generate", "toy", "--summary-out", str(summary)]) \
+            == EXIT_OPTIMAL
+        assert json.loads(summary.read_text())["primal_objective"] is None
+        assert "objective" not in capsys.readouterr().out
 
 
 def lone_table(problem, method, eta, iterations, lipschitz=None):
@@ -424,12 +468,14 @@ class TestTuneOmega:
 
 
 class TestOptionsBeforeWork:
-    """A bad option of solve or sweep-restarts is an input error, with the
-    message it always had, before sigma_max is estimated or a tuner runs."""
+    """A bad option of solve, tune-omega or sweep-restarts, or an output that
+    cannot be written, is an input error, with the message it always had,
+    before sigma_max is estimated, a tuner runs or the solve starts."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        for name in ("power_method_sigma_max", "tune_primal_weight", "_tune_admm_eta"):
+        for name in ("power_method_sigma_max", "tune_primal_weight", "_tune_admm_eta",
+                     "run_restarted"):
             monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
 
     @pytest.mark.parametrize("argv,message", [
@@ -450,10 +496,22 @@ class TestOptionsBeforeWork:
         (["sweep-restarts", "--omega", "auto", "--kkt-tol", "-1"],
          "KKT tolerance must be a number >= 0"),
         (["sweep-restarts", "--omega", "auto", "--beta", "2"], "beta must lie in (0, 1)"),
+        (["solve", "--trace-out", "{missing}/t.csv"], "cannot write"),
+        (["solve", "--summary-out", "{missing}/s.json"], "cannot write"),
+        (["solve", "--method", "egm", "--omega", "auto", "--summary-out", "{missing}/s.json"],
+         "cannot write"),
+        (["solve", "--method", "admm", "--tune-eta", "--trace-out", "{missing}/t.csv"],
+         "cannot write"),
+        (["solve", "--method", "admm", "--summary-out", "{missing}/s.json"], "cannot write"),
+        (["tune-omega", "--tune-iterations", "500", "--summary-out", "{missing}/o.json"],
+         "cannot write"),
     ], ids=["admm-tune-eta-omega", "auto-admm-tune-eta", "auto-fixed-without-length",
             "auto-kkt-tol", "egm-auto-short-start", "egm-auto-check-cadence", "sweep-ppm-omega",
-            "sweep-ppm-auto", "sweep-auto-kkt-tol", "sweep-auto-beta"])
-    def test_is_an_input_error_before_any_work(self, argv, message, capsys):
+            "sweep-ppm-auto", "sweep-auto-kkt-tol", "sweep-auto-beta", "trace-out",
+            "summary-out", "egm-auto-summary-out", "admm-tune-eta-trace-out",
+            "admm-summary-out", "tune-omega-summary-out"])
+    def test_is_an_input_error_before_any_work(self, argv, message, tmp_path, capsys):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
         code = main([*argv, "--generate", "random:m=20,n=40,density=0.3,seed=1"])
         assert code == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err

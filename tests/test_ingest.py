@@ -12,7 +12,6 @@ from restartlp import (
     MpsParseError,
     RandomLpKnownOptimum,
     SaddlePoint,
-    TwoDimToy,
     generate,
     parse_mps,
     residuals,
@@ -385,7 +384,7 @@ class TestGenerators:
                 DiagonalBilinear((sigma, 1.0))
 
     def test_two_dim_toy(self):
-        problem, opt = generate(TwoDimToy())
+        problem, opt = generate(DiagonalBilinear((1.0,)))
         assert problem.n == 1 and problem.m == 1
         assert np.array_equal(opt.as_vector(), [0.0, 0.0])
 

@@ -506,9 +506,9 @@ class TestNorms:
 
     def test_pdhg_m_example(self):
         # on the L(x, y) = xy toy with eta = 0.2, |(1,1)|_M^2 = 1 - 0.4 + 1
-        from restartlp import TwoDimToy, generate
+        from restartlp import DiagonalBilinear, generate
 
-        p, _ = generate(TwoDimToy())
+        p, _ = generate(DiagonalBilinear((1.0,)))
         z = SaddlePoint(np.array([1.0]), np.array([1.0]))
         val = norm_value(NormSpec.pdhg(0.2), p, z)
         assert val == pytest.approx(math.sqrt(1.6))

@@ -14,7 +14,6 @@ from restartlp import (
     SolveOptions,
     Status,
     StepConfig,
-    TwoDimToy,
     fixed_frequency_tstar,
     generate,
     pdhg_step,
@@ -81,25 +80,25 @@ class TestSolveOptions:
 
 
 class TestRestartScheme:
-    @pytest.mark.parametrize("make", [lambda v: RestartScheme.fixed(v),
-                                      lambda v: RestartScheme.adaptive(tau0=v),
-                                      lambda v: RestartScheme.flexible(tau0=v)],
-                             ids=["fixed-tau", "adaptive-tau0", "flexible-tau0"])
     @pytest.mark.parametrize("value", [2.7, 2.0, "2"])
-    def test_non_integer_lengths_rejected(self, make, value):
+    def test_non_integer_lengths_rejected(self, value):
         with pytest.raises(ValueError, match="must be an integer"):
-            make(value)
+            RestartScheme.fixed(value)
 
     def test_numpy_integer_lengths_become_ints(self):
         assert RestartScheme.fixed(np.int64(64)) == RestartScheme.fixed(64)
         assert type(RestartScheme.fixed(np.int64(64)).tau) is int
-        assert type(RestartScheme.adaptive(tau0=np.int32(3)).tau0) is int
 
 
 class TestShouldRestart:
-    def test_first_epoch_fires_at_tau0(self):
-        state = RestartState(outer=0, inner=1)
-        assert should_restart(state, RestartScheme.adaptive(tau0=1), gap_now=10.0)
+    @pytest.mark.parametrize("scheme", [RestartScheme.adaptive(), RestartScheme.flexible()],
+                             ids=["adaptive", "flexible"])
+    def test_first_epoch_ends_at_its_first_checkpoint(self, scheme):
+        # no gap is stored before the first restart, whatever the gap now
+        for inner in (1, 30):
+            state = RestartState(outer=0, inner=inner)
+            assert should_restart(state, scheme, gap_now=10.0)
+            assert should_restart(state, scheme, gap_now=math.inf)
 
     def test_adaptive_decay_ratio(self):
         beta = math.exp(-1)
@@ -214,7 +213,7 @@ class TestRunRestarted:
         assert not np.all(np.isfinite(res.average.as_vector()))
 
     def test_toy_fixed25_anchor_distances_decrease(self):
-        problem, _ = generate(TwoDimToy())
+        problem, _ = generate(DiagonalBilinear((1.0,)))
         opts = SolveOptions(step=StepConfig(PDHG, 0.2),
                             scheme=RestartScheme.fixed(25), kkt_tol=0.0,
                             iteration_limit=5 * 25, check_cadence=1)
@@ -226,7 +225,7 @@ class TestRunRestarted:
             assert lo < hi
 
     def test_toy_restart_beats_no_restart_at_50(self):
-        problem, _ = generate(TwoDimToy())
+        problem, _ = generate(DiagonalBilinear((1.0,)))
         z0 = SaddlePoint(np.array([1.0]), np.array([1.0]))
         base = SolveOptions(step=StepConfig(PDHG, 0.2),
                             scheme=RestartScheme.none(), kkt_tol=0.0,
@@ -312,7 +311,7 @@ class TestRunRestarted:
                                                              rel=1e-12)
 
     def test_no_restart_records_last_iterate_gap(self):
-        problem, _ = generate(TwoDimToy())
+        problem, _ = generate(DiagonalBilinear((1.0,)))
         z0 = SaddlePoint(np.array([1.0]), np.array([1.0]))
         opts = SolveOptions(step=StepConfig(PDHG, 0.2),
                             scheme=RestartScheme.none(), kkt_tol=0.0,
