@@ -54,7 +54,6 @@ from .restarts import (
     NO_RESTART,
     ConvergenceTrace,
     RestartScheme,
-    RestartState,
     SolveOptions,
     SolveResult,
     Status,

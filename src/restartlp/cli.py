@@ -59,7 +59,8 @@ from .restarts import (
     _stack,
     run_restarted,
 )
-from .steps import ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, AdmmPoint, StepConfig
+from .steps import (ADMM, EGM, PDHG, PPM_BILINEAR, PROJECTION_TOL, AdmmPoint, StepConfig,
+                    _check_fits)
 # Not called here (the tuners step inside the restart loop); the name stays
 # bound because perfbench's span-tracer test reads it from this module.
 from .steps import pdhg_step  # noqa: F401
@@ -88,10 +89,15 @@ GAP_SWEEP_THRESHOLD = 1e-7
 
 
 def parse_generator_spec(text):
-    """'toy' | 'diagonal:<s1>,<s2>,...' | 'random:m=..,n=..,density=..,seed=..'"""
+    """'toy' | 'diagonal:<s1>,<s2>,...' | 'random:m=..,n=..,density=..,seed=..'
+
+    A parameter that is not read is an error: anything after 'toy', and a
+    random key other than m, n, density and seed, or one given twice."""
     head, _, rest = text.partition(":")
     head = head.strip().lower()
     if head == "toy":
+        if rest.strip():
+            raise ValueError(f"toy takes no parameters, got {text!r}")
         # the two-dimensional bilinear toy L(x, y) = x y
         return DiagonalBilinear((1.0,))
     if head == "diagonal":
@@ -103,7 +109,11 @@ def parse_generator_spec(text):
             if not tok.strip():
                 continue
             key, _, value = tok.partition("=")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in ("m", "n", "density", "seed") or key in kv:
+                raise ValueError(f"random generator takes m=, n=, density= and seed= "
+                                 f"once each, not {tok.strip()!r}")
+            kv[key] = value.strip()
         try:
             return RandomLpKnownOptimum(
                 m=int(kv["m"]), n=int(kv["n"]),
@@ -161,26 +171,29 @@ def _parse_start(text, problem):
     return SaddlePoint.over(vals, problem.n)
 
 
-def _given_step(args):
+def _given_step(args, problem):
     """The step config of the options as given; building it checks omega
-    against the method, and a given eta, before any estimate or tuning run.
-    An unset eta and omega 'auto' read 1 in it until
-    :func:`_build_step_config` resolves them."""
+    against the method, a given eta, and then the method against
+    ``problem``, before any estimate or tuning run.  An unset eta and omega
+    'auto' read 1 in it until :func:`_build_step_config` resolves them."""
     if args.omega == "auto":
         if args.method not in (PDHG, EGM):
             raise ValueError("omega tuning applies to PDHG and EGM only")
         omega = 1.0
     else:
         omega = float(args.omega)
-    return StepConfig(args.method, 1.0 if args.eta is None else args.eta, omega=omega)
+    given = StepConfig(args.method, 1.0 if args.eta is None else args.eta, omega=omega)
+    _check_fits(problem, args.method)
+    return given
 
 
 def _build_step_config(problem, method, eta, omega, tune_eta):
-    """Resolve eta / omega / L, estimating sigma_max where needed.
+    """Resolve eta and omega, estimating sigma_max where needed.
 
     ``eta`` None is 0.9 / sigma_max, or for ADMM 1 (tuned on the omega grid
     if ``tune_eta``); ``omega`` 'auto' is tuned on that grid, for PDHG and
-    EGM, which :func:`_given_step` checks first.
+    EGM, which :func:`_given_step` checks first.  EGM's eta is checked
+    against L = 1.01 sigma_max before omega is tuned.
     """
     sigma = None
     if (eta is None or method == EGM) and method != ADMM:
@@ -192,16 +205,17 @@ def _build_step_config(problem, method, eta, omega, tune_eta):
             eta, _ = _tune_admm_eta(problem)
         else:
             eta = 1.0
+    step = StepConfig(method, eta, lipschitz=1.01 * sigma if method == EGM else None)
     if omega == "auto":
-        omega, _ = tune_primal_weight(problem, method, eta,
-                                      lipschitz=None if sigma is None else 1.01 * sigma)
-    lipschitz = 1.01 * sigma if (method == EGM and sigma is not None) else None
-    return StepConfig(method, eta, omega=float(omega), lipschitz=lipschitz)
+        omega, _ = tune_primal_weight(problem, method, eta)
+    return replace(step, omega=float(omega))
 
 
 def _build_scheme(args):
     if args.scheme == NO_RESTART:
         return RestartScheme.none()
+    if args.fixed_length is not None and args.scheme != FIXED:
+        raise ValueError("--fixed-length applies to --scheme fixed only")
     if args.scheme == FIXED:
         if args.fixed_length is None:
             raise ValueError("fixed scheme needs --fixed-length")
@@ -271,7 +285,7 @@ def _summary_dict(result, step, wall):
 def _solve_options(args, step, scheme):
     return SolveOptions(step=step, scheme=scheme, kkt_tol=args.kkt_tol,
                         iteration_limit=args.iteration_limit,
-                        check_cadence=args.check_cadence, trace_cadence=args.trace_cadence)
+                        check_cadence=args.check_cadence)
 
 
 def cmd_solve(args):
@@ -279,9 +293,13 @@ def cmd_solve(args):
     problem, meta, vmap = load_problem(args)
     # every option is checked, and every output opened, before sigma_max is
     # estimated or a tuner runs
-    options = _solve_options(args, _given_step(args), _build_scheme(args))
+    options = _solve_options(args, _given_step(args, problem), _build_scheme(args))
     if args.method == ADMM and args.start != "zeros":
         raise ValueError("--start applies to PDHG, EGM and PPM; ADMM starts from zeros")
+    if args.tune_eta and args.method != ADMM:
+        raise ValueError("--tune-eta applies to ADMM only")
+    if args.tune_eta and args.eta is not None:
+        raise ValueError("--tune-eta tunes eta, which --eta gives")
     z0 = _parse_start(args.start, problem)
     with _open_output(args.trace_out) as trace_fh, _open_output(args.summary_out) as summary_fh:
         step = _build_step_config(problem, args.method, args.eta, args.omega, args.tune_eta)
@@ -402,14 +420,14 @@ def _check_budget(iterations):
                          f"not {iterations}")
 
 
-def tune_primal_weight(problem, method, eta, iterations=5000, lipschitz=None):
+def tune_primal_weight(problem, method, eta, iterations=5000):
     """Pick omega from {4^-5, ..., 4^5} minimizing the final-iterate KKT
     error of a non-restarted run of ``iterations`` steps.
 
     Each run is that of :func:`run_restarted` without restarts, so an LP is
     tuned on the rescaled problem that the solve actually iterates (``eta``
-    and ``lipschitz`` are in the caller's units, as for a solve), and the
-    error is that of the caller's problem.
+    is in the caller's units, as for a solve), and the error is that of the
+    caller's problem.
 
     The runs of several omegas are one run of the restart loop at
     omega = 1 on the stack of copies (c~/s, A~, b~ s), s = sqrt(omega), of
@@ -440,8 +458,7 @@ def tune_primal_weight(problem, method, eta, iterations=5000, lipschitz=None):
     _check_budget(iterations)
     if method not in (PDHG, EGM):
         raise ValueError("primal-weight tuning applies to PDHG and EGM")
-    configs = [StepConfig(method, eta, omega=omega, lipschitz=lipschitz)
-               for omega in OMEGA_GRID]
+    configs = [StepConfig(method, eta, omega=omega) for omega in OMEGA_GRID]
     per_group = max(1, _STACK_NNZ // max(problem.A.nnz, problem.n + problem.m, 1))
     errors = []
     for start in range(0, len(configs), per_group):
@@ -474,14 +491,13 @@ def cmd_tune_primal_weight(args):
     toward omega = 1); the printed and JSON tables hold the measured errors.
     """
     _check_budget(args.tune_iterations)
-    problem, _, _ = load_problem(args)
     if args.method not in (PDHG, EGM):
         raise ValueError("tune-omega supports PDHG and EGM")
+    problem, _, _ = load_problem(args)
     with _open_output(args.summary_out) as summary_fh:
         step = _build_step_config(problem, args.method, args.eta, 1.0, False)
         omega, table = tune_primal_weight(problem, args.method, step.eta,
-                                          iterations=args.tune_iterations,
-                                          lipschitz=step.lipschitz)
+                                          iterations=args.tune_iterations)
         for w, err in table:
             print(f"omega {w:12.6g}  kkt {err:.6e}")
         print(f"chosen omega: {omega:.6g}")
@@ -541,7 +557,7 @@ def cmd_sweep_restart_lengths(args):
     """
     problem, _, _ = load_problem(args)
     # every option is checked before sigma_max is estimated or omega tuned
-    given = _given_step(args)
+    given = _given_step(args, problem)
     schemes = [("adaptive", RestartScheme.adaptive(beta=args.beta)),
                ("no_restart", RestartScheme.none())]
     schemes += [(f"fixed_{4 ** k}", RestartScheme.fixed(4 ** k)) for k in range(1, 10)]
@@ -651,7 +667,6 @@ def _add_run_options(parser):
     parser.add_argument("--kkt-tol", type=float, default=1e-6)
     parser.add_argument("--iteration-limit", type=int, default=1_000_000)
     parser.add_argument("--check-cadence", type=int, default=30)
-    parser.add_argument("--trace-cadence", type=int, default=1)
     parser.add_argument("--beta", type=float, default=DEFAULT_BETA)
 
 

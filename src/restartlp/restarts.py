@@ -74,6 +74,7 @@ from .steps import (
     AdmmPoint,
     StepConfig,
     StepOperators,
+    _check_fits,
     admm_step,
     egm_step,
     pdhg_step,
@@ -86,7 +87,6 @@ __all__ = [
     "ADAPTIVE",
     "FLEXIBLE",
     "RestartScheme",
-    "RestartState",
     "SolveOptions",
     "Checkpoint",
     "ConvergenceTrace",
@@ -153,15 +153,6 @@ class RestartScheme:
         return RestartScheme(FLEXIBLE, beta=beta)
 
 
-@dataclass
-class RestartState:
-    """Per-outer-loop bookkeeping consulted by the restart rule."""
-
-    outer: int
-    inner: int
-    gap_at_restart: float | None = None
-
-
 def fixed_frequency_tstar(c_constant, q_constant, alpha, beta):
     """Restart length ceil(2C(q+2) / (alpha beta)) guaranteeing a
     beta-contraction of the distance to the solution set per outer loop."""
@@ -172,41 +163,44 @@ def fixed_frequency_tstar(c_constant, q_constant, alpha, beta):
     return math.ceil(2.0 * c_constant * (q_constant + 2.0) / (alpha * beta))
 
 
-def should_restart(state, scheme, gap_now):
-    """Evaluate the restart condition at a checkpoint.
+def should_restart(scheme, outer, inner, stored_gap, gap_now, radius):
+    """Whether to restart at a checkpoint in epoch ``outer``, ``inner``
+    iterations after the last restart, from a candidate at ``radius`` from
+    the anchor whose normalized gap is ``gap_now``.
 
-    Adaptive/flexible: the first epoch ends at its first checkpoint, where
-    no gap has been stored yet; later epochs when the candidate gap is at
-    most beta times the gap stored at the previous restart.
+    Fixed: after ``tau`` iterations.  Adaptive/flexible: when the candidate
+    has not moved from the anchor (radius 0); else the first epoch ends at
+    its first checkpoint, where no gap has been stored yet, and later epochs
+    when the candidate gap is at most beta times ``stored_gap``, the gap at
+    the previous restart.
     """
     if scheme.kind == NO_RESTART:
         return False
     if scheme.kind == FIXED:
-        return state.inner >= scheme.tau
-    if state.outer == 0:
-        return state.inner >= 1
-    return gap_now <= scheme.beta * state.gap_at_restart
+        return inner >= scheme.tau
+    if radius == 0.0:
+        return True
+    if outer == 0:
+        return inner >= 1
+    return gap_now <= scheme.beta * stored_gap
 
 
 @dataclass
 class SolveOptions:
-    """What :func:`run_restarted` runs; ``iteration_limit`` and the two
-    cadences are integers, Python or numpy ones."""
+    """What :func:`run_restarted` runs; ``iteration_limit`` and
+    ``check_cadence`` are integers, Python or numpy ones."""
 
     step: StepConfig
     scheme: RestartScheme
     kkt_tol: float = 1e-6
     iteration_limit: int = 1_000_000
     check_cadence: int = 30
-    trace_cadence: int = 1
 
     def __post_init__(self):
-        for name in ("iteration_limit", "check_cadence", "trace_cadence"):
+        for name in ("iteration_limit", "check_cadence"):
             setattr(self, name, _integer(name, getattr(self, name)))
         if self.check_cadence < 1:
             raise ValueError("check cadence must be >= 1")
-        if self.trace_cadence < 1:
-            raise ValueError("trace cadence must be >= 1")
         if self.iteration_limit < 1:
             raise ValueError("iteration limit must be >= 1")
         if not self.kkt_tol >= 0.0:
@@ -401,16 +395,14 @@ def _make_lane(problem, config):
     :class:`Scaling` record.
 
     An LP whose matrix has a nonzero entry is rescaled; PDHG and EGM then
-    step with eta~ = eta sigma(A) / sigma(A~) and L~ = L sigma(A~) / sigma(A),
-    both sigma from :func:`power_method_sigma_max` at its defaults.  Other
-    problems run as given, with no record.  A~ and both sigma come from the
+    step with eta~ = eta sigma(A) / sigma(A~), both sigma from
+    :func:`power_method_sigma_max` at its defaults.  Other problems run as
+    given, with no record.  A~ and both sigma come from the
     matrices' memos, so only the first solve on a matrix computes them; the
     lane's step operators are built here, once per solve.  PPM on an LP is
     rejected before any of that work.
     """
-    if config.method == PPM_BILINEAR and problem.nonneg:
-        raise ValueError("PPM steps are implemented for unconstrained bilinear "
-                         "problems only")
+    _check_fits(problem, config.method)
     if not (problem.nonneg and np.any(problem.A.vals)):
         lane = (_AdmmLane if config.method == ADMM else _SaddleLane)(problem, config)
         return lane, None
@@ -419,9 +411,7 @@ def _make_lane(problem, config):
         return _AdmmLane(scaled, config, d1, d2), Scaling(None, None, config.eta)
     sigma = power_method_sigma_max(problem.A)
     sigma_scaled = power_method_sigma_max(scaled.A)
-    ratio = sigma / sigma_scaled
-    lipschitz = None if config.lipschitz is None else config.lipschitz / ratio
-    config = replace(config, eta=config.eta * ratio, lipschitz=lipschitz)
+    config = replace(config, eta=config.eta * (sigma / sigma_scaled))
     return _SaddleLane(scaled, config, d1, d2), Scaling(sigma, sigma_scaled, config.eta)
 
 
@@ -507,7 +497,6 @@ def _run_lane(lane, options, z0=None, observe=None):
     ``last`` and ``anchors`` are the lane's flat vectors, not copied, and
     ``scaling`` is None."""
     scheme = options.scheme
-    adaptive = scheme.kind in (ADAPTIVE, FLEXIBLE)
     # the gaps the scheme reads: the average's unless it never restarts,
     # the last iterate's when it never restarts or may restart from it
     gap_of_avg = scheme.kind != NO_RESTART
@@ -527,7 +516,6 @@ def _run_lane(lane, options, z0=None, observe=None):
     inner = 0
     total = 0
     stored_gap = None
-    checkpoints = 0
     # the best point a checkpoint has measured, or the start, whose KKT
     # error only a divergence at the first checkpoint reads
     good_vec, good_kkt = anchor_vec.copy(), None
@@ -572,7 +560,6 @@ def _run_lane(lane, options, z0=None, observe=None):
 
         # ---- checkpoint ----
         np.divide(target_sum, inner, out=avg)
-        checkpoints += 1
         if not (np.isfinite(cur).all() and np.isfinite(avg).all()):
             if good_kkt is None:
                 good_kkt = lane.measure(good_vec, 0.0)[1]
@@ -594,26 +581,21 @@ def _run_lane(lane, options, z0=None, observe=None):
             if scheme.kind == FLEXIBLE and radius_last > 0.0 and gap_last < gap_now:
                 cand_vec, cand_radius, gap_now = cur, radius_last, gap_last
 
-        state = RestartState(outer=outer, inner=inner, gap_at_restart=stored_gap)
-        restart_now = should_restart(state, scheme, gap_now)
-        if adaptive and cand_radius == 0.0:
-            restart_now = True
         terminal = (stop or min(kkt_avg, kkt_last) <= options.kkt_tol
                     or total >= limit)
-        restart_now = restart_now and not terminal
-
-        if checkpoints % options.trace_cadence == 0 or restart_now or terminal:
-            trace.records.append(Checkpoint(
-                iteration=total,
-                outer=outer,
-                inner=inner,
-                normalized_gap=gap_now,
-                kkt_avg=kkt_avg,
-                kkt_last=kkt_last,
-                radius=cand_radius,
-                restarted=restart_now,
-                elapsed_seconds=time.perf_counter() - start,
-            ))
+        restart_now = not terminal and should_restart(scheme, outer, inner, stored_gap,
+                                                      gap_now, cand_radius)
+        trace.records.append(Checkpoint(
+            iteration=total,
+            outer=outer,
+            inner=inner,
+            normalized_gap=gap_now,
+            kkt_avg=kkt_avg,
+            kkt_last=kkt_last,
+            radius=cand_radius,
+            restarted=restart_now,
+            elapsed_seconds=time.perf_counter() - start,
+        ))
 
         best_vec = avg if kkt_avg <= kkt_last else cur
         np.copyto(good_vec, best_vec)

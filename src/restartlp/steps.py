@@ -43,7 +43,7 @@ one matrix-vector product with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,19 +96,23 @@ class StepConfig:
     EGM to eta/omega and eta*omega.  No ADMM or PPM step reads it, so it
     must be 1 for them; ADMM's eta plays that role itself.
 
-    ``eta`` and ``lipschitz`` are in the units of the caller's A.  When
+    ``lipschitz`` (L) is checked, not kept: when it is given, building an
+    EGM config checks eta <= 1/L.  It is an init-only argument, so
+    ``config.lipschitz`` reads the default None.
+
+    ``eta`` is in the units of the caller's A.  When
     :func:`~restartlp.restarts.run_restarted` rescales an LP to A~ = D1 A D2
-    it steps PDHG and EGM with eta sigma(A) / sigma(A~) and L sigma(A~) /
-    sigma(A) (power-method estimates), so eta * sigma_max and eta * L are
-    the same on the matrix iterated as on A; ADMM's eta is used as given.
+    it steps PDHG and EGM with eta sigma(A) / sigma(A~) (power-method
+    estimates), so eta * sigma_max is the same on the matrix iterated as on
+    A; ADMM's eta is used as given.
     """
 
     method: Method
     eta: float
     omega: float = 1.0
-    lipschitz: float | None = None
+    lipschitz: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, lipschitz):
         if self.method not in _CONSTANTS:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0 < self.eta < math.inf:
@@ -117,9 +121,9 @@ class StepConfig:
             raise ValueError("omega must be positive and finite")
         if self.method in (ADMM, PPM_BILINEAR) and self.omega != 1.0:
             raise ValueError(f"omega applies to PDHG and EGM only; {self.method} takes omega = 1")
-        if self.lipschitz is not None and not 0 < self.lipschitz < math.inf:
+        if lipschitz is not None and not 0 < lipschitz < math.inf:
             raise ValueError("lipschitz must be positive and finite")
-        if self.method == EGM and self.lipschitz is not None and self.eta > 1.0 / self.lipschitz * (1 + 1e-12):
+        if self.method == EGM and lipschitz is not None and self.eta > 1.0 / lipschitz * (1 + 1e-12):
             raise ValueError("EGM requires eta <= 1/L")
 
     @property
@@ -270,6 +274,14 @@ def egm_step(problem, z, config, ops=None):
     return result
 
 
+def _check_fits(problem, method):
+    """Reject ``method`` where its steps do not apply to ``problem``: PPM
+    steps only an unconstrained bilinear problem."""
+    if method == PPM_BILINEAR and problem.nonneg:
+        raise ValueError("PPM steps are implemented for unconstrained bilinear "
+                         "problems only")
+
+
 # Residual bound of the PPM inner solve, relative to 1 + |rhs|.
 _PPM_TOL = 1e-12
 
@@ -288,9 +300,7 @@ def ppm_bilinear_step(problem, z, eta):
     the second block row, recomputed from the returned (x, y), is at most
     1e-12 (1 + |rhs|); otherwise :class:`AffineProjectionError` is raised.
     """
-    if problem.nonneg:
-        raise ValueError("PPM steps are implemented for unconstrained bilinear "
-                         "problems only")
+    _check_fits(problem, PPM_BILINEAR)
     A, n = problem.A, problem.n
     s = 1.0 / (eta * eta)
     nxt = SaddlePoint.over(np.zeros(n + problem.m), n)
@@ -431,18 +441,17 @@ class AffineProjector:
     one kept in A's memo (:meth:`NormalFactor.of` with s = 0), so it is
     formed and factored once per matrix; each projection refines w against
     the residual b - A p' of the returned point until
-    |A p' - b| <= tol (1 + |b|) is verified, and raises
+    |A p' - b| <= PROJECTION_TOL (1 + |b|) is verified, and raises
     :class:`AffineProjectionError` if it cannot be.  Rank-deficient A
     (duplicate, zero or dependent rows) is fine when Ax = b is consistent.
     A projection works in scratch the projector owns, so one projector
     serves one caller at a time.
     """
 
-    def __init__(self, A, b, tol=PROJECTION_TOL):
+    def __init__(self, A, b):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
-        self.tol = tol
-        self.atol = tol * (1.0 + _norm(self.b))
+        self.atol = PROJECTION_TOL * (1.0 + _norm(self.b))
         self.factor = NormalFactor.of(A)
         self._residual = np.empty(A.n_rows)
         self._lift = np.empty(A.n_cols)
@@ -479,9 +488,9 @@ class AffineProjector:
 
     def solve_normal(self, rhs):
         """Solve A A' w = rhs with the same factor (ADMM's dual extraction);
-        the residual |A A' w - rhs| <= tol (1 + |rhs|) is verified."""
+        the residual |A A' w - rhs| <= PROJECTION_TOL (1 + |rhs|) is verified."""
         w = np.zeros(self.A.n_rows)
-        atol = self.tol * (1.0 + _norm(rhs))
+        atol = PROJECTION_TOL * (1.0 + _norm(rhs))
 
         def correct(d):
             nonlocal w

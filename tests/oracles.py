@@ -55,7 +55,7 @@ from restartlp.gap import normalized_gap_lp, solve_linear_trust_region
 from restartlp.lp_core import Residuals, SaddlePoint, SparseMatrix, _check_dims
 from restartlp.restarts import (DEFAULT_BETA, RestartScheme, SolveOptions, fixed_frequency_tstar,
                                 run_restarted)
-from restartlp.steps import ADMM, PDHG, PROJECTION_TOL, AffineProjector
+from restartlp.steps import ADMM, PDHG, AffineProjector
 
 
 @dataclass(frozen=True)
@@ -281,9 +281,9 @@ def lagrangian(problem, z):
     return float(problem.c @ z.x + problem.b @ z.y - z.y @ problem.A.matvec(z.x))
 
 
-def affine_project(A, b, point, tol=PROJECTION_TOL):
+def affine_project(A, b, point):
     """One-shot Euclidean projection of ``point`` onto {x : Ax = b}."""
-    return AffineProjector(A, b, tol=tol).project(np.asarray(point, dtype=np.float64))
+    return AffineProjector(A, b).project(np.asarray(point, dtype=np.float64))
 
 
 def stacked_observe_numpy(blocks, eps, levels, last, hits):
@@ -482,7 +482,6 @@ def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
         kkt_tol=0.0,
         iteration_limit=(epochs + 1) * tstar,
         check_cadence=1,
-        trace_cadence=tstar,
     )
     res_fixed = run_restarted(problem, fixed_opts, z0=z0)
     d0 = dist_to_opt(res_fixed.anchors[0])
@@ -501,7 +500,6 @@ def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
         kkt_tol=0.0,
         iteration_limit=epochs * tstar,
         check_cadence=1,
-        trace_cadence=max(tstar, 1),
     )
     res_adapt = run_restarted(problem, adapt_opts, z0=z0)
     lengths = list(res_adapt.trace.restart_lengths)

@@ -77,6 +77,11 @@ class TestGeneratorSpec:
             parse_generator_spec("random:n=10")
         with pytest.raises(ValueError):
             parse_generator_spec("mystery:1")
+        # a parameter that would not be read
+        for spec in ("random:m=20,n=40,dens=0.9,sed=3", "random:m=20,n=40,seed=1,seed=2",
+                     "toy:anything"):
+            with pytest.raises(ValueError):
+                parse_generator_spec(spec)
 
 
 class TestSolve:
@@ -250,12 +255,12 @@ class TestPrimalObjective:
         assert "objective" not in capsys.readouterr().out
 
 
-def lone_table(problem, method, eta, iterations, lipschitz=None):
+def lone_table(problem, method, eta, iterations):
     """The tuner's table from one non-restarted run_restarted call per
     omega, each read as its checkpoint reads it."""
     table = []
     for omega in OMEGA_GRID:
-        options = SolveOptions(StepConfig(method, eta, omega=omega, lipschitz=lipschitz),
+        options = SolveOptions(StepConfig(method, eta, omega=omega),
                                RestartScheme.none(), kkt_tol=0.0, iteration_limit=iterations,
                                check_cadence=iterations)
         result = run_restarted(problem, options)
@@ -337,10 +342,18 @@ class TestTuneOmega:
         data = json.loads(summary.read_text())
         parsed, _ = to_standard_form(parse_mps(mps.read_text()))
         sigma = power_method_sigma_max(parsed.A)
-        # as solve tunes it: eta and the Lipschitz bound from sigma_max
-        want, _ = tune_primal_weight(parsed, method, 0.9 / sigma, lipschitz=1.01 * sigma)
+        # as solve tunes it: eta from sigma_max
+        want, _ = tune_primal_weight(parsed, method, 0.9 / sigma)
         assert want != 1.0
         assert data["omega"] == want and data["status"] == "optimal"
+
+    def test_egm_step_size_is_checked_before_tuning(self, monkeypatch, capsys):
+        # L = 1.01 sigma_max bounds EGM's eta before any tuning run
+        monkeypatch.setattr(cli, "tune_primal_weight", lambda *a, **k: pytest.fail("tuned"))
+        code = main(["solve", "--generate", "random:m=8,n=16,density=0.4,seed=1",
+                     "--method", "egm", "--omega", "auto", "--eta", "100"])
+        assert code == EXIT_INPUT_ERROR
+        assert "EGM requires eta <= 1/L" in capsys.readouterr().err
 
     def test_solve_with_tuned_omega_rejects_admm(self, capsys):
         code = main(["solve", "--generate", "random:m=8,n=16,density=0.4,seed=1",
@@ -402,10 +415,8 @@ class TestTuneOmega:
     @pytest.mark.parametrize("method", [PDHG, EGM])
     def test_planted_lp(self, method, loop_passes):
         problem, sigma = planted()
-        lipschitz = 1.01 * sigma if method == EGM else None
-        omega, table = tune_primal_weight(problem, method, 0.9 / sigma, iterations=400,
-                                          lipschitz=lipschitz)
-        assert table == lone_table(problem, method, 0.9 / sigma, 400, lipschitz)
+        omega, table = tune_primal_weight(problem, method, 0.9 / sigma, iterations=400)
+        assert table == lone_table(problem, method, 0.9 / sigma, 400)
         assert omega == cli._pick_on_grid(table, cli._roundoff_floor(problem))
         # one pass of the loop, over all eleven blocks
         assert loop_passes == [(11 * problem.m, 11 * problem.n)]
@@ -467,6 +478,9 @@ class TestTuneOmega:
             cli._tune_admm_eta(problem, iterations=budget)
 
 
+PPM_ON_AN_LP = "PPM steps are implemented for unconstrained bilinear problems only"
+
+
 class TestOptionsBeforeWork:
     """A bad option of solve, tune-omega or sweep-restarts, or an output that
     cannot be written, is an input error, with the message it always had,
@@ -505,16 +519,43 @@ class TestOptionsBeforeWork:
         (["solve", "--method", "admm", "--summary-out", "{missing}/s.json"], "cannot write"),
         (["tune-omega", "--tune-iterations", "500", "--summary-out", "{missing}/o.json"],
          "cannot write"),
+        (["solve", "--method", "ppm"], PPM_ON_AN_LP),
+        (["sweep-restarts", "--method", "ppm"], PPM_ON_AN_LP),
+        (["solve", "--fixed-length", "5"], "--fixed-length applies to --scheme fixed only"),
+        (["solve", "--tune-eta"], "--tune-eta applies to ADMM only"),
+        (["solve", "--method", "admm", "--tune-eta", "--eta", "2"],
+         "--tune-eta tunes eta, which --eta gives"),
+        (["solve", "--trace-cadence", "5"], "unrecognized arguments: --trace-cadence 5"),
+        (["sweep-restarts", "--trace-cadence", "5"], "unrecognized arguments: --trace-cadence 5"),
     ], ids=["admm-tune-eta-omega", "auto-admm-tune-eta", "auto-fixed-without-length",
             "auto-kkt-tol", "egm-auto-short-start", "egm-auto-check-cadence", "sweep-ppm-omega",
             "sweep-ppm-auto", "sweep-auto-kkt-tol", "sweep-auto-beta", "trace-out",
             "summary-out", "egm-auto-summary-out", "admm-tune-eta-trace-out",
-            "admm-summary-out", "tune-omega-summary-out"])
+            "admm-summary-out", "tune-omega-summary-out", "solve-ppm-on-an-lp",
+            "sweep-ppm-on-an-lp", "fixed-length-without-fixed", "tune-eta-pdhg",
+            "tune-eta-with-eta", "solve-trace-cadence", "sweep-trace-cadence"])
     def test_is_an_input_error_before_any_work(self, argv, message, tmp_path, capsys):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
         code = main([*argv, "--generate", "random:m=20,n=40,density=0.3,seed=1"])
         assert code == EXIT_INPUT_ERROR
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("error:") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "sweep-restarts", "tune-omega"])
+    @pytest.mark.parametrize("spec,message", [
+        ("random:m=20,n=40,dens=0.9,sed=3", "once each, not 'dens=0.9'"),
+        ("toy:anything", "toy takes no parameters")], ids=["random-keys", "toy"])
+    def test_generator_parameters_that_are_not_read(self, command, spec, message, capsys):
+        assert main([command, "--generate", spec]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert message in err and err.count("error:") == 1
+
+    def test_tune_omega_rejects_the_method_before_reading_input(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_problem", lambda args: pytest.fail("input read"))
+        code = main(["tune-omega", "--method", "admm", "--generate",
+                     "random:m=20,n=40,density=0.3,seed=1"])
+        assert code == EXIT_INPUT_ERROR
+        assert "tune-omega supports PDHG and EGM" in capsys.readouterr().err
 
 
 class TestSweep:

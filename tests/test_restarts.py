@@ -9,7 +9,6 @@ from restartlp import (
     DiagonalBilinear,
     RandomLpKnownOptimum,
     RestartScheme,
-    RestartState,
     SaddlePoint,
     SolveOptions,
     Status,
@@ -57,7 +56,7 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="KKT tolerance"):
             SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(), kkt_tol=tol)
 
-    @pytest.mark.parametrize("field", ["iteration_limit", "check_cadence", "trace_cadence"])
+    @pytest.mark.parametrize("field", ["iteration_limit", "check_cadence"])
     @pytest.mark.parametrize("value", [2.5, 50.5, 2.0, "3"])
     def test_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -65,10 +64,9 @@ class TestSolveOptions:
 
     def test_numpy_integer_counts_become_ints(self):
         options = SolveOptions(StepConfig(PDHG, 0.5), RestartScheme.none(),
-                               iteration_limit=np.int64(50), check_cadence=np.int32(5),
-                               trace_cadence=np.uint8(2))
-        counts = (options.iteration_limit, options.check_cadence, options.trace_cadence)
-        assert counts == (50, 5, 2) and all(type(c) is int for c in counts)
+                               iteration_limit=np.int64(50), check_cadence=np.uint8(5))
+        counts = (options.iteration_limit, options.check_cadence)
+        assert counts == (50, 5) and all(type(c) is int for c in counts)
 
     def test_iteration_limit_and_cadence_are_kept_exactly(self):
         problem, _ = generate(DiagonalBilinear((0.5, 1.0)))
@@ -91,29 +89,38 @@ class TestRestartScheme:
 
 
 class TestShouldRestart:
+    # should_restart(scheme, outer, inner, stored_gap, gap_now, radius)
+
     @pytest.mark.parametrize("scheme", [RestartScheme.adaptive(), RestartScheme.flexible()],
                              ids=["adaptive", "flexible"])
     def test_first_epoch_ends_at_its_first_checkpoint(self, scheme):
         # no gap is stored before the first restart, whatever the gap now
         for inner in (1, 30):
-            state = RestartState(outer=0, inner=inner)
-            assert should_restart(state, scheme, gap_now=10.0)
-            assert should_restart(state, scheme, gap_now=math.inf)
+            assert should_restart(scheme, 0, inner, None, 10.0, 1.0)
+            assert should_restart(scheme, 0, inner, None, math.inf, 1.0)
 
     def test_adaptive_decay_ratio(self):
-        beta = math.exp(-1)
-        state = RestartState(outer=3, inner=40, gap_at_restart=1.0)
-        assert should_restart(state, RestartScheme.adaptive(beta=beta), 0.3)
-        assert not should_restart(state, RestartScheme.adaptive(beta=beta), 0.4)
+        scheme = RestartScheme.adaptive(beta=math.exp(-1))
+        assert should_restart(scheme, 3, 40, 1.0, 0.3, 1.0)
+        assert not should_restart(scheme, 3, 40, 1.0, 0.4, 1.0)
+
+    @pytest.mark.parametrize("scheme", [RestartScheme.adaptive(), RestartScheme.flexible()],
+                             ids=["adaptive", "flexible"])
+    def test_candidate_at_the_anchor_restarts(self, scheme):
+        # a candidate that has not moved from the anchor restarts whatever
+        # its gap, which is not measured at radius 0
+        assert should_restart(scheme, 3, 40, 1.0, math.inf, 0.0)
+        assert should_restart(scheme, 3, 40, 1.0, math.nan, 0.0)
+        assert not should_restart(scheme, 3, 40, 1.0, math.nan, 1e-300)
 
     def test_fixed_threshold(self):
         scheme = RestartScheme.fixed(25)
-        assert not should_restart(RestartState(outer=0, inner=24), scheme, 0.0)
-        assert should_restart(RestartState(outer=0, inner=25), scheme, 0.0)
+        assert not should_restart(scheme, 0, 24, None, 0.0, 0.0)
+        assert should_restart(scheme, 0, 25, None, 0.0, 0.0)
+        assert not should_restart(scheme, 2, 24, 1.0, 0.0, 1.0)
 
     def test_no_restart_never(self):
-        state = RestartState(outer=5, inner=10**6, gap_at_restart=1.0)
-        assert not should_restart(state, RestartScheme.none(), 0.0)
+        assert not should_restart(RestartScheme.none(), 5, 10**6, 1.0, 0.0, 0.0)
 
 
 class TestRunRestarted:

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -62,10 +62,16 @@ class TestStepConfig:
             StepConfig(PDHG, 0.0)
         with pytest.raises(ValueError):
             StepConfig(PDHG, 1.0, omega=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="EGM requires eta <= 1/L"):
             StepConfig(EGM, 2.0, lipschitz=1.0)
         with pytest.raises(ValueError):
             StepConfig("newton", 1.0)
+
+    def test_lipschitz_is_a_check_not_a_field(self):
+        # L is checked against EGM's eta when the config is built, not kept
+        assert [f.name for f in fields(StepConfig)] == ["method", "eta", "omega"]
+        assert StepConfig(EGM, 0.5, lipschitz=1.0) == StepConfig(EGM, 0.5)
+        assert replace(StepConfig(EGM, 0.5, lipschitz=1.0), eta=4.0) == StepConfig(EGM, 4.0)
 
     @pytest.mark.parametrize("method", [ADMM, PPM_BILINEAR])
     @pytest.mark.parametrize("omega", [16.0, 0.25, 1.0 + 2.0 ** -52])
