@@ -50,6 +50,7 @@ from .steps import pdhg_step  # noqa: F401
 
 __all__ = [
     "Table3Report",
+    "table3_arguments",
     "table3_scaling_experiment",
     "two_dim_toy_series",
 ]
@@ -148,6 +149,21 @@ def _ones(n):
     return SaddlePoint(np.ones(n), np.ones(n))
 
 
+def table3_arguments(kappas, eps, avg_kappa=4):
+    """``kappas`` as a list of floats, once they, ``eps`` and ``avg_kappa``
+    are checked as :func:`table3_scaling_experiment` reads them: a
+    ValueError unless the list is nonempty, every kappa is at least 2 and
+    eps lies in (0, 1/2]."""
+    kappas = [float(k) for k in kappas]
+    if not kappas:
+        raise ValueError("kappa list must be nonempty")
+    if not all(k >= 2 for k in kappas + [float(avg_kappa)]):
+        raise ValueError("kappa values must be >= 2")
+    if not 0 < eps <= 0.5:
+        raise ValueError("eps must lie in (0, 1/2]")
+    return kappas
+
+
 def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-4),
                               cap=5_000_000):
     """Measure iterations-to-threshold vs condition number at eta = 1/2
@@ -184,13 +200,7 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
 
     Modes that fail to converge within ``cap`` are recorded with ``None``.
     """
-    kappas = [float(k) for k in kappas]
-    if not kappas:
-        raise ValueError("kappa list must be nonempty")
-    if not all(k >= 2 for k in kappas + [float(avg_kappa)]):
-        raise ValueError("kappa values must be >= 2")
-    if not 0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
+    kappas = table3_arguments(kappas, eps, avg_kappa)
     config = StepConfig(PDHG, 0.5)
 
     # block 0 is avg_kappa's; the kappas follow in the caller's order

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilinear import table3_scaling_experiment, two_dim_toy_series
+from .bilinear import table3_arguments, table3_scaling_experiment, two_dim_toy_series
 from .ingest import (
     OBJECTIVE_ROW,
     DiagonalBilinear,
@@ -212,19 +212,15 @@ def _build_step_config(problem, method, eta, omega, tune_eta):
 
 
 def _build_scheme(args):
-    if args.scheme == NO_RESTART:
-        return RestartScheme.none()
+    """The restart scheme of ``solve``'s options, each of which the scheme reads."""
     if args.fixed_length is not None and args.scheme != FIXED:
         raise ValueError("--fixed-length applies to --scheme fixed only")
-    if args.scheme == FIXED:
-        if args.fixed_length is None:
-            raise ValueError("fixed scheme needs --fixed-length")
-        return RestartScheme.fixed(args.fixed_length)
-    if args.scheme == ADAPTIVE:
-        return RestartScheme.adaptive(beta=args.beta)
-    if args.scheme == FLEXIBLE:
-        return RestartScheme.flexible(beta=args.beta)
-    raise ValueError(f"unknown scheme {args.scheme!r}")
+    if args.scheme == FIXED and args.fixed_length is None:
+        raise ValueError("fixed scheme needs --fixed-length")
+    if args.beta is not None and args.scheme not in (ADAPTIVE, FLEXIBLE):
+        raise ValueError("--beta applies to --scheme adaptive and flexible only")
+    return RestartScheme(args.scheme, tau=args.fixed_length,
+                         beta=DEFAULT_BETA if args.beta is None else args.beta)
 
 
 def _open_output(path):
@@ -558,7 +554,8 @@ def cmd_sweep_restart_lengths(args):
     problem, _, _ = load_problem(args)
     # every option is checked before sigma_max is estimated or omega tuned
     given = _given_step(args, problem)
-    schemes = [("adaptive", RestartScheme.adaptive(beta=args.beta)),
+    schemes = [("adaptive", RestartScheme.adaptive(
+                    beta=DEFAULT_BETA if args.beta is None else args.beta)),
                ("no_restart", RestartScheme.none())]
     schemes += [(f"fixed_{4 ** k}", RestartScheme.fixed(4 ** k)) for k in range(1, 10)]
     runs = [(label, _solve_options(args, given, scheme)) for label, scheme in schemes]
@@ -605,9 +602,7 @@ def cmd_sweep_restart_lengths(args):
 def cmd_bilinear_lab(args):
     """Emit the condition-number scaling CSV and the 50-iteration toy
     trajectory CSV (plain vs restart length 25 at eta = 0.2)."""
-    kappas = [float(k) for k in args.kappas.split(",") if k.strip()]
-    if not kappas:
-        raise ValueError("kappa list must be nonempty")
+    kappas = table3_arguments([k for k in args.kappas.split(",") if k.strip()], args.eps)
     out = _output_dir(args.out_dir)
     report = table3_scaling_experiment(kappas, args.eps)
     with _open_output(out / "scaling.csv") as fh:
@@ -667,7 +662,8 @@ def _add_run_options(parser):
     parser.add_argument("--kkt-tol", type=float, default=1e-6)
     parser.add_argument("--iteration-limit", type=int, default=1_000_000)
     parser.add_argument("--check-cadence", type=int, default=30)
-    parser.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    parser.add_argument("--beta", type=float, default=None,
+                        help="adaptive and flexible gap decay (default: exp(-1))")
 
 
 def main(argv=None):

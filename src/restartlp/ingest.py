@@ -455,7 +455,6 @@ class VariableMap:
     value: np.ndarray
     objective_offset: float
     objective_sense: str
-    n_standard: int
 
     def to_original(self, x_standard):
         x = np.asarray(x_standard, dtype=np.float64)
@@ -591,7 +590,6 @@ def to_standard_form(model):
         value=value,
         objective_offset=offset,
         objective_sense=model.objective_sense,
-        n_standard=n_main + k,
     )
     return problem, vmap
 

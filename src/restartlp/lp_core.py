@@ -461,12 +461,18 @@ def residuals_of_gradient(problem, x, y, g_x, g_y, row_scale=None, col_scale=Non
 # ---------------------------------------------------------------------------
 
 
+# A product that underflows or overflows is rejected by the norm check
+# below, not reported by numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
     """Estimate sigma_max(A) by power iteration on A'A.
 
     Deterministic given ``seed``.  Stops when the relative change of the
     Rayleigh-quotient estimate falls below ``tol``; warns (and returns the
-    best estimate) if that does not happen within ``max_iters``.
+    best estimate) if that does not happen within ``max_iters``.  A product
+    A'A v whose norm is 0 or not finite is a ValueError: for a nonzero A,
+    whose null space a random start misses, it underflowed or overflowed,
+    and would from every start.
 
     A converged estimate is kept in ``A``'s memo (see
     :class:`SparseMatrix`), keyed by ``(tol, max_iters, seed)``: a later
@@ -488,12 +494,9 @@ def power_method_sigma_max(A, tol=1e-4, max_iters=5000, seed=0):
     for _ in range(max_iters):
         w = A.rmatvec(A.matvec(v))
         nw = _norm(w)
-        if nw == 0.0:
-            # started in the null space; redraw deterministically
-            v = rng.standard_normal(A.n_cols)
-            v /= _norm(v)
-            prev = None
-            continue
+        if not 0.0 < nw < math.inf:
+            raise ValueError(f"sigma_max cannot be estimated in double precision: "
+                             f"|A'A v| reads {nw}")
         lam = _dot(v, w) / _dot(v, v)
         v = w / nw
         if prev is not None and abs(lam - prev) <= tol * max(abs(lam), 1e-300):

@@ -581,10 +581,12 @@ def _run_lane(lane, options, z0=None, observe=None):
             if scheme.kind == FLEXIBLE and radius_last > 0.0 and gap_last < gap_now:
                 cand_vec, cand_radius, gap_now = cur, radius_last, gap_last
 
-        terminal = (stop or min(kkt_avg, kkt_last) <= options.kkt_tol
-                    or total >= limit)
-        restart_now = not terminal and should_restart(scheme, outer, inner, stored_gap,
-                                                      gap_now, cand_radius)
+        # the end of the run, if this checkpoint is one
+        status = (Status.STOPPED if stop
+                  else Status.OPTIMAL if min(kkt_avg, kkt_last) <= options.kkt_tol
+                  else Status.ITERATION_LIMIT if total >= limit else None)
+        restart_now = status is None and should_restart(scheme, outer, inner, stored_gap,
+                                                        gap_now, cand_radius)
         trace.records.append(Checkpoint(
             iteration=total,
             outer=outer,
@@ -598,15 +600,10 @@ def _run_lane(lane, options, z0=None, observe=None):
         ))
 
         best_vec = avg if kkt_avg <= kkt_last else cur
+        if status is not None:
+            return finish(status, best_vec, kkt_avg, kkt_last)
         np.copyto(good_vec, best_vec)
         good_kkt = min(kkt_avg, kkt_last)
-
-        if stop:
-            return finish(Status.STOPPED, best_vec, kkt_avg, kkt_last)
-        if min(kkt_avg, kkt_last) <= options.kkt_tol:
-            return finish(Status.OPTIMAL, best_vec, kkt_avg, kkt_last)
-        if total >= limit:
-            return finish(Status.ITERATION_LIMIT, best_vec, kkt_avg, kkt_last)
 
         if restart_now:
             trace.restart_lengths.append(inner)

@@ -20,14 +20,24 @@ In both, the right-hand side is planted from an integer point x0 within the
 bounds, plus a slack on L and G rows that keeps x0 inside any range, so
 every case is feasible.  The costs are drawn independently, so many cases
 are unbounded.
+
+A third generator, :func:`qap_relaxation`, builds the paper's own kind of
+LP in standard form: the Adams-Johnson linearization relaxation of a
+quadratic assignment problem, a degenerate LP unlike the planted ones.
+:func:`highs_standard_form` is its reference.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
+
+from restartlp import SparseMatrix, StandardFormLp
 
 # the seeds of the two families: case k of a family is drawn by
 # np.random.default_rng([seed, k])
@@ -163,3 +173,69 @@ def highs(case):
                   b_ub=np.concatenate([up[le], -lo[ge]]), A_eq=case.A[eq], b_eq=lo[eq],
                   bounds=bounds, method="highs")
     return res, (sign * res.fun + case.constant if res.status == 0 else None)
+
+
+def qap_relaxation(n, seed):
+    """The Adams-Johnson linearization relaxation of an n-facility QAP, as
+    min c'z, Az = b, z >= 0 over z = (x, y).
+
+    x_ij (facility i at location j, index i n + j) and y_ijkl for i != k
+    and j != l (standing for x_ij x_kl, in lexicographic order after x).
+    Rows, in this order: the assignment rows sum_j x_ij = 1 and
+    sum_i x_ij = 1; the linking rows sum_{i != k} y_ijkl = x_kl for each
+    (j, k, l) and sum_{j != l} y_ijkl = x_kl for each (i, k, l); and
+    y_ijkl = y_klij for each pair with (i, j) < (k, l).  y_ijkl costs
+    f_ik d_jl, with integer flows f, symmetric with zero diagonal, drawn
+    from [0, 5] by ``np.random.default_rng(seed)``, and Manhattan distances
+    d between locations laid row by row on a grid ceil(sqrt(n)) wide.  At
+    n = 5 it is 410 x 425 with 1,450 nonzeros.
+    """
+    rng = np.random.default_rng(seed)
+    flow = np.triu(rng.integers(0, 6, (n, n)), 1)
+    flow = flow + flow.T
+    width = math.ceil(math.sqrt(n))
+    row, col = np.divmod(np.arange(n), width)
+    dist = np.abs(row[:, None] - row) + np.abs(col[:, None] - col)
+
+    pairs = list(itertools.product(range(n), repeat=2))
+    y_at = {(i, j, k, l): n * n + t for t, (i, j, k, l) in enumerate(
+        (i, j, k, l) for (i, j), (k, l) in itertools.product(pairs, pairs)
+        if i != k and j != l)}
+    c = np.zeros(n * n + len(y_at))
+    for (i, j, k, l), t in y_at.items():
+        c[t] = flow[i, k] * dist[j, l]
+
+    rows_out, cols_out, vals_out, b = [], [], [], []
+
+    def row_of(entries, rhs):
+        for t, v in entries:
+            rows_out.append(len(b))
+            cols_out.append(t)
+            vals_out.append(v)
+        b.append(rhs)
+
+    for i in range(n):
+        row_of([(i * n + j, 1.0) for j in range(n)], 1.0)
+    for j in range(n):
+        row_of([(i * n + j, 1.0) for i in range(n)], 1.0)
+    for j, (k, l) in itertools.product(range(n), pairs):
+        if j != l:
+            row_of([(y_at[i, j, k, l], 1.0) for i in range(n) if i != k]
+                   + [(k * n + l, -1.0)], 0.0)
+    for i, (k, l) in itertools.product(range(n), pairs):
+        if i != k:
+            row_of([(y_at[i, j, k, l], 1.0) for j in range(n) if j != l]
+                   + [(k * n + l, -1.0)], 0.0)
+    for (i, j, k, l), t in y_at.items():
+        if (i, j) < (k, l):
+            row_of([(t, 1.0), (y_at[k, l, i, j], -1.0)], 0.0)
+    A = SparseMatrix(len(b), len(c), rows_out, cols_out, vals_out)
+    return StandardFormLp(c, A, np.array(b))
+
+
+def highs_standard_form(problem):
+    """HiGHS's optimal objective of min c'x, Ax = b, x >= 0."""
+    A = sp.csr_array((problem.A.vals, (problem.A.rows, problem.A.cols)), shape=problem.A.shape)
+    res = linprog(problem.c, A_eq=A, b_eq=problem.b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun

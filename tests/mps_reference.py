@@ -382,7 +382,6 @@ def to_standard_form(model):
         value=value,
         objective_offset=offset,
         objective_sense=model.objective_sense,
-        n_standard=next_col,
     )
     return problem, vmap
 

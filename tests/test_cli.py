@@ -197,6 +197,16 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "kappa values must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigmas", ["1e-170,3e-170", "1e200,3e200"],
+                             ids=["underflow", "overflow"])
+    def test_sigma_max_out_of_double_range_is_input_error(self, sigmas, capsys):
+        # A'A v underflows to 0 or overflows from every start
+        code = main(["solve", "--generate", f"diagonal:{sigmas}", "--start", "1,1,1,1"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "sigma_max cannot be estimated in double precision" in err
+        assert err.count("error:") == 1 and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("flag", ["--eta", "--omega"])
     def test_non_finite_step_size_is_input_error(self, flag, capsys):
         # before any work: not a run reported as diverged
@@ -522,6 +532,12 @@ class TestOptionsBeforeWork:
         (["solve", "--method", "ppm"], PPM_ON_AN_LP),
         (["sweep-restarts", "--method", "ppm"], PPM_ON_AN_LP),
         (["solve", "--fixed-length", "5"], "--fixed-length applies to --scheme fixed only"),
+        (["solve", "--scheme", "none", "--fixed-length", "5"],
+         "--fixed-length applies to --scheme fixed only"),
+        (["solve", "--scheme", "fixed", "--fixed-length", "64", "--beta", "0.9"],
+         "--beta applies to --scheme adaptive and flexible only"),
+        (["solve", "--scheme", "none", "--beta", "0.5"],
+         "--beta applies to --scheme adaptive and flexible only"),
         (["solve", "--tune-eta"], "--tune-eta applies to ADMM only"),
         (["solve", "--method", "admm", "--tune-eta", "--eta", "2"],
          "--tune-eta tunes eta, which --eta gives"),
@@ -532,7 +548,8 @@ class TestOptionsBeforeWork:
             "sweep-ppm-auto", "sweep-auto-kkt-tol", "sweep-auto-beta", "trace-out",
             "summary-out", "egm-auto-summary-out", "admm-tune-eta-trace-out",
             "admm-summary-out", "tune-omega-summary-out", "solve-ppm-on-an-lp",
-            "sweep-ppm-on-an-lp", "fixed-length-without-fixed", "tune-eta-pdhg",
+            "sweep-ppm-on-an-lp", "fixed-length-without-fixed", "none-fixed-length",
+            "fixed-beta", "none-beta", "tune-eta-pdhg",
             "tune-eta-with-eta", "solve-trace-cadence", "sweep-trace-cadence"])
     def test_is_an_input_error_before_any_work(self, argv, message, tmp_path, capsys):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -643,6 +660,17 @@ class TestBilinearLab:
     def test_empty_kappas_usage_error(self, tmp_path):
         assert main(["bilinear-lab", "--kappas", "", "--out-dir",
                      str(tmp_path)]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--kappas", "1.5"], "kappa values must be >= 2"),
+        (["--eps", "0.9"], "eps must lie in (0, 1/2]"),
+    ], ids=["kappa", "eps"])
+    def test_bad_input_makes_no_directory(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "lab"
+        assert main(["bilinear-lab", *argv, "--out-dir", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert message in err and err.count("error:") == 1
+        assert not out.exists()
 
 
 class TestUnwritableOutputs:

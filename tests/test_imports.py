@@ -1,6 +1,6 @@
 """Every name a package module imports is used in it or re-exported, every
-definition is referenced, and every reduction over a vector goes through
-``lp_core._dot``."""
+definition is referenced, every reduction over a vector goes through
+``lp_core._dot``, and every source file parses as Python 3.10."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "restartlp"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parent.parent
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 # an import kept on purpose is marked on its line
 KEEP = "# noqa: F401"
 
@@ -142,3 +144,12 @@ def test_every_reduction_home_exists():
     # nothing and go unnoticed
     scopes = {(module, scope) for module, scope, _ in _package_nodes()}
     assert REDUCTION_HELPERS | set(REDUCTION_EXEMPTIONS) <= scopes
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    """pyproject.toml declares Python >= 3.10: syntax newer than 3.10, such
+    as ``except*``, fails here on any interpreter.  Only the grammar is
+    checked: a library API newer than 3.10 (``tomllib``, ``datetime.UTC``)
+    passes, so CI's 3.10 job stays the real check."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -515,7 +515,6 @@ class TestReferenceEquivalence:
         assert_bits_equal(vmap.objective_offset, ref_vmap.objective_offset)
         for name in ("kind", "index", "value"):
             assert_bits_equal(getattr(vmap, name), getattr(ref_vmap, name))
-        assert vmap.n_standard == ref_vmap.n_standard
         assert vmap.column_names == ref_vmap.column_names
 
     def test_random_texts_cover_every_feature(self):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,18 @@ class TestPowerMethod:
                   SparseMatrix(3, 3, [0, 2], [1, 0], [0.0, -0.0])):
             with pytest.raises(ValueError, match="all-zero"):
                 power_method_sigma_max(A)
+
+    @pytest.mark.parametrize("diagonal", [[1e-170, 3e-170], [1e200, 3e200]],
+                             ids=["underflow", "overflow"])
+    def test_products_out_of_double_range_are_rejected(self, diagonal):
+        # a nonzero A whose A'A v underflows to 0, or overflows, from every
+        # start: one ValueError, no numpy warning and no memo entry
+        A = SparseMatrix.from_dense(np.diag(diagonal))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cannot be estimated in double precision"):
+                power_method_sigma_max(A)
+        assert not any(key[0] == "sigma_max" for key in A.memo)
 
     def test_nonconvergence_warns(self):
         A = SparseMatrix.from_dense(np.diag([1.0, 0.999999]))
