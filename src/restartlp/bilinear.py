@@ -152,13 +152,13 @@ def _ones(n):
 def table3_arguments(kappas, eps, avg_kappa=4):
     """``kappas`` as a list of floats, once they, ``eps`` and ``avg_kappa``
     are checked as :func:`table3_scaling_experiment` reads them: a
-    ValueError unless the list is nonempty, every kappa is at least 2 and
-    eps lies in (0, 1/2]."""
+    ValueError unless the list is nonempty, every kappa is finite and at
+    least 2 and eps lies in (0, 1/2]."""
     kappas = [float(k) for k in kappas]
     if not kappas:
         raise ValueError("kappa list must be nonempty")
-    if not all(k >= 2 for k in kappas + [float(avg_kappa)]):
-        raise ValueError("kappa values must be >= 2")
+    if not all(2 <= k < math.inf for k in kappas + [float(avg_kappa)]):
+        raise ValueError("kappa values must be >= 2 and finite")
     if not 0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     return kappas

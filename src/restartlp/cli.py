@@ -13,10 +13,14 @@ Runs are deterministic, except for the wall-time columns.
 Each ``cmd_*`` reads the parsed ``argparse.Namespace`` directly, and
 :func:`main` maps every input error (a bad option, file, instance or
 parameter: a ``ValueError``) to exit code 3 with one ``error: ...`` line on
-stderr.  An output file or directory that cannot be made is such an error,
-raised where it is opened: after the options are checked and before any
-estimate, tuning run or solve.  An error raised by that work leaves the
-opened outputs empty.
+stderr.  So is a method whose steps do not apply to the problem (PPM on an
+LP, ADMM on an unconstrained bilinear problem), rejected before any work,
+and an instance whose Ax = b the ADMM projection cannot meet, such as an
+MPS model with an empty E row and a nonzero right-hand side (an
+:class:`~restartlp.steps.AffineProjectionError`).  An output file or
+directory that cannot be made is such an error, raised where it is opened:
+after the options are checked and before any estimate, tuning run or
+solve.  An error raised by that work leaves the opened outputs empty.
 """
 
 from __future__ import annotations
@@ -270,7 +274,7 @@ def _summary_dict(result, step, wall):
         "iterations": result.iterations,
         "final_kkt_error": min(result.kkt_avg, result.kkt_last),
         "restart_count": result.restart_count,
-        "restart_lengths": list(result.trace.restart_lengths),
+        "restart_lengths": [rec.inner for rec in result.trace.records if rec.restarted],
         "wall_time_seconds": wall,
         "eta": step.eta,
         "scaling": None if result.scaling is None else asdict(result.scaling),

@@ -67,7 +67,6 @@ from .lp_core import (
 from .scaling import Scaling, rescale
 from .steps import (
     ADMM,
-    EGM,
     PDHG,
     PPM_BILINEAR,
     AdmmOperators,
@@ -226,9 +225,11 @@ class Checkpoint:
 
 @dataclass
 class ConvergenceTrace:
+    """The trace rows, one :class:`Checkpoint` per checkpoint.  A restart
+    is read off its row: ``restarted`` marks it, ``inner`` is the length
+    of the epoch it ends and ``iteration`` the iteration it fires at."""
+
     records: list = field(default_factory=list)
-    restart_lengths: list = field(default_factory=list)
-    restart_iterations: list = field(default_factory=list)
 
 
 class Status:
@@ -317,17 +318,15 @@ class _SaddleLane(_Lane):
         self.n = n = problem.n
         self.size = n + problem.m
         # the steps are looked up by name at each call
-        if config.method == PDHG:
-            ops = StepOperators(problem, config)
-            self.step = lambda z: pdhg_step(problem, z, config, ops)
-        elif config.method == EGM:
-            ops = StepOperators(problem, config)
-            self.step = lambda z: egm_step(problem, z, config, ops)
-        elif config.method == PPM_BILINEAR:
+        if config.method == PPM_BILINEAR:
             eta = config.eta
             self.step = lambda z: ppm_bilinear_step(problem, z, eta)
+        elif config.method == PDHG:
+            ops = StepOperators(problem, config)
+            self.step = lambda z: pdhg_step(problem, z, config, ops)
         else:
-            raise ValueError(f"not a saddle-point method: {config.method}")
+            ops = StepOperators(problem, config)
+            self.step = lambda z: egm_step(problem, z, config, ops)
         self.d1, self.d2 = d1, d2
         if d1 is not None:
             self.scale = np.concatenate([d2, d1])
@@ -399,7 +398,8 @@ def _make_lane(problem, config):
     :func:`power_method_sigma_max` at its defaults.  Other problems run as
     given, with no record.  A~ and both sigma come from the
     matrices' memos, so only the first solve on a matrix computes them; the
-    lane's step operators are built here, once per solve.  PPM on an LP is
+    lane's step operators are built here, once per solve.  A method whose
+    steps do not fit the problem (:func:`~restartlp.steps._check_fits`) is
     rejected before any of that work.
     """
     _check_fits(problem, config.method)
@@ -531,7 +531,7 @@ def _run_lane(lane, options, z0=None, observe=None):
             kkt_avg=kkt_avg,
             kkt_last=kkt_last,
             anchors=anchors,
-            restart_count=len(trace.restart_lengths),
+            restart_count=outer,
         )
 
     def average():
@@ -606,8 +606,6 @@ def _run_lane(lane, options, z0=None, observe=None):
         good_kkt = min(kkt_avg, kkt_last)
 
         if restart_now:
-            trace.restart_lengths.append(inner)
-            trace.restart_iterations.append(total)
             anchor_vec = cand_vec.copy()
             anchors.append(anchor_vec)
             stored_gap = gap_now

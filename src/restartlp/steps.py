@@ -275,11 +275,16 @@ def egm_step(problem, z, config, ops=None):
 
 
 def _check_fits(problem, method):
-    """Reject ``method`` where its steps do not apply to ``problem``: PPM
-    steps only an unconstrained bilinear problem."""
+    """Reject ``method`` where its steps do not apply to ``problem``, the
+    one place that says which problems a method runs on: PPM steps only an
+    unconstrained bilinear problem, and ADMM, whose split form clips x_V at
+    0, only an LP (x >= 0)."""
     if method == PPM_BILINEAR and problem.nonneg:
         raise ValueError("PPM steps are implemented for unconstrained bilinear "
                          "problems only")
+    if method == ADMM and not problem.nonneg:
+        raise ValueError("ADMM steps only an LP (x >= 0), not an unconstrained "
+                         "bilinear problem")
 
 
 # Residual bound of the PPM inner solve, relative to 1 + |rhs|.
@@ -327,8 +332,9 @@ def ppm_bilinear_step(problem, z, eta):
 # ---------------------------------------------------------------------------
 
 
-class AffineProjectionError(RuntimeError):
-    pass
+class AffineProjectionError(ValueError):
+    """A factored solve that cannot reach its residual bound: the system,
+    such as an inconsistent Ax = b, is one the solve cannot meet."""
 
 
 # Diagonal shift, relative to the largest diagonal entry of A A', added before
@@ -522,6 +528,7 @@ class AdmmOperators(_Operators):
     def __init__(self, problem, config):
         if config.method != ADMM:
             raise ValueError(f"ADMM operators are for ADMM, not {config.method}")
+        _check_fits(problem, ADMM)
         self.projector = AffineProjector(problem.A, problem.b)
         self.c_eta = problem.c / config.eta
         self.y_eta = np.empty(problem.n)

@@ -5,7 +5,8 @@
 the restart iterations, each trace row's integers and floats (the floats as
 ``float.hex``), and a sha256 over the bits of every returned point.  The
 corpus cases, which run from MPS text, add their objective in the original
-model.
+model.  One solve is of the paper's own kind of LP, a QAP linearization
+relaxation (:func:`corpus.qap_relaxation`).
 ``tests/test_golden_solves.py`` runs the solves again and compares the
 integers exactly and the floats to a relative tolerance, since float bits
 depend on the CPU kernel OpenBLAS picks.  On one machine a change that
@@ -43,7 +44,7 @@ from restartlp import (
 from restartlp.cli import tune_primal_weight
 from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR
 
-from corpus import FEATURES_SEED, draw_features, to_mps
+from corpus import FEATURES_SEED, draw_features, qap_relaxation, to_mps
 
 PATH = Path(__file__).with_name("golden_solves.json")
 
@@ -63,13 +64,19 @@ TUNE_ITERATIONS = 500
 # and E rows (R < 0 on the E row) and FX columns; 9 and 14 maximize, with
 # MI, LO and FX columns, and 14 has ranges on G, E (R > 0) and L rows
 CORPUS_CASES = (3, 9, 14)
+# (n, seed) of the QAP linearization relaxation, the paper's own kind of LP
+QAP = (5, 0)
 
 
 def _solve(spec, method, scheme):
-    """``method`` under ``scheme`` on the instance of ``spec``, with the
-    step sizes the benchmark uses; an unconstrained problem starts from
-    ones."""
-    problem, _ = generate(spec)
+    """``method`` under ``scheme`` on the instance of ``spec``, as
+    :func:`_run` runs it."""
+    return _run(generate(spec)[0], method, scheme)
+
+
+def _run(problem, method, scheme):
+    """``method`` under ``scheme`` on ``problem``, with the step sizes the
+    benchmark uses; an unconstrained problem starts from ones."""
     z0 = None
     if method == ADMM:
         config = StepConfig(ADMM, 1.0)
@@ -108,7 +115,8 @@ def record_of(result):
              *(float(v).hex() for v in (r.normalized_gap, r.kkt_avg, r.kkt_last, r.radius))]
             for r in result.trace.records]
     return {"status": result.status, "iterations": result.iterations,
-            "restart_iterations": result.trace.restart_iterations, "rows": rows,
+            "restart_iterations": [r.iteration for r in result.trace.records if r.restarted],
+            "rows": rows,
             "sha256": digest.hexdigest()}
 
 
@@ -141,6 +149,8 @@ def _solves():
     out["tune-omega/planted-50x100"] = _tune
     for case in CORPUS_CASES:
         out[f"corpus-{FEATURES_SEED}-{case}/pdhg/adaptive"] = lambda case=case: _solve_mps(case)
+    out["qap-{}-{}/pdhg/adaptive".format(*QAP)] = lambda: record_of(
+        _run(qap_relaxation(*QAP), PDHG, SCHEMES["adaptive"]))
     return out
 
 

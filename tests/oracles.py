@@ -502,7 +502,7 @@ def theoretical_linear_rate_check(problem, optimum, config, beta=DEFAULT_BETA,
         check_cadence=1,
     )
     res_adapt = run_restarted(problem, adapt_opts, z0=z0)
-    lengths = list(res_adapt.trace.restart_lengths)
+    lengths = [rec.inner for rec in res_adapt.trace.records if rec.restarted]
     adaptive_ok = all(length <= tstar for length in lengths[1:])
 
     return RateCheckReport(

@@ -469,5 +469,5 @@ class TestStackedRun:
         for kappas, avg_kappa in (([math.nan], 4), ([4], math.nan), ([4], 1.5)):
             with pytest.raises(ValueError, match="kappa values must be >= 2"):
                 table3_scaling_experiment(kappas, 1e-3, avg_kappa=avg_kappa)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="kappa values must be >= 2 and finite"):
             table3_scaling_experiment([math.inf], 1e-3)

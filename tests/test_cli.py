@@ -42,6 +42,20 @@ ENDATA
 # every stored coefficient is zero
 ZERO_MPS = TINY_MPS.replace("1.0", "0.0")
 
+# an E row with no entries and right-hand side 1: Ax = b is inconsistent
+EMPTY_ROW_MPS = """\
+NAME          EMPTYROW
+ROWS
+ N  COST
+ E  BAL
+ E  EMPTY
+COLUMNS
+    X1        COST      1.0        BAL       1.0
+RHS
+    RHS1      BAL       1.0        EMPTY     1.0
+ENDATA
+"""
+
 
 def standard_form_mps(problem):
     """min c'x s.t. Ax = b, x >= 0 as MPS text, every value with all its
@@ -164,6 +178,24 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "unconstrained bilinear" in capsys.readouterr().err
 
+    def test_admm_on_an_inconsistent_model_is_input_error(self, tmp_path, capsys):
+        # the projection onto Ax = b cannot meet its residual bound; it left
+        # main as a traceback
+        mps = tmp_path / "empty_row.mps"
+        mps.write_text(EMPTY_ROW_MPS)
+        assert main(["solve", "--input", str(mps), "--method", "admm"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: factored normal-equation solve failed")
+        assert err.count("\n") == 1, err
+
+    def test_sweep_records_an_inconsistent_model_as_failed_runs(self, tmp_path, capsys):
+        mps = tmp_path / "empty_row.mps"
+        mps.write_text(EMPTY_ROW_MPS)
+        code = main(["sweep-restarts", "--input", str(mps), "--method", "admm"])
+        assert code == EXIT_OPTIMAL
+        err = capsys.readouterr().err
+        assert err.count(": failed (factored normal-equation solve failed") == 11, err
+
     def test_divergence_exit_code(self):
         code = main(["solve", "--generate", "random:m=10,n=20,density=0.4,seed=2",
                      "--eta", "100.0", "--scheme", "none"])
@@ -214,13 +246,14 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method,start", [(PDHG, "nan,1"), (PDHG, "1,-inf"),
-                                              (ADMM, "1,2"), (ADMM, "0,0")])
-    def test_bad_start_is_input_error(self, method, start, capsys):
+    @pytest.mark.parametrize("method,spec,start", [
+        (PDHG, "diagonal:1.0", "nan,1"), (PDHG, "diagonal:1.0", "1,-inf"),
+        (ADMM, "random:m=4,n=8,seed=0", "1,2"), (ADMM, "random:m=4,n=8,seed=0", "0,0")],
+        ids=["pdhg-nan,1", "pdhg-1,-inf", "admm-1,2", "admm-0,0"])
+    def test_bad_start_is_input_error(self, method, spec, start, capsys):
         # a non-finite start, or any given start with ADMM, whose points
-        # --start cannot write
-        code = main(["solve", "--generate", "diagonal:1.0", "--method", method,
-                     "--start", start])
+        # --start cannot write (ADMM runs on an LP only)
+        code = main(["solve", "--generate", spec, "--method", method, "--start", start])
         assert code == EXIT_INPUT_ERROR
         assert "start" in capsys.readouterr().err
 
@@ -489,6 +522,8 @@ class TestTuneOmega:
 
 
 PPM_ON_AN_LP = "PPM steps are implemented for unconstrained bilinear problems only"
+ADMM_ON_A_BILINEAR_PROBLEM = ("ADMM steps only an LP (x >= 0), not an unconstrained "
+                              "bilinear problem")
 
 
 class TestOptionsBeforeWork:
@@ -566,6 +601,17 @@ class TestOptionsBeforeWork:
         assert main([command, "--generate", spec]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert message in err and err.count("error:") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "admm"],
+        ["solve", "--method", "admm", "--tune-eta"],
+        ["sweep-restarts", "--method", "admm"],
+    ], ids=["solve", "solve-tune-eta", "sweep"])
+    def test_admm_on_an_unconstrained_problem(self, argv, capsys):
+        # ADMM's split form keeps x >= 0; the toy L(x, y) = x y has x free
+        assert main([*argv, "--generate", "toy"]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert ADMM_ON_A_BILINEAR_PROBLEM in err and err.count("error:") == 1, err
 
     def test_tune_omega_rejects_the_method_before_reading_input(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "load_problem", lambda args: pytest.fail("input read"))
@@ -663,8 +709,9 @@ class TestBilinearLab:
 
     @pytest.mark.parametrize("argv,message", [
         (["--kappas", "1.5"], "kappa values must be >= 2"),
+        (["--kappas", "inf"], "kappa values must be >= 2 and finite"),
         (["--eps", "0.9"], "eps must lie in (0, 1/2]"),
-    ], ids=["kappa", "eps"])
+    ], ids=["kappa", "inf-kappa", "eps"])
     def test_bad_input_makes_no_directory(self, argv, message, tmp_path, capsys):
         out = tmp_path / "lab"
         assert main(["bilinear-lab", *argv, "--out-dir", str(out)]) == EXIT_INPUT_ERROR

@@ -5,7 +5,9 @@ Float bits depend on the CPU kernel OpenBLAS picks: the record's solves give
 other bits under ``OPENBLAS_CORETYPE=Haswell`` than under SkylakeX, with the
 same iterations and restarts.  ``RTOL`` bounds the relative difference of
 each trace float.  Under the Haswell, Zen and Prescott kernels the largest
-was 8e-9, and two BLAS threads kept every bit of one."""
+was 8e-9 on the planted and bilinear solves and 1.2e-7 on the QAP
+relaxation (Prescott, the KKT error of one average), and two BLAS threads
+kept every bit of one."""
 
 import json
 import math

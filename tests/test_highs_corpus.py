@@ -14,8 +14,9 @@ and sense; no other case ends ``optimal``.
 
 The paper's own kind of LP, the QAP linearization relaxation of
 :func:`corpus.qap_relaxation`, is solved in standard form at n = 4 and 5,
-two seeds each, by PDHG and EGM with adaptive and flexible restarts to
-KKT 1e-8; each solve ends ``optimal`` with HiGHS's objective.
+two seeds each, and at n = 6, seed 0, by PDHG and EGM with adaptive and
+flexible restarts to KKT 1e-8; each solve ends ``optimal`` with HiGHS's
+objective.
 """
 
 import functools
@@ -75,8 +76,8 @@ def test_pdhg_agrees_with_highs_on_mps_features(case):
 
 
 QAP_OBJECTIVE_RTOL = 1e-6
-# the slowest of these solves, n = 5 by PDHG with adaptive restarts, stops
-# at 1,290 iterations
+# the slowest of these solves, n = 6 by PDHG or EGM with adaptive restarts,
+# stops at 1,920 iterations
 QAP_LIMIT = 20_000
 
 
@@ -90,7 +91,7 @@ def _qap(n, seed):
 @pytest.mark.parametrize("scheme", [RestartScheme.adaptive(), RestartScheme.flexible()],
                          ids=lambda scheme: scheme.kind)
 @pytest.mark.parametrize("method", [PDHG, EGM])
-@pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (5, 0), (5, 1)])
+@pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (5, 0), (5, 1), (6, 0)])
 def test_qap_relaxation_agrees_with_highs(n, seed, method, scheme):
     problem, sigma, want = _qap(n, seed)
     options = SolveOptions(StepConfig(method, 0.9 / sigma), scheme, kkt_tol=KKT_TOL,

@@ -21,7 +21,8 @@ from restartlp import (
     run_restarted,
     should_restart,
 )
-from restartlp import gap, restarts
+from restartlp import gap, restarts, steps
+from restartlp.lp_core import SparseMatrix, StandardFormLp
 from restartlp.steps import ADMM, EGM, PDHG, PPM_BILINEAR, AffineProjector, StepOperators
 
 from oracles import (KktSystem, NormSpec, kkt_error, norm_value, normalized_gap_bisection,
@@ -184,6 +185,21 @@ class TestRunRestarted:
             run_restarted(lp, options)
         assert calls == [] and lp.A.memo == {}
 
+    def test_admm_on_an_unconstrained_problem_is_rejected_before_any_step(self, monkeypatch):
+        # ADMM's split form clips x_V at 0: on A = I, b = (1, -1), c = (1, 1)
+        # it ran to its iteration limit at x_V = (1, 0), where PDHG finds
+        # x = (1, -1)
+        monkeypatch.setattr(restarts, "admm_step", lambda *a, **k: pytest.fail("ADMM stepped"))
+        A = SparseMatrix(2, 2, [0, 1], [0, 1], [1.0, 1.0])
+        problem = StandardFormLp(np.ones(2), A, np.array([1.0, -1.0]), nonneg=False)
+        options = SolveOptions(StepConfig(ADMM, 1.0), RestartScheme.adaptive())
+        with pytest.raises(ValueError, match="ADMM steps only an LP"):
+            run_restarted(problem, options)
+        z = AdmmPoint(np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="ADMM steps only an LP"):
+            steps.admm_step(problem, z, options.step)
+        assert A.memo == {}
+
     def test_running_sum_tracks_the_incremental_average(self):
         # over 5000 unrestarted PDHG iterations the driver's sum / K stays
         # within 1e-13 (relative, in norm) of the incremental average
@@ -279,9 +295,8 @@ class TestRunRestarted:
         iters = [rec.iteration for rec in res.trace.records]
         assert iters == sorted(iters)
         assert all(b > a for a, b in zip(iters, iters[1:]))
-        assert res.restart_count == len(res.trace.restart_lengths)
         restarted_rows = [rec for rec in res.trace.records if rec.restarted]
-        assert len(restarted_rows) == res.restart_count
+        assert len(restarted_rows) == res.restart_count > 0
 
     def test_iteration_limit_status(self):
         problem, _ = generate(RandomLpKnownOptimum(10, 20, 0.4, 5))
@@ -472,7 +487,7 @@ class TestObserve:
         res = run_restarted(problem, opts, observe=observe)
         assert res.scaling is not None
         assert res.status == Status.STOPPED and res.iterations == 100
-        assert res.trace.restart_iterations == [64]
+        assert [rec.iteration for rec in res.trace.records if rec.restarted] == [64]
         assert np.array_equal(kept["average"], res.average.as_vector())
         # a PDHG target is the next iterate
         assert np.array_equal(kept["target"], res.last.as_vector())
@@ -503,7 +518,8 @@ class TestTheory:
                             kkt_tol=0.0, iteration_limit=20 * tstar,
                             check_cadence=1)
         res = run_restarted(problem, opts, z0=z0)
-        assert all(length <= tstar for length in res.trace.restart_lengths[1:])
+        lengths = [rec.inner for rec in res.trace.records if rec.restarted]
+        assert all(length <= tstar for length in lengths[1:])
 
     def test_anchors_stay_in_method_norm_ball(self):
         # PDHG/PPM anchors remain within 2 dist(z0, Z*) of z0 in method norm
@@ -538,7 +554,8 @@ class TestTheory:
                                 check_cadence=1)
             res = run_restarted(problem, opts, z0=z0)
             hit = None
-            for rec, it in zip(res.anchors, [0] + res.trace.restart_iterations):
+            restarts_at = [r.iteration for r in res.trace.records if r.restarted]
+            for rec, it in zip(res.anchors, [0] + restarts_at):
                 if np.linalg.norm(rec) <= 1e-8 * np.linalg.norm(z0.as_vector()):
                     hit = it
                     break
