@@ -137,11 +137,13 @@ def _stacked_observe(blocks, eps, levels, last, hits):
     return observe
 
 
-def _pdhg_run(problem, eta, scheme, z0, iterations, cadence, observe):
+def _pdhg_run(problem, eta, scheme, z0, iterations, observe):
     """Unscaled PDHG through :func:`run_restarted` with no KKT stop:
-    ``observe`` sees every iteration and may end the run."""
+    ``observe`` sees every iteration and may end the run.  Its only
+    checkpoints are a fixed scheme's restarts and the run's last
+    iteration."""
     options = SolveOptions(StepConfig(PDHG, eta), scheme, kkt_tol=0.0,
-                           iteration_limit=iterations, check_cadence=cadence)
+                           iteration_limit=iterations, check_cadence=iterations)
     return run_restarted(problem, options, z0=z0, observe=observe)
 
 
@@ -212,7 +214,7 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     levels = [e * _D0 for e in thresholds]
     hits = []
     observe = _stacked_observe(_block_indices(blocks), eps, levels, last, hits)
-    _pdhg_run(problem, config.eta, RestartScheme.none(), _ones(problem.n), cap, cap, observe)
+    _pdhg_run(problem, config.eta, RestartScheme.none(), _ones(problem.n), cap, observe)
     hits += [None] * (len(levels) - len(hits))
 
     def average_reached_eps(t, z, average):
@@ -222,8 +224,7 @@ def table3_scaling_experiment(kappas, eps, avg_kappa=4, avg_eps=(1e-2, 1e-3, 1e-
     for kappa, problem, last_iters in zip(kappas, blocks[1:], last):
         tstar = fixed_frequency_tstar(config.sufficient_decay_c, config.target_proximity_q,
                                       1.0 / kappa, DEFAULT_BETA)
-        # checkpoints every t* iterations: the fixed restart fires at inner = t*
-        res = _pdhg_run(problem, config.eta, RestartScheme.fixed(tstar), _ones(2), cap, tstar,
+        res = _pdhg_run(problem, config.eta, RestartScheme.fixed(tstar), _ones(2), cap,
                         average_reached_eps)
         restarted = res.iterations if res.status == Status.STOPPED else None
         report.rows += [(kappa, "last", last_iters), (kappa, "restarted", restarted)]
@@ -271,7 +272,7 @@ def two_dim_toy_series():
     problem, _ = generate(DiagonalBilinear((1.0,)))
     z0 = SaddlePoint(np.array([TOY_START[0]]), np.array([TOY_START[1]]))
 
-    def series(scheme, cadence, keep_average):
+    def series(scheme, keep_average):
         path = np.empty((TOY_ITERATIONS + 1, 2))
         path[0] = TOY_START
 
@@ -279,8 +280,8 @@ def two_dim_toy_series():
             path[t] = average() if keep_average else z
             return False
 
-        _pdhg_run(problem, TOY_ETA, scheme, z0, TOY_ITERATIONS, cadence, observe)
+        _pdhg_run(problem, TOY_ETA, scheme, z0, TOY_ITERATIONS, observe)
         return path
 
-    return (series(RestartScheme.none(), TOY_ITERATIONS, False),
-            series(RestartScheme.fixed(TOY_RESTART_LENGTH), TOY_RESTART_LENGTH, True))
+    return (series(RestartScheme.none(), False),
+            series(RestartScheme.fixed(TOY_RESTART_LENGTH), True))

@@ -14,13 +14,16 @@ Each ``cmd_*`` reads the parsed ``argparse.Namespace`` directly, and
 :func:`main` maps every input error (a bad option, file, instance or
 parameter: a ``ValueError``) to exit code 3 with one ``error: ...`` line on
 stderr.  So is a method whose steps do not apply to the problem (PPM on an
-LP, ADMM on an unconstrained bilinear problem), rejected before any work,
-and an instance whose Ax = b the ADMM projection cannot meet, such as an
-MPS model with an empty E row and a nonzero right-hand side (an
-:class:`~restartlp.steps.AffineProjectionError`).  An output file or
-directory that cannot be made is such an error, raised where it is opened:
-after the options are checked and before any estimate, tuning run or
-solve.  An error raised by that work leaves the opened outputs empty.
+LP, ADMM on an unconstrained bilinear problem), rejected before any work;
+an MPS model with a row that has no nonzero entry and whose interval
+excludes 0, rejected by :func:`~restartlp.ingest.to_standard_form`; and an
+instance whose Ax = b the ADMM projection cannot meet, such as rows
+x1 + x2 = 1 and x1 + x2 = 2 (an
+:class:`~restartlp.steps.AffineProjectionError`), in ``sweep-restarts``
+when every run fails.  An output file or directory that cannot be made is
+such an error, raised where it is opened: after the options are checked
+and before any estimate, tuning run or solve.  An error raised by that
+work leaves the opened outputs empty.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .restarts import (
     FIXED,
     FLEXIBLE,
     NO_RESTART,
-    DEFAULT_BETA,
     RestartScheme,
     SolveOptions,
     Status,
@@ -181,8 +183,8 @@ def _given_step(args, problem):
     ``problem``, before any estimate or tuning run.  An unset eta and omega
     'auto' read 1 in it until :func:`_build_step_config` resolves them."""
     if args.omega == "auto":
-        if args.method not in (PDHG, EGM):
-            raise ValueError("omega tuning applies to PDHG and EGM only")
+        # the tuner's first grid config rejects a method that takes no omega
+        StepConfig(args.method, 1.0, omega=OMEGA_GRID[0])
         omega = 1.0
     else:
         omega = float(args.omega)
@@ -213,18 +215,6 @@ def _build_step_config(problem, method, eta, omega, tune_eta):
     if omega == "auto":
         omega, _ = tune_primal_weight(problem, method, eta)
     return replace(step, omega=float(omega))
-
-
-def _build_scheme(args):
-    """The restart scheme of ``solve``'s options, each of which the scheme reads."""
-    if args.fixed_length is not None and args.scheme != FIXED:
-        raise ValueError("--fixed-length applies to --scheme fixed only")
-    if args.scheme == FIXED and args.fixed_length is None:
-        raise ValueError("fixed scheme needs --fixed-length")
-    if args.beta is not None and args.scheme not in (ADAPTIVE, FLEXIBLE):
-        raise ValueError("--beta applies to --scheme adaptive and flexible only")
-    return RestartScheme(args.scheme, tau=args.fixed_length,
-                         beta=DEFAULT_BETA if args.beta is None else args.beta)
 
 
 def _open_output(path):
@@ -293,7 +283,8 @@ def cmd_solve(args):
     problem, meta, vmap = load_problem(args)
     # every option is checked, and every output opened, before sigma_max is
     # estimated or a tuner runs
-    options = _solve_options(args, _given_step(args, problem), _build_scheme(args))
+    scheme = RestartScheme(args.scheme, tau=args.fixed_length, beta=args.beta)
+    options = _solve_options(args, _given_step(args, problem), scheme)
     if args.method == ADMM and args.start != "zeros":
         raise ValueError("--start applies to PDHG, EGM and PPM; ADMM starts from zeros")
     if args.tune_eta and args.method != ADMM:
@@ -456,8 +447,6 @@ def tune_primal_weight(problem, method, eta, iterations=5000):
     measured errors, not clamped to the floor.
     """
     _check_budget(iterations)
-    if method not in (PDHG, EGM):
-        raise ValueError("primal-weight tuning applies to PDHG and EGM")
     configs = [StepConfig(method, eta, omega=omega) for omega in OMEGA_GRID]
     per_group = max(1, _STACK_NNZ // max(problem.A.nnz, problem.n + problem.m, 1))
     errors = []
@@ -491,8 +480,8 @@ def cmd_tune_primal_weight(args):
     toward omega = 1); the printed and JSON tables hold the measured errors.
     """
     _check_budget(args.tune_iterations)
-    if args.method not in (PDHG, EGM):
-        raise ValueError("tune-omega supports PDHG and EGM")
+    # the tuner's first grid config rejects a method that takes no omega
+    StepConfig(args.method, 1.0, omega=OMEGA_GRID[0])
     problem, _, _ = load_problem(args)
     with _open_output(args.summary_out) as summary_fh:
         step = _build_step_config(problem, args.method, args.eta, 1.0, False)
@@ -553,32 +542,35 @@ def cmd_sweep_restart_lengths(args):
     :func:`rank_fixed_runs` (iterations to a normalized gap below
     GAP_SWEEP_THRESHOLD, then the final gap of runs that never get there,
     ties to the longer length), followed by the adaptive and no-restart
-    runs unranked ("-").
+    runs unranked ("-").  A run that fails is reported on stderr and the
+    sweep goes on; when every run fails, the first run's error is raised.
     """
     problem, _, _ = load_problem(args)
     # every option is checked before sigma_max is estimated or omega tuned
     given = _given_step(args, problem)
-    schemes = [("adaptive", RestartScheme.adaptive(
-                    beta=DEFAULT_BETA if args.beta is None else args.beta)),
+    schemes = [("adaptive", RestartScheme.adaptive(beta=args.beta)),
                ("no_restart", RestartScheme.none())]
     schemes += [(f"fixed_{4 ** k}", RestartScheme.fixed(4 ** k)) for k in range(1, 10)]
     runs = [(label, _solve_options(args, given, scheme)) for label, scheme in schemes]
     out = _output_dir(args.out_dir) if args.out_dir else None
     step = _build_step_config(problem, args.method, args.eta, args.omega, False)
 
-    metrics = []
+    metrics, errors = [], []
     for label, options in runs:
         try:
             result = run_restarted(problem, replace(options, step=step))
         except Exception as exc:  # per-run failures recorded, sweep continues
             print(f"{label}: failed ({exc})", file=sys.stderr)
             metrics.append((label, None, math.inf))
+            errors.append(exc)
             continue
         if out:
             with _open_output(out / f"trace_{label}.csv") as fh:
                 write_trace_csv(fh, result.trace)
         iters_to, final_gap = _gap_metrics(result.trace)
         metrics.append((label, iters_to, final_gap))
+    if len(errors) == len(runs):
+        raise errors[0]
 
     fixed_only = [m for m in metrics if m[0].startswith("fixed_")]
     ranking = rank_fixed_runs(fixed_only)
@@ -667,7 +659,8 @@ def _add_run_options(parser):
     parser.add_argument("--iteration-limit", type=int, default=1_000_000)
     parser.add_argument("--check-cadence", type=int, default=30)
     parser.add_argument("--beta", type=float, default=None,
-                        help="adaptive and flexible gap decay (default: exp(-1))")
+                        help="gap-decay factor beta of adaptive and flexible restarts "
+                             "(default: exp(-1))")
 
 
 def main(argv=None):
@@ -683,7 +676,8 @@ def main(argv=None):
     _add_run_options(p_solve)
     p_solve.add_argument("--scheme", choices=[NO_RESTART, FIXED, ADAPTIVE, FLEXIBLE],
                          default=ADAPTIVE)
-    p_solve.add_argument("--fixed-length", type=int, default=None)
+    p_solve.add_argument("--fixed-length", type=int, default=None,
+                         help="restart length tau of fixed restarts")
     p_solve.add_argument("--tune-eta", action="store_true",
                          help="ADMM: tune eta over the 4^k grid first")
     p_solve.add_argument("--trace-out", default=None)

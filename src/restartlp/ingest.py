@@ -481,7 +481,8 @@ def to_standard_form(model):
     upper bounds slacked into extra rows).  RANGES R on a row with
     right-hand side r give [r - |R|, r] on an L row, [r, r + |R|] on a G
     row, and on an E row [r, r + |R|] when R >= 0 and [r - |R|, r] when
-    R < 0.
+    R < 0.  A row with no nonzero entry whose interval excludes 0 makes
+    the model infeasible; it is a ValueError that names the row.
 
     Sums are taken in the order of a column-by-column pass, which the
     column-sorted entries of the model give: each row's
@@ -515,6 +516,15 @@ def to_standard_form(model):
     above = has_range & (is_g | (is_e & ~(rng < 0)))       # [r, r + |R|]
     row_lo = np.where(below, r - np.abs(rng), np.where(is_l & ~has_range, -np.inf, r))
     row_up = np.where(above, r + np.abs(rng), np.where(is_g & ~has_range, np.inf, r))
+    # a row with no nonzero entry reads a'x = 0, which its interval must hold
+    obj = model.entry_rows == OBJECTIVE_ROW
+    occupied = np.zeros(m, dtype=bool)
+    occupied[model.entry_rows[~obj & (model.entry_vals != 0.0)]] = True
+    bad = np.flatnonzero(~occupied & ((row_lo > 0.0) | (row_up < 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"row {model.row_names[i]!r} has no nonzero entry, so a'x = 0, "
+                         f"outside its interval [{row_lo[i]}, {row_up[i]}]")
 
     # Equalize rows: a'x (+/- slack) = rhs.  Ranged rows get a bounded slack.
     equal = row_lo == row_up
@@ -534,7 +544,6 @@ def to_standard_form(model):
     l = np.concatenate([lo, np.zeros(s)])
     u = np.concatenate([up, slack_up[slack_rows]])
     cost = np.zeros(n + s)
-    obj = model.entry_rows == OBJECTIVE_ROW
     cost[model.entry_cols[obj]] = 0.0 + sense_flip * model.entry_vals[obj]
     e_rows = np.concatenate([model.entry_rows[~obj], slack_rows])
     e_cols = np.concatenate([model.entry_cols[~obj], n + np.arange(s)])

@@ -30,12 +30,14 @@ restart, one addition per iteration, and divides the average out of it only
 where it is read: at a checkpoint, and on the iterations where an
 ``observe`` hook asks for it.
 
-Restart and termination checks happen only at checkpoints (every
-``check_cadence`` iterations).  A checkpoint measures the average and the
-last iterate once each: its KKT error, and its normalized gap where the
-restart scheme reads it.  For PDHG, EGM and PPM that is one fused pass: the
-gradient blocks c - A'y and Ax - b come from one pair of matrix-vector
-products and feed both the KKT error and the gap
+Restart and termination checks happen only at checkpoints: every
+``check_cadence`` iterations of an epoch and, under fixed restarts, at its
+``tau``-th iteration, so a fixed restart fires at tau whatever the cadence.
+A checkpoint measures the average and the last iterate once each: its KKT
+error, and its normalized gap where the restart scheme reads it.  For
+PDHG, EGM and PPM that is one fused pass: the gradient blocks c - A'y and
+Ax - b come from one pair of matrix-vector products and feed both the KKT
+error and the gap
 (:func:`~restartlp.gap.normalized_gap_lp`, one block trust-region solve by
 :func:`~restartlp.gap.solve_linear_trust_region`).  For ADMM each KKT
 evaluation also extracts an LP dual estimate from A A' lam = -A y: one
@@ -114,26 +116,36 @@ def _integer(name, value):
 
 @dataclass(frozen=True)
 class RestartScheme:
-    """Restart rule: kind plus its parameters.
+    """Restart rule: kind plus the one parameter that kind reads.
 
-    beta is the required gap-decay factor for adaptive/flexible restarts
-    (default exp(-1), which optimizes the total-iteration bound); tau is
-    the fixed length, an integer, Python or numpy.
+    tau is the restart length of fixed restarts, an integer, Python or
+    numpy, and None for every other kind; beta is the required gap-decay
+    factor of adaptive and flexible restarts, None for the other kinds and
+    by default exp(-1), which optimizes the total-iteration bound.  A
+    parameter given to a kind that does not read it is a ValueError.
     """
 
     kind: str
     tau: int | None = None
-    beta: float = DEFAULT_BETA
+    beta: float | None = None
 
     def __post_init__(self):
         if self.kind not in (NO_RESTART, FIXED, ADAPTIVE, FLEXIBLE):
             raise ValueError(f"unknown restart scheme {self.kind!r}")
-        if self.tau is not None:
-            object.__setattr__(self, "tau", _integer("tau", self.tau))
-        if self.kind == FIXED and (self.tau is None or self.tau < 1):
-            raise ValueError("fixed restarts need tau >= 1")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
+        if self.kind == FIXED:
+            tau = None if self.tau is None else _integer("tau", self.tau)
+            if tau is None or tau < 1:
+                raise ValueError("fixed restarts need a restart length tau >= 1")
+            object.__setattr__(self, "tau", tau)
+        elif self.tau is not None:
+            raise ValueError("a restart length tau applies to fixed restarts only")
+        if self.kind in (ADAPTIVE, FLEXIBLE):
+            if self.beta is None:
+                object.__setattr__(self, "beta", DEFAULT_BETA)
+            if not 0.0 < self.beta < 1.0:
+                raise ValueError("beta must lie in (0, 1)")
+        elif self.beta is not None:
+            raise ValueError("beta applies to adaptive and flexible restarts only")
 
     @staticmethod
     def none():
@@ -144,11 +156,11 @@ class RestartScheme:
         return RestartScheme(FIXED, tau=tau)
 
     @staticmethod
-    def adaptive(beta=DEFAULT_BETA):
+    def adaptive(beta=None):
         return RestartScheme(ADAPTIVE, beta=beta)
 
     @staticmethod
-    def flexible(beta=DEFAULT_BETA):
+    def flexible(beta=None):
         return RestartScheme(FLEXIBLE, beta=beta)
 
 
@@ -167,11 +179,13 @@ def should_restart(scheme, outer, inner, stored_gap, gap_now, radius):
     iterations after the last restart, from a candidate at ``radius`` from
     the anchor whose normalized gap is ``gap_now``.
 
-    Fixed: after ``tau`` iterations.  Adaptive/flexible: when the candidate
-    has not moved from the anchor (radius 0); else the first epoch ends at
-    its first checkpoint, where no gap has been stored yet, and later epochs
-    when the candidate gap is at most beta times ``stored_gap``, the gap at
-    the previous restart.
+    Fixed: after ``tau`` iterations; :func:`run_restarted` makes a
+    checkpoint at inner = tau, so the restart fires there whatever the
+    cadence.  Adaptive/flexible: when the candidate has not moved from the
+    anchor (radius 0); else the first epoch ends at its first checkpoint,
+    where no gap has been stored yet, and later epochs when the candidate
+    gap is at most beta times ``stored_gap``, the gap at the previous
+    restart.
     """
     if scheme.kind == NO_RESTART:
         return False
@@ -187,7 +201,9 @@ def should_restart(scheme, outer, inner, stored_gap, gap_now, radius):
 @dataclass
 class SolveOptions:
     """What :func:`run_restarted` runs; ``iteration_limit`` and
-    ``check_cadence`` are integers, Python or numpy ones."""
+    ``check_cadence`` are integers, Python or numpy ones.  Checkpoints fall
+    every ``check_cadence`` iterations of an epoch; a fixed scheme's
+    restart still fires at its tau, whatever the cadence."""
 
     step: StepConfig
     scheme: RestartScheme
@@ -450,10 +466,13 @@ def run_restarted(problem, options, z0=None, observe=None):
 
     Returns a :class:`SolveResult`; ``status`` is optimal when
     min(KKT(average), KKT(last iterate)) fell below the tolerance at a
-    checkpoint.  Gap radii are the distance traveled since the last restart,
-    measured in the scheme norm (Euclidean for PDHG/EGM/PPM, the ADMM
-    semi-norm for ADMM); for no-restart runs the gap is evaluated at the
-    last iterate with radius equal to the distance from the start.
+    checkpoint.  Checkpoints fall every ``options.check_cadence``
+    iterations of an epoch, at the iteration limit and, under a fixed
+    scheme, at the epoch's tau-th iteration, where its restart fires
+    whatever the cadence.  Gap radii are the distance traveled since the
+    last restart, measured in the scheme norm (Euclidean for PDHG/EGM/PPM,
+    the ADMM semi-norm for ADMM); for no-restart runs the gap is evaluated
+    at the last iterate with radius equal to the distance from the start.
 
     Every point is one flat vector, [x; y] or ADMM's [x_U; x_V; y], whose
     blocks the steps read and write as views.  The loop allocates no
@@ -540,7 +559,7 @@ def _run_lane(lane, options, z0=None, observe=None):
 
     # loop invariants, bound once
     step, add = lane.step, np.add
-    cadence, limit = options.check_cadence, options.iteration_limit
+    cadence, limit, tau = options.check_cadence, options.iteration_limit, scheme.tau
     stop = False
     while True:
         out = step(cur_point)
@@ -552,7 +571,8 @@ def _run_lane(lane, options, z0=None, observe=None):
             np.copyto(target_sum, tvec)
         else:
             add(target_sum, tvec, out=target_sum)
-        check = inner % cadence == 0 or total >= limit
+        # tau is None, which no inner equals, unless the scheme is fixed
+        check = inner % cadence == 0 or inner == tau or total >= limit
         if observe is not None:
             stop = bool(observe(total, lane.to_caller(tvec), average))
         if not (check or stop):

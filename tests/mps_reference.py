@@ -242,7 +242,8 @@ def to_standard_form(model):
     variables, free variables are split, finite bounds are shifted (and
     upper bounds slacked into extra rows).  RANGES R on an E row with
     right-hand side r give [r, r + |R|] when R >= 0 and [r - |R|, r] when
-    R < 0.
+    R < 0.  A row with no nonzero entry whose interval excludes 0 is a
+    ValueError that names the row.
     """
     lo, up = model.resolved_bounds()
     for col in model.column_names:
@@ -271,6 +272,12 @@ def to_standard_form(model):
             row_up[row] = r + abs(rng) if rng is not None else math.inf
     if model.objective_row in model.ranges:
         raise ValueError("RANGES on the objective row")
+    # a row with no nonzero entry reads a'x = 0, which its interval must hold
+    occupied = {row for (row, _col), val in model.entries.items() if val != 0.0}
+    for row in model.row_names:
+        if row not in occupied and not row_lo[row] <= 0.0 <= row_up[row]:
+            raise ValueError(f"row {row!r} has no nonzero entry, so a'x = 0, "
+                             f"outside its interval [{row_lo[row]}, {row_up[row]}]")
 
     # Interim columns: original columns plus row slacks, each with bounds.
     # Each interim column is (name, coeffs as list of (row_index, value),

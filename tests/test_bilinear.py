@@ -291,8 +291,7 @@ class TestScalarObserve:
             ratios.append(tuple(s / 4.0 for s in _sums(z[index].tolist())))
             return False
 
-        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 300, 300,
-                           record)
+        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 300, record)
         first, eps = _separating_iteration(ratios, at_most=0.5)
         rep = table3_scaling_experiment([4, 8], eps, avg_eps=(1e-1,))
         assert rep.rows[2] == (8.0, "last", first)
@@ -310,8 +309,7 @@ class TestScalarObserve:
             norms.append(tuple(math.sqrt(s) for s in _sums(mean)))
             return False
 
-        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 300, 300,
-                           record)
+        bilinear._pdhg_run(problem, 0.5, RestartScheme.none(), bilinear._ones(2), 300, record)
         first, level = _separating_iteration(norms)
         # a level of e |z0| for |z0| = 2
         rep = table3_scaling_experiment([4], 1e-2, avg_kappa=4, avg_eps=(level / 2.0,))
@@ -332,7 +330,7 @@ class TestScalarObserve:
             return False
 
         bilinear._pdhg_run(problem, 0.5, RestartScheme.fixed(tstar), bilinear._ones(2), 300,
-                           tstar, record)
+                           record)
         first, eps = _separating_iteration(ratios, at_most=0.5)
         rep = table3_scaling_experiment([kappa], eps, avg_eps=(1e-1,))
         assert rep.rows[1] == (kappa, "restarted", first)

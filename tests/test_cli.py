@@ -42,7 +42,7 @@ ENDATA
 # every stored coefficient is zero
 ZERO_MPS = TINY_MPS.replace("1.0", "0.0")
 
-# an E row with no entries and right-hand side 1: Ax = b is inconsistent
+# an E row with no entries and right-hand side 1: a'x = 0 cannot meet it
 EMPTY_ROW_MPS = """\
 NAME          EMPTYROW
 ROWS
@@ -53,6 +53,23 @@ COLUMNS
     X1        COST      1.0        BAL       1.0
 RHS
     RHS1      BAL       1.0        EMPTY     1.0
+ENDATA
+"""
+
+# rows x1 + x2 = 1 and x1 + x2 = 2: Ax = b is inconsistent
+DUPLICATE_ROW_MPS = """\
+NAME          DUPROW
+ROWS
+ N  COST
+ E  R1
+ E  R2
+COLUMNS
+    X1        COST      1.0        R1        1.0
+    X1        R2        1.0
+    X2        COST      1.0        R1        1.0
+    X2        R2        1.0
+RHS
+    RHS1      R1        1.0        R2        2.0
 ENDATA
 """
 
@@ -126,6 +143,17 @@ class TestSolve:
                            "kkt_avg", "kkt_last", "radius", "restart_flag",
                            "elapsed_seconds"]
 
+    def test_fixed_restarts_fire_at_the_fixed_length(self, tmp_path):
+        # at the default cadence of 30 they fired at 90, the first
+        # checkpoint at or past 64
+        summary = tmp_path / "summary.json"
+        code = main(["solve", "--generate", "random:m=20,n=40,density=0.3,seed=1",
+                     "--scheme", "fixed", "--fixed-length", "64",
+                     "--summary-out", str(summary)])
+        assert code == EXIT_OPTIMAL
+        lengths = json.loads(summary.read_text())["restart_lengths"]
+        assert lengths and set(lengths) == {64}
+
     def test_iteration_limit_exit_code(self, tmp_path):
         code = main(["solve", "--generate", "random:m=20,n=40,density=0.3,seed=1",
                      "--iteration-limit", "10", "--kkt-tol", "1e-12"])
@@ -181,20 +209,44 @@ class TestSolve:
     def test_admm_on_an_inconsistent_model_is_input_error(self, tmp_path, capsys):
         # the projection onto Ax = b cannot meet its residual bound; it left
         # main as a traceback
-        mps = tmp_path / "empty_row.mps"
-        mps.write_text(EMPTY_ROW_MPS)
+        mps = tmp_path / "duplicate_row.mps"
+        mps.write_text(DUPLICATE_ROW_MPS)
         assert main(["solve", "--input", str(mps), "--method", "admm"]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: factored normal-equation solve failed")
         assert err.count("\n") == 1, err
 
-    def test_sweep_records_an_inconsistent_model_as_failed_runs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", [PDHG, EGM, ADMM])
+    def test_an_empty_row_that_excludes_zero_is_input_error(self, method, tmp_path, capsys):
+        # PDHG ran to its iteration limit on it, at KKT error 1
         mps = tmp_path / "empty_row.mps"
         mps.write_text(EMPTY_ROW_MPS)
+        assert main(["solve", "--input", str(mps), "--method", method]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == ("error: row 'EMPTY' has no nonzero entry, so a'x = 0, "
+                       "outside its interval [1.0, 1.0]\n")
+
+    def test_sweep_exits_3_when_every_run_fails(self, tmp_path, capsys):
+        mps = tmp_path / "duplicate_row.mps"
+        mps.write_text(DUPLICATE_ROW_MPS)
         code = main(["sweep-restarts", "--input", str(mps), "--method", "admm"])
-        assert code == EXIT_OPTIMAL
+        assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.count(": failed (factored normal-equation solve failed") == 11, err
+        assert err.count("error: factored normal-equation solve failed") == 1, err
+
+    def test_sweep_exits_0_when_a_run_succeeds(self, monkeypatch, capsys):
+        solve = cli.run_restarted
+
+        def fail_unless_adaptive(problem, options):
+            if options.scheme.kind != "adaptive":
+                raise ValueError("boom")
+            return solve(problem, options)
+
+        monkeypatch.setattr(cli, "run_restarted", fail_unless_adaptive)
+        code = main(["sweep-restarts", "--generate", "random:m=10,n=20,density=0.4,seed=2"])
+        assert code == EXIT_OPTIMAL
+        assert capsys.readouterr().err.count(": failed (boom)") == 10
 
     def test_divergence_exit_code(self):
         code = main(["solve", "--generate", "random:m=10,n=20,density=0.4,seed=2",
@@ -402,7 +454,7 @@ class TestTuneOmega:
         code = main(["solve", "--generate", "random:m=8,n=16,density=0.4,seed=1",
                      "--method", "admm", "--omega", "auto"])
         assert code == EXIT_INPUT_ERROR
-        assert "omega tuning applies to PDHG and EGM only" in capsys.readouterr().err
+        assert ADMM_TAKES_NO_OMEGA in capsys.readouterr().err
 
     @pytest.mark.parametrize("method,problem", [
         (ADMM, ["--generate", "random:m=20,n=40,density=0.3,seed=1"]),
@@ -522,6 +574,7 @@ class TestTuneOmega:
 
 
 PPM_ON_AN_LP = "PPM steps are implemented for unconstrained bilinear problems only"
+ADMM_TAKES_NO_OMEGA = "omega applies to PDHG and EGM only; admm takes omega = 1"
 ADMM_ON_A_BILINEAR_PROBLEM = ("ADMM steps only an LP (x >= 0), not an unconstrained "
                               "bilinear problem")
 
@@ -539,10 +592,11 @@ class TestOptionsBeforeWork:
 
     @pytest.mark.parametrize("argv,message", [
         (["solve", "--method", "admm", "--tune-eta", "--omega", "16"],
-         "omega applies to PDHG and EGM only; admm takes omega = 1"),
+         ADMM_TAKES_NO_OMEGA),
         (["solve", "--omega", "auto", "--method", "admm", "--tune-eta"],
-         "omega tuning applies to PDHG and EGM only"),
-        (["solve", "--omega", "auto", "--scheme", "fixed"], "fixed scheme needs --fixed-length"),
+         ADMM_TAKES_NO_OMEGA),
+        (["solve", "--omega", "auto", "--scheme", "fixed"],
+         "fixed restarts need a restart length tau >= 1"),
         (["solve", "--omega", "auto", "--kkt-tol", "-1"], "KKT tolerance must be a number >= 0"),
         (["solve", "--method", "egm", "--omega", "auto", "--start", "1,2"],
          "start point needs 60 entries"),
@@ -551,7 +605,7 @@ class TestOptionsBeforeWork:
         (["sweep-restarts", "--method", "ppm", "--omega", "16"],
          "omega applies to PDHG and EGM only; ppm takes omega = 1"),
         (["sweep-restarts", "--method", "ppm", "--omega", "auto"],
-         "omega tuning applies to PDHG and EGM only"),
+         "omega applies to PDHG and EGM only; ppm takes omega = 1"),
         (["sweep-restarts", "--omega", "auto", "--kkt-tol", "-1"],
          "KKT tolerance must be a number >= 0"),
         (["sweep-restarts", "--omega", "auto", "--beta", "2"], "beta must lie in (0, 1)"),
@@ -566,13 +620,13 @@ class TestOptionsBeforeWork:
          "cannot write"),
         (["solve", "--method", "ppm"], PPM_ON_AN_LP),
         (["sweep-restarts", "--method", "ppm"], PPM_ON_AN_LP),
-        (["solve", "--fixed-length", "5"], "--fixed-length applies to --scheme fixed only"),
+        (["solve", "--fixed-length", "5"], "a restart length tau applies to fixed restarts only"),
         (["solve", "--scheme", "none", "--fixed-length", "5"],
-         "--fixed-length applies to --scheme fixed only"),
+         "a restart length tau applies to fixed restarts only"),
         (["solve", "--scheme", "fixed", "--fixed-length", "64", "--beta", "0.9"],
-         "--beta applies to --scheme adaptive and flexible only"),
+         "beta applies to adaptive and flexible restarts only"),
         (["solve", "--scheme", "none", "--beta", "0.5"],
-         "--beta applies to --scheme adaptive and flexible only"),
+         "beta applies to adaptive and flexible restarts only"),
         (["solve", "--tune-eta"], "--tune-eta applies to ADMM only"),
         (["solve", "--method", "admm", "--tune-eta", "--eta", "2"],
          "--tune-eta tunes eta, which --eta gives"),
@@ -618,7 +672,7 @@ class TestOptionsBeforeWork:
         code = main(["tune-omega", "--method", "admm", "--generate",
                      "random:m=20,n=40,density=0.3,seed=1"])
         assert code == EXIT_INPUT_ERROR
-        assert "tune-omega supports PDHG and EGM" in capsys.readouterr().err
+        assert ADMM_TAKES_NO_OMEGA in capsys.readouterr().err
 
 
 class TestSweep:
@@ -640,6 +694,20 @@ class TestSweep:
                      "--iteration-limit", "300", "--summary-out", str(summary)])
         assert code == EXIT_INPUT_ERROR and not summary.exists()
         assert "unrecognized arguments: --summary-out" in capsys.readouterr().err
+
+    def test_fixed_runs_restart_at_their_own_lengths(self, tmp_path):
+        # at the default cadence of 30, fixed_4 and fixed_16 both restarted
+        # every 30 iterations and wrote the same trace
+        out = tmp_path / "sweep"
+        code = main(["sweep-restarts", "--generate", "random:m=10,n=20,density=0.4,seed=2",
+                     "--iteration-limit", "600", "--out-dir", str(out)])
+        assert code == EXIT_OPTIMAL
+        traces = {tau: read_trace(out / f"trace_fixed_{tau}.csv") for tau in (4, 16)}
+        # every column but the wall time
+        assert [r[:-1] for r in traces[4]] != [r[:-1] for r in traces[16]]
+        for tau, rows in traces.items():
+            lengths = {int(r[2]) for r in rows[1:] if r[7] == "1"}
+            assert lengths == {tau}
 
     def test_sweep_on_toy(self, tmp_path):
         out = tmp_path / "sweep"

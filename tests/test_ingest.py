@@ -366,6 +366,44 @@ class TestStandardForm:
             assert ref.fun == pytest.approx(expected, abs=1e-9)
             assert vmap.original_objective(problem, x) == pytest.approx(ref.fun, abs=1e-8)
 
+    @staticmethod
+    def _with_empty_row(sense, rhs, spread=None):
+        """TWO_VAR_FIXTURE with a row EMPTY of ``sense`` that has only a
+        zero entry, right-hand side ``rhs`` and, if given, RANGES ``spread``."""
+        text = (TWO_VAR_FIXTURE
+                .replace(" E  BAL", f" E  BAL\n {sense}  EMPTY")
+                .replace("    X2        COST      1.0        BAL       1.0",
+                         "    X2        COST      1.0        BAL       1.0\n"
+                         "    X2        EMPTY     0.0")
+                .replace("    RHS1      BAL       1.0", f"    RHS1      BAL       1.0\n"
+                                                        f"    RHS1      EMPTY     {rhs}"))
+        if spread is not None:
+            text = text.replace("ENDATA", f"RANGES\n    RNG       EMPTY     {spread}\nENDATA")
+        return text
+
+    @pytest.mark.parametrize("sense,rhs,spread,interval", [
+        ("E", 1.0, None, "[1.0, 1.0]"),
+        ("L", -1.0, None, "[-inf, -1.0]"),
+        ("G", 1.0, None, "[1.0, inf]"),
+        ("E", 1.0, 2.0, "[1.0, 3.0]"),
+        ("L", -1.0, 0.5, "[-1.5, -1.0]"),
+    ], ids=["E", "L", "G", "ranged E", "ranged L"])
+    def test_empty_row_whose_interval_excludes_zero(self, sense, rhs, spread, interval):
+        # a'x = 0 on a row with no nonzero entry: the model is infeasible
+        with pytest.raises(ValueError) as err:
+            to_standard_form(parse_mps(self._with_empty_row(sense, rhs, spread)))
+        assert str(err.value) == ("row 'EMPTY' has no nonzero entry, so a'x = 0, "
+                                  f"outside its interval {interval}")
+
+    @pytest.mark.parametrize("sense,rhs,spread", [
+        ("E", 0.0, None), ("L", 0.0, None), ("G", 0.0, None), ("L", 1.0, None),
+        ("G", -1.0, None), ("E", -1.0, 2.0)],
+        ids=["E 0", "L 0", "G 0", "L 1", "G -1", "ranged E"])
+    def test_empty_row_whose_interval_holds_zero(self, sense, rhs, spread):
+        problem, _ = to_standard_form(parse_mps(self._with_empty_row(sense, rhs, spread)))
+        # a ranged row's bounded slack adds a bound row
+        assert problem.m == (2 if spread is None else 3)
+
 
 class TestGenerators:
     def test_diagonal_bilinear(self):
@@ -505,8 +543,15 @@ class TestReferenceEquivalence:
         assert_bits_equal(model.entry_rows, np.array([e[1] for e in expect], dtype=np.int64))
         assert_bits_equal(model.entry_vals, np.array([e[2] for e in expect], dtype=np.float64))
 
+        try:
+            ref_problem, ref_vmap = mps_reference.to_standard_form(ref)
+        except ValueError as exc:
+            # an empty row whose interval excludes 0: both reject it alike
+            with pytest.raises(ValueError) as got:
+                to_standard_form(model)
+            assert str(got.value) == str(exc)
+            return
         problem, vmap = to_standard_form(model)
-        ref_problem, ref_vmap = mps_reference.to_standard_form(ref)
         assert problem.A.shape == ref_problem.A.shape
         for name in ("rows", "cols", "vals"):
             assert_bits_equal(getattr(problem.A, name), getattr(ref_problem.A, name))
@@ -525,8 +570,13 @@ class TestReferenceEquivalence:
             assert token in texts
         repeated = negative_e_range = False
         token_counts = set()
+        rejected = 0
         for text in self.TEXTS:
             ref = mps_reference.parse_mps(text)
+            try:
+                mps_reference.to_standard_form(ref)
+            except ValueError:
+                rejected += 1
             columns = text.split("COLUMNS\n")[1].split("RHS\n")[0].splitlines()
             token_counts |= {len(line.split()) for line in columns}
             pairs = sum(len(line.split()) // 2 for line in columns)
@@ -535,6 +585,8 @@ class TestReferenceEquivalence:
                                     for r in ref.row_names)
         assert repeated and negative_e_range
         assert {3, 5} <= token_counts
+        # some texts hold an empty row whose interval excludes 0, most do not
+        assert 0 < rejected < len(self.TEXTS) // 2
 
 
 BAD_COLUMNS = {

@@ -88,6 +88,29 @@ class TestRestartScheme:
         assert RestartScheme.fixed(np.int64(64)) == RestartScheme.fixed(64)
         assert type(RestartScheme.fixed(np.int64(64)).tau) is int
 
+    @pytest.mark.parametrize("kind,params,message", [
+        ("none", {"tau": 5}, "a restart length tau applies to fixed restarts only"),
+        ("adaptive", {"tau": 5}, "a restart length tau applies to fixed restarts only"),
+        ("flexible", {"tau": 5}, "a restart length tau applies to fixed restarts only"),
+        ("fixed", {}, "fixed restarts need a restart length tau >= 1"),
+        ("fixed", {"tau": 0}, "fixed restarts need a restart length tau >= 1"),
+        ("fixed", {"tau": 64, "beta": 0.9}, "beta applies to adaptive and flexible restarts only"),
+        ("none", {"beta": 0.5}, "beta applies to adaptive and flexible restarts only"),
+    ], ids=["none-tau", "adaptive-tau", "flexible-tau", "fixed-no-tau", "fixed-tau-0",
+            "fixed-beta", "none-beta"])
+    def test_a_parameter_the_kind_does_not_read_is_rejected(self, kind, params, message):
+        with pytest.raises(ValueError) as err:
+            RestartScheme(kind, **params)
+        assert str(err.value) == message
+
+    def test_each_kind_holds_only_the_parameter_it_reads(self):
+        assert RestartScheme.fixed(64).beta is None
+        assert RestartScheme.none() == RestartScheme("none", None, None)
+        assert RestartScheme.adaptive() == RestartScheme.adaptive(beta=math.exp(-1))
+        assert RestartScheme.flexible() == RestartScheme.flexible(beta=math.exp(-1))
+        assert RestartScheme("adaptive").beta == math.exp(-1)
+        assert RestartScheme.adaptive().tau is None
+
 
 class TestShouldRestart:
     # should_restart(scheme, outer, inner, stored_gap, gap_now, radius)
@@ -234,6 +257,19 @@ class TestRunRestarted:
         assert res.status == Status.DIVERGED and res.iterations == 10
         assert np.all(np.isfinite(res.last.as_vector()))
         assert not np.all(np.isfinite(res.average.as_vector()))
+
+    @pytest.mark.parametrize("tau", [4, 16, 64])
+    def test_fixed_restarts_fire_at_tau_whatever_the_cadence(self, tau):
+        # at cadence 30 they fired at the first checkpoint at or past tau:
+        # every 30 iterations for tau 4 and 16, every 90 for 64
+        problem, _ = generate(RandomLpKnownOptimum(20, 40, 0.3, 1))
+        step = StepConfig(PDHG, 0.9 / power_method_sigma_max(problem.A))
+        res = run_restarted(problem, SolveOptions(step, RestartScheme.fixed(tau),
+                                                  iteration_limit=2000, check_cadence=30))
+        restarts_at = [(r.inner, r.iteration) for r in res.trace.records if r.restarted]
+        assert len(restarts_at) >= 3
+        assert [inner for inner, _ in restarts_at] == [tau] * len(restarts_at)
+        assert [it for _, it in restarts_at] == [tau * k for k in range(1, len(restarts_at) + 1)]
 
     def test_toy_fixed25_anchor_distances_decrease(self):
         problem, _ = generate(DiagonalBilinear((1.0,)))
